@@ -7,6 +7,13 @@ support points, and collapse the per-point densities with an aggregator.
 Pairs whose segment crosses a low-density region end up with a small
 factor, which is what lets the propagation graph respect cluster shape.
 
+Nearest rows, for KDE supports here and for kNN edges in ``graph``, come
+from one exact kernel, ``_nearest_rows``. It screens each block of queries
+with GEMM distances and ``argpartition``, then ranks the surviving
+candidates on direct-difference distances with ties toward the lower row
+index. A query whose cut the screen cannot prove is ranked over all rows,
+so the result never depends on BLAS rounding or thread count.
+
 All operations are pure; per-pair computations are independent and may run
 in any order without changing the result.
 """
@@ -31,9 +38,118 @@ __all__ = [
     "select_kde_supports",
 ]
 
-# Element budget for one chunk of the (queries x supports x dim) distance
-# computation; keeps peak memory around 64 MB of float64.
+# Element budget for the transient arrays of one query block: its screening
+# distances and their partition order (queries x rows each), its gathered
+# candidates (queries x candidates x dim), or, for queries ranked over all
+# rows, their (queries x rows x dim) differences. Keeps each block near
+# 64 MB of float64.
 _CHUNK_ELEMENTS = 8_000_000
+
+# Candidates the screen keeps beyond the requested count. Any margin >= 1
+# is exact; a few spare rows let the screen prove its cut when the
+# distances just past the count are close but not tied.
+_SCREEN_MARGIN = 8
+
+
+def _nearest_rows(queries, pool, count, exclude=None):
+    """The ``count`` pool rows nearest to each query, closest first.
+
+    Returns (indices, squared distances), each (n_queries, count). The
+    distance is ``np.sum((q - x) ** 2)`` over the differences, and ties go
+    to the lower row index: the result equals a stable argsort of every
+    direct distance. ``exclude``, if given, holds one pool row per query
+    that is never returned; ``count`` must leave enough rows.
+
+    Each query block is screened with GEMM distances
+    ||q||^2 + ||x||^2 - 2 q.x, and ``argpartition`` keeps ``count`` plus
+    ``_SCREEN_MARGIN`` candidates. A screened distance is within
+    ``bound`` = 2 (dim + 4) eps (||q|| + max ||x||)^2 of the direct one, so
+    when the first row screened out lies more than 2 * bound past the
+    ``count``-th, no row outside the candidates can rank inside the count.
+    Queries that fail this test are ranked over all rows.
+    """
+    n, dim = pool.shape
+    width = count + _SCREEN_MARGIN
+    if width >= n:
+        return _rank_all(queries, pool, count, exclude)
+    indices = np.empty((queries.shape[0], count), dtype=np.intp)
+    dist2 = np.empty((queries.shape[0], count))
+    pool_sq = np.einsum("ij,ij->i", pool, pool)
+    radius = np.sqrt(pool_sq.max())
+    slack = 4 * (dim + 4) * np.finfo(float).eps
+    block = max(1, _CHUNK_ELEMENTS // (2 * n + width * dim))
+    for start in range(0, queries.shape[0], block):
+        q = queries[start : start + block]
+        skip = None if exclude is None else exclude[start : start + block]
+        # Overflow is left to the finiteness test below, which sends the
+        # affected queries to the exact rule.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_sq = np.einsum("ij,ij->i", q, q)
+            screen = q @ pool.T
+            screen *= -2.0
+            screen += pool_sq
+            screen += q_sq[:, None]
+            if skip is not None:
+                screen[np.arange(q.shape[0]), skip] = np.inf
+            part = np.argpartition(screen, width, axis=1)
+            kept = np.take_along_axis(screen, part[:, : width + 1], axis=1)
+            last = np.partition(kept[:, :width], count - 1, axis=1)[:, count - 1]
+            scale = (np.sqrt(q_sq) + radius) ** 2
+            # The tiny term covers rounding among subnormal squares. A finite
+            # 2 * scale rules out overflow, so every screened value is finite
+            # and an excluded row (inf) is never a candidate.
+            bound = slack * scale + np.finfo(float).tiny
+            proven = (kept[:, width] - last > bound) & (2 * scale < np.inf)
+        rows = np.flatnonzero(proven)
+        indices[start + rows], dist2[start + rows] = _rank(
+            q[rows], pool, part[rows, :width], count
+        )
+        rows = np.flatnonzero(~proven)
+        if rows.size:
+            indices[start + rows], dist2[start + rows] = _rank_all(
+                q[rows], pool, count, None if skip is None else skip[rows]
+            )
+    return indices, dist2
+
+
+def _rank(queries, pool, candidates, count):
+    """Rank each query's candidate rows by (direct distance, row index)."""
+    # (x - q) ** 2 equals (q - x) ** 2 bit for bit; working in place keeps
+    # one (queries x candidates x dim) array alive.
+    diff = pool[candidates]
+    diff -= queries[:, None, :]
+    np.square(diff, out=diff)
+    dist2 = diff.sum(axis=2)
+    order = np.lexsort((candidates, dist2), axis=1)[:, :count]
+    return (
+        np.take_along_axis(candidates, order, axis=1),
+        np.take_along_axis(dist2, order, axis=1),
+    )
+
+
+def _rank_all(queries, pool, count, exclude):
+    """The direct rule over every pool row: a stable argsort of all distances.
+
+    An excluded row is set to -inf, so it sorts first and is dropped.
+    Queries are chunked so their differences stay within the budget.
+    """
+    n, dim = pool.shape
+    skip = 0 if exclude is None else 1
+    indices = np.empty((queries.shape[0], count), dtype=np.intp)
+    dist2 = np.empty((queries.shape[0], count))
+    step = max(1, _CHUNK_ELEMENTS // (n * dim))
+    for start in range(0, queries.shape[0], step):
+        q = queries[start : start + step]
+        rows = slice(start, start + q.shape[0])
+        diff = q[:, None, :] - pool[None, :, :]
+        np.square(diff, out=diff)
+        d2 = diff.sum(axis=2)
+        if skip:
+            d2[np.arange(q.shape[0]), exclude[rows]] = -np.inf
+        order = np.argsort(d2, axis=1, kind="stable")[:, skip : skip + count]
+        indices[rows] = order
+        dist2[rows] = np.take_along_axis(d2, order, axis=1)
+    return indices, dist2
 
 
 @dataclass(frozen=True)
@@ -146,9 +262,10 @@ def select_kde_supports(features, query, n):
             "support count %d exceeds the %d available rows" % (n, features.n_rows)
         )
     query = np.asarray(query, dtype=float)
-    d2 = np.sum((features.data - query) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")[:n]
-    return features.data[order]
+    if query.shape != (features.dim,) or not np.all(np.isfinite(query)):
+        raise DataError("query must be a finite vector of the feature dim")
+    indices, _ = _nearest_rows(query[None, :], features.data, n)
+    return features.data[indices[0]]
 
 
 def aggregate_density(values, aggregator, quantile_t=0.5):
@@ -180,8 +297,8 @@ def batch_normalized_density(queries, features, n, h):
     """Normalized KDE values for a batch of query points.
 
     Equivalent to ``kde_density_normalized(q, select_kde_supports(features,
-    q, n), h)`` per row of ``queries``, vectorized and chunked so the
-    intermediate distance block stays within a fixed memory budget.
+    q, n), h)`` per row of ``queries``, with the supports found by the
+    batched nearest-row kernel.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -198,20 +315,16 @@ def batch_normalized_density(queries, features, n, h):
     if not h > 0:
         raise DataError("bandwidth h must be positive")
 
-    pool = features.data
-    out = np.empty(queries.shape[0])
-    chunk = max(1, _CHUNK_ELEMENTS // (pool.shape[0] * pool.shape[1]))
-    for start in range(0, queries.shape[0], chunk):
-        block = queries[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - pool[None, :, :]) ** 2, axis=2)
-        idx = np.argsort(d2, axis=1, kind="stable")[:, :n]
-        d2 = np.take_along_axis(d2, idx, axis=1)
-        out[start : start + block.shape[0]] = np.mean(np.exp(-d2 / h), axis=1)
-    return out
+    _, d2 = _nearest_rows(queries, features.data, n)
+    return np.mean(np.exp(-d2 / h), axis=1)
 
 
-def _pair_point_densities(features, pairs, cfg):
-    """Normalized densities at the path points of many pairs: (n_pairs, k)."""
+def _canonical_pairs(features, pairs):
+    """Validated features and pairs, each pair ordered (low, high).
+
+    The canonical ordering makes every density exactly symmetric in the
+    pair orientation.
+    """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
     pairs = np.asarray(pairs, dtype=int)
@@ -221,10 +334,12 @@ def _pair_point_densities(features, pairs, cfg):
         raise DataError("pair index out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise DataError("a zero-length path has no interior points")
-    # Canonical (low, high) ordering makes the result exactly symmetric in
-    # the pair orientation.
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return features, np.sort(pairs, axis=1)
+
+
+def _pair_point_densities(features, pairs, cfg):
+    """Normalized densities at the path points of canonical pairs: (n_pairs, k)."""
+    lo, hi = pairs[:, 0], pairs[:, 1]
     k = int(cfg.path_points_k)
     fracs = np.arange(1, k + 1) / (k + 1)
     a = features.data[lo][:, None, :]
@@ -238,7 +353,7 @@ def _pair_point_densities(features, pairs, cfg):
 
 def batch_path_density_info(features, pairs, cfg):
     """Aggregated path-density factors for many row pairs at once."""
-    values = _pair_point_densities(features, pairs, cfg)
+    values = _pair_point_densities(*_canonical_pairs(features, pairs), cfg)
     if cfg.aggregator == "min":
         return values.min(axis=1)
     if cfg.aggregator == "max":
@@ -264,9 +379,10 @@ def density_ratio(features, pairs, cfg):
 
     A diagnostic of how strongly the density factor can differentiate
     pairs at the configured bandwidth; always >= 1, and it approaches 1 as
-    the bandwidth grows.
+    the bandwidth grows. Reversed or repeated pairs are evaluated once.
     """
-    values = _pair_point_densities(features, pairs, cfg)
+    features, pairs = _canonical_pairs(features, pairs)
+    values = _pair_point_densities(features, np.unique(pairs, axis=0), cfg)
     lowest = float(values.min())
     if lowest <= 0.0:
         raise NumericalError(

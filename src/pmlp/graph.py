@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AffinityMatrix, DataError, FeatureMatrix, NumericalError
-from .density import batch_path_density_info
+from .density import _nearest_rows, batch_path_density_info
 
 __all__ = [
     "EPS_DISTANCE",
@@ -64,20 +64,18 @@ def knn_select(features, center, count):
             "neighbor count %d must be smaller than the %d rows"
             % (count, features.n_rows)
         )
-    d2 = np.sum((features.data - features.data[center]) ** 2, axis=1)
-    d2[center] = -np.inf  # sorts first; dropped below
-    order = np.argsort(d2, kind="stable")
-    idx = order[1 : count + 1]
-    return NeighborSet(
-        center=center, indices=idx, distances=np.sqrt(d2[idx])
+    indices, d2 = _nearest_rows(
+        features.data[center : center + 1], features.data, count, np.array([center])
     )
+    return NeighborSet(center=center, indices=indices[0], distances=np.sqrt(d2[0]))
 
 
 def knn_edges(features, count):
     """Directed nearest-neighbor edges (i -> each of i's ``count`` nearest).
 
-    Returns an (N * count, 2) index array using the same distance and
-    tie-breaking rules as ``knn_select``.
+    Returns an (N * count, 2) index array; each row's own index is
+    excluded, and the distance and tie-breaking rules are those of
+    ``knn_select``.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -86,17 +84,8 @@ def knn_edges(features, count):
         raise DataError(
             "neighbor count %d must lie in [1, %d)" % (count, features.n_rows)
         )
-    pool = features.data
-    n, dim = pool.shape
-    neighbors = np.empty((n, count), dtype=int)
-    chunk = max(1, 8_000_000 // (n * dim))
-    for start in range(0, n, chunk):
-        block = pool[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - pool[None, :, :]) ** 2, axis=2)
-        rows = np.arange(start, start + block.shape[0])
-        d2[rows - start, rows] = -np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        neighbors[start : start + block.shape[0]] = order[:, 1 : count + 1]
+    n = features.n_rows
+    neighbors, _ = _nearest_rows(features.data, features.data, count, np.arange(n))
     sources = np.repeat(np.arange(n), count)
     return np.column_stack([sources, neighbors.reshape(-1)])
 

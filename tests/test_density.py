@@ -1,7 +1,8 @@
 """Path sampling, KDE, aggregators, and the density-ratio diagnostic.
 
 The KDE checks compare against a deliberately naive double-loop evaluator
-written here, independent of the library's vectorized path.
+written here, independent of the library's vectorized path; support
+selection is checked against the direct rule in ``nearest_oracle``.
 """
 
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmlp import density as density_module
 from pmlp.core import DataError, FeatureMatrix, NumericalError, PmlpConfig
 from pmlp.density import (
     PathDensities,
@@ -25,6 +27,8 @@ from pmlp.density import (
     select_kde_supports,
 )
 from pmlp.synthlab import gen_gaussian_blobs
+
+from nearest_oracle import nearest_rows_oracle
 
 
 def brute_force_kde(query, supports, h):
@@ -282,13 +286,12 @@ class TestPathDensityInfo:
             batch = batch_path_density_info(fm, pairs, cfg)
             for (i, j), got in zip(pairs, batch):
                 sample = sample_path(fm, min(i, j), max(i, j), cfg.path_points_k)
+                supports, _ = nearest_rows_oracle(
+                    sample.points, fm.data, cfg.kde_support_n
+                )
                 values = [
-                    kde_density_normalized(
-                        p,
-                        select_kde_supports(fm, p, cfg.kde_support_n),
-                        cfg.bandwidth_h,
-                    )
-                    for p in sample.points
+                    kde_density_normalized(p, fm.data[rows], cfg.bandwidth_h)
+                    for p, rows in zip(sample.points, supports)
                 ]
                 want = aggregate_density(values, aggregator, cfg.quantile_t)
                 assert got == pytest.approx(want, abs=1e-12)
@@ -298,8 +301,9 @@ class TestPathDensityInfo:
         fm = FeatureMatrix(rng.normal(size=(25, 2)))
         queries = rng.normal(size=(40, 2))
         batch = batch_normalized_density(queries, fm, 7, 1.3)
-        for q, got in zip(queries, batch):
-            want = kde_density_normalized(q, select_kde_supports(fm, q, 7), 1.3)
+        supports, _ = nearest_rows_oracle(queries, fm.data, 7)
+        for q, rows, got in zip(queries, supports, batch):
+            want = kde_density_normalized(q, fm.data[rows], 1.3)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -338,6 +342,26 @@ class TestDensityRatio:
             lo, hi = min(i, j), max(i, j)
             values.append(brute_force_path_info(raw, lo, hi, 1, 20, 5.0))
         assert small == pytest.approx(max(values) / min(values), rel=1e-12)
+
+    def test_reversed_and_repeated_pairs_evaluated_once(self, monkeypatch):
+        dataset = gen_gaussian_blobs(
+            [[0.0, 0.0], [8.0, 0.0]], 1.0, per_class=30, labeled_per_class=1, seed=4
+        )
+        cfg = PmlpConfig(bandwidth_h=5.0, kde_support_n=20, path_points_k=3)
+        pairs = [(0, 31), (5, 40), (12, 59)]
+        base = density_ratio(dataset.features, pairs, cfg)
+
+        queried = []
+        real = density_module.batch_normalized_density
+
+        def spy(queries, *args):
+            queried.append(len(queries))
+            return real(queries, *args)
+
+        monkeypatch.setattr(density_module, "batch_normalized_density", spy)
+        noisy = [(31, 0), (5, 40), (40, 5), (12, 59), (0, 31), (59, 12)]
+        assert density_ratio(dataset.features, noisy, cfg) == base
+        assert queried == [len(pairs) * cfg.path_points_k]
 
     def test_underflowed_density_rejected(self):
         fm = FeatureMatrix([[0.0, 0.0], [1e4, 0.0]])

@@ -12,6 +12,8 @@ from pmlp.graph import (
 )
 from pmlp.synthlab import gen_gaussian_blobs
 
+from nearest_oracle import nearest_rows_oracle
+
 CLASSICAL = PmlpConfig(mode="classical_lpa")
 
 
@@ -48,10 +50,11 @@ class TestKnnSelect:
         rng = np.random.default_rng(3)
         fm = FeatureMatrix(rng.normal(size=(12, 3)))
         edges = knn_edges(fm, 4)
+        expected, _ = nearest_rows_oracle(fm.data, fm.data, 4, np.arange(12))
         for center in range(12):
-            expected = knn_select(fm, center, 4).indices.tolist()
             got = edges[edges[:, 0] == center][:, 1].tolist()
-            assert got == expected
+            assert got == expected[center].tolist()
+            assert knn_select(fm, center, 4).indices.tolist() == got
 
 
 class TestBuildAffinity:
