@@ -259,7 +259,7 @@ def ingest_features(path, fmt=None):
         raise DataError("input file holds no data rows: %s" % (path,))
     if len(features) > MAX_INGEST_ROWS:
         raise DataError(
-            "input has %d rows; the dense engine caps at %d"
+            "input has %d rows; the engine caps at %d"
             % (len(features), MAX_INGEST_ROWS)
         )
     return FeatureMatrix(features), assignments

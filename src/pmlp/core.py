@@ -2,8 +2,10 @@
 
 Every type here is immutable after construction and safe to share across
 concurrent workers; all operations in this package are pure functions of
-their inputs. Storage is dense throughout: the engine targets desk-scale
-inputs (a ceiling of 20,000 rows is enforced by the file loaders).
+their inputs. Features and label scores are dense arrays; the propagation
+graph is a sparse symmetric CSR matrix with about N * neighbor_count
+entries, so no stage holds an N x N array. The file loaders enforce a
+ceiling of 20,000 rows.
 """
 
 import math
@@ -201,35 +203,162 @@ class SoftLabelMatrix:
         return "SoftLabelMatrix(rows=%d, classes=%d)" % (self.rows, self.classes)
 
 
+def _check_entries(n, rows, cols, values):
+    """Reject entries off the n x n grid, on its diagonal, or not finite
+    and nonnegative."""
+    if rows.size and (
+        min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n
+    ):
+        raise DataError("affinity matrix index out of range")
+    if np.any(rows == cols):
+        raise DataError("affinity matrix diagonal must be exactly zero")
+    if not np.all(np.isfinite(values)):
+        raise DataError("affinity matrix contains non-finite entries")
+    if np.any(values < 0):
+        raise DataError("affinity matrix contains negative entries")
+
+
 class AffinityMatrix:
-    """A symmetric nonnegative square matrix with an exactly zero diagonal."""
+    """A symmetric nonnegative sparse matrix in CSR form, without self loops.
+
+    Row i stores the columns ``indices[indptr[i]:indptr[i + 1]]`` in strictly
+    ascending order and their weights at the same positions of ``data``.
+    Every stored entry has a stored mirror image whose weight agrees within
+    ``SYMMETRY_TOL``; a stored weight may be zero, and a row may be empty.
+    The constructor checks all of this on CSR arrays it copies;
+    ``from_pairs`` and ``scaled`` build matrices symmetric by construction.
+    Every array is read-only.
+    """
 
     SYMMETRY_TOL = 1e-9
 
-    def __init__(self, data):
+    def __init__(self, indptr, indices, data):
+        indptr = np.array(indptr, dtype=np.intp)
+        indices = np.array(indices, dtype=np.intp)
         data = np.array(data, dtype=float)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise DataError("affinity matrix must be square")
+        if indptr.ndim != 1 or indptr.size < 1 or indices.ndim != 1:
+            raise DataError("affinity matrix needs 1-D indptr and indices arrays")
+        if data.shape != indices.shape:
+            raise DataError("affinity matrix data and indices differ in length")
+        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise DataError("affinity matrix indptr must rise from 0 to the entries")
+        n = indptr.size - 1
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        _check_entries(n, rows, indices, data)
+        keys = rows * n + indices
+        if np.any(np.diff(keys) <= 0):
+            raise DataError("affinity matrix columns must ascend strictly in each row")
+        mirror_keys = indices * n + rows
+        mirror = np.argsort(mirror_keys)
+        if not np.array_equal(mirror_keys[mirror], keys) or (
+            data.size and np.max(np.abs(data[mirror] - data)) > self.SYMMETRY_TOL
+        ):
+            raise DataError("affinity matrix is not symmetric")
+        self._set(indptr, indices, data, rows)
+
+    def _set(self, indptr, indices, data, rows):
+        self._indptr = _frozen(indptr)
+        self._indices = _frozen(indices)
+        self._data = _frozen(data)
+        self._rows = _frozen(rows)
+
+    @classmethod
+    def from_pairs(cls, size, first, second, values):
+        """The matrix holding each value at (first, second) and its mirror.
+
+        Symmetric by construction: the unordered pairs must be distinct
+        and join two distinct rows of [0, size), and the values must be
+        finite and nonnegative.
+        """
+        first = np.asarray(first, dtype=np.intp)
+        second = np.asarray(second, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        if first.ndim != 1 or not first.shape == second.shape == values.shape:
+            raise DataError("pairs and values must be 1-D arrays of one length")
+        rows = np.concatenate([first, second])
+        cols = np.concatenate([second, first])
+        _check_entries(size, rows, cols, values)
+        keys = rows * size + cols
+        order = np.argsort(keys)
+        if np.any(np.diff(keys[order]) == 0):
+            raise DataError("affinity matrix pairs repeat")
+        matrix = cls.__new__(cls)
+        matrix._set(
+            np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))]),
+            cols[order],
+            np.concatenate([values, values])[order],
+            rows[order],
+        )
+        return matrix
+
+    def scaled(self, factors):
+        """D W D for D = diag(factors): entry (i, j) times factors[i] * factors[j].
+
+        Entry (j, i) gets the same product, so the result keeps this
+        matrix's symmetry and sparsity pattern. Factors must be
+        nonnegative and the products finite.
+        """
+        factors = np.asarray(factors, dtype=float)
+        if factors.shape != (self.size,) or not np.all(factors >= 0.0):
+            raise DataError("scaling factors must be %d nonnegative values" % self.size)
+        data = factors[self._rows] * factors[self._indices] * self._data
         if not np.all(np.isfinite(data)):
             raise DataError("affinity matrix contains non-finite entries")
-        if np.any(np.diagonal(data) != 0.0):
-            raise DataError("affinity matrix diagonal must be exactly zero")
-        if np.any(data < 0):
-            raise DataError("affinity matrix contains negative entries")
-        if data.size and np.max(np.abs(data - data.T)) > self.SYMMETRY_TOL:
-            raise DataError("affinity matrix is not symmetric")
-        self._data = _frozen(data)
+        matrix = AffinityMatrix.__new__(AffinityMatrix)
+        matrix._set(self._indptr, self._indices, data, self._rows)
+        return matrix
+
+    @property
+    def indptr(self):
+        return self._indptr
+
+    @property
+    def indices(self):
+        return self._indices
 
     @property
     def data(self):
         return self._data
 
     @property
+    def rows(self):
+        """The row of each stored entry."""
+        return self._rows
+
+    @property
     def size(self):
-        return self._data.shape[0]
+        return self._indptr.size - 1
+
+    def operator(self, classes):
+        """The product x -> W x for ``classes`` vectors stored class-major.
+
+        x and the result are flat arrays of classes * size values, class
+        after class. The product is one gather of x at the column indices,
+        one multiply by the weights and one ``np.add.reduceat`` over every
+        class's row segments. Each row sums in ascending column order
+        without BLAS, so the bytes of the product do not depend on the
+        thread count.
+        """
+        n, nnz = self.size, self._data.size
+        shift = np.arange(classes)[:, None]
+        gather = (shift * n + self._indices).ravel()
+        weights = np.tile(self._data, classes)
+        # reduceat gives a row with no entries the next row's first value
+        # (and fails on a last such row), so only nonempty rows are summed.
+        filled = np.tile(np.diff(self._indptr) > 0, classes)
+        starts = (shift * nnz + self._indptr[:-1]).ravel()[filled]
+        if filled.all():
+            return lambda x: np.add.reduceat(x[gather] * weights, starts)
+
+        def apply(x):
+            out = np.zeros(classes * n)
+            out[filled] = np.add.reduceat(x[gather] * weights, starts)
+            return out
+
+        return apply
 
     def __repr__(self):
-        return "AffinityMatrix(size=%d)" % self.size
+        return "AffinityMatrix(size=%d, entries=%d)" % (self.size, self._data.size)
 
 
 @dataclass(frozen=True)
@@ -263,13 +392,14 @@ class PmlpConfig:
         Base affinity: "euclidean_inverse" inverts the Euclidean distance;
         the similarity modes use the (clamped) raw similarity.
     solver, solver_max_iters, solver_tol
-        "closed_form" solves the linear system directly; "iterative" runs
+        "closed_form" solves the linear system to a fixed error bound
+        (see ``pmlp.propagate.propagate_closed_form``); "iterative" runs
         the fixed-point iteration until the max-abs update drops below
         solver_tol or solver_max_iters is reached.
     mode
         "pmlp" applies the density reweighting; "classical_lpa" skips it.
     closed_form_scaling
-        "fixed_point" scales the direct solve by (1 - alpha) so both
+        "fixed_point" scales the closed-form solve by (1 - alpha) so both
         solvers return the same matrix; "unscaled" returns the raw solve.
         The two differ only by that positive constant, which never changes
         a row argmax.

@@ -2,11 +2,11 @@
 
 The affinity between two nodes is a base term derived from the configured
 distance measure, optionally multiplied by the path-density factor. The
-matrix is symmetrized as (M + M^T) / 2 and normalized as
-D^(-1/2) W D^(-1/2) with D the diagonal of row sums, which keeps the
-spectral radius at or below one and makes the propagation contraction
-converge. Scaling W by any positive constant leaves the normalized matrix
-unchanged.
+matrix is symmetrized as (M + M^T) / 2, stored as a sparse CSR
+``AffinityMatrix``, and normalized as D^(-1/2) W D^(-1/2) with D the
+diagonal of row sums, which keeps the spectral radius at or below one and
+makes the propagation contraction converge. Scaling W by any positive
+constant leaves the normalized matrix unchanged.
 """
 
 from dataclasses import dataclass
@@ -108,7 +108,7 @@ def _base_affinity(left, right, mode):
 
 
 def build_affinity(features, node_set, cfg, edges=None):
-    """Affinity matrix over ``node_set``, densified and symmetrized.
+    """Symmetrized sparse affinity matrix over ``node_set``.
 
     With ``edges=None`` every off-diagonal pair receives an entry. When a
     directed (E, 2) array of positions into ``node_set`` is given, only
@@ -157,30 +157,24 @@ def build_affinity(features, node_set, cfg, edges=None):
         values = values * batch_path_density_info(
             features, np.column_stack([gi, gj]), cfg
         )
-    values = weight * values
-
-    matrix = np.zeros((m, m))
-    matrix[iu, ju] = values
-    matrix[ju, iu] = values
-    return AffinityMatrix(matrix)
+    return AffinityMatrix.from_pairs(m, iu, ju, weight * values)
 
 
 def normalize_symmetric(affinity):
     """Symmetrically normalized matrix S = D^(-1/2) W D^(-1/2).
 
-    D is the diagonal matrix of row sums of W. Every row must have a
-    positive sum; an isolated node is reported by index rather than
-    silently patched (enlarging the neighbor count usually fixes it).
+    D is the diagonal matrix of row sums of W; S keeps the sparsity
+    pattern of W. Every row must have a positive sum; an isolated node is
+    reported by index rather than silently patched (enlarging the
+    neighbor count usually fixes it).
     """
     if not isinstance(affinity, AffinityMatrix):
-        affinity = AffinityMatrix(affinity)
-    degrees = affinity.data.sum(axis=1)
+        raise DataError("normalize_symmetric needs an AffinityMatrix")
+    degrees = np.bincount(affinity.rows, affinity.data, minlength=affinity.size)
     dead = np.flatnonzero(degrees <= 0.0)
     if dead.size:
         raise NumericalError(
             "row %d has zero degree (isolated node); "
             "enlarge neighbor_count or check the affinity inputs" % int(dead[0])
         )
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    # The outer product is exactly symmetric, so S is too.
-    return np.outer(inv_sqrt, inv_sqrt) * affinity.data
+    return affinity.scaled(1.0 / np.sqrt(degrees))

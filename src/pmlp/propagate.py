@@ -5,10 +5,13 @@ Pipeline stages: split the initial soft labels by confidence, build the
 the high-confidence mass Y(i) = alpha * S * Y(i-1) + (1-alpha) * Y_high,
 and mix the result back with the retained low-confidence predictions.
 With alpha in (0, 1) and the symmetric normalization the diffusion map is
-a contraction, so the iterative and direct solvers agree up to the
-documented (1 - alpha) scaling.
+a contraction, so the iterative and closed-form solvers agree up to the
+documented (1 - alpha) scaling. Both apply S through the sparse matrix's
+one gather-and-reduceat product, with no BLAS call, so their bytes do not
+depend on the thread count.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +39,16 @@ __all__ = [
     "update_threshold",
 ]
 
+# The closed-form solve stops only when the recomputed residual
+# r = b + alpha * S x - x proves ||x - x*||_2 <= ||r||_2 / (1 - alpha) <=
+# SOLVE_TOL (the spectrum of I - alpha * S lies in [1 - alpha, 1 + alpha]),
+# and when every row's residual, the update one more plain fixed-point step
+# would make, is at most ROW_TOL of its value. The second test keeps rows
+# far from the labels, whose exact masses can be 1e-30, from being left at
+# zero by an absolute stop.
+SOLVE_TOL = 1e-12
+ROW_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PropagationResult:
@@ -51,7 +64,7 @@ class PropagationResult:
     high_mask
         Which rows were routed to the high-confidence side of the split.
     iterations_used, residual
-        Solver diagnostics; residual is None for the direct solver.
+        Solver diagnostics; residual is None for the closed-form solver.
     """
 
     final_labels: SoftLabelMatrix
@@ -82,6 +95,22 @@ def split_by_confidence(labels, ground_truth_mask, tau):
     return SoftLabelMatrix(high), SoftLabelMatrix(low), high_mask
 
 
+def _solve_inputs(S, y_high, alpha):
+    """The validated label matrix of a solve and the product x -> S x.
+
+    Solvers hold labels class-major: the flat ``y_high.data.T.ravel()``.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise DataError("alpha must lie strictly inside (0, 1)")
+    if not isinstance(y_high, SoftLabelMatrix):
+        y_high = SoftLabelMatrix(y_high)
+    if not isinstance(S, AffinityMatrix):
+        raise DataError("S must be an AffinityMatrix")
+    if S.size != y_high.rows:
+        raise DataError("S shape does not match the label matrix")
+    return y_high, S.operator(y_high.classes)
+
+
 def propagate_iterative(S, y_high, alpha, max_iters=10000, tol=1e-10):
     """Fixed-point iteration Y(i) = alpha * S Y(i-1) + (1-alpha) * Y_high.
 
@@ -89,19 +118,13 @@ def propagate_iterative(S, y_high, alpha, max_iters=10000, tol=1e-10):
     below ``tol`` or ``max_iters`` is hit. Returns ``(result, iterations,
     residual)``.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DataError("alpha must lie strictly inside (0, 1)")
-    if not isinstance(y_high, SoftLabelMatrix):
-        y_high = SoftLabelMatrix(y_high)
-    S = np.asarray(S, dtype=float)
-    if S.shape != (y_high.rows, y_high.rows):
-        raise DataError("S shape does not match the label matrix")
-    base = y_high.data
-    current = base.copy()
+    y_high, apply = _solve_inputs(S, y_high, alpha)
+    base = y_high.data.T.ravel()
+    current = base
     iterations = 0
     residual = float("inf")
     for iterations in range(1, int(max_iters) + 1):
-        nxt = alpha * (S @ current) + (1.0 - alpha) * base
+        nxt = alpha * apply(current) + (1.0 - alpha) * base
         if not np.all(np.isfinite(nxt)):
             raise NumericalError(
                 "propagation produced non-finite values; check the affinity matrix"
@@ -110,37 +133,89 @@ def propagate_iterative(S, y_high, alpha, max_iters=10000, tol=1e-10):
         current = nxt
         if residual < tol:
             break
-    return SoftLabelMatrix(current), iterations, residual
+    result = SoftLabelMatrix(current.reshape(y_high.classes, -1).T)
+    return result, iterations, residual
 
 
 def propagate_closed_form(S, y_high, alpha, scaling="fixed_point"):
-    """Direct solve of (I - alpha * S) Y = Y_high.
+    """Solve (I - alpha * S) Y = Y_high to the stop rule of SOLVE_TOL/ROW_TOL.
+
+    The spectrum of alpha * S lies in [-alpha, alpha], so the Chebyshev
+    semi-iteration needs no inner products: x_1 = b and
+    x_(k+1) = w_(k+1) (b + alpha S x_k) + (1 - w_(k+1)) x_(k-1), with
+    w_2 = 1 / (1 - alpha^2 / 2) and w_(k+1) = 1 / (1 - w_k alpha^2 / 4).
+    Where rounding keeps the residual above SOLVE_TOL (alpha near 1, or
+    large heavily labelled inputs), the absolute test is met instead once
+    the residual is within its rounding level and has not fallen for as
+    many steps as a tenfold fall should take.
 
     ``scaling="fixed_point"`` multiplies the solution by (1 - alpha) so it
     matches the converged iterative output; ``"unscaled"`` returns the raw
     solve. The two differ only by that positive constant and therefore
     share every row argmax.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DataError("alpha must lie strictly inside (0, 1)")
     if scaling not in ("fixed_point", "unscaled"):
         raise DataError("unknown closed-form scaling: %r" % (scaling,))
-    if not isinstance(y_high, SoftLabelMatrix):
-        y_high = SoftLabelMatrix(y_high)
-    S = np.asarray(S, dtype=float)
-    if S.shape != (y_high.rows, y_high.rows):
-        raise DataError("S shape does not match the label matrix")
-    system = np.eye(S.shape[0]) - alpha * S
-    try:
-        solution = np.linalg.solve(system, y_high.data)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("closed-form solve failed: %s" % exc) from exc
-    if not np.all(np.isfinite(solution)):
-        raise NumericalError("closed-form solve produced non-finite values")
+    y_high, apply = _solve_inputs(S, y_high, alpha)
+    b = y_high.data.T.ravel()
+    classes = y_high.classes
+    target = SOLVE_TOL * (1.0 - alpha)
+    # The error falls by about ``rate`` per step once every row has moved;
+    # a row k hops from the nearest label first moves at step k + 1.
+    rate = alpha / (1.0 + math.sqrt(1.0 - alpha * alpha))
+    patience = math.ceil(math.log(10.0) / -math.log(rate))
+    limit = 2 * S.size + 30 * patience
+    # Rounding level of the residual: each entry sums at most (row length
+    # + 3) terms of size up to |b| + alpha S|x| + |x|, and the recurrence
+    # carries each step's rounding on for about 1 / (1 - rate) steps.
+    longest_row = np.max(np.diff(S.indptr), initial=0)
+    slack = (longest_row + 3) * np.finfo(float).eps / (1.0 - rate)
+    b_norm = _norm(b)
+    tiny = np.finfo(float).tiny
+    previous, current = np.zeros_like(b), b.copy()
+    omega, best, since_best = 1.0, math.inf, 0
+    for _ in range(limit):
+        step = apply(current)
+        step *= alpha
+        step += b
+        residual = step - current
+        norm = _norm(residual)
+        if not norm < math.inf:
+            raise NumericalError("closed-form solve produced non-finite values")
+        best, since_best = (norm, 0) if norm < best else (best, since_best + 1)
+        settled = norm <= target or (
+            since_best >= patience
+            and norm <= slack * (b_norm + (1.0 + alpha) * _norm(current))
+        )
+        if settled and np.all(
+            np.abs(residual).reshape(classes, -1).max(axis=0)
+            <= np.maximum(
+                ROW_TOL * np.abs(current).reshape(classes, -1).max(axis=0), tiny
+            )
+        ):
+            break
+        if omega == 1.0:
+            omega = 1.0 / (1.0 - alpha * alpha / 2.0)
+        else:
+            omega = 1.0 / (1.0 - omega * alpha * alpha / 4.0)
+        # x_(k+1) = step + (1 - omega) (x_(k-1) - step), built in place of
+        # x_(k-1).
+        previous -= step
+        previous *= 1.0 - omega
+        previous += step
+        previous, current = current, previous
+    else:
+        raise NumericalError("closed-form solve did not converge in %d steps" % limit)
     if scaling == "fixed_point":
-        solution = (1.0 - alpha) * solution
+        current *= 1.0 - alpha
     # The exact solution is entrywise nonnegative; clip the rounding dust.
-    return SoftLabelMatrix(np.maximum(solution, 0.0))
+    return SoftLabelMatrix(np.maximum(current.reshape(classes, -1).T, 0.0))
+
+
+def _norm(x):
+    # einsum's own loop, not BLAS, so the value does not depend on the
+    # thread count.
+    return math.sqrt(np.einsum("i,i->", x, x))
 
 
 def mix_final(propagated, low, eta):
@@ -167,15 +242,12 @@ def run_pmlp(
     cfg,
     n_classes=None,
     renormalize=False,
-    affinity_scale=1.0,
 ):
     """Run the whole pipeline over a feature matrix and its assignments.
 
     Requires at least one ground-truth row and at least two classes. The
     propagation graph connects every row to its ``cfg.neighbor_count``
-    nearest neighbors. ``affinity_scale`` multiplies the affinity matrix
-    before normalization; the normalization cancels any positive constant,
-    so it exists purely as a scale-invariance probe.
+    nearest neighbors.
 
     Deterministic: equal inputs and configuration give equal outputs.
     """
@@ -190,8 +262,6 @@ def run_pmlp(
         raise DataError("at least one ground-truth row is required")
     if labels.classes < 2:
         raise DataError("at least two classes are required")
-    if not affinity_scale > 0:
-        raise DataError("affinity_scale must be positive")
 
     high, low, high_mask = split_by_confidence(labels, gt_mask, cfg.tau)
     if not np.any(high.data):
@@ -208,8 +278,6 @@ def run_pmlp(
     affinity = build_affinity(
         features, np.arange(features.n_rows), cfg, edges=edges
     )
-    if affinity_scale != 1.0:
-        affinity = AffinityMatrix(affinity.data * affinity_scale)
     S = normalize_symmetric(affinity)
 
     if cfg.solver == "iterative":

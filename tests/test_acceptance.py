@@ -28,6 +28,7 @@ from pmlp.core import (
     PmlpConfig,
     SoftLabelMatrix,
     default_neighbor_count,
+    soft_labels_from_assignments,
 )
 from pmlp.density import density_ratio, kde_density
 from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
@@ -37,6 +38,7 @@ from pmlp.propagate import (
     propagate_iterative,
     run_classical_lpa,
     run_pmlp,
+    split_by_confidence,
     threshold_increment,
     update_threshold,
 )
@@ -47,6 +49,8 @@ from pmlp.synthlab import (
     gen_two_moons,
     separation_sweep,
 )
+
+from dense_oracle import affinity_from_dense
 
 
 @contextmanager
@@ -105,15 +109,17 @@ def test_criterion_2_affinity_scale_invariance():
         edges = knn_edges(dataset.features, cfg.neighbor_count)
         W = build_affinity(dataset.features, np.arange(80), cfg, edges=edges)
         S = normalize_symmetric(W)
-        assignments = assignments_from_dataset(dataset)
-        base = run_pmlp(dataset.features, assignments, cfg)
+        labels, gt_mask, _ = soft_labels_from_assignments(
+            assignments_from_dataset(dataset)
+        )
+        high, _, _ = split_by_confidence(labels, gt_mask, cfg.tau)
+        base = propagate_closed_form(S, high, cfg.alpha)
         for c in (1e-3, 1.0, 1e3):
-            scaled_S = normalize_symmetric(AffinityMatrix(c * W.data))
-            assert np.max(np.abs(scaled_S - S)) < 1e-12
-            scaled = run_pmlp(dataset.features, assignments, cfg, affinity_scale=c)
-            assert np.max(
-                np.abs(scaled.final_labels.data - base.final_labels.data)
-            ) < 1e-9
+            scaled_S = normalize_symmetric(AffinityMatrix(W.indptr, W.indices, c * W.data))
+            assert np.array_equal(scaled_S.indices, S.indices)
+            assert np.max(np.abs(scaled_S.data - S.data)) < 1e-12
+            scaled = propagate_closed_form(scaled_S, high, cfg.alpha)
+            assert np.max(np.abs(scaled.data - base.data)) < 1e-9
 
 
 def test_criterion_3_solver_cross_check():
@@ -125,7 +131,7 @@ def test_criterion_3_solver_cross_check():
             W = rng.random((n, n))
             W = (W + W.T) / 2
             np.fill_diagonal(W, 0.0)
-            S = normalize_symmetric(AffinityMatrix(W))
+            S = normalize_symmetric(affinity_from_dense(W))
             mask = rng.random(n) < 0.4
             mask[0] = True
             Y = SoftLabelMatrix(rng.random((n, 3)) * mask[:, None])

@@ -216,19 +216,7 @@ class TestLabelJob:
         m1.pop("timestamp"), m2.pop("timestamp")
         assert m1 == m2
 
-    @pytest.mark.parametrize(
-        "solver",
-        [
-            "iterative",
-            pytest.param(
-                "closed_form",
-                marks=pytest.mark.xfail(
-                    reason="np.linalg.solve (OpenBLAS getrf) rounds differently "
-                    "with 2 threads; see ROADMAP item 2"
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("solver", ["iterative", "closed_form"])
     def test_rerun_is_byte_identical_across_blas_threads(self, tmp_path, solver):
         data = tmp_path / "moons.csv"
         assert main(
@@ -255,6 +243,30 @@ class TestLabelJob:
                 [(out / name).read_bytes() for name in ("pseudo_labels.csv", "metrics.json")]
             )
         assert outputs[0] == outputs[1]
+
+    def test_label_job_does_not_import_scipy(self, tmp_path):
+        data = tmp_path / "moons.csv"
+        assert main(
+            ["generate", "--kind", "two-moons", "--n", "200", "--labeled-per-class",
+             "3", "--seed", "5", "--out", str(data)]
+        ) == 0
+        src = os.path.dirname(os.path.dirname(pmlp.__file__))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        script = (
+            "import sys\n"
+            "from pmlp.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "label", "--input", str(data),
+             "--out-dir", str(tmp_path / "out")],
+            env=env, check=True, timeout=120, capture_output=True, text=True,
+        )
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
     def test_labels_csv_layout(self, tmp_path):
         data, _ = generate_blobs(tmp_path)

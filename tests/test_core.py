@@ -21,6 +21,8 @@ from pmlp.core import (
     validate_config,
 )
 
+from dense_oracle import affinity_from_dense, to_dense
+
 MODES = ("euclidean_inverse", "cosine_similarity", "first_order_similarity")
 
 finite_floats = st.floats(
@@ -190,15 +192,53 @@ class TestSoftLabelMatrix:
 class TestAffinityMatrix:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(DataError):
-            AffinityMatrix([[1e-15, 1.0], [1.0, 0.0]])
+            affinity_from_dense([[1e-15, 1.0], [1.0, 0.0]])
 
     def test_rejects_asymmetry(self):
         with pytest.raises(DataError):
-            AffinityMatrix([[0.0, 1.0], [2.0, 0.0]])
+            affinity_from_dense([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(DataError):  # an entry without its mirror
+            AffinityMatrix([0, 1, 1], [1], [1.0])
 
     def test_rejects_negative(self):
         with pytest.raises(DataError):
-            AffinityMatrix([[0.0, -1.0], [-1.0, 0.0]])
+            affinity_from_dense([[0.0, -1.0], [-1.0, 0.0]])
+
+    def test_rejects_unsorted_or_repeated_columns(self):
+        with pytest.raises(DataError):
+            AffinityMatrix([0, 2, 3, 4], [2, 1, 0, 0], [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(DataError):
+            AffinityMatrix([0, 2, 4], [1, 1, 0, 0], [1.0, 1.0, 1.0, 1.0])
+
+    def test_from_pairs_mirrors_and_checks(self):
+        W = AffinityMatrix.from_pairs(3, [0, 2], [1, 1], [2.0, 0.5])
+        np.testing.assert_array_equal(
+            to_dense(W), [[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]]
+        )
+        for first, second, values in (
+            ([0, 1], [1, 0], [1.0, 1.0]),  # the same unordered pair twice
+            ([1], [1], [1.0]),  # a self loop
+            ([0], [3], [1.0]),  # off the grid
+            ([0], [1], [-1.0]),
+            ([0], [1], [np.nan]),
+        ):
+            with pytest.raises(DataError):
+                AffinityMatrix.from_pairs(3, first, second, values)
+
+    def test_scaled_is_d_w_d(self):
+        dense = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 0.5], [1.0, 0.5, 0.0]])
+        factors = np.array([1.0, 0.5, 3.0])
+        scaled = affinity_from_dense(dense).scaled(factors)
+        np.testing.assert_array_equal(to_dense(scaled), np.outer(factors, factors) * dense)
+        with pytest.raises(DataError):
+            affinity_from_dense(dense).scaled([1.0, -1.0, 1.0])
+
+    def test_dense_round_trip(self):
+        dense = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+        W = affinity_from_dense(dense)
+        assert W.indptr.tolist() == [0, 1, 3, 4]
+        assert W.indices.tolist() == [1, 0, 2, 1]
+        np.testing.assert_array_equal(to_dense(W), dense)
 
 
 class TestSoftLabelsFromAssignments:

@@ -12,6 +12,7 @@ from pmlp.graph import (
 )
 from pmlp.synthlab import gen_gaussian_blobs
 
+from dense_oracle import affinity_from_dense, to_dense
 from nearest_oracle import nearest_rows_oracle
 
 CLASSICAL = PmlpConfig(mode="classical_lpa")
@@ -61,18 +62,18 @@ class TestBuildAffinity:
     def test_three_collinear_points(self):
         spacing = 2.0
         fm = FeatureMatrix([[0.0], [spacing], [2 * spacing]])
-        W = build_affinity(fm, [0, 1, 2], CLASSICAL)
-        np.testing.assert_allclose(W.data[0, 1], 1.0 / spacing)
-        np.testing.assert_allclose(W.data[1, 2], 1.0 / spacing)
-        np.testing.assert_allclose(W.data[0, 2], 1.0 / (2 * spacing))
+        W = to_dense(build_affinity(fm, [0, 1, 2], CLASSICAL))
+        np.testing.assert_allclose(W[0, 1], 1.0 / spacing)
+        np.testing.assert_allclose(W[1, 2], 1.0 / spacing)
+        np.testing.assert_allclose(W[0, 2], 1.0 / (2 * spacing))
 
     def test_diagonal_zero_entries_nonnegative(self):
         rng = np.random.default_rng(0)
         fm = FeatureMatrix(rng.normal(size=(10, 2)))
         cfg = PmlpConfig(kde_support_n=5, bandwidth_h=1.0)
-        W = build_affinity(fm, np.arange(10), cfg)
-        assert np.all(np.diagonal(W.data) == 0.0)
-        assert W.data.min() >= 0.0
+        W = to_dense(build_affinity(fm, np.arange(10), cfg))
+        assert np.all(np.diagonal(W) == 0.0)
+        assert W.min() >= 0.0
 
     def test_huge_bandwidth_matches_classical(self):
         dataset = gen_gaussian_blobs(
@@ -85,8 +86,9 @@ class TestBuildAffinity:
             PmlpConfig(bandwidth_h=1e12, kde_support_n=10),
         )
         classical = build_affinity(dataset.features, nodes, CLASSICAL)
-        scale = np.max(np.abs(classical.data))
-        assert np.max(np.abs(pm.data - classical.data)) / scale < 1e-6
+        pm, classical = to_dense(pm), to_dense(classical)
+        scale = np.max(np.abs(classical))
+        assert np.max(np.abs(pm - classical)) / scale < 1e-6
 
     def test_duplicate_nodes_rejected(self):
         fm = FeatureMatrix([[0.0], [1.0], [2.0]])
@@ -95,45 +97,50 @@ class TestBuildAffinity:
 
     def test_single_direction_edge_gets_half_weight(self):
         fm = FeatureMatrix([[0.0], [1.0], [3.0]])
-        both = build_affinity(fm, [0, 1, 2], CLASSICAL, edges=[(0, 1), (1, 0)])
-        single = build_affinity(fm, [0, 1, 2], CLASSICAL, edges=[(0, 1)])
-        assert single.data[0, 1] == both.data[0, 1] / 2
-        assert single.data[1, 0] == single.data[0, 1]
-        assert both.data[0, 2] == 0.0
+        both = to_dense(build_affinity(fm, [0, 1, 2], CLASSICAL, edges=[(0, 1), (1, 0)]))
+        single = to_dense(build_affinity(fm, [0, 1, 2], CLASSICAL, edges=[(0, 1)]))
+        assert single[0, 1] == both[0, 1] / 2
+        assert single[1, 0] == single[0, 1]
+        assert both[0, 2] == 0.0
 
     def test_output_is_exactly_symmetric(self):
         rng = np.random.default_rng(4)
         fm = FeatureMatrix(rng.normal(size=(15, 2)))
         edges = knn_edges(fm, 3)
-        W = build_affinity(fm, np.arange(15), PmlpConfig(kde_support_n=5), edges=edges)
-        assert np.array_equal(W.data, W.data.T)
+        W = to_dense(
+            build_affinity(fm, np.arange(15), PmlpConfig(kde_support_n=5), edges=edges)
+        )
+        assert np.array_equal(W, W.T)
 
     def test_cosine_mode_clamps_negative_similarity(self):
         fm = FeatureMatrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        W = build_affinity(
+        W = to_dense(build_affinity(
             fm, [0, 1, 2], PmlpConfig(mode="classical_lpa", distance_mode="cosine_similarity")
-        )
-        assert W.data[0, 1] == 0.0  # opposite vectors
-        assert W.data[0, 2] == 0.0  # orthogonal
+        ))
+        assert W[0, 1] == 0.0  # opposite vectors
+        assert W[0, 2] == 0.0  # orthogonal
 
     def test_coincident_points_hit_distance_floor(self):
         fm = FeatureMatrix([[1.0, 1.0], [1.0, 1.0]])
-        W = build_affinity(fm, [0, 1], CLASSICAL)
-        assert W.data[0, 1] == 1e12  # 1 / EPS_DISTANCE
+        W = to_dense(build_affinity(fm, [0, 1], CLASSICAL))
+        assert W[0, 1] == 1e12  # 1 / EPS_DISTANCE
+
+
+def normalized(matrix):
+    return to_dense(normalize_symmetric(affinity_from_dense(matrix)))
 
 
 class TestNormalizeSymmetric:
     def test_unit_degrees_unchanged(self):
-        S = normalize_symmetric(AffinityMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        S = normalized([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(S, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_uniform_scaling_cancels(self):
-        S = normalize_symmetric(AffinityMatrix([[0.0, 2.0], [2.0, 0.0]]))
+        S = normalized([[0.0, 2.0], [2.0, 0.0]])
         np.testing.assert_allclose(S, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_star_graph_by_hand(self):
-        W = AffinityMatrix([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        S = normalize_symmetric(W)
+        S = normalized([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         root2 = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(S[0, 1], root2, atol=1e-15)
         np.testing.assert_allclose(S[0, 2], root2, atol=1e-15)
@@ -144,9 +151,9 @@ class TestNormalizeSymmetric:
         M = rng.random((8, 8))
         M = (M + M.T) / 2
         np.fill_diagonal(M, 0.0)
-        base = normalize_symmetric(AffinityMatrix(M))
+        base = normalized(M)
         for c in (1e-3, 1.0, 1e3):
-            scaled = normalize_symmetric(AffinityMatrix(c * M))
+            scaled = normalized(c * M)
             assert np.max(np.abs(scaled - base)) < 1e-12
 
     def test_eigenvalues_in_unit_interval(self):
@@ -156,8 +163,7 @@ class TestNormalizeSymmetric:
             M = rng.random((n, n))
             M = (M + M.T) / 2
             np.fill_diagonal(M, 0.0)
-            S = normalize_symmetric(AffinityMatrix(M))
-            eigenvalues = np.linalg.eigvalsh(S)
+            eigenvalues = np.linalg.eigvalsh(normalized(M))
             assert eigenvalues.min() >= -1.0 - 1e-12
             assert eigenvalues.max() <= 1.0 + 1e-12
 
@@ -166,12 +172,57 @@ class TestNormalizeSymmetric:
         M = rng.random((9, 9))
         M = (M + M.T) / 2
         np.fill_diagonal(M, 0.0)
-        S = normalize_symmetric(AffinityMatrix(M))
+        S = normalized(M)
         assert np.array_equal(S, S.T)
 
     def test_isolated_node_error_names_row(self):
-        W = AffinityMatrix(
+        W = affinity_from_dense(
             [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         )
         with pytest.raises(NumericalError, match="row 2"):
             normalize_symmetric(W)
+
+    def test_isolated_middle_row_is_named(self):
+        W = affinity_from_dense(
+            [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        )
+        with pytest.raises(NumericalError, match="row 1"):
+            normalize_symmetric(W)
+
+    def test_zero_weight_row_is_isolated(self):
+        # Row 2 stores its two edges with weight zero.
+        W = AffinityMatrix([0, 2, 3, 4], [1, 2, 0, 0], [1.0, 0.0, 1.0, 0.0])
+        with pytest.raises(NumericalError, match="row 2"):
+            normalize_symmetric(W)
+
+    def test_keeps_the_sparsity_pattern(self):
+        W = build_affinity(
+            FeatureMatrix(np.arange(12.0).reshape(6, 2)),
+            np.arange(6),
+            CLASSICAL,
+            edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+        )
+        S = normalize_symmetric(W)
+        np.testing.assert_array_equal(S.indptr, W.indptr)
+        np.testing.assert_array_equal(S.indices, W.indices)
+
+
+class TestOperator:
+    def test_matches_dense_product_with_empty_rows(self):
+        # np.add.reduceat alone would give an empty row the next row's first
+        # product, and fail on an empty last row.
+        rng = np.random.default_rng(11)
+        M = rng.random((7, 7)) * (rng.random((7, 7)) < 0.4)
+        M = M + M.T
+        np.fill_diagonal(M, 0.0)
+        M[[0, 3, 6], :] = 0.0  # empty first, middle and last rows
+        M[:, [0, 3, 6]] = 0.0
+        W = affinity_from_dense(M)
+        x = rng.random((3, 7))
+        product = W.operator(3)(x.ravel()).reshape(3, 7)
+        np.testing.assert_allclose(product, x @ M, atol=1e-15)
+        assert not product[:, [0, 3, 6]].any()
+
+    def test_no_entries_gives_zero(self):
+        W = affinity_from_dense(np.zeros((4, 4)))
+        np.testing.assert_array_equal(W.operator(2)(np.ones(8)), np.zeros(8))

@@ -4,6 +4,8 @@ the adaptive threshold schedule."""
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmlp.core import (
     AffinityMatrix,
@@ -12,7 +14,7 @@ from pmlp.core import (
     PmlpConfig,
     SoftLabelMatrix,
 )
-from pmlp.graph import normalize_symmetric
+from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
 from pmlp.propagate import (
     ThresholdSchedulerState,
     mix_final,
@@ -26,13 +28,15 @@ from pmlp.propagate import (
 )
 from pmlp.synthlab import assignments_from_dataset, gen_gaussian_blobs
 
+from dense_oracle import affinity_from_dense, solve_dense, to_dense
+
 
 def random_normalized_instance(rng, n, classes):
     """Random symmetric affinity (positive degrees) and sparse label mass."""
     W = rng.random((n, n))
     W = (W + W.T) / 2
     np.fill_diagonal(W, 0.0)
-    S = normalize_symmetric(AffinityMatrix(W))
+    S = normalize_symmetric(affinity_from_dense(W))
     mask = rng.random(n) < 0.3
     mask[0] = True
     Y = rng.random((n, classes)) * mask[:, None]
@@ -79,7 +83,7 @@ class TestSplitByConfidence:
 class TestIterative:
     def test_no_edges_fixed_point(self):
         Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.5]])
-        S = np.zeros((2, 2))
+        S = affinity_from_dense(np.zeros((2, 2)))
         alpha = 0.8
         result, iterations, residual = propagate_iterative(S, Y, alpha)
         np.testing.assert_array_equal(result.data, (1 - alpha) * Y.data)
@@ -88,7 +92,7 @@ class TestIterative:
     def test_two_node_hand_solution(self):
         # S = [[0,1],[1,0]], alpha = 0.5:
         # (I - 0.5 S)^-1 = (4/3) [[1, 0.5], [0.5, 1]]; fixed point scales by 0.5
-        S = np.array([[0.0, 1.0], [1.0, 0.0]])
+        S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
         Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.0]])
         result, _, _ = propagate_iterative(S, Y, 0.5, tol=1e-14)
         np.testing.assert_allclose(
@@ -98,7 +102,7 @@ class TestIterative:
         np.testing.assert_allclose(result.data, closed.data, atol=1e-10)
 
     def test_zero_labels_stay_zero(self):
-        S = np.array([[0.0, 1.0], [1.0, 0.0]])
+        S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
         Y = SoftLabelMatrix(np.zeros((2, 2)))
         result, _, _ = propagate_iterative(S, Y, 0.5)
         np.testing.assert_array_equal(result.data, np.zeros((2, 2)))
@@ -107,6 +111,7 @@ class TestIterative:
         rng = np.random.default_rng(31)
         for _ in range(20):
             S, Y = random_normalized_instance(rng, int(rng.integers(5, 30)), 3)
+            S = to_dense(S)
             alpha = float(rng.choice([0.1, 0.5, 0.8]))
             current = Y.data.copy()
             residuals = []
@@ -121,12 +126,12 @@ class TestIterative:
     def test_alpha_range_enforced(self):
         Y = SoftLabelMatrix([[1.0]])
         with pytest.raises(DataError):
-            propagate_iterative(np.zeros((1, 1)), Y, 1.0)
+            propagate_iterative(affinity_from_dense(np.zeros((1, 1))), Y, 1.0)
 
     def test_overflowing_affinity_reported(self):
         from pmlp.core import NumericalError
 
-        S = np.array([[0.0, 1e308], [1e308, 0.0]])
+        S = affinity_from_dense([[0.0, 1e308], [1e308, 0.0]])
         Y = SoftLabelMatrix([[1.0, 0.0], [1.0, 0.0]])
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             propagate_iterative(S, Y, 0.5, max_iters=10)
@@ -135,16 +140,18 @@ class TestIterative:
 class TestClosedForm:
     def test_identity_system_unscaled(self):
         Y = SoftLabelMatrix([[0.3, 0.7], [1.0, 0.0]])
-        result = propagate_closed_form(np.zeros((2, 2)), Y, 0.8, scaling="unscaled")
+        result = propagate_closed_form(
+            affinity_from_dense(np.zeros((2, 2))), Y, 0.8, scaling="unscaled"
+        )
         np.testing.assert_array_equal(result.data, Y.data)
 
     def test_identity_system_fixed_point(self):
         Y = SoftLabelMatrix([[0.3, 0.7]])
-        result = propagate_closed_form(np.zeros((1, 1)), Y, 0.8)
+        result = propagate_closed_form(affinity_from_dense(np.zeros((1, 1))), Y, 0.8)
         np.testing.assert_allclose(result.data, 0.2 * Y.data, atol=1e-15)
 
     def test_two_node_first_row(self):
-        S = np.array([[0.0, 1.0], [1.0, 0.0]])
+        S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
         Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.0]])
         fixed = propagate_closed_form(S, Y, 0.5)
         np.testing.assert_allclose(fixed.data[0], [2.0 / 3.0, 0.0], atol=1e-12)
@@ -155,7 +162,7 @@ class TestClosedForm:
         rng = np.random.default_rng(13)
         S, Y = random_normalized_instance(rng, 12, 4)
         got = propagate_closed_form(S, Y, 0.8, scaling="unscaled")
-        want = np.linalg.inv(np.eye(12) - 0.8 * S) @ Y.data
+        want = np.linalg.inv(np.eye(12) - 0.8 * to_dense(S)) @ Y.data
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
     def test_solver_cross_check_on_random_instances(self):
@@ -170,6 +177,95 @@ class TestClosedForm:
             np.testing.assert_allclose(
                 iterated.data, (1 - alpha) * unscaled.data, atol=1e-8
             )
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A random sparse symmetric graph of disjoint parts, and its labels.
+
+    Each part is a random tree plus a few extra edges, with weights from 1
+    down to 1e-300; some parts carry labels and some carry none. Returns
+    the affinity, the label matrix and the mask of rows in unlabelled parts.
+    """
+    classes = draw(st.integers(2, 3))
+    pairs, weights, labels, unlabelled = [], [], [], []
+    start = 0
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(2, 14))
+        part = [(start + i, start + draw(st.integers(0, i - 1))) for i in range(1, size)]
+        part += draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+            .filter(lambda e: e[0] != e[1])
+            .map(lambda e: (start + e[0], start + e[1])),
+            max_size=size,
+        ))
+        part = sorted({(min(e), max(e)) for e in part})
+        pairs += part
+        weights += [10.0 ** -draw(st.floats(0.0, 300.0)) for _ in part]
+        mass = np.zeros((size, classes))
+        if draw(st.booleans()):
+            for row in draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=3)):
+                mass[row, draw(st.integers(0, classes - 1))] = draw(st.floats(0.05, 1.0))
+        labels.append(mass)
+        unlabelled += [not mass.any()] * size
+        start += size
+    first, second = np.array(pairs).T
+    W = AffinityMatrix.from_pairs(start, first, second, np.array(weights))
+    return W, SoftLabelMatrix(np.vstack(labels)), np.array(unlabelled)
+
+
+class TestSparseSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=sparse_graphs(), alpha=st.sampled_from([0.1, 0.5, 0.8, 0.99]))
+    def test_matches_dense_oracle(self, graph, alpha):
+        W, Y, unlabelled = graph
+        S = normalize_symmetric(W)
+        got = propagate_closed_form(S, Y, alpha).data
+        want = solve_dense(S, Y, alpha)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert not got[unlabelled].any()
+        # Every row the oracle gives a normal-range mass and a decided
+        # argmax must agree with it.
+        top2 = np.sort(want, axis=1)[:, -2:]
+        decided = (top2[:, 1] >= np.finfo(float).tiny) & (
+            top2[:, 1] - top2[:, 0] > 1e-5 * top2[:, 1]
+        )
+        assert np.array_equal(got.argmax(axis=1)[decided], want.argmax(axis=1)[decided])
+
+    def test_far_end_of_a_chain_is_reached(self):
+        # An absolute stop at 1e-12 comes after about 40 steps, long before
+        # mass can walk 299 hops; the far end's exact mass is near 1e-91.
+        n = 300
+        rows = np.arange(n - 1)
+        S = normalize_symmetric(AffinityMatrix.from_pairs(n, rows, rows + 1, np.ones(n - 1)))
+        Y = np.zeros((n, 2))
+        Y[0, 0], Y[1, 1] = 1.0, 0.5
+        got = propagate_closed_form(S, SoftLabelMatrix(Y), 0.8).data
+        want = solve_dense(S, Y, 0.8)
+        assert np.all(got[-1] > 0.0)
+        assert got[-1].argmax() == want[-1].argmax() == 0
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+    def test_stops_at_the_rounding_level_when_the_tolerance_is_out_of_reach(self):
+        # Every row labelled and alpha = 0.999: the unscaled solution is
+        # about 1000 per row, so rounding alone keeps ||r|| far above
+        # SOLVE_TOL * (1 - alpha) = 1e-15.
+        rng = np.random.default_rng(8)
+        n = 400
+        rows = np.arange(n - 1)
+        extra = rng.integers(0, n, size=(2 * n, 2))
+        extra = extra[extra[:, 0] != extra[:, 1]]
+        chain = np.column_stack([rows, rows + 1])
+        pairs = np.unique(np.sort(np.vstack([chain, extra]), axis=1), axis=0)
+        weights = rng.random(len(pairs)) + 0.1
+        W = AffinityMatrix.from_pairs(n, pairs[:, 0], pairs[:, 1], weights)
+        S = normalize_symmetric(W)
+        Y = SoftLabelMatrix(np.eye(3)[rng.integers(0, 3, n)])
+        got = propagate_closed_form(S, Y, 0.999).data
+        want = solve_dense(S, Y, 0.999)
+        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
 class TestMixFinal:
@@ -204,7 +300,9 @@ class TestMixFinal:
         high = SoftLabelMatrix(rng.random((6, 3)) * (rng.random((6, 1)) < 0.5))
         low = SoftLabelMatrix(rng.random((6, 3)) * (rng.random((6, 1)) < 0.5))
         alpha, eta = 0.8, 0.2
-        propagated, _, _ = propagate_iterative(np.zeros((6, 6)), high, alpha)
+        propagated, _, _ = propagate_iterative(
+            affinity_from_dense(np.zeros((6, 6))), high, alpha
+        )
         mixed = mix_final(propagated, low, eta)
         expected = eta * ((1 - alpha) * high.data) + (1 - eta) * low.data
         np.testing.assert_array_equal(mixed.data, expected)
@@ -249,14 +347,15 @@ class TestRunPmlp:
 
     def test_affinity_scaling_changes_nothing(self):
         dataset = blob_fixture(seed=6)
-        assignments = assignments_from_dataset(dataset)
-        base = run_pmlp(dataset.features, assignments, PIPE_CFG)
-        scaled = run_pmlp(dataset.features, assignments, PIPE_CFG, affinity_scale=10.0)
-        assert np.array_equal(
-            base.final_labels.data.argmax(axis=1),
-            scaled.final_labels.data.argmax(axis=1),
-        )
-        assert np.max(np.abs(base.final_labels.data - scaled.final_labels.data)) < 1e-9
+        n = dataset.features.n_rows
+        edges = knn_edges(dataset.features, PIPE_CFG.neighbor_count)
+        W = build_affinity(dataset.features, np.arange(n), PIPE_CFG, edges=edges)
+        high = SoftLabelMatrix(np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None])
+        base = propagate_closed_form(normalize_symmetric(W), high, PIPE_CFG.alpha)
+        scaled_W = AffinityMatrix(W.indptr, W.indices, 10.0 * W.data)
+        scaled = propagate_closed_form(normalize_symmetric(scaled_W), high, PIPE_CFG.alpha)
+        assert np.array_equal(base.data.argmax(axis=1), scaled.data.argmax(axis=1))
+        assert np.max(np.abs(base.data - scaled.data)) < 1e-9
 
     def test_deterministic_rerun(self):
         dataset = blob_fixture(seed=10)
