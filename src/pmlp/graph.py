@@ -170,7 +170,7 @@ def normalize_symmetric(affinity):
     """
     if not isinstance(affinity, AffinityMatrix):
         raise DataError("normalize_symmetric needs an AffinityMatrix")
-    degrees = np.bincount(affinity.rows, affinity.data, minlength=affinity.size)
+    degrees = affinity.operator(1)(np.ones(affinity.size))
     dead = np.flatnonzero(degrees <= 0.0)
     if dead.size:
         raise NumericalError(

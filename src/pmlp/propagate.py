@@ -48,6 +48,11 @@ __all__ = [
 # zero by an absolute stop.
 SOLVE_TOL = 1e-12
 ROW_TOL = 1e-6
+# The solve needs about ln(1 / SOLVE_TOL) / sqrt(2 (1 - alpha)) steps once
+# the labels have reached every row, and its step cap grows the same way;
+# a solve whose cap passes this budget (alpha within a few 1e-7 of 1) is
+# refused before it starts.
+MAX_SOLVE_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,14 +69,16 @@ class PropagationResult:
     high_mask
         Which rows were routed to the high-confidence side of the split.
     iterations_used, residual
-        Solver diagnostics; residual is None for the closed-form solver.
+        Solver diagnostics: the number of products with S, and the largest
+        change one more fixed-point step would make to the labels (for
+        the iterative solver, the last step's change).
     """
 
     final_labels: SoftLabelMatrix
     propagated: SoftLabelMatrix
     high_mask: np.ndarray
     iterations_used: int
-    residual: float | None
+    residual: float
 
 
 def split_by_confidence(labels, ground_truth_mask, tau):
@@ -149,10 +156,17 @@ def propagate_closed_form(S, y_high, alpha, scaling="fixed_point"):
     the residual is within its rounding level and has not fallen for as
     many steps as a tenfold fall should take.
 
+    The step count grows as 1 / sqrt(1 - alpha): about 45 steps past the
+    farthest row's hop distance at alpha = 0.8, about 800 at 0.999. A
+    solve whose step cap, twice the rows plus thirty tenfold falls,
+    passes MAX_SOLVE_STEPS raises NumericalError before the first step.
+
     ``scaling="fixed_point"`` multiplies the solution by (1 - alpha) so it
     matches the converged iterative output; ``"unscaled"`` returns the raw
     solve. The two differ only by that positive constant and therefore
-    share every row argmax.
+    share every row argmax. Returns ``(result, steps, residual)``: the
+    products with S taken and the max-abs change one more plain
+    fixed-point step would make to ``result``.
     """
     if scaling not in ("fixed_point", "unscaled"):
         raise DataError("unknown closed-form scaling: %r" % (scaling,))
@@ -165,6 +179,11 @@ def propagate_closed_form(S, y_high, alpha, scaling="fixed_point"):
     rate = alpha / (1.0 + math.sqrt(1.0 - alpha * alpha))
     patience = math.ceil(math.log(10.0) / -math.log(rate))
     limit = 2 * S.size + 30 * patience
+    if limit > MAX_SOLVE_STEPS:
+        raise NumericalError(
+            "alpha = %r would allow %d closed-form steps on %d rows, past the "
+            "budget of %d; use a smaller alpha" % (alpha, limit, S.size, MAX_SOLVE_STEPS)
+        )
     # Rounding level of the residual: each entry sums at most (row length
     # + 3) terms of size up to |b| + alpha S|x| + |x|, and the recurrence
     # carries each step's rounding on for about 1 / (1 - rate) steps.
@@ -174,7 +193,7 @@ def propagate_closed_form(S, y_high, alpha, scaling="fixed_point"):
     tiny = np.finfo(float).tiny
     previous, current = np.zeros_like(b), b.copy()
     omega, best, since_best = 1.0, math.inf, 0
-    for _ in range(limit):
+    for steps in range(1, limit + 1):
         step = apply(current)
         step *= alpha
         step += b
@@ -206,10 +225,13 @@ def propagate_closed_form(S, y_high, alpha, scaling="fixed_point"):
         previous, current = current, previous
     else:
         raise NumericalError("closed-form solve did not converge in %d steps" % limit)
+    change = float(np.max(np.abs(residual), initial=0.0))
     if scaling == "fixed_point":
         current *= 1.0 - alpha
+        change *= 1.0 - alpha
     # The exact solution is entrywise nonnegative; clip the rounding dust.
-    return SoftLabelMatrix(np.maximum(current.reshape(classes, -1).T, 0.0))
+    result = SoftLabelMatrix(np.maximum(current.reshape(classes, -1).T, 0.0))
+    return result, steps, change
 
 
 def _norm(x):
@@ -285,10 +307,9 @@ def run_pmlp(
             S, high, cfg.alpha, cfg.solver_max_iters, cfg.solver_tol
         )
     else:
-        propagated = propagate_closed_form(
+        propagated, iterations, residual = propagate_closed_form(
             S, high, cfg.alpha, scaling=cfg.closed_form_scaling
         )
-        iterations, residual = 0, None
 
     if cfg.clamp_ground_truth:
         clamped = propagated.data.copy()

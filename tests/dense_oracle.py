@@ -25,7 +25,8 @@ def affinity_from_dense(matrix):
 def to_dense(affinity):
     """The dense square matrix of an AffinityMatrix."""
     out = np.zeros((affinity.size, affinity.size))
-    out[affinity.rows, affinity.indices] = affinity.data
+    rows = np.repeat(np.arange(affinity.size), np.diff(affinity.indptr))
+    out[rows, affinity.indices] = affinity.data
     return out
 
 

@@ -113,12 +113,12 @@ def test_criterion_2_affinity_scale_invariance():
             assignments_from_dataset(dataset)
         )
         high, _, _ = split_by_confidence(labels, gt_mask, cfg.tau)
-        base = propagate_closed_form(S, high, cfg.alpha)
+        base, _, _ = propagate_closed_form(S, high, cfg.alpha)
         for c in (1e-3, 1.0, 1e3):
             scaled_S = normalize_symmetric(AffinityMatrix(W.indptr, W.indices, c * W.data))
             assert np.array_equal(scaled_S.indices, S.indices)
             assert np.max(np.abs(scaled_S.data - S.data)) < 1e-12
-            scaled = propagate_closed_form(scaled_S, high, cfg.alpha)
+            scaled, _, _ = propagate_closed_form(scaled_S, high, cfg.alpha)
             assert np.max(np.abs(scaled.data - base.data)) < 1e-9
 
 
@@ -139,7 +139,7 @@ def test_criterion_3_solver_cross_check():
                 S, Y, alpha, max_iters=200000, tol=1e-12
             )
             assert residual < 1e-12
-            unscaled = propagate_closed_form(S, Y, alpha, scaling="unscaled")
+            unscaled, _, _ = propagate_closed_form(S, Y, alpha, scaling="unscaled")
             diff = np.max(np.abs(iterated.data - (1 - alpha) * unscaled.data))
             assert diff < 1e-8
 

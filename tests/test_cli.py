@@ -189,6 +189,17 @@ class TestLabelJob:
         assert manifest["config"]["neighbor_count"] == 3  # ceil(1.5 * 2)
         assert manifest["inputs"]["data"]["sha256"]
 
+    @pytest.mark.parametrize("solver", ["closed_form", "iterative"])
+    def test_metrics_report_solver_steps(self, tmp_path, solver):
+        data, _ = generate_blobs(tmp_path)
+        out = tmp_path / "out"
+        assert main(
+            ["label", "--input", str(data), "--out-dir", str(out), "--solver", solver]
+        ) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["solver_iterations"] > 1
+        assert 0.0 <= metrics["residual"] < 1e-9
+
     def test_accuracy_absent_without_truth(self, tmp_path):
         data, _ = generate_blobs(tmp_path)
         out = tmp_path / "out"
@@ -332,6 +343,18 @@ class TestExitCodes:
              "--alpha", "1.5"]
         )
         assert code == 1
+
+    def test_alpha_next_to_one_is_a_numerical_error(self, tmp_path):
+        data, _ = generate_blobs(tmp_path)
+        out = tmp_path / "out"
+        code = main(
+            ["label", "--input", str(data), "--out-dir", str(out),
+             "--alpha", "0.999999999"]
+        )
+        assert code == 3
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["error"]["code"] == "numerical"
+        assert "budget" in payload["error"]["message"]
 
     def test_numerical_error_is_three(self, tmp_path):
         out = tmp_path / "out"

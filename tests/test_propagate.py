@@ -11,6 +11,7 @@ from pmlp.core import (
     AffinityMatrix,
     DataError,
     LabelAssignment,
+    NumericalError,
     PmlpConfig,
     SoftLabelMatrix,
 )
@@ -98,7 +99,7 @@ class TestIterative:
         np.testing.assert_allclose(
             result.data, [[2.0 / 3.0, 0.0], [1.0 / 3.0, 0.0]], atol=1e-10
         )
-        closed = propagate_closed_form(S, Y, 0.5)
+        closed, _, _ = propagate_closed_form(S, Y, 0.5)
         np.testing.assert_allclose(result.data, closed.data, atol=1e-10)
 
     def test_zero_labels_stay_zero(self):
@@ -140,28 +141,28 @@ class TestIterative:
 class TestClosedForm:
     def test_identity_system_unscaled(self):
         Y = SoftLabelMatrix([[0.3, 0.7], [1.0, 0.0]])
-        result = propagate_closed_form(
+        result, _, _ = propagate_closed_form(
             affinity_from_dense(np.zeros((2, 2))), Y, 0.8, scaling="unscaled"
         )
         np.testing.assert_array_equal(result.data, Y.data)
 
     def test_identity_system_fixed_point(self):
         Y = SoftLabelMatrix([[0.3, 0.7]])
-        result = propagate_closed_form(affinity_from_dense(np.zeros((1, 1))), Y, 0.8)
+        result, _, _ = propagate_closed_form(affinity_from_dense(np.zeros((1, 1))), Y, 0.8)
         np.testing.assert_allclose(result.data, 0.2 * Y.data, atol=1e-15)
 
     def test_two_node_first_row(self):
         S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
         Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.0]])
-        fixed = propagate_closed_form(S, Y, 0.5)
+        fixed, _, _ = propagate_closed_form(S, Y, 0.5)
         np.testing.assert_allclose(fixed.data[0], [2.0 / 3.0, 0.0], atol=1e-12)
-        unscaled = propagate_closed_form(S, Y, 0.5, scaling="unscaled")
+        unscaled, _, _ = propagate_closed_form(S, Y, 0.5, scaling="unscaled")
         np.testing.assert_allclose(unscaled.data[0], [4.0 / 3.0, 0.0], atol=1e-12)
 
     def test_matches_direct_inverse_oracle(self):
         rng = np.random.default_rng(13)
         S, Y = random_normalized_instance(rng, 12, 4)
-        got = propagate_closed_form(S, Y, 0.8, scaling="unscaled")
+        got, _, _ = propagate_closed_form(S, Y, 0.8, scaling="unscaled")
         want = np.linalg.inv(np.eye(12) - 0.8 * to_dense(S)) @ Y.data
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
@@ -173,7 +174,7 @@ class TestClosedForm:
             iterated, _, _ = propagate_iterative(
                 S, Y, alpha, max_iters=100000, tol=1e-12
             )
-            unscaled = propagate_closed_form(S, Y, alpha, scaling="unscaled")
+            unscaled, _, _ = propagate_closed_form(S, Y, alpha, scaling="unscaled")
             np.testing.assert_allclose(
                 iterated.data, (1 - alpha) * unscaled.data, atol=1e-8
             )
@@ -215,12 +216,42 @@ def sparse_graphs(draw):
 
 
 class TestSparseSolve:
+    @pytest.mark.parametrize("scaling", ["fixed_point", "unscaled"])
+    def test_reports_steps_and_next_change(self, scaling):
+        rng = np.random.default_rng(17)
+        S, Y = random_normalized_instance(rng, 30, 3)
+        result, steps, change = propagate_closed_form(S, Y, 0.8, scaling=scaling)
+        assert steps > 1
+        # The reported change is that of one more plain fixed-point step.
+        weight = 1.0 - 0.8 if scaling == "fixed_point" else 1.0
+        step = 0.8 * to_dense(S) @ result.data + weight * Y.data
+        assert abs(change - np.max(np.abs(step - result.data))) <= 1e-15
+        assert change <= 1e-12
+
+    def test_alpha_next_to_one_is_refused_before_any_step(self, monkeypatch):
+        # At alpha = 1 - 1e-9 the step cap is about 1.5 million products;
+        # the solve must refuse at once rather than run them.
+        S, Y = random_normalized_instance(np.random.default_rng(5), 20, 2)
+        products = []
+        operator = AffinityMatrix.operator
+
+        def counting(self, classes):
+            apply = operator(self, classes)
+            return lambda x: products.append(1) or apply(x)
+
+        monkeypatch.setattr(AffinityMatrix, "operator", counting)
+        with pytest.raises(NumericalError, match="budget"):
+            propagate_closed_form(S, Y, 1.0 - 1e-9)
+        assert products == []
+        _, steps, _ = propagate_closed_form(S, Y, 0.8)
+        assert len(products) == steps
+
     @settings(max_examples=200, deadline=None)
     @given(graph=sparse_graphs(), alpha=st.sampled_from([0.1, 0.5, 0.8, 0.99]))
     def test_matches_dense_oracle(self, graph, alpha):
         W, Y, unlabelled = graph
         S = normalize_symmetric(W)
-        got = propagate_closed_form(S, Y, alpha).data
+        got = propagate_closed_form(S, Y, alpha)[0].data
         want = solve_dense(S, Y, alpha)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert not got[unlabelled].any()
@@ -240,12 +271,13 @@ class TestSparseSolve:
         S = normalize_symmetric(AffinityMatrix.from_pairs(n, rows, rows + 1, np.ones(n - 1)))
         Y = np.zeros((n, 2))
         Y[0, 0], Y[1, 1] = 1.0, 0.5
-        got = propagate_closed_form(S, SoftLabelMatrix(Y), 0.8).data
+        result, steps, _ = propagate_closed_form(S, SoftLabelMatrix(Y), 0.8)
+        got = result.data
         want = solve_dense(S, Y, 0.8)
+        assert steps >= n - 1  # each step moves mass one hop
         assert np.all(got[-1] > 0.0)
         assert got[-1].argmax() == want[-1].argmax() == 0
         assert np.max(np.abs(got - want)) <= 1e-12
-
 
     def test_stops_at_the_rounding_level_when_the_tolerance_is_out_of_reach(self):
         # Every row labelled and alpha = 0.999: the unscaled solution is
@@ -262,7 +294,7 @@ class TestSparseSolve:
         W = AffinityMatrix.from_pairs(n, pairs[:, 0], pairs[:, 1], weights)
         S = normalize_symmetric(W)
         Y = SoftLabelMatrix(np.eye(3)[rng.integers(0, 3, n)])
-        got = propagate_closed_form(S, Y, 0.999).data
+        got = propagate_closed_form(S, Y, 0.999)[0].data
         want = solve_dense(S, Y, 0.999)
         assert np.max(np.abs(got - want)) <= 1e-9
         assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
@@ -351,9 +383,9 @@ class TestRunPmlp:
         edges = knn_edges(dataset.features, PIPE_CFG.neighbor_count)
         W = build_affinity(dataset.features, np.arange(n), PIPE_CFG, edges=edges)
         high = SoftLabelMatrix(np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None])
-        base = propagate_closed_form(normalize_symmetric(W), high, PIPE_CFG.alpha)
+        base, _, _ = propagate_closed_form(normalize_symmetric(W), high, PIPE_CFG.alpha)
         scaled_W = AffinityMatrix(W.indptr, W.indices, 10.0 * W.data)
-        scaled = propagate_closed_form(normalize_symmetric(scaled_W), high, PIPE_CFG.alpha)
+        scaled, _, _ = propagate_closed_form(normalize_symmetric(scaled_W), high, PIPE_CFG.alpha)
         assert np.array_equal(base.data.argmax(axis=1), scaled.data.argmax(axis=1))
         assert np.max(np.abs(base.data - scaled.data)) < 1e-9
 
@@ -402,7 +434,8 @@ class TestRunPmlp:
         )
         assert iterative.iterations_used > 0
         assert iterative.residual < 1e-13
-        assert direct.residual is None
+        assert direct.iterations_used > 0
+        assert direct.residual < 1e-13
 
     def test_final_labels_nonnegative(self):
         dataset = blob_fixture(seed=15)
