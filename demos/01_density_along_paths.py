@@ -9,10 +9,12 @@ the factor the affinity matrix gets multiplied by.
 Run:  python3 demos/01_density_along_paths.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from pmlp import PmlpConfig, gen_gaussian_blobs, path_density_info, sample_path
-from pmlp.density import batch_normalized_density
+from pmlp import PmlpConfig, gen_gaussian_blobs
+from pmlp.density import batch_normalized_density, batch_path_density_info
 
 dataset = gen_gaussian_blobs(
     means=[[0.0, 0.0], [8.0, 0.0]], sigma=1.0, per_class=150,
@@ -21,24 +23,30 @@ dataset = gen_gaussian_blobs(
 features = dataset.features
 cfg = PmlpConfig(bandwidth_h=2.0, kde_support_n=45, path_points_k=5)
 
-within_pair = (0, 1)        # both rows from the first cluster
-cross_pair = (0, 150)       # first cluster to second cluster
+pairs = {
+    "within-cluster": (0, 1),   # both rows from the first cluster
+    "cross-cluster": (0, 150),  # first cluster to second cluster
+}
+factors = batch_path_density_info(features, list(pairs.values()), cfg)
 
 print("pair densities at bandwidth h=2 (five points per segment)")
-for name, (i, j) in [("within-cluster", within_pair), ("cross-cluster", cross_pair)]:
-    sample = sample_path(features, i, j, cfg.path_points_k)
+fracs = np.arange(1, cfg.path_points_k + 1) / (cfg.path_points_k + 1)
+for (name, (i, j)), factor in zip(pairs.items(), factors):
+    # the equal-division points the factor samples between rows i and j
+    x_i, x_j = features.data[i], features.data[j]
+    points = x_i + fracs[:, None] * (x_j - x_i)
     densities = batch_normalized_density(
-        sample.points, features, cfg.kde_support_n, cfg.bandwidth_h
+        points, features, cfg.kde_support_n, cfg.bandwidth_h
     )
-    factor = path_density_info(features, i, j, cfg)
     pretty = ", ".join("%.3f" % v for v in densities)
     print(f"  {name:15s} points [{pretty}]  ->  factor {factor:.4f}")
 
 print()
 print("the same cross-cluster pair as the bandwidth grows")
 for h in (0.5, 2.0, 10.0, 100.0, 1e12):
-    factor = path_density_info(features, *cross_pair, PmlpConfig(
-        bandwidth_h=h, kde_support_n=45, path_points_k=5))
+    factor = batch_path_density_info(
+        features, [pairs["cross-cluster"]], replace(cfg, bandwidth_h=h)
+    )[0]
     print(f"  h = {h:>8g}   factor = {factor:.6f}")
 print("at huge bandwidth every factor approaches 1: the density term")
 print("vanishes and the affinity reduces to the plain inverse distance.")

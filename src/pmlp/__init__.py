@@ -23,28 +23,17 @@ from .core import (
     PmlpError,
     SoftLabelMatrix,
     default_neighbor_count,
-    distance,
     soft_labels_from_assignments,
     validate_config,
 )
 from .density import (
-    PathDensities,
-    PathSample,
-    aggregate_density,
     batch_normalized_density,
     batch_path_density_info,
     density_ratio,
-    kde_density,
-    kde_density_normalized,
-    path_density_info,
-    sample_path,
-    select_kde_supports,
 )
 from .graph import (
-    NeighborSet,
     build_affinity,
     knn_edges,
-    knn_select,
     normalize_symmetric,
 )
 from .propagate import (
@@ -78,10 +67,7 @@ __all__ = [
     "DataError",
     "FeatureMatrix",
     "LabelAssignment",
-    "NeighborSet",
     "NumericalError",
-    "PathDensities",
-    "PathSample",
     "PmlpConfig",
     "PmlpError",
     "PropagationResult",
@@ -89,7 +75,6 @@ __all__ = [
     "SoftLabelMatrix",
     "SyntheticDataset",
     "ThresholdSchedulerState",
-    "aggregate_density",
     "assignments_from_dataset",
     "batch_normalized_density",
     "batch_path_density_info",
@@ -97,23 +82,16 @@ __all__ = [
     "compare_pmlp_vs_lpa",
     "default_neighbor_count",
     "density_ratio",
-    "distance",
     "gen_gaussian_blobs",
     "gen_two_moons",
-    "kde_density",
-    "kde_density_normalized",
     "knn_edges",
-    "knn_select",
     "mix_final",
     "normalize_symmetric",
-    "path_density_info",
     "propagate_closed_form",
     "propagate_iterative",
     "regenerate",
     "run_classical_lpa",
     "run_pmlp",
-    "sample_path",
-    "select_kde_supports",
     "separation_sweep",
     "soft_labels_from_assignments",
     "split_by_confidence",

@@ -33,6 +33,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .synthlab import (
 __all__ = [
     "COMPARE_DEFAULTS",
     "DENSITY_RATIO_DEFAULTS",
+    "HarnessParam",
     "MAX_INGEST_ROWS",
     "THEOREM1_DEFAULTS",
     "emit_features",
@@ -70,25 +72,57 @@ __all__ = [
 
 MAX_INGEST_ROWS = 20000
 
-# Committed harness defaults; the acceptance suite runs exactly these.
+
+class HarnessParam(NamedTuple):
+    """One harness parameter, which is also one flag of its subcommand."""
+
+    type: Callable  # parses the flag's text
+    default: object
+    help: str
+
+
+def _floats(text):
+    try:
+        values = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError("expected comma-separated numbers: %r" % text)
+    return values
+
+
+def _dataset(text):
+    name = text.replace("-", "_")
+    if name not in ("two_moons", "gaussian_blobs"):
+        raise argparse.ArgumentTypeError("expected two-moons or gaussian-blobs")
+    return name
+
+
+# Committed harness defaults; the acceptance suite runs exactly these. Each
+# table gives its subcommand's parameters in flag order (``--name-with-
+# dashes``) and, under "config", the PmlpConfig values it starts from.
 THEOREM1_DEFAULTS = {
-    "separations": (2.0, 4.0, 8.0, 16.0),
-    "sigma": 1.0,
-    "samples_per_cluster": 200,
-    "pairs": 100,
-    "tau_quantile": 0.1,
-    "line_points": 50,
+    "separations": HarnessParam(
+        _floats, (2.0, 4.0, 8.0, 16.0), "cluster separations, comma-separated"
+    ),
+    "sigma": HarnessParam(float, 1.0, "standard deviation of each cluster"),
+    "samples_per_cluster": HarnessParam(int, 200, "rows drawn per cluster"),
+    "pairs": HarnessParam(int, 100, "cross-cluster pairs per separation"),
+    "tau_quantile": HarnessParam(
+        float, 0.1, "within-cluster density quantile that counts as low"
+    ),
+    "line_points": HarnessParam(int, 50, "points checked along each pair's segment"),
     "config": {"bandwidth_h": 2.0, "kde_support_n": 45, "seed": 7},
 }
 COMPARE_DEFAULTS = {
-    "dataset": "two_moons",
-    "n": 200,
-    "noise": 0.1,
-    "labeled_per_class": 2,
-    "trials": 20,
-    "separation": 6.0,
-    "sigma": 1.0,
-    "per_class": 100,
+    "dataset": HarnessParam(_dataset, "two_moons", "two-moons or gaussian-blobs"),
+    "n": HarnessParam(int, 200, "two-moons rows"),
+    "noise": HarnessParam(float, 0.1, "two-moons noise"),
+    "labeled_per_class": HarnessParam(int, 2, "labelled rows per class in each trial"),
+    "trials": HarnessParam(int, 20, "trials, each with fresh labels"),
+    "separation": HarnessParam(float, 6.0, "gaussian-blobs distance between means"),
+    "sigma": HarnessParam(float, 1.0, "gaussian-blobs standard deviation"),
+    "per_class": HarnessParam(int, 100, "gaussian-blobs rows per class"),
     "config": {
         "bandwidth_h": 0.05,
         "kde_support_n": 15,
@@ -97,12 +131,26 @@ COMPARE_DEFAULTS = {
     },
 }
 DENSITY_RATIO_DEFAULTS = {
-    "bandwidths": (5.0, 100.0, 1e12),
-    "pairs": 200,
-    "separation": 8.0,
-    "sigma": 1.0,
-    "samples_per_cluster": 150,
+    "bandwidths": HarnessParam(
+        _floats, (5.0, 100.0, 1e12), "kernel bandwidths, comma-separated"
+    ),
+    "pairs": HarnessParam(int, 200, "random row pairs"),
+    "separation": HarnessParam(float, 8.0, "distance between the two blob means"),
+    "sigma": HarnessParam(float, 1.0, "standard deviation of each blob"),
+    "samples_per_cluster": HarnessParam(int, 150, "rows drawn per blob"),
     "config": {"kde_support_n": 45, "seed": 7},
+}
+# Harness subcommand -> (its table, its help).
+_HARNESSES = {
+    "theorem1": (
+        THEOREM1_DEFAULTS,
+        "fraction of cross-cluster paths crossing a low-density region",
+    ),
+    "compare": (COMPARE_DEFAULTS, "density-aware vs classical propagation quality"),
+    "density-ratio": (
+        DENSITY_RATIO_DEFAULTS,
+        "max/min path-density ratio across bandwidths",
+    ),
 }
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(PmlpConfig))
@@ -607,16 +655,6 @@ def _parse_means(text):
     return means
 
 
-def _parse_float_list(text, flag):
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise DataError("unparseable %s %r" % (flag, text)) from exc
-    if not values:
-        raise DataError("%s is empty" % flag)
-    return values
-
-
 def _add_config_flags(parser):
     group = parser.add_argument_group("propagation configuration")
     group.add_argument("--config", metavar="FILE", help="JSON config file")
@@ -645,12 +683,6 @@ def _add_config_flags(parser):
     )
     group.add_argument("--solver-tol", type=float, default=None, dest="solver_tol")
     group.add_argument("--mode", choices=["pmlp", "classical_lpa"], default=None)
-    group.add_argument(
-        "--closed-form-scaling",
-        choices=["fixed_point", "unscaled"],
-        default=None,
-        dest="closed_form_scaling",
-    )
     group.add_argument(
         "--clamp-ground-truth",
         action=argparse.BooleanOptionalAction,
@@ -709,53 +741,12 @@ def _cmd_label(args):
     return 0
 
 
-def _pick(args, name, defaults):
-    value = getattr(args, name, None)
-    return value if value is not None else defaults[name]
-
-
 def _cmd_harness(args):
-    if args.harness_kind == "theorem1":
-        defaults = THEOREM1_DEFAULTS
-        params = {
-            "separations": tuple(_parse_float_list(args.separations, "--separations"))
-            if args.separations
-            else defaults["separations"],
-            "sigma": _pick(args, "sigma", defaults),
-            "samples_per_cluster": _pick(args, "samples_per_cluster", defaults),
-            "pairs": _pick(args, "pairs", defaults),
-            "tau_quantile": _pick(args, "tau_quantile", defaults),
-            "line_points": _pick(args, "line_points", defaults),
-        }
-        kind = "theorem1"
-    elif args.harness_kind == "compare":
-        defaults = COMPARE_DEFAULTS
-        params = {
-            "dataset": (args.dataset or defaults["dataset"]).replace("-", "_"),
-            "n": _pick(args, "n", defaults),
-            "noise": _pick(args, "noise", defaults),
-            "labeled_per_class": _pick(args, "labeled_per_class", defaults),
-            "trials": _pick(args, "trials", defaults),
-            "separation": _pick(args, "separation", defaults),
-            "sigma": _pick(args, "sigma", defaults),
-            "per_class": _pick(args, "per_class", defaults),
-        }
-        kind = "compare"
-    else:
-        defaults = DENSITY_RATIO_DEFAULTS
-        params = {
-            "bandwidths": tuple(_parse_float_list(args.bandwidths, "--bandwidths"))
-            if args.bandwidths
-            else defaults["bandwidths"],
-            "pairs": _pick(args, "pairs", defaults),
-            "separation": _pick(args, "separation", defaults),
-            "sigma": _pick(args, "sigma", defaults),
-            "samples_per_cluster": _pick(args, "samples_per_cluster", defaults),
-        }
-        kind = "density_ratio"
-    values = dict(defaults["config"])
+    params = {name: getattr(args, name) for name in args.table if name != "config"}
+    values = dict(args.table["config"])
     values.update(_collect_config_values(args))
     cfg = PmlpConfig(**values)
+    kind = args.harness_kind.replace("-", "_")
     paths = run_harness_job(kind, args.out_dir, cfg, params)
     for name, path in sorted(paths.items()):
         print("%s: %s" % (name, path))
@@ -847,56 +838,19 @@ def build_parser():
     harness = sub.add_parser("harness", help="statistical verification jobs")
     hsub = harness.add_subparsers(dest="harness_kind", required=True)
 
-    theorem1 = hsub.add_parser(
-        "theorem1",
-        help="fraction of cross-cluster paths crossing a low-density region",
-    )
-    theorem1.add_argument("--out-dir", required=True, dest="out_dir")
-    theorem1.add_argument("--separations", default=None)
-    theorem1.add_argument("--sigma", type=float, default=None)
-    theorem1.add_argument(
-        "--samples-per-cluster", type=int, default=None, dest="samples_per_cluster"
-    )
-    theorem1.add_argument("--pairs", type=int, default=None)
-    theorem1.add_argument(
-        "--tau-quantile", type=float, default=None, dest="tau_quantile"
-    )
-    theorem1.add_argument("--line-points", type=int, default=None, dest="line_points")
-    _add_config_flags(theorem1)
-    theorem1.set_defaults(func=_cmd_harness)
-
-    compare = hsub.add_parser(
-        "compare", help="density-aware vs classical propagation quality"
-    )
-    compare.add_argument("--out-dir", required=True, dest="out_dir")
-    compare.add_argument(
-        "--dataset", choices=["two-moons", "gaussian-blobs"], default=None
-    )
-    compare.add_argument("--n", type=int, default=None)
-    compare.add_argument("--noise", type=float, default=None)
-    compare.add_argument(
-        "--labeled-per-class", type=int, default=None, dest="labeled_per_class"
-    )
-    compare.add_argument("--trials", type=int, default=None)
-    compare.add_argument("--separation", type=float, default=None)
-    compare.add_argument("--sigma", type=float, default=None)
-    compare.add_argument("--per-class", type=int, default=None, dest="per_class")
-    _add_config_flags(compare)
-    compare.set_defaults(func=_cmd_harness)
-
-    dratio = hsub.add_parser(
-        "density-ratio", help="max/min path-density ratio across bandwidths"
-    )
-    dratio.add_argument("--out-dir", required=True, dest="out_dir")
-    dratio.add_argument("--bandwidths", default=None)
-    dratio.add_argument("--pairs", type=int, default=None)
-    dratio.add_argument("--separation", type=float, default=None)
-    dratio.add_argument("--sigma", type=float, default=None)
-    dratio.add_argument(
-        "--samples-per-cluster", type=int, default=None, dest="samples_per_cluster"
-    )
-    _add_config_flags(dratio)
-    dratio.set_defaults(func=_cmd_harness)
+    for command, (table, text) in _HARNESSES.items():
+        job = hsub.add_parser(command, help=text)
+        job.add_argument("--out-dir", required=True, dest="out_dir")
+        for name, param in table.items():
+            if name != "config":
+                job.add_argument(
+                    "--" + name.replace("_", "-"),
+                    type=param.type,
+                    default=param.default,
+                    help=param.help + " (default: %(default)s)",
+                )
+        _add_config_flags(job)
+        job.set_defaults(func=_cmd_harness, table=table)
 
     return parser
 
@@ -933,7 +887,7 @@ def main(argv=None):
         print("pmlp: data error: %s" % exc, file=sys.stderr)
         _write_error_file(args, "data", str(exc))
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print("pmlp: numerical failure: %s" % exc, file=sys.stderr)
         _write_error_file(args, "numerical", str(exc))
         return 3

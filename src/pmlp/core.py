@@ -1,4 +1,4 @@
-"""Shared domain types, distance measures, and configuration.
+"""Shared domain types and configuration.
 
 Every type here is immutable after construction and safe to share across
 concurrent workers; all operations in this package are pure functions of
@@ -9,14 +9,14 @@ ceiling of 20,000 rows.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
     "AGGREGATORS",
     "AffinityMatrix",
-    "CLOSED_FORM_SCALINGS",
     "ConfigError",
     "DISTANCE_MODES",
     "DataError",
@@ -29,7 +29,6 @@ __all__ = [
     "SOLVERS",
     "SoftLabelMatrix",
     "default_neighbor_count",
-    "distance",
     "soft_labels_from_assignments",
     "validate_config",
 ]
@@ -38,7 +37,6 @@ DISTANCE_MODES = ("euclidean_inverse", "cosine_similarity", "first_order_similar
 AGGREGATORS = ("min", "max", "avg", "quantile")
 SOLVERS = ("closed_form", "iterative")
 MODES = ("pmlp", "classical_lpa")
-CLOSED_FORM_SCALINGS = ("fixed_point", "unscaled")
 
 # Soft predictions must sum to one within this tolerance.
 PREDICTION_SUM_TOL = 1e-9
@@ -357,6 +355,10 @@ class AffinityMatrix:
 class PmlpConfig:
     """Hyperparameters for density-aware label propagation.
 
+    Construction validates every field and raises ConfigError naming the
+    first offender. A float field takes any real number and an int field
+    an integer (7.0 is not one); a bool counts as neither.
+
     alpha
         Diffusion weight of Y(i) = alpha * S * Y(i-1) + (1-alpha) * Y_high,
         strictly inside (0, 1) so the iteration contracts.
@@ -384,9 +386,11 @@ class PmlpConfig:
         Base affinity: "euclidean_inverse" inverts the Euclidean distance;
         the similarity modes use the (clamped) raw similarity.
     solver, solver_max_iters, solver_tol
-        "closed_form" solves the linear system to a fixed error bound of
-        1e-12, or to the rounding level where rounding keeps the residual
-        above that (alpha near 1, or large heavily labelled inputs); see
+        Both solvers return the fixed point
+        (1 - alpha) (I - alpha * S)^(-1) Y_high of that iteration.
+        "closed_form" solves for it to a fixed error bound of 1e-12, or
+        to the rounding level where rounding keeps the residual above
+        that (alpha near 1, or large heavily labelled inputs); see
         ``pmlp.propagate.propagate_closed_form``. Its step count grows as
         1 / sqrt(1 - alpha), about 45 steps at alpha = 0.8 and 800 at
         0.999 beyond the hops from the labels to the farthest row, and a
@@ -396,11 +400,6 @@ class PmlpConfig:
         solver_tol or solver_max_iters is reached.
     mode
         "pmlp" applies the density reweighting; "classical_lpa" skips it.
-    closed_form_scaling
-        "fixed_point" scales the closed-form solve by (1 - alpha) so both
-        solvers return the same matrix; "unscaled" returns the raw solve.
-        The two differ only by that positive constant, which never changes
-        a row argmax.
     clamp_ground_truth
         Reset ground-truth rows to their one-hot vectors after propagation.
     seed
@@ -421,7 +420,6 @@ class PmlpConfig:
     solver_max_iters: int = 10000
     solver_tol: float = 1e-10
     mode: str = "pmlp"
-    closed_form_scaling: str = "fixed_point"
     clamp_ground_truth: bool = True
     seed: int = 0
 
@@ -431,6 +429,15 @@ class PmlpConfig:
 
 def validate_config(cfg):
     """Check every PmlpConfig field, raising ConfigError naming the offender."""
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if field.type not in (int, float):
+            continue
+        kind = numbers.Integral if field.type is int else numbers.Real
+        # A bool is not a number here, though Python treats it as one.
+        if isinstance(value, bool) or not isinstance(value, kind):
+            words = "an integer" if field.type is int else "a number"
+            raise ConfigError(field.name, "must be %s, not %r" % (words, value))
     if not (0.0 < cfg.alpha < 1.0):
         raise ConfigError("alpha", "must lie strictly inside (0, 1)")
     if not (0.0 <= cfg.eta <= 1.0):
@@ -439,11 +446,11 @@ def validate_config(cfg):
         raise ConfigError("tau", "must lie in (0, 1]")
     if not (cfg.bandwidth_h > 0.0):
         raise ConfigError("bandwidth_h", "must be positive")
-    if int(cfg.path_points_k) != cfg.path_points_k or cfg.path_points_k < 1:
+    if cfg.path_points_k < 1:
         raise ConfigError("path_points_k", "must be an integer >= 1")
-    if int(cfg.kde_support_n) != cfg.kde_support_n or cfg.kde_support_n < 1:
+    if cfg.kde_support_n < 1:
         raise ConfigError("kde_support_n", "must be an integer >= 1")
-    if int(cfg.neighbor_count) != cfg.neighbor_count or cfg.neighbor_count < 1:
+    if cfg.neighbor_count < 1:
         raise ConfigError("neighbor_count", "must be an integer >= 1")
     if cfg.aggregator not in AGGREGATORS:
         raise ConfigError("aggregator", "must be one of %s" % (AGGREGATORS,))
@@ -453,19 +460,15 @@ def validate_config(cfg):
         raise ConfigError("distance_mode", "must be one of %s" % (DISTANCE_MODES,))
     if cfg.solver not in SOLVERS:
         raise ConfigError("solver", "must be one of %s" % (SOLVERS,))
-    if int(cfg.solver_max_iters) != cfg.solver_max_iters or cfg.solver_max_iters < 1:
+    if cfg.solver_max_iters < 1:
         raise ConfigError("solver_max_iters", "must be an integer >= 1")
     if not (cfg.solver_tol > 0.0):
         raise ConfigError("solver_tol", "must be positive")
     if cfg.mode not in MODES:
         raise ConfigError("mode", "must be one of %s" % (MODES,))
-    if cfg.closed_form_scaling not in CLOSED_FORM_SCALINGS:
-        raise ConfigError(
-            "closed_form_scaling", "must be one of %s" % (CLOSED_FORM_SCALINGS,)
-        )
     if not isinstance(cfg.clamp_ground_truth, bool):
         raise ConfigError("clamp_ground_truth", "must be a boolean")
-    if int(cfg.seed) != cfg.seed or cfg.seed < 0:
+    if cfg.seed < 0:
         raise ConfigError("seed", "must be a nonnegative integer")
     return cfg
 
@@ -475,38 +478,6 @@ def default_neighbor_count(n_classes):
     if n_classes < 1:
         raise DataError("n_classes must be >= 1")
     return math.ceil(1.5 * n_classes)
-
-
-def distance(a, b, mode="euclidean_inverse"):
-    """Distance or similarity between two feature vectors.
-
-    "euclidean_inverse" returns the plain Euclidean distance ||a - b||
-    (the inversion into an affinity happens during graph construction);
-    "cosine_similarity" returns the cosine of the angle between a and b;
-    "first_order_similarity" returns the raw inner product. Every mode is
-    exactly symmetric in (a, b).
-    """
-    if mode not in DISTANCE_MODES:
-        raise DataError("unknown distance mode: %r" % (mode,))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise DataError("distance expects 1-dimensional vectors")
-    if a.shape != b.shape:
-        raise DataError(
-            "dimension mismatch: %d vs %d" % (a.shape[0], b.shape[0])
-        )
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DataError("distance inputs must be finite")
-    if mode == "euclidean_inverse":
-        return float(np.sqrt(np.sum((a - b) ** 2)))
-    if mode == "first_order_similarity":
-        return float(np.dot(a, b))
-    norm_a = float(np.sqrt(np.sum(a**2)))
-    norm_b = float(np.sqrt(np.sum(b**2)))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise DataError("cosine similarity is undefined for a zero-norm vector")
-    return float(np.dot(a, b) / (norm_a * norm_b))
 
 
 def soft_labels_from_assignments(assignments, n_classes=None):

@@ -18,24 +18,14 @@ All operations are pure; per-pair computations are independent and may run
 in any order without changing the result.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import AGGREGATORS, DataError, FeatureMatrix, NumericalError
+from .core import DataError, FeatureMatrix, NumericalError
 
 __all__ = [
-    "PathDensities",
-    "PathSample",
-    "aggregate_density",
     "batch_normalized_density",
     "batch_path_density_info",
     "density_ratio",
-    "kde_density",
-    "kde_density_normalized",
-    "path_density_info",
-    "sample_path",
-    "select_kde_supports",
 ]
 
 # Element budget for the transient arrays of one query block: its screening
@@ -152,153 +142,16 @@ def _rank_all(queries, pool, count, exclude):
     return indices, dist2
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """Interior equal-division points on the segment between rows i and j.
-
-    ``points[l - 1] = x_i + (l / (k + 1)) * (x_j - x_i)`` for l = 1..k, so
-    the endpoints themselves are never included and k = 1 yields exactly
-    the midpoint.
-    """
-
-    i: int
-    j: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points.setflags(write=False)
-
-    @property
-    def endpoints(self):
-        return (self.i, self.j)
-
-
-@dataclass(frozen=True)
-class PathDensities:
-    """Nonnegative density values at the sampled points of one path."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise DataError("path densities must be a nonempty vector")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise DataError("path densities must be finite and nonnegative")
-        object.__setattr__(self, "values", values)
-        self.values.setflags(write=False)
-
-
-def sample_path(features, i, j, k):
-    """The k interior equal-division points between feature rows i and j."""
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(features)
-    n = features.n_rows
-    i, j, k = int(i), int(j), int(k)
-    if not (0 <= i < n and 0 <= j < n):
-        raise DataError("row index out of range")
-    if i == j:
-        raise DataError("a zero-length path has no interior points")
-    if k < 1:
-        raise DataError("k must be >= 1")
-    x_i = features.data[i]
-    x_j = features.data[j]
-    fracs = np.arange(1, k + 1) / (k + 1)
-    points = x_i + fracs[:, None] * (x_j - x_i)
-    return PathSample(i=i, j=j, points=points)
-
-
-def kde_density(query, supports, h):
-    """Exponential-kernel density of ``query`` over the support points.
-
-    Returns (1 / (n h)) * sum_m exp(-||s_m - q||^2 / h) for the n support
-    vectors; strictly positive for finite inputs apart from floating-point
-    underflow at extreme distances.
-    """
-    query, supports = _check_kde_inputs(query, supports, h)
-    d2 = np.sum((supports - query) ** 2, axis=1)
-    return float(np.sum(np.exp(-d2 / h)) / (supports.shape[0] * h))
-
-
-def kde_density_normalized(query, supports, h):
-    """Bandwidth-free density: h times ``kde_density``, always in (0, 1].
-
-    Equals the mean kernel value (1/n) * sum_m exp(-||s_m - q||^2 / h); it
-    is exactly 1 when every support coincides with the query and tends to 1
-    as h grows, which is why huge bandwidths erase all density information.
-    """
-    query, supports = _check_kde_inputs(query, supports, h)
-    d2 = np.sum((supports - query) ** 2, axis=1)
-    return float(np.mean(np.exp(-d2 / h)))
-
-
-def _check_kde_inputs(query, supports, h):
-    query = np.asarray(query, dtype=float)
-    supports = np.asarray(supports, dtype=float)
-    if supports.ndim != 2 or supports.shape[0] < 1:
-        raise DataError("supports must be a nonempty 2-dimensional array")
-    if query.ndim != 1 or query.shape[0] != supports.shape[1]:
-        raise DataError("query dimension does not match supports")
-    if not (np.all(np.isfinite(query)) and np.all(np.isfinite(supports))):
-        raise DataError("KDE inputs must be finite")
-    if not h > 0:
-        raise DataError("bandwidth h must be positive")
-    return query, supports
-
-
-def select_kde_supports(features, query, n):
-    """The n feature rows nearest to ``query`` under Euclidean distance.
-
-    Ties are broken by ascending row index. The query's own row, if it is
-    one of the features, is a legitimate support and is not excluded.
-    """
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(features)
-    n = int(n)
-    if n < 1:
-        raise DataError("support count must be >= 1")
-    if n > features.n_rows:
-        raise DataError(
-            "support count %d exceeds the %d available rows" % (n, features.n_rows)
-        )
-    query = np.asarray(query, dtype=float)
-    if query.shape != (features.dim,) or not np.all(np.isfinite(query)):
-        raise DataError("query must be a finite vector of the feature dim")
-    indices, _ = _nearest_rows(query[None, :], features.data, n)
-    return features.data[indices[0]]
-
-
-def aggregate_density(values, aggregator, quantile_t=0.5):
-    """Collapse per-point path densities to one scalar.
-
-    ``min``, ``max`` and ``avg`` are the order statistics and arithmetic
-    mean; ``quantile`` interpolates linearly between order statistics, so
-    quantile_t = 0.5 is the median.
-    """
-    if isinstance(values, PathDensities):
-        values = values.values
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise DataError("cannot aggregate an empty density list")
-    if aggregator == "min":
-        return float(np.min(values))
-    if aggregator == "max":
-        return float(np.max(values))
-    if aggregator == "avg":
-        return float(np.mean(values))
-    if aggregator == "quantile":
-        if not (0.0 < quantile_t < 1.0):
-            raise DataError("quantile_t must lie strictly inside (0, 1)")
-        return float(np.quantile(values, quantile_t))
-    raise DataError("unknown aggregator %r; expected one of %s" % (aggregator, AGGREGATORS))
-
-
 def batch_normalized_density(queries, features, n, h):
-    """Normalized KDE values for a batch of query points.
+    """Normalized exponential-kernel density at each row of ``queries``.
 
-    Equivalent to ``kde_density_normalized(q, select_kde_supports(features,
-    q, n), h)`` per row of ``queries``, with the supports found by the
-    batched nearest-row kernel.
+    For a query q with supports s_1..s_n, its ``n`` nearest feature rows
+    (found by ``_nearest_rows``; a query's own row counts), the value is
+    the mean kernel (1/n) * sum_m exp(-||s_m - q||^2 / h). That is h times
+    the kernel density (1 / (n h)) * sum_m exp(-||s_m - q||^2 / h), so it
+    lies in (0, 1] apart from underflow at extreme distances: exactly 1
+    when every support coincides with q, and tending to 1 as h grows,
+    which is why huge bandwidths erase all density information.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -352,7 +205,17 @@ def _pair_point_densities(features, pairs, cfg):
 
 
 def batch_path_density_info(features, pairs, cfg):
-    """Aggregated path-density factors for many row pairs at once."""
+    """Density factor of each row pair (i, j): one value in [0, 1] per pair.
+
+    The k = cfg.path_points_k interior points x_i + (l / (k + 1)) (x_j - x_i),
+    l = 1..k, divide the segment equally (k = 1 is the midpoint; the
+    endpoints are never included). Each point's density is
+    ``batch_normalized_density`` over cfg.kde_support_n supports at
+    bandwidth cfg.bandwidth_h, and cfg.aggregator collapses a pair's k
+    values: "min", "max", "avg", or "quantile" (linear interpolation at
+    cfg.quantile_t). Pairs are put in (low, high) order first, so the
+    factor is exactly symmetric in (i, j).
+    """
     values = _pair_point_densities(*_canonical_pairs(features, pairs), cfg)
     if cfg.aggregator == "min":
         return values.min(axis=1)
@@ -361,17 +224,6 @@ def batch_path_density_info(features, pairs, cfg):
     if cfg.aggregator == "avg":
         return values.mean(axis=1)
     return np.quantile(values, cfg.quantile_t, axis=1)
-
-
-def path_density_info(features, i, j, cfg):
-    """Density factor for the pair (i, j): a value in (0, 1].
-
-    Composes ``sample_path`` (k = cfg.path_points_k), per-point support
-    selection and normalized KDE (n = cfg.kde_support_n, h =
-    cfg.bandwidth_h), then ``aggregate_density``. Exactly symmetric in
-    (i, j).
-    """
-    return float(batch_path_density_info(features, [(i, j)], cfg)[0])
 
 
 def density_ratio(features, pairs, cfg):

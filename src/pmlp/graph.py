@@ -9,8 +9,6 @@ makes the propagation contraction converge. Scaling W by any positive
 constant leaves the normalized matrix unchanged.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import AffinityMatrix, DataError, FeatureMatrix, NumericalError
@@ -18,10 +16,8 @@ from .density import _nearest_rows, batch_path_density_info
 
 __all__ = [
     "EPS_DISTANCE",
-    "NeighborSet",
     "build_affinity",
     "knn_edges",
-    "knn_select",
     "normalize_symmetric",
 ]
 
@@ -30,52 +26,14 @@ __all__ = [
 EPS_DISTANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """Nearest neighbors of one center row, closest first.
-
-    Distances are ascending; exact ties are resolved toward the smaller
-    row index. The center itself never appears.
-    """
-
-    center: int
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        self.indices.setflags(write=False)
-        self.distances.setflags(write=False)
-
-    def __len__(self):
-        return self.indices.size
-
-
-def knn_select(features, center, count):
-    """The ``count`` rows nearest to ``center``, excluding the center."""
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(features)
-    center, count = int(center), int(count)
-    if not 0 <= center < features.n_rows:
-        raise DataError("center row out of range")
-    if count < 1:
-        raise DataError("neighbor count must be >= 1")
-    if count >= features.n_rows:
-        raise DataError(
-            "neighbor count %d must be smaller than the %d rows"
-            % (count, features.n_rows)
-        )
-    indices, d2 = _nearest_rows(
-        features.data[center : center + 1], features.data, count, np.array([center])
-    )
-    return NeighborSet(center=center, indices=indices[0], distances=np.sqrt(d2[0]))
-
-
 def knn_edges(features, count):
     """Directed nearest-neighbor edges (i -> each of i's ``count`` nearest).
 
-    Returns an (N * count, 2) index array; each row's own index is
-    excluded, and the distance and tie-breaking rules are those of
-    ``knn_select``.
+    Returns an (N * count, 2) index array whose rows i * count through
+    (i + 1) * count - 1 hold i's neighbors, closest first under Euclidean
+    distance, with exact ties going to the lower row index. A row's own
+    index is never among its neighbors, though a row that coincides with
+    it may be.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -91,7 +49,14 @@ def knn_edges(features, count):
 
 
 def _base_affinity(left, right, mode):
-    """Base affinity values for paired feature rows (vectorized)."""
+    """Base affinity of each pair of rows of ``left`` and ``right``.
+
+    "euclidean_inverse" is 1 / ||a - b||, with the distance floored at
+    EPS_DISTANCE; "first_order_similarity" is the inner product and
+    "cosine_similarity" the cosine of the angle, both clamped at zero. The
+    cosine of a zero-norm row is undefined and raises DataError. Every
+    mode is exactly symmetric in the two rows.
+    """
     if mode == "euclidean_inverse":
         dist = np.sqrt(np.sum((left - right) ** 2, axis=1))
         return 1.0 / np.maximum(dist, EPS_DISTANCE)

@@ -5,9 +5,9 @@ Pipeline stages: split the initial soft labels by confidence, build the
 the high-confidence mass Y(i) = alpha * S * Y(i-1) + (1-alpha) * Y_high,
 and mix the result back with the retained low-confidence predictions.
 With alpha in (0, 1) and the symmetric normalization the diffusion map is
-a contraction, so the iterative and closed-form solvers agree up to the
-documented (1 - alpha) scaling. Both apply S through the sparse matrix's
-one gather-and-reduceat product, with no BLAS call, so their bytes do not
+a contraction, and the iterative and closed-form solvers converge to the
+same fixed point. Both apply S through the sparse matrix's one
+gather-and-reduceat product, with no BLAS call, so their bytes do not
 depend on the thread count.
 """
 
@@ -144,8 +144,11 @@ def propagate_iterative(S, y_high, alpha, max_iters=10000, tol=1e-10):
     return result, iterations, residual
 
 
-def propagate_closed_form(S, y_high, alpha, scaling="fixed_point"):
-    """Solve (I - alpha * S) Y = Y_high to the stop rule of SOLVE_TOL/ROW_TOL.
+def propagate_closed_form(S, y_high, alpha):
+    """The fixed point (1 - alpha) (I - alpha * S)^(-1) Y_high of the iteration.
+
+    Solves (I - alpha * S) X = Y_high to the stop rule of SOLVE_TOL/ROW_TOL
+    and returns (1 - alpha) X, the limit ``propagate_iterative`` approaches.
 
     The spectrum of alpha * S lies in [-alpha, alpha], so the Chebyshev
     semi-iteration needs no inner products: x_1 = b and
@@ -161,15 +164,10 @@ def propagate_closed_form(S, y_high, alpha, scaling="fixed_point"):
     solve whose step cap, twice the rows plus thirty tenfold falls,
     passes MAX_SOLVE_STEPS raises NumericalError before the first step.
 
-    ``scaling="fixed_point"`` multiplies the solution by (1 - alpha) so it
-    matches the converged iterative output; ``"unscaled"`` returns the raw
-    solve. The two differ only by that positive constant and therefore
-    share every row argmax. Returns ``(result, steps, residual)``: the
-    products with S taken and the max-abs change one more plain
-    fixed-point step would make to ``result``.
+    Returns ``(result, steps, residual)``: the products with S taken and
+    the max-abs change one more plain fixed-point step would make to
+    ``result``.
     """
-    if scaling not in ("fixed_point", "unscaled"):
-        raise DataError("unknown closed-form scaling: %r" % (scaling,))
     y_high, apply = _solve_inputs(S, y_high, alpha)
     b = y_high.data.T.ravel()
     classes = y_high.classes
@@ -225,10 +223,8 @@ def propagate_closed_form(S, y_high, alpha, scaling="fixed_point"):
         previous, current = current, previous
     else:
         raise NumericalError("closed-form solve did not converge in %d steps" % limit)
-    change = float(np.max(np.abs(residual), initial=0.0))
-    if scaling == "fixed_point":
-        current *= 1.0 - alpha
-        change *= 1.0 - alpha
+    change = float(np.max(np.abs(residual), initial=0.0)) * (1.0 - alpha)
+    current *= 1.0 - alpha
     # The exact solution is entrywise nonnegative; clip the rounding dust.
     result = SoftLabelMatrix(np.maximum(current.reshape(classes, -1).T, 0.0))
     return result, steps, change
@@ -307,9 +303,7 @@ def run_pmlp(
             S, high, cfg.alpha, cfg.solver_max_iters, cfg.solver_tol
         )
     else:
-        propagated, iterations, residual = propagate_closed_form(
-            S, high, cfg.alpha, scaling=cfg.closed_form_scaling
-        )
+        propagated, iterations, residual = propagate_closed_form(S, high, cfg.alpha)
 
     if cfg.clamp_ground_truth:
         clamped = propagated.data.copy()

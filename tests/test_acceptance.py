@@ -25,12 +25,13 @@ from pmlp.cli import (
 )
 from pmlp.core import (
     AffinityMatrix,
+    FeatureMatrix,
     PmlpConfig,
     SoftLabelMatrix,
     default_neighbor_count,
     soft_labels_from_assignments,
 )
-from pmlp.density import density_ratio, kde_density
+from pmlp.density import batch_normalized_density, density_ratio
 from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
 from pmlp.propagate import (
     ThresholdSchedulerState,
@@ -139,8 +140,8 @@ def test_criterion_3_solver_cross_check():
                 S, Y, alpha, max_iters=200000, tol=1e-12
             )
             assert residual < 1e-12
-            unscaled, _, _ = propagate_closed_form(S, Y, alpha, scaling="unscaled")
-            diff = np.max(np.abs(iterated.data - (1 - alpha) * unscaled.data))
+            fixed, _, _ = propagate_closed_form(S, Y, alpha)
+            diff = np.max(np.abs(iterated.data - fixed.data))
             assert diff < 1e-8
 
 
@@ -161,7 +162,10 @@ def test_criterion_4_kde_oracle_equivalence():
                     squared += (s - q) ** 2
                 total += math.exp(-squared / h)
             expected = total / (count * h)
-            assert abs(kde_density(query, supports, h) - expected) <= 1e-12
+            got = batch_normalized_density(
+                query[None], FeatureMatrix(supports), count, h
+            )[0] / h
+            assert abs(got - expected) <= 1e-12
 
 
 def test_criterion_5_low_density_crossing_direction():
@@ -169,13 +173,13 @@ def test_criterion_5_low_density_crossing_direction():
         started = time.monotonic()
         cfg = PmlpConfig(**THEOREM1_DEFAULTS["config"])
         reports = separation_sweep(
-            separations=THEOREM1_DEFAULTS["separations"],
-            sigma=THEOREM1_DEFAULTS["sigma"],
-            samples_per_cluster=THEOREM1_DEFAULTS["samples_per_cluster"],
-            pairs=THEOREM1_DEFAULTS["pairs"],
-            tau_quantile=THEOREM1_DEFAULTS["tau_quantile"],
+            separations=THEOREM1_DEFAULTS["separations"].default,
+            sigma=THEOREM1_DEFAULTS["sigma"].default,
+            samples_per_cluster=THEOREM1_DEFAULTS["samples_per_cluster"].default,
+            pairs=THEOREM1_DEFAULTS["pairs"].default,
+            tau_quantile=THEOREM1_DEFAULTS["tau_quantile"].default,
             cfg=cfg,
-            line_points=THEOREM1_DEFAULTS["line_points"],
+            line_points=THEOREM1_DEFAULTS["line_points"].default,
         )
         crossing = [r.fraction_paths_low_density for r in reports]
         length = [r.fraction_length_low_density for r in reports]
@@ -191,16 +195,16 @@ def test_criterion_6_density_ratio_trend():
         params = DENSITY_RATIO_DEFAULTS
         cfg = PmlpConfig(**params["config"])
         dataset = gen_gaussian_blobs(
-            means=[[0.0, 0.0], [params["separation"], 0.0]],
-            sigma=params["sigma"],
-            per_class=params["samples_per_cluster"],
+            means=[[0.0, 0.0], [params["separation"].default, 0.0]],
+            sigma=params["sigma"].default,
+            per_class=params["samples_per_cluster"].default,
             labeled_per_class=1,
             seed=cfg.seed,
         )
         rng = np.random.default_rng(cfg.seed + 1)
         n = dataset.features.n_rows
-        left = rng.integers(0, n, params["pairs"])
-        offset = 1 + rng.integers(0, n - 1, params["pairs"])
+        left = rng.integers(0, n, params["pairs"].default)
+        offset = 1 + rng.integers(0, n - 1, params["pairs"].default)
         pairs = np.column_stack([left, (left + offset) % n])
         ratios = [
             density_ratio(dataset.features, pairs, replace(cfg, bandwidth_h=h))
@@ -216,12 +220,12 @@ def test_criterion_7_pseudo_label_quality_direction():
         params = COMPARE_DEFAULTS
         cfg = PmlpConfig(**params["config"])
         dataset = gen_two_moons(
-            n=params["n"],
-            noise=params["noise"],
-            labeled_per_class=params["labeled_per_class"],
+            n=params["n"].default,
+            noise=params["noise"].default,
+            labeled_per_class=params["labeled_per_class"].default,
             seed=cfg.seed,
         )
-        records = compare_pmlp_vs_lpa(dataset, cfg, trials=params["trials"])
+        records = compare_pmlp_vs_lpa(dataset, cfg, trials=params["trials"].default)
         accuracy = {
             mode: np.array([r.accuracy for r in records if r.mode == mode])
             for mode in ("pmlp", "classical_lpa")

@@ -327,6 +327,19 @@ class TestExitCodes:
     def test_unknown_subcommand_is_one(self):
         assert main(["propagate"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["harness", "theorem1", "--separations", "2,x"],
+            ["harness", "density-ratio", "--bandwidths", ","],
+            ["harness", "compare", "--dataset", "spirals"],
+            ["label", "--input", "d.csv", "--closed-form-scaling", "unscaled"],
+        ],
+    )
+    def test_bad_or_removed_flag_is_a_usage_error(self, tmp_path, argv):
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_data_error_is_two(self, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -343,6 +356,38 @@ class TestExitCodes:
              "--alpha", "1.5"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("alpha", "0.5"), ("seed", None), ("neighbor_count", True), ("seed", 7.0)],
+    )
+    def test_config_value_of_the_wrong_json_type_is_a_config_error(
+        self, tmp_path, field, value
+    ):
+        data, _ = generate_blobs(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({field: value}))
+        out = tmp_path / "out"
+        code = main(
+            ["label", "--input", str(data), "--out-dir", str(out),
+             "--config", str(config)]
+        )
+        assert code == 1
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["error"]["code"] == "config"
+        assert payload["error"]["message"].startswith(field + ":")
+
+    def test_removed_config_field_is_unknown(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"closed_form_scaling": "fixed_point"}))
+        out = tmp_path / "out"
+        code = main(
+            ["label", "--input", str(tmp_path / "d.csv"), "--out-dir", str(out),
+             "--config", str(config)]
+        )
+        assert code == 1
+        message = json.loads((out / "metrics.json").read_text())["error"]["message"]
+        assert message == "closed_form_scaling: unknown configuration field"
 
     def test_alpha_next_to_one_is_a_numerical_error(self, tmp_path):
         data, _ = generate_blobs(tmp_path)
@@ -369,13 +414,58 @@ class TestExitCodes:
 
 
 class TestHarnessJobs:
+    # Every harness flag set to a small non-default value, and the params
+    # report.json then records; then the params of a run without flags.
+    # Compared as JSON text, so 2 and 2.0 differ and each flag's type is
+    # pinned as well as its name and default.
+    PARAMS = {
+        "theorem1": (
+            ["--separations", "3,5", "--sigma", "2", "--samples-per-cluster", "25",
+             "--pairs", "10", "--tau-quantile", "0.2", "--line-points", "8"],
+            {"separations": [3.0, 5.0], "sigma": 2.0, "samples_per_cluster": 25,
+             "pairs": 10, "tau_quantile": 0.2, "line_points": 8},
+            {"separations": [2.0, 4.0, 8.0, 16.0], "sigma": 1.0,
+             "samples_per_cluster": 200, "pairs": 100, "tau_quantile": 0.1,
+             "line_points": 50},
+        ),
+        "compare": (
+            ["--dataset", "gaussian-blobs", "--n", "40", "--noise", "0.2",
+             "--labeled-per-class", "3", "--trials", "2", "--separation", "4",
+             "--sigma", "2", "--per-class", "20"],
+            {"dataset": "gaussian_blobs", "n": 40, "noise": 0.2,
+             "labeled_per_class": 3, "trials": 2, "separation": 4.0, "sigma": 2.0,
+             "per_class": 20},
+            {"dataset": "two_moons", "n": 200, "noise": 0.1, "labeled_per_class": 2,
+             "trials": 20, "separation": 6.0, "sigma": 1.0, "per_class": 100},
+        ),
+        "density-ratio": (
+            ["--bandwidths", "2,50", "--pairs", "10", "--separation", "5",
+             "--sigma", "2", "--samples-per-cluster", "25"],
+            {"bandwidths": [2.0, 50.0], "pairs": 10, "separation": 5.0, "sigma": 2.0,
+             "samples_per_cluster": 25},
+            {"bandwidths": [5.0, 100.0, 1e12], "pairs": 200, "separation": 8.0,
+             "sigma": 1.0, "samples_per_cluster": 150},
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_flags_set_exactly_the_reported_params(self, tmp_path, kind):
+        flags, set_params, default_params = self.PARAMS[kind]
+        for argv, expected in ((flags, set_params), ([], default_params)):
+            out = tmp_path / ("set" if argv else "default")
+            assert main(["harness", kind, "--out-dir", str(out)] + argv) == 0
+            params = json.loads((out / "report.json").read_text())["params"]
+            assert json.dumps(params, sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            )
+
     def test_density_ratio_trend(self, tmp_path):
         out = tmp_path / "dr"
         assert main(["harness", "density-ratio", "--out-dir", str(out)]) == 0
         rows = json.loads((out / "report.json").read_text())["rows"]
         ratios = [row["density_ratio"] for row in rows]
         assert [row["bandwidth_h"] for row in rows] == list(
-            DENSITY_RATIO_DEFAULTS["bandwidths"]
+            DENSITY_RATIO_DEFAULTS["bandwidths"].default
         )
         assert ratios[0] > ratios[1] > ratios[2]
         assert 1.0 <= ratios[2] <= 1.001

@@ -16,10 +16,11 @@ from pmlp.core import (
     PmlpConfig,
     SoftLabelMatrix,
     default_neighbor_count,
-    distance,
     soft_labels_from_assignments,
     validate_config,
 )
+from pmlp.density import batch_normalized_density
+from pmlp.graph import EPS_DISTANCE, _base_affinity
 
 from dense_oracle import affinity_from_dense, to_dense
 
@@ -36,30 +37,38 @@ vectors = st.integers(min_value=1, max_value=6).flatmap(
 )
 
 
+def base_affinity(a, b, mode="euclidean_inverse"):
+    """The graph's base affinity between two vectors."""
+    return float(_base_affinity(np.array([a], float), np.array([b], float), mode)[0])
+
+
 class TestDistance:
     def test_three_four_five_triangle(self):
-        assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
+        assert base_affinity((0.0, 0.0), (3.0, 4.0)) == 1.0 / 5.0
 
     def test_identical_points(self):
-        assert distance((1.0, 2.0), (1.0, 2.0)) == 0.0
+        assert base_affinity((1.0, 2.0), (1.0, 2.0)) == 1.0 / EPS_DISTANCE
 
     def test_orthogonal_cosine(self):
-        assert distance((1.0, 0.0), (0.0, 1.0), "cosine_similarity") == 0.0
+        assert base_affinity((1.0, 0.0), (0.0, 1.0), "cosine_similarity") == 0.0
 
     def test_first_order_is_inner_product(self):
-        assert distance((1.0, 2.0), (3.0, 4.0), "first_order_similarity") == 11.0
+        value = base_affinity((1.0, 2.0), (3.0, 4.0), "first_order_similarity")
+        assert value == 11.0
 
     def test_dimension_mismatch(self):
+        # Base affinities pair rows of one FeatureMatrix; the one place two
+        # vectors of separate origin meet is a KDE query and its supports.
         with pytest.raises(DataError):
-            distance((1.0, 2.0), (1.0, 2.0, 3.0))
+            batch_normalized_density([(1.0, 2.0)], [(1.0, 2.0, 3.0)], 1, 1.0)
 
     def test_zero_norm_cosine(self):
         with pytest.raises(DataError):
-            distance((0.0, 0.0), (1.0, 0.0), "cosine_similarity")
+            base_affinity((0.0, 0.0), (1.0, 0.0), "cosine_similarity")
 
     def test_unknown_mode(self):
         with pytest.raises(DataError):
-            distance((1.0,), (2.0,), "manhattan")
+            base_affinity((1.0,), (2.0,), "manhattan")
 
     @settings(max_examples=100, deadline=None)
     @given(vectors)
@@ -70,14 +79,16 @@ class TestDistance:
                 np.sum(np.square(a)) == 0.0 or np.sum(np.square(b)) == 0.0
             ):
                 continue  # norm underflow is a defined error, tested elsewhere
-            assert distance(a, b, mode) == distance(b, a, mode)
+            assert base_affinity(a, b, mode) == base_affinity(b, a, mode)
 
     def test_triangle_inequality_on_random_triples(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             d = rng.integers(1, 8)
             a, b, c = rng.normal(size=(3, d)) * 10
-            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
+            # euclidean_inverse inverts a metric
+            ab, bc, ac = (1 / base_affinity(*pair) for pair in ((a, b), (b, c), (a, c)))
+            assert ac <= ab + bc + 1e-9
 
 
 class TestConfig:
@@ -114,8 +125,12 @@ class TestConfig:
             ("solver_max_iters", 0),
             ("solver_tol", 0.0),
             ("mode", "hybrid"),
-            ("closed_form_scaling", "raw"),
             ("seed", -1),
+            ("alpha", "0.5"),
+            ("tau", None),
+            ("neighbor_count", True),
+            ("path_points_k", 1.5),
+            ("seed", float("inf")),
         ],
     )
     def test_each_field_raises_named_error(self, field, value):

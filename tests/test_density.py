@@ -15,16 +15,10 @@ from hypothesis import strategies as st
 from pmlp import density as density_module
 from pmlp.core import DataError, FeatureMatrix, NumericalError, PmlpConfig
 from pmlp.density import (
-    PathDensities,
-    aggregate_density,
+    _nearest_rows,
     batch_normalized_density,
     batch_path_density_info,
     density_ratio,
-    kde_density,
-    kde_density_normalized,
-    path_density_info,
-    sample_path,
-    select_kde_supports,
 )
 from pmlp.synthlab import gen_gaussian_blobs
 
@@ -42,7 +36,7 @@ def brute_force_kde(query, supports, h):
     return total / (len(supports) * h)
 
 
-def brute_force_path_info(features, i, j, k, n, h, aggregator="avg"):
+def brute_force_path_info(features, i, j, k, n, h, aggregator="avg", t=0.5):
     """Independent composition: interior points, nearest supports, mean kernel."""
     x_i, x_j = features[i], features[j]
     values = []
@@ -61,77 +55,117 @@ def brute_force_path_info(features, i, j, k, n, h, aggregator="avg"):
         return sum(values) / len(values)
     if aggregator == "min":
         return min(values)
-    return max(values)
+    if aggregator == "max":
+        return max(values)
+    # quantile t, interpolating linearly between order statistics
+    values = sorted(values)
+    position = t * (len(values) - 1)
+    low = int(position)
+    high = min(low + 1, len(values) - 1)
+    return values[low] + (position - low) * (values[high] - values[low])
+
+
+def path_points(features, pair, cfg):
+    """The query points ``batch_path_density_info`` gives the KDE for one pair."""
+    seen = []
+    real = density_module.batch_normalized_density
+
+    def spy(queries, *args):
+        seen.append(np.array(queries))
+        return real(queries, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density_module, "batch_normalized_density", spy)
+        batch_path_density_info(features, [pair], cfg)
+    return seen[0]
+
+
+PAIR_ROWS = FeatureMatrix([[0.0], [1.0]])
+
+
+def aggregated(values, aggregator, quantile_t=0.5):
+    """The factor of one pair whose path points have the given densities."""
+    values = np.asarray(values, dtype=float)
+    cfg = PmlpConfig(
+        path_points_k=len(values),
+        kde_support_n=1,
+        aggregator=aggregator,
+        quantile_t=quantile_t,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density_module, "batch_normalized_density", lambda *a: values)
+        return float(batch_path_density_info(PAIR_ROWS, [(0, 1)], cfg)[0])
 
 
 class TestSamplePath:
     def test_three_interior_points(self):
         fm = FeatureMatrix([[0.0, 0.0], [4.0, 0.0]])
-        sample = sample_path(fm, 0, 1, 3)
-        np.testing.assert_array_equal(
-            sample.points, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
-        )
+        points = path_points(fm, (0, 1), PmlpConfig(path_points_k=3, kde_support_n=1))
+        np.testing.assert_array_equal(points, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
 
     def test_single_point_is_midpoint(self):
         fm = FeatureMatrix([[0.0, 0.0], [2.0, 2.0]])
-        sample = sample_path(fm, 0, 1, 1)
-        np.testing.assert_array_equal(sample.points, [[1.0, 1.0]])
+        points = path_points(fm, (0, 1), PmlpConfig(path_points_k=1, kde_support_n=1))
+        np.testing.assert_array_equal(points, [[1.0, 1.0]])
 
     def test_two_point_fractions(self):
         fm = FeatureMatrix([[1.0, 1.0], [1.0, 5.0]])
-        sample = sample_path(fm, 0, 1, 2)
+        points = path_points(fm, (0, 1), PmlpConfig(path_points_k=2, kde_support_n=1))
         np.testing.assert_allclose(
-            sample.points, [[1.0, 7.0 / 3.0], [1.0, 11.0 / 3.0]], atol=1e-12
+            points, [[1.0, 7.0 / 3.0], [1.0, 11.0 / 3.0]], atol=1e-12
         )
 
     def test_zero_length_path_rejected(self):
         fm = FeatureMatrix([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DataError):
-            sample_path(fm, 1, 1, 1)
+            batch_path_density_info(fm, [(1, 1)], PmlpConfig(kde_support_n=1))
 
     def test_points_lie_on_segment(self):
         rng = np.random.default_rng(11)
         fm = FeatureMatrix(rng.normal(size=(6, 4)))
         for k in (1, 2, 5):
-            sample = sample_path(fm, 0, 3, k)
+            # a reversed pair is sampled from its lower row
+            cfg = PmlpConfig(path_points_k=k, kde_support_n=1)
+            points = path_points(fm, (3, 0), cfg)
             x_i, x_j = fm.data[0], fm.data[3]
-            for l, point in enumerate(sample.points, start=1):
+            assert len(points) == k
+            for l, point in enumerate(points, start=1):
                 expected = x_i + (l / (k + 1)) * (x_j - x_i)
                 np.testing.assert_allclose(point, expected, atol=1e-9)
-            assert sample.endpoints == (0, 3)
 
 
 class TestKdeDensity:
+    """``batch_normalized_density`` over every support is h times the KDE."""
+
     def test_single_coincident_support(self):
-        assert kde_density((0.0, 0.0), [(0.0, 0.0)], 1.0) == 1.0
+        assert batch_normalized_density([(0.0, 0.0)], [(0.0, 0.0)], 1, 1.0)[0] == 1.0
 
     def test_two_supports_hand_value(self):
         # (1/(2*2)) * (exp(-1/2) + exp(-1/2)) = exp(-0.5) / 2
-        value = kde_density((0.0, 0.0), [(1.0, 0.0), (0.0, 1.0)], 2.0)
-        assert value == pytest.approx(0.5 * math.exp(-0.5), abs=1e-12)
+        value = batch_normalized_density([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], 2, 2.0)
+        assert value[0] / 2.0 == pytest.approx(0.5 * math.exp(-0.5), abs=1e-12)
 
     def test_large_bandwidth_limits(self):
         h = 1e12
-        raw = kde_density((0.0, 0.0), [(1.0, 0.0)], h)
-        normalized = kde_density_normalized((0.0, 0.0), [(1.0, 0.0)], h)
-        assert raw == pytest.approx(1.0 / h, rel=1e-6)
+        normalized = batch_normalized_density([(0.0, 0.0)], [(1.0, 0.0)], 1, h)[0]
+        assert normalized / h == pytest.approx(1.0 / h, rel=1e-6)
         assert normalized == pytest.approx(1.0, abs=1e-6)
 
     def test_normalized_hand_value(self):
-        value = kde_density_normalized((0.0, 0.0), [(1.0, 0.0), (0.0, 1.0)], 2.0)
-        assert value == pytest.approx(math.exp(-0.5), abs=1e-12)
+        value = batch_normalized_density([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], 2, 2.0)
+        assert value[0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_normalized_is_exactly_one_on_coincident_supports(self):
         for h in (0.01, 1.0, 37.5):
-            assert kde_density_normalized((2.0, 3.0), [(2.0, 3.0)], h) == 1.0
+            assert batch_normalized_density([(2.0, 3.0)], [(2.0, 3.0)], 1, h)[0] == 1.0
 
     def test_empty_supports_rejected(self):
         with pytest.raises(DataError):
-            kde_density((0.0,), np.zeros((0, 1)), 1.0)
+            batch_normalized_density([(0.0,)], np.zeros((0, 1)), 1, 1.0)
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(DataError):
-            kde_density((0.0,), [(1.0,)], 0.0)
+            batch_normalized_density([(0.0,)], [(1.0,)], 1, 0.0)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1234)
@@ -141,7 +175,7 @@ class TestKdeDensity:
             query = rng.normal(size=dim) * 3
             supports = rng.normal(size=(count, dim)) * 3
             h = float(10 ** rng.uniform(-1, 2))
-            got = kde_density(query, supports, h)
+            got = batch_normalized_density(query[None], supports, count, h)[0] / h
             want = brute_force_kde(query, supports, h)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -151,17 +185,17 @@ class TestKdeDensity:
             query = rng.normal(size=3)
             supports = rng.normal(size=(7, 3))
             h = float(10 ** rng.uniform(-1, 2))
-            raw = kde_density(query, supports, h)
-            normalized = kde_density_normalized(query, supports, h)
+            raw = brute_force_kde(query, supports, h)
+            normalized = batch_normalized_density(query[None], supports, 7, h)[0]
             assert normalized == pytest.approx(h * raw, rel=1e-12)
             assert 0.0 < normalized <= 1.0
 
     def test_normalized_monotone_in_bandwidth(self):
         rng = np.random.default_rng(6)
-        query = rng.normal(size=4)
+        query = rng.normal(size=(1, 4))
         supports = rng.normal(size=(10, 4))
         values = [
-            kde_density_normalized(query, supports, h)
+            batch_normalized_density(query, supports, 10, h)[0]
             for h in (0.1, 0.5, 1.0, 5.0, 50.0, 1e6)
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -170,54 +204,44 @@ class TestKdeDensity:
 class TestSelectSupports:
     def test_nearest_two(self):
         fm = FeatureMatrix([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-        supports = select_kde_supports(fm, (0.4, 0.0), 2)
-        np.testing.assert_array_equal(supports, [[0.0, 0.0], [1.0, 0.0]])
+        got = batch_normalized_density([(0.4, 0.0)], fm, 2, 1.0)[0]
+        want = brute_force_kde((0.4, 0.0), [[0.0, 0.0], [1.0, 0.0]], 1.0)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_n_equal_rows_returns_everything(self):
         fm = FeatureMatrix([[0.0], [1.0], [2.0]])
-        supports = select_kde_supports(fm, (1.6,), 3)
-        assert sorted(supports[:, 0].tolist()) == [0.0, 1.0, 2.0]
+        got = batch_normalized_density([(1.6,)], fm, 3, 1.0)[0]
+        assert got == pytest.approx(brute_force_kde((1.6,), fm.data, 1.0), abs=1e-12)
 
     def test_tie_broken_by_row_index(self):
         # rows 2 and 7 are equidistant from the query; row 2 wins the last slot
         rows = np.full((8, 2), 50.0)
         rows[2] = (1.0, 0.0)
         rows[7] = (-1.0, 0.0)
-        supports = select_kde_supports(FeatureMatrix(rows), (0.0, 0.0), 1)
-        np.testing.assert_array_equal(supports, [[1.0, 0.0]])
+        supports, _ = _nearest_rows(np.zeros((1, 2)), rows, 1)
+        assert supports.tolist() == [[2]]
 
     def test_too_many_supports_rejected(self):
         fm = FeatureMatrix([[0.0], [1.0]])
         with pytest.raises(DataError):
-            select_kde_supports(fm, (0.0,), 3)
+            batch_normalized_density([(0.0,)], fm, 3, 1.0)
 
 
 class TestAggregate:
     def test_avg(self):
-        assert aggregate_density([1.0, 2.0, 3.0], "avg") == 2.0
+        assert aggregated([1.0, 2.0, 3.0], "avg") == 2.0
 
     def test_median_quantile(self):
-        assert aggregate_density([1.0, 2.0, 3.0], "quantile", 0.5) == 2.0
+        assert aggregated([1.0, 2.0, 3.0], "quantile", 0.5) == 2.0
 
     def test_min_max(self):
-        assert aggregate_density([4.0, 1.0, 9.0, 16.0], "min") == 1.0
-        assert aggregate_density([4.0, 1.0, 9.0, 16.0], "max") == 16.0
+        assert aggregated([4.0, 1.0, 9.0, 16.0], "min") == 1.0
+        assert aggregated([4.0, 1.0, 9.0, 16.0], "max") == 16.0
 
     def test_empty_rejected(self):
+        no_pairs = np.zeros((0, 2), dtype=int)
         with pytest.raises(DataError):
-            aggregate_density([], "avg")
-
-    def test_accepts_path_densities(self):
-        values = PathDensities(np.array([0.2, 0.6, 0.4]))
-        assert aggregate_density(values, "max") == 0.6
-
-    def test_path_densities_validated(self):
-        with pytest.raises(DataError):
-            PathDensities(np.array([0.5, -0.1]))
-        with pytest.raises(DataError):
-            PathDensities(np.array([np.inf]))
-        with pytest.raises(DataError):
-            PathDensities(np.array([]))
+            batch_path_density_info(PAIR_ROWS, no_pairs, PmlpConfig(kde_support_n=1))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -229,9 +253,9 @@ class TestAggregate:
         st.floats(min_value=0.01, max_value=0.99),
     )
     def test_quantile_between_min_and_max(self, values, t):
-        low = aggregate_density(values, "min")
-        mid = aggregate_density(values, "quantile", t)
-        high = aggregate_density(values, "max")
+        low = aggregated(values, "min")
+        mid = aggregated(values, "quantile", t)
+        high = aggregated(values, "max")
         assert low <= mid <= high
 
 
@@ -241,7 +265,7 @@ class TestPathDensityInfo:
             [[0.0, 0.0], [6.0, 0.0]], 1.0, per_class=20, labeled_per_class=1, seed=2
         )
         cfg = PmlpConfig(bandwidth_h=1e12, kde_support_n=10, path_points_k=3)
-        value = path_density_info(dataset.features, 0, 25, cfg)
+        value = batch_path_density_info(dataset.features, [(0, 25)], cfg)[0]
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_within_blob_beats_cross_blob(self):
@@ -249,8 +273,8 @@ class TestPathDensityInfo:
             [[0.0, 0.0], [10.0, 0.0]], 1.0, per_class=40, labeled_per_class=1, seed=9
         )
         cfg = PmlpConfig(bandwidth_h=2.0, kde_support_n=15, path_points_k=1)
-        within = path_density_info(dataset.features, 0, 1, cfg)
-        cross = path_density_info(dataset.features, 0, 40, cfg)
+        pairs = [(0, 1), (0, 40)]
+        within, cross = batch_path_density_info(dataset.features, pairs, cfg)
         assert within > cross
         # agree with the independent composition
         raw = dataset.features.data.tolist()
@@ -266,14 +290,15 @@ class TestPathDensityInfo:
             [[0.0, 0.0], [4.0, 1.0]], 1.0, per_class=15, labeled_per_class=1, seed=3
         )
         cfg = PmlpConfig(bandwidth_h=1.5, kde_support_n=8, path_points_k=4)
-        for i, j in [(0, 5), (3, 20), (14, 29)]:
-            assert path_density_info(dataset.features, i, j, cfg) == path_density_info(
-                dataset.features, j, i, cfg
-            )
+        pairs = np.array([(0, 5), (3, 20), (14, 29)])
+        forward = batch_path_density_info(dataset.features, pairs, cfg)
+        backward = batch_path_density_info(dataset.features, pairs[:, ::-1], cfg)
+        assert np.array_equal(forward, backward)
 
     def test_batch_matches_scalar_composition(self):
         rng = np.random.default_rng(17)
         fm = FeatureMatrix(rng.normal(size=(30, 3)))
+        raw = fm.data.tolist()
         for aggregator in ("min", "max", "avg", "quantile"):
             cfg = PmlpConfig(
                 bandwidth_h=0.8,
@@ -285,15 +310,9 @@ class TestPathDensityInfo:
             pairs = [(0, 4), (7, 2), (11, 28)]
             batch = batch_path_density_info(fm, pairs, cfg)
             for (i, j), got in zip(pairs, batch):
-                sample = sample_path(fm, min(i, j), max(i, j), cfg.path_points_k)
-                supports, _ = nearest_rows_oracle(
-                    sample.points, fm.data, cfg.kde_support_n
+                want = brute_force_path_info(
+                    raw, min(i, j), max(i, j), 3, 6, 0.8, aggregator, 0.25
                 )
-                values = [
-                    kde_density_normalized(p, fm.data[rows], cfg.bandwidth_h)
-                    for p, rows in zip(sample.points, supports)
-                ]
-                want = aggregate_density(values, aggregator, cfg.quantile_t)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_batch_normalized_density_matches_scalar(self):
@@ -303,7 +322,7 @@ class TestPathDensityInfo:
         batch = batch_normalized_density(queries, fm, 7, 1.3)
         supports, _ = nearest_rows_oracle(queries, fm.data, 7)
         for q, rows, got in zip(queries, supports, batch):
-            want = kde_density_normalized(q, fm.data[rows], 1.3)
+            want = 1.3 * brute_force_kde(q, fm.data[rows], 1.3)
             assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from pmlp.core import AffinityMatrix, DataError, FeatureMatrix, NumericalError, PmlpConfig
-from pmlp.graph import (
-    build_affinity,
-    knn_edges,
-    knn_select,
-    normalize_symmetric,
-)
+from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
 from pmlp.synthlab import gen_gaussian_blobs
 
 from dense_oracle import affinity_from_dense, to_dense
@@ -19,33 +14,33 @@ CLASSICAL = PmlpConfig(mode="classical_lpa")
 
 
 class TestKnnSelect:
+    """Row i's neighbors are the rows of ``knn_edges`` whose source is i."""
+
     def test_nearest_two_on_a_line(self):
         fm = FeatureMatrix([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
-        neighbors = knn_select(fm, 0, 2)
-        assert neighbors.indices.tolist() == [1, 2]
-        np.testing.assert_allclose(neighbors.distances, [1.0, 2.0])
+        edges = knn_edges(fm, 2)
+        assert edges[edges[:, 0] == 0, 1].tolist() == [1, 2]
+        assert edges[edges[:, 0] == 3, 1].tolist() == [2, 1]
 
     def test_all_other_rows(self):
         fm = FeatureMatrix([[0.0], [3.0], [1.0], [7.0]])
-        neighbors = knn_select(fm, 0, 3)
-        assert sorted(neighbors.indices.tolist()) == [1, 2, 3]
-        assert neighbors.indices.tolist() == [2, 1, 3]  # ascending distance
+        edges = knn_edges(fm, 3)
+        assert edges[edges[:, 0] == 0, 1].tolist() == [2, 1, 3]  # ascending distance
 
     def test_center_never_included(self):
-        fm = FeatureMatrix([[0.0], [0.0], [1.0]])  # row 1 coincides with center
-        neighbors = knn_select(fm, 0, 2)
-        assert 0 not in neighbors.indices.tolist()
-        assert neighbors.indices.tolist() == [1, 2]
+        fm = FeatureMatrix([[0.0], [0.0], [1.0]])  # rows 0 and 1 coincide
+        edges = knn_edges(fm, 2)
+        assert edges.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
 
     def test_tie_breaks_toward_lower_index(self):
         fm = FeatureMatrix([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [-2.0, 0.0]])
-        neighbors = knn_select(fm, 0, 3)
-        assert neighbors.indices.tolist() == [1, 2, 3]
+        edges = knn_edges(fm, 3)
+        assert edges[edges[:, 0] == 0, 1].tolist() == [1, 2, 3]
 
     def test_count_must_leave_room(self):
         fm = FeatureMatrix([[0.0], [1.0]])
         with pytest.raises(DataError):
-            knn_select(fm, 0, 2)
+            knn_edges(fm, 2)
 
     def test_edges_match_per_center_selection(self):
         rng = np.random.default_rng(3)
@@ -55,7 +50,6 @@ class TestKnnSelect:
         for center in range(12):
             got = edges[edges[:, 0] == center][:, 1].tolist()
             assert got == expected[center].tolist()
-            assert knn_select(fm, center, 4).indices.tolist() == got
 
 
 class TestBuildAffinity:

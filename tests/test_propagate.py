@@ -140,11 +140,14 @@ class TestIterative:
 
 class TestClosedForm:
     def test_identity_system_unscaled(self):
+        # With no edges the raw solve of (I - alpha S) X = Y is Y itself,
+        # and the solver returns it times (1 - alpha).
         Y = SoftLabelMatrix([[0.3, 0.7], [1.0, 0.0]])
-        result, _, _ = propagate_closed_form(
-            affinity_from_dense(np.zeros((2, 2))), Y, 0.8, scaling="unscaled"
-        )
-        np.testing.assert_array_equal(result.data, Y.data)
+        S = affinity_from_dense(np.zeros((2, 2)))
+        result, _, _ = propagate_closed_form(S, Y, 0.8)
+        raw = solve_dense(S, Y, 0.8, scaling="unscaled")
+        np.testing.assert_array_equal(raw, Y.data)
+        np.testing.assert_array_equal(result.data, (1 - 0.8) * raw)
 
     def test_identity_system_fixed_point(self):
         Y = SoftLabelMatrix([[0.3, 0.7]])
@@ -155,16 +158,18 @@ class TestClosedForm:
         S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
         Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.0]])
         fixed, _, _ = propagate_closed_form(S, Y, 0.5)
+        # (1 - alpha) times the raw solve's 4/3
         np.testing.assert_allclose(fixed.data[0], [2.0 / 3.0, 0.0], atol=1e-12)
-        unscaled, _, _ = propagate_closed_form(S, Y, 0.5, scaling="unscaled")
-        np.testing.assert_allclose(unscaled.data[0], [4.0 / 3.0, 0.0], atol=1e-12)
 
     def test_matches_direct_inverse_oracle(self):
         rng = np.random.default_rng(13)
         S, Y = random_normalized_instance(rng, 12, 4)
-        got, _, _ = propagate_closed_form(S, Y, 0.8, scaling="unscaled")
+        got, _, _ = propagate_closed_form(S, Y, 0.8)
         want = np.linalg.inv(np.eye(12) - 0.8 * to_dense(S)) @ Y.data
-        np.testing.assert_allclose(got.data, want, atol=1e-10)
+        # 1e-10 on the raw solve, which the solver scales by 1 - alpha
+        np.testing.assert_allclose(
+            got.data, (1 - 0.8) * want, atol=(1 - 0.8) * 1e-10
+        )
 
     def test_solver_cross_check_on_random_instances(self):
         rng = np.random.default_rng(29)
@@ -174,10 +179,8 @@ class TestClosedForm:
             iterated, _, _ = propagate_iterative(
                 S, Y, alpha, max_iters=100000, tol=1e-12
             )
-            unscaled, _, _ = propagate_closed_form(S, Y, alpha, scaling="unscaled")
-            np.testing.assert_allclose(
-                iterated.data, (1 - alpha) * unscaled.data, atol=1e-8
-            )
+            fixed, _, _ = propagate_closed_form(S, Y, alpha)
+            np.testing.assert_allclose(iterated.data, fixed.data, atol=1e-8)
 
 
 @st.composite
@@ -216,15 +219,13 @@ def sparse_graphs(draw):
 
 
 class TestSparseSolve:
-    @pytest.mark.parametrize("scaling", ["fixed_point", "unscaled"])
-    def test_reports_steps_and_next_change(self, scaling):
+    def test_reports_steps_and_next_change(self):
         rng = np.random.default_rng(17)
         S, Y = random_normalized_instance(rng, 30, 3)
-        result, steps, change = propagate_closed_form(S, Y, 0.8, scaling=scaling)
+        result, steps, change = propagate_closed_form(S, Y, 0.8)
         assert steps > 1
         # The reported change is that of one more plain fixed-point step.
-        weight = 1.0 - 0.8 if scaling == "fixed_point" else 1.0
-        step = 0.8 * to_dense(S) @ result.data + weight * Y.data
+        step = 0.8 * to_dense(S) @ result.data + (1.0 - 0.8) * Y.data
         assert abs(change - np.max(np.abs(step - result.data))) <= 1e-15
         assert change <= 1e-12
 
@@ -280,7 +281,7 @@ class TestSparseSolve:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_stops_at_the_rounding_level_when_the_tolerance_is_out_of_reach(self):
-        # Every row labelled and alpha = 0.999: the unscaled solution is
+        # Every row labelled and alpha = 0.999: the raw solve's solution is
         # about 1000 per row, so rounding alone keeps ||r|| far above
         # SOLVE_TOL * (1 - alpha) = 1e-15.
         rng = np.random.default_rng(8)
