@@ -12,6 +12,17 @@ File formats
     class index, ``-1`` for unlabeled, or a quoted JSON list of class
     probabilities. JSONL: one object ``{"features": [...], "label": c |
     null | [...]}`` per line. All files are UTF-8; CSV follows RFC 4180.
+    Both formats hold a label as the same JSON value (null, a class index
+    or a probability list) and share one decoder and one encoder for it.
+    A file that cannot be opened, decoded or parsed is a data error that
+    names the file and, where there is one, the line.
+
+Flags
+    The propagation flags are the PmlpConfig fields in kebab case, typed
+    by the field, with the choices of ``pmlp.core.CONFIG_CHOICES``.
+    ``generate`` and each harness subcommand take their own flags from one
+    table each (``GENERATE_DEFAULTS``, ``THEOREM1_DEFAULTS``,
+    ``COMPARE_DEFAULTS``, ``DENSITY_RATIO_DEFAULTS``).
 
 Every job writes a manifest recording the configuration, input digests,
 seed, and tool version; rerunning a job with an equal manifest (timestamp
@@ -24,6 +35,7 @@ any seed not set by an explicit ``--seed`` flag.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -39,12 +51,14 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    CONFIG_CHOICES,
     ConfigError,
     DataError,
     FeatureMatrix,
     LabelAssignment,
     NumericalError,
     PmlpConfig,
+    count_classes,
     default_neighbor_count,
 )
 from .density import density_ratio
@@ -60,6 +74,7 @@ from .synthlab import (
 __all__ = [
     "COMPARE_DEFAULTS",
     "DENSITY_RATIO_DEFAULTS",
+    "GENERATE_DEFAULTS",
     "HarnessParam",
     "MAX_INGEST_ROWS",
     "THEOREM1_DEFAULTS",
@@ -74,7 +89,7 @@ MAX_INGEST_ROWS = 20000
 
 
 class HarnessParam(NamedTuple):
-    """One harness parameter, which is also one flag of its subcommand."""
+    """One job parameter, which is also one flag of its subcommand."""
 
     type: Callable  # parses the flag's text
     default: object
@@ -91,6 +106,15 @@ def _floats(text):
     return values
 
 
+def _means(text):
+    means = tuple(_floats(group) for group in text.split(";") if group.strip())
+    if len({len(mean) for mean in means}) != 1:
+        raise argparse.ArgumentTypeError(
+            "expected semicolon-separated means of one dimension: %r" % text
+        )
+    return means
+
+
 def _dataset(text):
     name = text.replace("-", "_")
     if name not in ("two_moons", "gaussian_blobs"):
@@ -98,9 +122,21 @@ def _dataset(text):
     return name
 
 
+# The parameters of ``generate`` in flag order (``--name-with-dashes``); its
+# ``--kind`` picks which of them the generator reads.
+GENERATE_DEFAULTS = {
+    "means": HarnessParam(
+        _means, ((0.0, 0.0), (10.0, 0.0)), "gaussian-blobs means, as 'x,y;x,y;...'"
+    ),
+    "sigma": HarnessParam(float, 1.0, "gaussian-blobs standard deviation"),
+    "per_class": HarnessParam(int, 100, "gaussian-blobs rows per class"),
+    "n": HarnessParam(int, 200, "two-moons rows"),
+    "noise": HarnessParam(float, 0.1, "two-moons noise"),
+    "labeled_per_class": HarnessParam(int, 2, "labelled rows per class"),
+}
 # Committed harness defaults; the acceptance suite runs exactly these. Each
-# table gives its subcommand's parameters in flag order (``--name-with-
-# dashes``) and, under "config", the PmlpConfig values it starts from.
+# table gives its subcommand's parameters in flag order and, under "config",
+# the PmlpConfig values it starts from.
 THEOREM1_DEFAULTS = {
     "separations": HarnessParam(
         _floats, (2.0, 4.0, 8.0, 16.0), "cluster separations, comma-separated"
@@ -153,60 +189,59 @@ _HARNESSES = {
     ),
 }
 
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(PmlpConfig))
+_CONFIG_FIELDS = {field.name: field for field in dataclasses.fields(PmlpConfig)}
 
 
 # ---------------------------------------------------------------------------
 # File ingestion and emission
 
 
-def _infer_format(path, fmt):
-    if fmt:
-        return fmt
-    suffix = os.path.splitext(str(path))[1].lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    raise DataError("cannot infer format from %r; pass csv or jsonl" % (path,))
-
-
-def _assignment_from_probs(raw, line_no):
-    vec = np.asarray(raw, dtype=float)
-    if vec.ndim != 1 or vec.size < 1:
-        raise DataError("line %d: probability list must be a flat list" % line_no)
-    total = float(vec.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise DataError(
-            "line %d: probabilities sum to %r, not 1 within 1e-6" % (line_no, total)
-        )
-    if abs(total - 1.0) > 1e-9:
-        vec = vec / total
+@contextlib.contextmanager
+def _reading(path):
+    """Open a UTF-8 file. Failing to open or decode it, and a DataError raised
+    while it is open, become a DataError that names the file."""
     try:
-        return LabelAssignment.prediction(vec)
-    except DataError as exc:
-        raise DataError("line %d: %s" % (line_no, exc)) from exc
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise DataError("cannot read %s: %s" % (path, exc.strerror)) from exc
+    except ValueError as exc:  # a DataError, or bytes that are not UTF-8
+        raise DataError("%s: %s" % (path, exc)) from exc
 
 
-def _parse_csv_label(cell, line_no):
-    text = cell.strip()
-    try:
-        value = int(text)
-    except ValueError:
-        pass
-    else:
-        if value == -1:
-            return LabelAssignment.unlabeled()
-        if value < 0:
-            raise DataError("line %d: label %d is not a class or -1" % (line_no, value))
+def _is_number(value):
+    # A JSON number; a bool is not one here, though Python treats it as one.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _decode_label(value):
+    """The LabelAssignment a label's JSON value stands for: null is
+    unlabeled, an integer a ground-truth class, and a list of numbers a
+    prediction that must sum to 1 within 1e-6 (and is rescaled to 1)."""
+    if value is None:
+        return LabelAssignment.unlabeled()
+    if isinstance(value, int) and not isinstance(value, bool):
         return LabelAssignment.ground_truth(value)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError("line %d: unparseable label cell %r" % (line_no, cell)) from exc
-    if not isinstance(raw, list):
-        raise DataError("line %d: label must be an integer or a list" % line_no)
-    return _assignment_from_probs(raw, line_no)
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise DataError(
+            "label %r is not a class index, unlabeled or a probability list" % (value,)
+        )
+    probabilities = np.array(value, dtype=float)
+    total = float(probabilities.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise DataError("probabilities sum to %r, not 1 within 1e-6" % total)
+    if abs(total - 1.0) > 1e-9:
+        probabilities = probabilities / total
+    return LabelAssignment.prediction(probabilities)
+
+
+def _encode_label(assignment):
+    """The JSON value ``_decode_label`` reads back as ``assignment``."""
+    if assignment.kind == LabelAssignment.GROUND_TRUTH:
+        return assignment.class_index
+    if assignment.kind == LabelAssignment.PREDICTION:
+        return assignment.probabilities.tolist()
+    return None
 
 
 def _looks_like_header(record):
@@ -220,89 +255,80 @@ def _looks_like_header(record):
     return False
 
 
-def _ingest_csv(path):
-    features, assignments = [], []
-    width = None
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for line_no, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            if line_no == 1 and _looks_like_header(record):
-                width = len(record) - 1
-                continue
-            if len(record) < 2:
-                raise DataError("line %d: need features and a label column" % line_no)
-            if width is None:
-                width = len(record) - 1
-            if len(record) - 1 != width:
-                raise DataError(
-                    "line %d: %d feature columns, expected %d"
-                    % (line_no, len(record) - 1, width)
-                )
-            try:
-                features.append([float(cell) for cell in record[:-1]])
-            except ValueError as exc:
-                raise DataError("line %d: unparseable feature value" % line_no) from exc
-            assignments.append(_parse_csv_label(record[-1], line_no))
-    return features, assignments
+# The label of a CSV header row: the row sets the width, then is skipped.
+_HEADER = object()
 
 
-def _ingest_jsonl(path):
-    features, assignments = [], []
-    width = None
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError("line %d: invalid JSON" % line_no) from exc
-            if not isinstance(obj, dict) or "features" not in obj or "label" not in obj:
-                raise DataError(
-                    'line %d: expected {"features": [...], "label": ...}' % line_no
-                )
-            vec = obj["features"]
-            if not isinstance(vec, list) or not vec:
-                raise DataError("line %d: features must be a nonempty list" % line_no)
-            if width is None:
-                width = len(vec)
-            if len(vec) != width:
-                raise DataError(
-                    "line %d: %d features, expected %d" % (line_no, len(vec), width)
-                )
-            try:
-                features.append([float(v) for v in vec])
-            except (TypeError, ValueError) as exc:
-                raise DataError("line %d: unparseable feature value" % line_no) from exc
-            label = obj["label"]
-            if label is None:
-                assignments.append(LabelAssignment.unlabeled())
-            elif isinstance(label, bool):
-                raise DataError("line %d: label must be int, null, or list" % line_no)
-            elif isinstance(label, int):
-                if label < 0:
-                    raise DataError("line %d: class index must be >= 0" % line_no)
-                assignments.append(LabelAssignment.ground_truth(label))
-            elif isinstance(label, list):
-                assignments.append(_assignment_from_probs(label, line_no))
-            else:
-                raise DataError("line %d: label must be int, null, or list" % line_no)
-    return features, assignments
+def _csv_label(cell):
+    # An integer cell is a class, -1 meaning none; any other cell must be a
+    # JSON list, and is handed on as its text if not, for the decoder to name.
+    try:
+        value = int(cell)
+    except ValueError:
+        try:
+            value = json.loads(cell)
+        except json.JSONDecodeError:
+            return cell
+        return value if isinstance(value, list) else cell
+    return None if value == -1 else value
+
+
+def _csv_records(handle):
+    for line_no, record in enumerate(csv.reader(handle), start=1):
+        if record:
+            header = line_no == 1 and _looks_like_header(record)
+            yield line_no, record[:-1], _HEADER if header else _csv_label(record[-1])
+
+
+def _jsonl_records(handle):
+    for line_no, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError("line %d: invalid JSON" % line_no) from exc
+        cells = record.get("features") if isinstance(record, dict) else None
+        if (
+            not isinstance(cells, list)
+            or not all(map(_is_number, cells))
+            or "label" not in record
+        ):
+            raise DataError(
+                'line %d: expected {"features": [numbers], "label": ...}' % line_no
+            )
+        yield line_no, cells, record["label"]
+
+
+# Format -> its reader, which yields (line number, feature cells, label value).
+_READERS = {"csv": _csv_records, "jsonl": _jsonl_records}
+_SUFFIXES = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}
+
+
+def _infer_format(path, fmt):
+    fmt = fmt or _SUFFIXES.get(os.path.splitext(str(path))[1].lower())
+    if fmt not in _READERS:
+        raise DataError("cannot tell the format of %r; pass csv or jsonl" % (path,))
+    return fmt
 
 
 def ingest_features(path, fmt=None):
     """Load a dataset file into a FeatureMatrix and per-row assignments."""
-    fmt = _infer_format(path, fmt)
-    if not os.path.exists(path):
-        raise DataError("input file does not exist: %s" % (path,))
-    if fmt == "csv":
-        features, assignments = _ingest_csv(path)
-    elif fmt == "jsonl":
-        features, assignments = _ingest_jsonl(path)
-    else:
-        raise DataError("unknown format: %r" % (fmt,))
+    records = _READERS[_infer_format(path, fmt)]
+    features, assignments, width = [], [], None
+    with _reading(path) as handle:
+        for line_no, cells, label in records(handle):
+            try:
+                if not cells:
+                    raise DataError("need features and a label")
+                width = len(cells) if width is None else width
+                if len(cells) != width:
+                    raise DataError("%d features, expected %d" % (len(cells), width))
+                if label is not _HEADER:
+                    features.append([float(cell) for cell in cells])
+                    assignments.append(_decode_label(label))
+            except ValueError as exc:  # a DataError, or a cell float() refuses
+                raise DataError("line %d: %s" % (line_no, exc)) from exc
     if not features:
         raise DataError("input file holds no data rows: %s" % (path,))
     if len(features) > MAX_INGEST_ROWS:
@@ -313,55 +339,56 @@ def ingest_features(path, fmt=None):
     return FeatureMatrix(features), assignments
 
 
-def _label_cell(assignment):
-    if assignment.kind == LabelAssignment.GROUND_TRUTH:
-        return str(assignment.class_index)
-    if assignment.kind == LabelAssignment.PREDICTION:
-        return json.dumps([float(v) for v in assignment.probabilities])
-    return "-1"
-
-
 def emit_features(path, features, assignments, fmt=None):
     """Write a dataset file that ``ingest_features`` reads back exactly."""
     fmt = _infer_format(path, fmt)
-    assignments = list(assignments)
-    if len(assignments) != features.n_rows:
+    labels = [_encode_label(a) for a in assignments]
+    if len(labels) != features.n_rows:
         raise DataError("assignment count does not match the feature rows")
+    rows = zip(features.data.tolist(), labels)
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["f_%d" % i for i in range(features.dim)] + ["label"])
-            for row, assignment in zip(features.data, assignments):
-                writer.writerow(
-                    [repr(float(v)) for v in row] + [_label_cell(assignment)]
-                )
+        _write_csv(
+            path,
+            ["f_%d" % i for i in range(features.dim)] + ["label"],
+            (
+                row + ["-1" if label is None else json.dumps(label)]
+                for row, label in rows
+            ),
+        )
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            for row, assignment in zip(features.data, assignments):
-                if assignment.kind == LabelAssignment.GROUND_TRUTH:
-                    label = assignment.class_index
-                elif assignment.kind == LabelAssignment.PREDICTION:
-                    label = [float(v) for v in assignment.probabilities]
-                else:
-                    label = None
-                handle.write(
-                    json.dumps({"features": [float(v) for v in row], "label": label})
-                    + "\n"
-                )
+            for row, label in rows:
+                handle.write(json.dumps({"features": row, "label": label}) + "\n")
+    return path
 
 
-def _infer_classes(assignments):
-    classes = 0
-    for a in assignments:
-        if a.kind == LabelAssignment.PREDICTION:
-            classes = max(classes, int(a.probabilities.size))
-        elif a.kind == LabelAssignment.GROUND_TRUTH:
-            classes = max(classes, a.class_index + 1)
-    return classes
+def _read_truth(path, n_rows):
+    """The true class of every row, from a ``row_index,true_class`` CSV."""
+    truth = np.full(n_rows, -1, dtype=int)
+    seen = np.zeros(n_rows, dtype=bool)
+    with _reading(path) as handle:
+        for line_no, record in enumerate(csv.reader(handle), start=1):
+            if not record:
+                continue
+            if line_no == 1 and not record[0].strip().lstrip("-").isdigit():
+                continue  # header
+            try:
+                if len(record) != 2:
+                    raise DataError("expected row_index,true_class")
+                row, cls = int(record[0]), int(record[1])
+                if not 0 <= row < n_rows:
+                    raise DataError("row %d out of range" % row)
+            except ValueError as exc:  # a DataError, or a cell int() refuses
+                raise DataError("line %d: %s" % (line_no, exc)) from exc
+            truth[row] = cls
+            seen[row] = True
+        if not seen.all():
+            raise DataError("%d rows have no true class" % int((~seen).sum()))
+    return truth
 
 
 # ---------------------------------------------------------------------------
-# Manifests and output helpers
+# Output files
 
 
 def _sha256(path):
@@ -386,25 +413,32 @@ def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(_sanitize(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
+    return path
 
 
-def _manifest(command, cfg, inputs=None, options=None):
-    return {
-        "tool": "pmlp",
-        "tool_version": __version__,
-        "command": command,
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
-        "inputs": inputs or {},
-        "options": options or {},
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
+def _write_csv(path, header, rows):
+    # A float cell is written as its repr: exact, and "nan" for NaN.
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return path
 
 
-def _float_cell(value):
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return repr(float(value))
+def _write_manifest(path, command, seed, **fields):
+    """Write a job's manifest: the tool, the command, its seed and ``fields``."""
+    return _write_json(
+        path,
+        dict(
+            fields,
+            tool="pmlp",
+            tool_version=__version__,
+            command=command,
+            seed=seed,
+            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +448,6 @@ def _float_cell(value):
 def run_label_job(
     input_path,
     out_dir,
-    cfg=None,
     config_values=None,
     fmt=None,
     truth_path=None,
@@ -423,10 +456,10 @@ def run_label_job(
 ):
     """Propagate labels over a file; write labels CSV, metrics, manifest.
 
-    Pass a complete ``cfg`` to use it as-is; otherwise ``config_values``
-    (any subset of PmlpConfig fields) is layered over data-derived
-    defaults: neighbor_count = ceil(1.5 * classes) capped at n_rows - 1,
-    and kde_support_n = min(45, n_rows).
+    ``config_values`` (any subset of PmlpConfig fields) is layered over
+    data-derived defaults: neighbor_count = ceil(1.5 * classes) capped at
+    n_rows - 1, and kde_support_n = min(45, n_rows). The truth file is
+    read and checked before propagation starts.
 
     The pseudo-label CSV has one row per input row: the argmax class, the
     per-class final scores, and a 0/1 flag telling whether the row's
@@ -434,18 +467,16 @@ def run_label_job(
     when a truth file supplies classes for the non-ground-truth rows.
     """
     features, assignments = ingest_features(input_path, fmt)
-    classes = n_classes if n_classes is not None else _infer_classes(assignments)
+    truth = None if truth_path is None else _read_truth(truth_path, features.n_rows)
+    classes = count_classes(assignments) if n_classes is None else n_classes
     if classes < 2:
         raise DataError("could not infer >= 2 classes; pass n_classes")
-    if cfg is None:
-        values = {
-            "neighbor_count": min(
-                default_neighbor_count(classes), features.n_rows - 1
-            ),
-            "kde_support_n": min(45, features.n_rows),
-        }
-        values.update(config_values or {})
-        cfg = PmlpConfig(**values)
+    values = {
+        "neighbor_count": min(default_neighbor_count(classes), features.n_rows - 1),
+        "kde_support_n": min(45, features.n_rows),
+    }
+    values.update(config_values or {})
+    cfg = PmlpConfig(**values)
 
     result = run_pmlp(
         features, assignments, cfg, n_classes=classes, renormalize=renormalize
@@ -453,90 +484,56 @@ def run_label_job(
     final = result.final_labels
     predicted = final.data.argmax(axis=1)
     confident = final.confidences() >= cfg.tau
-    gt_rows = np.array(
-        [a.kind == LabelAssignment.GROUND_TRUTH for a in assignments], dtype=bool
+    evaluate = np.array(
+        [a.kind != LabelAssignment.GROUND_TRUTH for a in assignments], dtype=bool
     )
-
-    os.makedirs(out_dir, exist_ok=True)
-    labels_path = os.path.join(out_dir, "pseudo_labels.csv")
-    with open(labels_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["row_index", "argmax_class"]
-            + ["score_%d" % c for c in range(final.classes)]
-            + ["high_confidence"]
-        )
-        for row in range(final.rows):
-            writer.writerow(
-                [row, int(predicted[row])]
-                + [repr(float(v)) for v in final.data[row]]
-                + [int(confident[row])]
-            )
-
     metrics = {
         "n_rows": int(final.rows),
-        "n_labeled": int(gt_rows.sum()),
+        "n_labeled": int((~evaluate).sum()),
         "high_conf_ratio": float(confident.mean()),
         "solver_iterations": int(result.iterations_used),
         "residual": result.residual,
     }
-    if truth_path is not None:
-        truth = _read_truth(truth_path, final.rows)
-        evaluate = ~gt_rows
-        if evaluate.any():
-            metrics["accuracy"] = float(np.mean(predicted[evaluate] == truth[evaluate]))
-    metrics_path = os.path.join(out_dir, "metrics.json")
-    _write_json(metrics_path, metrics)
+    if truth is not None and evaluate.any():
+        metrics["accuracy"] = float(np.mean(predicted[evaluate] == truth[evaluate]))
 
-    inputs = {"data": {"path": str(input_path), "sha256": _sha256(input_path)}}
-    if truth_path is not None:
-        inputs["truth"] = {"path": str(truth_path), "sha256": _sha256(truth_path)}
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_json(
-        manifest_path,
-        _manifest(
+    os.makedirs(out_dir, exist_ok=True)
+    inputs = {"data": input_path, "truth": truth_path}
+    return {
+        "labels": _write_csv(
+            os.path.join(out_dir, "pseudo_labels.csv"),
+            ["row_index", "argmax_class"]
+            + ["score_%d" % c for c in range(final.classes)]
+            + ["high_confidence"],
+            (
+                [row, int(predicted[row])] + scores + [int(confident[row])]
+                for row, scores in enumerate(final.data.tolist())
+            ),
+        ),
+        "metrics": _write_json(os.path.join(out_dir, "metrics.json"), metrics),
+        "manifest": _write_manifest(
+            os.path.join(out_dir, "manifest.json"),
             "label",
-            cfg,
-            inputs=inputs,
+            cfg.seed,
+            config=dataclasses.asdict(cfg),
+            inputs={
+                name: {"path": str(path), "sha256": _sha256(path)}
+                for name, path in inputs.items()
+                if path is not None
+            },
             options={
                 "format": _infer_format(input_path, fmt),
                 "n_classes": int(classes),
                 "renormalize": bool(renormalize),
             },
         ),
-    )
-    return {"labels": labels_path, "metrics": metrics_path, "manifest": manifest_path}
+    }
 
 
-def _read_truth(path, n_rows):
-    truth = np.full(n_rows, -1, dtype=int)
-    seen = np.zeros(n_rows, dtype=bool)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for line_no, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            if line_no == 1 and not record[0].strip().lstrip("-").isdigit():
-                continue  # header
-            if len(record) != 2:
-                raise DataError(
-                    "truth line %d: expected row_index,true_class" % line_no
-                )
-            try:
-                row, cls = int(record[0]), int(record[1])
-            except ValueError as exc:
-                raise DataError("truth line %d: unparseable integers" % line_no) from exc
-            if not 0 <= row < n_rows:
-                raise DataError("truth line %d: row %d out of range" % (line_no, row))
-            truth[row] = cls
-            seen[row] = True
-    if not seen.all():
-        raise DataError("truth file misses %d rows" % int((~seen).sum()))
-    return truth
-
-
-def _build_compare_dataset(params, seed):
-    if params["dataset"] == "two_moons":
+def _build_dataset(kind, params, seed):
+    """The two-moons or gaussian-blobs dataset of ``generate`` and ``harness
+    compare``, from the parameters its kind reads."""
+    if kind == "two_moons":
         return gen_two_moons(
             n=params["n"],
             noise=params["noise"],
@@ -544,7 +541,7 @@ def _build_compare_dataset(params, seed):
             seed=seed,
         )
     return gen_gaussian_blobs(
-        means=[[0.0, 0.0], [params["separation"], 0.0]],
+        means=params["means"],
         sigma=params["sigma"],
         per_class=params["per_class"],
         labeled_per_class=params["labeled_per_class"],
@@ -566,26 +563,13 @@ def run_harness_job(kind, out_dir, cfg, params):
             line_points=params["line_points"],
         )
         rows = [dataclasses.asdict(r) for r in reports]
-        csv_path = os.path.join(out_dir, "separation_sweep.csv")
-        header = [
-            "separation",
-            "tau_density",
-            "fraction_paths_low_density",
-            "fraction_length_low_density",
-        ]
+        csv_name = "separation_sweep.csv"
     elif kind == "compare":
-        dataset = _build_compare_dataset(params, cfg.seed)
+        means = [[0.0, 0.0], [params["separation"], 0.0]]
+        dataset = _build_dataset(params["dataset"], dict(params, means=means), cfg.seed)
         records = compare_pmlp_vs_lpa(dataset, cfg, params["trials"])
         rows = [dataclasses.asdict(r) for r in records]
-        csv_path = os.path.join(out_dir, "mode_comparison.csv")
-        header = [
-            "trial",
-            "seed",
-            "mode",
-            "accuracy",
-            "high_conf_ratio",
-            "correct_high_ratio",
-        ]
+        csv_name = "mode_comparison.csv"
     elif kind == "density_ratio":
         dataset = gen_gaussian_blobs(
             means=[[0.0, 0.0], [params["separation"], 0.0]],
@@ -605,29 +589,31 @@ def run_harness_job(kind, out_dir, cfg, params):
                 dataset.features, pairs, replace(cfg, bandwidth_h=h)
             )
             rows.append({"bandwidth_h": float(h), "density_ratio": ratio})
-        csv_path = os.path.join(out_dir, "density_ratio_sweep.csv")
-        header = ["bandwidth_h", "density_ratio"]
+        csv_name = "density_ratio_sweep.csv"
     else:
         raise DataError("unknown harness kind: %r" % (kind,))
 
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    _float_cell(row[name]) if isinstance(row[name], float) else row[name]
-                    for name in header
-                ]
-            )
-    report_path = os.path.join(out_dir, "report.json")
-    _write_json(report_path, {"kind": kind, "params": params, "rows": rows})
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_json(
-        manifest_path,
-        _manifest("harness %s" % kind, cfg, options={"params": params}),
-    )
-    return {"report": report_path, "plot_data": csv_path, "manifest": manifest_path}
+    # Every harness yields at least one row; its keys, in field order, head
+    # the columns.
+    return {
+        "plot_data": _write_csv(
+            os.path.join(out_dir, csv_name),
+            list(rows[0]),
+            [row.values() for row in rows],
+        ),
+        "report": _write_json(
+            os.path.join(out_dir, "report.json"),
+            {"kind": kind, "params": params, "rows": rows},
+        ),
+        "manifest": _write_manifest(
+            os.path.join(out_dir, "manifest.json"),
+            "harness %s" % kind,
+            cfg.seed,
+            config=dataclasses.asdict(cfg),
+            inputs={},
+            options={"params": params},
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -641,84 +627,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _parse_means(text):
-    try:
-        means = [
-            [float(v) for v in group.split(",")]
-            for group in text.split(";")
-            if group.strip()
-        ]
-    except ValueError as exc:
-        raise DataError("unparseable --means %r" % (text,)) from exc
-    if not means:
-        raise DataError("--means is empty")
-    return means
-
-
-def _add_config_flags(parser):
+def _add_config_flags(parser, names=None):
+    """Add --config and one flag per PmlpConfig field, or the flags of the
+    fields in ``names`` alone; each takes its field's type and choices."""
     group = parser.add_argument_group("propagation configuration")
-    group.add_argument("--config", metavar="FILE", help="JSON config file")
-    group.add_argument("--alpha", type=float, default=None)
-    group.add_argument("--eta", type=float, default=None)
-    group.add_argument("--tau", type=float, default=None)
-    group.add_argument("--bandwidth-h", type=float, default=None, dest="bandwidth_h")
-    group.add_argument("--path-points-k", type=int, default=None, dest="path_points_k")
-    group.add_argument("--kde-support-n", type=int, default=None, dest="kde_support_n")
-    group.add_argument(
-        "--neighbor-count", type=int, default=None, dest="neighbor_count"
-    )
-    group.add_argument(
-        "--aggregator", choices=["min", "max", "avg", "quantile"], default=None
-    )
-    group.add_argument("--quantile-t", type=float, default=None, dest="quantile_t")
-    group.add_argument(
-        "--distance-mode",
-        choices=["euclidean_inverse", "cosine_similarity", "first_order_similarity"],
-        default=None,
-        dest="distance_mode",
-    )
-    group.add_argument("--solver", choices=["closed_form", "iterative"], default=None)
-    group.add_argument(
-        "--solver-max-iters", type=int, default=None, dest="solver_max_iters"
-    )
-    group.add_argument("--solver-tol", type=float, default=None, dest="solver_tol")
-    group.add_argument("--mode", choices=["pmlp", "classical_lpa"], default=None)
-    group.add_argument(
-        "--clamp-ground-truth",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="clamp_ground_truth",
-    )
-    group.add_argument("--seed", type=int, default=None)
+    if names is None:
+        group.add_argument("--config", metavar="FILE", help="JSON config file")
+    for name in names or _CONFIG_FIELDS:
+        flag, kind = "--" + name.replace("_", "-"), _CONFIG_FIELDS[name].type
+        if kind is bool:
+            group.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            group.add_argument(flag, type=kind, choices=CONFIG_CHOICES.get(name))
 
 
-def _env_seed():
-    raw = os.environ["PMLP_SEED"]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError("seed", "PMLP_SEED=%r is not an integer" % raw) from exc
+def _add_table_flags(parser, table):
+    for name, param in table.items():
+        if name != "config":
+            parser.add_argument(
+                "--" + name.replace("_", "-"),
+                type=param.type,
+                default=param.default,
+                help=param.help + " (default: %(default)s)",
+            )
 
 
 def _collect_config_values(args):
     """Explicitly-set config fields: file < env seed < flags."""
     values = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                loaded = json.load(handle)
-        except OSError as exc:
-            raise DataError("cannot read config file: %s" % exc) from exc
-        except json.JSONDecodeError as exc:
-            raise DataError("config file is not valid JSON: %s" % exc) from exc
-        if not isinstance(loaded, dict):
+        with _reading(args.config) as handle:
+            values = json.load(handle)
+        if not isinstance(values, dict):
             raise DataError("config file must hold a JSON object")
-        unknown = set(loaded) - set(_CONFIG_FIELDS)
+        unknown = set(values) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown configuration field")
-        values.update(loaded)
     if "PMLP_SEED" in os.environ:
-        values["seed"] = _env_seed()
+        raw = os.environ["PMLP_SEED"]
+        try:
+            values["seed"] = int(raw)
+        except ValueError as exc:
+            raise ConfigError("seed", "PMLP_SEED=%r is not an integer" % raw) from exc
     for name in _CONFIG_FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -726,8 +676,12 @@ def _collect_config_values(args):
     return values
 
 
+def _table_values(args):
+    return {name: getattr(args, name) for name in args.table if name != "config"}
+
+
 def _cmd_label(args):
-    paths = run_label_job(
+    return run_label_job(
         args.input,
         args.out_dir,
         config_values=_collect_config_values(args),
@@ -736,70 +690,37 @@ def _cmd_label(args):
         n_classes=args.n_classes,
         renormalize=args.renormalize,
     )
-    for name, path in sorted(paths.items()):
-        print("%s: %s" % (name, path))
-    return 0
 
 
 def _cmd_harness(args):
-    params = {name: getattr(args, name) for name in args.table if name != "config"}
     values = dict(args.table["config"])
     values.update(_collect_config_values(args))
-    cfg = PmlpConfig(**values)
     kind = args.harness_kind.replace("-", "_")
-    paths = run_harness_job(kind, args.out_dir, cfg, params)
-    for name, path in sorted(paths.items()):
-        print("%s: %s" % (name, path))
-    return 0
+    return run_harness_job(kind, args.out_dir, PmlpConfig(**values), _table_values(args))
 
 
 def _cmd_generate(args):
-    seed = args.seed
-    if seed is None:
-        seed = _env_seed() if "PMLP_SEED" in os.environ else 0
-    if args.kind == "two-moons":
-        dataset = gen_two_moons(
-            n=args.n,
-            noise=args.noise,
-            labeled_per_class=args.labeled_per_class,
-            seed=seed,
+    seed = PmlpConfig(**_collect_config_values(args)).seed
+    dataset = _build_dataset(args.kind, _table_values(args), seed)
+    written = {
+        "data": emit_features(
+            args.out, dataset.features, assignments_from_dataset(dataset), args.format
         )
-    else:
-        dataset = gen_gaussian_blobs(
-            means=_parse_means(args.means),
-            sigma=args.sigma,
-            per_class=args.per_class,
-            labeled_per_class=args.labeled_per_class,
-            seed=seed,
-        )
-    emit_features(
-        args.out, dataset.features, assignments_from_dataset(dataset), args.format
-    )
-    written = {"data": args.out}
+    }
     if args.truth_out:
-        with open(args.truth_out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["row_index", "true_class"])
-            for row, cls in enumerate(dataset.true_class):
-                writer.writerow([row, int(cls)])
-        written["truth"] = args.truth_out
-    manifest_path = str(args.out) + ".manifest.json"
-    _write_json(
-        manifest_path,
-        {
-            "tool": "pmlp",
-            "tool_version": __version__,
-            "command": "generate",
-            "seed": int(seed),
-            "generator_spec": dataset.generator_spec,
-            "outputs": dict(written),
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        },
+        written["truth"] = _write_csv(
+            args.truth_out,
+            ["row_index", "true_class"],
+            enumerate(dataset.true_class.tolist()),
+        )
+    manifest = _write_manifest(
+        str(args.out) + ".manifest.json",
+        "generate",
+        seed,
+        generator_spec=dataset.generator_spec,
+        outputs=dict(written),
     )
-    written["manifest"] = manifest_path
-    for name, path in sorted(written.items()):
-        print("%s: %s" % (name, path))
-    return 0
+    return dict(written, manifest=manifest)
 
 
 def build_parser():
@@ -809,46 +730,31 @@ def build_parser():
 
     label = sub.add_parser("label", help="propagate labels over a feature file")
     label.add_argument("--input", required=True, help="CSV or JSONL dataset")
-    label.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    label.add_argument("--truth", default=None, help="row_index,true_class CSV")
-    label.add_argument("--out-dir", required=True, dest="out_dir")
-    label.add_argument("--n-classes", type=int, default=None, dest="n_classes")
+    label.add_argument("--format", choices=list(_READERS))
+    label.add_argument("--truth", help="row_index,true_class CSV")
+    label.add_argument("--out-dir", required=True)
+    label.add_argument("--n-classes", type=int)
     label.add_argument("--renormalize", action="store_true")
     _add_config_flags(label)
     label.set_defaults(func=_cmd_label)
 
     generate = sub.add_parser("generate", help="write a synthetic dataset")
     generate.add_argument(
-        "--kind", choices=["gaussian-blobs", "two-moons"], required=True
+        "--kind", type=_dataset, required=True, help="two-moons or gaussian-blobs"
     )
-    generate.add_argument("--means", default="0,0;10,0", help="semicolon-separated")
-    generate.add_argument("--sigma", type=float, default=1.0)
-    generate.add_argument("--per-class", type=int, default=100, dest="per_class")
-    generate.add_argument("--n", type=int, default=200)
-    generate.add_argument("--noise", type=float, default=0.1)
-    generate.add_argument(
-        "--labeled-per-class", type=int, default=2, dest="labeled_per_class"
-    )
-    generate.add_argument("--seed", type=int, default=None)
+    _add_table_flags(generate, GENERATE_DEFAULTS)
+    _add_config_flags(generate, ["seed"])
     generate.add_argument("--out", required=True)
-    generate.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    generate.add_argument("--truth-out", default=None, dest="truth_out")
-    generate.set_defaults(func=_cmd_generate)
+    generate.add_argument("--format", choices=list(_READERS))
+    generate.add_argument("--truth-out")
+    generate.set_defaults(func=_cmd_generate, table=GENERATE_DEFAULTS)
 
     harness = sub.add_parser("harness", help="statistical verification jobs")
     hsub = harness.add_subparsers(dest="harness_kind", required=True)
-
     for command, (table, text) in _HARNESSES.items():
         job = hsub.add_parser(command, help=text)
-        job.add_argument("--out-dir", required=True, dest="out_dir")
-        for name, param in table.items():
-            if name != "config":
-                job.add_argument(
-                    "--" + name.replace("_", "-"),
-                    type=param.type,
-                    default=param.default,
-                    help=param.help + " (default: %(default)s)",
-                )
+        job.add_argument("--out-dir", required=True)
+        _add_table_flags(job, table)
         _add_config_flags(job)
         job.set_defaults(func=_cmd_harness, table=table)
 
@@ -878,7 +784,7 @@ def main(argv=None):
         code = exc.code
         return code if isinstance(code, int) else 1
     try:
-        return args.func(args)
+        paths = args.func(args)
     except ConfigError as exc:
         print("pmlp: configuration error: %s" % exc, file=sys.stderr)
         _write_error_file(args, "config", str(exc))
@@ -891,6 +797,9 @@ def main(argv=None):
         print("pmlp: numerical failure: %s" % exc, file=sys.stderr)
         _write_error_file(args, "numerical", str(exc))
         return 3
+    for name, path in sorted(paths.items()):
+        print("%s: %s" % (name, path))
+    return 0
 
 
 if __name__ == "__main__":

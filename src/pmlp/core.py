@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "AGGREGATORS",
     "AffinityMatrix",
+    "CONFIG_CHOICES",
     "ConfigError",
     "DISTANCE_MODES",
     "DataError",
@@ -28,6 +29,7 @@ __all__ = [
     "PmlpError",
     "SOLVERS",
     "SoftLabelMatrix",
+    "count_classes",
     "default_neighbor_count",
     "soft_labels_from_assignments",
     "validate_config",
@@ -37,6 +39,13 @@ DISTANCE_MODES = ("euclidean_inverse", "cosine_similarity", "first_order_similar
 AGGREGATORS = ("min", "max", "avg", "quantile")
 SOLVERS = ("closed_form", "iterative")
 MODES = ("pmlp", "classical_lpa")
+# The PmlpConfig fields that take one of a fixed set of strings.
+CONFIG_CHOICES = {
+    "aggregator": AGGREGATORS,
+    "distance_mode": DISTANCE_MODES,
+    "solver": SOLVERS,
+    "mode": MODES,
+}
 
 # Soft predictions must sum to one within this tolerance.
 PREDICTION_SUM_TOL = 1e-9
@@ -67,6 +76,13 @@ def _frozen(arr):
     return arr
 
 
+def _float_array(values, what):
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError("%s must be a rectangular array of numbers" % what) from exc
+
+
 class FeatureMatrix:
     """An N x d matrix of feature vectors, one sample per row.
 
@@ -75,7 +91,7 @@ class FeatureMatrix:
     """
 
     def __init__(self, data):
-        data = np.array(data, dtype=float)
+        data = _float_array(data, "feature matrix")
         if data.ndim != 2:
             raise DataError("feature matrix must be 2-dimensional")
         if data.shape[0] < 1 or data.shape[1] < 1:
@@ -133,7 +149,7 @@ class LabelAssignment:
 
     @classmethod
     def prediction(cls, probabilities):
-        vec = np.array(probabilities, dtype=float)
+        vec = _float_array(probabilities, "prediction")
         if vec.ndim != 1 or vec.size < 1:
             raise DataError("prediction must be a nonempty vector")
         if not np.all(np.isfinite(vec)):
@@ -165,7 +181,7 @@ class SoftLabelMatrix:
     """
 
     def __init__(self, data):
-        data = np.array(data, dtype=float)
+        data = _float_array(data, "soft label matrix")
         if data.ndim != 2:
             raise DataError("soft label matrix must be 2-dimensional")
         if not np.all(np.isfinite(data)):
@@ -431,6 +447,9 @@ def validate_config(cfg):
     """Check every PmlpConfig field, raising ConfigError naming the offender."""
     for field in fields(cfg):
         value = getattr(cfg, field.name)
+        choices = CONFIG_CHOICES.get(field.name)
+        if choices is not None and value not in choices:
+            raise ConfigError(field.name, "must be one of %s" % (choices,))
         if field.type not in (int, float):
             continue
         kind = numbers.Integral if field.type is int else numbers.Real
@@ -452,20 +471,12 @@ def validate_config(cfg):
         raise ConfigError("kde_support_n", "must be an integer >= 1")
     if cfg.neighbor_count < 1:
         raise ConfigError("neighbor_count", "must be an integer >= 1")
-    if cfg.aggregator not in AGGREGATORS:
-        raise ConfigError("aggregator", "must be one of %s" % (AGGREGATORS,))
     if not (0.0 < cfg.quantile_t < 1.0):
         raise ConfigError("quantile_t", "must lie strictly inside (0, 1)")
-    if cfg.distance_mode not in DISTANCE_MODES:
-        raise ConfigError("distance_mode", "must be one of %s" % (DISTANCE_MODES,))
-    if cfg.solver not in SOLVERS:
-        raise ConfigError("solver", "must be one of %s" % (SOLVERS,))
     if cfg.solver_max_iters < 1:
         raise ConfigError("solver_max_iters", "must be an integer >= 1")
     if not (cfg.solver_tol > 0.0):
         raise ConfigError("solver_tol", "must be positive")
-    if cfg.mode not in MODES:
-        raise ConfigError("mode", "must be one of %s" % (MODES,))
     if not isinstance(cfg.clamp_ground_truth, bool):
         raise ConfigError("clamp_ground_truth", "must be a boolean")
     if cfg.seed < 0:
@@ -480,6 +491,18 @@ def default_neighbor_count(n_classes):
     return math.ceil(1.5 * n_classes)
 
 
+def count_classes(assignments):
+    """The class count per-row assignments imply: the longest prediction or
+    one past the largest ground-truth class, whichever is more (0 if none)."""
+    classes = 0
+    for a in assignments:
+        if a.kind == LabelAssignment.PREDICTION:
+            classes = max(classes, int(a.probabilities.size))
+        elif a.kind == LabelAssignment.GROUND_TRUTH:
+            classes = max(classes, a.class_index + 1)
+    return classes
+
+
 def soft_labels_from_assignments(assignments, n_classes=None):
     """Assemble the initial soft-label matrix from per-row assignments.
 
@@ -487,26 +510,16 @@ def soft_labels_from_assignments(assignments, n_classes=None):
     ground-truth rows are one-hot, prediction rows carry their vectors,
     unlabeled rows are zero, and ``ground_truth_classes`` holds the class
     index for ground-truth rows and -1 elsewhere. The class count is
-    inferred from prediction lengths and ground-truth indices unless given.
+    ``count_classes(assignments)`` unless given; every prediction must
+    have exactly that many entries.
     """
     assignments = list(assignments)
     if not assignments:
         raise DataError("no label assignments given")
-    inferred = 0
     for row, a in enumerate(assignments):
         if not isinstance(a, LabelAssignment):
             raise DataError("row %d: not a LabelAssignment" % row)
-        if a.kind == LabelAssignment.PREDICTION:
-            width = int(a.probabilities.size)
-            if inferred and width != inferred and n_classes is None:
-                raise DataError(
-                    "row %d: prediction length %d conflicts with %d"
-                    % (row, width, inferred)
-                )
-            inferred = max(inferred, width)
-        elif a.kind == LabelAssignment.GROUND_TRUTH:
-            inferred = max(inferred, a.class_index + 1)
-    classes = int(n_classes) if n_classes is not None else inferred
+    classes = int(n_classes) if n_classes is not None else count_classes(assignments)
     if classes < 1:
         raise DataError("could not infer a class count; pass n_classes")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DataError, FeatureMatrix, LabelAssignment
+from .core import MODES, DataError, FeatureMatrix, LabelAssignment
 from .density import batch_normalized_density
 from .propagate import run_pmlp
 
@@ -299,7 +299,7 @@ def compare_pmlp_vs_lpa(dataset, cfg, trials):
         seed = base_seed + t
         sample = regenerate(dataset.generator_spec, seed=seed)
         assignments = assignments_from_dataset(sample)
-        for mode in ("pmlp", "classical_lpa"):
+        for mode in MODES:
             result = run_pmlp(
                 sample.features,
                 assignments,

@@ -1,7 +1,9 @@
 """File formats, jobs, manifests, and the command-line contract."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -117,6 +119,20 @@ class TestIngestJsonl:
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = write(tmp_path / "d.jsonl", '{"features": [1, 2], "label": 0}\n{oops\n')
+        with pytest.raises(DataError, match="line 2"):
+            ingest_features(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"features": ["1.5", 2], "label": 0}',
+            '{"features": [true, 2], "label": 0}',
+            '{"features": [1, 2], "label": [true, false]}',
+            '{"features": [1, 2], "label": ["0.5", 0.5]}',
+        ],
+    )
+    def test_string_or_bool_number_reports_line(self, tmp_path, line):
+        path = write(tmp_path / "d.jsonl", '{"features": [1, 2], "label": 0}\n' + line)
         with pytest.raises(DataError, match="line 2"):
             ingest_features(path)
 
@@ -340,6 +356,14 @@ class TestExitCodes:
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("means", ["0,x;10,0", ";"])
+    def test_malformed_means_is_a_usage_error(self, tmp_path, means):
+        data = tmp_path / "d.csv"
+        assert main(
+            ["generate", "--kind", "gaussian-blobs", "--means", means, "--out", str(data)]
+        ) == 1
+        assert not data.exists()
+
     def test_data_error_is_two(self, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -348,6 +372,34 @@ class TestExitCodes:
         assert code == 2
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["error"]["code"] == "data"
+
+    @pytest.mark.parametrize(
+        "case", ["csv_label_of_strings", "not_utf8", "directory", "missing_truth"]
+    )
+    def test_unreadable_input_is_a_data_error(self, tmp_path, case):
+        data, truth = generate_blobs(tmp_path)
+        line = None
+        if case == "csv_label_of_strings":
+            data, line = write(tmp_path / "s.csv", '1.0,2.0,"[""a"", 1]"\n'), 1
+        elif case == "not_utf8":
+            data = tmp_path / "latin.csv"
+            data.write_bytes(b"1.0,2.0,0\n1.0,2.0,\xe9\n")
+        elif case == "directory":
+            data = tmp_path / "dir.csv"
+            data.mkdir()
+        else:
+            truth = tmp_path / "missing_truth.csv"
+        named = truth if case == "missing_truth" else data
+        out = tmp_path / "out"
+        code = main(
+            ["label", "--input", str(data), "--truth", str(truth), "--out-dir", str(out)]
+        )
+        assert code == 2
+        message = json.loads((out / "metrics.json").read_text())["error"]["message"]
+        assert os.path.basename(str(named)) in message
+        if line is not None:
+            assert "line %d" % line in message
+        assert not (out / "pseudo_labels.csv").exists()
 
     def test_config_error_is_one(self, tmp_path):
         data, _ = generate_blobs(tmp_path)
@@ -507,6 +559,122 @@ class TestHarnessJobs:
         committed = COMPARE_DEFAULTS["config"]
         for key, value in committed.items():
             assert manifest["config"][key] == value
+
+
+class TestFlagContract:
+    # Every PmlpConfig field's kebab-case flag, set to a non-default value.
+    CONFIG_FLAGS = [
+        "--alpha", "0.5", "--eta", "0.3", "--tau", "0.9", "--bandwidth-h", "2.5",
+        "--path-points-k", "2", "--kde-support-n", "10", "--neighbor-count", "4",
+        "--aggregator", "quantile", "--quantile-t", "0.25",
+        "--distance-mode", "cosine_similarity", "--solver", "iterative",
+        "--solver-max-iters", "500", "--solver-tol", "1e-08",
+        "--mode", "classical_lpa", "--no-clamp-ground-truth", "--seed", "3",
+    ]
+    CONFIG = {
+        "alpha": 0.5, "eta": 0.3, "tau": 0.9, "bandwidth_h": 2.5,
+        "path_points_k": 2, "kde_support_n": 10, "neighbor_count": 4,
+        "aggregator": "quantile", "quantile_t": 0.25,
+        "distance_mode": "cosine_similarity", "solver": "iterative",
+        "solver_max_iters": 500, "solver_tol": 1e-08, "mode": "classical_lpa",
+        "clamp_ground_truth": False, "seed": 3,
+    }
+
+    def test_config_flags_set_exactly_the_manifest_config(self, tmp_path):
+        data, _ = generate_blobs(tmp_path)
+        out = tmp_path / "out"
+        assert main(
+            ["label", "--input", str(data), "--out-dir", str(out)] + self.CONFIG_FLAGS
+        ) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert json.dumps(config, sort_keys=True) == json.dumps(
+            self.CONFIG, sort_keys=True
+        )
+        assert sorted(self.CONFIG) == sorted(
+            f.name for f in dataclasses.fields(PmlpConfig)
+        )
+
+    # Every generate flag set; the generator spec records what each kind uses.
+    GENERATE_FLAGS = [
+        "--means", "1,2;5,6;9,1", "--sigma", "0.5", "--per-class", "20", "--n", "30",
+        "--noise", "0.2", "--labeled-per-class", "3", "--seed", "4",
+        "--format", "jsonl",
+    ]
+    SPECS = {
+        "two-moons": {
+            "kind": "two_moons",
+            "params": {"n": 30, "noise": 0.2, "labeled_per_class": 3},
+            "seed": 4,
+        },
+        "gaussian-blobs": {
+            "kind": "gaussian_blobs",
+            "params": {
+                "means": [[1.0, 2.0], [5.0, 6.0], [9.0, 1.0]], "sigma": 0.5,
+                "per_class": 20, "labeled_per_class": 3,
+            },
+            "seed": 4,
+        },
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_generate_flags_set_exactly_the_generator_spec(self, tmp_path, kind):
+        data = tmp_path / "d.out"
+        truth = tmp_path / "truth.csv"
+        assert main(
+            ["generate", "--kind", kind, "--out", str(data), "--truth-out", str(truth)]
+            + self.GENERATE_FLAGS
+        ) == 0
+        manifest = json.loads((tmp_path / "d.out.manifest.json").read_text())
+        assert manifest.pop("timestamp")
+        assert json.dumps(manifest, sort_keys=True) == json.dumps(
+            {
+                "tool": "pmlp",
+                "tool_version": pmlp.__version__,
+                "command": "generate",
+                "seed": 4,
+                "generator_spec": self.SPECS[kind],
+                "outputs": {"data": str(data), "truth": str(truth)},
+            },
+            sort_keys=True,
+        )
+        assert json.loads(data.read_text().splitlines()[0])["features"]
+
+    CONFIG_OPTIONS = [
+        "--aggregator", "--alpha", "--bandwidth-h", "--clamp-ground-truth",
+        "--config", "--distance-mode", "--eta", "--kde-support-n", "--mode",
+        "--neighbor-count", "--no-clamp-ground-truth", "--path-points-k",
+        "--quantile-t", "--seed", "--solver", "--solver-max-iters", "--solver-tol",
+        "--tau",
+    ]
+    OPTIONS = {
+        "label": [
+            "--format", "--input", "--n-classes", "--out-dir", "--renormalize",
+            "--truth",
+        ] + CONFIG_OPTIONS,
+        "generate": [
+            "--format", "--kind", "--labeled-per-class", "--means", "--n", "--noise",
+            "--out", "--per-class", "--seed", "--sigma", "--truth-out",
+        ],
+        "harness theorem1": [
+            "--line-points", "--out-dir", "--pairs", "--samples-per-cluster",
+            "--separations", "--sigma", "--tau-quantile",
+        ] + CONFIG_OPTIONS,
+        "harness compare": [
+            "--dataset", "--labeled-per-class", "--n", "--noise", "--out-dir",
+            "--per-class", "--separation", "--sigma", "--trials",
+        ] + CONFIG_OPTIONS,
+        "harness density-ratio": [
+            "--bandwidths", "--out-dir", "--pairs", "--samples-per-cluster",
+            "--separation", "--sigma",
+        ] + CONFIG_OPTIONS,
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_exactly_the_options(self, capsys, command):
+        assert main(command.split() + ["--help"]) == 0
+        text = capsys.readouterr().out
+        options = set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", text))
+        assert sorted(options) == sorted(self.OPTIONS[command] + ["--help", "-h"])
 
 
 class TestGenerate:

@@ -256,6 +256,21 @@ class TestAffinityMatrix:
         np.testing.assert_array_equal(to_dense(W), dense)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FeatureMatrix([[1.0, 2.0], [1.0, 2.0, 3.0]]),
+        lambda: FeatureMatrix([["a", 1.0]]),
+        lambda: SoftLabelMatrix([[1.0], [1.0, 2.0]]),
+        lambda: LabelAssignment.prediction(["a", 1.0]),
+    ],
+    ids=["ragged_features", "text_feature", "ragged_scores", "text_probability"],
+)
+def test_constructor_rejects_non_numeric_or_ragged_input_with_data_error(build):
+    with pytest.raises(DataError):
+        build()
+
+
 class TestSoftLabelsFromAssignments:
     def test_ground_truth_rows_are_one_hot(self):
         labels, gt_mask, gt_classes = soft_labels_from_assignments(
