@@ -41,7 +41,6 @@ from .propagate import (
     ThresholdSchedulerState,
     mix_final,
     propagate_closed_form,
-    propagate_iterative,
     run_classical_lpa,
     run_pmlp,
     split_by_confidence,
@@ -88,7 +87,6 @@ __all__ = [
     "mix_final",
     "normalize_symmetric",
     "propagate_closed_form",
-    "propagate_iterative",
     "regenerate",
     "run_classical_lpa",
     "run_pmlp",

@@ -15,7 +15,9 @@ File formats
     Both formats hold a label as the same JSON value (null, a class index
     or a probability list) and share one decoder and one encoder for it.
     A file that cannot be opened, decoded or parsed is a data error that
-    names the file and, where there is one, the line.
+    names the file and, where there is one, the line; so is an output path
+    that cannot be written, and the error names the path. Output
+    directories are made before any input is read.
 
 Flags
     The propagation flags are the PmlpConfig fields in kebab case, typed
@@ -458,14 +460,16 @@ def run_label_job(
 
     ``config_values`` (any subset of PmlpConfig fields) is layered over
     data-derived defaults: neighbor_count = ceil(1.5 * classes) capped at
-    n_rows - 1, and kde_support_n = min(45, n_rows). The truth file is
-    read and checked before propagation starts.
+    n_rows - 1, and kde_support_n = min(45, n_rows). The output directory
+    is made first, and the truth file is read and checked before
+    propagation starts.
 
     The pseudo-label CSV has one row per input row: the argmax class, the
     per-class final scores, and a 0/1 flag telling whether the row's
     renormalized confidence reaches tau. An accuracy metric appears only
     when a truth file supplies classes for the non-ground-truth rows.
     """
+    os.makedirs(out_dir, exist_ok=True)
     features, assignments = ingest_features(input_path, fmt)
     truth = None if truth_path is None else _read_truth(truth_path, features.n_rows)
     classes = count_classes(assignments) if n_classes is None else n_classes
@@ -497,7 +501,6 @@ def run_label_job(
     if truth is not None and evaluate.any():
         metrics["accuracy"] = float(np.mean(predicted[evaluate] == truth[evaluate]))
 
-    os.makedirs(out_dir, exist_ok=True)
     inputs = {"data": input_path, "truth": truth_path}
     return {
         "labels": _write_csv(
@@ -776,6 +779,17 @@ def _write_error_file(args, code, message):
         pass
 
 
+def _run(args):
+    """The job's output paths. Every input is read through ``_reading``, so
+    an OSError here is an output path that cannot be written: a DataError
+    that names it."""
+    try:
+        return args.func(args)
+    except OSError as exc:
+        path = exc.filename or "an output file"
+        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc)) from exc
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -784,7 +798,7 @@ def main(argv=None):
         code = exc.code
         return code if isinstance(code, int) else 1
     try:
-        paths = args.func(args)
+        paths = _run(args)
     except ConfigError as exc:
         print("pmlp: configuration error: %s" % exc, file=sys.stderr)
         _write_error_file(args, "config", str(exc))

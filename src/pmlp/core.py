@@ -27,7 +27,6 @@ __all__ = [
     "NumericalError",
     "PmlpConfig",
     "PmlpError",
-    "SOLVERS",
     "SoftLabelMatrix",
     "count_classes",
     "default_neighbor_count",
@@ -37,13 +36,11 @@ __all__ = [
 
 DISTANCE_MODES = ("euclidean_inverse", "cosine_similarity", "first_order_similarity")
 AGGREGATORS = ("min", "max", "avg", "quantile")
-SOLVERS = ("closed_form", "iterative")
 MODES = ("pmlp", "classical_lpa")
 # The PmlpConfig fields that take one of a fixed set of strings.
 CONFIG_CHOICES = {
     "aggregator": AGGREGATORS,
     "distance_mode": DISTANCE_MODES,
-    "solver": SOLVERS,
     "mode": MODES,
 }
 
@@ -377,7 +374,16 @@ class PmlpConfig:
 
     alpha
         Diffusion weight of Y(i) = alpha * S * Y(i-1) + (1-alpha) * Y_high,
-        strictly inside (0, 1) so the iteration contracts.
+        strictly inside (0, 1) so the iteration contracts. The pipeline
+        solves for its fixed point (1 - alpha) (I - alpha * S)^(-1) Y_high
+        to a fixed error bound of 1e-12, or to the rounding level where
+        rounding keeps the residual above that (alpha near 1, or large
+        heavily labelled inputs); see
+        ``pmlp.propagate.propagate_closed_form``. The solve's step count
+        grows as 1 / sqrt(1 - alpha), about 45 steps at alpha = 0.8 and 800
+        at 0.999 beyond the hops from the labels to the farthest row, and a
+        solve whose step cap passes 100,000 (alpha within a few 1e-7 of 1)
+        raises NumericalError before it starts.
     eta
         Mixing weight between the propagated labels and the retained
         low-confidence predictions.
@@ -401,19 +407,6 @@ class PmlpConfig:
     distance_mode
         Base affinity: "euclidean_inverse" inverts the Euclidean distance;
         the similarity modes use the (clamped) raw similarity.
-    solver, solver_max_iters, solver_tol
-        Both solvers return the fixed point
-        (1 - alpha) (I - alpha * S)^(-1) Y_high of that iteration.
-        "closed_form" solves for it to a fixed error bound of 1e-12, or
-        to the rounding level where rounding keeps the residual above
-        that (alpha near 1, or large heavily labelled inputs); see
-        ``pmlp.propagate.propagate_closed_form``. Its step count grows as
-        1 / sqrt(1 - alpha), about 45 steps at alpha = 0.8 and 800 at
-        0.999 beyond the hops from the labels to the farthest row, and a
-        solve whose step cap passes 100,000 (alpha within a few 1e-7 of 1)
-        raises NumericalError before it starts. "iterative" runs the
-        fixed-point iteration until the max-abs update drops below
-        solver_tol or solver_max_iters is reached.
     mode
         "pmlp" applies the density reweighting; "classical_lpa" skips it.
     clamp_ground_truth
@@ -432,9 +425,6 @@ class PmlpConfig:
     aggregator: str = "avg"
     quantile_t: float = 0.5
     distance_mode: str = "euclidean_inverse"
-    solver: str = "closed_form"
-    solver_max_iters: int = 10000
-    solver_tol: float = 1e-10
     mode: str = "pmlp"
     clamp_ground_truth: bool = True
     seed: int = 0
@@ -473,10 +463,6 @@ def validate_config(cfg):
         raise ConfigError("neighbor_count", "must be an integer >= 1")
     if not (0.0 < cfg.quantile_t < 1.0):
         raise ConfigError("quantile_t", "must lie strictly inside (0, 1)")
-    if cfg.solver_max_iters < 1:
-        raise ConfigError("solver_max_iters", "must be an integer >= 1")
-    if not (cfg.solver_tol > 0.0):
-        raise ConfigError("solver_tol", "must be positive")
     if not isinstance(cfg.clamp_ground_truth, bool):
         raise ConfigError("clamp_ground_truth", "must be a boolean")
     if cfg.seed < 0:

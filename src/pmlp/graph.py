@@ -72,57 +72,43 @@ def _base_affinity(left, right, mode):
     raise DataError("unknown distance mode: %r" % (mode,))
 
 
-def build_affinity(features, node_set, cfg, edges=None):
-    """Symmetrized sparse affinity matrix over ``node_set``.
+def build_affinity(features, edges, cfg):
+    """Symmetrized sparse affinity matrix of the graph on ``edges``.
 
-    With ``edges=None`` every off-diagonal pair receives an entry. When a
-    directed (E, 2) array of positions into ``node_set`` is given, only
-    those pairs do, and the (M + M^T) / 2 symmetrization assigns half
-    weight to edges present in a single direction. In "pmlp" mode each
-    entry is multiplied by the pair's path-density factor; in
-    "classical_lpa" mode the factor is identically one.
+    ``edges`` is a directed (E, 2) array of row indices, such as
+    ``knn_edges`` returns; each pair of rows it joins receives one entry,
+    and the (M + M^T) / 2 symmetrization assigns half weight to a pair
+    joined in a single direction. In "pmlp" mode each entry is multiplied
+    by the pair's path-density factor; in "classical_lpa" mode the factor
+    is identically one.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
-    node = np.asarray(node_set, dtype=int)
-    if node.ndim != 1 or node.size < 2:
-        raise DataError("node_set needs at least 2 indices")
-    if np.unique(node).size != node.size:
-        raise DataError("node_set contains duplicate indices")
-    if np.any(node < 0) or np.any(node >= features.n_rows):
-        raise DataError("node_set index out of range")
-    m = node.size
+    n = features.n_rows
+    edges = np.asarray(edges, dtype=int)
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.shape[0] < 1:
+        raise DataError("edges must be a nonempty (E, 2) row index array")
+    if np.any(edges < 0) or np.any(edges >= n):
+        raise DataError("edge row index out of range")
+    if np.any(edges[:, 0] == edges[:, 1]):
+        raise DataError("self loops are not allowed")
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+    forward = np.zeros(keys.size, dtype=bool)
+    backward = np.zeros(keys.size, dtype=bool)
+    forward[inverse[edges[:, 0] < edges[:, 1]]] = True
+    backward[inverse[edges[:, 0] > edges[:, 1]]] = True
+    weight = np.where(forward & backward, 1.0, 0.5)
+    iu = keys // n
+    ju = keys % n
 
-    if edges is None:
-        iu, ju = np.triu_indices(m, k=1)
-        weight = np.ones(iu.size)
-    else:
-        edges = np.asarray(edges, dtype=int)
-        if edges.ndim != 2 or edges.shape[1] != 2 or edges.shape[0] < 1:
-            raise DataError("edges must be a nonempty (E, 2) position array")
-        if np.any(edges < 0) or np.any(edges >= m):
-            raise DataError("edge position out of range")
-        if np.any(edges[:, 0] == edges[:, 1]):
-            raise DataError("self loops are not allowed")
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys, inverse = np.unique(lo * m + hi, return_inverse=True)
-        forward = np.zeros(keys.size, dtype=bool)
-        backward = np.zeros(keys.size, dtype=bool)
-        forward[inverse[edges[:, 0] < edges[:, 1]]] = True
-        backward[inverse[edges[:, 0] > edges[:, 1]]] = True
-        weight = np.where(forward & backward, 1.0, 0.5)
-        iu = keys // m
-        ju = keys % m
-
-    gi = node[iu]
-    gj = node[ju]
-    values = _base_affinity(features.data[gi], features.data[gj], cfg.distance_mode)
+    values = _base_affinity(features.data[iu], features.data[ju], cfg.distance_mode)
     if cfg.mode == "pmlp":
         values = values * batch_path_density_info(
-            features, np.column_stack([gi, gj]), cfg
+            features, np.column_stack([iu, ju]), cfg
         )
-    return AffinityMatrix.from_pairs(m, iu, ju, weight * values)
+    return AffinityMatrix.from_pairs(n, iu, ju, weight * values)
 
 
 def normalize_symmetric(affinity):

@@ -5,10 +5,10 @@ Pipeline stages: split the initial soft labels by confidence, build the
 the high-confidence mass Y(i) = alpha * S * Y(i-1) + (1-alpha) * Y_high,
 and mix the result back with the retained low-confidence predictions.
 With alpha in (0, 1) and the symmetric normalization the diffusion map is
-a contraction, and the iterative and closed-form solvers converge to the
-same fixed point. Both apply S through the sparse matrix's one
-gather-and-reduceat product, with no BLAS call, so their bytes do not
-depend on the thread count.
+a contraction, and ``propagate_closed_form`` solves for its one fixed
+point. It applies S through the sparse matrix's one gather-and-reduceat
+product, with no BLAS call, so its bytes do not depend on the thread
+count.
 """
 
 import math
@@ -31,7 +31,6 @@ __all__ = [
     "ThresholdSchedulerState",
     "mix_final",
     "propagate_closed_form",
-    "propagate_iterative",
     "run_classical_lpa",
     "run_pmlp",
     "split_by_confidence",
@@ -70,8 +69,7 @@ class PropagationResult:
         Which rows were routed to the high-confidence side of the split.
     iterations_used, residual
         Solver diagnostics: the number of products with S, and the largest
-        change one more fixed-point step would make to the labels (for
-        the iterative solver, the last step's change).
+        change one more fixed-point step would make to the labels.
     """
 
     final_labels: SoftLabelMatrix
@@ -102,53 +100,12 @@ def split_by_confidence(labels, ground_truth_mask, tau):
     return SoftLabelMatrix(high), SoftLabelMatrix(low), high_mask
 
 
-def _solve_inputs(S, y_high, alpha):
-    """The validated label matrix of a solve and the product x -> S x.
-
-    Solvers hold labels class-major: the flat ``y_high.data.T.ravel()``.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise DataError("alpha must lie strictly inside (0, 1)")
-    if not isinstance(y_high, SoftLabelMatrix):
-        y_high = SoftLabelMatrix(y_high)
-    if not isinstance(S, AffinityMatrix):
-        raise DataError("S must be an AffinityMatrix")
-    if S.size != y_high.rows:
-        raise DataError("S shape does not match the label matrix")
-    return y_high, S.operator(y_high.classes)
-
-
-def propagate_iterative(S, y_high, alpha, max_iters=10000, tol=1e-10):
-    """Fixed-point iteration Y(i) = alpha * S Y(i-1) + (1-alpha) * Y_high.
-
-    Starts from Y(0) = Y_high and stops once the max-abs update drops
-    below ``tol`` or ``max_iters`` is hit. Returns ``(result, iterations,
-    residual)``.
-    """
-    y_high, apply = _solve_inputs(S, y_high, alpha)
-    base = y_high.data.T.ravel()
-    current = base
-    iterations = 0
-    residual = float("inf")
-    for iterations in range(1, int(max_iters) + 1):
-        nxt = alpha * apply(current) + (1.0 - alpha) * base
-        if not np.all(np.isfinite(nxt)):
-            raise NumericalError(
-                "propagation produced non-finite values; check the affinity matrix"
-            )
-        residual = float(np.max(np.abs(nxt - current)))
-        current = nxt
-        if residual < tol:
-            break
-    result = SoftLabelMatrix(current.reshape(y_high.classes, -1).T)
-    return result, iterations, residual
-
-
 def propagate_closed_form(S, y_high, alpha):
     """The fixed point (1 - alpha) (I - alpha * S)^(-1) Y_high of the iteration.
 
     Solves (I - alpha * S) X = Y_high to the stop rule of SOLVE_TOL/ROW_TOL
-    and returns (1 - alpha) X, the limit ``propagate_iterative`` approaches.
+    and returns (1 - alpha) X, the limit the iteration approaches from any
+    start. Labels are held class-major: the flat ``y_high.data.T.ravel()``.
 
     The spectrum of alpha * S lies in [-alpha, alpha], so the Chebyshev
     semi-iteration needs no inner products: x_1 = b and
@@ -168,9 +125,17 @@ def propagate_closed_form(S, y_high, alpha):
     the max-abs change one more plain fixed-point step would make to
     ``result``.
     """
-    y_high, apply = _solve_inputs(S, y_high, alpha)
-    b = y_high.data.T.ravel()
+    if not (0.0 < alpha < 1.0):
+        raise DataError("alpha must lie strictly inside (0, 1)")
+    if not isinstance(y_high, SoftLabelMatrix):
+        y_high = SoftLabelMatrix(y_high)
+    if not isinstance(S, AffinityMatrix):
+        raise DataError("S must be an AffinityMatrix")
+    if S.size != y_high.rows:
+        raise DataError("S shape does not match the label matrix")
     classes = y_high.classes
+    apply = S.operator(classes)
+    b = y_high.data.T.ravel()
     target = SOLVE_TOL * (1.0 - alpha)
     # The error falls by about ``rate`` per step once every row has moved;
     # a row k hops from the nearest label first moves at step k + 1.
@@ -293,17 +258,9 @@ def run_pmlp(
             % (cfg.neighbor_count, features.n_rows)
         )
     edges = knn_edges(features, cfg.neighbor_count)
-    affinity = build_affinity(
-        features, np.arange(features.n_rows), cfg, edges=edges
-    )
-    S = normalize_symmetric(affinity)
-
-    if cfg.solver == "iterative":
-        propagated, iterations, residual = propagate_iterative(
-            S, high, cfg.alpha, cfg.solver_max_iters, cfg.solver_tol
-        )
-    else:
-        propagated, iterations, residual = propagate_closed_form(S, high, cfg.alpha)
+    # edges by keyword: perfbench/spans.py counts the graph's pairs from it.
+    S = normalize_symmetric(build_affinity(features, edges=edges, cfg=cfg))
+    propagated, iterations, residual = propagate_closed_form(S, high, cfg.alpha)
 
     if cfg.clamp_ground_truth:
         clamped = propagated.data.copy()

@@ -4,6 +4,8 @@
 library's CSR ``AffinityMatrix`` (every entry that is nonzero in the matrix
 or its transpose is stored, so the type's own checks see asymmetry, self
 loops and negative weights), and ``to_dense`` turns one back.
+``complete_edges`` lists every pair of rows in both directions, the edges
+of the all-pairs graphs that small hand-checked tests build.
 ``solve_dense`` is the direct LU solve of (I - alpha * S) Y = Y_high that
 the library used before its iterative closed form; tests compare the
 solver against it.
@@ -20,6 +22,11 @@ def affinity_from_dense(matrix):
     rows, cols = np.nonzero((matrix != 0) | (matrix.T != 0))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(matrix)))])
     return AffinityMatrix(indptr, cols, matrix[rows, cols])
+
+
+def complete_edges(n):
+    """The (n * (n - 1), 2) directed edges joining every two of n rows."""
+    return np.argwhere(~np.eye(n, dtype=bool))
 
 
 def to_dense(affinity):

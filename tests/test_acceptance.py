@@ -36,7 +36,6 @@ from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
 from pmlp.propagate import (
     ThresholdSchedulerState,
     propagate_closed_form,
-    propagate_iterative,
     run_classical_lpa,
     run_pmlp,
     split_by_confidence,
@@ -52,6 +51,7 @@ from pmlp.synthlab import (
 )
 
 from dense_oracle import affinity_from_dense
+from iterative_oracle import propagate_iterative
 
 
 @contextmanager
@@ -108,7 +108,7 @@ def test_criterion_2_affinity_scale_invariance():
         )
         cfg = PmlpConfig(bandwidth_h=2.0, kde_support_n=20, neighbor_count=5, seed=7)
         edges = knn_edges(dataset.features, cfg.neighbor_count)
-        W = build_affinity(dataset.features, np.arange(80), cfg, edges=edges)
+        W = build_affinity(dataset.features, edges, cfg)
         S = normalize_symmetric(W)
         labels, gt_mask, _ = soft_labels_from_assignments(
             assignments_from_dataset(dataset)

@@ -205,13 +205,10 @@ class TestLabelJob:
         assert manifest["config"]["neighbor_count"] == 3  # ceil(1.5 * 2)
         assert manifest["inputs"]["data"]["sha256"]
 
-    @pytest.mark.parametrize("solver", ["closed_form", "iterative"])
-    def test_metrics_report_solver_steps(self, tmp_path, solver):
+    def test_metrics_report_solver_steps(self, tmp_path):
         data, _ = generate_blobs(tmp_path)
         out = tmp_path / "out"
-        assert main(
-            ["label", "--input", str(data), "--out-dir", str(out), "--solver", solver]
-        ) == 0
+        assert main(["label", "--input", str(data), "--out-dir", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["solver_iterations"] > 1
         assert 0.0 <= metrics["residual"] < 1e-9
@@ -243,8 +240,7 @@ class TestLabelJob:
         m1.pop("timestamp"), m2.pop("timestamp")
         assert m1 == m2
 
-    @pytest.mark.parametrize("solver", ["iterative", "closed_form"])
-    def test_rerun_is_byte_identical_across_blas_threads(self, tmp_path, solver):
+    def test_rerun_is_byte_identical_across_blas_threads(self, tmp_path):
         data = tmp_path / "moons.csv"
         assert main(
             ["generate", "--kind", "two-moons", "--n", "800", "--labeled-per-class",
@@ -262,7 +258,7 @@ class TestLabelJob:
             )
             subprocess.run(
                 [sys.executable, "-m", "pmlp.cli", "label", "--input", str(data),
-                 "--out-dir", str(out), "--solver", solver, "--bandwidth-h", "0.05",
+                 "--out-dir", str(out), "--bandwidth-h", "0.05",
                  "--kde-support-n", "15", "--neighbor-count", "5"],
                 env=env, check=True, timeout=120,
             )
@@ -350,6 +346,9 @@ class TestExitCodes:
             ["harness", "density-ratio", "--bandwidths", ","],
             ["harness", "compare", "--dataset", "spirals"],
             ["label", "--input", "d.csv", "--closed-form-scaling", "unscaled"],
+            ["label", "--input", "d.csv", "--solver", "iterative"],
+            ["label", "--input", "d.csv", "--solver-max-iters", "500"],
+            ["harness", "compare", "--solver-tol", "1e-8"],
         ],
     )
     def test_bad_or_removed_flag_is_a_usage_error(self, tmp_path, argv):
@@ -401,6 +400,27 @@ class TestExitCodes:
             assert "line %d" % line in message
         assert not (out / "pseudo_labels.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "generate --kind two-moons --out {missing}/d.csv",
+            "generate --kind two-moons --out {tmp}/d.csv --truth-out {missing}/t.csv",
+            # The out dir is made before the input is read.
+            "label --input {missing}/d.csv --out-dir {file}",
+            "harness density-ratio --out-dir {file}",
+        ],
+        ids=["out", "truth_out", "label_out_dir", "harness_out_dir"],
+    )
+    def test_unwritable_output_is_a_data_error(self, tmp_path, capsys, command):
+        taken, missing = tmp_path / "taken", tmp_path / "missing"
+        taken.write_text("")
+        argv = command.format(tmp=tmp_path, missing=missing, file=taken).split()
+        assert main(argv) == 2
+        named = taken if "{file}" in command else missing
+        assert "cannot write %s" % named in capsys.readouterr().err
+        assert taken.read_text() == ""
+        assert not missing.exists()
+
     def test_config_error_is_one(self, tmp_path):
         data, _ = generate_blobs(tmp_path)
         code = main(
@@ -431,15 +451,17 @@ class TestExitCodes:
 
     def test_removed_config_field_is_unknown(self, tmp_path):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"closed_form_scaling": "fixed_point"}))
-        out = tmp_path / "out"
-        code = main(
-            ["label", "--input", str(tmp_path / "d.csv"), "--out-dir", str(out),
-             "--config", str(config)]
-        )
-        assert code == 1
-        message = json.loads((out / "metrics.json").read_text())["error"]["message"]
-        assert message == "closed_form_scaling: unknown configuration field"
+        removed = {"closed_form_scaling": "fixed_point", "solver": "iterative"}
+        for field, value in removed.items():
+            config.write_text(json.dumps({field: value}))
+            out = tmp_path / field
+            code = main(
+                ["label", "--input", str(tmp_path / "d.csv"), "--out-dir", str(out),
+                 "--config", str(config)]
+            )
+            assert code == 1
+            message = json.loads((out / "metrics.json").read_text())["error"]["message"]
+            assert message == field + ": unknown configuration field"
 
     def test_alpha_next_to_one_is_a_numerical_error(self, tmp_path):
         data, _ = generate_blobs(tmp_path)
@@ -567,16 +589,14 @@ class TestFlagContract:
         "--alpha", "0.5", "--eta", "0.3", "--tau", "0.9", "--bandwidth-h", "2.5",
         "--path-points-k", "2", "--kde-support-n", "10", "--neighbor-count", "4",
         "--aggregator", "quantile", "--quantile-t", "0.25",
-        "--distance-mode", "cosine_similarity", "--solver", "iterative",
-        "--solver-max-iters", "500", "--solver-tol", "1e-08",
-        "--mode", "classical_lpa", "--no-clamp-ground-truth", "--seed", "3",
+        "--distance-mode", "cosine_similarity", "--mode", "classical_lpa",
+        "--no-clamp-ground-truth", "--seed", "3",
     ]
     CONFIG = {
         "alpha": 0.5, "eta": 0.3, "tau": 0.9, "bandwidth_h": 2.5,
         "path_points_k": 2, "kde_support_n": 10, "neighbor_count": 4,
         "aggregator": "quantile", "quantile_t": 0.25,
-        "distance_mode": "cosine_similarity", "solver": "iterative",
-        "solver_max_iters": 500, "solver_tol": 1e-08, "mode": "classical_lpa",
+        "distance_mode": "cosine_similarity", "mode": "classical_lpa",
         "clamp_ground_truth": False, "seed": 3,
     }
 
@@ -643,8 +663,7 @@ class TestFlagContract:
         "--aggregator", "--alpha", "--bandwidth-h", "--clamp-ground-truth",
         "--config", "--distance-mode", "--eta", "--kde-support-n", "--mode",
         "--neighbor-count", "--no-clamp-ground-truth", "--path-points-k",
-        "--quantile-t", "--seed", "--solver", "--solver-max-iters", "--solver-tol",
-        "--tau",
+        "--quantile-t", "--seed", "--tau",
     ]
     OPTIONS = {
         "label": [

@@ -121,9 +121,6 @@ class TestConfig:
             ("aggregator", "median"),
             ("quantile_t", 1.0),
             ("distance_mode", "euclidean"),
-            ("solver", "direct"),
-            ("solver_max_iters", 0),
-            ("solver_tol", 0.0),
             ("mode", "hybrid"),
             ("seed", -1),
             ("alpha", "0.5"),

@@ -7,6 +7,7 @@ import inspect
 import pytest
 
 from pmlp.core import PmlpConfig
+from pmlp.graph import build_affinity
 from pmlp.propagate import propagate_closed_form
 
 MODULES = (
@@ -19,14 +20,15 @@ MODULES = (
     "pmlp.synthlab",
 )
 
-# Single-query copies of pipeline stages and a test-only solver knob; the
-# batched kernel, knn_edges, the graph's base affinity and the fixed-point
-# closed form are the one implementation of each.
+# Single-query copies of pipeline stages, a test-only solver knob and the
+# iterative solver; the batched kernel, knn_edges, the graph's base affinity
+# and the fixed-point closed form are the one implementation of each.
 REMOVED = (
     "CLOSED_FORM_SCALINGS",
     "NeighborSet",
     "PathDensities",
     "PathSample",
+    "SOLVERS",
     "_check_kde_inputs",
     "aggregate_density",
     "distance",
@@ -34,6 +36,7 @@ REMOVED = (
     "kde_density_normalized",
     "knn_select",
     "path_density_info",
+    "propagate_iterative",
     "sample_path",
     "select_kde_supports",
 )
@@ -54,10 +57,15 @@ def test_removed_names_stay_gone(name):
 
 def test_removed_solver_knob_stays_gone():
     fields = [f.name for f in dataclasses.fields(PmlpConfig)]
-    assert len(fields) == 16
-    assert "closed_form_scaling" not in fields
+    assert len(fields) == 13
+    assert [f for f in fields if "solver" in f or "scaling" in f] == []
     assert list(inspect.signature(propagate_closed_form).parameters) == [
         "S",
         "y_high",
         "alpha",
+    ]
+    assert list(inspect.signature(build_affinity).parameters) == [
+        "features",
+        "edges",
+        "cfg",
     ]

@@ -7,7 +7,7 @@ from pmlp.core import AffinityMatrix, DataError, FeatureMatrix, NumericalError, 
 from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
 from pmlp.synthlab import gen_gaussian_blobs
 
-from dense_oracle import affinity_from_dense, to_dense
+from dense_oracle import affinity_from_dense, complete_edges, to_dense
 from nearest_oracle import nearest_rows_oracle
 
 CLASSICAL = PmlpConfig(mode="classical_lpa")
@@ -56,7 +56,7 @@ class TestBuildAffinity:
     def test_three_collinear_points(self):
         spacing = 2.0
         fm = FeatureMatrix([[0.0], [spacing], [2 * spacing]])
-        W = to_dense(build_affinity(fm, [0, 1, 2], CLASSICAL))
+        W = to_dense(build_affinity(fm, complete_edges(3), CLASSICAL))
         np.testing.assert_allclose(W[0, 1], 1.0 / spacing)
         np.testing.assert_allclose(W[1, 2], 1.0 / spacing)
         np.testing.assert_allclose(W[0, 2], 1.0 / (2 * spacing))
@@ -65,7 +65,7 @@ class TestBuildAffinity:
         rng = np.random.default_rng(0)
         fm = FeatureMatrix(rng.normal(size=(10, 2)))
         cfg = PmlpConfig(kde_support_n=5, bandwidth_h=1.0)
-        W = to_dense(build_affinity(fm, np.arange(10), cfg))
+        W = to_dense(build_affinity(fm, complete_edges(10), cfg))
         assert np.all(np.diagonal(W) == 0.0)
         assert W.min() >= 0.0
 
@@ -73,26 +73,21 @@ class TestBuildAffinity:
         dataset = gen_gaussian_blobs(
             [[0.0, 0.0], [5.0, 0.0]], 1.0, per_class=15, labeled_per_class=1, seed=8
         )
-        nodes = np.arange(30)
+        edges = complete_edges(30)
         pm = build_affinity(
             dataset.features,
-            nodes,
+            edges,
             PmlpConfig(bandwidth_h=1e12, kde_support_n=10),
         )
-        classical = build_affinity(dataset.features, nodes, CLASSICAL)
+        classical = build_affinity(dataset.features, edges, CLASSICAL)
         pm, classical = to_dense(pm), to_dense(classical)
         scale = np.max(np.abs(classical))
         assert np.max(np.abs(pm - classical)) / scale < 1e-6
 
-    def test_duplicate_nodes_rejected(self):
-        fm = FeatureMatrix([[0.0], [1.0], [2.0]])
-        with pytest.raises(DataError):
-            build_affinity(fm, [0, 1, 1], CLASSICAL)
-
     def test_single_direction_edge_gets_half_weight(self):
         fm = FeatureMatrix([[0.0], [1.0], [3.0]])
-        both = to_dense(build_affinity(fm, [0, 1, 2], CLASSICAL, edges=[(0, 1), (1, 0)]))
-        single = to_dense(build_affinity(fm, [0, 1, 2], CLASSICAL, edges=[(0, 1)]))
+        both = to_dense(build_affinity(fm, [(0, 1), (1, 0)], CLASSICAL))
+        single = to_dense(build_affinity(fm, [(0, 1)], CLASSICAL))
         assert single[0, 1] == both[0, 1] / 2
         assert single[1, 0] == single[0, 1]
         assert both[0, 2] == 0.0
@@ -101,22 +96,21 @@ class TestBuildAffinity:
         rng = np.random.default_rng(4)
         fm = FeatureMatrix(rng.normal(size=(15, 2)))
         edges = knn_edges(fm, 3)
-        W = to_dense(
-            build_affinity(fm, np.arange(15), PmlpConfig(kde_support_n=5), edges=edges)
-        )
+        W = to_dense(build_affinity(fm, edges, PmlpConfig(kde_support_n=5)))
         assert np.array_equal(W, W.T)
 
     def test_cosine_mode_clamps_negative_similarity(self):
         fm = FeatureMatrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         W = to_dense(build_affinity(
-            fm, [0, 1, 2], PmlpConfig(mode="classical_lpa", distance_mode="cosine_similarity")
+            fm, complete_edges(3),
+            PmlpConfig(mode="classical_lpa", distance_mode="cosine_similarity"),
         ))
         assert W[0, 1] == 0.0  # opposite vectors
         assert W[0, 2] == 0.0  # orthogonal
 
     def test_coincident_points_hit_distance_floor(self):
         fm = FeatureMatrix([[1.0, 1.0], [1.0, 1.0]])
-        W = to_dense(build_affinity(fm, [0, 1], CLASSICAL))
+        W = to_dense(build_affinity(fm, complete_edges(2), CLASSICAL))
         assert W[0, 1] == 1e12  # 1 / EPS_DISTANCE
 
 
@@ -192,9 +186,8 @@ class TestNormalizeSymmetric:
     def test_keeps_the_sparsity_pattern(self):
         W = build_affinity(
             FeatureMatrix(np.arange(12.0).reshape(6, 2)),
-            np.arange(6),
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
             CLASSICAL,
-            edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
         )
         S = normalize_symmetric(W)
         np.testing.assert_array_equal(S.indptr, W.indptr)

@@ -1,35 +1,39 @@
-"""Confidence split, both solvers, final mixing, the full pipeline, and
-the adaptive threshold schedule."""
+"""Confidence split, the diffusion solve, final mixing, the full pipeline,
+and the adaptive threshold schedule."""
+
+import math
 
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pmlp.core import (
+    MODES,
     AffinityMatrix,
     DataError,
     LabelAssignment,
     NumericalError,
     PmlpConfig,
     SoftLabelMatrix,
+    soft_labels_from_assignments,
 )
 from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
 from pmlp.propagate import (
     ThresholdSchedulerState,
     mix_final,
     propagate_closed_form,
-    propagate_iterative,
     run_classical_lpa,
     run_pmlp,
     split_by_confidence,
     threshold_increment,
     update_threshold,
 )
-from pmlp.synthlab import assignments_from_dataset, gen_gaussian_blobs
+from pmlp.synthlab import assignments_from_dataset, gen_gaussian_blobs, gen_two_moons
 
 from dense_oracle import affinity_from_dense, solve_dense, to_dense
+from iterative_oracle import propagate_iterative
 
 
 def random_normalized_instance(rng, n, classes):
@@ -82,11 +86,15 @@ class TestSplitByConfidence:
 
 
 class TestIterative:
+    """Hand-solved fixed points of Y(i) = alpha S Y(i-1) + (1 - alpha) Y_high,
+    as ``propagate_closed_form`` returns them, and the iteration's own
+    contraction."""
+
     def test_no_edges_fixed_point(self):
         Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.5]])
         S = affinity_from_dense(np.zeros((2, 2)))
         alpha = 0.8
-        result, iterations, residual = propagate_iterative(S, Y, alpha)
+        result, iterations, residual = propagate_closed_form(S, Y, alpha)
         np.testing.assert_array_equal(result.data, (1 - alpha) * Y.data)
         assert residual < 1e-10
 
@@ -95,17 +103,15 @@ class TestIterative:
         # (I - 0.5 S)^-1 = (4/3) [[1, 0.5], [0.5, 1]]; fixed point scales by 0.5
         S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
         Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.0]])
-        result, _, _ = propagate_iterative(S, Y, 0.5, tol=1e-14)
+        result, _, _ = propagate_closed_form(S, Y, 0.5)
         np.testing.assert_allclose(
-            result.data, [[2.0 / 3.0, 0.0], [1.0 / 3.0, 0.0]], atol=1e-10
+            result.data, [[2.0 / 3.0, 0.0], [1.0 / 3.0, 0.0]], atol=1e-12
         )
-        closed, _, _ = propagate_closed_form(S, Y, 0.5)
-        np.testing.assert_allclose(result.data, closed.data, atol=1e-10)
 
     def test_zero_labels_stay_zero(self):
         S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
         Y = SoftLabelMatrix(np.zeros((2, 2)))
-        result, _, _ = propagate_iterative(S, Y, 0.5)
+        result, _, _ = propagate_closed_form(S, Y, 0.5)
         np.testing.assert_array_equal(result.data, np.zeros((2, 2)))
 
     def test_residual_nonincreasing_above_noise_floor(self):
@@ -126,16 +132,15 @@ class TestIterative:
 
     def test_alpha_range_enforced(self):
         Y = SoftLabelMatrix([[1.0]])
-        with pytest.raises(DataError):
-            propagate_iterative(affinity_from_dense(np.zeros((1, 1))), Y, 1.0)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(DataError):
+                propagate_closed_form(affinity_from_dense(np.zeros((1, 1))), Y, alpha)
 
     def test_overflowing_affinity_reported(self):
-        from pmlp.core import NumericalError
-
         S = affinity_from_dense([[0.0, 1e308], [1e308, 0.0]])
         Y = SoftLabelMatrix([[1.0, 0.0], [1.0, 0.0]])
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
-            propagate_iterative(S, Y, 0.5, max_iters=10)
+            propagate_closed_form(S, Y, 0.5)
 
 
 class TestClosedForm:
@@ -333,7 +338,7 @@ class TestMixFinal:
         high = SoftLabelMatrix(rng.random((6, 3)) * (rng.random((6, 1)) < 0.5))
         low = SoftLabelMatrix(rng.random((6, 3)) * (rng.random((6, 1)) < 0.5))
         alpha, eta = 0.8, 0.2
-        propagated, _, _ = propagate_iterative(
+        propagated, _, _ = propagate_closed_form(
             affinity_from_dense(np.zeros((6, 6))), high, alpha
         )
         mixed = mix_final(propagated, low, eta)
@@ -380,9 +385,8 @@ class TestRunPmlp:
 
     def test_affinity_scaling_changes_nothing(self):
         dataset = blob_fixture(seed=6)
-        n = dataset.features.n_rows
         edges = knn_edges(dataset.features, PIPE_CFG.neighbor_count)
-        W = build_affinity(dataset.features, np.arange(n), PIPE_CFG, edges=edges)
+        W = build_affinity(dataset.features, edges, PIPE_CFG)
         high = SoftLabelMatrix(np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None])
         base, _, _ = propagate_closed_form(normalize_symmetric(W), high, PIPE_CFG.alpha)
         scaled_W = AffinityMatrix(W.indptr, W.indices, 10.0 * W.data)
@@ -422,19 +426,21 @@ class TestRunPmlp:
             run_pmlp(dataset.features, assignments, PIPE_CFG, n_classes=1)
 
     def test_iterative_solver_agrees_with_closed_form(self):
+        # The pipeline's solve against the plain iteration on its own graph.
         dataset = blob_fixture(seed=14)
         assignments = assignments_from_dataset(dataset)
-        direct = run_pmlp(dataset.features, assignments, PIPE_CFG)
-        iterative = run_pmlp(
-            dataset.features,
-            assignments,
-            replace(PIPE_CFG, solver="iterative", solver_tol=1e-13),
+        cfg = replace(PIPE_CFG, clamp_ground_truth=False)
+        direct = run_pmlp(dataset.features, assignments, cfg)
+        edges = knn_edges(dataset.features, cfg.neighbor_count)
+        S = normalize_symmetric(build_affinity(dataset.features, edges, cfg))
+        labels, gt_mask, _ = soft_labels_from_assignments(assignments)
+        high, _, _ = split_by_confidence(labels, gt_mask, cfg.tau)
+        iterated, iterations, residual = propagate_iterative(
+            S, high, cfg.alpha, tol=1e-13
         )
-        np.testing.assert_allclose(
-            direct.final_labels.data, iterative.final_labels.data, atol=1e-9
-        )
-        assert iterative.iterations_used > 0
-        assert iterative.residual < 1e-13
+        np.testing.assert_allclose(direct.propagated.data, iterated.data, atol=1e-9)
+        assert iterations > 0
+        assert residual < 1e-13
         assert direct.iterations_used > 0
         assert direct.residual < 1e-13
 
@@ -451,6 +457,49 @@ class TestRunPmlp:
         sums = result.final_labels.data.sum(axis=1)
         positive = sums > 0
         np.testing.assert_allclose(sums[positive], 1.0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(40, 200),
+        eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        mode=st.sampled_from(MODES),
+        clamp=st.booleans(),
+    )
+    def test_tiny_alpha_reduces_to_pseudo_labeling(self, seed, n, eta, mode, clamp):
+        # As alpha -> 0 the fixed point tends to Y_high, so the final labels
+        # tend to eta * Y_high + (1 - eta) * Y_low: every labelled row keeps
+        # its class and every prediction its argmax, as in thresholded
+        # pseudo-labeling. The fixed point differs from Y_high by at most
+        # alpha * (1 + sqrt(N)) in any entry (||S||_2 <= 1, label entries
+        # <= 1), so a top-two gap above 1e-3 provably survives while that,
+        # times eta, stays below (1 - eta) times the gap; near eta = 1 it
+        # need not.
+        alpha, gap = 1e-6, 1e-3
+        assume(eta * alpha * (1 + math.sqrt(n)) < (1.0 - eta) * gap)
+        dataset = gen_two_moons(n=n, noise=0.1, labeled_per_class=2, seed=seed)
+        rng = np.random.default_rng(seed)
+        assignments = assignments_from_dataset(dataset)
+        predictions = {}
+        for row in np.flatnonzero(~dataset.labeled_mask):
+            if rng.random() < 0.7:
+                predictions[row] = rng.dirichlet([0.3, 0.3])
+                assignments[row] = LabelAssignment.prediction(predictions[row])
+        cfg = PmlpConfig(
+            alpha=alpha, eta=eta, bandwidth_h=0.05, kde_support_n=15,
+            neighbor_count=5, mode=mode, clamp_ground_truth=clamp,
+        )
+        final = run_pmlp(dataset.features, assignments, cfg).final_labels.data
+        labels = soft_labels_from_assignments(assignments)[0].data
+        high = (labels.max(axis=1) >= cfg.tau)[:, None]
+        expected = np.where(high, eta * labels, (1.0 - eta) * labels)
+        assert np.max(np.abs(final - expected)) <= eta * alpha * (1 + math.sqrt(n))
+        labelled = dataset.labeled_mask
+        assert np.array_equal(final[labelled].argmax(axis=1), dataset.true_class[labelled])
+        for row, probabilities in predictions.items():
+            top2 = np.sort(probabilities)[-2:]
+            if top2[1] - top2[0] > gap:
+                assert final[row].argmax() == probabilities.argmax()
 
 
 class TestThresholdScheduler:
