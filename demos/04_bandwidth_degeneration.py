@@ -16,28 +16,27 @@ import numpy as np
 from pmlp import (
     PmlpConfig,
     assignments_from_dataset,
-    density_ratio,
+    density_ratio_sweep,
     gen_gaussian_blobs,
     run_classical_lpa,
     run_pmlp,
 )
 
+cfg = PmlpConfig(kde_support_n=45, neighbor_count=5, seed=7)
+
+# 200 random pairs over two blobs 8 apart, 150 rows each (seed 7).
+print("bandwidth       density ratio")
+for report in density_ratio_sweep(
+    bandwidths=(0.5, 5.0, 100.0, 1e6, 1e12), pairs=200, separation=8.0,
+    sigma=1.0, samples_per_cluster=150, cfg=cfg,
+):
+    print(f"  h = {report.bandwidth_h:>8g}   R = {report.density_ratio:.9f}")
+
+# The same two blobs, labelled once per blob.
 dataset = gen_gaussian_blobs(
     means=[[0.0, 0.0], [8.0, 0.0]], sigma=1.0, per_class=150,
     labeled_per_class=1, seed=7,
 )
-cfg = PmlpConfig(kde_support_n=45, neighbor_count=5, seed=7)
-
-rng = np.random.default_rng(8)
-n = dataset.features.n_rows
-left = rng.integers(0, n, 200)
-offset = 1 + rng.integers(0, n - 1, 200)
-pairs = np.column_stack([left, (left + offset) % n])
-
-print("bandwidth       density ratio")
-for h in (0.5, 5.0, 100.0, 1e6, 1e12):
-    ratio = density_ratio(dataset.features, pairs, replace(cfg, bandwidth_h=h))
-    print(f"  h = {h:>8g}   R = {ratio:.9f}")
 
 assignments = assignments_from_dataset(dataset)
 classical = run_classical_lpa(dataset.features, assignments, cfg)

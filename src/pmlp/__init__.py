@@ -49,10 +49,12 @@ from .propagate import (
 )
 from .synthlab import (
     ComparisonTrial,
+    DensityRatioReport,
     SeparationReport,
     SyntheticDataset,
     assignments_from_dataset,
     compare_pmlp_vs_lpa,
+    density_ratio_sweep,
     gen_gaussian_blobs,
     gen_two_moons,
     regenerate,
@@ -64,6 +66,7 @@ __all__ = [
     "ComparisonTrial",
     "ConfigError",
     "DataError",
+    "DensityRatioReport",
     "FeatureMatrix",
     "LabelAssignment",
     "NumericalError",
@@ -81,6 +84,7 @@ __all__ = [
     "compare_pmlp_vs_lpa",
     "default_neighbor_count",
     "density_ratio",
+    "density_ratio_sweep",
     "gen_gaussian_blobs",
     "gen_two_moons",
     "knn_edges",

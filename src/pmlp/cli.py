@@ -41,12 +41,12 @@ import contextlib
 import csv
 import dataclasses
 import datetime
+import errno
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,11 +63,11 @@ from .core import (
     count_classes,
     default_neighbor_count,
 )
-from .density import density_ratio
 from .propagate import run_pmlp
 from .synthlab import (
     assignments_from_dataset,
     compare_pmlp_vs_lpa,
+    density_ratio_sweep,
     gen_gaussian_blobs,
     gen_two_moons,
     separation_sweep,
@@ -178,16 +178,22 @@ DENSITY_RATIO_DEFAULTS = {
     "samples_per_cluster": HarnessParam(int, 150, "rows drawn per blob"),
     "config": {"kde_support_n": 45, "seed": 7},
 }
-# Harness subcommand -> (its table, its help).
+# Harness kind (its subcommand in kebab case) -> (table, help, plot CSV).
 _HARNESSES = {
     "theorem1": (
         THEOREM1_DEFAULTS,
         "fraction of cross-cluster paths crossing a low-density region",
+        "separation_sweep.csv",
     ),
-    "compare": (COMPARE_DEFAULTS, "density-aware vs classical propagation quality"),
-    "density-ratio": (
+    "compare": (
+        COMPARE_DEFAULTS,
+        "density-aware vs classical propagation quality",
+        "mode_comparison.csv",
+    ),
+    "density_ratio": (
         DENSITY_RATIO_DEFAULTS,
         "max/min path-density ratio across bandwidths",
+        "density_ratio_sweep.csv",
     ),
 }
 
@@ -365,9 +371,9 @@ def emit_features(path, features, assignments, fmt=None):
 
 
 def _read_truth(path, n_rows):
-    """The true class of every row, from a ``row_index,true_class`` CSV."""
+    """The true class of every row, from a ``row_index,true_class`` CSV;
+    each class is nonnegative, and a row listed twice repeats its class."""
     truth = np.full(n_rows, -1, dtype=int)
-    seen = np.zeros(n_rows, dtype=bool)
     with _reading(path) as handle:
         for line_no, record in enumerate(csv.reader(handle), start=1):
             if not record:
@@ -380,12 +386,17 @@ def _read_truth(path, n_rows):
                 row, cls = int(record[0]), int(record[1])
                 if not 0 <= row < n_rows:
                     raise DataError("row %d out of range" % row)
+                if cls < 0:
+                    raise DataError("row %d: true class %d is negative" % (row, cls))
+                if truth[row] not in (-1, cls):
+                    raise DataError(
+                        "row %d: true class %d, but %d earlier" % (row, cls, truth[row])
+                    )
             except ValueError as exc:  # a DataError, or a cell int() refuses
                 raise DataError("line %d: %s" % (line_no, exc)) from exc
             truth[row] = cls
-            seen[row] = True
-        if not seen.all():
-            raise DataError("%d rows have no true class" % int((~seen).sum()))
+        if np.any(truth < 0):
+            raise DataError("%d rows have no true class" % int(np.sum(truth < 0)))
     return truth
 
 
@@ -554,53 +565,24 @@ def _build_dataset(kind, params, seed):
 
 def run_harness_job(kind, out_dir, cfg, params):
     """Run one statistical harness; write report JSON, plot CSV, manifest."""
+    if kind not in _HARNESSES:
+        raise DataError("unknown harness kind: %r" % (kind,))
     os.makedirs(out_dir, exist_ok=True)
     if kind == "theorem1":
-        reports = separation_sweep(
-            separations=params["separations"],
-            sigma=params["sigma"],
-            samples_per_cluster=params["samples_per_cluster"],
-            pairs=params["pairs"],
-            tau_quantile=params["tau_quantile"],
-            cfg=cfg,
-            line_points=params["line_points"],
-        )
-        rows = [dataclasses.asdict(r) for r in reports]
-        csv_name = "separation_sweep.csv"
+        reports = separation_sweep(cfg=cfg, **params)
     elif kind == "compare":
         means = [[0.0, 0.0], [params["separation"], 0.0]]
         dataset = _build_dataset(params["dataset"], dict(params, means=means), cfg.seed)
-        records = compare_pmlp_vs_lpa(dataset, cfg, params["trials"])
-        rows = [dataclasses.asdict(r) for r in records]
-        csv_name = "mode_comparison.csv"
-    elif kind == "density_ratio":
-        dataset = gen_gaussian_blobs(
-            means=[[0.0, 0.0], [params["separation"], 0.0]],
-            sigma=params["sigma"],
-            per_class=params["samples_per_cluster"],
-            labeled_per_class=1,
-            seed=cfg.seed,
-        )
-        rng = np.random.default_rng(cfg.seed + 1)
-        n = dataset.features.n_rows
-        left = rng.integers(0, n, params["pairs"])
-        offset = 1 + rng.integers(0, n - 1, params["pairs"])
-        pairs = np.column_stack([left, (left + offset) % n])
-        rows = []
-        for h in params["bandwidths"]:
-            ratio = density_ratio(
-                dataset.features, pairs, replace(cfg, bandwidth_h=h)
-            )
-            rows.append({"bandwidth_h": float(h), "density_ratio": ratio})
-        csv_name = "density_ratio_sweep.csv"
+        reports = compare_pmlp_vs_lpa(dataset, cfg, params["trials"])
     else:
-        raise DataError("unknown harness kind: %r" % (kind,))
+        reports = density_ratio_sweep(cfg=cfg, **params)
+    rows = [dataclasses.asdict(r) for r in reports]
 
     # Every harness yields at least one row; its keys, in field order, head
     # the columns.
     return {
         "plot_data": _write_csv(
-            os.path.join(out_dir, csv_name),
+            os.path.join(out_dir, _HARNESSES[kind][2]),
             list(rows[0]),
             [row.values() for row in rows],
         ),
@@ -705,6 +687,13 @@ def _cmd_harness(args):
 def _cmd_generate(args):
     seed = PmlpConfig(**_collect_config_values(args)).seed
     dataset = _build_dataset(args.kind, _table_values(args), seed)
+    # Check each output path and its directory (the manifest's is --out's)
+    # before the first write, so that a run failing on one leaves no file.
+    for path in filter(None, (args.out, args.truth_out)):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     written = {
         "data": emit_features(
             args.out, dataset.features, assignments_from_dataset(dataset), args.format
@@ -754,8 +743,8 @@ def build_parser():
 
     harness = sub.add_parser("harness", help="statistical verification jobs")
     hsub = harness.add_subparsers(dest="harness_kind", required=True)
-    for command, (table, text) in _HARNESSES.items():
-        job = hsub.add_parser(command, help=text)
+    for kind, (table, text, _) in _HARNESSES.items():
+        job = hsub.add_parser(kind.replace("_", "-"), help=text)
         job.add_argument("--out-dir", required=True)
         _add_table_flags(job, table)
         _add_config_flags(job)

@@ -8,6 +8,7 @@ entries, so no stage holds an N x N array. The file loaders enforce a
 ceiling of 20,000 rows.
 """
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -214,72 +215,21 @@ class SoftLabelMatrix:
         return "SoftLabelMatrix(rows=%d, classes=%d)" % (self.rows, self.classes)
 
 
-def _check_entries(n, rows, cols, values):
-    """Reject entries off the n x n grid, on its diagonal, or not finite
-    and nonnegative."""
-    if rows.size and (
-        min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n
-    ):
-        raise DataError("affinity matrix index out of range")
-    if np.any(rows == cols):
-        raise DataError("affinity matrix diagonal must be exactly zero")
-    if not np.all(np.isfinite(values)):
-        raise DataError("affinity matrix contains non-finite entries")
-    if np.any(values < 0):
-        raise DataError("affinity matrix contains negative entries")
-
-
 class AffinityMatrix:
     """A symmetric nonnegative sparse matrix in CSR form, without self loops.
 
-    Row i stores the columns ``indices[indptr[i]:indptr[i + 1]]`` in strictly
-    ascending order and their weights at the same positions of ``data``.
-    Every stored entry has a stored mirror image whose weight agrees within
-    ``SYMMETRY_TOL``; a stored weight may be zero, and a row may be empty.
-    The constructor checks all of this on CSR arrays it copies;
-    ``from_pairs`` and ``scaled`` build matrices symmetric by construction.
-    Every array is read-only.
+    ``AffinityMatrix(size, first, second, values)`` holds each value at
+    (first, second) and at its mirror (second, first), so the matrix is
+    symmetric by construction. The unordered pairs must be distinct and
+    join two distinct rows of [0, size), and the values must be finite and
+    nonnegative; a value may be zero, and a row may be empty.
+
+    Row i stores the columns ``indices[indptr[i]:indptr[i + 1]]`` in
+    strictly ascending order and their weights at the same positions of
+    ``data``. Every array is read-only.
     """
 
-    SYMMETRY_TOL = 1e-9
-
-    def __init__(self, indptr, indices, data):
-        indptr = np.array(indptr, dtype=np.intp)
-        indices = np.array(indices, dtype=np.intp)
-        data = np.array(data, dtype=float)
-        if indptr.ndim != 1 or indptr.size < 1 or indices.ndim != 1:
-            raise DataError("affinity matrix needs 1-D indptr and indices arrays")
-        if data.shape != indices.shape:
-            raise DataError("affinity matrix data and indices differ in length")
-        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
-            raise DataError("affinity matrix indptr must rise from 0 to the entries")
-        n = indptr.size - 1
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        _check_entries(n, rows, indices, data)
-        keys = rows * n + indices
-        if np.any(np.diff(keys) <= 0):
-            raise DataError("affinity matrix columns must ascend strictly in each row")
-        mirror_keys = indices * n + rows
-        mirror = np.argsort(mirror_keys)
-        if not np.array_equal(mirror_keys[mirror], keys) or (
-            data.size and np.max(np.abs(data[mirror] - data)) > self.SYMMETRY_TOL
-        ):
-            raise DataError("affinity matrix is not symmetric")
-        self._set(indptr, indices, data)
-
-    def _set(self, indptr, indices, data):
-        self._indptr = _frozen(indptr)
-        self._indices = _frozen(indices)
-        self._data = _frozen(data)
-
-    @classmethod
-    def from_pairs(cls, size, first, second, values):
-        """The matrix holding each value at (first, second) and its mirror.
-
-        Symmetric by construction: the unordered pairs must be distinct
-        and join two distinct rows of [0, size), and the values must be
-        finite and nonnegative.
-        """
+    def __init__(self, size, first, second, values):
         first = np.asarray(first, dtype=np.intp)
         second = np.asarray(second, dtype=np.intp)
         values = np.asarray(values, dtype=float)
@@ -287,18 +237,23 @@ class AffinityMatrix:
             raise DataError("pairs and values must be 1-D arrays of one length")
         rows = np.concatenate([first, second])
         cols = np.concatenate([second, first])
-        _check_entries(size, rows, cols, values)
+        if rows.size and (rows.min() < 0 or rows.max() >= size):
+            raise DataError("affinity matrix index out of range")
+        if np.any(first == second):
+            raise DataError("affinity matrix diagonal must be exactly zero")
+        if not np.all(np.isfinite(values)):
+            raise DataError("affinity matrix contains non-finite entries")
+        if np.any(values < 0):
+            raise DataError("affinity matrix contains negative entries")
         keys = rows * size + cols
         order = np.argsort(keys)
         if np.any(np.diff(keys[order]) == 0):
             raise DataError("affinity matrix pairs repeat")
-        matrix = cls.__new__(cls)
-        matrix._set(
-            np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))]),
-            cols[order],
-            np.concatenate([values, values])[order],
+        self._indptr = _frozen(
+            np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
         )
-        return matrix
+        self._indices = _frozen(cols[order])
+        self._data = _frozen(np.concatenate([values, values])[order])
 
     def scaled(self, factors):
         """D W D for D = diag(factors): entry (i, j) times factors[i] * factors[j].
@@ -314,8 +269,9 @@ class AffinityMatrix:
         data = row_factors * factors[self._indices] * self._data
         if not np.all(np.isfinite(data)):
             raise DataError("affinity matrix contains non-finite entries")
-        matrix = AffinityMatrix.__new__(AffinityMatrix)
-        matrix._set(self._indptr, self._indices, data)
+        # The copy shares the pattern, checked and sorted on construction.
+        matrix = copy.copy(self)
+        matrix._data = _frozen(data)
         return matrix
 
     @property
@@ -385,8 +341,11 @@ class PmlpConfig:
         solve whose step cap passes 100,000 (alpha within a few 1e-7 of 1)
         raises NumericalError before it starts.
     eta
-        Mixing weight between the propagated labels and the retained
-        low-confidence predictions.
+        Mixing weight, in (0, 1], of the propagated labels against the
+        retained low-confidence predictions. Only low-confidence rows carry
+        those, so eta = 0 would zero every other row. Mixing over all rows
+        would make eta = 0 pseudo-labeling, but would change every output
+        for eta in (0, 1) and no longer match ``perfbench/oracle.py``.
     tau
         Confidence threshold separating high- from low-confidence rows.
     bandwidth_h
@@ -449,8 +408,8 @@ def validate_config(cfg):
             raise ConfigError(field.name, "must be %s, not %r" % (words, value))
     if not (0.0 < cfg.alpha < 1.0):
         raise ConfigError("alpha", "must lie strictly inside (0, 1)")
-    if not (0.0 <= cfg.eta <= 1.0):
-        raise ConfigError("eta", "must lie in [0, 1]")
+    if not (0.0 < cfg.eta <= 1.0):
+        raise ConfigError("eta", "must lie in (0, 1]")
     if not (0.0 < cfg.tau <= 1.0):
         raise ConfigError("tau", "must lie in (0, 1]")
     if not (cfg.bandwidth_h > 0.0):

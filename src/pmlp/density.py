@@ -68,6 +68,9 @@ def _nearest_rows(queries, pool, count, exclude=None):
     radius = np.sqrt(pool_sq.max())
     slack = 4 * (dim + 4) * np.finfo(float).eps
     block = max(1, _CHUNK_ELEMENTS // (2 * n + width * dim))
+    # One screen buffer serves every block, and each block frees its
+    # partition order, so only one block's large arrays are ever alive.
+    screen_rows = np.empty((min(block, queries.shape[0]), n))
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
         skip = None if exclude is None else exclude[start : start + block]
@@ -75,7 +78,7 @@ def _nearest_rows(queries, pool, count, exclude=None):
         # affected queries to the exact rule.
         with np.errstate(over="ignore", invalid="ignore"):
             q_sq = np.einsum("ij,ij->i", q, q)
-            screen = q @ pool.T
+            screen = np.matmul(q, pool.T, out=screen_rows[: q.shape[0]])
             screen *= -2.0
             screen += pool_sq
             screen += q_sq[:, None]
@@ -99,6 +102,7 @@ def _nearest_rows(queries, pool, count, exclude=None):
             indices[start + rows], dist2[start + rows] = _rank_all(
                 q[rows], pool, count, None if skip is None else skip[rows]
             )
+        del part
     return indices, dist2
 
 

@@ -108,7 +108,7 @@ def build_affinity(features, edges, cfg):
         values = values * batch_path_density_info(
             features, np.column_stack([iu, ju]), cfg
         )
-    return AffinityMatrix.from_pairs(n, iu, ju, weight * values)
+    return AffinityMatrix(n, iu, ju, weight * values)
 
 
 def normalize_symmetric(affinity):

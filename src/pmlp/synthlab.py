@@ -1,11 +1,14 @@
 """Seeded synthetic datasets and the statistical verification harnesses.
 
-Two checks live here besides the generators. The separation sweep grows
+Three checks live here besides the generators, one per ``pmlp harness``
+job, each returning a list of report rows. The separation sweep grows
 the distance between two Gaussian clusters and measures how often the
 straight line between cross-cluster samples dips below a low-density
 threshold; the fraction should rise toward one as the clusters separate,
 and so should the fraction of the line spent below the threshold. The
-mode comparison runs the density-aware and classical pipelines over
+density-ratio sweep takes the max/min path-density ratio of fixed row
+pairs per bandwidth, which should fall toward one as the bandwidth grows.
+The mode comparison runs the density-aware and classical pipelines over
 freshly sampled datasets and reports pseudo-label quality side by side.
 
 Every generator is a pure function of its parameters and seed, and every
@@ -17,15 +20,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import MODES, DataError, FeatureMatrix, LabelAssignment
-from .density import batch_normalized_density
+from .density import _pair_point_densities, batch_normalized_density, density_ratio
 from .propagate import run_pmlp
 
 __all__ = [
     "ComparisonTrial",
+    "DensityRatioReport",
     "SeparationReport",
     "SyntheticDataset",
     "assignments_from_dataset",
     "compare_pmlp_vs_lpa",
+    "density_ratio_sweep",
     "gen_gaussian_blobs",
     "gen_two_moons",
     "regenerate",
@@ -230,13 +235,11 @@ def separation_sweep(
         rng = np.random.default_rng(cfg.seed + 1000 + index)
         left = rng.integers(0, samples_per_cluster, pairs)
         right = samples_per_cluster + rng.integers(0, samples_per_cluster, pairs)
-        fracs = np.arange(1, line_points + 1) / (line_points + 1)
-        a = features.data[left][:, None, :]
-        b = features.data[right][:, None, :]
-        queries = (a + fracs[None, :, None] * (b - a)).reshape(-1, features.dim)
-        density = batch_normalized_density(
-            queries, features, cfg.kde_support_n, cfg.bandwidth_h
-        ).reshape(pairs, line_points)
+        density = _pair_point_densities(
+            features,
+            np.column_stack([left, right]),
+            replace(cfg, path_points_k=line_points),
+        )
 
         below = density <= tau_density
         reports.append(
@@ -248,6 +251,45 @@ def separation_sweep(
             )
         )
     return reports
+
+
+@dataclass(frozen=True)
+class DensityRatioReport:
+    """One row of the density-ratio sweep: ``density.density_ratio`` of the
+    sweep's pairs at kernel bandwidth ``bandwidth_h``."""
+
+    bandwidth_h: float
+    density_ratio: float
+
+
+def density_ratio_sweep(bandwidths, pairs, separation, sigma, samples_per_cluster, cfg):
+    """One report per bandwidth, in order, over one fixed sample of pairs.
+
+    Two Gaussian blobs ``separation`` apart are drawn with seed cfg.seed,
+    then ``pairs`` row pairs with seed cfg.seed + 1: a uniform first row
+    and a second uniform over the other rows, so no pair is a self loop.
+    """
+    dataset = gen_gaussian_blobs(
+        means=[[0.0, 0.0], [separation, 0.0]],
+        sigma=sigma,
+        per_class=samples_per_cluster,
+        labeled_per_class=1,
+        seed=cfg.seed,
+    )
+    rng = np.random.default_rng(cfg.seed + 1)
+    n = dataset.features.n_rows
+    left = rng.integers(0, n, pairs)
+    offset = 1 + rng.integers(0, n - 1, pairs)
+    row_pairs = np.column_stack([left, (left + offset) % n])
+    return [
+        DensityRatioReport(
+            bandwidth_h=float(h),
+            density_ratio=density_ratio(
+                dataset.features, row_pairs, replace(cfg, bandwidth_h=h)
+            ),
+        )
+        for h in bandwidths
+    ]
 
 
 @dataclass(frozen=True)

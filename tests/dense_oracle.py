@@ -1,9 +1,10 @@
 """Dense reference for the sparse graph and the closed-form solve.
 
-``affinity_from_dense`` turns a hand-written square matrix into the
-library's CSR ``AffinityMatrix`` (every entry that is nonzero in the matrix
-or its transpose is stored, so the type's own checks see asymmetry, self
-loops and negative weights), and ``to_dense`` turns one back.
+``affinity_from_dense`` turns a hand-written symmetric matrix into the
+library's CSR ``AffinityMatrix``: one pair per nonzero entry of the upper
+triangle, the diagonal included, so the type's own checks see self loops
+and negative weights. ``upper_pairs`` lists a matrix's pairs the same way,
+and ``to_dense`` turns a matrix back into a dense one.
 ``complete_edges`` lists every pair of rows in both directions, the edges
 of the all-pairs graphs that small hand-checked tests build.
 ``solve_dense`` is the direct LU solve of (I - alpha * S) Y = Y_high that
@@ -17,11 +18,19 @@ from pmlp.core import AffinityMatrix
 
 
 def affinity_from_dense(matrix):
-    """The CSR AffinityMatrix holding a dense square matrix."""
+    """The AffinityMatrix holding a symmetric dense square matrix."""
     matrix = np.asarray(matrix, dtype=float)
-    rows, cols = np.nonzero((matrix != 0) | (matrix.T != 0))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(matrix)))])
-    return AffinityMatrix(indptr, cols, matrix[rows, cols])
+    assert np.array_equal(matrix, matrix.T), "the dense matrix is not symmetric"
+    first, second = np.nonzero(np.triu(matrix != 0))
+    return AffinityMatrix(len(matrix), first, second, matrix[first, second])
+
+
+def upper_pairs(affinity):
+    """The (first, second, values) of an AffinityMatrix's entries above the
+    diagonal, from which its constructor builds the same matrix."""
+    rows = np.repeat(np.arange(affinity.size), np.diff(affinity.indptr))
+    upper = rows < affinity.indices
+    return rows[upper], affinity.indices[upper], affinity.data[upper]
 
 
 def complete_edges(n):

@@ -373,12 +373,22 @@ class TestExitCodes:
         assert payload["error"]["code"] == "data"
 
     @pytest.mark.parametrize(
-        "case", ["csv_label_of_strings", "not_utf8", "directory", "missing_truth"]
+        "case",
+        ["csv_label_of_strings", "not_utf8", "directory", "missing_truth",
+         "truth_negative_class", "truth_conflicting_repeat"],
     )
     def test_unreadable_input_is_a_data_error(self, tmp_path, case):
         data, truth = generate_blobs(tmp_path)
         line = None
-        if case == "csv_label_of_strings":
+        if case.startswith("truth_"):
+            lines = truth.read_text().splitlines()  # a header, then rows 0..59
+            if case == "truth_negative_class":
+                lines[3], line = "2,-1", 4  # was counted as a miss
+            else:
+                lines.append("2,1")  # row 2 is class 0; the last line won
+                line = len(lines)
+            truth.write_text("\n".join(lines) + "\n")
+        elif case == "csv_label_of_strings":
             data, line = write(tmp_path / "s.csv", '1.0,2.0,"[""a"", 1]"\n'), 1
         elif case == "not_utf8":
             data = tmp_path / "latin.csv"
@@ -388,7 +398,7 @@ class TestExitCodes:
             data.mkdir()
         else:
             truth = tmp_path / "missing_truth.csv"
-        named = truth if case == "missing_truth" else data
+        named = truth if "truth" in case else data
         out = tmp_path / "out"
         code = main(
             ["label", "--input", str(data), "--truth", str(truth), "--out-dir", str(out)]
@@ -405,21 +415,24 @@ class TestExitCodes:
         [
             "generate --kind two-moons --out {missing}/d.csv",
             "generate --kind two-moons --out {tmp}/d.csv --truth-out {missing}/t.csv",
+            "generate --kind two-moons --out {tmp}/d.csv --truth-out {dir}",
             # The out dir is made before the input is read.
             "label --input {missing}/d.csv --out-dir {file}",
             "harness density-ratio --out-dir {file}",
         ],
-        ids=["out", "truth_out", "label_out_dir", "harness_out_dir"],
+        ids=["out", "truth_out", "truth_out_dir", "label_out_dir", "harness_out_dir"],
     )
     def test_unwritable_output_is_a_data_error(self, tmp_path, capsys, command):
         taken, missing = tmp_path / "taken", tmp_path / "missing"
+        folder = tmp_path / "dir"
         taken.write_text("")
-        argv = command.format(tmp=tmp_path, missing=missing, file=taken).split()
-        assert main(argv) == 2
-        named = taken if "{file}" in command else missing
+        folder.mkdir()
+        argv = command.format(tmp=tmp_path, missing=missing, file=taken, dir=folder)
+        assert main(argv.split()) == 2
+        named = {"{file}": taken, "{dir}": folder}.get(command.split()[-1], missing)
         assert "cannot write %s" % named in capsys.readouterr().err
         assert taken.read_text() == ""
-        assert not missing.exists()
+        assert sorted(os.listdir(tmp_path)) == ["dir", "taken"]  # no output is left
 
     def test_config_error_is_one(self, tmp_path):
         data, _ = generate_blobs(tmp_path)

@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from pmlp.core import PmlpConfig
+from pmlp.core import AffinityMatrix, PmlpConfig
 from pmlp.graph import build_affinity
 from pmlp.propagate import propagate_closed_form
 
@@ -69,3 +69,11 @@ def test_removed_solver_knob_stays_gone():
         "edges",
         "cfg",
     ]
+
+
+def test_affinity_matrix_has_one_constructor():
+    # Built from pairs only: no CSR-array constructor, from_pairs or SYMMETRY_TOL.
+    parameters = inspect.signature(AffinityMatrix).parameters
+    assert list(parameters) == ["size", "first", "second", "values"]
+    assert not hasattr(AffinityMatrix, "from_pairs")
+    assert not hasattr(AffinityMatrix, "SYMMETRY_TOL")

@@ -178,8 +178,8 @@ class TestNormalizeSymmetric:
             normalize_symmetric(W)
 
     def test_zero_weight_row_is_isolated(self):
-        # Row 2 stores its two edges with weight zero.
-        W = AffinityMatrix([0, 2, 3, 4], [1, 2, 0, 0], [1.0, 0.0, 1.0, 0.0])
+        # Row 2 stores its one edge, to row 0, with weight zero.
+        W = AffinityMatrix(3, [0, 0], [1, 2], [1.0, 0.0])
         with pytest.raises(NumericalError, match="row 2"):
             normalize_symmetric(W)
 

@@ -32,7 +32,7 @@ from pmlp.propagate import (
 )
 from pmlp.synthlab import assignments_from_dataset, gen_gaussian_blobs, gen_two_moons
 
-from dense_oracle import affinity_from_dense, solve_dense, to_dense
+from dense_oracle import affinity_from_dense, solve_dense, to_dense, upper_pairs
 from iterative_oracle import propagate_iterative
 
 
@@ -219,7 +219,7 @@ def sparse_graphs(draw):
         unlabelled += [not mass.any()] * size
         start += size
     first, second = np.array(pairs).T
-    W = AffinityMatrix.from_pairs(start, first, second, np.array(weights))
+    W = AffinityMatrix(start, first, second, np.array(weights))
     return W, SoftLabelMatrix(np.vstack(labels)), np.array(unlabelled)
 
 
@@ -274,7 +274,7 @@ class TestSparseSolve:
         # mass can walk 299 hops; the far end's exact mass is near 1e-91.
         n = 300
         rows = np.arange(n - 1)
-        S = normalize_symmetric(AffinityMatrix.from_pairs(n, rows, rows + 1, np.ones(n - 1)))
+        S = normalize_symmetric(AffinityMatrix(n, rows, rows + 1, np.ones(n - 1)))
         Y = np.zeros((n, 2))
         Y[0, 0], Y[1, 1] = 1.0, 0.5
         result, steps, _ = propagate_closed_form(S, SoftLabelMatrix(Y), 0.8)
@@ -297,7 +297,7 @@ class TestSparseSolve:
         chain = np.column_stack([rows, rows + 1])
         pairs = np.unique(np.sort(np.vstack([chain, extra]), axis=1), axis=0)
         weights = rng.random(len(pairs)) + 0.1
-        W = AffinityMatrix.from_pairs(n, pairs[:, 0], pairs[:, 1], weights)
+        W = AffinityMatrix(n, pairs[:, 0], pairs[:, 1], weights)
         S = normalize_symmetric(W)
         Y = SoftLabelMatrix(np.eye(3)[rng.integers(0, 3, n)])
         got = propagate_closed_form(S, Y, 0.999)[0].data
@@ -389,7 +389,8 @@ class TestRunPmlp:
         W = build_affinity(dataset.features, edges, PIPE_CFG)
         high = SoftLabelMatrix(np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None])
         base, _, _ = propagate_closed_form(normalize_symmetric(W), high, PIPE_CFG.alpha)
-        scaled_W = AffinityMatrix(W.indptr, W.indices, 10.0 * W.data)
+        first, second, values = upper_pairs(W)
+        scaled_W = AffinityMatrix(W.size, first, second, 10.0 * values)
         scaled, _, _ = propagate_closed_form(normalize_symmetric(scaled_W), high, PIPE_CFG.alpha)
         assert np.array_equal(base.data.argmax(axis=1), scaled.data.argmax(axis=1))
         assert np.max(np.abs(base.data - scaled.data)) < 1e-9

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from pmlp import synthlab
 from pmlp.core import DataError, PmlpConfig
+from pmlp.density import density_ratio
 from pmlp.synthlab import (
     assignments_from_dataset,
     compare_pmlp_vs_lpa,
+    density_ratio_sweep,
     gen_gaussian_blobs,
     gen_two_moons,
     regenerate,
@@ -140,6 +143,33 @@ class TestSeparationSweep:
                 [2.0], sigma=1.0, samples_per_cluster=50, pairs=10,
                 tau_quantile=1.0, cfg=SWEEP_CFG,
             )
+
+
+class TestDensityRatioSweep:
+    def test_one_pair_sample_per_bandwidth_in_order(self, monkeypatch):
+        calls = []
+
+        def spy(features, pairs, cfg):
+            calls.append((features, pairs, cfg))
+            return density_ratio(features, pairs, cfg)
+
+        monkeypatch.setattr(synthlab, "density_ratio", spy)
+        cfg = PmlpConfig(kde_support_n=20, seed=3)
+        reports = density_ratio_sweep((50.0, 2.0, 9.0), 200, 5.0, 1.0, 20, cfg)
+        assert [r.bandwidth_h for r in reports] == [50.0, 2.0, 9.0]
+        features, pairs, _ = calls[0]
+        # 200 pairs over 40 rows: two independent draws per pair would join
+        # some row to itself with probability above 0.99.
+        assert features.n_rows == 40 and pairs.shape == (200, 2)
+        assert np.all(pairs[:, 0] != pairs[:, 1])
+        assert pairs.min() >= 0 and pairs.max() < 40
+        # The first rows come from the documented seed, cfg.seed + 1.
+        first = np.random.default_rng(cfg.seed + 1).integers(0, 40, 200)
+        assert np.array_equal(pairs[:, 0], first)
+        for report, (_, same_pairs, used) in zip(reports, calls):
+            assert used.bandwidth_h == report.bandwidth_h
+            assert np.array_equal(same_pairs, pairs)
+            assert report.density_ratio == density_ratio(features, pairs, used)
 
 
 class TestCompare:
