@@ -13,8 +13,6 @@ Writes demo output CSV (point, true class, both predictions) next to it.
 import csv
 import os
 
-import numpy as np
-
 from pmlp import (
     PmlpConfig,
     assignments_from_dataset,

@@ -34,6 +34,7 @@ from .density import (
 from .graph import (
     build_affinity,
     knn_edges,
+    neighbor_lists,
     normalize_symmetric,
 )
 from .propagate import (
@@ -89,6 +90,7 @@ __all__ = [
     "gen_two_moons",
     "knn_edges",
     "mix_final",
+    "neighbor_lists",
     "normalize_symmetric",
     "propagate_closed_form",
     "regenerate",

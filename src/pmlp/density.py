@@ -14,6 +14,16 @@ candidates on direct-difference distances with ties toward the lower row
 index. A query whose cut the screen cannot prove is ranked over all rows,
 so the result never depends on BLAS rounding or thread count.
 
+A path point lies between its two endpoint rows, so its supports are
+usually among the endpoints' own nearest rows. ``_listed_rows`` ranks each
+point's supports among its endpoints and their m-lists (each endpoint's m
+nearest other rows, from one ``_nearest_rows`` pass that ``run_pmlp``
+shares with the kNN edges) and proves the result with the triangle
+inequality: a row outside an endpoint e's list lies at least r_m(e), the
+distance to e's m-th row, from e, and so at least r_m(e) - ||q - e|| from
+the point q. Points the bound cannot prove go to ``_nearest_rows``, so the
+output is the same either way.
+
 All operations are pure; per-pair computations are independent and may run
 in any order without changing the result.
 """
@@ -30,9 +40,9 @@ __all__ = [
 
 # Element budget for the transient arrays of one query block: its screening
 # distances and their partition order (queries x rows each), its gathered
-# candidates (queries x candidates x dim), or, for queries ranked over all
-# rows, their (queries x rows x dim) differences. Keeps each block near
-# 64 MB of float64.
+# candidates (queries x candidates x dim) with their rows, distances and
+# order, or, for queries ranked over all rows, their (queries x rows x dim)
+# differences. Keeps each block near 64 MB of float64.
 _CHUNK_ELEMENTS = 8_000_000
 
 # Candidates the screen keeps beyond the requested count. Any margin >= 1
@@ -57,6 +67,10 @@ def _nearest_rows(queries, pool, count, exclude=None):
     when the first row screened out lies more than 2 * bound past the
     ``count``-th, no row outside the candidates can rank inside the count.
     Queries that fail this test are ranked over all rows.
+
+    Callers: ``graph`` for each row's nearest-row list (self excluded),
+    ``batch_normalized_density`` for queries with no endpoint rows, and
+    ``_listed_rows`` for the path points its list proof leaves open.
     """
     n, dim = pool.shape
     width = count + _SCREEN_MARGIN
@@ -106,14 +120,19 @@ def _nearest_rows(queries, pool, count, exclude=None):
     return indices, dist2
 
 
-def _rank(queries, pool, candidates, count):
-    """Rank each query's candidate rows by (direct distance, row index)."""
+def _distances(queries, pool, candidates):
+    """Direct squared distance from each query to each of its candidate rows."""
     # (x - q) ** 2 equals (q - x) ** 2 bit for bit; working in place keeps
     # one (queries x candidates x dim) array alive.
     diff = pool[candidates]
     diff -= queries[:, None, :]
     np.square(diff, out=diff)
-    dist2 = diff.sum(axis=2)
+    return diff.sum(axis=2)
+
+
+def _rank(queries, pool, candidates, count):
+    """Rank each query's candidate rows by (direct distance, row index)."""
+    dist2 = _distances(queries, pool, candidates)
     order = np.lexsort((candidates, dist2), axis=1)[:, :count]
     return (
         np.take_along_axis(candidates, order, axis=1),
@@ -146,7 +165,108 @@ def _rank_all(queries, pool, count, exclude):
     return indices, dist2
 
 
-def batch_normalized_density(queries, features, n, h):
+def _list_length(support_n, n_rows):
+    """Length m of the endpoint lists that prove ``support_n`` supports.
+
+    Twice the supports, plus the two endpoints, leaves room for a path
+    point's supports to lie past either endpoint's list: on two moons
+    this proved over 99% of the kNN-edge midpoints at 15 and 45 supports.
+    """
+    return min(2 * support_n + 2, n_rows - 1)
+
+
+def _listed_rows(queries, pool, count, ends, lists):
+    """``_nearest_rows(queries, pool, count)``, proven from endpoint lists.
+
+    ``ends`` is a (Q, a) array of pool rows near each query (a path
+    point's endpoints). ``lists`` is (indices, squared distances), each
+    (pool rows, m): every row's m nearest other rows as ``_nearest_rows``
+    ranks them with the row itself excluded. If None, it is computed for
+    the rows in ``ends`` alone.
+
+    A query's candidates are its ends and their lists, duplicates
+    removed, ranked by (direct distance, row index). Let d_n be the
+    distance of the ``count``-th candidate. A row x outside an end e's
+    list has ||x - e|| >= r_m(e), e's distance to its m-th row, and so
+    ||x - q|| >= r_m(e) - ||q - e||; when that exceeds d_n for some end,
+    no such row can rank inside the count. On floats, a direct squared
+    distance is within (dim + 2) eps / 2 of the exact one relative, plus
+    the smallest normal number absolute, so the test widens each root
+    toward the failing side by ``2 (dim + 4) eps``, which also covers its
+    own few roundings. A non-finite distance proves nothing; lists that
+    cover every row (m >= pool rows - 1) need no bound.
+
+    Queries are taken in blocks whose candidate arrays fill at most half
+    of ``_CHUNK_ELEMENTS``: the heap may keep their pages when the
+    fallback's screen is allocated after them. Where distances concentrate
+    (high d) the bound proves almost nothing, so once a block proves fewer
+    than half of its queries, the rest skip the candidates; the first
+    block is an eighth of the others, so that is all such inputs waste.
+    Every unproven query is ranked by ``_nearest_rows``: the rule changes
+    the time, never the result.
+    """
+    n, dim = pool.shape
+    if lists is None:
+        rows, slots = np.unique(ends, return_inverse=True)
+        lists = _nearest_rows(pool[rows], pool, _list_length(count, n), rows)
+        slots = slots.reshape(ends.shape)
+    else:
+        slots = ends
+    list_rows, list_d2 = lists
+    covers = list_rows.shape[1] >= n - 1
+    width = ends.shape[1] * (list_rows.shape[1] + 1)
+    slack = 2 * (dim + 4) * np.finfo(float).eps
+    tiny = np.finfo(float).tiny
+    # r_m(e), rounded down; 0, which proves nothing, where it is not finite.
+    with np.errstate(invalid="ignore"):
+        reach = np.sqrt(list_d2[:, -1] - tiny) * (1 - slack)
+    reach[~np.isfinite(reach)] = 0.0
+    indices = np.empty((queries.shape[0], count), dtype=np.intp)
+    dist2 = np.empty((queries.shape[0], count))
+    unproven = []
+    block = max(1, _CHUNK_ELEMENTS // (2 * width * (dim + 4)))
+    stop = 0
+    # Fewer candidates than supports (short lists) prove nothing.
+    while stop < queries.shape[0] and width >= count:
+        start, stop = stop, stop + (block if stop else max(1, block // 8))
+        q, end, slot = queries[start:stop], ends[start:stop], slots[start:stop]
+        # Candidates in row order, so a stable sort of their distances
+        # breaks ties toward the lower row; a repeated row sorts last.
+        candidates = np.concatenate(
+            [end, list_rows[slot].reshape(q.shape[0], -1)], axis=1
+        )
+        candidates.sort(axis=1)
+        d2 = _distances(q, pool, candidates)
+        d2[:, 1:][candidates[:, 1:] == candidates[:, :-1]] = np.inf
+        order = np.argsort(d2, axis=1, kind="stable")[:, :count]
+        best = np.take_along_axis(d2, order, axis=1)
+        proven = np.isfinite(best[:, -1])
+        if not covers:
+            with np.errstate(over="ignore", invalid="ignore"):
+                # ||q - e|| and d_n, rounded up.
+                near = np.sqrt(_distances(q, pool, end) + tiny)
+                near += np.sqrt(best[:, -1:] + tiny)
+                near *= 1 + slack
+                proven &= np.any(near < reach[slot], axis=1)
+        rows = np.flatnonzero(proven)
+        indices[start + rows] = np.take_along_axis(candidates, order, axis=1)[rows]
+        dist2[start + rows] = best[rows]
+        unproven.append(start + np.flatnonzero(~proven))
+        if 2 * rows.size < q.shape[0]:
+            break
+    unproven.append(np.arange(stop, queries.shape[0]))
+    unproven = np.concatenate(unproven)
+    if unproven.size == queries.shape[0]:
+        # No copy of the queries, no second result (high d).
+        return _nearest_rows(queries, pool, count)
+    if unproven.size:
+        indices[unproven], dist2[unproven] = _nearest_rows(
+            queries[unproven], pool, count
+        )
+    return indices, dist2
+
+
+def batch_normalized_density(queries, features, n, h, ends=None, lists=None):
     """Normalized exponential-kernel density at each row of ``queries``.
 
     For a query q with supports s_1..s_n, its ``n`` nearest feature rows
@@ -156,6 +276,11 @@ def batch_normalized_density(queries, features, n, h):
     lies in (0, 1] apart from underflow at extreme distances: exactly 1
     when every support coincides with q, and tending to 1 as h grows,
     which is why huge bandwidths erase all density information.
+
+    ``ends``, if given, is a (Q, a) array of feature rows near each query,
+    such as a path point's two endpoints, and ``lists`` may give every
+    row's nearest-row list (``graph.neighbor_lists``). The supports are
+    then found by ``_listed_rows``. This changes the time, never the value.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -172,7 +297,19 @@ def batch_normalized_density(queries, features, n, h):
     if not h > 0:
         raise DataError("bandwidth h must be positive")
 
-    _, d2 = _nearest_rows(queries, features.data, n)
+    if ends is None:
+        _, d2 = _nearest_rows(queries, features.data, n)
+    else:
+        ends = np.asarray(ends, dtype=np.intp)
+        if ends.ndim != 2 or ends.shape[0] != queries.shape[0] or ends.shape[1] < 1:
+            raise DataError("ends must hold one row of feature indices per query")
+        if np.any(ends < 0) or np.any(ends >= features.n_rows):
+            raise DataError("end row index out of range")
+        if lists is not None and (
+            lists[0].shape[0] != features.n_rows or lists[0].shape[1] < 1
+        ):
+            raise DataError("lists must hold a nonempty list per feature row")
+        _, d2 = _listed_rows(queries, features.data, n, ends, lists)
     return np.mean(np.exp(-d2 / h), axis=1)
 
 
@@ -194,7 +331,7 @@ def _canonical_pairs(features, pairs):
     return features, np.sort(pairs, axis=1)
 
 
-def _pair_point_densities(features, pairs, cfg):
+def _pair_point_densities(features, pairs, cfg, lists=None):
     """Normalized densities at the path points of canonical pairs: (n_pairs, k)."""
     lo, hi = pairs[:, 0], pairs[:, 1]
     k = int(cfg.path_points_k)
@@ -203,12 +340,17 @@ def _pair_point_densities(features, pairs, cfg):
     b = features.data[hi][:, None, :]
     points = a + fracs[None, :, None] * (b - a)
     dens = batch_normalized_density(
-        points.reshape(-1, features.dim), features, cfg.kde_support_n, cfg.bandwidth_h
+        points.reshape(-1, features.dim),
+        features,
+        cfg.kde_support_n,
+        cfg.bandwidth_h,
+        np.repeat(pairs, k, axis=0),
+        lists,
     )
     return dens.reshape(pairs.shape[0], k)
 
 
-def batch_path_density_info(features, pairs, cfg):
+def batch_path_density_info(features, pairs, cfg, lists=None):
     """Density factor of each row pair (i, j): one value in [0, 1] per pair.
 
     The k = cfg.path_points_k interior points x_i + (l / (k + 1)) (x_j - x_i),
@@ -218,9 +360,11 @@ def batch_path_density_info(features, pairs, cfg):
     bandwidth cfg.bandwidth_h, and cfg.aggregator collapses a pair's k
     values: "min", "max", "avg", or "quantile" (linear interpolation at
     cfg.quantile_t). Pairs are put in (low, high) order first, so the
-    factor is exactly symmetric in (i, j).
+    factor is exactly symmetric in (i, j). ``lists``, every row's
+    nearest-row list from ``graph.neighbor_lists``, saves computing the
+    endpoints' lists again; it does not change the result.
     """
-    values = _pair_point_densities(*_canonical_pairs(features, pairs), cfg)
+    values = _pair_point_densities(*_canonical_pairs(features, pairs), cfg, lists)
     if cfg.aggregator == "min":
         return values.min(axis=1)
     if cfg.aggregator == "max":

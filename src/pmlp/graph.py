@@ -12,12 +12,13 @@ constant leaves the normalized matrix unchanged.
 import numpy as np
 
 from .core import AffinityMatrix, DataError, FeatureMatrix, NumericalError
-from .density import _nearest_rows, batch_path_density_info
+from .density import _list_length, _nearest_rows, batch_path_density_info
 
 __all__ = [
     "EPS_DISTANCE",
     "build_affinity",
     "knn_edges",
+    "neighbor_lists",
     "normalize_symmetric",
 ]
 
@@ -26,24 +27,54 @@ __all__ = [
 EPS_DISTANCE = 1e-12
 
 
-def knn_edges(features, count):
+def _check_count(features, count):
+    count = int(count)
+    if count < 1 or count >= features.n_rows:
+        raise DataError(
+            "neighbor count %d must lie in [1, %d)" % (count, features.n_rows)
+        )
+    return count
+
+
+def neighbor_lists(features, cfg):
+    """Each row's m nearest other rows, closest first, for one run.
+
+    Returns (indices, squared distances), each (N, m), ranked as
+    ``knn_edges`` ranks neighbors. The one pass serves a run's kNN edges,
+    its first cfg.neighbor_count columns, and in "pmlp" mode the path
+    points' KDE supports, which ``density`` proves from their endpoints'
+    lists. So m is cfg.neighbor_count in "classical_lpa" mode, and in
+    "pmlp" mode at least 2 * cfg.kde_support_n + 2, capped at N - 1.
+    """
+    if not isinstance(features, FeatureMatrix):
+        features = FeatureMatrix(features)
+    length = _check_count(features, cfg.neighbor_count)
+    if cfg.mode == "pmlp":
+        length = max(length, _list_length(cfg.kde_support_n, features.n_rows))
+    rows = np.arange(features.n_rows)
+    return _nearest_rows(features.data, features.data, length, rows)
+
+
+def knn_edges(features, count, lists=None):
     """Directed nearest-neighbor edges (i -> each of i's ``count`` nearest).
 
     Returns an (N * count, 2) index array whose rows i * count through
     (i + 1) * count - 1 hold i's neighbors, closest first under Euclidean
     distance, with exact ties going to the lower row index. A row's own
     index is never among its neighbors, though a row that coincides with
-    it may be.
+    it may be. ``lists`` from ``neighbor_lists``, if at least ``count``
+    long, gives the neighbors without another search.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
-    count = int(count)
-    if count < 1 or count >= features.n_rows:
-        raise DataError(
-            "neighbor count %d must lie in [1, %d)" % (count, features.n_rows)
-        )
+    count = _check_count(features, count)
     n = features.n_rows
-    neighbors, _ = _nearest_rows(features.data, features.data, count, np.arange(n))
+    if lists is None:
+        neighbors, _ = _nearest_rows(features.data, features.data, count, np.arange(n))
+    elif lists[0].shape[0] != n or lists[0].shape[1] < count:
+        raise DataError("lists must hold at least %d neighbors per row" % count)
+    else:
+        neighbors = lists[0][:, :count]
     sources = np.repeat(np.arange(n), count)
     return np.column_stack([sources, neighbors.reshape(-1)])
 
@@ -72,7 +103,7 @@ def _base_affinity(left, right, mode):
     raise DataError("unknown distance mode: %r" % (mode,))
 
 
-def build_affinity(features, edges, cfg):
+def build_affinity(features, edges, cfg, lists=None):
     """Symmetrized sparse affinity matrix of the graph on ``edges``.
 
     ``edges`` is a directed (E, 2) array of row indices, such as
@@ -80,7 +111,8 @@ def build_affinity(features, edges, cfg):
     and the (M + M^T) / 2 symmetrization assigns half weight to a pair
     joined in a single direction. In "pmlp" mode each entry is multiplied
     by the pair's path-density factor; in "classical_lpa" mode the factor
-    is identically one.
+    is identically one. ``lists`` from ``neighbor_lists`` is handed to
+    ``batch_path_density_info``; it saves time and changes no value.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -106,7 +138,7 @@ def build_affinity(features, edges, cfg):
     values = _base_affinity(features.data[iu], features.data[ju], cfg.distance_mode)
     if cfg.mode == "pmlp":
         values = values * batch_path_density_info(
-            features, np.column_stack([iu, ju]), cfg
+            features, np.column_stack([iu, ju]), cfg, lists
         )
     return AffinityMatrix(n, iu, ju, weight * values)
 

@@ -24,7 +24,7 @@ from .core import (
     SoftLabelMatrix,
     soft_labels_from_assignments,
 )
-from .graph import build_affinity, knn_edges, normalize_symmetric
+from .graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
 
 __all__ = [
     "PropagationResult",
@@ -257,9 +257,11 @@ def run_pmlp(
             "neighbor_count %d must be smaller than the %d rows"
             % (cfg.neighbor_count, features.n_rows)
         )
-    edges = knn_edges(features, cfg.neighbor_count)
+    # One nearest-row pass gives the kNN edges and the KDE supports' lists.
+    lists = neighbor_lists(features, cfg)
+    edges = knn_edges(features, cfg.neighbor_count, lists)
     # edges by keyword: perfbench/spans.py counts the graph's pairs from it.
-    S = normalize_symmetric(build_affinity(features, edges=edges, cfg=cfg))
+    S = normalize_symmetric(build_affinity(features, edges=edges, cfg=cfg, lists=lists))
     propagated, iterations, residual = propagate_closed_form(S, high, cfg.alpha)
 
     if cfg.clamp_ground_truth:

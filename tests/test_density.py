@@ -226,6 +226,22 @@ class TestSelectSupports:
         with pytest.raises(DataError):
             batch_normalized_density([(0.0,)], fm, 3, 1.0)
 
+    @pytest.mark.parametrize(
+        "ends, lists",
+        [
+            ([0, 1], None),  # one row of ends per query, not a flat list
+            ([[0, 1], [1, 2]], None),  # two rows for one query
+            ([[0, 3]], None),  # past the last feature row
+            ([[-1, 0]], None),
+            ([[0, 1]], (np.zeros((2, 1), dtype=np.intp), np.zeros((2, 1)))),
+            ([[0, 1]], (np.zeros((3, 0), dtype=np.intp), np.zeros((3, 0)))),
+        ],
+    )
+    def test_malformed_ends_or_lists_rejected(self, ends, lists):
+        fm = FeatureMatrix([[0.0], [1.0], [2.0]])
+        with pytest.raises(DataError):
+            batch_normalized_density([(0.5,)], fm, 2, 1.0, ends, lists)
+
 
 class TestAggregate:
     def test_avg(self):

@@ -64,10 +64,12 @@ def test_removed_solver_knob_stays_gone():
         "y_high",
         "alpha",
     ]
+    # lists: the run's shared nearest-row lists, which change no value.
     assert list(inspect.signature(build_affinity).parameters) == [
         "features",
         "edges",
         "cfg",
+        "lists",
     ]
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pmlp.core import AffinityMatrix, DataError, FeatureMatrix, NumericalError, PmlpConfig
-from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
-from pmlp.synthlab import gen_gaussian_blobs
+from pmlp.graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
+from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
 
 from dense_oracle import affinity_from_dense, complete_edges, to_dense
 from nearest_oracle import nearest_rows_oracle
@@ -50,6 +50,50 @@ class TestKnnSelect:
         for center in range(12):
             got = edges[edges[:, 0] == center][:, 1].tolist()
             assert got == expected[center].tolist()
+
+
+class TestNeighborLists:
+    """One nearest-row pass serves the kNN edges and the path supports."""
+
+    @pytest.mark.parametrize(
+        "cfg, length",
+        [
+            (PmlpConfig(mode="classical_lpa", neighbor_count=5, kde_support_n=15), 5),
+            (PmlpConfig(neighbor_count=5, kde_support_n=15), 32),
+            (PmlpConfig(neighbor_count=40, kde_support_n=15), 40),
+            (PmlpConfig(neighbor_count=5, kde_support_n=45), 59),  # N - 1
+        ],
+    )
+    def test_length_and_order(self, cfg, length):
+        fm = FeatureMatrix(np.random.default_rng(4).normal(size=(60, 2)))
+        indices, dist2 = neighbor_lists(fm, cfg)
+        want = nearest_rows_oracle(fm.data, fm.data, length, np.arange(60))
+        assert np.array_equal(indices, want[0])
+        assert np.array_equal(dist2, want[1])
+        assert np.array_equal(
+            knn_edges(fm, cfg.neighbor_count, (indices, dist2)),
+            knn_edges(fm, cfg.neighbor_count),
+        )
+
+    def test_short_lists_rejected(self):
+        fm = FeatureMatrix(np.random.default_rng(5).normal(size=(10, 2)))
+        lists = neighbor_lists(fm, PmlpConfig(mode="classical_lpa", neighbor_count=3))
+        with pytest.raises(DataError):
+            knn_edges(fm, 4, lists)
+
+    @pytest.mark.parametrize("aggregator", ["min", "avg"])
+    def test_lists_change_no_affinity_byte(self, aggregator):
+        features = gen_two_moons(n=400, noise=0.1, labeled_per_class=2, seed=3).features
+        cfg = PmlpConfig(
+            bandwidth_h=0.05, kde_support_n=15, neighbor_count=5,
+            path_points_k=3, aggregator=aggregator,
+        )
+        lists = neighbor_lists(features, cfg)
+        edges = knn_edges(features, cfg.neighbor_count, lists)
+        shared = build_affinity(features, edges, cfg, lists)
+        alone = build_affinity(features, edges, cfg)
+        assert np.array_equal(shared.data, alone.data)
+        assert np.array_equal(shared.indices, alone.indices)
 
 
 class TestBuildAffinity:

@@ -1,9 +1,11 @@
-"""The blocked nearest-row kernel against the direct-rule oracle.
+"""The blocked nearest-row kernel and the list proof against the oracle.
 
 The kernel screens candidates with GEMM distances and ranks them on direct
 distances; wherever the screen cannot prove its cut, it ranks over all
-rows. Either way its output must be exactly the oracle's: same rows, same
-order, ties toward the lower index.
+rows. The list proof ranks a path point's supports among its endpoints'
+nearest-row lists and sends what the triangle inequality cannot prove to
+the kernel. Either way the output must be exactly the oracle's: same rows,
+same order, ties toward the lower index.
 """
 
 import numpy as np
@@ -12,7 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmlp import density
+from pmlp.core import PmlpConfig
 from pmlp.density import _nearest_rows, batch_normalized_density
+from pmlp.graph import knn_edges, neighbor_lists
+from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
 
 from nearest_oracle import nearest_rows_oracle
 
@@ -100,3 +105,137 @@ def test_unprovable_cuts_take_the_exact_fallback(monkeypatch, kind, offset, scal
     assert np.array_equal(got[1], want[1])
     expected = {"all": lambda r: r == n, "some": lambda r: 0 < r < n, "none": lambda r: r == 0}
     assert expected[fallback](sum(ranked))
+
+
+def listed_rows_counted(queries, pool, count, ends, lists):
+    """``_listed_rows``' result and how many queries fell back to the kernel.
+
+    The fallback ranks its queries with no row excluded; the lists the
+    proof computes for itself exclude each row.
+    """
+    fallen = []
+    nearest = density._nearest_rows
+
+    def spy(queries, pool, count, exclude=None):
+        if exclude is None:
+            fallen.append(queries.shape[0])
+        return nearest(queries, pool, count, exclude)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_nearest_rows", spy)
+        got = density._listed_rows(queries, pool, count, ends, lists)
+    return got, sum(fallen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.sampled_from([1, 2, 32]),
+    n=st.integers(3, 60),
+    offset=st.sampled_from([0.0, 1e6]),
+    length_fraction=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    count_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    path=st.none(),
+)
+# Lists that cover every row need no bound.
+@example(
+    kind="normal", dim=32, n=30, offset=1e6, length_fraction=1.0,
+    count_fraction=0.5, seed=3, path="proven",
+)
+# Every distance ties, so no bound can separate the n-th support.
+@example(
+    kind="identical", dim=2, n=40, offset=0.0, length_fraction=0.5,
+    count_fraction=0.2, seed=0, path="fallback",
+)
+# Lists computed for the endpoints: some points are proven, some not.
+@example(
+    kind="normal", dim=1, n=40, offset=1e6, length_fraction=None,
+    count_fraction=0.1, seed=5, path="both",
+)
+def test_list_proof_matches_oracle(
+    kind, dim, n, offset, length_fraction, count_fraction, seed, path
+):
+    """Supports proven from endpoint lists are exactly the oracle's."""
+    rng = np.random.default_rng(seed)
+    pool = make_pool(kind, n, dim, offset, rng)
+    # path points between distinct rows, as the path KDE queries them
+    a = rng.integers(0, n, 40)
+    b = (a + rng.integers(1, n, 40)) % n
+    fracs = rng.choice([0.5, 1 / 3, 2 / 3, 0.25], 40)
+    queries = pool[a] + fracs[:, None] * (pool[b] - pool[a])
+    ends = np.column_stack([a, b])
+    count = 1 + int(count_fraction * (n - 1))  # 1 .. n
+    if length_fraction is None:
+        lists, covers = None, density._list_length(count, n) >= n - 1
+    else:
+        length = 1 + int(length_fraction * (n - 2))  # 1 .. n - 1
+        lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
+        covers = length >= n - 1
+
+    (got_idx, got_d2), fallen = listed_rows_counted(queries, pool, count, ends, lists)
+    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+
+    if covers:
+        assert fallen == 0
+    elif kind == "identical":
+        assert fallen == len(queries)
+    expected = {
+        "proven": lambda f: f == 0,
+        "fallback": lambda f: f == len(queries),
+        "both": lambda f: 0 < f < len(queries),
+        None: lambda f: True,
+    }
+    assert expected[path](fallen)
+
+
+def kde_queries(features, count):
+    """Midpoints of the kNN edges and their endpoints, as ``run_pmlp`` asks."""
+    edges = knn_edges(features, count)
+    pairs = np.unique(np.sort(edges, axis=1), axis=0)
+    data = features.data
+    return data[pairs[:, 0]] + 0.5 * (data[pairs[:, 1]] - data[pairs[:, 0]]), pairs
+
+
+def test_low_d_midpoints_are_proven_from_the_lists():
+    features = gen_two_moons(n=1000, noise=0.1, labeled_per_class=2, seed=1).features
+    queries, pairs = kde_queries(features, 5)
+    lists = neighbor_lists(features, PmlpConfig(kde_support_n=15, neighbor_count=5))
+    assert lists[0].shape == (1000, 32)
+    (got_idx, got_d2), fallen = listed_rows_counted(
+        queries, features.data, 15, pairs, lists
+    )
+    want_idx, want_d2 = nearest_rows_oracle(queries, features.data, 15)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    # The list pass proves 99% of these midpoints on two moons.
+    assert 0 < fallen < 0.02 * len(queries)
+
+
+def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
+    means = np.eye(32)[:4] * 3.0
+    features = gen_gaussian_blobs(means, 1.0, 250, 1, seed=2).features
+    queries, pairs = kde_queries(features, 6)
+    lists = neighbor_lists(features, PmlpConfig(kde_support_n=15, neighbor_count=6))
+    width = 2 * (lists[0].shape[1] + 1)  # both ends and their lists
+    ranked = []
+    distances = density._distances
+
+    def spy(queries, pool, candidates):
+        if candidates.shape[1] == width:
+            ranked.append(queries.shape[0])
+        return distances(queries, pool, candidates)
+
+    monkeypatch.setattr(density, "_distances", spy)
+    (got_idx, got_d2), fallen = listed_rows_counted(
+        queries, features.data, 15, pairs, lists
+    )
+    want_idx, want_d2 = nearest_rows_oracle(queries, features.data, 15)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    # Distances concentrate at d=32: the first, small block proves nothing,
+    # and the rest go straight to the kernel.
+    assert fallen == len(queries)
+    assert len(ranked) == 1 and ranked[0] < len(queries) / 8

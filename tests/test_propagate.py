@@ -13,6 +13,7 @@ from pmlp.core import (
     MODES,
     AffinityMatrix,
     DataError,
+    FeatureMatrix,
     LabelAssignment,
     NumericalError,
     PmlpConfig,
@@ -501,6 +502,25 @@ class TestRunPmlp:
             top2 = np.sort(probabilities)[-2:]
             if top2[1] - top2[0] > gap:
                 assert final[row].argmax() == probabilities.argmax()
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(40, 200), mode=st.sampled_from(MODES))
+    def test_permuting_rows_permutes_the_labels(self, seed, n, mode):
+        # Continuous features have no distance ties, so each row keeps its
+        # neighbors, supports and candidate union under any row order; only
+        # the order of the sums changes.
+        dataset = gen_two_moons(n=n, noise=0.1, labeled_per_class=2, seed=seed)
+        assignments = assignments_from_dataset(dataset)
+        order = np.random.default_rng(seed).permutation(n)
+        cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, mode=mode)
+        base = run_pmlp(dataset.features, assignments, cfg).final_labels.data
+        moved = run_pmlp(
+            FeatureMatrix(dataset.features.data[order]),
+            [assignments[row] for row in order],
+            cfg,
+        ).final_labels.data
+        assert np.max(np.abs(moved - base[order])) <= 1e-12
 
 
 class TestThresholdScheduler:

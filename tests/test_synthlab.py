@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from pmlp import synthlab
 from pmlp.core import DataError, PmlpConfig
