@@ -9,10 +9,15 @@ factor, which is what lets the propagation graph respect cluster shape.
 
 Nearest rows, for KDE supports here and for kNN edges in ``graph``, come
 from one exact kernel, ``_nearest_rows``. It screens each block of queries
-with GEMM distances and ``argpartition``, then ranks the surviving
-candidates on direct-difference distances with ties toward the lower row
+with one GEMM against the pool stored as [-2 x; ||x||^2], which ranks the
+rows as their distances do, keeps candidates with ``argpartition``, then
+ranks them on direct-difference distances with ties toward the lower row
 index. A query whose cut the screen cannot prove is ranked over all rows,
-so the result never depends on BLAS rounding or thread count.
+so the result never depends on BLAS rounding or thread count. Blocks are
+sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of float64;
+a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries), and the KDE
+reduces each block to its kernel means before the next, so the working
+set stays near one cache-sized block whatever the number of queries.
 
 A path point lies between its two endpoint rows, so its supports are
 usually among the endpoints' own nearest rows. ``_listed_rows`` ranks each
@@ -39,11 +44,21 @@ __all__ = [
 ]
 
 # Element budget for the transient arrays of one query block: its screening
-# distances and their partition order (queries x rows each), its gathered
+# values and their partition order (queries x rows each), its gathered
 # candidates (queries x candidates x dim) with their rows, distances and
-# order, or, for queries ranked over all rows, their (queries x rows x dim)
-# differences. Keeps each block near 64 MB of float64.
-_CHUNK_ELEMENTS = 8_000_000
+# order, its supports' kernel values (queries x supports), or, for queries
+# ranked over all rows, their (queries x rows x dim) differences. 500,000
+# elements (4 MB of float64) keeps a block near the size of a core's L2
+# cache; on 4,000-5,000-row kNN passes at d = 2 and d = 32 it was as fast as
+# budgets of 1 M to 8 M, or faster.
+_CHUNK_ELEMENTS = 500_000
+
+# Fewest queries in one screen block. Each block reads the whole lifted
+# pool, (dim + 1) x rows, and makes a few numpy calls. From about 15,000
+# rows up the budget alone would give fewer queries than this, and that
+# fixed cost would grow to dominate: at 50,000 rows and d = 32, blocks of 4
+# queries took 1.5x as long as blocks of 16.
+_MIN_SCREEN_BLOCK = 16
 
 # Candidates the screen keeps beyond the requested count. Any margin >= 1
 # is exact; a few spare rows let the screen prove its cut when the
@@ -60,13 +75,22 @@ def _nearest_rows(queries, pool, count, exclude=None):
     direct distance. ``exclude``, if given, holds one pool row per query
     that is never returned; ``count`` must leave enough rows.
 
-    Each query block is screened with GEMM distances
-    ||q||^2 + ||x||^2 - 2 q.x, and ``argpartition`` keeps ``count`` plus
-    ``_SCREEN_MARGIN`` candidates. A screened distance is within
-    ``bound`` = 2 (dim + 4) eps (||q|| + max ||x||)^2 of the direct one, so
-    when the first row screened out lies more than 2 * bound past the
-    ``count``-th, no row outside the candidates can rank inside the count.
-    Queries that fail this test are ranked over all rows.
+    The pool is stored once as A = [-2 x; ||x||^2], (dim + 1) x rows, and
+    each query block is screened with one GEMM, [q, 1] A, giving
+    s(x) = ||x||^2 - 2 q.x = ||q - x||^2 - ||q||^2. Leaving out ||q||^2
+    shifts a query's whole row by one constant, so it ranks the rows as
+    their distances do; ``argpartition`` keeps ``count`` plus
+    ``_SCREEN_MARGIN`` candidates. With u = eps / 2, gamma_k = k u /
+    (1 - k u) and R the largest pool norm, the (dim + 1)-term dot product,
+    summed in any order, is within gamma_(dim+1) (2 ||q|| R + R^2) of its
+    exact value, and the rounded ||x||^2 it adds within gamma_dim R^2:
+    less than (dim + 1) eps (||q|| + R)^2 in all. A direct squared
+    distance is within (dim + 2) u (||q|| + R)^2 of the exact one, so a
+    screened value is within 2 (dim + 4) eps (||q|| + R)^2 of the direct
+    distance less ||q||^2. When the first row screened out lies more than
+    twice that past the ``count``-th, no row outside the candidates can
+    rank inside the count. Queries that fail this test are ranked over
+    all rows.
 
     Callers: ``graph`` for each row's nearest-row list (self excluded),
     ``batch_normalized_density`` for queries with no endpoint rows, and
@@ -78,33 +102,37 @@ def _nearest_rows(queries, pool, count, exclude=None):
         return _rank_all(queries, pool, count, exclude)
     indices = np.empty((queries.shape[0], count), dtype=np.intp)
     dist2 = np.empty((queries.shape[0], count))
-    pool_sq = np.einsum("ij,ij->i", pool, pool)
-    radius = np.sqrt(pool_sq.max())
+    # Overflow is left to the finiteness test below, which sends the
+    # affected queries to the exact rule.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pool_sq = np.einsum("ij,ij->i", pool, pool)
+        lifted_pool = np.empty((dim + 1, n))
+        np.multiply(pool.T, -2.0, out=lifted_pool[:dim])
+        lifted_pool[dim] = pool_sq
+        radius = np.sqrt(pool_sq.max())
     slack = 4 * (dim + 4) * np.finfo(float).eps
-    block = max(1, _CHUNK_ELEMENTS // (2 * n + width * dim))
-    # One screen buffer serves every block, and each block frees its
-    # partition order, so only one block's large arrays are ever alive.
+    block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + width * dim))
+    # One screen buffer and one [q, 1] buffer serve every block, and each
+    # block frees its partition order, so only one block's large arrays
+    # are ever alive.
     screen_rows = np.empty((min(block, queries.shape[0]), n))
+    lifted_rows = np.ones((screen_rows.shape[0], dim + 1))
     for start in range(0, queries.shape[0], block):
         q = queries[start : start + block]
         skip = None if exclude is None else exclude[start : start + block]
-        # Overflow is left to the finiteness test below, which sends the
-        # affected queries to the exact rule.
+        lifted = lifted_rows[: q.shape[0]]
+        lifted[:, :dim] = q
         with np.errstate(over="ignore", invalid="ignore"):
-            q_sq = np.einsum("ij,ij->i", q, q)
-            screen = np.matmul(q, pool.T, out=screen_rows[: q.shape[0]])
-            screen *= -2.0
-            screen += pool_sq
-            screen += q_sq[:, None]
+            screen = np.matmul(lifted, lifted_pool, out=screen_rows[: q.shape[0]])
             if skip is not None:
                 screen[np.arange(q.shape[0]), skip] = np.inf
             part = np.argpartition(screen, width, axis=1)
             kept = np.take_along_axis(screen, part[:, : width + 1], axis=1)
             last = np.partition(kept[:, :width], count - 1, axis=1)[:, count - 1]
-            scale = (np.sqrt(q_sq) + radius) ** 2
-            # The tiny term covers rounding among subnormal squares. A finite
-            # 2 * scale rules out overflow, so every screened value is finite
-            # and an excluded row (inf) is never a candidate.
+            scale = (np.sqrt(np.einsum("ij,ij->i", q, q)) + radius) ** 2
+            # The tiny term covers rounding among subnormal products. A
+            # finite 2 * scale rules out overflow, so every screened value
+            # is finite and an excluded row (inf) is never a candidate.
             bound = slack * scale + np.finfo(float).tiny
             proven = (kept[:, width] - last > bound) & (2 * scale < np.inf)
         rows = np.flatnonzero(proven)
@@ -175,14 +203,28 @@ def _list_length(support_n, n_rows):
     return min(2 * support_n + 2, n_rows - 1)
 
 
-def _listed_rows(queries, pool, count, ends, lists):
+def _end_lists(pool, ends, count):
+    """Nearest-row lists for the rows in ``ends`` alone: (lists, slots).
+
+    ``lists`` holds, for each distinct row of ``ends`` in ascending order,
+    its m nearest other rows as ``_nearest_rows`` ranks them (m from
+    ``_list_length``), and ``slots`` each end's row of ``lists``.
+    """
+    rows, slots = np.unique(ends, return_inverse=True)
+    lists = _nearest_rows(pool[rows], pool, _list_length(count, pool.shape[0]), rows)
+    return lists, slots.reshape(ends.shape)
+
+
+def _listed_rows(queries, pool, count, ends, lists, slots=None):
     """``_nearest_rows(queries, pool, count)``, proven from endpoint lists.
 
     ``ends`` is a (Q, a) array of pool rows near each query (a path
     point's endpoints). ``lists`` is (indices, squared distances), each
-    (pool rows, m): every row's m nearest other rows as ``_nearest_rows``
-    ranks them with the row itself excluded. If None, it is computed for
-    the rows in ``ends`` alone.
+    (rows, m): a row's m nearest other rows as ``_nearest_rows`` ranks
+    them with the row itself excluded. ``slots`` gives each end's row of
+    ``lists``; if None, the lists cover every pool row and an end is its
+    own slot. If ``lists`` is None, they are computed for the rows in
+    ``ends`` alone (``_end_lists``).
 
     A query's candidates are its ends and their lists, duplicates
     removed, ranked by (direct distance, row index). Let d_n be the
@@ -207,10 +249,8 @@ def _listed_rows(queries, pool, count, ends, lists):
     """
     n, dim = pool.shape
     if lists is None:
-        rows, slots = np.unique(ends, return_inverse=True)
-        lists = _nearest_rows(pool[rows], pool, _list_length(count, n), rows)
-        slots = slots.reshape(ends.shape)
-    else:
+        lists, slots = _end_lists(pool, ends, count)
+    elif slots is None:
         slots = ends
     list_rows, list_d2 = lists
     covers = list_rows.shape[1] >= n - 1
@@ -279,8 +319,15 @@ def batch_normalized_density(queries, features, n, h, ends=None, lists=None):
 
     ``ends``, if given, is a (Q, a) array of feature rows near each query,
     such as a path point's two endpoints, and ``lists`` may give every
-    row's nearest-row list (``graph.neighbor_lists``). The supports are
-    then found by ``_listed_rows``. This changes the time, never the value.
+    row's nearest-row list (``graph.neighbor_lists``); without them the
+    ends' lists are computed once, here. The supports are then found by
+    ``_listed_rows``. This changes the time, never the value.
+
+    Queries are taken in blocks whose support rows and distances fill
+    ``_CHUNK_ELEMENTS``, and each block is reduced to its kernel means
+    before the next is searched, so no (queries x supports) array
+    outlives its block. A row's mean is summed along that row alone, so
+    the blocks do not change its bytes.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -297,20 +344,32 @@ def batch_normalized_density(queries, features, n, h, ends=None, lists=None):
     if not h > 0:
         raise DataError("bandwidth h must be positive")
 
-    if ends is None:
-        _, d2 = _nearest_rows(queries, features.data, n)
-    else:
+    data = features.data
+    if ends is not None:
         ends = np.asarray(ends, dtype=np.intp)
         if ends.ndim != 2 or ends.shape[0] != queries.shape[0] or ends.shape[1] < 1:
             raise DataError("ends must hold one row of feature indices per query")
         if np.any(ends < 0) or np.any(ends >= features.n_rows):
             raise DataError("end row index out of range")
-        if lists is not None and (
-            lists[0].shape[0] != features.n_rows or lists[0].shape[1] < 1
-        ):
+        if lists is None:
+            lists, slots = _end_lists(data, ends, n)
+        elif lists[0].shape[0] != features.n_rows or lists[0].shape[1] < 1:
             raise DataError("lists must hold a nonempty list per feature row")
-        _, d2 = _listed_rows(queries, features.data, n, ends, lists)
-    return np.mean(np.exp(-d2 / h), axis=1)
+        else:
+            slots = ends
+    values = np.empty(queries.shape[0])
+    step = max(1, _CHUNK_ELEMENTS // (2 * n))
+    for start in range(0, queries.shape[0], step):
+        rows = slice(start, start + step)
+        if ends is None:
+            d2 = _nearest_rows(queries[rows], data, n)[1]
+        else:
+            d2 = _listed_rows(queries[rows], data, n, ends[rows], lists, slots[rows])[1]
+        # d2 / -h is -d2 / h bit for bit: division rounds symmetrically.
+        np.divide(d2, -h, out=d2)
+        values[rows] = np.mean(np.exp(d2, out=d2), axis=1)
+        del d2  # before the next block allocates its own
+    return values
 
 
 def _canonical_pairs(features, pairs):
@@ -374,15 +433,17 @@ def batch_path_density_info(features, pairs, cfg, lists=None):
     return np.quantile(values, cfg.quantile_t, axis=1)
 
 
-def density_ratio(features, pairs, cfg):
+def density_ratio(features, pairs, cfg, lists=None):
     """Max over min of every per-point path density across ``pairs``.
 
     A diagnostic of how strongly the density factor can differentiate
     pairs at the configured bandwidth; always >= 1, and it approaches 1 as
     the bandwidth grows. Reversed or repeated pairs are evaluated once.
+    ``lists``, every row's nearest-row list, lets calls that differ only
+    in the bandwidth share one list pass; it does not change the result.
     """
     features, pairs = _canonical_pairs(features, pairs)
-    values = _pair_point_densities(features, np.unique(pairs, axis=0), cfg)
+    values = _pair_point_densities(features, np.unique(pairs, axis=0), cfg, lists)
     lowest = float(values.min())
     if lowest <= 0.0:
         raise NumericalError(

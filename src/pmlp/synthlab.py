@@ -20,7 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import MODES, DataError, FeatureMatrix, LabelAssignment
-from .density import _pair_point_densities, batch_normalized_density, density_ratio
+from .density import (
+    _list_length,
+    _nearest_rows,
+    _pair_point_densities,
+    batch_normalized_density,
+    density_ratio,
+)
 from .propagate import run_pmlp
 
 __all__ = [
@@ -268,6 +274,8 @@ def density_ratio_sweep(bandwidths, pairs, separation, sigma, samples_per_cluste
     Two Gaussian blobs ``separation`` apart are drawn with seed cfg.seed,
     then ``pairs`` row pairs with seed cfg.seed + 1: a uniform first row
     and a second uniform over the other rows, so no pair is a self loop.
+    The rows' nearest-row lists do not depend on the bandwidth, so one
+    pass serves every bandwidth.
     """
     dataset = gen_gaussian_blobs(
         means=[[0.0, 0.0], [separation, 0.0]],
@@ -277,15 +285,19 @@ def density_ratio_sweep(bandwidths, pairs, separation, sigma, samples_per_cluste
         seed=cfg.seed,
     )
     rng = np.random.default_rng(cfg.seed + 1)
-    n = dataset.features.n_rows
+    features = dataset.features
+    n = features.n_rows
     left = rng.integers(0, n, pairs)
     offset = 1 + rng.integers(0, n - 1, pairs)
     row_pairs = np.column_stack([left, (left + offset) % n])
+    lists = _nearest_rows(
+        features.data, features.data, _list_length(cfg.kde_support_n, n), np.arange(n)
+    )
     return [
         DensityRatioReport(
             bandwidth_h=float(h),
             density_ratio=density_ratio(
-                dataset.features, row_pairs, replace(cfg, bandwidth_h=h)
+                features, row_pairs, replace(cfg, bandwidth_h=h), lists
             ),
         )
         for h in bandwidths

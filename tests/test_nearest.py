@@ -239,3 +239,127 @@ def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
     # and the rest go straight to the kernel.
     assert fallen == len(queries)
     assert len(ranked) == 1 and ranked[0] < len(queries) / 8
+
+
+# Block boundaries. The pools above are small enough that every call is one
+# block; these runs shrink the element budget and the screen's minimum block
+# so that each block holds 1-3 queries and, with 25 queries, the last block
+# of 2 or 3 is partial.
+QUERIES = 25
+
+
+def kernel_budget(per_block, n, count, dim):
+    """A budget that gives ``_nearest_rows`` blocks of ``per_block`` queries."""
+    return per_block * (2 * n + (count + density._SCREEN_MARGIN) * dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.sampled_from([1, 2, 32]),
+    n=st.integers(2, 60),
+    offset=st.sampled_from([0.0, 1e6]),
+    self_excluded=st.booleans(),
+    count_fraction=st.floats(0.0, 1.0),
+    per_block=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_blocks_match_oracle(
+    kind, dim, n, offset, self_excluded, count_fraction, per_block, seed
+):
+    """Small blocks, a partial last one, and the KDE reduced block by block."""
+    rng = np.random.default_rng(seed)
+    pool = make_pool(kind, n, dim, offset, rng)
+    if self_excluded:
+        exclude = rng.integers(0, n, QUERIES)
+        queries = pool[exclude]
+        count = 1 + int(count_fraction * (n - 2))  # 1 .. n - 1
+    else:
+        a, b = rng.integers(0, n, QUERIES), rng.integers(0, n, QUERIES)
+        queries, exclude = pool[a] + 0.5 * (pool[b] - pool[a]), None
+        count = 1 + int(count_fraction * (n - 1))  # 1 .. n
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_MIN_SCREEN_BLOCK", 1)
+        patch.setattr(
+            density, "_CHUNK_ELEMENTS", kernel_budget(per_block, n, count, dim)
+        )
+        got_idx, got_d2 = _nearest_rows(queries, pool, count, exclude)
+        # KDE blocks of per_block queries: (rows, distances) fill the budget.
+        patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * count)
+        kde = batch_normalized_density(queries, pool, count, 0.5)
+    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    _, support_d2 = nearest_rows_oracle(queries, pool, count)
+    assert np.max(np.abs(kde - np.mean(np.exp(-support_d2 / 0.5), axis=1))) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.sampled_from([1, 2, 32]),
+    n=st.integers(3, 60),
+    offset=st.sampled_from([0.0, 1e6]),
+    length_fraction=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    count_fraction=st.floats(0.0, 1.0),
+    per_block=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_list_proof_blocks_match_oracle(
+    kind, dim, n, offset, length_fraction, count_fraction, per_block, seed
+):
+    """The list proof and the path KDE in blocks of 1-3 path points."""
+    rng = np.random.default_rng(seed)
+    pool = make_pool(kind, n, dim, offset, rng)
+    a = rng.integers(0, n, QUERIES)
+    b = (a + rng.integers(1, n, QUERIES)) % n
+    fracs = rng.choice([0.5, 1 / 3, 2 / 3, 0.25], QUERIES)
+    queries = pool[a] + fracs[:, None] * (pool[b] - pool[a])
+    ends = np.column_stack([a, b])
+    count = 1 + int(count_fraction * (n - 1))  # 1 .. n
+    if length_fraction is None:
+        lists, length = None, density._list_length(count, n)
+    else:
+        length = 1 + int(length_fraction * (n - 2))  # 1 .. n - 1
+        lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
+    width = 2 * (length + 1)  # both ends and their lists
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_MIN_SCREEN_BLOCK", 1)
+        patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * width * (dim + 4))
+        got_idx, got_d2 = density._listed_rows(queries, pool, count, ends, lists)
+        patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * count)
+        kde = batch_normalized_density(queries, pool, count, 0.5, ends, lists)
+    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    assert np.max(np.abs(kde - np.mean(np.exp(-want_d2 / 0.5), axis=1))) <= 1e-12
+
+
+def test_kde_memory_stays_within_the_block_budget(monkeypatch):
+    """The KDE never holds a (queries x supports) array beyond one block.
+
+    About 20,000 path points with 45 supports: the full index, distance
+    and kernel arrays would take 4 * 8 * Q * n bytes, about 29 MB. The
+    budget is set far below that, so only a blocked reduction fits.
+    tracemalloc counts numpy's buffers; the inputs are allocated first.
+    """
+    import tracemalloc
+
+    features = gen_two_moons(n=3000, noise=0.1, labeled_per_class=2, seed=1).features
+    queries, pairs = kde_queries(features, 11)
+    lists = neighbor_lists(features, PmlpConfig(kde_support_n=45, neighbor_count=11))
+    budget = 250_000
+    monkeypatch.setattr(density, "_CHUNK_ELEMENTS", budget)
+    # Two budgets of block arrays, plus O(Q * d) for the result and the
+    # query copies the fallback takes.
+    bound = 2 * 8 * budget + 8 * queries.shape[0] * (features.dim + 1)
+    assert 4 * 8 * queries.shape[0] * 45 > 5 * bound
+    tracemalloc.start()
+    try:
+        batch_normalized_density(queries, features, 45, 0.05, pairs, lists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound

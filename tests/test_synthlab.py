@@ -148,15 +148,15 @@ class TestDensityRatioSweep:
     def test_one_pair_sample_per_bandwidth_in_order(self, monkeypatch):
         calls = []
 
-        def spy(features, pairs, cfg):
-            calls.append((features, pairs, cfg))
-            return density_ratio(features, pairs, cfg)
+        def spy(features, pairs, cfg, lists):
+            calls.append((features, pairs, cfg, lists))
+            return density_ratio(features, pairs, cfg, lists)
 
         monkeypatch.setattr(synthlab, "density_ratio", spy)
         cfg = PmlpConfig(kde_support_n=20, seed=3)
         reports = density_ratio_sweep((50.0, 2.0, 9.0), 200, 5.0, 1.0, 20, cfg)
         assert [r.bandwidth_h for r in reports] == [50.0, 2.0, 9.0]
-        features, pairs, _ = calls[0]
+        features, pairs, _, lists = calls[0]
         # 200 pairs over 40 rows: two independent draws per pair would join
         # some row to itself with probability above 0.99.
         assert features.n_rows == 40 and pairs.shape == (200, 2)
@@ -165,9 +165,11 @@ class TestDensityRatioSweep:
         # The first rows come from the documented seed, cfg.seed + 1.
         first = np.random.default_rng(cfg.seed + 1).integers(0, 40, 200)
         assert np.array_equal(pairs[:, 0], first)
-        for report, (_, same_pairs, used) in zip(reports, calls):
+        for report, (_, same_pairs, used, same_lists) in zip(reports, calls):
             assert used.bandwidth_h == report.bandwidth_h
             assert np.array_equal(same_pairs, pairs)
+            # One list pass serves every bandwidth and changes no value.
+            assert same_lists is lists
             assert report.density_ratio == density_ratio(features, pairs, used)
 
 
