@@ -475,10 +475,11 @@ def run_label_job(
     is made first, and the truth file is read and checked before
     propagation starts.
 
-    The pseudo-label CSV has one row per input row: the argmax class, the
+    The pseudo-label CSV has one row per input row: the argmax class (-1
+    where no label reached the row: all its scores are zero), the
     per-class final scores, and a 0/1 flag telling whether the row's
-    renormalized confidence reaches tau. An accuracy metric appears only
-    when a truth file supplies classes for the non-ground-truth rows.
+    renormalized confidence reaches tau. An accuracy metric, counting -1
+    as wrong, appears when a truth file supplies the other rows' classes.
     """
     os.makedirs(out_dir, exist_ok=True)
     features, assignments = ingest_features(input_path, fmt)
@@ -498,6 +499,7 @@ def run_label_job(
     )
     final = result.final_labels
     predicted = final.data.argmax(axis=1)
+    predicted[~final.data.any(axis=1)] = -1
     confident = final.confidences() >= cfg.tau
     evaluate = np.array(
         [a.kind != LabelAssignment.GROUND_TRUTH for a in assignments], dtype=bool

@@ -19,15 +19,18 @@ a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries), and the KDE
 reduces each block to its kernel means before the next, so the working
 set stays near one cache-sized block whatever the number of queries.
 
-A path point lies between its two endpoint rows, so its supports are
-usually among the endpoints' own nearest rows. ``_listed_rows`` ranks each
-point's supports among its endpoints and their m-lists (each endpoint's m
-nearest other rows, from one ``_nearest_rows`` pass that ``run_pmlp``
-shares with the kNN edges) and proves the result with the triangle
-inequality: a row outside an endpoint e's list lies at least r_m(e), the
-distance to e's m-th row, from e, and so at least r_m(e) - ||q - e|| from
-the point q. Points the bound cannot prove go to ``_nearest_rows``, so the
-output is the same either way.
+Nearest-row lists have one shape, every row's list: (indices, squared
+distances), each (N, m), row i holding i's m nearest other rows. One
+function, ``_row_lists``, builds them and alone knows how long they must be
+to prove a number of KDE supports (``_list_length``); ``graph`` takes the
+kNN edges from the first columns of the same lists. A path point lies
+between its two endpoint rows, so its supports are usually among the
+endpoints' own nearest rows. ``_listed_rows`` ranks each point's supports
+among its endpoints and their lists and proves the result with the
+triangle inequality: a row outside an endpoint e's list lies at least
+r_m(e), the distance to e's m-th row, from e, and so at least
+r_m(e) - ||q - e|| from the point q. Points the bound cannot prove go to
+``_nearest_rows``, so the output is the same either way.
 
 All operations are pure; per-pair computations are independent and may run
 in any order without changing the result.
@@ -92,8 +95,8 @@ def _nearest_rows(queries, pool, count, exclude=None):
     rank inside the count. Queries that fail this test are ranked over
     all rows.
 
-    Callers: ``graph`` for each row's nearest-row list (self excluded),
-    ``batch_normalized_density`` for queries with no endpoint rows, and
+    Callers: ``_row_lists`` for every row's list (self excluded),
+    ``_kernel_means`` for queries with no endpoint rows, and
     ``_listed_rows`` for the path points its list proof leaves open.
     """
     n, dim = pool.shape
@@ -194,7 +197,7 @@ def _rank_all(queries, pool, count, exclude):
 
 
 def _list_length(support_n, n_rows):
-    """Length m of the endpoint lists that prove ``support_n`` supports.
+    """Length m of the lists that prove ``support_n`` supports.
 
     Twice the supports, plus the two endpoints, leaves room for a path
     point's supports to lie past either endpoint's list: on two moons
@@ -203,28 +206,26 @@ def _list_length(support_n, n_rows):
     return min(2 * support_n + 2, n_rows - 1)
 
 
-def _end_lists(pool, ends, count):
-    """Nearest-row lists for the rows in ``ends`` alone: (lists, slots).
+def _row_lists(data, count=0, support_n=None):
+    """Every row's nearest other rows, closest first: the one list shape.
 
-    ``lists`` holds, for each distinct row of ``ends`` in ascending order,
-    its m nearest other rows as ``_nearest_rows`` ranks them (m from
-    ``_list_length``), and ``slots`` each end's row of ``lists``.
+    Returns (indices, squared distances), each (N, m): row i holds i's m
+    nearest rows other than i, as ``_nearest_rows`` ranks them. m is
+    ``count``, raised with ``support_n`` to ``_list_length``, enough for
+    ``_listed_rows`` to prove that many KDE supports.
     """
-    rows, slots = np.unique(ends, return_inverse=True)
-    lists = _nearest_rows(pool[rows], pool, _list_length(count, pool.shape[0]), rows)
-    return lists, slots.reshape(ends.shape)
+    n = data.shape[0]
+    if support_n is not None:
+        count = max(count, _list_length(support_n, n))
+    return _nearest_rows(data, data, count, np.arange(n))
 
 
-def _listed_rows(queries, pool, count, ends, lists, slots=None):
+def _listed_rows(queries, pool, count, ends, lists):
     """``_nearest_rows(queries, pool, count)``, proven from endpoint lists.
 
     ``ends`` is a (Q, a) array of pool rows near each query (a path
-    point's endpoints). ``lists`` is (indices, squared distances), each
-    (rows, m): a row's m nearest other rows as ``_nearest_rows`` ranks
-    them with the row itself excluded. ``slots`` gives each end's row of
-    ``lists``; if None, the lists cover every pool row and an end is its
-    own slot. If ``lists`` is None, they are computed for the rows in
-    ``ends`` alone (``_end_lists``).
+    point's endpoints), and ``lists`` every pool row's list from
+    ``_row_lists``, so an end indexes its own list.
 
     A query's candidates are its ends and their lists, duplicates
     removed, ranked by (direct distance, row index). Let d_n be the
@@ -248,10 +249,6 @@ def _listed_rows(queries, pool, count, ends, lists, slots=None):
     the time, never the result.
     """
     n, dim = pool.shape
-    if lists is None:
-        lists, slots = _end_lists(pool, ends, count)
-    elif slots is None:
-        slots = ends
     list_rows, list_d2 = lists
     covers = list_rows.shape[1] >= n - 1
     width = ends.shape[1] * (list_rows.shape[1] + 1)
@@ -269,11 +266,11 @@ def _listed_rows(queries, pool, count, ends, lists, slots=None):
     # Fewer candidates than supports (short lists) prove nothing.
     while stop < queries.shape[0] and width >= count:
         start, stop = stop, stop + (block if stop else max(1, block // 8))
-        q, end, slot = queries[start:stop], ends[start:stop], slots[start:stop]
+        q, end = queries[start:stop], ends[start:stop]
         # Candidates in row order, so a stable sort of their distances
         # breaks ties toward the lower row; a repeated row sorts last.
         candidates = np.concatenate(
-            [end, list_rows[slot].reshape(q.shape[0], -1)], axis=1
+            [end, list_rows[end].reshape(q.shape[0], -1)], axis=1
         )
         candidates.sort(axis=1)
         d2 = _distances(q, pool, candidates)
@@ -287,7 +284,7 @@ def _listed_rows(queries, pool, count, ends, lists, slots=None):
                 near = np.sqrt(_distances(q, pool, end) + tiny)
                 near += np.sqrt(best[:, -1:] + tiny)
                 near *= 1 + slack
-                proven &= np.any(near < reach[slot], axis=1)
+                proven &= np.any(near < reach[end], axis=1)
         rows = np.flatnonzero(proven)
         indices[start + rows] = np.take_along_axis(candidates, order, axis=1)[rows]
         dist2[start + rows] = best[rows]
@@ -306,7 +303,43 @@ def _listed_rows(queries, pool, count, ends, lists, slots=None):
     return indices, dist2
 
 
-def batch_normalized_density(queries, features, n, h, ends=None, lists=None):
+def _check_kernel(features, n, h):
+    """The support count ``n`` as an int, once it and ``h`` are valid."""
+    n = int(n)
+    if n < 1 or n > features.n_rows:
+        raise DataError("support count %d outside [1, %d]" % (n, features.n_rows))
+    if not h > 0:
+        raise DataError("bandwidth h must be positive")
+    return n
+
+
+def _kernel_means(queries, data, n, h, ends=None, lists=None):
+    """The mean kernel over each query's ``n`` supports, block by block.
+
+    Supports come from ``_nearest_rows``, or, given each query's ``ends``
+    and every row's ``lists``, from ``_listed_rows``; the two agree.
+    Queries are taken in blocks whose support rows and distances fill
+    ``_CHUNK_ELEMENTS``, and each block is reduced to its kernel means
+    before the next is searched, so no (queries x supports) array
+    outlives its block. A row's mean is summed along that row alone, so
+    the blocks do not change its bytes.
+    """
+    values = np.empty(queries.shape[0])
+    step = max(1, _CHUNK_ELEMENTS // (2 * n))
+    for start in range(0, queries.shape[0], step):
+        rows = slice(start, start + step)
+        if ends is None:
+            d2 = _nearest_rows(queries[rows], data, n)[1]
+        else:
+            d2 = _listed_rows(queries[rows], data, n, ends[rows], lists)[1]
+        # d2 / -h is -d2 / h bit for bit: division rounds symmetrically.
+        np.divide(d2, -h, out=d2)
+        values[rows] = np.mean(np.exp(d2, out=d2), axis=1)
+        del d2  # before the next block allocates its own
+    return values
+
+
+def batch_normalized_density(queries, features, n, h):
     """Normalized exponential-kernel density at each row of ``queries``.
 
     For a query q with supports s_1..s_n, its ``n`` nearest feature rows
@@ -315,19 +348,8 @@ def batch_normalized_density(queries, features, n, h, ends=None, lists=None):
     the kernel density (1 / (n h)) * sum_m exp(-||s_m - q||^2 / h), so it
     lies in (0, 1] apart from underflow at extreme distances: exactly 1
     when every support coincides with q, and tending to 1 as h grows,
-    which is why huge bandwidths erase all density information.
-
-    ``ends``, if given, is a (Q, a) array of feature rows near each query,
-    such as a path point's two endpoints, and ``lists`` may give every
-    row's nearest-row list (``graph.neighbor_lists``); without them the
-    ends' lists are computed once, here. The supports are then found by
-    ``_listed_rows``. This changes the time, never the value.
-
-    Queries are taken in blocks whose support rows and distances fill
-    ``_CHUNK_ELEMENTS``, and each block is reduced to its kernel means
-    before the next is searched, so no (queries x supports) array
-    outlives its block. A row's mean is summed along that row alone, so
-    the blocks do not change its bytes.
+    which is why huge bandwidths erase all density information. Queries
+    are reduced block by block (``_kernel_means``).
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -336,40 +358,8 @@ def batch_normalized_density(queries, features, n, h, ends=None, lists=None):
         raise DataError("queries must be 2-dimensional with the feature dim")
     if not np.all(np.isfinite(queries)):
         raise DataError("queries must be finite")
-    n = int(n)
-    if n < 1 or n > features.n_rows:
-        raise DataError(
-            "support count %d outside [1, %d]" % (n, features.n_rows)
-        )
-    if not h > 0:
-        raise DataError("bandwidth h must be positive")
-
-    data = features.data
-    if ends is not None:
-        ends = np.asarray(ends, dtype=np.intp)
-        if ends.ndim != 2 or ends.shape[0] != queries.shape[0] or ends.shape[1] < 1:
-            raise DataError("ends must hold one row of feature indices per query")
-        if np.any(ends < 0) or np.any(ends >= features.n_rows):
-            raise DataError("end row index out of range")
-        if lists is None:
-            lists, slots = _end_lists(data, ends, n)
-        elif lists[0].shape[0] != features.n_rows or lists[0].shape[1] < 1:
-            raise DataError("lists must hold a nonempty list per feature row")
-        else:
-            slots = ends
-    values = np.empty(queries.shape[0])
-    step = max(1, _CHUNK_ELEMENTS // (2 * n))
-    for start in range(0, queries.shape[0], step):
-        rows = slice(start, start + step)
-        if ends is None:
-            d2 = _nearest_rows(queries[rows], data, n)[1]
-        else:
-            d2 = _listed_rows(queries[rows], data, n, ends[rows], lists, slots[rows])[1]
-        # d2 / -h is -d2 / h bit for bit: division rounds symmetrically.
-        np.divide(d2, -h, out=d2)
-        values[rows] = np.mean(np.exp(d2, out=d2), axis=1)
-        del d2  # before the next block allocates its own
-    return values
+    n = _check_kernel(features, n, h)
+    return _kernel_means(queries, features.data, n, h)
 
 
 def _canonical_pairs(features, pairs):
@@ -391,17 +381,28 @@ def _canonical_pairs(features, pairs):
 
 
 def _pair_point_densities(features, pairs, cfg, lists=None):
-    """Normalized densities at the path points of canonical pairs: (n_pairs, k)."""
+    """Normalized densities at the path points of canonical pairs: (n_pairs, k).
+
+    Each point's supports are proven from its pair's lists (``_listed_rows``).
+    ``lists``, every row's list, is built here when not given.
+    """
+    n = _check_kernel(features, cfg.kde_support_n, cfg.bandwidth_h)
+    if lists is None:
+        lists = _row_lists(features.data, support_n=n)
+    elif lists[0].shape[0] != features.n_rows or lists[0].shape[1] < 1:
+        raise DataError("lists must hold a nonempty list per feature row")
     lo, hi = pairs[:, 0], pairs[:, 1]
     k = int(cfg.path_points_k)
     fracs = np.arange(1, k + 1) / (k + 1)
     a = features.data[lo][:, None, :]
     b = features.data[hi][:, None, :]
     points = a + fracs[None, :, None] * (b - a)
-    dens = batch_normalized_density(
+    if not np.all(np.isfinite(points)):
+        raise DataError("path points must be finite")
+    dens = _kernel_means(
         points.reshape(-1, features.dim),
-        features,
-        cfg.kde_support_n,
+        features.data,
+        n,
         cfg.bandwidth_h,
         np.repeat(pairs, k, axis=0),
         lists,
@@ -421,7 +422,7 @@ def batch_path_density_info(features, pairs, cfg, lists=None):
     cfg.quantile_t). Pairs are put in (low, high) order first, so the
     factor is exactly symmetric in (i, j). ``lists``, every row's
     nearest-row list from ``graph.neighbor_lists``, saves computing the
-    endpoints' lists again; it does not change the result.
+    lists again; it does not change the result.
     """
     values = _pair_point_densities(*_canonical_pairs(features, pairs), cfg, lists)
     if cfg.aggregator == "min":

@@ -12,7 +12,7 @@ constant leaves the normalized matrix unchanged.
 import numpy as np
 
 from .core import AffinityMatrix, DataError, FeatureMatrix, NumericalError
-from .density import _list_length, _nearest_rows, batch_path_density_info
+from .density import _row_lists, batch_path_density_info
 
 __all__ = [
     "EPS_DISTANCE",
@@ -48,11 +48,9 @@ def neighbor_lists(features, cfg):
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
-    length = _check_count(features, cfg.neighbor_count)
-    if cfg.mode == "pmlp":
-        length = max(length, _list_length(cfg.kde_support_n, features.n_rows))
-    rows = np.arange(features.n_rows)
-    return _nearest_rows(features.data, features.data, length, rows)
+    count = _check_count(features, cfg.neighbor_count)
+    support_n = cfg.kde_support_n if cfg.mode == "pmlp" else None
+    return _row_lists(features.data, count, support_n)
 
 
 def knn_edges(features, count, lists=None):
@@ -63,34 +61,38 @@ def knn_edges(features, count, lists=None):
     distance, with exact ties going to the lower row index. A row's own
     index is never among its neighbors, though a row that coincides with
     it may be. ``lists`` from ``neighbor_lists``, if at least ``count``
-    long, gives the neighbors without another search.
+    long, saves building the rows' lists here.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
     count = _check_count(features, count)
     n = features.n_rows
     if lists is None:
-        neighbors, _ = _nearest_rows(features.data, features.data, count, np.arange(n))
+        lists = _row_lists(features.data, count)
     elif lists[0].shape[0] != n or lists[0].shape[1] < count:
         raise DataError("lists must hold at least %d neighbors per row" % count)
-    else:
-        neighbors = lists[0][:, :count]
     sources = np.repeat(np.arange(n), count)
-    return np.column_stack([sources, neighbors.reshape(-1)])
+    return np.column_stack([sources, lists[0][:, :count].reshape(-1)])
 
 
-def _base_affinity(left, right, mode):
-    """Base affinity of each pair of rows of ``left`` and ``right``.
+def _base_affinity(data, first, second, mode):
+    """Base affinity of each pair of rows (data[first], data[second]).
 
     "euclidean_inverse" is 1 / ||a - b||, with the distance floored at
     EPS_DISTANCE; "first_order_similarity" is the inner product and
     "cosine_similarity" the cosine of the angle, both clamped at zero. The
     cosine of a zero-norm row is undefined and raises DataError. Every
-    mode is exactly symmetric in the two rows.
+    mode is exactly symmetric in the two rows. "euclidean_inverse" keeps
+    at most two (pairs x dim) arrays alive, forming the difference in place.
     """
     if mode == "euclidean_inverse":
-        dist = np.sqrt(np.sum((left - right) ** 2, axis=1))
+        # (b - a) ** 2 equals (a - b) ** 2 bit for bit.
+        diff = data[second]
+        diff -= data[first]
+        np.square(diff, out=diff)
+        dist = np.sqrt(diff.sum(axis=1))
         return 1.0 / np.maximum(dist, EPS_DISTANCE)
+    left, right = data[first], data[second]
     if mode == "first_order_similarity":
         return np.maximum(np.sum(left * right, axis=1), 0.0)
     if mode == "cosine_similarity":
@@ -135,7 +137,7 @@ def build_affinity(features, edges, cfg, lists=None):
     iu = keys // n
     ju = keys % n
 
-    values = _base_affinity(features.data[iu], features.data[ju], cfg.distance_mode)
+    values = _base_affinity(features.data, iu, ju, cfg.distance_mode)
     if cfg.mode == "pmlp":
         values = values * batch_path_density_info(
             features, np.column_stack([iu, ju]), cfg, lists

@@ -252,11 +252,6 @@ def run_pmlp(
             "the high-confidence set is empty; lower tau or label more rows"
         )
 
-    if cfg.neighbor_count >= features.n_rows:
-        raise DataError(
-            "neighbor_count %d must be smaller than the %d rows"
-            % (cfg.neighbor_count, features.n_rows)
-        )
     # One nearest-row pass gives the kNN edges and the KDE supports' lists.
     lists = neighbor_lists(features, cfg)
     edges = knn_edges(features, cfg.neighbor_count, lists)

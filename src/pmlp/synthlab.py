@@ -21,9 +21,8 @@ import numpy as np
 
 from .core import MODES, DataError, FeatureMatrix, LabelAssignment
 from .density import (
-    _list_length,
-    _nearest_rows,
     _pair_point_densities,
+    _row_lists,
     batch_normalized_density,
     density_ratio,
 )
@@ -290,9 +289,7 @@ def density_ratio_sweep(bandwidths, pairs, separation, sigma, samples_per_cluste
     left = rng.integers(0, n, pairs)
     offset = 1 + rng.integers(0, n - 1, pairs)
     row_pairs = np.column_stack([left, (left + offset) % n])
-    lists = _nearest_rows(
-        features.data, features.data, _list_length(cfg.kde_support_n, n), np.arange(n)
-    )
+    lists = _row_lists(features.data, support_n=cfg.kde_support_n)
     return [
         DensityRatioReport(
             bandwidth_h=float(h),

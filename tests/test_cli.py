@@ -301,6 +301,35 @@ class TestLabelJob:
         assert first[0] == "0"
         assert first[-1] in ("0", "1")
 
+    def test_unreached_rows_have_no_class(self, tmp_path):
+        # Three blobs 50 apart; the third has no label, so no mass reaches
+        # its kNN component and its scores are all zero.
+        rng = np.random.default_rng(2)
+        rows = []
+        for blob in range(3):
+            points = rng.normal(size=(50, 2)) + (50.0 * blob, 0.0)
+            for index, (x, y) in enumerate(points.tolist()):
+                label = blob if blob < 2 and index < 2 else -1
+                rows.append("%r,%r,%d" % (x, y, label))
+        data = write(tmp_path / "d.csv", "\n".join(rows) + "\n")
+        truth = write(
+            tmp_path / "t.csv",
+            "".join("%d,%d\n" % (row, row // 50) for row in range(150)),
+        )
+        out = tmp_path / "out"
+        assert main(
+            ["label", "--input", data, "--truth", truth, "--n-classes", "3",
+             "--out-dir", str(out)]
+        ) == 0
+        table = np.loadtxt(out / "pseudo_labels.csv", delimiter=",", skiprows=1)
+        unreached = ~table[:, 2:5].any(axis=1)
+        assert np.array_equal(np.flatnonzero(unreached), np.arange(100, 150))
+        assert np.all(table[unreached, 1] == -1)
+        assert np.array_equal(table[:100, 1], np.arange(100) // 50)
+        # 96 unlabeled rows of the first two blobs are right; 50 count as wrong.
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["accuracy"] == 96 / 146
+
     def test_flag_overrides_config_file(self, tmp_path):
         data, _ = generate_blobs(tmp_path)
         config = tmp_path / "cfg.json"

@@ -39,7 +39,7 @@ vectors = st.integers(min_value=1, max_value=6).flatmap(
 
 def base_affinity(a, b, mode="euclidean_inverse"):
     """The graph's base affinity between two vectors."""
-    return float(_base_affinity(np.array([a], float), np.array([b], float), mode)[0])
+    return float(_base_affinity(np.array([a, b], float), [0], [1], mode)[0])
 
 
 class TestDistance:

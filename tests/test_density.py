@@ -68,14 +68,14 @@ def brute_force_path_info(features, i, j, k, n, h, aggregator="avg", t=0.5):
 def path_points(features, pair, cfg):
     """The query points ``batch_path_density_info`` gives the KDE for one pair."""
     seen = []
-    real = density_module.batch_normalized_density
+    real = density_module._kernel_means
 
     def spy(queries, *args):
         seen.append(np.array(queries))
         return real(queries, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(density_module, "batch_normalized_density", spy)
+        patch.setattr(density_module, "_kernel_means", spy)
         batch_path_density_info(features, [pair], cfg)
     return seen[0]
 
@@ -93,7 +93,7 @@ def aggregated(values, aggregator, quantile_t=0.5):
         quantile_t=quantile_t,
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(density_module, "batch_normalized_density", lambda *a: values)
+        patch.setattr(density_module, "_kernel_means", lambda *a: values)
         return float(batch_path_density_info(PAIR_ROWS, [(0, 1)], cfg)[0])
 
 
@@ -229,8 +229,8 @@ class TestSelectSupports:
     @pytest.mark.parametrize(
         "ends, lists",
         [
-            ([0, 1], None),  # one row of ends per query, not a flat list
-            ([[0, 1], [1, 2]], None),  # two rows for one query
+            ([0, 1], None),  # one row of two ends per path, not a flat list
+            ([[0, 1, 2]], None),  # three ends for one path
             ([[0, 3]], None),  # past the last feature row
             ([[-1, 0]], None),
             ([[0, 1]], (np.zeros((2, 1), dtype=np.intp), np.zeros((2, 1)))),
@@ -238,9 +238,11 @@ class TestSelectSupports:
         ],
     )
     def test_malformed_ends_or_lists_rejected(self, ends, lists):
+        # A path point's ends are its pair's rows, which prove its supports
+        # from their lists: both are checked where they enter the density.
         fm = FeatureMatrix([[0.0], [1.0], [2.0]])
         with pytest.raises(DataError):
-            batch_normalized_density([(0.5,)], fm, 2, 1.0, ends, lists)
+            batch_path_density_info(fm, ends, PmlpConfig(kde_support_n=2), lists)
 
 
 class TestAggregate:
@@ -387,13 +389,13 @@ class TestDensityRatio:
         base = density_ratio(dataset.features, pairs, cfg)
 
         queried = []
-        real = density_module.batch_normalized_density
+        real = density_module._kernel_means
 
         def spy(queries, *args):
             queried.append(len(queries))
             return real(queries, *args)
 
-        monkeypatch.setattr(density_module, "batch_normalized_density", spy)
+        monkeypatch.setattr(density_module, "_kernel_means", spy)
         noisy = [(31, 0), (5, 40), (40, 5), (12, 59), (0, 31), (59, 12)]
         assert density_ratio(dataset.features, noisy, cfg) == base
         assert queried == [len(pairs) * cfg.path_points_k]

@@ -7,6 +7,7 @@ import inspect
 import pytest
 
 from pmlp.core import AffinityMatrix, PmlpConfig
+from pmlp.density import batch_normalized_density
 from pmlp.graph import build_affinity
 from pmlp.propagate import propagate_closed_form
 
@@ -20,9 +21,10 @@ MODULES = (
     "pmlp.synthlab",
 )
 
-# Single-query copies of pipeline stages, a test-only solver knob and the
-# iterative solver; the batched kernel, knn_edges, the graph's base affinity
-# and the fixed-point closed form are the one implementation of each.
+# Single-query copies of pipeline stages, a test-only solver knob, the
+# iterative solver and the endpoint-only nearest-row lists; the batched
+# kernel, knn_edges, the graph's base affinity, the fixed-point closed form
+# and every row's list are the one implementation of each.
 REMOVED = (
     "CLOSED_FORM_SCALINGS",
     "NeighborSet",
@@ -30,6 +32,7 @@ REMOVED = (
     "PathSample",
     "SOLVERS",
     "_check_kde_inputs",
+    "_end_lists",
     "aggregate_density",
     "distance",
     "kde_density",
@@ -70,6 +73,16 @@ def test_removed_solver_knob_stays_gone():
         "edges",
         "cfg",
         "lists",
+    ]
+
+
+def test_kde_takes_no_list_arguments():
+    # Path points reach the kernel with their ends and lists privately.
+    assert list(inspect.signature(batch_normalized_density).parameters) == [
+        "queries",
+        "features",
+        "n",
+        "h",
     ]
 
 

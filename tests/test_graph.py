@@ -157,6 +157,30 @@ class TestBuildAffinity:
         W = to_dense(build_affinity(fm, complete_edges(2), CLASSICAL))
         assert W[0, 1] == 1e12  # 1 / EPS_DISTANCE
 
+    def test_euclidean_affinity_holds_two_pair_arrays(self):
+        """At d=32 the gathered rows dominate: at most two (pairs x d) arrays.
+
+        Gathering both rows and then their difference and its square would
+        hold three or four. tracemalloc counts numpy's buffers; the inputs
+        are allocated first.
+        """
+        import tracemalloc
+
+        means = np.eye(32)[:2] * 3.0
+        features = gen_gaussian_blobs(means, 1.0, 1000, 1, seed=5).features
+        edges = knn_edges(features, 6)
+        pairs = np.unique(np.sort(edges, axis=1), axis=0).shape[0]
+        # Two pair arrays, plus 16 float64 per pair for the pair keys,
+        # weights, values and the sparse matrix.
+        bound = 8 * pairs * (2 * features.dim + 16)
+        tracemalloc.start()
+        try:
+            build_affinity(features, edges, CLASSICAL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
 
 def normalized(matrix):
     return to_dense(normalize_symmetric(affinity_from_dense(matrix)))

@@ -108,18 +108,13 @@ def test_unprovable_cuts_take_the_exact_fallback(monkeypatch, kind, offset, scal
 
 
 def listed_rows_counted(queries, pool, count, ends, lists):
-    """``_listed_rows``' result and how many queries fell back to the kernel.
-
-    The fallback ranks its queries with no row excluded; the lists the
-    proof computes for itself exclude each row.
-    """
+    """``_listed_rows``' result and how many queries fell back to the kernel."""
     fallen = []
     nearest = density._nearest_rows
 
-    def spy(queries, pool, count, exclude=None):
-        if exclude is None:
-            fallen.append(queries.shape[0])
-        return nearest(queries, pool, count, exclude)
+    def spy(queries, pool, count):
+        fallen.append(queries.shape[0])
+        return nearest(queries, pool, count)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(density, "_nearest_rows", spy)
@@ -148,7 +143,7 @@ def listed_rows_counted(queries, pool, count, ends, lists):
     kind="identical", dim=2, n=40, offset=0.0, length_fraction=0.5,
     count_fraction=0.2, seed=0, path="fallback",
 )
-# Lists computed for the endpoints: some points are proven, some not.
+# Lists as long as the supports need: some points are proven, some not.
 @example(
     kind="normal", dim=1, n=40, offset=1e6, length_fraction=None,
     count_fraction=0.1, seed=5, path="both",
@@ -167,11 +162,11 @@ def test_list_proof_matches_oracle(
     ends = np.column_stack([a, b])
     count = 1 + int(count_fraction * (n - 1))  # 1 .. n
     if length_fraction is None:
-        lists, covers = None, density._list_length(count, n) >= n - 1
+        length = density._list_length(count, n)
     else:
         length = 1 + int(length_fraction * (n - 2))  # 1 .. n - 1
-        lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
-        covers = length >= n - 1
+    lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
+    covers = length >= n - 1
 
     (got_idx, got_d2), fallen = listed_rows_counted(queries, pool, count, ends, lists)
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
@@ -319,10 +314,10 @@ def test_list_proof_blocks_match_oracle(
     ends = np.column_stack([a, b])
     count = 1 + int(count_fraction * (n - 1))  # 1 .. n
     if length_fraction is None:
-        lists, length = None, density._list_length(count, n)
+        length = density._list_length(count, n)
     else:
         length = 1 + int(length_fraction * (n - 2))  # 1 .. n - 1
-        lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
+    lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
     width = 2 * (length + 1)  # both ends and their lists
 
     with pytest.MonkeyPatch.context() as patch:
@@ -330,7 +325,7 @@ def test_list_proof_blocks_match_oracle(
         patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * width * (dim + 4))
         got_idx, got_d2 = density._listed_rows(queries, pool, count, ends, lists)
         patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * count)
-        kde = batch_normalized_density(queries, pool, count, 0.5, ends, lists)
+        kde = density._kernel_means(queries, pool, count, 0.5, ends, lists)
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
@@ -358,7 +353,7 @@ def test_kde_memory_stays_within_the_block_budget(monkeypatch):
     assert 4 * 8 * queries.shape[0] * 45 > 5 * bound
     tracemalloc.start()
     try:
-        batch_normalized_density(queries, features, 45, 0.05, pairs, lists)
+        density._kernel_means(queries, features.data, 45, 0.05, pairs, lists)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
