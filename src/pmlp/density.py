@@ -12,8 +12,13 @@ from one exact kernel, ``_nearest_rows``. It screens each block of queries
 with one GEMM against the pool stored as [-2 x; ||x||^2], which ranks the
 rows as their distances do, keeps candidates with ``argpartition``, then
 ranks them on direct-difference distances with ties toward the lower row
-index. A query whose cut the screen cannot prove is ranked over all rows,
-so the result never depends on BLAS rounding or thread count. Blocks are
+index (``_rank``). On large pools a block is first screened only against
+a slab of the pool sorted on its widest coordinate, and the key gap to the
+first row outside the slab proves the result; at low d that holds for
+nearly every query, so the pass stops being quadratic, and where it fails
+(high d) the queries go to the whole pool. A query whose cut the whole
+pool's screen cannot prove is ranked over all rows, so the result never
+depends on slabs, BLAS rounding or thread count. Blocks are
 sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of float64;
 a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries), and the KDE
 reduces each block to its kernel means before the next, so the working
@@ -68,6 +73,16 @@ _MIN_SCREEN_BLOCK = 16
 # distances just past the count are close but not tied.
 _SCREEN_MARGIN = 8
 
+# First slab half-width, in sorted pool rows per candidate the screen keeps
+# (count + ``_SCREEN_MARGIN``); each later round is four times wider. On
+# the 4,000-row two-moons list pass (32 rows per list, d = 2) 8 was the
+# fastest of 6 to 24: 0.04-0.05 s of CPU, where the whole-pool screen took
+# 0.09-0.13 s.
+# At d = 2 the best width grows about as sqrt(rows): 12 to 16 at 20,000 to
+# 50,000 rows, where 8 costs up to 1.6x as much and still a third or less
+# of the whole-pool screen.
+_FIRST_SLAB = 8
+
 
 def _nearest_rows(queries, pool, count, exclude=None):
     """The ``count`` pool rows nearest to each query, closest first.
@@ -78,97 +93,238 @@ def _nearest_rows(queries, pool, count, exclude=None):
     direct distance. ``exclude``, if given, holds one pool row per query
     that is never returned; ``count`` must leave enough rows.
 
-    The pool is stored once as A = [-2 x; ||x||^2], (dim + 1) x rows, and
-    each query block is screened with one GEMM, [q, 1] A, giving
-    s(x) = ||x||^2 - 2 q.x = ||q - x||^2 - ||q||^2. Leaving out ||q||^2
-    shifts a query's whole row by one constant, so it ranks the rows as
-    their distances do; ``argpartition`` keeps ``count`` plus
-    ``_SCREEN_MARGIN`` candidates. With u = eps / 2, gamma_k = k u /
-    (1 - k u) and R the largest pool norm, the (dim + 1)-term dot product,
-    summed in any order, is within gamma_(dim+1) (2 ||q|| R + R^2) of its
-    exact value, and the rounded ||x||^2 it adds within gamma_dim R^2:
-    less than (dim + 1) eps (||q|| + R)^2 in all. A direct squared
-    distance is within (dim + 2) u (||q|| + R)^2 of the exact one, so a
-    screened value is within 2 (dim + 4) eps (||q|| + R)^2 of the direct
-    distance less ||q||^2. When the first row screened out lies more than
-    twice that past the ``count``-th, no row outside the candidates can
-    rank inside the count. Queries that fail this test are ranked over
-    all rows.
+    Candidates come from ``_screen``, first against slabs of the pool,
+    then against the whole pool. For the slabs the pool is sorted once
+    along its widest coordinate a (largest max - min), by a stable
+    argsort, and the queries are taken in that key order. A block of
+    queries is screened against the pool rows within ``width`` sorted
+    positions of the block's key range, ``width`` starting at
+    ``_FIRST_SLAB`` times the screen's candidates. A row x outside the
+    slab has its key at or beyond g, the first key outside the slab on its
+    side, so ||q - x|| >= |q_a - x_a| >= G = |q_a - g|, the query's key
+    gap. A query is accepted when the screen proves its cut within the
+    slab and its ``count``-th direct distance d_n, rounded up, is below its
+    key gap, rounded down: then every row outside the slab ranks after the
+    count, whatever its index. The slack is derived as ``_listed_rows``
+    derives its triangle bound's. The computed gap is one rounded
+    subtraction, at most G (1 + eps / 2), and x's computed squared
+    distance is at least (1 - (dim + 2) eps / 2) G^2 less the smallest
+    normal number; the test sqrt(d_n + tiny) (1 + s) < gap (1 - s), with
+    s = 2 (dim + 4) eps, leaves room for all of these and its own few
+    roundings, so x's computed distance exceeds d_n. The queries not
+    accepted go round again with ``width`` four times larger, until
+    2 ``width`` reaches the pool size. The whole pool is the last slab,
+    where the gap is infinite, and a query whose cut it cannot prove is
+    ranked over all rows (``_rank_all``), once.
+
+    Where distances concentrate (high d) a key gap proves almost nothing.
+    The first block is an eighth of the others, and when it accepts fewer
+    than half of its queries, every query goes to the whole pool at once,
+    in its own order and without a copy. Pools of at most 2 ``width`` rows
+    skip the slabs before any sort. Either way the slabs change the time,
+    never the result.
 
     Callers: ``_row_lists`` for every row's list (self excluded),
     ``_kernel_means`` for queries with no endpoint rows, and
     ``_listed_rows`` for the path points its list proof leaves open.
     """
     n, dim = pool.shape
-    width = count + _SCREEN_MARGIN
-    if width >= n:
+    keep = count + _SCREEN_MARGIN
+    if keep >= n:
         return _rank_all(queries, pool, count, exclude)
     indices = np.empty((queries.shape[0], count), dtype=np.intp)
     dist2 = np.empty((queries.shape[0], count))
-    # Overflow is left to the finiteness test below, which sends the
+    # Overflow is left to the screen's finiteness test, which sends the
     # affected queries to the exact rule.
     with np.errstate(over="ignore", invalid="ignore"):
-        pool_sq = np.einsum("ij,ij->i", pool, pool)
-        lifted_pool = np.empty((dim + 1, n))
-        np.multiply(pool.T, -2.0, out=lifted_pool[:dim])
-        lifted_pool[dim] = pool_sq
-        radius = np.sqrt(pool_sq.max())
-    slack = 4 * (dim + 4) * np.finfo(float).eps
-    block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + width * dim))
-    # One screen buffer and one [q, 1] buffer serve every block, and each
-    # block frees its partition order, so only one block's large arrays
-    # are ever alive.
-    screen_rows = np.empty((min(block, queries.shape[0]), n))
-    lifted_rows = np.ones((screen_rows.shape[0], dim + 1))
-    for start in range(0, queries.shape[0], block):
-        q = queries[start : start + block]
-        skip = None if exclude is None else exclude[start : start + block]
-        lifted = lifted_rows[: q.shape[0]]
-        lifted[:, :dim] = q
+        lifted = np.empty((dim + 1, n))
+        np.multiply(pool.T, -2.0, out=lifted[:dim])
+        lifted[dim] = np.einsum("ij,ij->i", pool, pool)
+        radius = np.sqrt(lifted[dim].max())
+    # One screen buffer, the size of a whole-pool block's screen, serves
+    # every block: a new one per block would cost its page faults each time.
+    block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + keep * dim))
+    buffer = np.empty(min(block, queries.shape[0]) * n)
+
+    def screen(rows, q, a=None, b=None):
+        """``_screen`` of block ``rows`` (queries ``q``) against the sorted
+        pool rows a:b, or with no a against the whole pool in row order."""
+        columns, slab, skip = lifted, None, None
+        if a is not None:
+            slab = order[a:b]
+            columns = np.take(lifted, slab, axis=1)
+        if exclude is not None:
+            column = exclude[rows] if a is None else place[exclude[rows]] - a
+            inside = np.flatnonzero((column >= 0) & (column < columns.shape[1]))
+            skip = inside, column[inside]
+        out = buffer[: rows.size * columns.shape[1]].reshape(rows.size, -1)
+        return _screen(q, pool, columns, slab, radius, count, skip, out)
+
+    pending = None  # the queries left for the whole pool; None: all
+    width = _FIRST_SLAB * keep
+    if 2 * width < n:
         with np.errstate(over="ignore", invalid="ignore"):
-            screen = np.matmul(lifted, lifted_pool, out=screen_rows[: q.shape[0]])
-            if skip is not None:
-                screen[np.arange(q.shape[0]), skip] = np.inf
-            part = np.argpartition(screen, width, axis=1)
-            kept = np.take_along_axis(screen, part[:, : width + 1], axis=1)
-            last = np.partition(kept[:, :width], count - 1, axis=1)[:, count - 1]
-            scale = (np.sqrt(np.einsum("ij,ij->i", q, q)) + radius) ** 2
-            # The tiny term covers rounding among subnormal products. A
-            # finite 2 * scale rules out overflow, so every screened value
-            # is finite and an excluded row (inf) is never a candidate.
-            bound = slack * scale + np.finfo(float).tiny
-            proven = (kept[:, width] - last > bound) & (2 * scale < np.inf)
-        rows = np.flatnonzero(proven)
-        indices[start + rows], dist2[start + rows] = _rank(
-            q[rows], pool, part[rows, :width], count
-        )
-        rows = np.flatnonzero(~proven)
-        if rows.size:
-            indices[start + rows], dist2[start + rows] = _rank_all(
-                q[rows], pool, count, None if skip is None else skip[rows]
+            axis = np.argmax(np.ptp(pool, axis=0))
+        order = np.argsort(pool[:, axis], kind="stable")
+        keys = pool[order, axis]
+        if exclude is not None:
+            place = np.empty(n, dtype=np.intp)
+            place[order] = np.arange(n)
+        slack = 2 * (dim + 4) * np.finfo(float).eps
+        tiny = np.finfo(float).tiny
+        pending = np.argsort(queries[:, axis], kind="stable")
+        first = True
+        while pending is not None and pending.size and 2 * width < n:
+            # A slab holds at least ``width`` rows. A block takes as many
+            # queries as fit the budget and the buffer with the slab they
+            # span; the first an eighth of that, as it may prove nothing.
+            most = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * width + keep * dim))
+            left = []
+            start = 0
+            while start < pending.size:
+                key = queries[pending[start : start + most], axis]
+                a = max(np.searchsorted(keys, key[0], "left") - width, 0)
+                b = np.minimum(np.searchsorted(keys, key, "right") + width, n)
+                size = np.arange(1, b.size + 1)
+                fits = (size * (2 * (b - a) + keep * dim) <= _CHUNK_ELEMENTS) & (
+                    size * (b - a) <= buffer.size
+                )
+                size = np.count_nonzero(fits) // (8 if first else 1)
+                rows = pending[start : start + max(_MIN_SCREEN_BLOCK, size)]
+                q = queries[rows]
+                b = b[rows.size - 1]
+                ok, idx, d2 = screen(rows, q, a, b)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    # The key gap to the first row outside the slab either side.
+                    gap = np.full(ok.size, np.inf)
+                    if a > 0:
+                        gap = q[ok, axis] - keys[a - 1]
+                    if b < n:
+                        gap = np.minimum(gap, keys[b] - q[ok, axis])
+                    far = np.sqrt(d2[:, -1] + tiny) * (1 + slack) < gap * (1 - slack)
+                done = ok[far]
+                indices[rows[done]], dist2[rows[done]] = idx[far], d2[far]
+                if first and 2 * done.size < rows.size:
+                    left = None  # high d: a key gap proves almost nothing
+                    break
+                first = False
+                left.append(np.delete(rows, done))
+                start += rows.size
+            pending = None if left is None else np.concatenate(left)
+            width *= 4
+
+    total = queries.shape[0] if pending is None else pending.size
+    for start in range(0, total, block):
+        if pending is None:
+            rows = np.arange(start, min(start + block, total))
+            q = queries[start : start + block]
+        else:
+            rows = pending[start : start + block]
+            q = queries[rows]
+        ok, idx, d2 = screen(rows, q)
+        indices[rows[ok]], dist2[rows[ok]] = idx, d2
+        rest = np.delete(rows, ok)
+        if rest.size:
+            indices[rest], dist2[rest] = _rank_all(
+                queries[rest], pool, count, None if exclude is None else exclude[rest]
             )
-        del part
     return indices, dist2
+
+
+def _screen(q, pool, lifted, rows, radius, count, skip, out):
+    """Rank a block of queries among the pool rows ``rows`` behind ``lifted``.
+
+    ``lifted`` holds the pool rows ``rows`` (None: every row, in order) as
+    A = [-2 x; ||x||^2], (dim + 1) x columns; ``skip`` (block rows,
+    columns) are entries never returned, and ``out`` takes the screen.
+    One GEMM, [q, 1] A, gives s(x) = ||x||^2 - 2 q.x = ||q - x||^2 -
+    ||q||^2 for every column. Leaving out ||q||^2 shifts a query's whole
+    row by one constant, so it ranks the rows as their distances do;
+    ``argpartition`` keeps ``count`` plus ``_SCREEN_MARGIN`` candidates.
+    With u = eps / 2, gamma_k = k u / (1 - k u) and R the largest pool
+    norm, the (dim + 1)-term dot product, summed in any order, is within
+    gamma_(dim+1) (2 ||q|| R + R^2) of its exact value, and the rounded
+    ||x||^2 it adds within gamma_dim R^2: less than (dim + 1) eps
+    (||q|| + R)^2 in all. A direct squared distance is within (dim + 2) u
+    (||q|| + R)^2 of the exact one, so a screened value is within
+    2 (dim + 4) eps (||q|| + R)^2 of the direct distance less ||q||^2.
+    When the first column screened out lies more than twice that past the
+    ``count``-th, no column outside the candidates can rank inside the
+    count.
+
+    Returns the block rows so proven and their (indices, squared
+    distances) among the columns, as ``_rank`` ranks them.
+    """
+    keep = count + _SCREEN_MARGIN
+    dim = q.shape[1]
+    lifted_q = np.ones((q.shape[0], dim + 1))
+    lifted_q[:, :dim] = q
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = np.matmul(lifted_q, lifted, out=out)
+        if skip is not None:
+            screen[skip] = np.inf
+        part = np.argpartition(screen, keep, axis=1)
+        kept = _along(screen, part[:, : keep + 1])
+        last = np.partition(kept[:, :keep], count - 1, axis=1)[:, count - 1]
+        scale = (np.sqrt(np.einsum("ij,ij->i", q, q)) + radius) ** 2
+        # The tiny term covers rounding among subnormal products. A
+        # finite 2 * scale rules out overflow, so every screened value
+        # is finite and an excluded row (inf) is never a candidate.
+        bound = 4 * (dim + 4) * np.finfo(float).eps * scale + np.finfo(float).tiny
+        proven = np.flatnonzero((kept[:, keep] - last > bound) & (2 * scale < np.inf))
+    candidates = part[proven, :keep]
+    del part
+    if rows is not None:
+        candidates = rows[candidates]
+    return (proven, *_rank(q[proven], pool, candidates, count))
 
 
 def _distances(queries, pool, candidates):
     """Direct squared distance from each query to each of its candidate rows."""
     # (x - q) ** 2 equals (q - x) ** 2 bit for bit; working in place keeps
     # one (queries x candidates x dim) array alive.
-    diff = pool[candidates]
-    diff -= queries[:, None, :]
-    np.square(diff, out=diff)
-    return diff.sum(axis=2)
+    diff = np.take(pool, candidates, axis=0)
+    # An overflow gives inf, which ranks last, as in the exact rule.
+    with np.errstate(over="ignore"):
+        diff -= queries[:, None, :]
+        np.square(diff, out=diff)
+        if diff.shape[2] == 2:
+            # One addition rounds once in any order: sum's value, without
+            # its per-row cost on an axis of two.
+            return np.add(diff[..., 0], diff[..., 1])
+        return diff.sum(axis=2)
+
+
+def _along(values, order):
+    """``np.take_along_axis(values, order, axis=1)`` for a 2-d ``values``.
+
+    One flat ``np.take``: a few times faster on the small blocks here.
+    """
+    starts = np.arange(0, values.size, values.shape[1])
+    return np.take(values.reshape(-1), order + starts[:, None])
 
 
 def _rank(queries, pool, candidates, count):
-    """Rank each query's candidate rows by (direct distance, row index)."""
+    """The ``count`` first of each query's candidate rows by (distance, row).
+
+    Returns (rows, direct squared distances), each (n_queries, count).
+    The candidates are put in row order and a repeated row's distance set
+    to inf, so it ranks after every finite one, and a stable sort of the
+    distances breaks ties toward the lower row. A quicksort runs first;
+    only rows with a tie among their first ``count`` + 1 are sorted again,
+    stably.
+    """
+    candidates = np.sort(candidates, axis=1)
     dist2 = _distances(queries, pool, candidates)
-    order = np.lexsort((candidates, dist2), axis=1)[:, :count]
-    return (
-        np.take_along_axis(candidates, order, axis=1),
-        np.take_along_axis(dist2, order, axis=1),
-    )
+    dist2[:, 1:][candidates[:, 1:] == candidates[:, :-1]] = np.inf
+    order = np.argsort(dist2, axis=1)
+    ranked = _along(dist2, order)
+    head = ranked[:, : count + 1]
+    ties = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=1))
+    if ties.size:
+        order[ties] = np.argsort(dist2[ties], axis=1, kind="stable")
+        ranked[ties] = _along(dist2[ties], order[ties])
+    return _along(candidates, order[:, :count]), ranked[:, :count]
 
 
 def _rank_all(queries, pool, count, exclude):
@@ -185,9 +341,10 @@ def _rank_all(queries, pool, count, exclude):
     for start in range(0, queries.shape[0], step):
         q = queries[start : start + step]
         rows = slice(start, start + q.shape[0])
-        diff = q[:, None, :] - pool[None, :, :]
-        np.square(diff, out=diff)
-        d2 = diff.sum(axis=2)
+        with np.errstate(over="ignore"):
+            diff = q[:, None, :] - pool[None, :, :]
+            np.square(diff, out=diff)
+            d2 = diff.sum(axis=2)
         if skip:
             d2[np.arange(q.shape[0]), exclude[rows]] = -np.inf
         order = np.argsort(d2, axis=1, kind="stable")[:, skip : skip + count]
@@ -267,16 +424,10 @@ def _listed_rows(queries, pool, count, ends, lists):
     while stop < queries.shape[0] and width >= count:
         start, stop = stop, stop + (block if stop else max(1, block // 8))
         q, end = queries[start:stop], ends[start:stop]
-        # Candidates in row order, so a stable sort of their distances
-        # breaks ties toward the lower row; a repeated row sorts last.
         candidates = np.concatenate(
             [end, list_rows[end].reshape(q.shape[0], -1)], axis=1
         )
-        candidates.sort(axis=1)
-        d2 = _distances(q, pool, candidates)
-        d2[:, 1:][candidates[:, 1:] == candidates[:, :-1]] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :count]
-        best = np.take_along_axis(d2, order, axis=1)
+        found, best = _rank(q, pool, candidates, count)
         proven = np.isfinite(best[:, -1])
         if not covers:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -286,7 +437,7 @@ def _listed_rows(queries, pool, count, ends, lists):
                 near *= 1 + slack
                 proven &= np.any(near < reach[end], axis=1)
         rows = np.flatnonzero(proven)
-        indices[start + rows] = np.take_along_axis(candidates, order, axis=1)[rows]
+        indices[start + rows] = found[rows]
         dist2[start + rows] = best[rows]
         unproven.append(start + np.flatnonzero(~proven))
         if 2 * rows.size < q.shape[0]:
@@ -332,8 +483,10 @@ def _kernel_means(queries, data, n, h, ends=None, lists=None):
             d2 = _nearest_rows(queries[rows], data, n)[1]
         else:
             d2 = _listed_rows(queries[rows], data, n, ends[rows], lists)[1]
-        # d2 / -h is -d2 / h bit for bit: division rounds symmetrically.
-        np.divide(d2, -h, out=d2)
+        # d2 / -h is -d2 / h bit for bit: division rounds symmetrically. A
+        # quotient that overflows has a kernel value of 0 either way.
+        with np.errstate(over="ignore"):
+            np.divide(d2, -h, out=d2)
         values[rows] = np.mean(np.exp(d2, out=d2), axis=1)
         del d2  # before the next block allocates its own
     return values

@@ -157,12 +157,13 @@ class TestBuildAffinity:
         W = to_dense(build_affinity(fm, complete_edges(2), CLASSICAL))
         assert W[0, 1] == 1e12  # 1 / EPS_DISTANCE
 
-    def test_euclidean_affinity_holds_two_pair_arrays(self):
+    @staticmethod
+    def assert_two_pair_arrays(distance_mode):
         """At d=32 the gathered rows dominate: at most two (pairs x d) arrays.
 
-        Gathering both rows and then their difference and its square would
-        hold three or four. tracemalloc counts numpy's buffers; the inputs
-        are allocated first.
+        Gathering both rows and then their difference, product or squares
+        would hold three or four. tracemalloc counts numpy's buffers; the
+        inputs are allocated first.
         """
         import tracemalloc
 
@@ -173,13 +174,21 @@ class TestBuildAffinity:
         # Two pair arrays, plus 16 float64 per pair for the pair keys,
         # weights, values and the sparse matrix.
         bound = 8 * pairs * (2 * features.dim + 16)
+        cfg = PmlpConfig(mode="classical_lpa", distance_mode=distance_mode)
         tracemalloc.start()
         try:
-            build_affinity(features, edges, CLASSICAL)
+            build_affinity(features, edges, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+    def test_euclidean_affinity_holds_two_pair_arrays(self):
+        self.assert_two_pair_arrays("euclidean_inverse")
+
+    @pytest.mark.parametrize("distance_mode", ["first_order_similarity", "cosine_similarity"])
+    def test_similarity_affinity_holds_two_pair_arrays(self, distance_mode):
+        self.assert_two_pair_arrays(distance_mode)
 
 
 def normalized(matrix):

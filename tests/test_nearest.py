@@ -1,12 +1,15 @@
 """The blocked nearest-row kernel and the list proof against the oracle.
 
-The kernel screens candidates with GEMM distances and ranks them on direct
-distances; wherever the screen cannot prove its cut, it ranks over all
-rows. The list proof ranks a path point's supports among its endpoints'
+The kernel screens candidates with GEMM distances, on large pools first
+against slabs of the pool sorted on one coordinate, and ranks them on
+direct distances; wherever neither the screen nor a slab's key gap can
+prove the cut, it ranks over all rows. The list proof ranks a path point's supports among its endpoints'
 nearest-row lists and sends what the triangle inequality cannot prove to
 the kernel. Either way the output must be exactly the oracle's: same rows,
 same order, ties toward the lower index.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -358,3 +361,174 @@ def test_kde_memory_stays_within_the_block_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+# Slabs. The pools above hold at most 60 rows, fewer than a first slab
+# needs (more than 2 * _FIRST_SLAB * (count + _SCREEN_MARGIN) rows), so they
+# screen the whole pool. These use a few hundred rows and, where it says
+# so, a first slab of one or two candidates' width, so that blocks are
+# screened against slabs of the key-sorted pool, proven by their key gap,
+# and sent round again until the whole pool is the slab.
+
+
+def screens_counted(call, *args):
+    """``call(*args)``, and the queries ``_screen`` saw: (slab, whole pool).
+
+    Each entry is one block's queries; a slab block gets its pool rows.
+    Library RuntimeWarnings are errors here.
+    """
+    slabs, whole = [], []
+    screen = density._screen
+
+    def spy(q, pool, lifted, rows, *rest):
+        (whole if rows is None else slabs).append(q)
+        return screen(q, pool, lifted, rows, *rest)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(density, "_screen", spy)
+        got = call(*args)
+    return got, slabs, whole
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.sampled_from([1, 2, 3, 32]),
+    n=st.integers(40, 400),
+    offset=st.sampled_from([0.0, 1e6]),
+    scale=st.sampled_from([1.0, 1e154]),
+    self_excluded=st.booleans(),
+    count=st.integers(1, 12),
+    first_slab=st.sampled_from([1, 2, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Tied keys and tied distances at every slab edge, over several rounds.
+@example(
+    kind="integer_grid", dim=2, n=400, offset=0.0, scale=1.0,
+    self_excluded=True, count=5, first_slab=1, seed=0,
+)
+@example(
+    kind="duplicated", dim=1, n=300, offset=1e6, scale=1.0,
+    self_excluded=False, count=3, first_slab=1, seed=1,
+)
+# A row just outside the slab lies exactly at the count-th distance, and
+# its lower index ranks it first: the key gap must exceed that distance.
+@example(
+    kind="integer_grid", dim=2, n=60, offset=0.0, scale=1.0,
+    self_excluded=True, count=3, first_slab=1, seed=3,
+)
+# Squares overflow: every query falls back, with no RuntimeWarning.
+@example(
+    kind="normal", dim=3, n=300, offset=1e6, scale=1e154,
+    self_excluded=True, count=4, first_slab=2, seed=2,
+)
+def test_slabs_match_oracle(
+    kind, dim, n, offset, scale, self_excluded, count, first_slab, seed
+):
+    rng = np.random.default_rng(seed)
+    pool = make_pool(kind, n, dim, offset, rng) * scale
+    if self_excluded:
+        queries, exclude = pool, np.arange(n)
+    else:
+        a, b = rng.integers(0, n, 100), rng.integers(0, n, 100)
+        queries, exclude = pool[a] + 0.5 * (pool[b] - pool[a]), None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_FIRST_SLAB", first_slab)
+        (got_idx, got_d2), slabs, _ = screens_counted(
+            _nearest_rows, queries, pool, count, exclude
+        )
+        kde, _, _ = screens_counted(batch_normalized_density, queries, pool, count, 0.5)
+    with np.errstate(over="ignore"):
+        want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
+        _, support_d2 = nearest_rows_oracle(queries, pool, count)
+        want_kde = np.mean(np.exp(-support_d2 / 0.5), axis=1)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    if 2 * first_slab * (count + density._SCREEN_MARGIN) < n:
+        assert slabs
+    assert np.max(np.abs(kde - want_kde)) <= 1e-12
+
+
+@pytest.mark.parametrize("first_slab", [1, 8])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize(
+    "kind, offset, scale, fallback",
+    [
+        ("identical", 0.0, 1.0, "all"),  # every key gap and cut is a tie
+        ("normal", 0.0, 1e154, "all"),  # the screen's squares would overflow
+        ("normal", 1e6, 1.0, "some"),  # GEMM cancellation swamps the close gaps
+        ("normal", 0.0, 1.0, "none"),  # slabs, then the pool, prove all
+    ],
+)
+def test_unprovable_slab_cuts_take_the_exact_fallback_once(
+    monkeypatch, kind, offset, scale, fallback, dim, first_slab
+):
+    """``test_unprovable_cuts_take_the_exact_fallback`` over several slab
+    rounds and dims: each query the slabs and the pool leave is ranked over
+    all rows exactly once."""
+    rng = np.random.default_rng(7)
+    n = 1000
+    pool = make_pool(kind, n, dim, offset, rng) * scale
+    ranked = []
+    rank_all = density._rank_all
+
+    def spy(queries, *args):
+        ranked.append(queries)
+        return rank_all(queries, *args)
+
+    monkeypatch.setattr(density, "_rank_all", spy)
+    monkeypatch.setattr(density, "_FIRST_SLAB", first_slab)
+    got, slabs, _ = screens_counted(_nearest_rows, pool, pool, 5, np.arange(n))
+    with np.errstate(over="ignore"):
+        want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert slabs
+    fallen = np.concatenate([pool[:0]] + ranked)
+    expected = {"all": lambda r: r == n, "some": lambda r: 0 < r < n, "none": lambda r: r == 0}
+    assert expected[fallback](len(fallen))
+    if kind == "normal":  # distinct rows: none ranked twice
+        assert np.unique(fallen, axis=0).shape[0] == len(fallen)
+
+
+def test_low_d_lists_are_proven_in_slabs():
+    data = gen_two_moons(n=2000, noise=0.1, labeled_per_class=2, seed=4).features.data
+    (got_idx, got_d2), slabs, whole = screens_counted(
+        density._row_lists, data, 5, 15
+    )
+    want_idx, want_d2 = nearest_rows_oracle(data, data, 32, np.arange(2000))
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    # Every row is screened in slabs, and none needs the whole pool.
+    assert sum(q.shape[0] for q in slabs) >= 2000
+    assert not whole
+
+
+def test_high_d_leaves_the_slabs_after_one_block():
+    means = np.eye(32)[:4] * 3.0
+    data = gen_gaussian_blobs(means, 1.0, 300, 1, seed=2).features.data
+    queries = data[::2]
+    (got_idx, got_d2), slabs, whole = screens_counted(
+        _nearest_rows, queries, data, 6
+    )
+    want_idx, want_d2 = nearest_rows_oracle(queries, data, 6)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    # Distances concentrate at d=32: the first slab block proves under
+    # half of its queries, so every query, in order and uncopied, is
+    # screened against the whole pool.
+    assert len(slabs) == 1
+    assert np.array_equal(np.concatenate(whole), queries)
+    assert all(np.shares_memory(q, queries) for q in whole)
+
+
+def test_small_pools_skip_the_slabs():
+    rng = np.random.default_rng(3)
+    pool = rng.normal(size=(2 * density._FIRST_SLAB * (5 + density._SCREEN_MARGIN), 2))
+    got, slabs, whole = screens_counted(_nearest_rows, pool, pool, 5, np.arange(len(pool)))
+    want = nearest_rows_oracle(pool, pool, 5, np.arange(len(pool)))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert not slabs and whole

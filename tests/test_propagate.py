@@ -522,6 +522,30 @@ class TestRunPmlp:
         ).final_labels.data
         assert np.max(np.abs(moved - base[order])) <= 1e-12
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("power", [-1, 1])
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_scaling_by_a_power_of_two_changes_no_bit(self, power, mode, seed):
+        # Features times 4**power and bandwidth times 16**power scale every
+        # difference, squared distance and key gap by a power of two, which
+        # rounds exactly, so every kNN, support, density factor and proof
+        # is unchanged; W's factor 4**-power cancels exactly in
+        # D^(-1/2) W D^(-1/2). 1,000 rows take the nearest-row slabs. The
+        # EPS_DISTANCE floor does not scale, so coincident rows are left out.
+        dataset = gen_two_moons(n=1000, noise=0.1, labeled_per_class=3, seed=seed)
+        data = dataset.features.data
+        assume(np.unique(data, axis=0).shape[0] == data.shape[0])
+        assignments = assignments_from_dataset(dataset)
+        cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, mode=mode)
+        base = run_pmlp(dataset.features, assignments, cfg).final_labels.data
+        scaled = run_pmlp(
+            FeatureMatrix(data * 4.0**power),
+            assignments,
+            replace(cfg, bandwidth_h=cfg.bandwidth_h * 16.0**power),
+        ).final_labels.data
+        assert scaled.tobytes() == base.tobytes()
+
 
 class TestThresholdScheduler:
     def test_below_trigger_count_leaves_tau(self):
