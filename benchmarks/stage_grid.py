@@ -18,6 +18,13 @@ timed with ``time.perf_counter``:
 - ``knn_s``: ``graph.neighbor_lists`` plus ``graph.knn_edges`` on its lists;
 - ``affinity_s``: ``graph.build_affinity`` on those edges and lists.
 
+A pmlp cell also records its list length ``list_length`` (m), its
+``path_points`` and ``proven_share``, the share of them whose KDE
+supports ``density._listed_rows`` proved from the endpoints' lists; the
+rest go to ``density._nearest_rows``, which is counted by wrapping it
+during each ``_listed_rows`` call, as the tests' ``listed_rows_counted``
+does.
+
 ``peak_rss_mb`` is the cell process's ``ru_maxrss`` after the repeats and
 so includes the interpreter, numpy and the data. A cell is skipped, not
 run, when its estimate for one repeat exceeds 60 s or 2 GB. The estimate
@@ -50,6 +57,7 @@ def run_cell(n, dim, mode):
     """Time one cell in this process; returns its record."""
     import numpy as np
 
+    from pmlp import density
     from pmlp.core import PmlpConfig
     from pmlp.graph import build_affinity, knn_edges, neighbor_lists
     from pmlp.synthlab import gen_gaussian_blobs
@@ -60,7 +68,24 @@ def run_cell(n, dim, mode):
     features = gen_gaussian_blobs(means, 1.0, n // 2, 1, seed=1000).features
     cfg = PmlpConfig(mode=mode, neighbor_count=NEIGHBOR_COUNT, kde_support_n=SUPPORT_N)
     knn, affinity = [], []
+    points, fallen = [], []
+    listed_rows, nearest_rows = density._listed_rows, density._nearest_rows
+
+    def fallback(queries, pool, count):
+        fallen.append(queries.shape[0])
+        return nearest_rows(queries, pool, count)
+
+    def counted(queries, *args):
+        points.append(queries.shape[0])
+        density._nearest_rows = fallback
+        try:
+            return listed_rows(queries, *args)
+        finally:
+            density._nearest_rows = nearest_rows
+
+    density._listed_rows = counted
     for _ in range(REPEATS):
+        del points[:], fallen[:]
         begin = time.perf_counter()
         lists = neighbor_lists(features, cfg)
         edges = knn_edges(features, cfg.neighbor_count, lists)
@@ -69,8 +94,17 @@ def run_cell(n, dim, mode):
         end = time.perf_counter()
         knn.append(middle - begin)
         affinity.append(end - middle)
+        length = lists[0].shape[1]
         del lists, edges
+    proof = {}
+    if mode == "pmlp":
+        proof = {
+            "list_length": length,
+            "path_points": sum(points),
+            "proven_share": 1.0 - sum(fallen) / sum(points),
+        }
     return {
+        **proof,
         "knn_s": min(knn),
         "affinity_s": min(affinity),
         "knn_affinity_s": min(k + a for k, a in zip(knn, affinity)),

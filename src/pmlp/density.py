@@ -31,10 +31,14 @@ to prove a number of KDE supports (``_list_length``); ``graph`` takes the
 kNN edges from the first columns of the same lists. A path point lies
 between its two endpoint rows, so its supports are usually among the
 endpoints' own nearest rows. ``_listed_rows`` ranks each point's supports
-among its endpoints and their lists and proves the result with the
-triangle inequality: a row outside an endpoint e's list lies at least
-r_m(e), the distance to e's m-th row, from e, and so at least
-r_m(e) - ||q - e|| from the point q. Points the bound cannot prove go to
+among its endpoints and their lists. A row outside an endpoint e's list
+lies at least r_m(e), the distance to e's m-th row, from e; two bounds
+turn that into a distance from the point q, and either proves the
+result: the triangle inequality, r_m(e) - ||q - e||, and Stewart's
+theorem on the segment from a to b, whose squared bound mixes r_m(a)^2
+and r_m(b)^2. Stewart's bound proves nearly every kNN-edge point with
+lists of m = ceil(4 n / 3) + 2 rows for n supports, where the triangle
+bound needed 2 n + 2. Points neither bound proves go to
 ``_nearest_rows``, so the output is the same either way.
 
 All operations are pure; per-pair computations are independent and may run
@@ -78,10 +82,17 @@ _SCREEN_MARGIN = 8
 # the 4,000-row two-moons list pass (32 rows per list, d = 2) 8 was the
 # fastest of 6 to 24: 0.04-0.05 s of CPU, where the whole-pool screen took
 # 0.09-0.13 s.
-# At d = 2 the best width grows about as sqrt(rows): 12 to 16 at 20,000 to
-# 50,000 rows, where 8 costs up to 1.6x as much and still a third or less
-# of the whole-pool screen.
 _FIRST_SLAB = 8
+
+# Rows per candidate beyond which, at d >= 2, the first slab widens as
+# sqrt(rows): to ``_FIRST_SLAB`` sqrt(rows / (``_SLAB_ROWS`` candidates)),
+# about 0.6 sqrt(rows / candidates), as a query's nearest rows span about
+# sqrt(rows x candidates) sorted rows at d = 2. Two-blob list passes at
+# 50,000 rows, width 8 -> this rule: d = 2, 1.66 -> 1.19 s (m = 62) and
+# 0.53 -> 0.44 s (m = 6); d = 3, 4.8 -> 3.7 s and 2.0 -> 1.7 s; at 20,000
+# rows, within 7%. At d = 1 the key gap is the distance and 8 stays the
+# fastest (0.51 s at 50,000 rows, m = 62, against 0.76 s at 16).
+_SLAB_ROWS = 180
 
 
 def _nearest_rows(queries, pool, count, exclude=None):
@@ -99,8 +110,9 @@ def _nearest_rows(queries, pool, count, exclude=None):
     argsort, and the queries are taken in that key order. A block of
     queries is screened against the pool rows within ``width`` sorted
     positions of the block's key range, ``width`` starting at
-    ``_FIRST_SLAB`` times the screen's candidates. A row x outside the
-    slab has its key at or beyond g, the first key outside the slab on its
+    ``_FIRST_SLAB`` times the screen's candidates, widened as sqrt(rows)
+    on large pools at d >= 2 (``_SLAB_ROWS``). A row x outside the slab
+    has its key at or beyond g, the first key outside the slab on its
     side, so ||q - x|| >= |q_a - x_a| >= G = |q_a - g|, the query's key
     gap. A query is accepted when the screen proves its cut within the
     slab and its ``count``-th direct distance d_n, rounded up, is below its
@@ -162,6 +174,8 @@ def _nearest_rows(queries, pool, count, exclude=None):
 
     pending = None  # the queries left for the whole pool; None: all
     width = _FIRST_SLAB * keep
+    if dim > 1 and n > _SLAB_ROWS * keep:
+        width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
     if 2 * width < n:
         with np.errstate(over="ignore", invalid="ignore"):
             axis = np.argmax(np.ptp(pool, axis=0))
@@ -356,11 +370,20 @@ def _rank_all(queries, pool, count, exclude):
 def _list_length(support_n, n_rows):
     """Length m of the lists that prove ``support_n`` supports.
 
-    Twice the supports, plus the two endpoints, leaves room for a path
-    point's supports to lie past either endpoint's list: on two moons
-    this proved over 99% of the kNN-edge midpoints at 15 and 45 supports.
+    m = ceil(4 n / 3) + 2, at most every other row. With it Stewart's
+    bound (``_listed_rows``) proves almost every kNN-edge point; shorter
+    lists leave many to ``_nearest_rows``, and longer ones only cost.
+    kNN-edge midpoints left unproven, and lists plus affinity, for m =
+    n + 2 / ceil(4 n / 3) + 2 / ceil(3 n / 2) + 2 / 2 n + 2 (the length
+    the triangle bound alone needed):
+
+    - 4,000-row two moons (seed 1000), n = 15, k = 5 (12,202 pairs):
+      1,127 / 11 / 2 / 0, in 0.064 / 0.065 / 0.066 / 0.079 s;
+    - two blobs, d = 2, n = 45, k = 6: at 4,000 rows 2,119 / 0 / 0 / 0,
+      in 0.136 / 0.129 / 0.156 / 0.175 s; at 20,000 rows 11,143 / 0 / 0 /
+      0, in 0.91 / 0.74 / 0.89 / 1.04 s.
     """
-    return min(2 * support_n + 2, n_rows - 1)
+    return min((4 * support_n + 2) // 3 + 2, n_rows - 1)
 
 
 def _row_lists(data, count=0, support_n=None):
@@ -380,40 +403,74 @@ def _row_lists(data, count=0, support_n=None):
 def _listed_rows(queries, pool, count, ends, lists):
     """``_nearest_rows(queries, pool, count)``, proven from endpoint lists.
 
-    ``ends`` is a (Q, a) array of pool rows near each query (a path
-    point's endpoints), and ``lists`` every pool row's list from
-    ``_row_lists``, so an end indexes its own list.
+    ``ends`` is a (Q, 2) array: each query's two endpoint rows a and b,
+    the query a point of the segment between them, computed as
+    a + f (b - a) with f in [0, 1]. ``lists`` is every pool row's list
+    from ``_row_lists``, so an end indexes its own list.
 
     A query's candidates are its ends and their lists, duplicates
     removed, ranked by (direct distance, row index). Let d_n be the
-    distance of the ``count``-th candidate. A row x outside an end e's
-    list has ||x - e|| >= r_m(e), e's distance to its m-th row, and so
-    ||x - q|| >= r_m(e) - ||q - e||; when that exceeds d_n for some end,
-    no such row can rank inside the count. On floats, a direct squared
-    distance is within (dim + 2) eps / 2 of the exact one relative, plus
-    the smallest normal number absolute, so the test widens each root
-    toward the failing side by ``2 (dim + 4) eps``, which also covers its
-    own few roundings. A non-finite distance proves nothing; lists that
+    squared distance of the ``count``-th candidate and r_m(e) end e's
+    distance to its m-th listed row. Every other row x lies outside both
+    lists, so ||x - e|| >= r_m(e) for each end; the query is proven when
+    either bound below puts every such x past d_n, so that no x can rank
+    inside the count. A non-finite distance proves nothing; lists that
     cover every row (m >= pool rows - 1) need no bound.
+
+    Triangle: ||x - q|| >= r_m(e) - ||q - e|| for each end e, and any q.
+    On floats, a direct squared distance is within (dim + 2) eps / 2 of
+    the exact one relative, plus the smallest normal number absolute, so
+    the test widens each root toward the failing side by
+    ``2 (dim + 4) eps``, which also covers its own few roundings.
+
+    Stewart: with alpha = ||q - a||, beta = ||q - b|| and L = alpha + beta
+    = ||a - b|| for q on the segment, Stewart's theorem gives ||x - q||^2
+    = (beta ||x - a||^2 + alpha ||x - b||^2) / L - alpha beta, so ||x -
+    q||^2 >= S = (beta r_m(a)^2 + alpha r_m(b)^2) / L - alpha beta. On a
+    kNN pair this is never weaker than the triangle bound; on a long pair
+    the triangle bound can win near an end, so both are tried. On floats,
+    with u = eps / 2 and R the largest pool norm: the computed q lies
+    within delta <= 2 u (||a|| + ||b||) + u ||q|| <= 4 u (||q|| + R) of a
+    point q* of the segment, so the computed alpha and beta are within
+    epsilon = delta + (dim + 3) u L of q*'s, and the computed r_m(e)^2
+    within (dim + 2) u relative of exact bounds on the rows outside e's
+    list. S = r_m(a)^2 + t (r_m(b)^2 - r_m(a)^2) - alpha beta with t =
+    alpha / L in [0, 1], and r_m(e), the (m + 1)-th distance from e to the
+    pool counting e itself, is 1-Lipschitz, so |r_m(b)^2 - r_m(a)^2| <= L
+    (r_m(a) + r_m(b)): moving alpha and beta by epsilon moves S by at most
+    epsilon (r_m(a) + r_m(b) + 2 L) + epsilon^2. Moving q* to q lowers
+    ||q - x||^2 by at most 2 delta sqrt(S), with S <= max r_m(e)^2, and
+    x's computed distance is at least (1 - (dim + 2) u) times the exact
+    one. Since 2 delta r <= 4 u ((||q|| + R)^2 + r^2), every error is a
+    few (dim + 4) eps times E = r_m(a)^2 + r_m(b)^2 + L^2 + (||q|| +
+    R)^2. Its absolute term, (||q|| + R)^2, is the point's own rounding,
+    which scales with the coordinates, not with the distances. Near
+    underflow a squared distance is off by up to the smallest normal
+    number, and its root by up to sqrt(tiny), which adds at most
+    eps E + tiny / eps. The test d_n + 64 (dim + 4) eps E + tiny / eps < S
+    leaves a wide margin for all of these and for its own roundings.
 
     Queries are taken in blocks whose candidate arrays fill at most half
     of ``_CHUNK_ELEMENTS``: the heap may keep their pages when the
     fallback's screen is allocated after them. Where distances concentrate
-    (high d) the bound proves almost nothing, so once a block proves fewer
+    (high d) the bounds prove little, so once a block proves fewer
     than half of its queries, the rest skip the candidates; the first
     block is an eighth of the others, so that is all such inputs waste.
-    Every unproven query is ranked by ``_nearest_rows``: the rule changes
+    Every unproven query is ranked by ``_nearest_rows``: the bounds change
     the time, never the result.
     """
     n, dim = pool.shape
     list_rows, list_d2 = lists
     covers = list_rows.shape[1] >= n - 1
-    width = ends.shape[1] * (list_rows.shape[1] + 1)
-    slack = 2 * (dim + 4) * np.finfo(float).eps
+    width = 2 * (list_rows.shape[1] + 1)
+    eps = np.finfo(float).eps
+    slack = 2 * (dim + 4) * eps
     tiny = np.finfo(float).tiny
-    # r_m(e), rounded down; 0, which proves nothing, where it is not finite.
-    with np.errstate(invalid="ignore"):
-        reach = np.sqrt(list_d2[:, -1] - tiny) * (1 - slack)
+    reach2 = list_d2[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # r_m(e), rounded down; 0, which proves nothing, where it is not finite.
+        reach = np.sqrt(reach2 - tiny) * (1 - slack)
+        radius = np.sqrt(np.einsum("ij,ij->i", pool, pool).max())
     reach[~np.isfinite(reach)] = 0.0
     indices = np.empty((queries.shape[0], count), dtype=np.intp)
     dist2 = np.empty((queries.shape[0], count))
@@ -431,11 +488,23 @@ def _listed_rows(queries, pool, count, ends, lists):
         proven = np.isfinite(best[:, -1])
         if not covers:
             with np.errstate(over="ignore", invalid="ignore"):
-                # ||q - e|| and d_n, rounded up.
-                near = np.sqrt(_distances(q, pool, end) + tiny)
-                near += np.sqrt(best[:, -1:] + tiny)
+                last = best[:, -1]
+                near2 = _distances(q, pool, end)
+                # Triangle: ||q - e|| and d_n, rounded up, within r_m(e).
+                near = np.sqrt(near2 + tiny)
+                near += np.sqrt(last + tiny)[:, None]
                 near *= 1 + slack
-                proven &= np.any(near < reach[end], axis=1)
+                triangle = np.any(near < reach[end], axis=1)
+                # Stewart: d_n, plus the rounding bound, below S.
+                alpha, beta = np.sqrt(near2).T
+                total = alpha + beta
+                r2a, r2b = reach2[end].T
+                floor = (beta / total) * r2a + (alpha / total) * r2b - alpha * beta
+                scale = np.sqrt(np.einsum("ij,ij->i", q, q)) + radius
+                error = r2a + r2b + total * total + scale * scale
+                error *= 64 * (dim + 4) * eps
+                stewart = last + error + tiny / eps < floor
+                proven &= triangle | stewart
         rows = np.flatnonzero(proven)
         indices[start + rows] = found[rows]
         dist2[start + rows] = best[rows]

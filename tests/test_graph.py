@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pmlp import density
 from pmlp.core import AffinityMatrix, DataError, FeatureMatrix, NumericalError, PmlpConfig
 from pmlp.graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
 from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
@@ -59,7 +60,11 @@ class TestNeighborLists:
         "cfg, length",
         [
             (PmlpConfig(mode="classical_lpa", neighbor_count=5, kde_support_n=15), 5),
-            (PmlpConfig(neighbor_count=5, kde_support_n=15), 32),
+            pytest.param(
+                PmlpConfig(neighbor_count=5, kde_support_n=15),
+                density._list_length(15, 60),
+                id="cfg1-32",  # the id of m = 2n + 2, kept
+            ),
             (PmlpConfig(neighbor_count=40, kde_support_n=15), 40),
             (PmlpConfig(neighbor_count=5, kde_support_n=45), 59),  # N - 1
         ],

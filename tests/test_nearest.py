@@ -189,6 +189,124 @@ def test_list_proof_matches_oracle(
     assert expected[path](fallen)
 
 
+def path_point_bounds(queries, pool, count, ends, lists):
+    """Per query: d_n, both bounds and the nearest row outside both lists.
+
+    All squared and without rounding slack, from the oracle's distances:
+    a point one bound leaves open here is open for ``_listed_rows`` too.
+    """
+    list_rows, list_d2 = lists
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.array([np.sum((pool - q) ** 2, axis=1) for q in queries])
+        d_n = np.sort(d2, axis=1)[:, count - 1]
+        r = np.sqrt(list_d2[ends, -1])
+        alpha, beta = np.sqrt(d2[np.arange(len(queries))[:, None], ends]).T
+        gap = np.maximum(r - np.column_stack([alpha, beta]), 0.0)
+        triangle = np.max(gap, axis=1) ** 2
+        stewart = (beta * r[:, 0] ** 2 + alpha * r[:, 1] ** 2) / (alpha + beta)
+        stewart -= alpha * beta
+    outside = d2.copy()
+    for row, (a, b) in enumerate(ends):
+        outside[row, [a, b, *list_rows[a], *list_rows[b]]] = np.inf
+    return d_n, triangle, stewart, outside.min(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.sampled_from([1, 2, 32]),
+    n=st.integers(3, 60),
+    offset=st.sampled_from([0.0, 1e6]),
+    scale=st.sampled_from([1.0, 1e154]),
+    knn=st.booleans(),
+    count_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    path=st.none(),
+)
+# A kNN-edge point that only Stewart's bound proves.
+@example(
+    kind="normal", dim=2, n=30, offset=0.0, scale=1.0, knn=True,
+    count_fraction=0.5, seed=212, path="stewart",
+)
+# Long pairs: points that only the triangle bound proves.
+@example(
+    kind="normal", dim=2, n=41, offset=0.0, scale=1.0, knn=False,
+    count_fraction=0.1, seed=837, path="triangle",
+)
+# Ties at d_n, and points at 1/3 off by a rounding: without its slack,
+# Stewart's bound proves a point that a lower-index row outside both lists
+# beats.
+@example(
+    kind="integer_grid", dim=2, n=15, offset=0.0, scale=1.0, knn=False,
+    count_fraction=0.1, seed=863, path="tie",
+)
+# At 1e6 the points lie off their segments by a rounding of the
+# coordinates, which only the slack's absolute term covers.
+@example(
+    kind="integer_grid", dim=2, n=47, offset=1e6, scale=1.0, knn=False,
+    count_fraction=0.2, seed=170, path=None,
+)
+# Squares overflow: an infinite r_m(e) proves nothing, even with d_n finite.
+@example(
+    kind="normal", dim=2, n=24, offset=1e6, scale=1e154, knn=False,
+    count_fraction=0.3, seed=942, path=None,
+)
+def test_path_point_bounds_match_oracle(
+    kind, dim, n, offset, scale, knn, count_fraction, seed, path
+):
+    """Both bounds, with lists as long as ``_list_length`` makes them.
+
+    Pairs are kNN edges (an end and one of its 5 nearest rows), where
+    Stewart's bound is never the weaker, or any two rows, where the
+    triangle bound can win near an end. Each ``@example`` needs one part
+    of the proof: Stewart's bound, the triangle bound, or the rounding
+    slack that a tie or a point off its segment by rounding would break.
+    """
+    rng = np.random.default_rng(seed)
+    pool = make_pool(kind, n, dim, offset, rng) * scale
+    count = 1 + int(count_fraction * (n - 1))  # 1 .. n
+    length = density._list_length(count, n)
+    with np.errstate(over="ignore"):
+        lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
+    a = rng.integers(0, n, 40)
+    if knn:
+        b = lists[0][a, rng.integers(0, min(5, length), 40)]
+    else:
+        b = (a + rng.integers(1, n, 40)) % n
+    fracs = rng.choice([0.5, 1 / 3, 2 / 3, 0.25], 40)
+    queries = pool[a] + fracs[:, None] * (pool[b] - pool[a])
+    ends = np.column_stack([a, b])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (got_idx, got_d2), fallen = listed_rows_counted(
+            queries, pool, count, ends, lists
+        )
+    with np.errstate(over="ignore"):
+        want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+
+    d_n, triangle, stewart, outside = path_point_bounds(
+        queries, pool, count, ends, lists
+    )
+
+    def open_under(bound):
+        """How many points ``bound`` alone leaves open."""
+        return np.count_nonzero(bound < d_n * (1 - 1e-9))
+
+    expected = {
+        # points the triangle bound leaves open, proven by Stewart's
+        "stewart": lambda: fallen < open_under(triangle),
+        # points Stewart's bound leaves open, proven by the triangle bound
+        "triangle": lambda: fallen < open_under(stewart),
+        # a row outside both lists lies exactly at a point's d_n
+        "tie": lambda: np.any(outside == d_n),
+        None: lambda: True,
+    }
+    assert expected[path]()
+
+
 def kde_queries(features, count):
     """Midpoints of the kNN edges and their endpoints, as ``run_pmlp`` asks."""
     edges = knn_edges(features, count)
@@ -201,7 +319,7 @@ def test_low_d_midpoints_are_proven_from_the_lists():
     features = gen_two_moons(n=1000, noise=0.1, labeled_per_class=2, seed=1).features
     queries, pairs = kde_queries(features, 5)
     lists = neighbor_lists(features, PmlpConfig(kde_support_n=15, neighbor_count=5))
-    assert lists[0].shape == (1000, 32)
+    assert lists[0].shape == (1000, density._list_length(15, 1000))
     (got_idx, got_d2), fallen = listed_rows_counted(
         queries, features.data, 15, pairs, lists
     )
@@ -233,10 +351,11 @@ def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
     want_idx, want_d2 = nearest_rows_oracle(queries, features.data, 15)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
-    # Distances concentrate at d=32: the first, small block proves nothing,
-    # and the rest go straight to the kernel.
-    assert fallen == len(queries)
-    assert len(ranked) == 1 and ranked[0] < len(queries) / 8
+    # Distances concentrate at d=32: Stewart's bound proves a few points
+    # (the triangle bound none), and once a block proves fewer than half of
+    # its points, the rest go straight to the kernel.
+    assert 0 < len(queries) - fallen < sum(ranked) / 2
+    assert sum(ranked) < len(queries) / 8
 
 
 # Block boundaries. The pools above are small enough that every call is one
@@ -498,7 +617,8 @@ def test_low_d_lists_are_proven_in_slabs():
     (got_idx, got_d2), slabs, whole = screens_counted(
         density._row_lists, data, 5, 15
     )
-    want_idx, want_d2 = nearest_rows_oracle(data, data, 32, np.arange(2000))
+    length = density._list_length(15, 2000)
+    want_idx, want_d2 = nearest_rows_oracle(data, data, length, np.arange(2000))
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
     # Every row is screened in slabs, and none needs the whole pool.
