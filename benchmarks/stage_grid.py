@@ -19,11 +19,11 @@ timed with ``time.perf_counter``:
 - ``affinity_s``: ``graph.build_affinity`` on those edges and lists.
 
 A pmlp cell also records its list length ``list_length`` (m), its
-``path_points`` and ``proven_share``, the share of them whose KDE
-supports ``density._listed_rows`` proved from the endpoints' lists; the
-rest go to ``density._nearest_rows``, which is counted by wrapping it
-during each ``_listed_rows`` call, as the tests' ``listed_rows_counted``
-does.
+``path_points``, the queries that reach ``density._nearest_rows`` with
+endpoint lists, and ``proven_share``, the share of them whose KDE
+supports ``density._listed_rows`` proved from those lists; the search
+ranks the rest against the pool. Both are counted by wrapping the two
+functions, as the tests' ``listed_rows_counted`` does.
 
 ``peak_rss_mb`` is the cell process's ``ru_maxrss`` after the repeats and
 so includes the interpreter, numpy and the data. A cell is skipped, not
@@ -68,24 +68,22 @@ def run_cell(n, dim, mode):
     features = gen_gaussian_blobs(means, 1.0, n // 2, 1, seed=1000).features
     cfg = PmlpConfig(mode=mode, neighbor_count=NEIGHBOR_COUNT, kde_support_n=SUPPORT_N)
     knn, affinity = [], []
-    points, fallen = [], []
-    listed_rows, nearest_rows = density._listed_rows, density._nearest_rows
+    points, proven = [], []
+    nearest_rows, listed_rows = density._nearest_rows, density._listed_rows
 
-    def fallback(queries, pool, count):
-        fallen.append(queries.shape[0])
-        return nearest_rows(queries, pool, count)
+    def searched(queries, pool, count, exclude=None, ends=None, lists=None):
+        if lists is not None:
+            points.append(queries.shape[0])
+        return nearest_rows(queries, pool, count, exclude, ends, lists)
 
-    def counted(queries, *args):
-        points.append(queries.shape[0])
-        density._nearest_rows = fallback
-        try:
-            return listed_rows(queries, *args)
-        finally:
-            density._nearest_rows = nearest_rows
+    def listed(*args):
+        got = listed_rows(*args)
+        proven.append(got[0].size)
+        return got
 
-    density._listed_rows = counted
+    density._nearest_rows, density._listed_rows = searched, listed
     for _ in range(REPEATS):
-        del points[:], fallen[:]
+        del points[:], proven[:]
         begin = time.perf_counter()
         lists = neighbor_lists(features, cfg)
         edges = knn_edges(features, cfg.neighbor_count, lists)
@@ -101,7 +99,7 @@ def run_cell(n, dim, mode):
         proof = {
             "list_length": length,
             "path_points": sum(points),
-            "proven_share": 1.0 - sum(fallen) / sum(points),
+            "proven_share": sum(proven) / sum(points),
         }
     return {
         **proof,

@@ -8,21 +8,23 @@ Pairs whose segment crosses a low-density region end up with a small
 factor, which is what lets the propagation graph respect cluster shape.
 
 Nearest rows, for KDE supports here and for kNN edges in ``graph``, come
-from one exact kernel, ``_nearest_rows``. It screens each block of queries
-with one GEMM against the pool stored as [-2 x; ||x||^2], which ranks the
-rows as their distances do, keeps candidates with ``argpartition``, then
-ranks them on direct-difference distances with ties toward the lower row
-index (``_rank``). On large pools a block is first screened only against
-a slab of the pool sorted on its widest coordinate, and the key gap to the
-first row outside the slab proves the result; at low d that holds for
-nearly every query, so the pass stops being quadratic, and where it fails
-(high d) the queries go to the whole pool. A query whose cut the whole
-pool's screen cannot prove is ranked over all rows, so the result never
-depends on slabs, BLAS rounding or thread count. Blocks are
-sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of float64;
-a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries), and the KDE
-reduces each block to its kernel means before the next, so the working
-set stays near one cache-sized block whatever the number of queries.
+from one exact search, ``_nearest_rows``, in rounds over the queries still
+unproven: a path point's endpoint lists (below), then slabs of the pool
+sorted on its widest coordinate, four times wider each round, then the
+whole pool. A screen takes a block of queries through one GEMM against
+the pool stored as [-2 x; ||x||^2], which ranks the rows as their
+distances do, keeps candidates with ``argpartition``, then ranks them on
+direct-difference distances with ties toward the lower row index
+(``_rank``); in a slab the key gap to the first row outside it proves the
+result. At low d that holds for nearly every query, so the pass stops
+being quadratic. By one stop rule, a list or slab round that proves under
+half of what it tries hands the rest to the next stage, as at high d.
+What the whole pool's screen cannot prove is ranked over all rows, once,
+so the result never depends on rounds, BLAS rounding or thread count.
+Blocks are sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of
+float64; a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries), and
+the KDE reduces each block to its kernel means before the next, so the
+working set stays near one cache-sized block whatever the number of queries.
 
 Nearest-row lists have one shape, every row's list: (indices, squared
 distances), each (N, m), row i holding i's m nearest other rows. One
@@ -38,8 +40,8 @@ result: the triangle inequality, r_m(e) - ||q - e||, and Stewart's
 theorem on the segment from a to b, whose squared bound mixes r_m(a)^2
 and r_m(b)^2. Stewart's bound proves nearly every kNN-edge point with
 lists of m = ceil(4 n / 3) + 2 rows for n supports, where the triangle
-bound needed 2 n + 2. Points neither bound proves go to
-``_nearest_rows``, so the output is the same either way.
+bound needed 2 n + 2. Points neither bound proves go on to the screens,
+so the output is the same either way.
 
 All operations are pure; per-pair computations are independent and may run
 in any order without changing the result.
@@ -95,20 +97,22 @@ _FIRST_SLAB = 8
 _SLAB_ROWS = 180
 
 
-def _nearest_rows(queries, pool, count, exclude=None):
+def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
     """The ``count`` pool rows nearest to each query, closest first.
 
     Returns (indices, squared distances), each (n_queries, count). The
     distance is ``np.sum((q - x) ** 2)`` over the differences, and ties go
     to the lower row index: the result equals a stable argsort of every
     direct distance. ``exclude``, if given, holds one pool row per query
-    that is never returned; ``count`` must leave enough rows.
+    that is never returned; ``count`` must leave enough rows. ``ends`` and
+    ``lists``, if given, are the path points' as ``_listed_rows`` takes them.
 
-    Candidates come from ``_screen``, first against slabs of the pool,
-    then against the whole pool. For the slabs the pool is sorted once
-    along its widest coordinate a (largest max - min), by a stable
-    argsort, and the queries are taken in that key order. A block of
-    queries is screened against the pool rows within ``width`` sorted
+    The search runs in rounds over the queries still unproven: the
+    endpoint lists (``_listed_rows``), then slabs of the pool, then the
+    whole pool, each screened by ``_screen``. For the slabs the pool is
+    sorted once along its widest coordinate a (largest max - min), by a
+    stable argsort, and the queries are taken in that key order. A block
+    of queries is screened against the pool rows within ``width`` sorted
     positions of the block's key range, ``width`` starting at
     ``_FIRST_SLAB`` times the screen's candidates, widened as sqrt(rows)
     on large pools at d >= 2 (``_SLAB_ROWS``). A row x outside the slab
@@ -126,122 +130,149 @@ def _nearest_rows(queries, pool, count, exclude=None):
     roundings, so x's computed distance exceeds d_n. The queries not
     accepted go round again with ``width`` four times larger, until
     2 ``width`` reaches the pool size. The whole pool is the last slab,
-    where the gap is infinite, and a query whose cut it cannot prove is
-    ranked over all rows (``_rank_all``), once.
+    where the gap is infinite, and the queries whose cut it cannot prove
+    are ranked over all rows (``_rank_all``), once. Pools of at most
+    2 ``width`` rows skip the slabs before any sort, and pools of at most
+    ``count`` + ``_SCREEN_MARGIN`` rows skip the screens.
 
-    Where distances concentrate (high d) a key gap proves almost nothing.
-    The first block is an eighth of the others, and when it accepts fewer
-    than half of its queries, every query goes to the whole pool at once,
-    in its own order and without a copy. Pools of at most 2 ``width`` rows
-    skip the slabs before any sort. Either way the slabs change the time,
-    never the result.
+    Where distances concentrate (high d) the lists and the key gaps prove
+    little, so the list and slab rounds probe, by the stop rule of the
+    block loop (``search``): a stopped round hands the queries it leaves to
+    the next stage, the slabs or the whole pool. The whole pool takes its
+    queries in row order, a run of consecutive ones without a copy. The
+    rounds change the time, never the result.
 
-    Callers: ``_row_lists`` for every row's list (self excluded),
-    ``_kernel_means`` for queries with no endpoint rows, and
-    ``_listed_rows`` for the path points its list proof leaves open.
+    Callers: ``_row_lists`` for every row's list (self excluded) and
+    ``_kernel_means`` for KDE supports, with endpoint lists for path points.
     """
     n, dim = pool.shape
     keep = count + _SCREEN_MARGIN
-    if keep >= n:
-        return _rank_all(queries, pool, count, exclude)
     indices = np.empty((queries.shape[0], count), dtype=np.intp)
     dist2 = np.empty((queries.shape[0], count))
-    # Overflow is left to the screen's finiteness test, which sends the
-    # affected queries to the exact rule.
+    # Overflow is left to the finiteness tests, which send the affected
+    # queries on to the exact rule.
     with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.sqrt(np.einsum("ij,ij->i", pool, pool).max())
+
+    def take(rows):
+        """Queries ``rows``, ascending: a view when they are consecutive."""
+        if rows.size and rows[-1] - rows[0] == rows.size - 1:
+            return queries[rows[0] : rows[-1] + 1]
+        return queries[rows]
+
+    def search(pending, fit, prove, least, probing):
+        """Prove ``pending`` in blocks; the rows left, and whether it stopped.
+
+        ``fit(rest)`` is how many of the rows ``rest`` fit one block, which
+        takes at least ``least``. The stop rule: a probing round's first
+        block is an eighth of the others, as it may prove nothing, and the
+        round ends once fewer than half of the queries it has tried so far
+        are proven; its rows left go to the next stage.
+        """
+        left, start, proven = [], 0, 0
+        while start < pending.size:
+            size = fit(pending[start:]) // (8 if probing and not start else 1)
+            rows = pending[start : start + max(least, size)]
+            done, idx, d2 = prove(rows)
+            indices[rows[done]], dist2[rows[done]] = idx, d2
+            left.append(np.delete(rows, done))
+            start += rows.size
+            proven += done.size
+            if probing and 2 * proven < start:
+                break
+        return np.concatenate(left + [pending[start:]]), start < pending.size
+
+    pending = np.arange(queries.shape[0])
+    # Fewer candidates than supports (short lists) prove nothing.
+    if lists is not None and 2 * (lists[0].shape[1] + 1) >= count:
+        # A block's candidate arrays fill at most half of the budget: the
+        # heap may keep their pages when a screen is allocated after them.
+        block = max(1, _CHUNK_ELEMENTS // (4 * (lists[0].shape[1] + 1) * (dim + 4)))
+
+        def listed(rows):
+            return _listed_rows(take(rows), pool, count, ends[rows], lists, radius)
+
+        pending = search(pending, lambda rest: block, listed, 1, True)[0]
+    if keep < n and pending.size:
         lifted = np.empty((dim + 1, n))
-        np.multiply(pool.T, -2.0, out=lifted[:dim])
-        lifted[dim] = np.einsum("ij,ij->i", pool, pool)
-        radius = np.sqrt(lifted[dim].max())
-    # One screen buffer, the size of a whole-pool block's screen, serves
-    # every block: a new one per block would cost its page faults each time.
-    block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + keep * dim))
-    buffer = np.empty(min(block, queries.shape[0]) * n)
+        with np.errstate(over="ignore"):
+            np.multiply(pool.T, -2.0, out=lifted[:dim])
+            np.einsum("ij,ij->i", pool, pool, out=lifted[dim])
+        # One screen buffer, the size of a whole-pool block's screen, serves
+        # every block: a new one per block would cost its page faults each time.
+        block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + keep * dim))
+        buffer = np.empty(min(block, pending.size) * n)
 
-    def screen(rows, q, a=None, b=None):
-        """``_screen`` of block ``rows`` (queries ``q``) against the sorted
-        pool rows a:b, or with no a against the whole pool in row order."""
-        columns, slab, skip = lifted, None, None
-        if a is not None:
-            slab = order[a:b]
-            columns = np.take(lifted, slab, axis=1)
-        if exclude is not None:
-            column = exclude[rows] if a is None else place[exclude[rows]] - a
-            inside = np.flatnonzero((column >= 0) & (column < columns.shape[1]))
-            skip = inside, column[inside]
-        out = buffer[: rows.size * columns.shape[1]].reshape(rows.size, -1)
-        return _screen(q, pool, columns, slab, radius, count, skip, out)
+        def screen(rows, q, a=None, b=None):
+            """``_screen`` of block ``rows`` (queries ``q``) against the sorted
+            pool rows a:b, or with no a against the whole pool in row order."""
+            columns, slab, skip = lifted, None, None
+            if a is not None:
+                slab = order[a:b]
+                columns = np.take(lifted, slab, axis=1)
+            if exclude is not None:
+                column = exclude[rows] if a is None else place[exclude[rows]] - a
+                inside = np.flatnonzero((column >= 0) & (column < columns.shape[1]))
+                skip = inside, column[inside]
+            out = buffer[: rows.size * columns.shape[1]].reshape(rows.size, -1)
+            return _screen(q, pool, columns, slab, radius, count, skip, out)
 
-    pending = None  # the queries left for the whole pool; None: all
-    width = _FIRST_SLAB * keep
-    if dim > 1 and n > _SLAB_ROWS * keep:
-        width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
-    if 2 * width < n:
-        with np.errstate(over="ignore", invalid="ignore"):
-            axis = np.argmax(np.ptp(pool, axis=0))
-        order = np.argsort(pool[:, axis], kind="stable")
-        keys = pool[order, axis]
-        if exclude is not None:
-            place = np.empty(n, dtype=np.intp)
-            place[order] = np.arange(n)
-        slack = 2 * (dim + 4) * np.finfo(float).eps
-        tiny = np.finfo(float).tiny
-        pending = np.argsort(queries[:, axis], kind="stable")
-        first = True
-        while pending is not None and pending.size and 2 * width < n:
-            # A slab holds at least ``width`` rows. A block takes as many
-            # queries as fit the budget and the buffer with the slab they
-            # span; the first an eighth of that, as it may prove nothing.
+        def slab_size(rest):
+            """How many of ``rest`` fit the budget and the buffer with the
+            slab they span, which holds at least ``width`` rows."""
             most = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * width + keep * dim))
-            left = []
-            start = 0
-            while start < pending.size:
-                key = queries[pending[start : start + most], axis]
-                a = max(np.searchsorted(keys, key[0], "left") - width, 0)
-                b = np.minimum(np.searchsorted(keys, key, "right") + width, n)
-                size = np.arange(1, b.size + 1)
-                fits = (size * (2 * (b - a) + keep * dim) <= _CHUNK_ELEMENTS) & (
-                    size * (b - a) <= buffer.size
-                )
-                size = np.count_nonzero(fits) // (8 if first else 1)
-                rows = pending[start : start + max(_MIN_SCREEN_BLOCK, size)]
-                q = queries[rows]
-                b = b[rows.size - 1]
-                ok, idx, d2 = screen(rows, q, a, b)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    # The key gap to the first row outside the slab either side.
-                    gap = np.full(ok.size, np.inf)
-                    if a > 0:
-                        gap = q[ok, axis] - keys[a - 1]
-                    if b < n:
-                        gap = np.minimum(gap, keys[b] - q[ok, axis])
-                    far = np.sqrt(d2[:, -1] + tiny) * (1 + slack) < gap * (1 - slack)
-                done = ok[far]
-                indices[rows[done]], dist2[rows[done]] = idx[far], d2[far]
-                if first and 2 * done.size < rows.size:
-                    left = None  # high d: a key gap proves almost nothing
-                    break
-                first = False
-                left.append(np.delete(rows, done))
-                start += rows.size
-            pending = None if left is None else np.concatenate(left)
-            width *= 4
-
-    total = queries.shape[0] if pending is None else pending.size
-    for start in range(0, total, block):
-        if pending is None:
-            rows = np.arange(start, min(start + block, total))
-            q = queries[start : start + block]
-        else:
-            rows = pending[start : start + block]
-            q = queries[rows]
-        ok, idx, d2 = screen(rows, q)
-        indices[rows[ok]], dist2[rows[ok]] = idx, d2
-        rest = np.delete(rows, ok)
-        if rest.size:
-            indices[rest], dist2[rest] = _rank_all(
-                queries[rest], pool, count, None if exclude is None else exclude[rest]
+            key = queries[rest[:most], axis]
+            a = max(np.searchsorted(keys, key[0], "left") - width, 0)
+            b = np.minimum(np.searchsorted(keys, key, "right") + width, n)
+            size = np.arange(1, b.size + 1)
+            return np.count_nonzero(
+                (size * (2 * (b - a) + keep * dim) <= _CHUNK_ELEMENTS)
+                & (size * (b - a) <= buffer.size)
             )
+
+        def slab(rows):
+            q = queries[rows]
+            a = max(np.searchsorted(keys, q[0, axis], "left") - width, 0)
+            b = min(np.searchsorted(keys, q[-1, axis], "right") + width, n)
+            ok, idx, d2 = screen(rows, q, a, b)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # The key gap to the first row outside the slab either side.
+                gap = np.full(ok.size, np.inf)
+                if a > 0:
+                    gap = q[ok, axis] - keys[a - 1]
+                if b < n:
+                    gap = np.minimum(gap, keys[b] - q[ok, axis])
+                far = np.sqrt(d2[:, -1] + tiny) * (1 + slack) < gap * (1 - slack)
+            return ok[far], idx[far], d2[far]
+
+        width = _FIRST_SLAB * keep
+        if dim > 1 and n > _SLAB_ROWS * keep:
+            width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
+        if 2 * width < n:
+            with np.errstate(over="ignore", invalid="ignore"):
+                axis = np.argmax(np.ptp(pool, axis=0))
+            order = np.argsort(pool[:, axis], kind="stable")
+            keys = pool[order, axis]
+            if exclude is not None:
+                place = np.empty(n, dtype=np.intp)
+                place[order] = np.arange(n)
+            slack = 2 * (dim + 4) * np.finfo(float).eps
+            tiny = np.finfo(float).tiny
+            pending = pending[np.argsort(queries[pending, axis], kind="stable")]
+            while pending.size and 2 * width < n:
+                pending, stopped = search(
+                    pending, slab_size, slab, _MIN_SCREEN_BLOCK, True
+                )
+                width = n if stopped else 4 * width  # a stop ends the slabs
+            pending = np.sort(pending)
+        pending = search(
+            pending, lambda rest: block, lambda rows: screen(rows, take(rows)),
+            _MIN_SCREEN_BLOCK, False,
+        )[0]
+    if pending.size:
+        indices[pending], dist2[pending] = _rank_all(
+            take(pending), pool, count, None if exclude is None else exclude[pending]
+        )
     return indices, dist2
 
 
@@ -372,7 +403,7 @@ def _list_length(support_n, n_rows):
 
     m = ceil(4 n / 3) + 2, at most every other row. With it Stewart's
     bound (``_listed_rows``) proves almost every kNN-edge point; shorter
-    lists leave many to ``_nearest_rows``, and longer ones only cost.
+    lists leave many to the screens, and longer ones only cost.
     kNN-edge midpoints left unproven, and lists plus affinity, for m =
     n + 2 / ceil(4 n / 3) + 2 / ceil(3 n / 2) + 2 / 2 n + 2 (the length
     the triangle bound alone needed):
@@ -400,8 +431,8 @@ def _row_lists(data, count=0, support_n=None):
     return _nearest_rows(data, data, count, np.arange(n))
 
 
-def _listed_rows(queries, pool, count, ends, lists):
-    """``_nearest_rows(queries, pool, count)``, proven from endpoint lists.
+def _listed_rows(queries, pool, count, ends, lists, radius):
+    """A block of path points' supports, proven from endpoint lists.
 
     ``ends`` is a (Q, 2) array: each query's two endpoint rows a and b,
     the query a point of the segment between them, computed as
@@ -450,77 +481,45 @@ def _listed_rows(queries, pool, count, ends, lists):
     eps E + tiny / eps. The test d_n + 64 (dim + 4) eps E + tiny / eps < S
     leaves a wide margin for all of these and for its own roundings.
 
-    Queries are taken in blocks whose candidate arrays fill at most half
-    of ``_CHUNK_ELEMENTS``: the heap may keep their pages when the
-    fallback's screen is allocated after them. Where distances concentrate
-    (high d) the bounds prove little, so once a block proves fewer
-    than half of its queries, the rest skip the candidates; the first
-    block is an eighth of the others, so that is all such inputs waste.
-    Every unproven query is ranked by ``_nearest_rows``: the bounds change
-    the time, never the result.
+    ``radius`` is R. Returns the queries so proven and their (indices,
+    squared distances), as ``_rank`` ranks them; ``_nearest_rows`` ranks
+    the rest, so the bounds change the time, never the result.
     """
     n, dim = pool.shape
     list_rows, list_d2 = lists
-    covers = list_rows.shape[1] >= n - 1
-    width = 2 * (list_rows.shape[1] + 1)
     eps = np.finfo(float).eps
     slack = 2 * (dim + 4) * eps
     tiny = np.finfo(float).tiny
-    reach2 = list_d2[:, -1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # r_m(e), rounded down; 0, which proves nothing, where it is not finite.
-        reach = np.sqrt(reach2 - tiny) * (1 - slack)
-        radius = np.sqrt(np.einsum("ij,ij->i", pool, pool).max())
-    reach[~np.isfinite(reach)] = 0.0
-    indices = np.empty((queries.shape[0], count), dtype=np.intp)
-    dist2 = np.empty((queries.shape[0], count))
-    unproven = []
-    block = max(1, _CHUNK_ELEMENTS // (2 * width * (dim + 4)))
-    stop = 0
-    # Fewer candidates than supports (short lists) prove nothing.
-    while stop < queries.shape[0] and width >= count:
-        start, stop = stop, stop + (block if stop else max(1, block // 8))
-        q, end = queries[start:stop], ends[start:stop]
-        candidates = np.concatenate(
-            [end, list_rows[end].reshape(q.shape[0], -1)], axis=1
-        )
-        found, best = _rank(q, pool, candidates, count)
-        proven = np.isfinite(best[:, -1])
-        if not covers:
-            with np.errstate(over="ignore", invalid="ignore"):
-                last = best[:, -1]
-                near2 = _distances(q, pool, end)
-                # Triangle: ||q - e|| and d_n, rounded up, within r_m(e).
-                near = np.sqrt(near2 + tiny)
-                near += np.sqrt(last + tiny)[:, None]
-                near *= 1 + slack
-                triangle = np.any(near < reach[end], axis=1)
-                # Stewart: d_n, plus the rounding bound, below S.
-                alpha, beta = np.sqrt(near2).T
-                total = alpha + beta
-                r2a, r2b = reach2[end].T
-                floor = (beta / total) * r2a + (alpha / total) * r2b - alpha * beta
-                scale = np.sqrt(np.einsum("ij,ij->i", q, q)) + radius
-                error = r2a + r2b + total * total + scale * scale
-                error *= 64 * (dim + 4) * eps
-                stewart = last + error + tiny / eps < floor
-                proven &= triangle | stewart
-        rows = np.flatnonzero(proven)
-        indices[start + rows] = found[rows]
-        dist2[start + rows] = best[rows]
-        unproven.append(start + np.flatnonzero(~proven))
-        if 2 * rows.size < q.shape[0]:
-            break
-    unproven.append(np.arange(stop, queries.shape[0]))
-    unproven = np.concatenate(unproven)
-    if unproven.size == queries.shape[0]:
-        # No copy of the queries, no second result (high d).
-        return _nearest_rows(queries, pool, count)
-    if unproven.size:
-        indices[unproven], dist2[unproven] = _nearest_rows(
-            queries[unproven], pool, count
-        )
-    return indices, dist2
+    candidates = np.concatenate(
+        [ends, list_rows[ends].reshape(queries.shape[0], -1)], axis=1
+    )
+    found, best = _rank(queries, pool, candidates, count)
+    proven = np.isfinite(best[:, -1])
+    if list_rows.shape[1] < n - 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            last = best[:, -1]
+            near2 = _distances(queries, pool, ends)
+            reach2 = list_d2[ends, -1]
+            # r_m(e), rounded down; 0, which proves nothing, where it is not finite.
+            reach = np.sqrt(reach2 - tiny) * (1 - slack)
+            reach[~np.isfinite(reach)] = 0.0
+            # Triangle: ||q - e|| and d_n, rounded up, within r_m(e).
+            near = np.sqrt(near2 + tiny)
+            near += np.sqrt(last + tiny)[:, None]
+            near *= 1 + slack
+            triangle = np.any(near < reach, axis=1)
+            # Stewart: d_n, plus the rounding bound, below S.
+            alpha, beta = np.sqrt(near2).T
+            total = alpha + beta
+            r2a, r2b = reach2.T
+            floor = (beta / total) * r2a + (alpha / total) * r2b - alpha * beta
+            scale = np.sqrt(np.einsum("ij,ij->i", queries, queries)) + radius
+            error = r2a + r2b + total * total + scale * scale
+            error *= 64 * (dim + 4) * eps
+            stewart = last + error + tiny / eps < floor
+            proven &= triangle | stewart
+    rows = np.flatnonzero(proven)
+    return rows, found[rows], best[rows]
 
 
 def _check_kernel(features, n, h):
@@ -536,8 +535,8 @@ def _check_kernel(features, n, h):
 def _kernel_means(queries, data, n, h, ends=None, lists=None):
     """The mean kernel over each query's ``n`` supports, block by block.
 
-    Supports come from ``_nearest_rows``, or, given each query's ``ends``
-    and every row's ``lists``, from ``_listed_rows``; the two agree.
+    Supports come from ``_nearest_rows``, given each query's ``ends`` and
+    every row's ``lists`` if there are any; they do not change the result.
     Queries are taken in blocks whose support rows and distances fill
     ``_CHUNK_ELEMENTS``, and each block is reduced to its kernel means
     before the next is searched, so no (queries x supports) array
@@ -548,10 +547,9 @@ def _kernel_means(queries, data, n, h, ends=None, lists=None):
     step = max(1, _CHUNK_ELEMENTS // (2 * n))
     for start in range(0, queries.shape[0], step):
         rows = slice(start, start + step)
-        if ends is None:
-            d2 = _nearest_rows(queries[rows], data, n)[1]
-        else:
-            d2 = _listed_rows(queries[rows], data, n, ends[rows], lists)[1]
+        d2 = _nearest_rows(
+            queries[rows], data, n, None, ends if ends is None else ends[rows], lists
+        )[1]
         # d2 / -h is -d2 / h bit for bit: division rounds symmetrically. A
         # quotient that overflows has a kernel value of 0 either way.
         with np.errstate(over="ignore"):

@@ -44,7 +44,8 @@ def neighbor_lists(features, cfg):
     its first cfg.neighbor_count columns, and in "pmlp" mode the path
     points' KDE supports, which ``density`` proves from their endpoints'
     lists. So m is cfg.neighbor_count in "classical_lpa" mode, and in
-    "pmlp" mode at least 2 * cfg.kde_support_n + 2, capped at N - 1.
+    "pmlp" mode at least ceil(4 * cfg.kde_support_n / 3) + 2
+    (``density._list_length``), capped at N - 1.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)

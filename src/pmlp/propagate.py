@@ -65,8 +65,6 @@ class PropagationResult:
     propagated
         The diffusion output (ground-truth rows clamped back to one-hot
         when configured).
-    high_mask
-        Which rows were routed to the high-confidence side of the split.
     iterations_used, residual
         Solver diagnostics: the number of products with S, and the largest
         change one more fixed-point step would make to the labels.
@@ -74,7 +72,6 @@ class PropagationResult:
 
     final_labels: SoftLabelMatrix
     propagated: SoftLabelMatrix
-    high_mask: np.ndarray
     iterations_used: int
     residual: float
 
@@ -246,7 +243,7 @@ def run_pmlp(
     if labels.classes < 2:
         raise DataError("at least two classes are required")
 
-    high, low, high_mask = split_by_confidence(labels, gt_mask, cfg.tau)
+    high, low, _ = split_by_confidence(labels, gt_mask, cfg.tau)
     if not np.any(high.data):
         raise DataError(
             "the high-confidence set is empty; lower tau or label more rows"
@@ -272,7 +269,6 @@ def run_pmlp(
     return PropagationResult(
         final_labels=final,
         propagated=propagated,
-        high_mask=high_mask,
         iterations_used=iterations,
         residual=residual,
     )

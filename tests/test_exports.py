@@ -9,7 +9,7 @@ import pytest
 from pmlp.core import AffinityMatrix, PmlpConfig
 from pmlp.density import batch_normalized_density
 from pmlp.graph import build_affinity
-from pmlp.propagate import propagate_closed_form
+from pmlp.propagate import PropagationResult, propagate_closed_form
 
 MODULES = (
     "pmlp",
@@ -73,6 +73,17 @@ def test_removed_solver_knob_stays_gone():
         "edges",
         "cfg",
         "lists",
+    ]
+
+
+def test_propagation_result_has_no_unread_fields():
+    # No high_mask: nothing read it, and run_pmlp splits the rows with the
+    # mask split_by_confidence returns.
+    assert [f.name for f in dataclasses.fields(PropagationResult)] == [
+        "final_labels",
+        "propagated",
+        "iterations_used",
+        "residual",
     ]
 
 

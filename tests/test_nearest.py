@@ -1,12 +1,13 @@
-"""The blocked nearest-row kernel and the list proof against the oracle.
+"""The nearest-row search and the list proof against the oracle.
 
-The kernel screens candidates with GEMM distances, on large pools first
-against slabs of the pool sorted on one coordinate, and ranks them on
-direct distances; wherever neither the screen nor a slab's key gap can
-prove the cut, it ranks over all rows. The list proof ranks a path point's supports among its endpoints'
-nearest-row lists and sends what the triangle inequality cannot prove to
-the kernel. Either way the output must be exactly the oracle's: same rows,
-same order, ties toward the lower index.
+The search runs in rounds over the queries still unproven. Path points
+are first ranked among their endpoints' nearest-row lists and proven by
+the triangle inequality or Stewart's bound; then blocks are screened
+with GEMM distances against slabs of the pool sorted on one coordinate,
+proven by the key gap, then against the whole pool; what no round proves
+is ranked over all rows. Whichever round proves a query, the output must
+be exactly the oracle's: same rows, same order, ties toward the lower
+index.
 """
 
 import warnings
@@ -111,18 +112,19 @@ def test_unprovable_cuts_take_the_exact_fallback(monkeypatch, kind, offset, scal
 
 
 def listed_rows_counted(queries, pool, count, ends, lists):
-    """``_listed_rows``' result and how many queries fell back to the kernel."""
-    fallen = []
-    nearest = density._nearest_rows
+    """The search with endpoint lists, and how many queries the lists left."""
+    proven = []
+    listed = density._listed_rows
 
-    def spy(queries, pool, count):
-        fallen.append(queries.shape[0])
-        return nearest(queries, pool, count)
+    def spy(*args):
+        got = listed(*args)
+        proven.append(got[0].size)
+        return got
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(density, "_nearest_rows", spy)
-        got = density._listed_rows(queries, pool, count, ends, lists)
-    return got, sum(fallen)
+        patch.setattr(density, "_listed_rows", spy)
+        got = density._nearest_rows(queries, pool, count, None, ends, lists)
+    return got, len(queries) - sum(proven)
 
 
 @settings(max_examples=300, deadline=None)
@@ -445,13 +447,40 @@ def test_list_proof_blocks_match_oracle(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(density, "_MIN_SCREEN_BLOCK", 1)
         patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * width * (dim + 4))
-        got_idx, got_d2 = density._listed_rows(queries, pool, count, ends, lists)
+        got_idx, got_d2 = _nearest_rows(queries, pool, count, None, ends, lists)
         patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * count)
         kde = density._kernel_means(queries, pool, count, 0.5, ends, lists)
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
     assert np.max(np.abs(kde - np.mean(np.exp(-want_d2 / 0.5), axis=1))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, offset", [("normal", 0.0), ("duplicated", 0.0), ("integer_grid", 1e6)]
+)
+def test_path_kde_is_the_same_with_and_without_lists(kind, offset):
+    """Endpoint lists change which round proves a point, never a bit."""
+    rng = np.random.default_rng(11)
+    n, count = 300, 15
+    pool = make_pool(kind, n, 2, offset, rng)
+    lists = density._row_lists(pool, support_n=count)
+    # kNN pairs, which the lists prove, and any pairs, which they may not
+    a = rng.integers(0, n, 200)
+    b = np.where(
+        np.arange(200) < 100,
+        lists[0][a, rng.integers(0, 5, 200)],
+        (a + rng.integers(1, n, 200)) % n,
+    )
+    fracs = rng.choice([0.5, 1 / 3, 2 / 3, 0.25], 200)
+    points = pool[a] + fracs[:, None] * (pool[b] - pool[a])
+    ends = np.column_stack([a, b])
+
+    plain = density._kernel_means(points, pool, count, 0.5)
+    (_, _), fallen = listed_rows_counted(points, pool, count, ends, lists)
+    listed = density._kernel_means(points, pool, count, 0.5, ends, lists)
+    assert np.array_equal(plain, listed)
+    assert 0 < fallen < len(points)
 
 
 def test_kde_memory_stays_within_the_block_budget(monkeypatch):
@@ -610,6 +639,47 @@ def test_unprovable_slab_cuts_take_the_exact_fallback_once(
     assert expected[fallback](len(fallen))
     if kind == "normal":  # distinct rows: none ranked twice
         assert np.unique(fallen, axis=0).shape[0] == len(fallen)
+
+
+def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
+    """With endpoint lists too, the rounds end in one ``_rank_all`` call.
+
+    Every distance ties in an identical pool, so neither the lists nor a
+    slab nor the whole pool proves a point: each goes through the list
+    round and the screens and is ranked over all rows exactly once.
+    """
+    rng = np.random.default_rng(7)
+    n, count = 1000, 5
+    pool = make_pool("identical", n, 3, 0.0, rng)
+    a = rng.integers(0, n, 400)
+    b = (a + rng.integers(1, n, 400)) % n
+    queries = pool[a] + 0.5 * (pool[b] - pool[a])
+    ends = np.column_stack([a, b])
+    lists = nearest_rows_oracle(pool, pool, density._list_length(count, n), np.arange(n))
+    listed, ranked = [], []
+    listed_rows, rank_all = density._listed_rows, density._rank_all
+
+    def list_spy(*args):
+        got = listed_rows(*args)
+        listed.append(got[0].size)
+        return got
+
+    def rank_spy(queries, *args):
+        ranked.append(queries.shape[0])
+        return rank_all(queries, *args)
+
+    monkeypatch.setattr(density, "_listed_rows", list_spy)
+    monkeypatch.setattr(density, "_rank_all", rank_spy)
+    got, slabs, whole = screens_counted(
+        _nearest_rows, queries, pool, count, None, ends, lists
+    )
+    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
+    assert np.array_equal(got[0], want_idx)
+    assert np.array_equal(got[1], want_d2)
+    assert listed and not any(listed)
+    assert slabs
+    assert sum(q.shape[0] for q in whole) == len(queries)
+    assert ranked == [len(queries)]
 
 
 def test_low_d_lists_are_proven_in_slabs():
