@@ -19,29 +19,30 @@ direct-difference distances with ties toward the lower row index
 result. At low d that holds for nearly every query, so the pass stops
 being quadratic. By one stop rule, a list or slab round that proves under
 half of what it tries hands the rest to the next stage, as at high d.
-What the whole pool's screen cannot prove is ranked over all rows, once,
-so the result never depends on rounds, BLAS rounding or thread count.
+What the whole pool's screen cannot prove ``_rank`` ranks over all rows,
+once, so the result never depends on rounds, BLAS rounding or thread count.
 Blocks are sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of
 float64; a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries), and
 the KDE reduces each block to its kernel means before the next, so the
 working set stays near one cache-sized block whatever the number of queries.
 
 Nearest-row lists have one shape, every row's list: (indices, squared
-distances), each (N, m), row i holding i's m nearest other rows. One
-function, ``_row_lists``, builds them and alone knows how long they must be
-to prove a number of KDE supports (``_list_length``); ``graph`` takes the
-kNN edges from the first columns of the same lists. A path point lies
-between its two endpoint rows, so its supports are usually among the
-endpoints' own nearest rows. ``_listed_rows`` ranks each point's supports
-among its endpoints and their lists. A row outside an endpoint e's list
-lies at least r_m(e), the distance to e's m-th row, from e; two bounds
-turn that into a distance from the point q, and either proves the
-result: the triangle inequality, r_m(e) - ||q - e||, and Stewart's
-theorem on the segment from a to b, whose squared bound mixes r_m(a)^2
-and r_m(b)^2. Stewart's bound proves nearly every kNN-edge point with
-lists of m = ceil(4 n / 3) + 2 rows for n supports, where the triangle
-bound needed 2 n + 2. Points neither bound proves go on to the screens,
-so the output is the same either way.
+distances), each (N, m), row i holding i's m nearest other rows (the
+search finds m + 1 and drops i, or its last row where i is not listed).
+One function, ``_row_lists``, builds them and alone knows how long they
+must be to prove a number of KDE supports (``_list_length``); ``graph``
+takes the kNN edges from the first columns of the same lists. A path
+point lies between its two endpoint rows, so its supports are usually
+among the endpoints' own nearest rows. ``_listed_rows`` ranks each
+point's supports among its endpoints and their lists. A row outside an
+endpoint e's list lies at least r_m(e), the distance to e's m-th row,
+from e; two bounds turn that into a distance from the point q, and
+either proves the result: the triangle inequality, r_m(e) - ||q - e||,
+and Stewart's theorem on the segment from a to b, whose squared bound
+mixes r_m(a)^2 and r_m(b)^2. Stewart's bound proves nearly every
+kNN-edge point with lists of m = ceil(4 n / 3) + 2 rows for n supports,
+where the triangle bound needed 2 n + 2. Points neither bound proves go
+on to the screens, so the output is the same either way.
 
 All operations are pure; per-pair computations are independent and may run
 in any order without changing the result.
@@ -103,9 +104,15 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
     Returns (indices, squared distances), each (n_queries, count). The
     distance is ``np.sum((q - x) ** 2)`` over the differences, and ties go
     to the lower row index: the result equals a stable argsort of every
-    direct distance. ``exclude``, if given, holds one pool row per query
-    that is never returned; ``count`` must leave enough rows. ``ends`` and
-    ``lists``, if given, are the path points' as ``_listed_rows`` takes them.
+    direct distance. ``ends`` and ``lists``, if given, are the path points'
+    as ``_listed_rows`` takes them. ``exclude``, if given, holds one pool
+    row per query that is never returned; ``count`` must leave enough
+    rows. It is read here alone: the search runs for ``count`` + 1 rows
+    with no exclusion, each query's excluded row, or its last row where
+    the excluded one is not among them, moves to the front, and the
+    result is the views past it. The first ``count`` + 1 rows by
+    (distance, row) always hold the first ``count`` other than any one
+    row, so this is exact whichever row is excluded, tied or not.
 
     The search runs in rounds over the queries still unproven: the
     endpoint lists (``_listed_rows``), then slabs of the pool, then the
@@ -145,6 +152,17 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
     Callers: ``_row_lists`` for every row's list (self excluded) and
     ``_kernel_means`` for KDE supports, with endpoint lists for path points.
     """
+    if exclude is not None:
+        indices, dist2 = _nearest_rows(queries, pool, count + 1, None, ends, lists)
+        moved = np.flatnonzero(indices[:, 0] != exclude)
+        # One True per row: the excluded row, or the last where it is not
+        # listed. A stable sort of ~hit puts it first, the rest in order.
+        hit = indices[moved] == exclude[moved, None]
+        hit[:, -1] |= ~hit.any(axis=1)
+        order = np.argsort(~hit, axis=1, kind="stable")
+        indices[moved] = _along(indices[moved], order)
+        dist2[moved] = _along(dist2[moved], order)
+        return indices[:, 1:], dist2[:, 1:]
     n, dim = pool.shape
     keep = count + _SCREEN_MARGIN
     indices = np.empty((queries.shape[0], count), dtype=np.intp)
@@ -203,19 +221,13 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
         block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + keep * dim))
         buffer = np.empty(min(block, pending.size) * n)
 
-        def screen(rows, q, a=None, b=None):
-            """``_screen`` of block ``rows`` (queries ``q``) against the sorted
-            pool rows a:b, or with no a against the whole pool in row order."""
-            columns, slab, skip = lifted, None, None
-            if a is not None:
-                slab = order[a:b]
-                columns = np.take(lifted, slab, axis=1)
-            if exclude is not None:
-                column = exclude[rows] if a is None else place[exclude[rows]] - a
-                inside = np.flatnonzero((column >= 0) & (column < columns.shape[1]))
-                skip = inside, column[inside]
-            out = buffer[: rows.size * columns.shape[1]].reshape(rows.size, -1)
-            return _screen(q, pool, columns, slab, radius, count, skip, out)
+        def screen(q, a=None, b=None):
+            """``_screen`` of queries ``q`` against the sorted pool rows a:b,
+            or with no a against the whole pool in row order."""
+            slab = None if a is None else order[a:b]
+            columns = lifted if a is None else np.take(lifted, slab, axis=1)
+            out = buffer[: q.shape[0] * columns.shape[1]].reshape(q.shape[0], -1)
+            return _screen(q, pool, columns, slab, radius, count, out)
 
         def slab_size(rest):
             """How many of ``rest`` fit the budget and the buffer with the
@@ -234,7 +246,7 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
             q = queries[rows]
             a = max(np.searchsorted(keys, q[0, axis], "left") - width, 0)
             b = min(np.searchsorted(keys, q[-1, axis], "right") + width, n)
-            ok, idx, d2 = screen(rows, q, a, b)
+            ok, idx, d2 = screen(q, a, b)
             with np.errstate(over="ignore", invalid="ignore"):
                 # The key gap to the first row outside the slab either side.
                 gap = np.full(ok.size, np.inf)
@@ -253,9 +265,6 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
                 axis = np.argmax(np.ptp(pool, axis=0))
             order = np.argsort(pool[:, axis], kind="stable")
             keys = pool[order, axis]
-            if exclude is not None:
-                place = np.empty(n, dtype=np.intp)
-                place[order] = np.arange(n)
             slack = 2 * (dim + 4) * np.finfo(float).eps
             tiny = np.finfo(float).tiny
             pending = pending[np.argsort(queries[pending, axis], kind="stable")]
@@ -266,36 +275,33 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
                 width = n if stopped else 4 * width  # a stop ends the slabs
             pending = np.sort(pending)
         pending = search(
-            pending, lambda rest: block, lambda rows: screen(rows, take(rows)),
+            pending, lambda rest: block, lambda rows: screen(take(rows)),
             _MIN_SCREEN_BLOCK, False,
         )[0]
     if pending.size:
-        indices[pending], dist2[pending] = _rank_all(
-            take(pending), pool, count, None if exclude is None else exclude[pending]
-        )
+        indices[pending], dist2[pending] = _rank_all(take(pending), pool, count)
     return indices, dist2
 
 
-def _screen(q, pool, lifted, rows, radius, count, skip, out):
+def _screen(q, pool, lifted, rows, radius, count, out):
     """Rank a block of queries among the pool rows ``rows`` behind ``lifted``.
 
     ``lifted`` holds the pool rows ``rows`` (None: every row, in order) as
-    A = [-2 x; ||x||^2], (dim + 1) x columns; ``skip`` (block rows,
-    columns) are entries never returned, and ``out`` takes the screen.
-    One GEMM, [q, 1] A, gives s(x) = ||x||^2 - 2 q.x = ||q - x||^2 -
-    ||q||^2 for every column. Leaving out ||q||^2 shifts a query's whole
-    row by one constant, so it ranks the rows as their distances do;
-    ``argpartition`` keeps ``count`` plus ``_SCREEN_MARGIN`` candidates.
-    With u = eps / 2, gamma_k = k u / (1 - k u) and R the largest pool
-    norm, the (dim + 1)-term dot product, summed in any order, is within
-    gamma_(dim+1) (2 ||q|| R + R^2) of its exact value, and the rounded
-    ||x||^2 it adds within gamma_dim R^2: less than (dim + 1) eps
-    (||q|| + R)^2 in all. A direct squared distance is within (dim + 2) u
-    (||q|| + R)^2 of the exact one, so a screened value is within
-    2 (dim + 4) eps (||q|| + R)^2 of the direct distance less ||q||^2.
-    When the first column screened out lies more than twice that past the
-    ``count``-th, no column outside the candidates can rank inside the
-    count.
+    A = [-2 x; ||x||^2], (dim + 1) x columns, and ``out`` takes the
+    screen. One GEMM, [q, 1] A, gives s(x) = ||x||^2 - 2 q.x =
+    ||q - x||^2 - ||q||^2 for every column. Leaving out ||q||^2 shifts a
+    query's whole row by one constant, so it ranks the rows as their
+    distances do; ``argpartition`` keeps ``count`` plus ``_SCREEN_MARGIN``
+    candidates. With u = eps / 2, gamma_k = k u / (1 - k u) and R the
+    largest pool norm, the (dim + 1)-term dot product, summed in any
+    order, is within gamma_(dim+1) (2 ||q|| R + R^2) of its exact value,
+    and the rounded ||x||^2 it adds within gamma_dim R^2: less than
+    (dim + 1) eps (||q|| + R)^2 in all. A direct squared distance is
+    within (dim + 2) u (||q|| + R)^2 of the exact one, so a screened value
+    is within 2 (dim + 4) eps (||q|| + R)^2 of the direct distance less
+    ||q||^2. When the first column screened out lies more than twice that
+    past the ``count``-th, no column outside the candidates can rank
+    inside the count.
 
     Returns the block rows so proven and their (indices, squared
     distances) among the columns, as ``_rank`` ranks them.
@@ -306,15 +312,13 @@ def _screen(q, pool, lifted, rows, radius, count, skip, out):
     lifted_q[:, :dim] = q
     with np.errstate(over="ignore", invalid="ignore"):
         screen = np.matmul(lifted_q, lifted, out=out)
-        if skip is not None:
-            screen[skip] = np.inf
         part = np.argpartition(screen, keep, axis=1)
         kept = _along(screen, part[:, : keep + 1])
         last = np.partition(kept[:, :keep], count - 1, axis=1)[:, count - 1]
         scale = (np.sqrt(np.einsum("ij,ij->i", q, q)) + radius) ** 2
         # The tiny term covers rounding among subnormal products. A
         # finite 2 * scale rules out overflow, so every screened value
-        # is finite and an excluded row (inf) is never a candidate.
+        # is finite.
         bound = 4 * (dim + 4) * np.finfo(float).eps * scale + np.finfo(float).tiny
         proven = np.flatnonzero((kept[:, keep] - last > bound) & (2 * scale < np.inf))
     candidates = part[proven, :keep]
@@ -353,6 +357,7 @@ def _rank(queries, pool, candidates, count):
     """The ``count`` first of each query's candidate rows by (distance, row).
 
     Returns (rows, direct squared distances), each (n_queries, count).
+    This is the search's one tie rule; ``_rank_all`` ranks through it too.
     The candidates are put in row order and a repeated row's distance set
     to inf, so it ranks after every finite one, and a stable sort of the
     distances breaks ties toward the lower row. A quicksort runs first;
@@ -372,29 +377,22 @@ def _rank(queries, pool, candidates, count):
     return _along(candidates, order[:, :count]), ranked[:, :count]
 
 
-def _rank_all(queries, pool, count, exclude):
-    """The direct rule over every pool row: a stable argsort of all distances.
+def _rank_all(queries, pool, count):
+    """The direct rule over every pool row: ``_rank`` with every row a candidate.
 
-    An excluded row is set to -inf, so it sorts first and is dropped.
-    Queries are chunked so their differences stay within the budget.
+    Queries are chunked so that the (queries x rows) arrays a chunk holds
+    stay within the budget: ``_rank`` holds dim + 2 of them while it takes
+    the differences, and at most eight while it sorts tied rows again.
     """
     n, dim = pool.shape
-    skip = 0 if exclude is None else 1
     indices = np.empty((queries.shape[0], count), dtype=np.intp)
     dist2 = np.empty((queries.shape[0], count))
-    step = max(1, _CHUNK_ELEMENTS // (n * dim))
+    step = max(1, _CHUNK_ELEMENTS // (n * max(dim + 2, 8)))
     for start in range(0, queries.shape[0], step):
         q = queries[start : start + step]
+        candidates = np.broadcast_to(np.arange(n), (q.shape[0], n))
         rows = slice(start, start + q.shape[0])
-        with np.errstate(over="ignore"):
-            diff = q[:, None, :] - pool[None, :, :]
-            np.square(diff, out=diff)
-            d2 = diff.sum(axis=2)
-        if skip:
-            d2[np.arange(q.shape[0]), exclude[rows]] = -np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, skip : skip + count]
-        indices[rows] = order
-        dist2[rows] = np.take_along_axis(d2, order, axis=1)
+        indices[rows], dist2[rows] = _rank(q, pool, candidates, count)
     return indices, dist2
 
 
@@ -421,9 +419,10 @@ def _row_lists(data, count=0, support_n=None):
     """Every row's nearest other rows, closest first: the one list shape.
 
     Returns (indices, squared distances), each (N, m): row i holds i's m
-    nearest rows other than i, as ``_nearest_rows`` ranks them. m is
-    ``count``, raised with ``support_n`` to ``_list_length``, enough for
-    ``_listed_rows`` to prove that many KDE supports.
+    nearest rows other than i, as ``_nearest_rows`` ranks them, views of
+    its (N, m + 1) search. m is ``count``, raised with ``support_n`` to
+    ``_list_length``, enough for ``_listed_rows`` to prove that many KDE
+    supports.
     """
     n = data.shape[0]
     if support_n is not None:

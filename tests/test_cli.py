@@ -440,6 +440,47 @@ class TestExitCodes:
         assert not (out / "pseudo_labels.csv").exists()
 
     @pytest.mark.parametrize(
+        "case, code, kind, message",
+        [
+            ("env_seed_not_an_integer", 1, "config", "PMLP_SEED='abc'"),
+            ("config_file_of_a_list", 2, "data", "must hold a JSON object"),
+            ("truth_three_columns", 2, "data", "line 3: expected row_index,true_class"),
+            ("truth_row_out_of_range", 2, "data", "line 62: row 60 out of range"),
+            ("truth_leaves_rows_unclassed", 2, "data", "1 rows have no true class"),
+            ("input_of_a_header_only", 2, "data", "holds no data rows"),
+        ],
+    )
+    def test_each_failure_writes_its_exit_code(
+        self, tmp_path, monkeypatch, case, code, kind, message
+    ):
+        data, truth = generate_blobs(tmp_path)
+        lines = truth.read_text().splitlines()  # a header, then rows 0..59
+        argv = []
+        if case == "env_seed_not_an_integer":
+            monkeypatch.setenv("PMLP_SEED", "abc")
+        elif case == "config_file_of_a_list":
+            argv = ["--config", write(tmp_path / "cfg.json", "[1, 2]")]
+        elif case == "truth_three_columns":
+            lines[2] += ",0"
+        elif case == "truth_row_out_of_range":
+            lines.append("60,0")
+        elif case == "truth_leaves_rows_unclassed":
+            del lines[5]
+        else:
+            data = write(tmp_path / "header.csv", "f_0,f_1,label\n")
+        truth.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        got = main(
+            ["label", "--input", str(data), "--truth", str(truth), "--out-dir", str(out)]
+            + argv
+        )
+        assert got == code
+        error = json.loads((out / "metrics.json").read_text())["error"]
+        assert error["code"] == kind
+        assert message in error["message"]
+        assert not (out / "pseudo_labels.csv").exists()
+
+    @pytest.mark.parametrize(
         "command",
         [
             "generate --kind two-moons --out {missing}/d.csv",

@@ -594,9 +594,76 @@ def test_slabs_match_oracle(
         want_kde = np.mean(np.exp(-support_d2 / 0.5), axis=1)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
-    if 2 * first_slab * (count + density._SCREEN_MARGIN) < n:
+    # An excluded row's search keeps one more row and drops it.
+    searched = count + 1 if self_excluded else count
+    if 2 * first_slab * (searched + density._SCREEN_MARGIN) < n:
         assert slabs
     assert np.max(np.abs(kde - want_kde)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.sampled_from([1, 2, 3, 32]),
+    n=st.integers(2, 400),
+    count_fraction=st.floats(0.0, 1.0),
+    first_slab=st.sampled_from([1, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Tied distances at the cut, the excluded row among them or not.
+@example(kind="integer_grid", dim=2, n=400, count_fraction=0.01, first_slab=1, seed=0)
+@example(kind="duplicated", dim=1, n=300, count_fraction=0.02, first_slab=1, seed=1)
+@example(kind="duplicated", dim=3, n=60, count_fraction=0.5, first_slab=8, seed=2)
+def test_any_excluded_row_matches_oracle(kind, dim, n, count_fraction, first_slab, seed):
+    """The excluded row need not be the query's own: midpoint queries, each
+    excluding one of its two ends or a random row, against the oracle."""
+    rng = np.random.default_rng(seed)
+    pool = make_pool(kind, n, dim, 0.0, rng)
+    a, b = rng.integers(0, n, 100), rng.integers(0, n, 100)
+    queries = pool[a] + 0.5 * (pool[b] - pool[a])
+    exclude = np.where(rng.random(100) < 0.5, a, rng.integers(0, n, 100))
+    count = 1 + int(count_fraction * (n - 2))  # 1 .. n - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_FIRST_SLAB", first_slab)
+        (got_idx, got_d2), _, _ = screens_counted(
+            _nearest_rows, queries, pool, count, exclude
+        )
+    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+
+
+@pytest.mark.parametrize("dim, widened", [(2, True), (1, False)])
+def test_large_pools_widen_the_first_slab_above_d1(monkeypatch, dim, widened):
+    """With ``_SLAB_ROWS`` lowered, 2,000 rows count as a large pool: at
+    d = 2 the first slab widens as sqrt(rows), at d = 1 it stays narrow."""
+    rng = np.random.default_rng(5)
+    n, count = 2000, 5
+    keep = count + density._SCREEN_MARGIN
+    pool = rng.normal(size=(n, dim))
+    monkeypatch.setattr(density, "_SLAB_ROWS", 10)
+    assert n > density._SLAB_ROWS * keep
+    blocks = []
+    screen = density._screen
+
+    def spy(q, pool, lifted, rows, *rest):
+        if rows is not None:
+            blocks.append((q.shape[0], lifted.shape[1]))
+        return screen(q, pool, lifted, rows, *rest)
+
+    monkeypatch.setattr(density, "_screen", spy)
+    got_idx, got_d2 = _nearest_rows(pool, pool, count)
+    want_idx, want_d2 = nearest_rows_oracle(pool, pool, count)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    # The first block holds the lowest keys, so its slab runs from sorted
+    # row 0 to ``width`` rows past its own (distinct keys).
+    queries, columns = blocks[0]
+    narrow = density._FIRST_SLAB * keep
+    if widened:
+        assert columns > 2 * narrow
+    else:
+        assert columns == queries + narrow
 
 
 @pytest.mark.parametrize("first_slab", [1, 8])
