@@ -153,17 +153,26 @@ def normalize_symmetric(affinity):
     """Symmetrically normalized matrix S = D^(-1/2) W D^(-1/2).
 
     D is the diagonal matrix of row sums of W; S keeps the sparsity
-    pattern of W. Every row must have a positive sum; an isolated node is
-    reported by index rather than silently patched (enlarging the
-    neighbor count usually fixes it).
+    pattern of W. Every row must have a positive sum; the first that has
+    none is reported by index, not patched: as an isolated node if it
+    stores no entry, else as a row whose stored edges all weigh 0 (every
+    row of a kNN graph stores at least k edges).
     """
     if not isinstance(affinity, AffinityMatrix):
         raise DataError("normalize_symmetric needs an AffinityMatrix")
     degrees = affinity.operator(1)(np.ones(affinity.size))
     dead = np.flatnonzero(degrees <= 0.0)
     if dead.size:
+        row = int(dead[0])
+        stored = int(affinity.indptr[row + 1] - affinity.indptr[row])
+        if not stored:
+            raise NumericalError(
+                "row %d has zero degree (isolated node); "
+                "enlarge neighbor_count or check the affinity inputs" % row
+            )
         raise NumericalError(
-            "row %d has zero degree (isolated node); "
-            "enlarge neighbor_count or check the affinity inputs" % int(dead[0])
+            "row %d has zero degree: its %d stored edges all weigh 0 (bandwidth_h "
+            "too small for the path density, a similarity clamped at 0, or a "
+            "distance that overflowed)" % (row, stored)
         )
     return affinity.scaled(1.0 / np.sqrt(degrees))

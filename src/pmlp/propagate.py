@@ -243,11 +243,8 @@ def run_pmlp(
     if labels.classes < 2:
         raise DataError("at least two classes are required")
 
+    # Every ground-truth row is high-confidence, so high is never empty.
     high, low, _ = split_by_confidence(labels, gt_mask, cfg.tau)
-    if not np.any(high.data):
-        raise DataError(
-            "the high-confidence set is empty; lower tau or label more rows"
-        )
 
     # One nearest-row pass gives the kNN edges and the KDE supports' lists.
     lists = neighbor_lists(features, cfg)

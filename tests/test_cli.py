@@ -205,6 +205,27 @@ class TestLabelJob:
         assert manifest["config"]["neighbor_count"] == 3  # ceil(1.5 * 2)
         assert manifest["inputs"]["data"]["sha256"]
 
+    def test_blank_lines_between_records_are_skipped(self, tmp_path):
+        records = [
+            '{"features": [0.0, 0.0], "label": 0}',
+            '{"features": [1.0, 0.0], "label": 1}',
+            '{"features": [0.1, 0.0], "label": null}',
+        ]
+        truth = ["row_index,true_class", "0,0", "1,1", "2,0"]
+        outputs = []
+        for name, gap in (("dense", "\n"), ("spaced", "\n\n\n")):
+            data = write(tmp_path / (name + ".jsonl"), gap.join(records) + "\n")
+            classes = write(tmp_path / (name + ".csv"), gap.join(truth) + gap)
+            out = tmp_path / name
+            assert main(
+                ["label", "--input", data, "--truth", classes, "--out-dir", str(out)]
+            ) == 0
+            outputs.append(
+                [(out / f).read_bytes() for f in ("pseudo_labels.csv", "metrics.json")]
+            )
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1][1])["accuracy"] == 1.0
+
     def test_metrics_report_solver_steps(self, tmp_path):
         data, _ = generate_blobs(tmp_path)
         out = tmp_path / "out"
@@ -448,6 +469,11 @@ class TestExitCodes:
             ("truth_row_out_of_range", 2, "data", "line 62: row 60 out of range"),
             ("truth_leaves_rows_unclassed", 2, "data", "1 rows have no true class"),
             ("input_of_a_header_only", 2, "data", "holds no data rows"),
+            ("labels_of_one_class", 2, "data", "could not infer >= 2 classes"),
+            ("input_line_of_one_cell", 2, "data", "line 62: need features and a label"),
+            ("config_clamp_of_an_integer", 1, "config", "clamp_ground_truth: must be"),
+            # Every row stores k edges, and every edge's density underflows.
+            ("bandwidth_h_underflows", 3, "numerical", "stored edges all weigh 0"),
         ],
     )
     def test_each_failure_writes_its_exit_code(
@@ -466,8 +492,18 @@ class TestExitCodes:
             lines.append("60,0")
         elif case == "truth_leaves_rows_unclassed":
             del lines[5]
-        else:
+        elif case == "input_of_a_header_only":
             data = write(tmp_path / "header.csv", "f_0,f_1,label\n")
+        elif case == "labels_of_one_class":
+            rows = data.read_text().splitlines()  # a header, then rows 0..59
+            rows = [row[:-2] + ",-1" if row.endswith(",1") else row for row in rows]
+            data = write(tmp_path / "one_class.csv", "\n".join(rows) + "\n")
+        elif case == "input_line_of_one_cell":
+            data = write(tmp_path / "one_cell.csv", data.read_text() + "1.0\n")
+        elif case == "config_clamp_of_an_integer":
+            argv = ["--config", write(tmp_path / "cfg.json", '{"clamp_ground_truth": 1}')]
+        else:
+            argv = ["--bandwidth-h", "1e-300"]
         truth.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         got = main(

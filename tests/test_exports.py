@@ -52,6 +52,22 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_package_exports_its_pipeline_modules_lists():
+    # Each public name is declared once, in its module's __all__; the
+    # package republishes the five lists, so `import pmlp` sees them all.
+    package = importlib.import_module("pmlp")
+    modules = [
+        importlib.import_module(name)
+        for name in MODULES
+        if name not in ("pmlp", "pmlp.cli")
+    ]
+    declared = {name: module for module in modules for name in module.__all__}
+    assert sum(len(module.__all__) for module in modules) == len(declared)
+    assert sorted(package.__all__) == sorted(declared)
+    moved = [n for n, m in declared.items() if getattr(package, n) is not getattr(m, n)]
+    assert moved == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_removed_names_stay_gone(name):
     module = importlib.import_module(name)

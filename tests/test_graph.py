@@ -265,6 +265,24 @@ class TestNormalizeSymmetric:
         with pytest.raises(NumericalError, match="row 2"):
             normalize_symmetric(W)
 
+    def test_zero_degree_error_tells_empty_rows_from_zero_weights(self):
+        # Row 2 stores one edge, of weight 0; in the second matrix, none.
+        W = AffinityMatrix(3, [0, 0], [1, 2], [1.0, 0.0])
+        with pytest.raises(NumericalError, match="row 2 has zero degree: its 1 stored"):
+            normalize_symmetric(W)
+        W = AffinityMatrix(3, [0], [1], [1.0])
+        with pytest.raises(NumericalError, match=r"row 2 has zero degree \(isolated"):
+            normalize_symmetric(W)
+
+    @pytest.mark.parametrize("mode", ["cosine_similarity", "first_order_similarity"])
+    def test_similarities_clamped_at_zero_are_named(self, mode):
+        # Each row's two nearest rows lie at right angles to it.
+        fm = FeatureMatrix([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        cfg = PmlpConfig(mode="classical_lpa", distance_mode=mode)
+        W = build_affinity(fm, knn_edges(fm, 2), cfg)
+        with pytest.raises(NumericalError, match="row 0 .* its 2 stored edges all weigh 0"):
+            normalize_symmetric(W)
+
     def test_keeps_the_sparsity_pattern(self):
         W = build_affinity(
             FeatureMatrix(np.arange(12.0).reshape(6, 2)),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pmlp.core import (
@@ -545,6 +545,42 @@ class TestRunPmlp:
             replace(cfg, bandwidth_h=cfg.bandwidth_h * 16.0**power),
         ).final_labels.data
         assert scaled.tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=6, deadline=None)
+    @example(seed=1, dim=2, position=1, value=-7.25)
+    @example(seed=1, dim=8, position=8, value=0.5)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([2, 8]),
+        position=st.integers(0, 8),
+        value=st.floats(-1e3, 1e3),
+    )
+    def test_a_constant_feature_changes_no_score(self, mode, seed, dim, position, value):
+        # A constant column adds an exact 0 to every squared difference, so
+        # under the default euclidean_inverse every neighbor, support and
+        # density factor keeps its value; only the grouping of a sum over
+        # d + 1 axes can move its last bit. At d = 2 the three-term sum
+        # adds the 0 exactly, and nothing moves. 1,000 two-moons rows take
+        # the nearest-row slabs.
+        if dim == 2:
+            dataset = gen_two_moons(n=1000, noise=0.1, labeled_per_class=3, seed=seed)
+            bandwidth = 0.05
+        else:
+            means = np.random.default_rng(seed).normal(0.0, 3.0, (3, dim))
+            dataset = gen_gaussian_blobs(means, 1.0, 100, 3, seed)
+            bandwidth = 2.0
+        data = dataset.features.data
+        assignments = assignments_from_dataset(dataset)
+        cfg = PmlpConfig(
+            bandwidth_h=bandwidth, kde_support_n=15, neighbor_count=5, mode=mode
+        )
+        base = run_pmlp(dataset.features, assignments, cfg).final_labels.data
+        widened = FeatureMatrix(np.insert(data, min(position, dim), value, axis=1))
+        moved = run_pmlp(widened, assignments, cfg).final_labels.data
+        assert np.max(np.abs(moved - base)) <= 1e-12
+        if dim == 2:
+            assert moved.tobytes() == base.tobytes()
 
 
 class TestThresholdScheduler:
