@@ -14,6 +14,9 @@ File formats
     null | [...]}`` per line. All files are UTF-8; CSV follows RFC 4180.
     Both formats hold a label as the same JSON value (null, a class index
     or a probability list) and share one decoder and one encoder for it.
+    Every reader, the truth file's too, skips an empty line and a line
+    that holds only whitespace. A CSV line of a space, a comma and a space
+    holds two cells, so it is read as a record, and fails as one.
     A file that cannot be opened, decoded or parsed is a data error that
     names the file and, where there is one, the line; so is an output path
     that cannot be written, and the error names the path. Output
@@ -46,6 +49,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -281,9 +285,14 @@ def _csv_label(cell):
     return None if value == -1 else value
 
 
+def _is_blank(record):
+    # An empty or whitespace-only line: no cell, or one that strips to "".
+    return not record or (len(record) == 1 and not record[0].strip())
+
+
 def _csv_records(handle):
     for line_no, record in enumerate(csv.reader(handle), start=1):
-        if record:
+        if not _is_blank(record):
             header = line_no == 1 and _looks_like_header(record)
             yield line_no, record[:-1], _HEADER if header else _csv_label(record[-1])
 
@@ -353,19 +362,18 @@ def emit_features(path, features, assignments, fmt=None):
     labels = [_encode_label(a) for a in assignments]
     if len(labels) != features.n_rows:
         raise DataError("assignment count does not match the feature rows")
-    rows = zip(features.data.tolist(), labels)
     if fmt == "csv":
         _write_csv(
             path,
             ["f_%d" % i for i in range(features.dim)] + ["label"],
-            (
-                row + ["-1" if label is None else json.dumps(label)]
-                for row, label in rows
-            ),
+            [
+                features.data,
+                ["-1" if label is None else json.dumps(label) for label in labels],
+            ],
         )
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            for row, label in rows:
+            for row, label in zip(features.data.tolist(), labels):
                 handle.write(json.dumps({"features": row, "label": label}) + "\n")
     return path
 
@@ -376,7 +384,7 @@ def _read_truth(path, n_rows):
     truth = np.full(n_rows, -1, dtype=int)
     with _reading(path) as handle:
         for line_no, record in enumerate(csv.reader(handle), start=1):
-            if not record:
+            if _is_blank(record):
                 continue
             if line_no == 1 and not record[0].strip().lstrip("-").isdigit():
                 continue  # header
@@ -429,13 +437,60 @@ def _write_json(path, payload):
     return path
 
 
-def _write_csv(path, header, rows):
-    # A float cell is written as its repr: exact, and "nan" for NaN.
+# Rows that _write_csv formats at a time, so its memory is bounded at any N.
+_BLOCK_ROWS = 4096
+# The characters that make csv.writer's QUOTE_MINIMAL quote a cell.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _cell(value):
+    if isinstance(value, float):
+        return repr(float(value))
+    text = "" if value is None else str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+def _lines(fragments, width):
+    # The CRLF-ended lines of rows of ``width`` cells, given as
+    # fragments[column][row]; a float array's fragment holds a row's cells.
+    lines = map(",".join, zip(*fragments))
+    if width == 1:  # csv.writer writes a row of one empty cell as ""
+        lines = [line or '""' for line in lines]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _write_csv(path, header, columns):
+    """Write a CSV file of a header and columns of equal length.
+
+    A column is a sequence of cells, or a 2-d float array that stands for
+    as many adjacent columns as it has. The rows are written in blocks of
+    _BLOCK_ROWS. A float cell is written as its repr (exact, and "nan" for
+    NaN), None as an empty cell and any other cell as its str. Quoting is
+    csv.writer's QUOTE_MINIMAL: a cell holding a comma, a double quote, CR
+    or LF is put in double quotes, with each inner double quote doubled,
+    and a row of one empty cell is written as ``""``. Every line ends in
+    CRLF, as RFC 4180 asks.
+    """
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError("CSV columns differ in length")
+    arrays = [isinstance(column, np.ndarray) and column.ndim == 2 for column in columns]
+    width = sum(c.shape[1] if array else 1 for c, array in zip(columns, arrays))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        handle.write(_lines([[_cell(name)] for name in header], len(header)))
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            fragments = []
+            for column, array in zip(columns, arrays):
+                cells = column[start : start + _BLOCK_ROWS]
+                if isinstance(cells, np.ndarray):
+                    cells = cells.tolist()  # Python floats, whose repr is exact
+                if array:
+                    fragments.append([",".join(map(repr, row)) for row in cells])
+                else:
+                    fragments.append(list(map(_cell, cells)))
+            handle.write(_lines(fragments, width))
     return path
 
 
@@ -521,10 +576,7 @@ def run_label_job(
             ["row_index", "argmax_class"]
             + ["score_%d" % c for c in range(final.classes)]
             + ["high_confidence"],
-            (
-                [row, int(predicted[row])] + scores + [int(confident[row])]
-                for row, scores in enumerate(final.data.tolist())
-            ),
+            [range(final.rows), predicted, final.data, confident.astype(int)],
         ),
         "metrics": _write_json(os.path.join(out_dir, "metrics.json"), metrics),
         "manifest": _write_manifest(
@@ -586,7 +638,7 @@ def run_harness_job(kind, out_dir, cfg, params):
         "plot_data": _write_csv(
             os.path.join(out_dir, _HARNESSES[kind][2]),
             list(rows[0]),
-            [row.values() for row in rows],
+            [[row[key] for row in rows] for key in rows[0]],
         ),
         "report": _write_json(
             os.path.join(out_dir, "report.json"),
@@ -705,7 +757,7 @@ def _cmd_generate(args):
         written["truth"] = _write_csv(
             args.truth_out,
             ["row_index", "true_class"],
-            enumerate(dataset.true_class.tolist()),
+            [range(dataset.true_class.size), dataset.true_class],
         )
     manifest = _write_manifest(
         str(args.out) + ".manifest.json",

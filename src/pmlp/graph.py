@@ -85,28 +85,33 @@ def _base_affinity(data, first, second, mode):
     cosine of a zero-norm row is undefined and raises DataError. Every
     mode is exactly symmetric in the two rows. Each mode keeps at most two
     (pairs x dim) arrays alive, working on the gathered rows in place.
+    Overflow raises no warning here, so ``-W error`` changes no outcome: a
+    distance that overflows gives weight 0, which ``normalize_symmetric``
+    names by row, and a product that overflows an infinite or NaN entry,
+    which ``AffinityMatrix`` refuses as a DataError.
     """
-    if mode == "euclidean_inverse":
-        # (b - a) ** 2 equals (a - b) ** 2 bit for bit.
-        diff = data[second]
-        diff -= data[first]
-        np.square(diff, out=diff)
-        dist = np.sqrt(diff.sum(axis=1))
-        return 1.0 / np.maximum(dist, EPS_DISTANCE)
-    if mode not in ("first_order_similarity", "cosine_similarity"):
-        raise DataError("unknown distance mode: %r" % (mode,))
-    left = data[first]
-    if mode == "cosine_similarity":
-        norm_l = np.sqrt(np.sum(left**2, axis=1))
-    right = data[second]
-    # The left rows are not needed again, so they take the product.
-    dot = np.sum(np.multiply(left, right, out=left), axis=1)
-    if mode == "first_order_similarity":
-        return np.maximum(dot, 0.0)
-    norm_r = np.sqrt(np.sum(np.square(right, out=right), axis=1))
-    if np.any(norm_l == 0.0) or np.any(norm_r == 0.0):
-        raise DataError("cosine similarity is undefined for a zero-norm vector")
-    return np.maximum(dot / (norm_l * norm_r), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "euclidean_inverse":
+            # (b - a) ** 2 equals (a - b) ** 2 bit for bit.
+            diff = data[second]
+            diff -= data[first]
+            np.square(diff, out=diff)
+            dist = np.sqrt(diff.sum(axis=1))
+            return 1.0 / np.maximum(dist, EPS_DISTANCE)
+        if mode not in ("first_order_similarity", "cosine_similarity"):
+            raise DataError("unknown distance mode: %r" % (mode,))
+        left = data[first]
+        if mode == "cosine_similarity":
+            norm_l = np.sqrt(np.sum(left**2, axis=1))
+        right = data[second]
+        # The left rows are not needed again, so they take the product.
+        dot = np.sum(np.multiply(left, right, out=left), axis=1)
+        if mode == "first_order_similarity":
+            return np.maximum(dot, 0.0)
+        norm_r = np.sqrt(np.sum(np.square(right, out=right), axis=1))
+        if np.any(norm_l == 0.0) or np.any(norm_r == 0.0):
+            raise DataError("cosine similarity is undefined for a zero-norm vector")
+        return np.maximum(dot / (norm_l * norm_r), 0.0)
 
 
 def build_affinity(features, edges, cfg, lists=None):

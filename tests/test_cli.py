@@ -1,16 +1,24 @@
 """File formats, jobs, manifests, and the command-line contract."""
 
+import csv
 import dataclasses
 import json
+import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmlp
+from pmlp import cli
 from pmlp.cli import (
     COMPARE_DEFAULTS,
     DENSITY_RATIO_DEFAULTS,
@@ -173,6 +181,94 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
+def csv_writer_bytes(path, header, columns):
+    """The bytes the row loop that ``_write_csv`` replaced writes: csv.writer
+    with its defaults, a row at a time, each float cell as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in range(len(columns[0])):
+            cells = []
+            for column in columns:
+                is_block = isinstance(column, np.ndarray) and column.ndim == 2
+                cells.extend(column[row] if is_block else [column[row]])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in cells])
+    return path.read_bytes()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+TEXTS = st.text(st.sampled_from(list(',"\r\n a1-é')), max_size=6) | st.lists(
+    st.floats(0.0, 1.0), max_size=3
+).map(json.dumps)
+# Numpy scalars as well: a harness report can hold them.
+CELLS = (
+    FLOATS | st.integers() | TEXTS | st.none() | st.booleans()
+    | FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and columns of every kind ``_write_csv`` takes, all n long."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 9]))
+    columns = []
+    for kind in draw(
+        st.lists(st.sampled_from(["float", "int", "text", "any", "array", "block"]),
+                 min_size=1, max_size=4)
+    ):
+        if kind == "block":
+            width = draw(st.integers(1, 3))
+            cells = draw(st.lists(FLOATS, min_size=n * width, max_size=n * width))
+            columns.append(np.array(cells, dtype=float).reshape(n, width))
+        elif kind == "array":
+            cells = FLOATS | st.integers(-2**63, 2**63 - 1)
+            columns.append(np.array(draw(st.lists(cells, min_size=n, max_size=n))))
+        else:
+            strategy = {"float": FLOATS, "int": st.integers(), "text": TEXTS, "any": CELLS}
+            columns.append(draw(st.lists(strategy[kind], min_size=n, max_size=n)))
+    width = sum(c.shape[1] if np.ndim(c) == 2 else 1 for c in columns)
+    header = draw(st.lists(TEXTS, min_size=width, max_size=width))
+    return header, columns
+
+
+class TestWriteCsv:
+    """``_write_csv`` writes the bytes of the csv.writer loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables(), st.sampled_from([1, 2, 4, cli._BLOCK_ROWS]))
+    def test_matches_the_csv_writer_loop(self, table, block_rows):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            cli, "_BLOCK_ROWS", block_rows
+        ):
+            new = cli._write_csv(pathlib.Path(tmp, "new.csv"), header, columns)
+            old = csv_writer_bytes(pathlib.Path(tmp, "old.csv"), header, columns)
+            assert new.read_bytes() == old
+
+    def test_rows_of_several_blocks(self, tmp_path):
+        n = 2 * cli._BLOCK_ROWS + 3
+        rng = np.random.default_rng(3)
+        block = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+        block[: len(SPECIAL_FLOATS), 0] = SPECIAL_FLOATS
+        texts = ['"%d", [0.5, 0.5]' % i for i in range(n)]
+        columns = [range(n), rng.integers(-1, 3, size=n), block, texts]
+        header = ["row_index", "class", "a", "b", "c", "note"]
+        path = cli._write_csv(tmp_path / "new.csv", header, columns)
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "old.csv", header, columns)
+
+    def test_none_is_an_empty_cell(self, tmp_path):
+        # As csv.writer writes it: empty, and "" when it is the row's only cell.
+        two = cli._write_csv(tmp_path / "two.csv", ["a", "b"], [[None, 1], [2, None]])
+        assert two.read_bytes() == b"a,b\r\n,2\r\n1,\r\n"
+        one = cli._write_csv(tmp_path / "one.csv", [""], [[None, "", 0.5]])
+        assert one.read_bytes() == b'""\r\n""\r\n""\r\n0.5\r\n'
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            cli._write_csv(tmp_path / "d.csv", ["a", "b"], [[1, 2], [3]])
+
+
 def generate_blobs(tmp_path, seed=5):
     data = tmp_path / "blobs.csv"
     truth = tmp_path / "truth.csv"
@@ -225,6 +321,40 @@ class TestLabelJob:
             )
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[1][1])["accuracy"] == 1.0
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        # One rule in every reader: a line of whitespace is skipped like an
+        # empty one, in a CSV input and in a truth file alike.
+        data, truth = generate_blobs(tmp_path)
+        files = {"data": data, "truth": truth}  # each a header, then 60 rows
+
+        def label(out, paths):
+            return main(
+                ["label", "--input", paths["data"], "--truth", paths["truth"],
+                 "--out-dir", str(out)]
+            )
+
+        outputs = []
+        for name, gap in (("dense", "\n"), ("spaced", "\n  \n\t\n")):
+            paths = {
+                kind: write(
+                    tmp_path / (name + "_" + kind + ".csv"),
+                    gap.join(path.read_text().splitlines()) + gap,
+                )
+                for kind, path in files.items()
+            }
+            assert label(tmp_path / name, paths) == 0
+            outputs.append(
+                [(tmp_path / name / f).read_bytes() for f in ("pseudo_labels.csv", "metrics.json")]
+            )
+        assert outputs[0] == outputs[1]
+        # A line of a space, a comma and a space holds two cells: no skip.
+        for bad, path in files.items():
+            paths = {kind: str(path) for kind, path in files.items()}
+            paths[bad] = write(tmp_path / ("bad_" + bad + ".csv"), path.read_text() + " , \n")
+            out = tmp_path / ("bad_" + bad)
+            assert label(out, paths) == 2
+            assert "line 62" in json.loads((out / "metrics.json").read_text())["error"]["message"]
 
     def test_metrics_report_solver_steps(self, tmp_path):
         data, _ = generate_blobs(tmp_path)

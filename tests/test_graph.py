@@ -1,11 +1,22 @@
 """Neighbor selection, affinity construction, and normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pmlp import density
-from pmlp.core import AffinityMatrix, DataError, FeatureMatrix, NumericalError, PmlpConfig
+from pmlp.core import (
+    DISTANCE_MODES,
+    AffinityMatrix,
+    DataError,
+    FeatureMatrix,
+    LabelAssignment,
+    NumericalError,
+    PmlpConfig,
+)
 from pmlp.graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
+from pmlp.propagate import run_pmlp
 from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
 
 from dense_oracle import affinity_from_dense, complete_edges, to_dense
@@ -282,6 +293,26 @@ class TestNormalizeSymmetric:
         W = build_affinity(fm, knn_edges(fm, 2), cfg)
         with pytest.raises(NumericalError, match="row 0 .* its 2 stored edges all weigh 0"):
             normalize_symmetric(W)
+
+    @pytest.mark.parametrize("mode", ["pmlp", "classical_lpa"])
+    @pytest.mark.parametrize("distance_mode", DISTANCE_MODES)
+    def test_overflow_fails_alike_with_warnings_as_errors(self, mode, distance_mode):
+        # The squared difference and the inner product of these rows overflow.
+        # Whether RuntimeWarning is an error or not, the run ends in the
+        # library's own error: no edge weight (or a NaN cosine) for row 0.
+        features = FeatureMatrix([[1e200, 0.0], [-1e200, 0.0]])
+        labels = [LabelAssignment.ground_truth(0), LabelAssignment.ground_truth(1)]
+        cfg = PmlpConfig(
+            mode=mode, distance_mode=distance_mode, neighbor_count=1, kde_support_n=2
+        )
+        error, message = NumericalError, "row 0 has zero degree"
+        if distance_mode == "cosine_similarity":
+            error, message = DataError, "non-finite entries"
+        for action in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                with pytest.raises(error, match=message):
+                    run_pmlp(features, labels, cfg)
 
     def test_keeps_the_sparsity_pattern(self):
         W = build_affinity(
