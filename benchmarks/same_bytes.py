@@ -12,7 +12,10 @@ fresh interpreter (``python -m pmlp.cli``), at 1 and at 2 BLAS threads:
   JSONL file, and a 20,000-row two-moons file;
 - ``label`` on both fixtures, with the benchmark's flags and with the
   defaults, and on the 20,000-row file with the defaults;
-- the default ``harness theorem1``, ``compare`` and ``density-ratio`` jobs.
+- the default ``harness theorem1``, ``compare`` and ``density-ratio`` jobs,
+  and ``harness compare`` with the flags of perfbench's compare_n200
+  workload (100 trials at n = 200, config seed 1000), whose trials run
+  in several processes where the process may use several CPUs.
 
 The label jobs of both sides read the files REF's generate jobs wrote, so
 a changed generated file shows once, in its own job. Manifests are
@@ -45,6 +48,10 @@ BLOBS_5K_D32 = ["--kind", "gaussian-blobs", "--means", BLOB_MEANS, "--sigma", "1
 MOONS_FLAGS = ["--bandwidth-h", "0.05", "--kde-support-n", "15", "--neighbor-count", "5"]
 BLOBS_FLAGS = ["--mode", "classical_lpa", "--neighbor-count", "6"]
 MOONS_20K = ["--kind", "two-moons", "--n", "20000", "--seed", "3"]
+# perfbench/run.py's compare_n200 job, its config file given as flags.
+COMPARE_N200 = ["--dataset", "two-moons", "--n", "200", "--noise", "0.1",
+                "--labeled-per-class", "2", "--trials", "100", "--seed", "1000",
+                "--bandwidth-h", "0.05", "--kde-support-n", "15", "--neighbor-count", "5"]
 
 
 def _generate(args):
@@ -71,6 +78,7 @@ JOBS = {
     "label_moons_20k_defaults": _label("generate_moons_20k", []),
     "harness_theorem1": ["harness", "theorem1", "--out-dir", "{out}"],
     "harness_compare": ["harness", "compare", "--out-dir", "{out}"],
+    "harness_compare_n200": ["harness", "compare", "--out-dir", "{out}"] + COMPARE_N200,
     "harness_density_ratio": ["harness", "density-ratio", "--out-dir", "{out}"],
 }
 

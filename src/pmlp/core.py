@@ -57,8 +57,12 @@ class ConfigError(PmlpError, ValueError):
     """A configuration field violates its documented range."""
 
     def __init__(self, field, message):
-        super().__init__("%s: %s" % (field, message))
+        # Both parts go into args, from which pickle rebuilds an exception.
+        super().__init__(field, message)
         self.field = field
+
+    def __str__(self):
+        return "%s: %s" % self.args
 
 
 class DataError(PmlpError, ValueError):

@@ -87,8 +87,8 @@ def _base_affinity(data, first, second, mode):
     (pairs x dim) arrays alive, working on the gathered rows in place.
     Overflow raises no warning here, so ``-W error`` changes no outcome: a
     distance that overflows gives weight 0, which ``normalize_symmetric``
-    names by row, and a product that overflows an infinite or NaN entry,
-    which ``AffinityMatrix`` refuses as a DataError.
+    names by row, and an inner product or norm that overflows an infinite
+    or NaN weight, a DataError naming the first such pair.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "euclidean_inverse":
@@ -107,11 +107,20 @@ def _base_affinity(data, first, second, mode):
         # The left rows are not needed again, so they take the product.
         dot = np.sum(np.multiply(left, right, out=left), axis=1)
         if mode == "first_order_similarity":
-            return np.maximum(dot, 0.0)
-        norm_r = np.sqrt(np.sum(np.square(right, out=right), axis=1))
-        if np.any(norm_l == 0.0) or np.any(norm_r == 0.0):
-            raise DataError("cosine similarity is undefined for a zero-norm vector")
-        return np.maximum(dot / (norm_l * norm_r), 0.0)
+            values = np.maximum(dot, 0.0)
+        else:
+            norm_r = np.sqrt(np.sum(np.square(right, out=right), axis=1))
+            if np.any(norm_l == 0.0) or np.any(norm_r == 0.0):
+                raise DataError("cosine similarity is undefined for a zero-norm vector")
+            values = np.maximum(dot / (norm_l * norm_r), 0.0)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataError(
+            "affinity matrix contains non-finite entries: the first is pair (%d, %d), "
+            "where an inner product or norm overflowed"
+            % (first[bad[0]], second[bad[0]])
+        )
+    return values
 
 
 def build_affinity(features, edges, cfg, lists=None):

@@ -1,6 +1,7 @@
 """Domain types, distance measures, and configuration validation."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from pmlp.core import (
     ConfigError,
     DataError,
+    NumericalError,
+    PmlpError,
     FeatureMatrix,
     LabelAssignment,
     AffinityMatrix,
@@ -89,6 +92,28 @@ class TestDistance:
             # euclidean_inverse inverts a metric
             ab, bc, ac = (1 / base_affinity(*pair) for pair in ((a, b), (b, c), (a, c)))
             assert ac <= ab + bc + 1e-9
+
+
+class TestErrors:
+    def test_every_error_survives_pickling(self):
+        # A harness worker process sends its error to the caller by pickle.
+        errors = [
+            PmlpError("base"),
+            ConfigError("alpha", "must lie in (0, 1)"),
+            DataError("row 3: bad"),
+            NumericalError("row 0 has zero degree"),
+        ]
+        assert {type(e) for e in errors} == {PmlpError, *all_subclasses(PmlpError)}
+        for error in errors:
+            copy = pickle.loads(pickle.dumps(error))
+            assert type(copy) is type(error)
+            assert str(copy) == str(error)
+            assert getattr(copy, "field", None) == getattr(error, "field", None)
+        assert str(errors[1]) == "alpha: must lie in (0, 1)"
+
+
+def all_subclasses(cls):
+    return {sub for direct in cls.__subclasses__() for sub in {direct, *all_subclasses(direct)}}
 
 
 class TestConfig:

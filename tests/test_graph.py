@@ -307,12 +307,24 @@ class TestNormalizeSymmetric:
         )
         error, message = NumericalError, "row 0 has zero degree"
         if distance_mode == "cosine_similarity":
-            error, message = DataError, "non-finite entries"
+            error, message = DataError, (
+                r"non-finite entries: the first is pair \(0, 1\), "
+                "where an inner product or norm overflowed"
+            )
         for action in ("ignore", "error"):
             with warnings.catch_warnings():
                 warnings.simplefilter(action, RuntimeWarning)
                 with pytest.raises(error, match=message):
                     run_pmlp(features, labels, cfg)
+
+    @pytest.mark.parametrize("distance_mode", ["cosine_similarity", "first_order_similarity"])
+    def test_an_overflowed_similarity_names_its_pair(self, distance_mode):
+        # Rows 1 and 3 are the first pair whose inner product overflows to
+        # +inf: 1e200 * 1e200. Rows 0 and 2 are small.
+        features = FeatureMatrix([[1.0, 0.0], [1e200, 0.0], [1.0, 1.0], [1e200, 1.0]])
+        cfg = PmlpConfig(mode="classical_lpa", distance_mode=distance_mode)
+        with pytest.raises(DataError, match=r"the first is pair \(1, 3\), where an inner"):
+            build_affinity(features, [(0, 2), (1, 3), (0, 1), (2, 3)], cfg)
 
     def test_keeps_the_sparsity_pattern(self):
         W = build_affinity(

@@ -1,10 +1,15 @@
 """Synthetic generators and the statistical harnesses."""
 
+import errno
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from pmlp import synthlab
-from pmlp.core import DataError, PmlpConfig
+from pmlp import cli, synthlab
+from pmlp.core import ConfigError, DataError, NumericalError, PmlpConfig
 from pmlp.density import density_ratio
 from pmlp.synthlab import (
     assignments_from_dataset,
@@ -224,3 +229,175 @@ class TestCompare:
         dataset = gen_gaussian_blobs([[0.0], [9.0]], 1.0, 5, 1, seed=0)
         with pytest.raises(DataError):
             compare_pmlp_vs_lpa(dataset, PmlpConfig(), trials=0)
+
+
+def _workers(monkeypatch, count):
+    """Make ``compare_pmlp_vs_lpa`` split its trials into ``count`` slices."""
+    monkeypatch.setattr(synthlab, "_worker_count", lambda trials: count)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCompareSlices:
+    """The trials split into slices, slice 0 run by the caller and the
+    others by forked processes, give what one serial loop gives."""
+
+    dataset = gen_two_moons(n=40, noise=0.1, labeled_per_class=2, seed=5)
+    cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=8, neighbor_count=4, seed=5)
+
+    def records(self):
+        # repr writes NaN as nan, so a NaN ratio compares equal.
+        return [repr(r) for r in compare_pmlp_vs_lpa(self.dataset, self.cfg, 5)]
+
+    def test_records_do_not_depend_on_the_worker_count(self, monkeypatch):
+        _workers(monkeypatch, 1)
+        serial = self.records()
+        order = [(r.trial, r.mode) for r in compare_pmlp_vs_lpa(self.dataset, self.cfg, 5)]
+        assert order == [(t, mode) for t in range(5) for mode in ("pmlp", "classical_lpa")]
+        for count in (2, 3, 7):  # 7 slices for 5 trials leaves two empty
+            _workers(monkeypatch, count)
+            assert self.records() == serial
+            _assert_no_child_left()
+
+    def test_worker_count_follows_the_usable_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert synthlab._worker_count(1) == 1
+        assert synthlab._worker_count(100) == min(100, cpus)
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        serial = self.records()
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert synthlab._worker_count(100) == 1
+
+            def no_fork():
+                raise AssertionError("forked beside another thread")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+            assert self.records() == serial
+        finally:
+            release.set()
+            waiter.join()
+        _assert_no_child_left()
+
+    def failing_trial(self, monkeypatch, failures, log=None):
+        """Make trial t, for t in ``failures``, sleep ``failures[t][0]``
+        seconds and raise ``failures[t][1]``, or run as before if that is
+        None. With ``log``, every call, in any process, appends its trial
+        to that file."""
+        real = synthlab._compare_trial
+
+        def trial(spec, cfg, t):
+            if log is not None:
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write("%d\n" % t)
+            if t in failures:
+                delay, error = failures[t]
+                time.sleep(delay)
+                if error is not None:
+                    raise error
+            return real(spec, cfg, t)
+
+        monkeypatch.setattr(synthlab, "_compare_trial", trial)
+
+    @pytest.mark.parametrize(
+        "failures, message",
+        [
+            # The caller's first trial fails at once; the worker's are slow.
+            ({0: (0.0, DataError("trial 0")), 1: (0.2, None), 3: (0.2, None)}, "trial 0"),
+            # The worker's first trial fails while the caller's runs.
+            ({0: (0.3, None), 1: (0.0, DataError("trial 1"))}, "trial 1"),
+        ],
+    )
+    def test_a_failing_job_stops_early(self, monkeypatch, tmp_path, failures, message):
+        log = tmp_path / "calls"
+        self.failing_trial(monkeypatch, failures, log)
+        _workers(monkeypatch, 2)
+        with pytest.raises(DataError, match=message):
+            compare_pmlp_vs_lpa(self.dataset, self.cfg, 20)
+        _assert_no_child_left()
+        # Each slice runs at most one trial past the known failure, not the
+        # ten of its slice.
+        assert len(log.read_text().split()) <= 3
+
+    def test_a_lost_slice_past_a_known_failure_is_not_rerun(self, monkeypatch, tmp_path):
+        log = tmp_path / "calls"
+        self.failing_trial(monkeypatch, {0: (0.0, DataError("trial 0"))}, log)
+        monkeypatch.setattr(synthlab, "_compare_worker", lambda writer, *args: os._exit(1))
+        _workers(monkeypatch, 3)
+        with pytest.raises(DataError, match="trial 0"):
+            compare_pmlp_vs_lpa(self.dataset, self.cfg, 20)
+        _assert_no_child_left()
+        assert log.read_text().split() == ["0"]
+
+    @pytest.mark.parametrize(
+        "failures",
+        [
+            # Trial 2 (the caller's slice) fails after trial 3 (a worker's).
+            {2: (0.3, DataError("trial 2")), 3: (0.0, NumericalError("trial 3"))},
+            # Trial 1 (a worker's) fails after trial 2 (the caller's), with
+            # an error of two constructor arguments.
+            {1: (0.3, ConfigError("seed", "trial 1")), 2: (0.0, DataError("trial 2"))},
+        ],
+    )
+    def test_the_earliest_failing_trial_raises(self, monkeypatch, failures):
+        self.failing_trial(monkeypatch, failures)
+        outcomes = []
+        for count in (1, 2):
+            _workers(monkeypatch, count)
+            with pytest.raises(Exception) as err:
+                self.records()
+            outcomes.append((type(err.value), str(err.value)))
+            _assert_no_child_left()
+        first = failures[min(failures)][1]
+        assert outcomes == [(type(first), str(first))] * 2
+
+    def test_a_numerical_failure_is_the_serial_one(self, monkeypatch):
+        cfg = PmlpConfig(bandwidth_h=1e-300, kde_support_n=8, neighbor_count=4, seed=5)
+        messages = []
+        for count in (1, 2):
+            _workers(monkeypatch, count)
+            with pytest.raises(NumericalError) as err:
+                compare_pmlp_vs_lpa(self.dataset, cfg, trials=4)
+            messages.append(str(err.value))
+            _assert_no_child_left()
+        assert messages[0] == messages[1]
+
+    def test_a_worker_that_sends_nothing_leaves_its_trials_to_the_caller(
+        self, monkeypatch
+    ):
+        _workers(monkeypatch, 1)
+        serial = self.records()
+        monkeypatch.setattr(synthlab, "_compare_worker", lambda writer, *args: os._exit(1))
+        _workers(monkeypatch, 3)
+        assert self.records() == serial
+        _assert_no_child_left()
+
+    def test_a_worker_that_cannot_start_leaves_its_trials_to_the_caller(
+        self, monkeypatch, tmp_path
+    ):
+        _workers(monkeypatch, 1)
+        serial = self.records()
+        job = ["harness", "compare", "--trials", "5", "--n", "40", "--seed", "5",
+               "--kde-support-n", "8", "--neighbor-count", "4"]
+        assert cli.main(job + ["--out-dir", str(tmp_path / "serial")]) == 0
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _workers(monkeypatch, 2)
+        assert self.records() == serial
+        # Not the "cannot write" data error that the CLI makes of an OSError.
+        assert cli.main(job + ["--out-dir", str(tmp_path / "forkless")]) == 0
+        for name in ("mode_comparison.csv", "report.json"):
+            assert (tmp_path / "forkless" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
+        _assert_no_child_left()
+
