@@ -1,11 +1,12 @@
-"""Check that the CLI writes the same bytes as another commit.
+"""Check that CLI outputs and nearest-row lists match another commit's bytes.
 
     python3 benchmarks/same_bytes.py REF [--expect-change JOB/FILE ...]
 
 Exports ``src`` of the commit REF (``HEAD^``, a branch, a sha) with ``git
 archive`` into a temporary directory, then runs one fixed job list with
 REF's package and with the working tree's ``src/pmlp``, each job in a
-fresh interpreter (``python -m pmlp.cli``), at 1 and at 2 BLAS threads:
+fresh interpreter, at 1 and at 2 BLAS threads. Every job but the last is
+a CLI call (``python -m pmlp.cli``):
 
 - ``generate``: the moons-4k and blobs-5k-d32 fixtures of
   ``perfbench/run.py`` (generator seed 1000) with their truth files, a
@@ -15,7 +16,11 @@ fresh interpreter (``python -m pmlp.cli``), at 1 and at 2 BLAS threads:
 - the default ``harness theorem1``, ``compare`` and ``density-ratio`` jobs,
   and ``harness compare`` with the flags of perfbench's compare_n200
   workload (100 trials at n = 200, config seed 1000), whose trials run
-  in several processes where the process may use several CPUs.
+  in several processes where the process may use several CPUs;
+- ``lists_20k``: ``graph.neighbor_lists`` of ``benchmarks/stage_grid.py``'s
+  20,000-row cells at d = 2 and 32, in both modes (m = 6, and pmlp's
+  length for 45 KDE supports), saved as ``.npy`` files: the exact
+  nearest-row search at a size the oracle tests do not reach.
 
 The label jobs of both sides read the files REF's generate jobs wrote, so
 a changed generated file shows once, in its own job. Manifests are
@@ -35,6 +40,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREADS = ("1", "2")
+CLI = ["-m", "pmlp.cli"]
 
 # The generate arguments of perfbench/run.py's label workloads, and their
 # label flags.
@@ -53,33 +59,55 @@ COMPARE_N200 = ["--dataset", "two-moons", "--n", "200", "--noise", "0.1",
                 "--labeled-per-class", "2", "--trials", "100", "--seed", "1000",
                 "--bandwidth-h", "0.05", "--kde-support-n", "15", "--neighbor-count", "5"]
 
+# stage_grid.py's 20,000-row cells: two blobs 3 apart, 6 neighbours, 45
+# KDE supports in pmlp mode; argv[1] is the output directory. Like every
+# job argument it is str.format-ed, so it holds no braces.
+LISTS_20K = """\
+import sys
+import numpy as np
+from pmlp.core import PmlpConfig
+from pmlp.graph import neighbor_lists
+from pmlp.synthlab import gen_gaussian_blobs
+for dim in (2, 32):
+    means = np.zeros((2, dim))
+    means[1, 0] = 3.0
+    features = gen_gaussian_blobs(means, 1.0, 10000, 1, seed=1000).features
+    for mode in ("classical_lpa", "pmlp"):
+        cfg = PmlpConfig(mode=mode, neighbor_count=6, kde_support_n=45)
+        for name, array in zip(("indices", "dist2"), neighbor_lists(features, cfg)):
+            np.save("%s/d%d_%s_%s.npy" % (sys.argv[1], dim, mode, name), array)
+"""
+
 
 def _generate(args):
-    return ["generate"] + args + ["--out", "{out}/data.csv", "--truth-out", "{out}/truth.csv"]
+    return CLI + ["generate"] + args + [
+        "--out", "{out}/data.csv", "--truth-out", "{out}/truth.csv"]
 
 
 def _label(fixture, flags):
-    return ["label", "--input", "{ref}/%s/data.csv" % fixture,
-            "--truth", "{ref}/%s/truth.csv" % fixture, "--out-dir", "{out}"] + flags
+    return CLI + ["label", "--input", "{ref}/%s/data.csv" % fixture,
+                  "--truth", "{ref}/%s/truth.csv" % fixture, "--out-dir", "{out}"] + flags
 
 
-# Job name -> argv; {out} is the job's own output directory and {ref} the
-# directory that holds REF's jobs. Generate jobs come first.
+# Job name -> the interpreter's arguments; {out} is the job's own output
+# directory and {ref} the directory that holds REF's jobs. Generate jobs
+# come first.
 JOBS = {
     "generate_moons_4k": _generate(MOONS_4K),
     "generate_blobs_5k_d32": _generate(BLOBS_5K_D32),
-    "generate_jsonl": ["generate", "--kind", "gaussian-blobs", "--seed", "1000",
-                       "--out", "{out}/data.jsonl"],
+    "generate_jsonl": CLI + ["generate", "--kind", "gaussian-blobs", "--seed", "1000",
+                             "--out", "{out}/data.jsonl"],
     "generate_moons_20k": _generate(MOONS_20K),
     "label_moons_4k_bench": _label("generate_moons_4k", MOONS_FLAGS),
     "label_moons_4k_defaults": _label("generate_moons_4k", []),
     "label_blobs_5k_d32_bench": _label("generate_blobs_5k_d32", BLOBS_FLAGS),
     "label_blobs_5k_d32_defaults": _label("generate_blobs_5k_d32", []),
     "label_moons_20k_defaults": _label("generate_moons_20k", []),
-    "harness_theorem1": ["harness", "theorem1", "--out-dir", "{out}"],
-    "harness_compare": ["harness", "compare", "--out-dir", "{out}"],
-    "harness_compare_n200": ["harness", "compare", "--out-dir", "{out}"] + COMPARE_N200,
-    "harness_density_ratio": ["harness", "density-ratio", "--out-dir", "{out}"],
+    "harness_theorem1": CLI + ["harness", "theorem1", "--out-dir", "{out}"],
+    "harness_compare": CLI + ["harness", "compare", "--out-dir", "{out}"],
+    "harness_compare_n200": CLI + ["harness", "compare", "--out-dir", "{out}"] + COMPARE_N200,
+    "harness_density_ratio": CLI + ["harness", "density-ratio", "--out-dir", "{out}"],
+    "lists_20k": ["-c", LISTS_20K, "{out}"],
 }
 
 
@@ -111,7 +139,7 @@ def run_jobs(src, work, ref_work, threads):
         os.makedirs(out)
         argv = [arg.format(out=out, ref=ref_work) for arg in argv]
         done = subprocess.run(
-            [sys.executable, "-m", "pmlp.cli"] + argv,
+            [sys.executable] + argv,
             env=env, cwd=work, capture_output=True, text=True,
         )
         if done.returncode:

@@ -264,13 +264,23 @@ class AffinityMatrix:
 
         Entry (j, i) gets the same product, so the result keeps this
         matrix's symmetry and sparsity pattern. Factors must be
-        nonnegative and the products finite.
+        nonnegative and the products finite. Where factors[i] * factors[j]
+        overflows, as for the factors 1 / sqrt(degree) of subnormal
+        weights, the entry is the weight times the smaller factor, then
+        the larger: the same for (i, j) and (j, i), and finite whenever
+        the scaled weight is.
         """
         factors = np.asarray(factors, dtype=float)
         if factors.shape != (self.size,) or not np.all(factors >= 0.0):
             raise DataError("scaling factors must be %d nonnegative values" % self.size)
         row_factors = np.repeat(factors, np.diff(self._indptr))
-        data = row_factors * factors[self._indices] * self._data
+        column_factors = factors[self._indices]
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = row_factors * column_factors * self._data
+            wide = np.flatnonzero(~np.isfinite(data))
+            if wide.size:
+                pair = np.sort([row_factors[wide], column_factors[wide]], axis=0)
+                data[wide] = self._data[wide] * pair[0] * pair[1]
         if not np.all(np.isfinite(data)):
             raise DataError("affinity matrix contains non-finite entries")
         # The copy shares the pattern, checked and sorted on construction.

@@ -13,12 +13,16 @@ unproven: a path point's endpoint lists (below), then slabs of the pool
 sorted on its widest coordinate, four times wider each round, then the
 whole pool. A screen takes a block of queries through one GEMM against
 the pool stored as [-2 x; ||x||^2], which ranks the rows as their
-distances do, keeps candidates with ``argpartition``, then ranks them on
-direct-difference distances with ties toward the lower row index
-(``_rank``); in a slab the key gap to the first row outside it proves the
-result. At low d that holds for nearly every query, so the pass stops
-being quadratic. By one stop rule, a list or slab round that proves under
-half of what it tries hands the rest to the next stage, as at high d.
+distances do, keeps candidates, then ranks them on direct-difference
+distances with ties toward the lower row index (``_rank``). The
+candidates hold each query's smallest screened values, found exactly
+from group minima (``_smallest``): a row's columns fall into strided
+groups, one pass takes every group's minimum, and only the groups with
+the smallest minima are partitioned, not every screened value. In a
+slab the key gap to the first row outside it proves the result. At low
+d that holds for nearly every query, so the pass stops being quadratic.
+By one stop rule, a list or slab round that proves under half of what
+it tries hands the rest to the next stage, as at high d.
 What the whole pool's screen cannot prove ``_rank`` ranks over all rows,
 once, so the result never depends on rounds, BLAS rounding or thread count.
 Blocks are sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of
@@ -59,7 +63,8 @@ __all__ = [
 ]
 
 # Element budget for the transient arrays of one query block: its screening
-# values and their partition order (queries x rows each), its gathered
+# values and, on a screen too narrow to group (``_smallest``), their
+# partition order (queries x rows each), its gathered
 # candidates (queries x candidates x dim) with their rows, distances and
 # order, its supports' kernel values (queries x supports), or, for queries
 # ranked over all rows, their (queries x rows x dim) differences. 500,000
@@ -69,16 +74,32 @@ __all__ = [
 _CHUNK_ELEMENTS = 500_000
 
 # Fewest queries in one screen block. Each block reads the whole lifted
-# pool, (dim + 1) x rows, and makes a few numpy calls. From about 15,000
+# pool, (dim + 1) x rows, and makes a few numpy calls. From about 4,000
 # rows up the budget alone would give fewer queries than this, and that
 # fixed cost would grow to dominate: at 50,000 rows and d = 32, blocks of 4
-# queries took 1.5x as long as blocks of 16.
-_MIN_SCREEN_BLOCK = 16
+# queries took 1.5x as long as blocks of 16. With grouped selection
+# (``_smallest``) the GEMM is most of a screen: at 20,000 rows and d = 32,
+# blocks of 64 took 0.78x (kNN lists, m = 62) and 0.76x (path KDE) the time
+# of blocks of 16, and 128 gained under 5% more; at 50,000 rows, m = 6
+# lists took 5.5 s against 6.7 s and 20 MB more peak RSS; at 4,000-5,000
+# rows the time was within 5%.
+_MIN_SCREEN_BLOCK = 64
 
 # Candidates the screen keeps beyond the requested count. Any margin >= 1
 # is exact; a few spare rows let the screen prove its cut when the
 # distances just past the count are close but not tied.
 _SCREEN_MARGIN = 8
+
+# Group size s of ``_smallest``, the screen's selection: _GROUP_SCALE
+# sqrt(columns / values kept), or no groups below _MIN_GROUP. Timed on d = 32
+# screens, 2-vCPU host, as a share of one argpartition of every column: the
+# best s was 0.45-0.65 sqrt(w / k) (w = 5,000, k = 16: 0.49 at s = 8; w =
+# 20,000, k = 16-72: 0.31-0.38; w = 4,000, k = 54-72: 0.74-0.83 at s = 4-5),
+# and no s gained at sqrt(w / k) = 3.7 (1.37 at best). Whole passes, two
+# blobs at d = 32, against argpartition: 4,000 rows, kNN 0.77-0.89 and path
+# KDE 0.86; 1,000 rows, 0.76-0.98.
+_GROUP_SCALE = 0.6
+_MIN_GROUP = 4
 
 # First slab half-width, in sorted pool rows per candidate the screen keeps
 # (count + ``_SCREEN_MARGIN``); each later round is four times wider. On
@@ -291,17 +312,23 @@ def _screen(q, pool, lifted, rows, radius, count, out):
     screen. One GEMM, [q, 1] A, gives s(x) = ||x||^2 - 2 q.x =
     ||q - x||^2 - ||q||^2 for every column. Leaving out ||q||^2 shifts a
     query's whole row by one constant, so it ranks the rows as their
-    distances do; ``argpartition`` keeps ``count`` plus ``_SCREEN_MARGIN``
-    candidates. With u = eps / 2, gamma_k = k u / (1 - k u) and R the
-    largest pool norm, the (dim + 1)-term dot product, summed in any
-    order, is within gamma_(dim+1) (2 ||q|| R + R^2) of its exact value,
-    and the rounded ||x||^2 it adds within gamma_dim R^2: less than
+    distances do; ``_smallest`` keeps ``count`` plus ``_SCREEN_MARGIN``
+    candidates and the next smallest value. With u = eps / 2, gamma_k =
+    k u / (1 - k u) and R the largest pool norm, the (dim + 1)-term dot
+    product, summed in any order, is within gamma_(dim+1) (2 ||q|| R +
+    R^2) of its exact value, and the rounded ||x||^2 it adds within
+    gamma_dim R^2: less than
     (dim + 1) eps (||q|| + R)^2 in all. A direct squared distance is
     within (dim + 2) u (||q|| + R)^2 of the exact one, so a screened value
     is within 2 (dim + 4) eps (||q|| + R)^2 of the direct distance less
     ||q||^2. When the first column screened out lies more than twice that
     past the ``count``-th, no column outside the candidates can rank
-    inside the count.
+    inside the count. The proof reads only the smallest values, which
+    ``_smallest`` finds exactly, so it proves the rows a full partition
+    would; a proven row's candidates can differ from a full partition's
+    only among columns tied past the count, and ``_rank`` orders those by
+    (distance, row). A row with a non-finite screened value has an
+    infinite 2 (||q|| + R)^2, so it is never proven.
 
     Returns the block rows so proven and their (indices, squared
     distances) among the columns, as ``_rank`` ranks them.
@@ -312,8 +339,7 @@ def _screen(q, pool, lifted, rows, radius, count, out):
     lifted_q[:, :dim] = q
     with np.errstate(over="ignore", invalid="ignore"):
         screen = np.matmul(lifted_q, lifted, out=out)
-        part = np.argpartition(screen, keep, axis=1)
-        kept = _along(screen, part[:, : keep + 1])
+        part, kept = _smallest(screen, keep + 1)
         last = np.partition(kept[:, :keep], count - 1, axis=1)[:, count - 1]
         scale = (np.sqrt(np.einsum("ij,ij->i", q, q)) + radius) ** 2
         # The tiny term covers rounding among subnormal products. A
@@ -322,10 +348,54 @@ def _screen(q, pool, lifted, rows, radius, count, out):
         bound = 4 * (dim + 4) * np.finfo(float).eps * scale + np.finfo(float).tiny
         proven = np.flatnonzero((kept[:, keep] - last > bound) & (2 * scale < np.inf))
     candidates = part[proven, :keep]
-    del part
     if rows is not None:
         candidates = rows[candidates]
     return (proven, *_rank(q[proven], pool, candidates, count))
+
+
+def _smallest(screen, k):
+    """Each row's ``k`` smallest values: (columns, values), each (rows, k).
+
+    Position k - 1 holds the k-th smallest value, positions before it the
+    k - 1 smaller ones, in any order, as ``np.argpartition`` at k - 1
+    leaves them. A row's w columns are split into g = w // s strided
+    groups of s, group j holding columns j, j + g, ..., j + (s - 1) g; the
+    fewer than s columns past s g are candidates always. One
+    ``np.minimum.reduce`` gives every group's minimum, the k groups with
+    the smallest minima are kept, and their k s columns and the leftovers
+    are partitioned. This is exact: with T the k-th smallest group
+    minimum, the k kept groups each hold a value <= T, so the k-th smallest
+    value is <= T, and every value below T lies in a kept group. So the
+    candidates hold the k smallest values as a multiset; which of the
+    columns tied at the k-th value are returned may differ from a full
+    partition's, and ``_rank`` settles such ties by (distance, row). A NaN
+    minimum sorts last, so a row with a NaN may lose its smallest values,
+    but ``_screen`` proves no such row: its screen overflowed.
+
+    The cost is about w / s + k s partitioned values plus one pass of the
+    minimum, so s = ``_GROUP_SCALE`` sqrt(w / k). Groups of fewer than
+    ``_MIN_GROUP`` columns fall back to one partition of every column.
+    """
+    width = screen.shape[1]
+    size = int(_GROUP_SCALE * np.sqrt(width / k))
+    if size < _MIN_GROUP or width // size < k:
+        part = np.argpartition(screen, k - 1, axis=1)[:, :k]
+        return part, _along(screen, part)
+    groups = width // size
+    grouped = screen[:, : size * groups].reshape(screen.shape[0], size, groups)
+    minima = np.minimum.reduce(grouped, axis=1)
+    chosen = np.argpartition(minima, k - 1, axis=1)[:, :k]
+    columns = (chosen[:, None, :] + groups * np.arange(size)[:, None]).reshape(
+        screen.shape[0], -1
+    )
+    if size * groups < width:
+        rest = np.arange(size * groups, width)
+        columns = np.concatenate(
+            [columns, np.broadcast_to(rest, (screen.shape[0], rest.size))], axis=1
+        )
+    values = _along(screen, columns)
+    part = np.argpartition(values, k - 1, axis=1)[:, :k]
+    return _along(columns, part), _along(values, part)
 
 
 def _distances(queries, pool, candidates):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pmlp.core import (
     validate_config,
 )
 from pmlp.density import batch_normalized_density
-from pmlp.graph import EPS_DISTANCE, _base_affinity
+from pmlp.graph import EPS_DISTANCE, _base_affinity, normalize_symmetric
 
 from dense_oracle import affinity_from_dense, to_dense
 
@@ -257,6 +258,17 @@ class TestAffinityMatrix:
         np.testing.assert_array_equal(to_dense(scaled), np.outer(factors, factors) * dense)
         with pytest.raises(DataError):
             affinity_from_dense(dense).scaled([1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_subnormal_weights_normalize(self, strict):
+        """Degree factors near 1/sqrt(5e-324) overflow their product, not
+        the scaled weight: each entry is w / sqrt(d_i d_j), 1/sqrt(2)."""
+        W = AffinityMatrix(3, [0, 1], [1, 2], [5e-324] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if strict else "ignore", RuntimeWarning)
+            S = normalize_symmetric(W)
+        np.testing.assert_allclose(S.data, np.full(4, 1 / np.sqrt(2)), rtol=1e-15)
+        np.testing.assert_array_equal(to_dense(S), to_dense(S).T)
 
     def test_dense_round_trip(self):
         dense = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])

@@ -789,3 +789,158 @@ def test_small_pools_skip_the_slabs():
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert not slabs and whole
+
+
+# Selection. ``_smallest`` finds each screen row's k smallest values from
+# group minima; these patch ``_MIN_GROUP`` to 1 so that small screens are
+# grouped too, with ``_GROUP_SCALE`` setting how wide the groups are.
+
+
+def grouped_screen(width, k):
+    """Whether ``_smallest`` groups a screen of ``width`` columns for k."""
+    size = int(density._GROUP_SCALE * np.sqrt(width / k))
+    return size >= density._MIN_GROUP and width // size >= k
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.sampled_from(["normal", "few", "repeated", "infinite"]),
+    rows=st.integers(1, 4),
+    width=st.integers(1, 300),
+    k_fraction=st.floats(0.0, 1.0),
+    scale=st.sampled_from([0.6, 1.0, 2.0, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Every group kept, and one leftover column: k = 24 of 97 = 24 groups of 4, plus 1.
+@example(values="normal", rows=2, width=97, k_fraction=0.625, scale=2.0, seed=0)
+# Every value tied.
+@example(values="repeated", rows=3, width=200, k_fraction=0.05, scale=2.0, seed=1)
+def test_smallest_matches_a_stable_sort(values, rows, width, k_fraction, scale, seed):
+    """The k smallest values, the k-th at k - 1, at distinct columns."""
+    rng = np.random.default_rng(seed)
+    k = 1 + int(k_fraction**3 * (width - 1))  # 1 .. width, mostly small
+    if values == "normal":
+        screen = rng.normal(size=(rows, width))
+    elif values == "few":
+        screen = rng.integers(0, 4, size=(rows, width)).astype(float)
+    elif values == "repeated":
+        screen = np.full((rows, width), rng.normal())
+    else:
+        screen = rng.normal(size=(rows, width))
+        screen[rng.random((rows, width)) < 0.3] = np.inf
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_MIN_GROUP", 1)
+        patch.setattr(density, "_GROUP_SCALE", scale)
+        columns, kept = density._smallest(screen, k)
+    want = np.sort(screen, axis=1, kind="stable")[:, :k]
+    assert columns.shape == kept.shape == (rows, k)
+    assert np.all((columns >= 0) & (columns < width))
+    assert all(np.unique(row).size == k for row in columns)
+    assert np.array_equal(np.take_along_axis(screen, columns, axis=1), kept)
+    assert np.array_equal(np.sort(kept, axis=1), want)
+    assert np.array_equal(kept[:, k - 1], want[:, k - 1])
+
+
+def test_smallest_groups_the_benchmark_screens():
+    """Whole-pool screens of 4,000-20,000 rows group at the grid's list and
+    KDE lengths (k = 16, 54, 72), and of 1,000 rows at k = 16; 200-row
+    screens, 1,000-row KDE screens and two moons' first slabs do not."""
+    for width, k in [(5000, 16), (20000, 72), (4000, 54), (4000, 72), (1000, 16)]:
+        assert grouped_screen(width, k)
+    for width, k in [(200, 15), (200, 24), (1000, 54), (600, 32)]:
+        assert not grouped_screen(width, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.sampled_from([2, 8, 32]),
+    n=st.integers(40, 400),
+    offset=st.sampled_from([0.0, 1e6]),
+    self_excluded=st.booleans(),
+    count=st.integers(1, 12),
+    size=st.sampled_from([1, 2, 3, 5, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Pools of repeated rows: every cut is a tie among copies.
+@example(
+    kind="duplicated", dim=8, n=400, offset=0.0, self_excluded=True,
+    count=5, size=8, seed=0,
+)
+@example(
+    kind="identical", dim=32, n=200, offset=0.0, self_excluded=False,
+    count=3, size=3, seed=1,
+)
+@example(
+    kind="integer_grid", dim=2, n=300, offset=1e6, self_excluded=True,
+    count=12, size=5, seed=2,
+)
+def test_grouped_screens_match_oracle(
+    kind, dim, n, offset, self_excluded, count, size, seed
+):
+    """``_nearest_rows`` with whole-pool screens grouped ``size`` columns a
+    group wherever the pool holds enough groups, and slabs as the rule
+    makes them."""
+    rng = np.random.default_rng(seed)
+    pool = make_pool(kind, n, dim, offset, rng)
+    if self_excluded:
+        queries, exclude = pool, np.arange(n)
+    else:
+        a, b = rng.integers(0, n, 100), rng.integers(0, n, 100)
+        queries, exclude = pool[a] + 0.5 * (pool[b] - pool[a]), None
+    # An excluded row's search keeps one more row and drops it.
+    k = count + int(self_excluded) + density._SCREEN_MARGIN + 1
+    widths = []
+    smallest = density._smallest
+
+    def spy(screen, k):
+        widths.append(screen.shape[1])
+        return smallest(screen, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_MIN_GROUP", 1)
+        patch.setattr(density, "_GROUP_SCALE", size * (1 + 1e-9) / np.sqrt(n / k))
+        patch.setattr(density, "_smallest", spy)
+        (got_idx, got_d2), _, _ = screens_counted(
+            _nearest_rows, queries, pool, count, exclude
+        )
+        if n in widths:
+            assert grouped_screen(n, k) == (n // size >= k)
+    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+
+
+@pytest.mark.parametrize(
+    "kind, offset, scale, fallback",
+    [
+        ("identical", 0.0, 1.0, "all"),  # every cut is a tie: nothing provable
+        ("normal", 0.0, 1e154, "all"),  # the screen's squares would overflow
+        ("normal", 1e6, 1.0, "some"),  # GEMM cancellation swamps the close gaps
+        ("duplicated", 1e6, 1.0, "some"),  # and copies tie at the cut
+        ("normal", 0.0, 1.0, "none"),  # distinct distances: the screen proves all
+    ],
+)
+def test_grouped_cuts_take_the_exact_fallback(monkeypatch, kind, offset, scale, fallback):
+    """``test_unprovable_cuts_take_the_exact_fallback`` with grouped screens:
+    a non-finite screen, whose group minima may be NaN, is never proven."""
+    rng = np.random.default_rng(7)
+    n = 400
+    pool = make_pool(kind, n, 32, offset, rng) * scale
+    ranked = []
+    rank_all = density._rank_all
+
+    def spy(queries, *args):
+        ranked.append(queries.shape[0])
+        return rank_all(queries, *args)
+
+    monkeypatch.setattr(density, "_rank_all", spy)
+    monkeypatch.setattr(density, "_MIN_GROUP", 1)
+    assert grouped_screen(n, 5 + 1 + density._SCREEN_MARGIN + 1)
+    got, _, _ = screens_counted(_nearest_rows, pool, pool, 5, np.arange(n))
+    with np.errstate(over="ignore"):
+        want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    expected = {"all": lambda r: r == n, "some": lambda r: 0 < r < n, "none": lambda r: r == 0}
+    assert expected[fallback](sum(ranked))
