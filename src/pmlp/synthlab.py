@@ -9,8 +9,8 @@ and so should the fraction of the line spent below the threshold. The
 density-ratio sweep takes the max/min path-density ratio of fixed row
 pairs per bandwidth, which should fall toward one as the bandwidth grows.
 The mode comparison runs the density-aware and classical pipelines over
-freshly sampled datasets, its trials spread over the CPUs the process may
-use, and reports pseudo-label quality side by side.
+freshly sampled datasets, in a pool of forked processes, one per CPU the
+process may use, and reports pseudo-label quality side by side.
 
 Every generator is a pure function of its parameters and seed, and every
 dataset can be regenerated bit for bit from its ``generator_spec``.
@@ -19,6 +19,7 @@ dataset can be regenerated bit for bit from its ``generator_spec``.
 import os
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -338,7 +339,7 @@ def _trial_metrics(result, dataset, tau):
 
 
 def _worker_count(trials):
-    """How many slices ``compare_pmlp_vs_lpa`` splits ``trials`` into.
+    """How many processes ``compare_pmlp_vs_lpa`` runs ``trials`` in.
 
     One per CPU this process may use, at most one per trial; 1 where
     ``os.sched_getaffinity`` or the fork start method is missing, in a
@@ -386,67 +387,60 @@ def _compare_trial(spec, cfg, t):
     return records
 
 
-def _failure_board(trials, slices):
-    """``failed`` for ``_compare_slice``: ``trials`` for each of ``slices``
-    slices, in memory that forked processes share. Without shared memory
-    each process keeps its own copy, so a slice no longer stops early for
-    another's failure, but the outcome is the same."""
-    failed = [trials] * slices
-    if slices == 1:
-        return failed
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork").RawArray("q", failed)
-    except OSError:
-        return failed
+def _run_trial(spec, cfg, t):
+    """``_compare_trial(spec, cfg, t)`` for the process pool: the name is
+    looked up when the trial runs, so a worker forked while
+    ``_compare_trial`` is replaced runs the replacement."""
+    return _compare_trial(spec, cfg, t)
 
 
-def _compare_slice(spec, cfg, trials, first, step, failed):
-    """Records of trials first, first + step, ... below ``trials``, in order,
-    and the slice's first failure as (trial, exception), or None.
+def _pooled(run, trials, workers):
+    """Outcomes of ``run(t)`` for trials t in ``range(trials)``, run by a
+    pool of ``workers`` forked processes: {t: records, or the exception
+    trial t raised}.
 
-    The slice is number ``first``. ``failed[s]`` is slice s's failing
-    trial, or ``trials`` while none is known; this slice writes only
-    ``failed[first]``. The slice stops at its first failure, and before a
-    trial past a failure another slice has found, since only the earliest
-    failing trial is raised.
+    At most ``workers + 1`` trials are in flight, and no trial past the
+    earliest failure known is started, so past a failing trial only those
+    started before its failure arrived run. A trial is missing when the
+    pool cannot start, or breaks because a worker dies or an answer cannot
+    be read. The pool forks all its workers at the first submit, before it
+    starts a thread of its own, so no fork copies a held lock of the pool.
+    Every process it forked is joined before this returns; a pool whose
+    later fork failed leaves its first workers waiting for work that never
+    comes, so those are terminated.
     """
-    records = []
-    for t in range(first, trials, step):
-        if t > min(failed):
-            break
-        try:
-            records.extend(_compare_trial(spec, cfg, t))
-        except Exception as exc:
-            failed[first] = t
-            return records, (t, exc)
-    return records, None
-
-
-def _compare_worker(writer, *slice_args):
-    writer.send(_compare_slice(*slice_args))
-
-
-def _start_worker(*slice_args):
-    """A forked process that runs ``_compare_slice(*slice_args)`` and sends
-    its outcome, and the reading end of its pipe; None if no pipe or
-    process can be had."""
     import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
 
-    context = multiprocessing.get_context("fork")
+    fork = multiprocessing.get_context("fork")
+    outcomes = {}
+    before = multiprocessing.active_children()
     try:
-        reader, writer = context.Pipe(duplex=False)
-    except OSError:
-        return None
-    with writer:  # the caller keeps only the reading end
-        process = context.Process(target=_compare_worker, args=(writer, *slice_args))
-        try:
-            process.start()
-        except OSError:
-            reader.close()
-            return None
-    return process, reader
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            running = {}  # future -> trial
+            stop = trials  # the earliest failing trial known
+            t = 0
+            while running or t < stop:
+                while t < stop and len(running) <= workers:
+                    running[pool.submit(run, t)] = t
+                    t += 1
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    trial = running.pop(future)
+                    try:
+                        outcomes[trial] = future.result()
+                    except BrokenProcessPool:
+                        raise
+                    except Exception as error:
+                        outcomes[trial] = error
+                        stop = min(stop, trial)
+    except (OSError, BrokenProcessPool):
+        for process in multiprocessing.active_children():
+            if process not in before:
+                process.terminate()
+                process.join()
+    return outcomes
 
 
 def compare_pmlp_vs_lpa(dataset, cfg, trials):
@@ -456,62 +450,30 @@ def compare_pmlp_vs_lpa(dataset, cfg, trials):
     ``seed + t`` and runs both modes on identical inputs; the returned
     list holds two ComparisonTrial records per trial, in trial order.
 
-    The trials are split into W static slices, W = ``_worker_count``:
-    trial t belongs to slice t mod W. The calling process runs slice 0;
-    slices 1 .. W - 1 run in processes forked for this call, each of
-    which sends back its slice's records, or its first exception, through
-    a one-way pipe. Every trial is a pure function of the spec, the config
-    and t, so the records, and so the bytes a job writes, are the same
-    for any W. A failure raises the exception of the earliest failing
-    trial, as one serial loop would; each slice records its failing trial
-    in memory the processes share and stops before any trial past a known
-    failure, so a failing job runs at most about one more trial per slice.
-    With W = 1 the caller runs every trial in one loop. The trials of a
-    slice whose process cannot be started, or whose answer cannot be read,
-    are run by the caller after its own, up to the earliest known failure.
-    Every forked process is joined before this returns or raises. On the
-    benchmark's 100-trial, 200-row two-moons job on a 2-vCPU x86-64 host,
-    the one worker peaked at about 30 MB of RSS beside the caller's 40 MB,
-    much of it pages shared with the caller.
+    With W = ``_worker_count`` above 1, a pool of W processes forked for
+    this call runs the trials (``_pooled``) while the caller waits; with
+    W = 1 no process is made. The caller then walks the trials in order,
+    running itself each trial the pool did not answer, and raises the
+    first exception it meets: that of the earliest failing trial, as one
+    serial loop would. Every trial is a pure function of the spec, the
+    config and t, so the records, and so the bytes a job writes, are the
+    same for any W. The pool starts no trial past the earliest failure it
+    knows of, so a failing job stops soon after its first failure. When
+    the pool cannot start or breaks, the caller runs every trial it did
+    not answer, up to the first failure. Every forked process is joined
+    before this returns or raises.
     """
     trials = int(trials)
     if trials < 1:
         raise DataError("trials must be >= 1")
     spec = dataset.generator_spec
-    slices = _worker_count(trials)
-    failed = _failure_board(trials, slices)
-    workers = {}  # slice -> (process, reading end of its pipe)
-    try:
-        for s in range(1, slices):
-            worker = _start_worker(spec, cfg, trials, s, slices, failed)
-            if worker is not None:
-                workers[s] = worker
-        outcomes = {0: _compare_slice(spec, cfg, trials, 0, slices, failed)}
-        for s, (process, reader) in workers.items():
-            try:
-                outcomes[s] = reader.recv()
-            except Exception:  # the worker died, or its exception does not unpickle
-                pass
-            process.join()
-    finally:
-        for process, reader in workers.values():
-            if process.exitcode is None:  # the caller failed before joining it
-                process.terminate()
-                process.join()
-            process.close()
-            reader.close()
-    failures = [failure for _, failure in outcomes.values() if failure is not None]
-    stop, error = min(failures, key=lambda failure: failure[0], default=(trials, None))
-    records = [record for slice_records, _ in outcomes.values() for record in slice_records]
-    # Trials still missing below the earliest known failure, in order: those
-    # of a slice whose worker could not be started or read, and any that a
-    # slice skipped for the failure of such a worker. The first to fail here
-    # is the earliest failing trial.
-    done = {record.trial for record in records}
-    for t in range(stop):
-        if t not in done:
-            records.extend(_compare_trial(spec, cfg, t))
-    if error is not None:
-        raise error
-    # A stable sort keeps each trial's records in MODES order.
-    return sorted(records, key=lambda record: record.trial)
+    workers = _worker_count(trials)
+    run = partial(_run_trial, spec, cfg)
+    outcomes = _pooled(run, trials, workers) if workers > 1 else {}
+    records = []
+    for t in range(trials):
+        outcome = outcomes[t] if t in outcomes else _compare_trial(spec, cfg, t)
+        if isinstance(outcome, Exception):
+            raise outcome
+        records.extend(outcome)
+    return records

@@ -232,8 +232,22 @@ class TestCompare:
 
 
 def _workers(monkeypatch, count):
-    """Make ``compare_pmlp_vs_lpa`` split its trials into ``count`` slices."""
+    """Make ``compare_pmlp_vs_lpa`` run its trials in ``count`` processes."""
     monkeypatch.setattr(synthlab, "_worker_count", lambda trials: count)
+
+
+def _exit_in_workers(monkeypatch):
+    """Make every trial that starts in a forked process end that process
+    at once, without an answer; the caller's trials run as before."""
+    parent = os.getpid()
+    real = synthlab._compare_trial
+
+    def trial(spec, cfg, t):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(spec, cfg, t)
+
+    monkeypatch.setattr(synthlab, "_compare_trial", trial)
 
 
 def _assert_no_child_left():
@@ -242,8 +256,8 @@ def _assert_no_child_left():
 
 
 class TestCompareSlices:
-    """The trials split into slices, slice 0 run by the caller and the
-    others by forked processes, give what one serial loop gives."""
+    """The trials run by a pool of forked processes, and any the pool does
+    not answer run by the caller, give what one serial loop gives."""
 
     dataset = gen_two_moons(n=40, noise=0.1, labeled_per_class=2, seed=5)
     cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=8, neighbor_count=4, seed=5)
@@ -257,7 +271,7 @@ class TestCompareSlices:
         serial = self.records()
         order = [(r.trial, r.mode) for r in compare_pmlp_vs_lpa(self.dataset, self.cfg, 5)]
         assert order == [(t, mode) for t in range(5) for mode in ("pmlp", "classical_lpa")]
-        for count in (2, 3, 7):  # 7 slices for 5 trials leaves two empty
+        for count in (2, 3, 7):  # 7 workers for 5 trials leaves two idle
             _workers(monkeypatch, count)
             assert self.records() == serial
             _assert_no_child_left()
@@ -308,9 +322,9 @@ class TestCompareSlices:
     @pytest.mark.parametrize(
         "failures, message",
         [
-            # The caller's first trial fails at once; the worker's are slow.
+            # Trial 0 fails at once; trials 1 and 3 are slow.
             ({0: (0.0, DataError("trial 0")), 1: (0.2, None), 3: (0.2, None)}, "trial 0"),
-            # The worker's first trial fails while the caller's runs.
+            # Trial 1 fails while trial 0 runs.
             ({0: (0.3, None), 1: (0.0, DataError("trial 1"))}, "trial 1"),
         ],
     )
@@ -321,14 +335,14 @@ class TestCompareSlices:
         with pytest.raises(DataError, match=message):
             compare_pmlp_vs_lpa(self.dataset, self.cfg, 20)
         _assert_no_child_left()
-        # Each slice runs at most one trial past the known failure, not the
-        # ten of its slice.
+        # Only the trials in flight past the known failure run, not the
+        # other seventeen.
         assert len(log.read_text().split()) <= 3
 
     def test_a_lost_slice_past_a_known_failure_is_not_rerun(self, monkeypatch, tmp_path):
         log = tmp_path / "calls"
         self.failing_trial(monkeypatch, {0: (0.0, DataError("trial 0"))}, log)
-        monkeypatch.setattr(synthlab, "_compare_worker", lambda writer, *args: os._exit(1))
+        _exit_in_workers(monkeypatch)
         _workers(monkeypatch, 3)
         with pytest.raises(DataError, match="trial 0"):
             compare_pmlp_vs_lpa(self.dataset, self.cfg, 20)
@@ -338,10 +352,10 @@ class TestCompareSlices:
     @pytest.mark.parametrize(
         "failures",
         [
-            # Trial 2 (the caller's slice) fails after trial 3 (a worker's).
+            # Trial 2 fails after trial 3.
             {2: (0.3, DataError("trial 2")), 3: (0.0, NumericalError("trial 3"))},
-            # Trial 1 (a worker's) fails after trial 2 (the caller's), with
-            # an error of two constructor arguments.
+            # Trial 1 fails after trial 2, with an error of two constructor
+            # arguments.
             {1: (0.3, ConfigError("seed", "trial 1")), 2: (0.0, DataError("trial 2"))},
         ],
     )
@@ -373,7 +387,7 @@ class TestCompareSlices:
     ):
         _workers(monkeypatch, 1)
         serial = self.records()
-        monkeypatch.setattr(synthlab, "_compare_worker", lambda writer, *args: os._exit(1))
+        _exit_in_workers(monkeypatch)
         _workers(monkeypatch, 3)
         assert self.records() == serial
         _assert_no_child_left()
@@ -401,3 +415,28 @@ class TestCompareSlices:
             ).read_bytes()
         _assert_no_child_left()
 
+    def test_a_pool_whose_second_fork_fails_leaves_no_child(self, monkeypatch):
+        _workers(monkeypatch, 1)
+        serial = self.records()
+        fork = os.fork
+        forks = []
+
+        def second_fork_fails():
+            forks.append(len(forks))
+            if len(forks) > 1:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        _workers(monkeypatch, 3)
+        assert self.records() == serial
+        assert forks == [0, 1]
+        _assert_no_child_left()
+
+    def test_a_pooled_job_leaves_no_thread(self, monkeypatch):
+        worker_count = synthlab._worker_count
+        _workers(monkeypatch, 2)
+        self.records()
+        assert threading.active_count() == 1
+        # So a second job in this process forks again.
+        assert worker_count(100) == min(100, len(os.sched_getaffinity(0)))
