@@ -14,9 +14,11 @@ a CLI call (``python -m pmlp.cli``):
 - ``label`` on both fixtures, with the benchmark's flags and with the
   defaults, and on the 20,000-row file with the defaults;
 - the default ``harness theorem1``, ``compare`` and ``density-ratio`` jobs,
-  and ``harness compare`` with the flags of perfbench's compare_n200
+  ``harness compare`` with the flags of perfbench's compare_n200
   workload (100 trials at n = 200, config seed 1000), whose trials run
-  in several processes where the process may use several CPUs;
+  in several processes where the process may use several CPUs, and
+  ``harness compare`` of 4 gaussian-blobs trials, so both dataset kinds
+  are covered;
 - ``lists_20k``: ``graph.neighbor_lists`` of ``benchmarks/stage_grid.py``'s
   20,000-row cells at d = 2 and 32, in both modes (m = 6, and pmlp's
   length for 45 KDE supports), saved as ``.npy`` files: the exact
@@ -106,6 +108,8 @@ JOBS = {
     "harness_theorem1": CLI + ["harness", "theorem1", "--out-dir", "{out}"],
     "harness_compare": CLI + ["harness", "compare", "--out-dir", "{out}"],
     "harness_compare_n200": CLI + ["harness", "compare", "--out-dir", "{out}"] + COMPARE_N200,
+    "harness_compare_blobs": CLI + ["harness", "compare", "--out-dir", "{out}",
+                                    "--dataset", "gaussian-blobs", "--trials", "4"],
     "harness_density_ratio": CLI + ["harness", "density-ratio", "--out-dir", "{out}"],
     "lists_20k": ["-c", LISTS_20K, "{out}"],
 }

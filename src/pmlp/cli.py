@@ -27,7 +27,11 @@ Flags
     by the field, with the choices of ``pmlp.core.CONFIG_CHOICES``.
     ``generate`` and each harness subcommand take their own flags from one
     table each (``GENERATE_DEFAULTS``, ``THEOREM1_DEFAULTS``,
-    ``COMPARE_DEFAULTS``, ``DENSITY_RATIO_DEFAULTS``).
+    ``COMPARE_DEFAULTS``, ``DENSITY_RATIO_DEFAULTS``). The dataset kinds
+    of ``generate --kind`` and ``harness compare --dataset`` are the keys
+    of ``synthlab``'s generator table, with dashes for underscores, and
+    each generator reads the flags its signature names. The dataset flags
+    the two commands share are declared once, in ``GENERATE_DEFAULTS``.
 
 Every job writes a manifest recording the configuration, input digests,
 seed, and tool version; rerunning a job with an equal manifest (timestamp
@@ -46,6 +50,7 @@ import dataclasses
 import datetime
 import errno
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -69,11 +74,10 @@ from .core import (
 )
 from .propagate import run_pmlp
 from .synthlab import (
+    _GENERATORS,
     assignments_from_dataset,
     compare_pmlp_vs_lpa,
     density_ratio_sweep,
-    gen_gaussian_blobs,
-    gen_two_moons,
     separation_sweep,
 )
 
@@ -121,15 +125,20 @@ def _means(text):
     return means
 
 
+def _kinds():
+    return " or ".join(kind.replace("_", "-") for kind in _GENERATORS)
+
+
 def _dataset(text):
-    name = text.replace("-", "_")
-    if name not in ("two_moons", "gaussian_blobs"):
-        raise argparse.ArgumentTypeError("expected two-moons or gaussian-blobs")
-    return name
+    kind = text.replace("-", "_")
+    if kind not in _GENERATORS:
+        raise argparse.ArgumentTypeError("expected " + _kinds())
+    return kind
 
 
 # The parameters of ``generate`` in flag order (``--name-with-dashes``); its
-# ``--kind`` picks which of them the generator reads.
+# ``--kind`` picks the generator, which reads those its signature names.
+# All but "means" are ``harness compare``'s too.
 GENERATE_DEFAULTS = {
     "means": HarnessParam(
         _means, ((0.0, 0.0), (10.0, 0.0)), "gaussian-blobs means, as 'x,y;x,y;...'"
@@ -157,14 +166,10 @@ THEOREM1_DEFAULTS = {
     "config": {"bandwidth_h": 2.0, "kde_support_n": 45, "seed": 7},
 }
 COMPARE_DEFAULTS = {
-    "dataset": HarnessParam(_dataset, "two_moons", "two-moons or gaussian-blobs"),
-    "n": HarnessParam(int, 200, "two-moons rows"),
-    "noise": HarnessParam(float, 0.1, "two-moons noise"),
-    "labeled_per_class": HarnessParam(int, 2, "labelled rows per class in each trial"),
+    "dataset": HarnessParam(_dataset, "two_moons", _kinds()),
+    **{name: param for name, param in GENERATE_DEFAULTS.items() if name != "means"},
     "trials": HarnessParam(int, 20, "trials, each with fresh labels"),
     "separation": HarnessParam(float, 6.0, "gaussian-blobs distance between means"),
-    "sigma": HarnessParam(float, 1.0, "gaussian-blobs standard deviation"),
-    "per_class": HarnessParam(int, 100, "gaussian-blobs rows per class"),
     "config": {
         "bandwidth_h": 0.05,
         "kde_support_n": 15,
@@ -257,8 +262,10 @@ def _encode_label(assignment):
 
 
 def _looks_like_header(record):
-    # Real headers carry column names (f_0, ..., label); a row whose feature
-    # cells all parse as floats is data, even if its label cell is malformed.
+    # Real headers carry column names (f_0, ..., label, or row_index,
+    # true_class); a row whose cells before the last all parse as floats is
+    # data, even if a cell is malformed: a data file's label, or a truth
+    # file's row index such as 1.5 or nan, which then fails as data.
     try:
         for cell in record[:-1]:
             float(cell)
@@ -380,13 +387,14 @@ def emit_features(path, features, assignments, fmt=None):
 
 def _read_truth(path, n_rows):
     """The true class of every row, from a ``row_index,true_class`` CSV;
-    each class is nonnegative, and a row listed twice repeats its class."""
+    each class is nonnegative, and a row listed twice repeats its class.
+    Line 1 is a header by the feature files' rule (``_looks_like_header``)."""
     truth = np.full(n_rows, -1, dtype=int)
     with _reading(path) as handle:
         for line_no, record in enumerate(csv.reader(handle), start=1):
             if _is_blank(record):
                 continue
-            if line_no == 1 and not record[0].strip().lstrip("-").isdigit():
+            if line_no == 1 and _looks_like_header(record):
                 continue  # header
             try:
                 if len(record) != 2:
@@ -526,9 +534,9 @@ def run_label_job(
 
     ``config_values`` (any subset of PmlpConfig fields) is layered over
     data-derived defaults: neighbor_count = ceil(1.5 * classes) capped at
-    n_rows - 1, and kde_support_n = min(45, n_rows). The output directory
-    is made first, and the truth file is read and checked before
-    propagation starts.
+    n_rows - 1, and kde_support_n = PmlpConfig's default (45) capped at
+    n_rows. The output directory is made first, and the truth file is read
+    and checked before propagation starts.
 
     The pseudo-label CSV has one row per input row: the argmax class (-1
     where no label reached the row: all its scores are zero), the
@@ -544,7 +552,7 @@ def run_label_job(
         raise DataError("could not infer >= 2 classes; pass n_classes")
     values = {
         "neighbor_count": min(default_neighbor_count(classes), features.n_rows - 1),
-        "kde_support_n": min(45, features.n_rows),
+        "kde_support_n": min(_CONFIG_FIELDS["kde_support_n"].default, features.n_rows),
     }
     values.update(config_values or {})
     cfg = PmlpConfig(**values)
@@ -599,22 +607,12 @@ def run_label_job(
 
 
 def _build_dataset(kind, params, seed):
-    """The two-moons or gaussian-blobs dataset of ``generate`` and ``harness
-    compare``, from the parameters its kind reads."""
-    if kind == "two_moons":
-        return gen_two_moons(
-            n=params["n"],
-            noise=params["noise"],
-            labeled_per_class=params["labeled_per_class"],
-            seed=seed,
-        )
-    return gen_gaussian_blobs(
-        means=params["means"],
-        sigma=params["sigma"],
-        per_class=params["per_class"],
-        labeled_per_class=params["labeled_per_class"],
-        seed=seed,
-    )
+    """The dataset of ``generate`` and ``harness compare``: synthlab's
+    generator of ``kind``, given ``seed`` and the entries of ``params``
+    that its signature names; it ignores the others."""
+    generator = _GENERATORS[kind]
+    names = inspect.signature(generator).parameters
+    return generator(seed=seed, **{k: v for k, v in params.items() if k in names})
 
 
 def run_harness_job(kind, out_dir, cfg, params):
@@ -785,9 +783,7 @@ def build_parser():
     label.set_defaults(func=_cmd_label)
 
     generate = sub.add_parser("generate", help="write a synthetic dataset")
-    generate.add_argument(
-        "--kind", type=_dataset, required=True, help="two-moons or gaussian-blobs"
-    )
+    generate.add_argument("--kind", type=_dataset, required=True, help=_kinds())
     _add_table_flags(generate, GENERATE_DEFAULTS)
     _add_config_flags(generate, ["seed"])
     generate.add_argument("--out", required=True)

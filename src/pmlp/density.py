@@ -654,8 +654,10 @@ def batch_normalized_density(queries, features, n, h):
 def _canonical_pairs(features, pairs):
     """Validated features and pairs, each pair ordered (low, high).
 
-    The canonical ordering makes every density exactly symmetric in the
-    pair orientation.
+    The one check of row pairs, for path densities and for the graph's
+    edges (``graph.build_affinity``): a nonempty (n, 2) array of row
+    indices in range, no pair joining a row to itself. The canonical
+    ordering makes every density exactly symmetric in the pair orientation.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
@@ -665,8 +667,9 @@ def _canonical_pairs(features, pairs):
     if np.any(pairs < 0) or np.any(pairs >= features.n_rows):
         raise DataError("pair index out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
-        raise DataError("a zero-length path has no interior points")
-    return features, np.sort(pairs, axis=1)
+        raise DataError("a pair joins a row to itself (self loop, zero-length path)")
+    low, high = np.minimum(*pairs.T), np.maximum(*pairs.T)
+    return features, np.column_stack([low, high])
 
 
 def _pair_point_densities(features, pairs, cfg, lists=None):

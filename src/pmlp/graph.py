@@ -12,7 +12,7 @@ constant leaves the normalized matrix unchanged.
 import numpy as np
 
 from .core import AffinityMatrix, DataError, FeatureMatrix, NumericalError
-from .density import _row_lists, batch_path_density_info
+from .density import _canonical_pairs, _distances, _row_lists, batch_path_density_info
 
 __all__ = [
     "EPS_DISTANCE",
@@ -80,24 +80,21 @@ def _base_affinity(data, first, second, mode):
     """Base affinity of each pair of rows (data[first], data[second]).
 
     "euclidean_inverse" is 1 / ||a - b||, with the distance floored at
-    EPS_DISTANCE; "first_order_similarity" is the inner product and
-    "cosine_similarity" the cosine of the angle, both clamped at zero. The
-    cosine of a zero-norm row is undefined and raises DataError. Every
-    mode is exactly symmetric in the two rows. Each mode keeps at most two
-    (pairs x dim) arrays alive, working on the gathered rows in place.
-    Overflow raises no warning here, so ``-W error`` changes no outcome: a
-    distance that overflows gives weight 0, which ``normalize_symmetric``
-    names by row, and an inner product or norm that overflows an infinite
-    or NaN weight, a DataError naming the first such pair.
+    EPS_DISTANCE, of the squared distance the nearest-row search ranks by
+    (``density._distances``). "first_order_similarity" is the inner
+    product and "cosine_similarity" the cosine of the angle, both clamped
+    at zero. The cosine of a zero-norm row is undefined and raises
+    DataError. Every mode is exactly symmetric in the two rows. Each mode
+    keeps at most two (pairs x dim) arrays alive. Overflow raises no
+    warning here, so ``-W error`` changes no outcome: a distance that
+    overflows gives weight 0, which ``normalize_symmetric`` names by row,
+    and an inner product or norm that overflows an infinite or NaN
+    weight, a DataError naming the first such pair.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "euclidean_inverse":
-            # (b - a) ** 2 equals (a - b) ** 2 bit for bit.
-            diff = data[second]
-            diff -= data[first]
-            np.square(diff, out=diff)
-            dist = np.sqrt(diff.sum(axis=1))
-            return 1.0 / np.maximum(dist, EPS_DISTANCE)
+            dist2 = _distances(data[first], data, np.asarray(second)[:, None])
+            return 1.0 / np.maximum(np.sqrt(dist2[:, 0]), EPS_DISTANCE)
         if mode not in ("first_order_similarity", "cosine_similarity"):
             raise DataError("unknown distance mode: %r" % (mode,))
         left = data[first]
@@ -127,33 +124,26 @@ def build_affinity(features, edges, cfg, lists=None):
     """Symmetrized sparse affinity matrix of the graph on ``edges``.
 
     ``edges`` is a directed (E, 2) array of row indices, such as
-    ``knn_edges`` returns; each pair of rows it joins receives one entry,
-    and the (M + M^T) / 2 symmetrization assigns half weight to a pair
-    joined in a single direction. In "pmlp" mode each entry is multiplied
-    by the pair's path-density factor; in "classical_lpa" mode the factor
-    is identically one. ``lists`` from ``neighbor_lists`` is handed to
+    ``knn_edges`` returns, checked and put in (low, high) order by
+    ``density._canonical_pairs``, the path densities' own rule. Each pair
+    of rows it joins receives one entry, and the (M + M^T) / 2
+    symmetrization assigns half weight to a pair joined in a single
+    direction. In "pmlp" mode each entry is multiplied by the pair's
+    path-density factor; in "classical_lpa" mode the factor is
+    identically one. ``lists`` from ``neighbor_lists`` is handed to
     ``batch_path_density_info``; it saves time and changes no value.
     """
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(features)
-    n = features.n_rows
     edges = np.asarray(edges, dtype=int)
-    if edges.ndim != 2 or edges.shape[1] != 2 or edges.shape[0] < 1:
-        raise DataError("edges must be a nonempty (E, 2) row index array")
-    if np.any(edges < 0) or np.any(edges >= n):
-        raise DataError("edge row index out of range")
-    if np.any(edges[:, 0] == edges[:, 1]):
-        raise DataError("self loops are not allowed")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+    features, pairs = _canonical_pairs(features, edges)
+    n = features.n_rows
+    keys, inverse = np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
+    ahead = edges[:, 0] == pairs[:, 0]  # the edge runs from low to high
     forward = np.zeros(keys.size, dtype=bool)
     backward = np.zeros(keys.size, dtype=bool)
-    forward[inverse[edges[:, 0] < edges[:, 1]]] = True
-    backward[inverse[edges[:, 0] > edges[:, 1]]] = True
+    forward[inverse[ahead]] = True
+    backward[inverse[~ahead]] = True
     weight = np.where(forward & backward, 1.0, 0.5)
-    iu = keys // n
-    ju = keys % n
+    iu, ju = np.divmod(keys, n)
 
     values = _base_affinity(features.data, iu, ju, cfg.distance_mode)
     if cfg.mode == "pmlp":

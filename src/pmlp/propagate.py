@@ -59,19 +59,18 @@ class PropagationResult:
     """Everything a propagation run produces.
 
     final_labels
-        The mixed output eta * propagated + (1 - eta) * low; rows are not
-        renormalized unless requested, so downstream consumers should take
-        a row argmax or call ``final_labels.renormalized()``.
-    propagated
-        The diffusion output (ground-truth rows clamped back to one-hot
-        when configured).
+        The mixed output eta * propagated + (1 - eta) * low, where
+        propagated is the diffusion output (ground-truth rows clamped back
+        to one-hot when configured); rows are not renormalized unless
+        requested, so downstream consumers should take a row argmax or call
+        ``final_labels.renormalized()``. At eta = 1 it is the diffusion
+        output itself.
     iterations_used, residual
         Solver diagnostics: the number of products with S, and the largest
         change one more fixed-point step would make to the labels.
     """
 
     final_labels: SoftLabelMatrix
-    propagated: SoftLabelMatrix
     iterations_used: int
     residual: float
 
@@ -265,7 +264,6 @@ def run_pmlp(
         final = final.renormalized()
     return PropagationResult(
         final_labels=final,
-        propagated=propagated,
         iterations_used=iterations,
         residual=residual,
     )

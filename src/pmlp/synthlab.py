@@ -152,9 +152,11 @@ def gen_two_moons(n, noise, labeled_per_class, seed):
     return SyntheticDataset(features, true_class, labeled_mask, spec)
 
 
+# Dataset kind -> its generator; ``pmlp generate --kind`` and ``pmlp harness
+# compare --dataset`` take their kinds from here, with dashes.
 _GENERATORS = {
-    "gaussian_blobs": gen_gaussian_blobs,
     "two_moons": gen_two_moons,
+    "gaussian_blobs": gen_gaussian_blobs,
 }
 
 

@@ -591,6 +591,25 @@ class TestExitCodes:
         assert not (out / "pseudo_labels.csv").exists()
 
     @pytest.mark.parametrize(
+        "first, message",
+        [
+            ("1.5,0", "line 1: invalid literal"),
+            ("nan,0", "line 1: invalid literal"),
+            ("+9,0", "line 1: row 9 out of range"),
+        ],
+    )
+    def test_truth_line_one_of_numbers_is_data(self, tmp_path, first, message):
+        # Line 1 is a header only by the feature files' rule: a row index
+        # that parses as a number is data, and fails as data, not skipped.
+        data = write(tmp_path / "d.csv", "0.0,0\n0.1,-1\n5.0,1\n5.1,-1\n")
+        truth = write(tmp_path / "t.csv", first + "\n0,0\n1,0\n2,1\n3,1\n")
+        out = tmp_path / "out"
+        code = main(["label", "--input", data, "--truth", truth, "--out-dir", str(out)])
+        assert code == 2
+        error = json.loads((out / "metrics.json").read_text())["error"]["message"]
+        assert message in error and "t.csv" in error
+
+    @pytest.mark.parametrize(
         "case, code, kind, message",
         [
             ("env_seed_not_an_integer", 1, "config", "PMLP_SEED='abc'"),

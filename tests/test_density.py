@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pmlp import density as density_module
 from pmlp.core import DataError, FeatureMatrix, NumericalError, PmlpConfig
@@ -312,6 +313,43 @@ class TestPathDensityInfo:
         forward = batch_path_density_info(dataset.features, pairs, cfg)
         backward = batch_path_density_info(dataset.features, pairs[:, ::-1], cfg)
         assert np.array_equal(forward, backward)
+
+    # Translating the rows, or rotating them by an orthogonal matrix, keeps
+    # every distance, so each factor of fixed pairs is kept up to rounding.
+    # With coordinates within 5, shifts within 50 and h >= 1, rounding moves
+    # a path point's squared distance to a row by under 1e-11, so a kernel
+    # value by under 1e-11 relative, and a support that swaps with a
+    # near-tied row as little. The bound: 1e-9 relative. No kernel
+    # underflows: squared distances stay below 300.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.tuples(
+                arrays(float, st.tuples(st.integers(4, 12), st.just(dim)),
+                       elements=st.floats(-5, 5)),
+                arrays(float, dim, elements=st.floats(-50, 50)),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+        st.floats(1.0, 100.0),
+        st.integers(1, 4),
+        st.sampled_from(["min", "max", "avg", "quantile"]),
+    )
+    def test_translation_and_rotation_keep_the_factors(
+        self, drawn, seed, h, k, aggregator
+    ):
+        data, shift = drawn
+        rows, dim = data.shape
+        rotation = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0]
+        cfg = PmlpConfig(
+            bandwidth_h=h, kde_support_n=4, path_points_k=k, aggregator=aggregator
+        )
+        pairs = np.column_stack([np.arange(rows - 1), np.arange(1, rows)])
+        factors = batch_path_density_info(data, pairs, cfg)
+        for moved in (data + shift, data @ rotation):
+            np.testing.assert_allclose(
+                batch_path_density_info(moved, pairs, cfg), factors, rtol=1e-9, atol=0
+            )
 
     def test_batch_matches_scalar_composition(self):
         rng = np.random.default_rng(17)

@@ -94,10 +94,10 @@ def test_removed_solver_knob_stays_gone():
 
 def test_propagation_result_has_no_unread_fields():
     # No high_mask: nothing read it, and run_pmlp splits the rows with the
-    # mask split_by_confidence returns.
+    # mask split_by_confidence returns. No propagated: nothing read it, and
+    # the final labels of an eta = 1 run are the diffusion output.
     assert [f.name for f in dataclasses.fields(PropagationResult)] == [
         "final_labels",
-        "propagated",
         "iterations_used",
         "residual",
     ]

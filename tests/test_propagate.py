@@ -406,12 +406,13 @@ class TestRunPmlp:
     def test_ground_truth_rows_clamped_by_default(self):
         dataset = blob_fixture(seed=11)
         assignments = assignments_from_dataset(dataset)
-        result = run_pmlp(dataset.features, assignments, PIPE_CFG)
+        # At eta = 1 the final labels are the clamped diffusion output.
+        result = run_pmlp(dataset.features, assignments, replace(PIPE_CFG, eta=1.0))
         rows = np.flatnonzero(dataset.labeled_mask)
         for row in rows:
             one_hot = np.zeros(2)
             one_hot[dataset.true_class[row]] = 1.0
-            np.testing.assert_array_equal(result.propagated.data[row], one_hot)
+            np.testing.assert_array_equal(result.final_labels.data[row], one_hot)
 
     def test_requires_ground_truth_row(self):
         dataset = blob_fixture(seed=12)
@@ -431,7 +432,7 @@ class TestRunPmlp:
         # The pipeline's solve against the plain iteration on its own graph.
         dataset = blob_fixture(seed=14)
         assignments = assignments_from_dataset(dataset)
-        cfg = replace(PIPE_CFG, clamp_ground_truth=False)
+        cfg = replace(PIPE_CFG, clamp_ground_truth=False, eta=1.0)
         direct = run_pmlp(dataset.features, assignments, cfg)
         edges = knn_edges(dataset.features, cfg.neighbor_count)
         S = normalize_symmetric(build_affinity(dataset.features, edges, cfg))
@@ -440,7 +441,7 @@ class TestRunPmlp:
         iterated, iterations, residual = propagate_iterative(
             S, high, cfg.alpha, tol=1e-13
         )
-        np.testing.assert_allclose(direct.propagated.data, iterated.data, atol=1e-9)
+        np.testing.assert_allclose(direct.final_labels.data, iterated.data, atol=1e-9)
         assert iterations > 0
         assert residual < 1e-13
         assert direct.iterations_used > 0
