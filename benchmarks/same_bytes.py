@@ -5,8 +5,8 @@
 Exports ``src`` of the commit REF (``HEAD^``, a branch, a sha) with ``git
 archive`` into a temporary directory, then runs one fixed job list with
 REF's package and with the working tree's ``src/pmlp``, each job in a
-fresh interpreter, at 1 and at 2 BLAS threads. Every job but the last is
-a CLI call (``python -m pmlp.cli``):
+fresh interpreter, at 1 and at 2 BLAS threads. Every job but the last two
+is a CLI call (``python -m pmlp.cli``):
 
 - ``generate``: the moons-4k and blobs-5k-d32 fixtures of
   ``perfbench/run.py`` (generator seed 1000) with their truth files, a
@@ -22,7 +22,10 @@ a CLI call (``python -m pmlp.cli``):
 - ``lists_20k``: ``graph.neighbor_lists`` of ``benchmarks/stage_grid.py``'s
   20,000-row cells at d = 2 and 32, in both modes (m = 6, and pmlp's
   length for 45 KDE supports), saved as ``.npy`` files: the exact
-  nearest-row search at a size the oracle tests do not reach.
+  nearest-row search at a size the oracle tests do not reach;
+- ``lists_tied``: the same lists of 4,000 such rows made tied, on a grid
+  of 0.5 at d = 2 and shifted by 1e6 at d = 32, whose cuts only widened
+  screens prove.
 
 The label jobs of both sides read the files REF's generate jobs wrote, so
 a changed generated file shows once, in its own job. Manifests are
@@ -80,6 +83,25 @@ for dim in (2, 32):
             np.save("%s/d%d_%s_%s.npy" % (sys.argv[1], dim, mode, name), array)
 """
 
+# 4,000 of those rows, tied: on a grid of 0.5 at d = 2, shifted by 1e6 at
+# d = 32.
+LISTS_TIED = """\
+import sys
+import numpy as np
+from pmlp.core import FeatureMatrix, PmlpConfig
+from pmlp.graph import neighbor_lists
+from pmlp.synthlab import gen_gaussian_blobs
+for dim, kind in ((2, "grid"), (32, "shift")):
+    means = np.zeros((2, dim))
+    means[1, 0] = 3.0
+    data = gen_gaussian_blobs(means, 1.0, 2000, 1, seed=1000).features.data
+    features = FeatureMatrix(np.round(data / 0.5) * 0.5 if dim == 2 else data + 1e6)
+    for mode in ("classical_lpa", "pmlp"):
+        cfg = PmlpConfig(mode=mode, neighbor_count=6, kde_support_n=45)
+        for name, array in zip(("indices", "dist2"), neighbor_lists(features, cfg)):
+            np.save("%s/%s_%s_%s.npy" % (sys.argv[1], kind, mode, name), array)
+"""
+
 
 def _generate(args):
     return CLI + ["generate"] + args + [
@@ -112,6 +134,7 @@ JOBS = {
                                     "--dataset", "gaussian-blobs", "--trials", "4"],
     "harness_density_ratio": CLI + ["harness", "density-ratio", "--out-dir", "{out}"],
     "lists_20k": ["-c", LISTS_20K, "{out}"],
+    "lists_tied": ["-c", LISTS_TIED, "{out}"],
 }
 
 

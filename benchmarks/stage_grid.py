@@ -10,7 +10,11 @@ on disk, so it names the measured code whether or not it is committed:
 "pmlp" mode (45 KDE supports) and in "classical_lpa" mode, with 6
 neighbours. The data are two ``synthlab`` Gaussian blobs, sigma 1, 3
 apart along the first axis, generator seed 1000, so every cell can be
-rebuilt exactly.
+rebuilt exactly. Four more cells per mode hold the same rows made tied:
+20k, d = 2, on grids of 0.05 and 0.1 (``np.round(x / g) * g``), and 20k,
+d in {2, 32}, shifted by 1e6. There the screens' cuts tie among copies or
+drown in the GEMM's cancellation, and are proven only by widened
+screens; these cells run whatever the estimate.
 
 Each cell runs in a fresh interpreter and takes the best of 3 repeats,
 timed with ``time.perf_counter``:
@@ -23,7 +27,10 @@ A pmlp cell also records its list length ``list_length`` (m), its
 endpoint lists, and ``proven_share``, the share of them whose KDE
 supports ``density._listed_rows`` proved from those lists; the search
 ranks the rest against the pool. Both are counted by wrapping the two
-functions, as the tests' ``listed_rows_counted`` does.
+functions, as the tests' ``listed_rows_counted`` does. Every cell records
+``ranked_over_every_row``, the queries ``density._rank`` ranked with every
+pool row a candidate, counted by wrapping it as the tests'
+``rankings_counted`` does.
 
 ``peak_rss_mb`` is the cell process's ``ru_maxrss`` after the repeats and
 so includes the interpreter, numpy and the data. A cell is skipped, not
@@ -47,18 +54,25 @@ DIMS = (2, 32)
 MODES = ("pmlp", "classical_lpa")
 NEIGHBOR_COUNT = 6
 SUPPORT_N = 45
+# The tied cells: each is a plain cell's rows on a grid or shifted.
+TIED = (
+    {"n": 20_000, "dim": 2, "grid": 0.05},
+    {"n": 20_000, "dim": 2, "grid": 0.1},
+    {"n": 20_000, "dim": 2, "shift": 1e6},
+    {"n": 20_000, "dim": 32, "shift": 1e6},
+)
 REPEATS = 3
 TIME_BUDGET_S = 60.0
 RSS_BUDGET_MB = 2048.0
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_cell(n, dim, mode):
+def run_cell(n, dim, mode, grid=None, shift=None):
     """Time one cell in this process; returns its record."""
     import numpy as np
 
     from pmlp import density
-    from pmlp.core import PmlpConfig
+    from pmlp.core import FeatureMatrix, PmlpConfig
     from pmlp.graph import build_affinity, knn_edges, neighbor_lists
     from pmlp.synthlab import gen_gaussian_blobs
 
@@ -66,10 +80,16 @@ def run_cell(n, dim, mode):
     means = np.zeros((2, dim))
     means[1, 0] = 3.0
     features = gen_gaussian_blobs(means, 1.0, n // 2, 1, seed=1000).features
+    if grid is not None:
+        features = FeatureMatrix(np.round(features.data / grid) * grid)
+    if shift is not None:
+        features = FeatureMatrix(features.data + shift)
     cfg = PmlpConfig(mode=mode, neighbor_count=NEIGHBOR_COUNT, kde_support_n=SUPPORT_N)
     knn, affinity = [], []
-    points, proven = [], []
-    nearest_rows, listed_rows = density._nearest_rows, density._listed_rows
+    points, proven, everywhere = [], [], []
+    nearest_rows, listed_rows, rank = (
+        density._nearest_rows, density._listed_rows, density._rank
+    )
 
     def searched(queries, pool, count, exclude=None, ends=None, lists=None):
         if lists is not None:
@@ -81,9 +101,15 @@ def run_cell(n, dim, mode):
         proven.append(got[0].size)
         return got
 
+    def ranked(queries, pool, candidates, count):
+        if candidates.shape[1] == pool.shape[0]:
+            everywhere.append(queries.shape[0])
+        return rank(queries, pool, candidates, count)
+
     density._nearest_rows, density._listed_rows = searched, listed
+    density._rank = ranked
     for _ in range(REPEATS):
-        del points[:], proven[:]
+        del points[:], proven[:], everywhere[:]
         begin = time.perf_counter()
         lists = neighbor_lists(features, cfg)
         edges = knn_edges(features, cfg.neighbor_count, lists)
@@ -106,15 +132,17 @@ def run_cell(n, dim, mode):
         "knn_s": min(knn),
         "affinity_s": min(affinity),
         "knn_affinity_s": min(k + a for k, a in zip(knn, affinity)),
+        "ranked_over_every_row": sum(everywhere),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "base_rss_mb": base_rss,
     }
 
 
-def fresh_cell(repo, n, dim, mode):
-    """``run_cell`` in a fresh interpreter on ``repo``'s ``src``."""
+def fresh_cell(repo, cell):
+    """``run_cell`` of ``cell``'s spec in a fresh interpreter on ``repo``'s
+    ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    spec = json.dumps({"n": n, "dim": dim, "mode": mode})
+    spec = json.dumps(cell)
     done = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--cell", spec],
         env=env, capture_output=True, text=True, check=True,
@@ -153,7 +181,7 @@ def main():
     args = parser.parse_args()
     if args.cell:
         spec = json.loads(args.cell)
-        print(json.dumps(run_cell(spec["n"], spec["dim"], spec["mode"])))
+        print(json.dumps(run_cell(**spec)))
         return
 
     repo = os.path.abspath(args.repo)
@@ -171,10 +199,16 @@ def main():
                         cells.append(cell)
                         print(json.dumps(cell), flush=True)
                         continue
-                cell.update(fresh_cell(repo, n, dim, mode), skipped=False)
+                cell.update(fresh_cell(repo, cell), skipped=False)
                 cells.append(cell)
                 previous = cell
                 print(json.dumps(cell), flush=True)
+    for mode in MODES:
+        for tied in TIED:
+            cell = dict(tied, mode=mode)
+            cell.update(fresh_cell(repo, cell), skipped=False)
+            cells.append(cell)
+            print(json.dumps(cell), flush=True)
     # Imported only now: a child's ru_maxrss starts at its parent's peak, so
     # this process stays small while the cells run.
     import numpy as np
@@ -191,7 +225,7 @@ def main():
         "cpus": len(os.sched_getaffinity(0)),
         "machine": platform.machine(),
         "grid": {
-            "sizes": SIZES, "dims": DIMS, "modes": MODES,
+            "sizes": SIZES, "dims": DIMS, "modes": MODES, "tied": TIED,
             "neighbor_count": NEIGHBOR_COUNT, "kde_support_n": SUPPORT_N,
             "repeats": REPEATS, "time_budget_s": TIME_BUDGET_S,
             "rss_budget_mb": RSS_BUDGET_MB,

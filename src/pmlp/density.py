@@ -22,9 +22,10 @@ the smallest minima are partitioned, not every screened value. In a
 slab the key gap to the first row outside it proves the result. At low
 d that holds for nearly every query, so the pass stops being quadratic.
 By one stop rule, a list or slab round that proves under half of what
-it tries hands the rest to the next stage, as at high d.
-What the whole pool's screen cannot prove ``_rank`` ranks over all rows,
-once, so the result never depends on rounds, BLAS rounding or thread count.
+it tries hands the rest to the next stage, as at high d. A screen keeps
+four times more candidates until it proves a cut, at most every column,
+where nothing is screened out: so the whole pool's screen proves every
+query, and the result never depends on rounds, BLAS rounding or threads.
 Blocks are sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of
 float64; a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries), and
 the KDE reduces each block to its kernel means before the next, so the
@@ -64,13 +65,12 @@ __all__ = [
 
 # Element budget for the transient arrays of one query block: its screening
 # values and, on a screen too narrow to group (``_smallest``), their
-# partition order (queries x rows each), its gathered
-# candidates (queries x candidates x dim) with their rows, distances and
-# order, its supports' kernel values (queries x supports), or, for queries
-# ranked over all rows, their (queries x rows x dim) differences. 500,000
-# elements (4 MB of float64) keeps a block near the size of a core's L2
-# cache; on 4,000-5,000-row kNN passes at d = 2 and d = 32 it was as fast as
-# budgets of 1 M to 8 M, or faster.
+# partition order (queries x rows each), its gathered candidates (queries x
+# candidates x dim) with their rows, distances and order, ranked in chunks
+# however many candidates a tied screen keeps (``_screen``), or its supports'
+# kernel values (queries x supports). 500,000 elements (4 MB of float64)
+# keeps a block near a core's L2 cache size; on 4,000-5,000-row kNN passes
+# at d = 2 and d = 32 it was as fast as budgets of 1 M to 8 M, or faster.
 _CHUNK_ELEMENTS = 500_000
 
 # Fewest queries in one screen block. Each block reads the whole lifted
@@ -158,10 +158,9 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
     roundings, so x's computed distance exceeds d_n. The queries not
     accepted go round again with ``width`` four times larger, until
     2 ``width`` reaches the pool size. The whole pool is the last slab,
-    where the gap is infinite, and the queries whose cut it cannot prove
-    are ranked over all rows (``_rank_all``), once. Pools of at most
-    2 ``width`` rows skip the slabs before any sort, and pools of at most
-    ``count`` + ``_SCREEN_MARGIN`` rows skip the screens.
+    where the gap is infinite and the screen proves every query it is
+    given (``_screen``). Pools of at most 2 ``width`` rows skip the slabs
+    before any sort.
 
     Where distances concentrate (high d) the lists and the key gaps prove
     little, so the list and slab rounds probe, by the stop rule of the
@@ -188,8 +187,8 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
     keep = count + _SCREEN_MARGIN
     indices = np.empty((queries.shape[0], count), dtype=np.intp)
     dist2 = np.empty((queries.shape[0], count))
-    # Overflow is left to the finiteness tests, which send the affected
-    # queries on to the exact rule.
+    # Overflow is left to the finiteness tests, which leave the affected
+    # queries to a screen that keeps every column.
     with np.errstate(over="ignore", invalid="ignore"):
         radius = np.sqrt(np.einsum("ij,ij->i", pool, pool).max())
 
@@ -199,25 +198,24 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
             return queries[rows[0] : rows[-1] + 1]
         return queries[rows]
 
-    def search(pending, fit, prove, least, probing):
+    def search(pending, fit, prove, least):
         """Prove ``pending`` in blocks; the rows left, and whether it stopped.
 
         ``fit(rest)`` is how many of the rows ``rest`` fit one block, which
-        takes at least ``least``. The stop rule: a probing round's first
-        block is an eighth of the others, as it may prove nothing, and the
-        round ends once fewer than half of the queries it has tried so far
-        are proven; its rows left go to the next stage.
+        takes at least ``least``. The stop rule: the first block is an eighth
+        of the others, as it may prove nothing, and the round ends once under
+        half of the queries it has tried are proven; the rest go on.
         """
         left, start, proven = [], 0, 0
         while start < pending.size:
-            size = fit(pending[start:]) // (8 if probing and not start else 1)
+            size = fit(pending[start:]) // (1 if start else 8)
             rows = pending[start : start + max(least, size)]
             done, idx, d2 = prove(rows)
             indices[rows[done]], dist2[rows[done]] = idx, d2
             left.append(np.delete(rows, done))
             start += rows.size
             proven += done.size
-            if probing and 2 * proven < start:
+            if 2 * proven < start:
                 break
         return np.concatenate(left + [pending[start:]]), start < pending.size
 
@@ -231,8 +229,8 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
         def listed(rows):
             return _listed_rows(take(rows), pool, count, ends[rows], lists, radius)
 
-        pending = search(pending, lambda rest: block, listed, 1, True)[0]
-    if keep < n and pending.size:
+        pending = search(pending, lambda rest: block, listed, 1)[0]
+    if pending.size:
         lifted = np.empty((dim + 1, n))
         with np.errstate(over="ignore"):
             np.multiply(pool.T, -2.0, out=lifted[:dim])
@@ -267,16 +265,13 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
             q = queries[rows]
             a = max(np.searchsorted(keys, q[0, axis], "left") - width, 0)
             b = min(np.searchsorted(keys, q[-1, axis], "right") + width, n)
-            ok, idx, d2 = screen(q, a, b)
+            idx, d2 = screen(q, a, b)
             with np.errstate(over="ignore", invalid="ignore"):
                 # The key gap to the first row outside the slab either side.
-                gap = np.full(ok.size, np.inf)
-                if a > 0:
-                    gap = q[ok, axis] - keys[a - 1]
-                if b < n:
-                    gap = np.minimum(gap, keys[b] - q[ok, axis])
+                below = q[:, axis] - keys[a - 1] if a else np.inf
+                gap = np.minimum(below, keys[b] - q[:, axis] if b < n else np.inf)
                 far = np.sqrt(d2[:, -1] + tiny) * (1 + slack) < gap * (1 - slack)
-            return ok[far], idx[far], d2[far]
+            return np.flatnonzero(far), idx[far], d2[far]
 
         width = _FIRST_SLAB * keep
         if dim > 1 and n > _SLAB_ROWS * keep:
@@ -290,17 +285,12 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
             tiny = np.finfo(float).tiny
             pending = pending[np.argsort(queries[pending, axis], kind="stable")]
             while pending.size and 2 * width < n:
-                pending, stopped = search(
-                    pending, slab_size, slab, _MIN_SCREEN_BLOCK, True
-                )
+                pending, stopped = search(pending, slab_size, slab, _MIN_SCREEN_BLOCK)
                 width = n if stopped else 4 * width  # a stop ends the slabs
             pending = np.sort(pending)
-        pending = search(
-            pending, lambda rest: block, lambda rows: screen(take(rows)),
-            _MIN_SCREEN_BLOCK, False,
-        )[0]
-    if pending.size:
-        indices[pending], dist2[pending] = _rank_all(take(pending), pool, count)
+        for start in range(0, pending.size, block):
+            rows = pending[start : start + block]
+            indices[rows], dist2[rows] = screen(take(rows))
     return indices, dist2
 
 
@@ -328,29 +318,55 @@ def _screen(q, pool, lifted, rows, radius, count, out):
     would; a proven row's candidates can differ from a full partition's
     only among columns tied past the count, and ``_rank`` orders those by
     (distance, row). A row with a non-finite screened value has an
-    infinite 2 (||q|| + R)^2, so it is never proven.
+    infinite 2 (||q|| + R)^2, so it is never proven this way.
 
-    Returns the block rows so proven and their (indices, squared
-    distances) among the columns, as ``_rank`` ranks them.
+    The rows left are selected again from the same screen with four times
+    more candidates, until these would be every column: then nothing is
+    screened out, so every row is proven, non-finite values included, and
+    a screen no wider than the first candidates needs no GEMM. ``_rank``
+    takes them in chunks whose (queries x candidates) arrays, max(dim + 2,
+    8) at most, fit ``_CHUNK_ELEMENTS``.
+
+    Returns every query's (indices, squared distances) among the columns,
+    as ``_rank`` ranks them.
     """
     keep = count + _SCREEN_MARGIN
-    dim = q.shape[1]
-    lifted_q = np.ones((q.shape[0], dim + 1))
-    lifted_q[:, :dim] = q
-    with np.errstate(over="ignore", invalid="ignore"):
-        screen = np.matmul(lifted_q, lifted, out=out)
-        part, kept = _smallest(screen, keep + 1)
-        last = np.partition(kept[:, :keep], count - 1, axis=1)[:, count - 1]
-        scale = (np.sqrt(np.einsum("ij,ij->i", q, q)) + radius) ** 2
-        # The tiny term covers rounding among subnormal products. A
-        # finite 2 * scale rules out overflow, so every screened value
-        # is finite.
-        bound = 4 * (dim + 4) * np.finfo(float).eps * scale + np.finfo(float).tiny
-        proven = np.flatnonzero((kept[:, keep] - last > bound) & (2 * scale < np.inf))
-    candidates = part[proven, :keep]
-    if rows is not None:
-        candidates = rows[candidates]
-    return (proven, *_rank(q[proven], pool, candidates, count))
+    dim, width = q.shape[1], lifted.shape[1]
+    indices = np.empty((q.shape[0], count), dtype=np.intp)
+    dist2 = np.empty((q.shape[0], count))
+    todo = np.arange(q.shape[0])
+    if keep < width:
+        lifted_q = np.ones((q.shape[0], dim + 1))
+        lifted_q[:, :dim] = q
+        with np.errstate(over="ignore", invalid="ignore"):
+            screen = np.matmul(lifted_q, lifted, out=out)
+            scale = (np.sqrt(np.einsum("ij,ij->i", q, q)) + radius) ** 2
+            # The tiny term covers rounding among subnormal products. A
+            # finite 2 * scale rules out overflow, so every screened value
+            # is finite; where it is not, an infinite bound proves nothing.
+            bound = 4 * (dim + 4) * np.finfo(float).eps * scale + np.finfo(float).tiny
+            bound[~(2 * scale < np.inf)] = np.inf
+    while todo.size:
+        if keep < width:
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Until a pass proves a query, the screen is read in place.
+                rest = screen if todo.size == q.shape[0] else screen[todo]
+                part, kept = _smallest(rest, keep + 1)
+                last = np.partition(kept[:, :keep], count - 1, axis=1)[:, count - 1]
+                ok = kept[:, keep] - last > bound[todo]
+            candidates = part[ok, :keep] if rows is None else rows[part[ok, :keep]]
+            del rest, part, kept  # before _rank allocates
+        else:  # every column
+            ok = np.ones(todo.size, dtype=bool)
+            every = np.arange(width) if rows is None else rows
+            candidates = np.broadcast_to(every, (todo.size, width))
+        done, todo = todo[ok], todo[~ok]
+        step = max(1, _CHUNK_ELEMENTS // (candidates.shape[1] * max(dim + 2, 8)))
+        for start in range(0, done.size, step):
+            at, chunk = done[start : start + step], candidates[start : start + step]
+            indices[at], dist2[at] = _rank(q[at], pool, chunk, count)
+        keep *= 4
+    return indices, dist2
 
 
 def _smallest(screen, k):
@@ -427,7 +443,7 @@ def _rank(queries, pool, candidates, count):
     """The ``count`` first of each query's candidate rows by (distance, row).
 
     Returns (rows, direct squared distances), each (n_queries, count).
-    This is the search's one tie rule; ``_rank_all`` ranks through it too.
+    This is the search's one tie rule, for lists' and screens' candidates.
     The candidates are put in row order and a repeated row's distance set
     to inf, so it ranks after every finite one, and a stable sort of the
     distances breaks ties toward the lower row. A quicksort runs first;
@@ -445,25 +461,6 @@ def _rank(queries, pool, candidates, count):
         order[ties] = np.argsort(dist2[ties], axis=1, kind="stable")
         ranked[ties] = _along(dist2[ties], order[ties])
     return _along(candidates, order[:, :count]), ranked[:, :count]
-
-
-def _rank_all(queries, pool, count):
-    """The direct rule over every pool row: ``_rank`` with every row a candidate.
-
-    Queries are chunked so that the (queries x rows) arrays a chunk holds
-    stay within the budget: ``_rank`` holds dim + 2 of them while it takes
-    the differences, and at most eight while it sorts tied rows again.
-    """
-    n, dim = pool.shape
-    indices = np.empty((queries.shape[0], count), dtype=np.intp)
-    dist2 = np.empty((queries.shape[0], count))
-    step = max(1, _CHUNK_ELEMENTS // (n * max(dim + 2, 8)))
-    for start in range(0, queries.shape[0], step):
-        q = queries[start : start + step]
-        candidates = np.broadcast_to(np.arange(n), (q.shape[0], n))
-        rows = slice(start, start + q.shape[0])
-        indices[rows], dist2[rows] = _rank(q, pool, candidates, count)
-    return indices, dist2
 
 
 def _list_length(support_n, n_rows):
@@ -688,7 +685,10 @@ def _pair_point_densities(features, pairs, cfg, lists=None):
     fracs = np.arange(1, k + 1) / (k + 1)
     a = features.data[lo][:, None, :]
     b = features.data[hi][:, None, :]
-    points = a + fracs[None, :, None] * (b - a)
+    # An overflow is left to the finiteness test, the same with warnings
+    # as errors.
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = a + fracs[None, :, None] * (b - a)
     if not np.all(np.isfinite(points)):
         raise DataError("path points must be finite")
     dens = _kernel_means(

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -551,6 +552,23 @@ class TestExitCodes:
         assert code == 2
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["error"]["code"] == "data"
+
+    def test_overflowing_path_points_are_a_data_error_with_warnings_as_errors(
+        self, tmp_path
+    ):
+        # The segment between the two labelled rows overflows (b - a is
+        # -2e308), so its path point is not finite.
+        data = write(tmp_path / "d.csv", "f_0,f_1,label\n1e308,1e308,0\n"
+                     "-1e308,-1e308,1\n0,0,-1\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["label", "--input", data, "--out-dir", str(out),
+                         "--neighbor-count", "1"])
+        assert code == 2
+        error = json.loads((out / "metrics.json").read_text())["error"]
+        assert error["code"] == "data"
+        assert "path points must be finite" in error["message"]
 
     @pytest.mark.parametrize(
         "case",

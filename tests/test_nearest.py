@@ -4,10 +4,11 @@ The search runs in rounds over the queries still unproven. Path points
 are first ranked among their endpoints' nearest-row lists and proven by
 the triangle inequality or Stewart's bound; then blocks are screened
 with GEMM distances against slabs of the pool sorted on one coordinate,
-proven by the key gap, then against the whole pool; what no round proves
-is ranked over all rows. Whichever round proves a query, the output must
-be exactly the oracle's: same rows, same order, ties toward the lower
-index.
+proven by the key gap, then against the whole pool. A screen whose cut
+is tied keeps four times more candidates, up to every column it screens,
+so the whole pool's screen proves every query. Whichever round proves a
+query, the output must be exactly the oracle's: same rows, same order,
+ties toward the lower index.
 """
 
 import warnings
@@ -91,24 +92,41 @@ def test_kernel_matches_oracle(kind, dim, n, offset, self_excluded, count_fracti
         ("normal", 0.0, 1.0, "none"),  # distinct distances: the screen proves all
     ],
 )
-def test_unprovable_cuts_take_the_exact_fallback(monkeypatch, kind, offset, scale, fallback):
+def test_unprovable_cuts_take_the_exact_fallback(kind, offset, scale, fallback):
+    """A cut the first keep leaves unproven widens its screen, for all, some
+    or none of the queries (``fallback``), and few reach every pool row."""
     rng = np.random.default_rng(7)
     n = 400
     pool = make_pool(kind, n, 2, offset, rng) * scale
-    ranked = []
-    rank_all = density._rank_all
-
-    def spy(queries, *args):
-        ranked.append(queries.shape[0])
-        return rank_all(queries, *args)
-
-    monkeypatch.setattr(density, "_rank_all", spy)
-    got = _nearest_rows(pool, pool, 5, np.arange(n))
+    got, _, _, ranked = rankings_counted(_nearest_rows, pool, pool, 5, np.arange(n))
     want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    expected = {"all": lambda r: r == n, "some": lambda r: 0 < r < n, "none": lambda r: r == 0}
-    assert expected[fallback](sum(ranked))
+    assert widened(ranked, 5 + 1 + density._SCREEN_MARGIN) == fallback
+    # Ranked over every row: all of an identical pool, whose slabs span it;
+    # at 1e154, those whose slab's key gap an overflowing distance leaves
+    # open (ranking every slab column lets the gap prove the rest); none
+    # elsewhere, as a widened keep proves the cut first.
+    everywhere = {"identical": n, "normal": 337 if scale > 1 else 0}[kind]
+    assert len(over_every_row(ranked, n)) == everywhere
+
+
+def test_tied_cuts_are_proven_by_a_widened_keep():
+    """Two blobs of 4,000 rows on a grid of 0.5 hold 190 distinct rows, so
+    most cuts tie among copies: a screen four or sixteen times wider proves
+    them, and no query is ranked over every row."""
+    means = np.zeros((2, 2))
+    means[1, 0] = 3.0
+    data = gen_gaussian_blobs(means, 1.0, 2000, 1, seed=1000).features.data
+    pool = np.round(data / 0.5) * 0.5
+    n = len(pool)
+    got, _, _, ranked = rankings_counted(_nearest_rows, pool, pool, 6, np.arange(n))
+    want = nearest_rows_oracle(pool, pool, 6, np.arange(n))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    keep = 6 + 1 + density._SCREEN_MARGIN
+    assert any(keep < c < columns for _, c, columns in ranked if columns is not None)
+    assert len(over_every_row(ranked, n)) == 0
 
 
 def listed_rows_counted(queries, pool, count, ends, lists):
@@ -511,6 +529,36 @@ def test_kde_memory_stays_within_the_block_budget(monkeypatch):
     assert peak <= bound
 
 
+def test_widened_screens_stay_within_the_block_budget(monkeypatch):
+    """A tied pool's widened candidates are ranked in budget-sized chunks.
+
+    5,000 path points in a pool of 1,000 identical rows at d = 32, with 45
+    supports: every cut ties, so each screen widens to every column, and
+    one screen block's direct differences, 67 queries x 1,000 rows x 32,
+    would take about nine budgets. The bound allows three: the KDE block's
+    supports, the screen with a copy of its unproven rows, and one
+    ranking chunk; plus O(Q * d) for the result and the query copies.
+    """
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    n, count = 1000, 45
+    pool = make_pool("identical", n, 32, 0.0, rng)
+    a, b = rng.integers(0, n, 5000), rng.integers(0, n, 5000)
+    queries = pool[a] + 0.5 * (pool[b] - pool[a])
+    budget = 250_000
+    monkeypatch.setattr(density, "_CHUNK_ELEMENTS", budget)
+    bound = 3 * 8 * budget + 8 * queries.shape[0] * (pool.shape[1] + 1)
+    tracemalloc.start()
+    try:
+        got = density._kernel_means(queries, pool, count, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, np.ones(len(queries)))
+    assert peak <= bound
+
+
 # Slabs. The pools above hold at most 60 rows, fewer than a first slab
 # needs (more than 2 * _FIRST_SLAB * (count + _SCREEN_MARGIN) rows), so they
 # screen the whole pool. These use a few hundred rows and, where it says
@@ -537,6 +585,47 @@ def screens_counted(call, *args):
         patch.setattr(density, "_screen", spy)
         got = call(*args)
     return got, slabs, whole
+
+
+def rankings_counted(call, *args):
+    """``screens_counted(call, *args)``, and every ``_rank`` call: its
+    queries, candidates per query, and the columns of the screen that made
+    the call (None outside a screen)."""
+    ranked, columns = [], [None]
+    screen, rank = density._screen, density._rank
+
+    def screen_spy(q, pool, lifted, *rest):
+        columns[0] = lifted.shape[1]
+        got = screen(q, pool, lifted, *rest)
+        columns[0] = None
+        return got
+
+    def rank_spy(queries, pool, candidates, count):
+        ranked.append((queries, candidates.shape[1], columns[0]))
+        return rank(queries, pool, candidates, count)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_screen", screen_spy)
+        patch.setattr(density, "_rank", rank_spy)
+        return (*screens_counted(call, *args), ranked)
+
+
+def widened(ranked, keep):
+    """Which screened queries ``keep`` candidates left unproven: "none" (all
+    ranked among ``keep``), "all" (all among every column of their screen)
+    or "some"."""
+    kinds = {
+        "none" if candidates == keep else "all" if candidates == columns else "some"
+        for _, candidates, columns in ranked
+        if columns is not None
+    }
+    return kinds.pop() if len(kinds) == 1 else "some"
+
+
+def over_every_row(ranked, n):
+    """The queries ranked with every one of the ``n`` pool rows a candidate."""
+    rows = [q for q, candidates, _ in ranked if candidates == n]
+    return np.concatenate([ranked[0][0][:0]] + rows)
 
 
 @settings(max_examples=120, deadline=None)
@@ -681,39 +770,41 @@ def test_unprovable_slab_cuts_take_the_exact_fallback_once(
     monkeypatch, kind, offset, scale, fallback, dim, first_slab
 ):
     """``test_unprovable_cuts_take_the_exact_fallback`` over several slab
-    rounds and dims: each query the slabs and the pool leave is ranked over
-    all rows exactly once."""
+    rounds and dims: no query is ranked over every pool row twice."""
     rng = np.random.default_rng(7)
     n = 1000
     pool = make_pool(kind, n, dim, offset, rng) * scale
-    ranked = []
-    rank_all = density._rank_all
-
-    def spy(queries, *args):
-        ranked.append(queries)
-        return rank_all(queries, *args)
-
-    monkeypatch.setattr(density, "_rank_all", spy)
     monkeypatch.setattr(density, "_FIRST_SLAB", first_slab)
-    got, slabs, _ = screens_counted(_nearest_rows, pool, pool, 5, np.arange(n))
+    got, slabs, _, ranked = rankings_counted(_nearest_rows, pool, pool, 5, np.arange(n))
     with np.errstate(over="ignore"):
         want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert slabs
-    fallen = np.concatenate([pool[:0]] + ranked)
-    expected = {"all": lambda r: r == n, "some": lambda r: 0 < r < n, "none": lambda r: r == 0}
-    assert expected[fallback](len(fallen))
+    assert widened(ranked, 5 + 1 + density._SCREEN_MARGIN) == fallback
+    fallen = over_every_row(ranked, n)
+    # Ranked over every row: all of an identical pool, whose slabs span it;
+    # at 1e154 and d = 3, those whose key gap an overflowing distance
+    # leaves open, and at d = 1, where the key gap is the distance, none;
+    # none elsewhere, as a widened keep proves the cut first.
+    if kind == "identical":
+        assert len(fallen) == n
+    elif scale > 1 and dim > 1:
+        assert 0 < len(fallen) < n
+    else:
+        assert len(fallen) == 0
     if kind == "normal":  # distinct rows: none ranked twice
         assert np.unique(fallen, axis=0).shape[0] == len(fallen)
 
 
 def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
-    """With endpoint lists too, the rounds end in one ``_rank_all`` call.
+    """With endpoint lists too, each point is ranked over every row once.
 
-    Every distance ties in an identical pool, so neither the lists nor a
-    slab nor the whole pool proves a point: each goes through the list
-    round and the screens and is ranked over all rows exactly once.
+    Every distance ties in an identical pool, so the lists prove no point
+    and no screen proves a cut before it keeps every column. Every key
+    ties too, so each slab spans the pool: the slab round ranks each point
+    over every row, once, its infinite key gap proves it, and the
+    whole-pool screen is left nothing.
     """
     rng = np.random.default_rng(7)
     n, count = 1000, 5
@@ -723,30 +814,25 @@ def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
     queries = pool[a] + 0.5 * (pool[b] - pool[a])
     ends = np.column_stack([a, b])
     lists = nearest_rows_oracle(pool, pool, density._list_length(count, n), np.arange(n))
-    listed, ranked = [], []
-    listed_rows, rank_all = density._listed_rows, density._rank_all
+    listed = []
+    listed_rows = density._listed_rows
 
     def list_spy(*args):
         got = listed_rows(*args)
         listed.append(got[0].size)
         return got
 
-    def rank_spy(queries, *args):
-        ranked.append(queries.shape[0])
-        return rank_all(queries, *args)
-
     monkeypatch.setattr(density, "_listed_rows", list_spy)
-    monkeypatch.setattr(density, "_rank_all", rank_spy)
-    got, slabs, whole = screens_counted(
+    got, slabs, whole, ranked = rankings_counted(
         _nearest_rows, queries, pool, count, None, ends, lists
     )
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got[0], want_idx)
     assert np.array_equal(got[1], want_d2)
     assert listed and not any(listed)
-    assert slabs
-    assert sum(q.shape[0] for q in whole) == len(queries)
-    assert ranked == [len(queries)]
+    assert slabs and not whole
+    assert widened(ranked, count + density._SCREEN_MARGIN) == "all"
+    assert len(over_every_row(ranked, n)) == len(queries)
 
 
 def test_low_d_lists_are_proven_in_slabs():
@@ -923,24 +1009,22 @@ def test_grouped_screens_match_oracle(
 )
 def test_grouped_cuts_take_the_exact_fallback(monkeypatch, kind, offset, scale, fallback):
     """``test_unprovable_cuts_take_the_exact_fallback`` with grouped screens:
-    a non-finite screen, whose group minima may be NaN, is never proven."""
+    a non-finite screen, whose group minima may be NaN, is never proven
+    before it keeps every column."""
     rng = np.random.default_rng(7)
     n = 400
     pool = make_pool(kind, n, 32, offset, rng) * scale
-    ranked = []
-    rank_all = density._rank_all
-
-    def spy(queries, *args):
-        ranked.append(queries.shape[0])
-        return rank_all(queries, *args)
-
-    monkeypatch.setattr(density, "_rank_all", spy)
     monkeypatch.setattr(density, "_MIN_GROUP", 1)
     assert grouped_screen(n, 5 + 1 + density._SCREEN_MARGIN + 1)
-    got, _, _ = screens_counted(_nearest_rows, pool, pool, 5, np.arange(n))
+    got, _, _, ranked = rankings_counted(_nearest_rows, pool, pool, 5, np.arange(n))
     with np.errstate(over="ignore"):
         want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    expected = {"all": lambda r: r == n, "some": lambda r: 0 < r < n, "none": lambda r: r == 0}
-    assert expected[fallback](sum(ranked))
+    assert widened(ranked, 5 + 1 + density._SCREEN_MARGIN) == fallback
+    # Ranked over every row: all of an identical pool, whose slabs span it;
+    # all at 1e154, as at d = 32 the first slab block's key gaps prove too
+    # few and every query goes on to the whole pool; none elsewhere, as a
+    # widened keep proves the cut first.
+    everywhere = n if kind == "identical" or scale > 1 else 0
+    assert len(over_every_row(ranked, n)) == everywhere
