@@ -1,20 +1,28 @@
 """Stage timings of the kNN and affinity stages on the N x d grid.
 
     python3 benchmarks/stage_grid.py [--repo PATH] [--out-dir DIR]
+    python3 benchmarks/stage_grid.py [--repo PATH] --cell SPEC
 
 Measures the checkout at ``--repo`` (default: the one holding this
 script) and writes ``BENCH_<sha>.json`` to ``--out-dir`` (default:
-``benchmarks/``). The sha is the git tree hash of ``src/pmlp`` as it is
-on disk, so it names the measured code whether or not it is committed:
-``git rev-parse <commit>:src/pmlp`` gives a commit's. The grid is N in {1k, 4k, 20k, 50k} x d in {2, 32}, in
-"pmlp" mode (45 KDE supports) and in "classical_lpa" mode, with 6
-neighbours. The data are two ``synthlab`` Gaussian blobs, sigma 1, 3
-apart along the first axis, generator seed 1000, so every cell can be
-rebuilt exactly. Four more cells per mode hold the same rows made tied:
-20k, d = 2, on grids of 0.05 and 0.1 (``np.round(x / g) * g``), and 20k,
-d in {2, 32}, shifted by 1e6. There the screens' cuts tie among copies or
-drown in the GEMM's cancellation, and are proven only by widened
-screens; these cells run whatever the estimate.
+``benchmarks/``). ``--cell`` runs one cell instead, in this process on
+``--repo``'s ``src``, and prints its record; SPEC is a JSON object of
+``run_cell``'s arguments, such as ``'{"n": 20000, "dim": 32, "mode":
+"pmlp"}'`` (``grid`` or ``shift`` make it a tied cell). Alternating
+``--cell`` runs of two checkouts compare one cell between them.
+
+The sha is the git tree hash of ``src/pmlp`` as it is on disk, so it
+names the measured code whether or not it is committed: ``git rev-parse
+<commit>:src/pmlp`` gives a commit's. The grid is N in {1k, 4k, 20k,
+50k} x d in {2, 32}, in "pmlp" mode (45 KDE supports) and in
+"classical_lpa" mode, with 6 neighbours. The data are two ``synthlab``
+Gaussian blobs, sigma 1, 3 apart along the first axis, generator seed
+1000, so every cell can be rebuilt exactly. Four more cells per mode
+hold the same rows made tied: 20k, d = 2, on grids of 0.05 and 0.1
+(``np.round(x / g) * g``), and 20k, d in {2, 32}, shifted by 1e6. On
+the grids the screens' cuts tie among copies and are proven only by
+widened screens; the shifted cells show what an offset costs screens
+that centre their rows. These cells run whatever the estimate.
 
 Each cell runs in a fresh interpreter and takes the best of 3 repeats,
 timed with ``time.perf_counter``:
@@ -141,11 +149,10 @@ def run_cell(n, dim, mode, grid=None, shift=None):
 def fresh_cell(repo, cell):
     """``run_cell`` of ``cell``'s spec in a fresh interpreter on ``repo``'s
     ``src``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
     spec = json.dumps(cell)
     done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--cell", spec],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, os.path.abspath(__file__), "--repo", repo, "--cell", spec],
+        capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -177,9 +184,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", default=os.path.dirname(HERE))
     parser.add_argument("--out-dir", default=HERE)
-    parser.add_argument("--cell", help=argparse.SUPPRESS)
+    parser.add_argument("--cell", metavar="SPEC", help="run one cell, a JSON object")
     args = parser.parse_args()
     if args.cell:
+        # The named checkout's package, not whichever one is installed.
+        sys.path.insert(0, os.path.join(os.path.abspath(args.repo), "src"))
         spec = json.loads(args.cell)
         print(json.dumps(run_cell(**spec)))
         return

@@ -24,6 +24,7 @@ __all__ = [
     "DataError",
     "FeatureMatrix",
     "LabelAssignment",
+    "MAX_ELEMENTS",
     "MODES",
     "NumericalError",
     "PmlpConfig",
@@ -47,6 +48,11 @@ CONFIG_CHOICES = {
 
 # Soft predictions must sum to one within this tolerance.
 PREDICTION_SUM_TOL = 1e-9
+
+# Most elements of an array that a caller's count sizes (path points,
+# classes): 2^26, 512 MiB of float64. Checked before the array is made, so
+# an oversized count is an error that names it, not a MemoryError.
+MAX_ELEMENTS = 2**26
 
 
 class PmlpError(Exception):
@@ -481,6 +487,11 @@ def soft_labels_from_assignments(assignments, n_classes=None):
     classes = int(n_classes) if n_classes is not None else count_classes(assignments)
     if classes < 1:
         raise DataError("could not infer a class count; pass n_classes")
+    if len(assignments) * classes > MAX_ELEMENTS:
+        raise DataError(
+            "n_classes: %d rows x %d classes exceed %d elements"
+            % (len(assignments), classes, MAX_ELEMENTS)
+        )
 
     labels = np.zeros((len(assignments), classes))
     gt_mask = np.zeros(len(assignments), dtype=bool)

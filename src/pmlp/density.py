@@ -12,9 +12,11 @@ from one exact search, ``_nearest_rows``, in rounds over the queries still
 unproven: a path point's endpoint lists (below), then slabs of the pool
 sorted on its widest coordinate, four times wider each round, then the
 whole pool. A screen takes a block of queries through one GEMM against
-the pool stored as [-2 x; ||x||^2], which ranks the rows as their
-distances do, keeps candidates, then ranks them on direct-difference
-distances with ties toward the lower row index (``_rank``). The
+the pool centred on its mean and stored as [-2 x; ||x||^2], in float32
+unless the centred squares would leave its normal range, which ranks the
+rows as their distances do up to a rounding the proof bounds. It keeps
+candidates, then ranks them on float64 direct-difference distances of
+the raw rows with ties toward the lower row index (``_rank``). The
 candidates hold each query's smallest screened values, found exactly
 from group minima (``_smallest``): a row's columns fall into strided
 groups, one pass takes every group's minimum, and only the groups with
@@ -55,7 +57,7 @@ in any order without changing the result.
 
 import numpy as np
 
-from .core import DataError, FeatureMatrix, NumericalError
+from .core import MAX_ELEMENTS, ConfigError, DataError, FeatureMatrix, NumericalError
 
 __all__ = [
     "batch_normalized_density",
@@ -64,13 +66,14 @@ __all__ = [
 ]
 
 # Element budget for the transient arrays of one query block: its screening
-# values and, on a screen too narrow to group (``_smallest``), their
-# partition order (queries x rows each), its gathered candidates (queries x
-# candidates x dim) with their rows, distances and order, ranked in chunks
-# however many candidates a tied screen keeps (``_screen``), or its supports'
-# kernel values (queries x supports). 500,000 elements (4 MB of float64)
-# keeps a block near a core's L2 cache size; on 4,000-5,000-row kNN passes
-# at d = 2 and d = 32 it was as fast as budgets of 1 M to 8 M, or faster.
+# values (float32 where ``_screen`` can) and, on a screen too narrow to
+# group (``_smallest``), their partition order (queries x rows each), its
+# gathered candidates (queries x candidates x dim) with their rows,
+# distances and order, ranked in chunks however many candidates a tied
+# screen keeps (``_screen``), or its supports' kernel values (queries x
+# supports). 500,000 elements (4 MB of float64) keeps a block near a
+# core's L2 cache size; on 4,000-5,000-row kNN passes at d = 2 and d = 32
+# it was as fast as budgets of 1 M to 8 M, or faster.
 _CHUNK_ELEMENTS = 500_000
 
 # Fewest queries in one screen block. Each block reads the whole lifted
@@ -82,7 +85,8 @@ _CHUNK_ELEMENTS = 500_000
 # blocks of 64 took 0.78x (kNN lists, m = 62) and 0.76x (path KDE) the time
 # of blocks of 16, and 128 gained under 5% more; at 50,000 rows, m = 6
 # lists took 5.5 s against 6.7 s and 20 MB more peak RSS; at 4,000-5,000
-# rows the time was within 5%.
+# rows the time was within 5%. The screen buffer holds 64 N values, 5 MB
+# of float32 at 20,000 rows.
 _MIN_SCREEN_BLOCK = 64
 
 # Candidates the screen keeps beyond the requested count. Any margin >= 1
@@ -231,14 +235,26 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
 
         pending = search(pending, lambda rest: block, listed, 1)[0]
     if pending.size:
-        lifted = np.empty((dim + 1, n))
+        # The screen's rows, centred on the pool mean (on zero where it
+        # overflows), in float32 unless their squares would leave its
+        # normal range (``_screen``).
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = pool.mean(axis=0)
+            centre[~np.isfinite(centre)] = 0.0
+            centred = pool - centre
+            norms = np.einsum("ij,ij->i", centred, centred)
+        single, radius2 = np.finfo(np.float32), norms.max()
+        normal = single.tiny / single.eps <= radius2 <= single.max / 16
+        kind = np.float32 if normal else float
+        lifted = np.empty((dim + 1, n), kind)
         with np.errstate(over="ignore"):
-            np.multiply(pool.T, -2.0, out=lifted[:dim])
-            np.einsum("ij,ij->i", pool, pool, out=lifted[dim])
+            np.multiply(centred.T, -2.0, out=lifted[:dim])
+        lifted[dim] = norms
+        del centred, norms
         # One screen buffer, the size of a whole-pool block's screen, serves
         # every block: a new one per block would cost its page faults each time.
         block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + keep * dim))
-        buffer = np.empty(min(block, pending.size) * n)
+        buffer = np.empty(min(block, pending.size) * n, kind)
 
         def screen(q, a=None, b=None):
             """``_screen`` of queries ``q`` against the sorted pool rows a:b,
@@ -246,7 +262,7 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
             slab = None if a is None else order[a:b]
             columns = lifted if a is None else np.take(lifted, slab, axis=1)
             out = buffer[: q.shape[0] * columns.shape[1]].reshape(q.shape[0], -1)
-            return _screen(q, pool, columns, slab, radius, count, out)
+            return _screen(q, pool, columns, slab, centre, np.sqrt(radius2), count, out)
 
         def slab_size(rest):
             """How many of ``rest`` fit the budget and the buffer with the
@@ -294,31 +310,44 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
     return indices, dist2
 
 
-def _screen(q, pool, lifted, rows, radius, count, out):
+def _screen(q, pool, lifted, rows, centre, radius, count, out):
     """Rank a block of queries among the pool rows ``rows`` behind ``lifted``.
 
-    ``lifted`` holds the pool rows ``rows`` (None: every row, in order) as
-    A = [-2 x; ||x||^2], (dim + 1) x columns, and ``out`` takes the
-    screen. One GEMM, [q, 1] A, gives s(x) = ||x||^2 - 2 q.x =
-    ||q - x||^2 - ||q||^2 for every column. Leaving out ||q||^2 shifts a
-    query's whole row by one constant, so it ranks the rows as their
-    distances do; ``_smallest`` keeps ``count`` plus ``_SCREEN_MARGIN``
-    candidates and the next smallest value. With u = eps / 2, gamma_k =
-    k u / (1 - k u) and R the largest pool norm, the (dim + 1)-term dot
-    product, summed in any order, is within gamma_(dim+1) (2 ||q|| R +
-    R^2) of its exact value, and the rounded ||x||^2 it adds within
-    gamma_dim R^2: less than
-    (dim + 1) eps (||q|| + R)^2 in all. A direct squared distance is
-    within (dim + 2) u (||q|| + R)^2 of the exact one, so a screened value
-    is within 2 (dim + 4) eps (||q|| + R)^2 of the direct distance less
-    ||q||^2. When the first column screened out lies more than twice that
-    past the ``count``-th, no column outside the candidates can rank
-    inside the count. The proof reads only the smallest values, which
-    ``_smallest`` finds exactly, so it proves the rows a full partition
-    would; a proven row's candidates can differ from a full partition's
-    only among columns tied past the count, and ``_rank`` orders those by
-    (distance, row). A row with a non-finite screened value has an
-    infinite 2 (||q|| + R)^2, so it is never proven this way.
+    ``lifted`` holds the pool rows ``rows`` (None: every row, in order),
+    less ``centre``, as A = [-2 x; ||x||^2], (dim + 1) x columns, in the
+    screen's dtype, and ``out`` takes the screen; ``radius`` is R, the
+    largest centred pool norm. One GEMM, [q, 1] A, with q centred too,
+    gives s(x) = ||x||^2 - 2 q.x = ||q - x||^2 - ||q||^2 for every column.
+    Leaving out ||q||^2 shifts a query's whole row by one constant, so it
+    ranks the rows as their distances do; ``_smallest`` keeps ``count``
+    plus ``_SCREEN_MARGIN`` candidates and the next smallest value.
+
+    The bound. Let u = eps / 2 of the screen's dtype, gamma_k = k u / (1 -
+    k u) and S = (||q|| + R)^2, centred. Centring rounds once in float64,
+    relative to the centred value, and the cast once more, so each entry
+    is within 2 u of its exact centred value, relative: ||q - x||^2 moves
+    by at most 5 u S (||q||^2 is the row's constant). The stored ||x||^2,
+    summed in float64 and cast, is within (dim + 6) u R^2 of the cast
+    row's, and the (dim + 1)-term dot product, summed in any order, within
+    gamma_(dim+1) S of its exact value: to first order in u, a screened
+    value is within (dim + 6) eps S of ||q - x||^2 less the row's
+    constant. A direct squared distance, in float64 on the raw rows, is
+    within (dim + 2) u S of the exact one, as q - x is the same whatever
+    the centre. Twice the sum, (3 dim + 14) eps S, leaves (dim + 2) eps S
+    of 4 (dim + 4) eps S for higher-order terms: when the first column
+    screened out lies more than that past the ``count``-th, in a
+    difference rounded once, no column outside the candidates can rank
+    inside the count. The tiny term covers rounding among subnormal
+    products. ``_nearest_rows`` screens in float32 only where eps R^2 is
+    at least float32's smallest normal number, so a cast's absolute
+    rounding near underflow is far below eps S, and 16 R^2 at most its
+    largest number. A row whose 2 S exceeds the dtype's largest number
+    could overflow, so its bound is infinite and it is never proven this
+    way. The proof reads only the smallest values, which ``_smallest``
+    finds exactly, so it proves the rows a full partition would; a proven
+    row's candidates can differ from a full partition's only among
+    columns tied past the count, and ``_rank`` orders those by (distance,
+    row).
 
     The rows left are selected again from the same screen with four times
     more candidates, until these would be every column: then nothing is
@@ -336,16 +365,18 @@ def _screen(q, pool, lifted, rows, radius, count, out):
     dist2 = np.empty((q.shape[0], count))
     todo = np.arange(q.shape[0])
     if keep < width:
-        lifted_q = np.ones((q.shape[0], dim + 1))
-        lifted_q[:, :dim] = q
+        info = np.finfo(lifted.dtype)
+        lifted_q = np.ones((q.shape[0], dim + 1), lifted.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
+            shifted = q - centre
+            lifted_q[:, :dim] = shifted
             screen = np.matmul(lifted_q, lifted, out=out)
-            scale = (np.sqrt(np.einsum("ij,ij->i", q, q)) + radius) ** 2
+            scale = (np.sqrt(np.einsum("ij,ij->i", shifted, shifted)) + radius) ** 2
             # The tiny term covers rounding among subnormal products. A
-            # finite 2 * scale rules out overflow, so every screened value
-            # is finite; where it is not, an infinite bound proves nothing.
-            bound = 4 * (dim + 4) * np.finfo(float).eps * scale + np.finfo(float).tiny
-            bound[~(2 * scale < np.inf)] = np.inf
+            # 2 * scale below the dtype's largest value rules out overflow;
+            # where it is not, an infinite bound proves nothing.
+            bound = 4 * (dim + 4) * info.eps * scale + info.tiny
+            bound[~(2 * scale < info.max)] = np.inf
     while todo.size:
         if keep < width:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -673,15 +704,23 @@ def _pair_point_densities(features, pairs, cfg, lists=None):
     """Normalized densities at the path points of canonical pairs: (n_pairs, k).
 
     Each point's supports are proven from its pair's lists (``_listed_rows``).
-    ``lists``, every row's list, is built here when not given.
+    ``lists``, every row's list, is built here when not given. The points
+    and their densities, pairs x k x (dim + 1) elements, must fit
+    ``core.MAX_ELEMENTS``.
     """
     n = _check_kernel(features, cfg.kde_support_n, cfg.bandwidth_h)
+    k = int(cfg.path_points_k)
+    if pairs.shape[0] * k * (features.dim + 1) > MAX_ELEMENTS:
+        raise ConfigError(
+            "path_points_k",
+            "%d points on each of %d pairs at d = %d exceed %d elements"
+            % (k, pairs.shape[0], features.dim, MAX_ELEMENTS),
+        )
     if lists is None:
         lists = _row_lists(features.data, support_n=n)
     elif lists[0].shape[0] != features.n_rows or lists[0].shape[1] < 1:
         raise DataError("lists must hold a nonempty list per feature row")
     lo, hi = pairs[:, 0], pairs[:, 1]
-    k = int(cfg.path_points_k)
     fracs = np.arange(1, k + 1) / (k + 1)
     a = features.data[lo][:, None, :]
     b = features.data[hi][:, None, :]

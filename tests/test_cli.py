@@ -27,7 +27,13 @@ from pmlp.cli import (
     ingest_features,
     main,
 )
-from pmlp.core import DataError, FeatureMatrix, LabelAssignment, PmlpConfig
+from pmlp.core import (
+    MAX_ELEMENTS,
+    DataError,
+    FeatureMatrix,
+    LabelAssignment,
+    PmlpConfig,
+)
 from pmlp.synthlab import assignments_from_dataset, gen_gaussian_blobs
 
 
@@ -569,6 +575,23 @@ class TestExitCodes:
         error = json.loads((out / "metrics.json").read_text())["error"]
         assert error["code"] == "data"
         assert "path points must be finite" in error["message"]
+
+    @pytest.mark.parametrize(
+        "flag, code, field",
+        [("--path-points-k", 1, "path_points_k"), ("--n-classes", 2, "n_classes")],
+    )
+    def test_a_count_past_the_element_limit_is_refused(
+        self, tmp_path, flag, code, field
+    ):
+        # 2^62 path points or classes overflow a 64-bit byte count, so numpy
+        # would refuse the array by arithmetic too: nothing huge is allocated.
+        data, _ = generate_blobs(tmp_path)
+        out = tmp_path / "out"
+        assert main(["label", "--input", str(data), "--out-dir", str(out),
+                     flag, str(2**62)]) == code
+        error = json.loads((out / "metrics.json").read_text())["error"]
+        assert error["message"].startswith(field + ": ")
+        assert "exceed %d elements" % MAX_ELEMENTS in error["message"]
 
     @pytest.mark.parametrize(
         "case",

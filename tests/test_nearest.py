@@ -26,7 +26,7 @@ from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
 
 from nearest_oracle import nearest_rows_oracle
 
-KINDS = ("normal", "integer_grid", "duplicated", "identical")
+KINDS = ("normal", "integer_grid", "duplicated", "identical", "far")
 
 
 def make_pool(kind, n, dim, offset, rng):
@@ -37,6 +37,11 @@ def make_pool(kind, n, dim, offset, rng):
     elif kind == "duplicated":
         distinct = max(1, n // 4)
         pool = rng.normal(size=(distinct, dim))[rng.integers(0, distinct, n)]
+    elif kind == "far":
+        # Unit rows and one 300 away: the centred radius, and with it the
+        # float32 screen's bound, outgrows the gaps between close rows.
+        pool = rng.normal(size=(n, dim))
+        pool[0, 0] += 300.0
     else:
         pool = np.tile(rng.normal(size=dim), (n, 1))
     return pool + offset
@@ -88,7 +93,8 @@ def test_kernel_matches_oracle(kind, dim, n, offset, self_excluded, count_fracti
     [
         ("identical", 0.0, 1.0, "all"),  # every cut is a tie: nothing provable
         ("normal", 0.0, 1e154, "all"),  # the screen's squares would overflow
-        ("normal", 1e6, 1.0, "some"),  # GEMM cancellation swamps the close gaps
+        ("normal", 1e6, 1.0, "none"),  # centred rows: the offset cancels nothing
+        ("far", 0.0, 1.0, "some"),  # a far row's radius swamps the close gaps
         ("normal", 0.0, 1.0, "none"),  # distinct distances: the screen proves all
     ],
 )
@@ -107,8 +113,46 @@ def test_unprovable_cuts_take_the_exact_fallback(kind, offset, scale, fallback):
     # at 1e154, those whose slab's key gap an overflowing distance leaves
     # open (ranking every slab column lets the gap prove the rest); none
     # elsewhere, as a widened keep proves the cut first.
-    everywhere = {"identical": n, "normal": 337 if scale > 1 else 0}[kind]
+    everywhere = {"identical": n, "normal": 337 if scale > 1 else 0, "far": 0}[kind]
     assert len(over_every_row(ranked, n)) == everywhere
+
+
+@pytest.mark.parametrize(
+    "offset, scale, dtype",
+    [
+        (0.0, 1.0, np.float32),
+        (1e6, 1.0, np.float32),  # centred, the offset is gone
+        (0.0, 1e154, np.float64),  # float32 squares would overflow
+        (0.0, 1e-160, np.float64),  # float32 squares would be subnormal
+        (1e308, 1e307, np.float64),  # the mean overflows: centred on zero
+    ],
+)
+def test_screens_take_float32_where_its_squares_are_normal(offset, scale, dtype):
+    """A pass screens in float32 or float64 by its centred radius, and
+    matches the oracle either way: every row's list and path midpoints."""
+    rng = np.random.default_rng(7)
+    n = 400
+    pool = make_pool("normal", n, 32, 0.0, rng) * scale + offset
+    a, b = rng.integers(0, n, 200), rng.integers(0, n, 200)
+    dtypes = []
+    screen = density._screen
+
+    def spy(q, pool, lifted, *rest):
+        dtypes.append(lifted.dtype)
+        return screen(q, pool, lifted, *rest)
+
+    for queries, count, exclude in [
+        (pool, 5, np.arange(n)),
+        (pool[a] + 0.5 * (pool[b] - pool[a]), 45, None),
+    ]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(density, "_screen", spy)
+            got = screens_counted(_nearest_rows, queries, pool, count, exclude)[0]
+        with np.errstate(over="ignore"):
+            want = nearest_rows_oracle(queries, pool, count, exclude)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+    assert dtypes and set(dtypes) == {np.dtype(dtype)}
 
 
 def test_tied_cuts_are_proven_by_a_widened_keep():
@@ -762,7 +806,8 @@ def test_large_pools_widen_the_first_slab_above_d1(monkeypatch, dim, widened):
     [
         ("identical", 0.0, 1.0, "all"),  # every key gap and cut is a tie
         ("normal", 0.0, 1e154, "all"),  # the screen's squares would overflow
-        ("normal", 1e6, 1.0, "some"),  # GEMM cancellation swamps the close gaps
+        ("normal", 1e6, 1.0, "none"),  # centred rows: the offset cancels nothing
+        ("far", 0.0, 1.0, "some"),  # a far row's radius swamps the close gaps
         ("normal", 0.0, 1.0, "none"),  # slabs, then the pool, prove all
     ],
 )
@@ -793,7 +838,7 @@ def test_unprovable_slab_cuts_take_the_exact_fallback_once(
         assert 0 < len(fallen) < n
     else:
         assert len(fallen) == 0
-    if kind == "normal":  # distinct rows: none ranked twice
+    if kind != "identical":  # distinct rows: none ranked twice
         assert np.unique(fallen, axis=0).shape[0] == len(fallen)
 
 
@@ -1002,8 +1047,9 @@ def test_grouped_screens_match_oracle(
     [
         ("identical", 0.0, 1.0, "all"),  # every cut is a tie: nothing provable
         ("normal", 0.0, 1e154, "all"),  # the screen's squares would overflow
-        ("normal", 1e6, 1.0, "some"),  # GEMM cancellation swamps the close gaps
-        ("duplicated", 1e6, 1.0, "some"),  # and copies tie at the cut
+        ("normal", 1e6, 1.0, "none"),  # centred rows: the offset cancels nothing
+        ("duplicated", 1e6, 1.0, "none"),  # copies tie within the first keep
+        ("far", 0.0, 1.0, "some"),  # a far row's radius swamps the close gaps
         ("normal", 0.0, 1.0, "none"),  # distinct distances: the screen proves all
     ],
 )
