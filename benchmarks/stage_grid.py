@@ -31,8 +31,8 @@ timed with ``time.perf_counter``:
 - ``affinity_s``: ``graph.build_affinity`` on those edges and lists.
 
 A pmlp cell also records its list length ``list_length`` (m), its
-``path_points``, the queries that reach ``density._nearest_rows`` with
-endpoint lists, and ``proven_share``, the share of them whose KDE
+``path_points``, the queries of its one ``density._nearest_rows`` search
+with endpoint lists, and ``proven_share``, the share of them whose KDE
 supports ``density._listed_rows`` proved from those lists; the search
 ranks the rest against the pool. Both are counted by wrapping the two
 functions, as the tests' ``listed_rows_counted`` does. Every cell records
@@ -99,10 +99,10 @@ def run_cell(n, dim, mode, grid=None, shift=None):
         density._nearest_rows, density._listed_rows, density._rank
     )
 
-    def searched(queries, pool, count, exclude=None, ends=None, lists=None):
+    def searched(queries, pool, count, ends=None, lists=None):
         if lists is not None:
             points.append(queries.shape[0])
-        return nearest_rows(queries, pool, count, exclude, ends, lists)
+        return nearest_rows(queries, pool, count, ends, lists)
 
     def listed(*args):
         got = listed_rows(*args)

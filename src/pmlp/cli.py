@@ -337,7 +337,10 @@ def _infer_format(path, fmt):
 
 
 def ingest_features(path, fmt=None):
-    """Load a dataset file into a FeatureMatrix and per-row assignments."""
+    """Load a dataset file into a FeatureMatrix and per-row assignments.
+
+    Reading stops at the first data row past ``MAX_INGEST_ROWS``, which is
+    an error, so a larger file is never parsed whole."""
     records = _READERS[_infer_format(path, fmt)]
     features, assignments, width = [], [], None
     with _reading(path) as handle:
@@ -353,13 +356,13 @@ def ingest_features(path, fmt=None):
                     assignments.append(_decode_label(label))
             except ValueError as exc:  # a DataError, or a cell float() refuses
                 raise DataError("line %d: %s" % (line_no, exc)) from exc
+            if len(features) > MAX_INGEST_ROWS:
+                raise DataError(
+                    "input has over %d rows; the engine caps at %d"
+                    % (MAX_INGEST_ROWS, MAX_INGEST_ROWS)
+                )
     if not features:
         raise DataError("input file holds no data rows: %s" % (path,))
-    if len(features) > MAX_INGEST_ROWS:
-        raise DataError(
-            "input has %d rows; the engine caps at %d"
-            % (len(features), MAX_INGEST_ROWS)
-        )
     return FeatureMatrix(features), assignments
 
 

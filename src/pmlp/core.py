@@ -50,8 +50,9 @@ CONFIG_CHOICES = {
 PREDICTION_SUM_TOL = 1e-9
 
 # Most elements of an array that a caller's count sizes (path points,
-# classes): 2^26, 512 MiB of float64. Checked before the array is made, so
-# an oversized count is an error that names it, not a MemoryError.
+# classes, generated rows, row pairs): 2^26, 512 MiB of float64. Checked
+# before the array is made, so an oversized count is an error that names
+# it, not a MemoryError or numpy's "array is too big".
 MAX_ELEMENTS = 2**26
 
 
@@ -77,6 +78,14 @@ class DataError(PmlpError, ValueError):
 
 class NumericalError(PmlpError, ArithmeticError):
     """A numerical operation produced an unusable result."""
+
+
+def _check_elements(name, elements, what):
+    """Refuse, before it is made, an array of ``elements`` elements past
+    ``MAX_ELEMENTS``: a DataError that names ``name``, the count that sizes
+    it, and says ``what`` was asked for."""
+    if elements > MAX_ELEMENTS:
+        raise DataError("%s: %s exceed %d elements" % (name, what, MAX_ELEMENTS))
 
 
 def _frozen(arr):
@@ -487,11 +496,11 @@ def soft_labels_from_assignments(assignments, n_classes=None):
     classes = int(n_classes) if n_classes is not None else count_classes(assignments)
     if classes < 1:
         raise DataError("could not infer a class count; pass n_classes")
-    if len(assignments) * classes > MAX_ELEMENTS:
-        raise DataError(
-            "n_classes: %d rows x %d classes exceed %d elements"
-            % (len(assignments), classes, MAX_ELEMENTS)
-        )
+    _check_elements(
+        "n_classes",
+        len(assignments) * classes,
+        "%d rows x %d classes" % (len(assignments), classes),
+    )
 
     labels = np.zeros((len(assignments), classes))
     gt_mask = np.zeros(len(assignments), dtype=bool)

@@ -29,16 +29,19 @@ four times more candidates until it proves a cut, at most every column,
 where nothing is screened out: so the whole pool's screen proves every
 query, and the result never depends on rounds, BLAS rounding or threads.
 Blocks are sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of
-float64; a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries), and
-the KDE reduces each block to its kernel means before the next, so the
-working set stays near one cache-sized block whatever the number of queries.
+float64; a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries). One
+search runs per pool and yields each block as a round proves it, and the
+KDE reduces the search's own blocks to their kernel means as they come, so
+the working set stays near one cache-sized block whatever the number of
+queries.
 
 Nearest-row lists have one shape, every row's list: (indices, squared
 distances), each (N, m), row i holding i's m nearest other rows (the
 search finds m + 1 and drops i, or its last row where i is not listed).
-One function, ``_row_lists``, builds them and alone knows how long they
-must be to prove a number of KDE supports (``_list_length``); ``graph``
-takes the kNN edges from the first columns of the same lists. A path
+One function, ``_row_lists``, builds them, alone leaves a row out of a
+search, and alone knows how long they must be to prove a number of KDE
+supports (``_list_length``); ``graph`` takes the kNN edges from the first
+columns of the same lists. A path
 point lies between its two endpoint rows, so its supports are usually
 among the endpoints' own nearest rows. ``_listed_rows`` ranks each
 point's supports among its endpoints and their lists. A row outside an
@@ -70,10 +73,10 @@ __all__ = [
 # group (``_smallest``), their partition order (queries x rows each), its
 # gathered candidates (queries x candidates x dim) with their rows,
 # distances and order, ranked in chunks however many candidates a tied
-# screen keeps (``_screen``), or its supports' kernel values (queries x
-# supports). 500,000 elements (4 MB of float64) keeps a block near a
-# core's L2 cache size; on 4,000-5,000-row kNN passes at d = 2 and d = 32
-# it was as fast as budgets of 1 M to 8 M, or faster.
+# screen keeps (``_screen``); the KDE reduces a block's distances in place.
+# 500,000 elements (4 MB of float64) keeps a block near a core's L2 cache
+# size; on 4,000-5,000-row kNN passes at d = 2 and d = 32 it was as fast as
+# budgets of 1 M to 8 M, or faster.
 _CHUNK_ELEMENTS = 500_000
 
 # Fewest queries in one screen block. Each block reads the whole lifted
@@ -123,21 +126,22 @@ _FIRST_SLAB = 8
 _SLAB_ROWS = 180
 
 
-def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
-    """The ``count`` pool rows nearest to each query, closest first.
+def _nearest_rows(queries, pool, count, ends=None, lists=None):
+    """The ``count`` pool rows nearest to each query, closest first, in blocks.
 
-    Returns (indices, squared distances), each (n_queries, count). The
+    Yields (rows, indices, squared distances) for each block of queries a
+    round tries: ``rows`` are the positions of the queries it proved,
+    possibly none, and indices and distances are each (rows, count).
+    Every query is yielded once, in no fixed order, so a caller keeps
+    what it needs of a block before the next: ``_row_lists`` collects
+    them, ``_kernel_means`` reduces each to its kernel means. Each block's
+    indices and distances are new arrays (``_listed_rows``, the slab round
+    and ``_screen`` each make their own), and no yielded array shares
+    memory the search reads again, so the caller may write into it. The
     distance is ``np.sum((q - x) ** 2)`` over the differences, and ties go
     to the lower row index: the result equals a stable argsort of every
-    direct distance. ``ends`` and ``lists``, if given, are the path points'
-    as ``_listed_rows`` takes them. ``exclude``, if given, holds one pool
-    row per query that is never returned; ``count`` must leave enough
-    rows. It is read here alone: the search runs for ``count`` + 1 rows
-    with no exclusion, each query's excluded row, or its last row where
-    the excluded one is not among them, moves to the front, and the
-    result is the views past it. The first ``count`` + 1 rows by
-    (distance, row) always hold the first ``count`` other than any one
-    row, so this is exact whichever row is excluded, tied or not.
+    direct distance. ``ends`` and ``lists``, if given, are the path
+    points' as ``_listed_rows`` takes them.
 
     The search runs in rounds over the queries still unproven: the
     endpoint lists (``_listed_rows``), then slabs of the pool, then the
@@ -169,28 +173,13 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
     Where distances concentrate (high d) the lists and the key gaps prove
     little, so the list and slab rounds probe, by the stop rule of the
     block loop (``search``): a stopped round hands the queries it leaves to
-    the next stage, the slabs or the whole pool. The whole pool takes its
-    queries in row order, a run of consecutive ones without a copy. The
-    rounds change the time, never the result.
-
-    Callers: ``_row_lists`` for every row's list (self excluded) and
-    ``_kernel_means`` for KDE supports, with endpoint lists for path points.
+    the next stage, the slabs or the whole pool. The rule decides once per
+    search, over all of its queries. The whole pool takes its queries in
+    row order, a run of consecutive ones without a copy. The rounds change
+    the time, never the result.
     """
-    if exclude is not None:
-        indices, dist2 = _nearest_rows(queries, pool, count + 1, None, ends, lists)
-        moved = np.flatnonzero(indices[:, 0] != exclude)
-        # One True per row: the excluded row, or the last where it is not
-        # listed. A stable sort of ~hit puts it first, the rest in order.
-        hit = indices[moved] == exclude[moved, None]
-        hit[:, -1] |= ~hit.any(axis=1)
-        order = np.argsort(~hit, axis=1, kind="stable")
-        indices[moved] = _along(indices[moved], order)
-        dist2[moved] = _along(dist2[moved], order)
-        return indices[:, 1:], dist2[:, 1:]
     n, dim = pool.shape
     keep = count + _SCREEN_MARGIN
-    indices = np.empty((queries.shape[0], count), dtype=np.intp)
-    dist2 = np.empty((queries.shape[0], count))
     # Overflow is left to the finiteness tests, which leave the affected
     # queries to a screen that keeps every column.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,7 +192,8 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
         return queries[rows]
 
     def search(pending, fit, prove, least):
-        """Prove ``pending`` in blocks; the rows left, and whether it stopped.
+        """Prove ``pending`` in blocks, yielding each proven block; returns
+        the rows left, and whether it stopped.
 
         ``fit(rest)`` is how many of the rows ``rest`` fit one block, which
         takes at least ``least``. The stop rule: the first block is an eighth
@@ -215,7 +205,7 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
             size = fit(pending[start:]) // (1 if start else 8)
             rows = pending[start : start + max(least, size)]
             done, idx, d2 = prove(rows)
-            indices[rows[done]], dist2[rows[done]] = idx, d2
+            yield rows[done], idx, d2
             left.append(np.delete(rows, done))
             start += rows.size
             proven += done.size
@@ -233,7 +223,7 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
         def listed(rows):
             return _listed_rows(take(rows), pool, count, ends[rows], lists, radius)
 
-        pending = search(pending, lambda rest: block, listed, 1)[0]
+        pending = (yield from search(pending, lambda rest: block, listed, 1))[0]
     if pending.size:
         # The screen's rows, centred on the pool mean (on zero where it
         # overflows), in float32 unless their squares would leave its
@@ -301,13 +291,14 @@ def _nearest_rows(queries, pool, count, exclude=None, ends=None, lists=None):
             tiny = np.finfo(float).tiny
             pending = pending[np.argsort(queries[pending, axis], kind="stable")]
             while pending.size and 2 * width < n:
-                pending, stopped = search(pending, slab_size, slab, _MIN_SCREEN_BLOCK)
+                pending, stopped = yield from search(
+                    pending, slab_size, slab, _MIN_SCREEN_BLOCK
+                )
                 width = n if stopped else 4 * width  # a stop ends the slabs
             pending = np.sort(pending)
         for start in range(0, pending.size, block):
             rows = pending[start : start + block]
-            indices[rows], dist2[rows] = screen(take(rows))
-    return indices, dist2
+            yield (rows, *screen(take(rows)))
 
 
 def _screen(q, pool, lifted, rows, centre, radius, count, out):
@@ -517,15 +508,33 @@ def _row_lists(data, count=0, support_n=None):
     """Every row's nearest other rows, closest first: the one list shape.
 
     Returns (indices, squared distances), each (N, m): row i holds i's m
-    nearest rows other than i, as ``_nearest_rows`` ranks them, views of
-    its (N, m + 1) search. m is ``count``, raised with ``support_n`` to
-    ``_list_length``, enough for ``_listed_rows`` to prove that many KDE
-    supports.
+    nearest rows other than i, as ``_nearest_rows`` ranks them. m is
+    ``count``, raised with ``support_n`` to ``_list_length``, enough for
+    ``_listed_rows`` to prove that many KDE supports.
+
+    This is the one place that leaves a row out of a search. The search
+    finds each row's m + 1 nearest rows; row i's own index, or its last
+    row where i is not among them, moves to the front, and the lists are
+    the views past it. The first m + 1 rows by (distance, row) always
+    hold the first m other than any one row, so this is exact whether i
+    is listed or not, tied or not.
     """
     n = data.shape[0]
     if support_n is not None:
         count = max(count, _list_length(support_n, n))
-    return _nearest_rows(data, data, count, np.arange(n))
+    indices = np.empty((n, count + 1), dtype=np.intp)
+    dist2 = np.empty((n, count + 1))
+    for rows, idx, d2 in _nearest_rows(data, data, count + 1):
+        indices[rows], dist2[rows] = idx, d2
+    moved = np.flatnonzero(indices[:, 0] != np.arange(n))
+    # One True per row: its own index, or the last where it is not listed.
+    # A stable sort of ~hit puts it first, the rest in order.
+    hit = indices[moved] == moved[:, None]
+    hit[:, -1] |= ~hit.any(axis=1)
+    order = np.argsort(~hit, axis=1, kind="stable")
+    indices[moved] = _along(indices[moved], order)
+    dist2[moved] = _along(dist2[moved], order)
+    return indices[:, 1:], dist2[:, 1:]
 
 
 def _listed_rows(queries, pool, count, ends, lists, radius):
@@ -632,27 +641,20 @@ def _check_kernel(features, n, h):
 def _kernel_means(queries, data, n, h, ends=None, lists=None):
     """The mean kernel over each query's ``n`` supports, block by block.
 
-    Supports come from ``_nearest_rows``, given each query's ``ends`` and
-    every row's ``lists`` if there are any; they do not change the result.
-    Queries are taken in blocks whose support rows and distances fill
-    ``_CHUNK_ELEMENTS``, and each block is reduced to its kernel means
-    before the next is searched, so no (queries x supports) array
-    outlives its block. A row's mean is summed along that row alone, so
-    the blocks do not change its bytes.
+    Supports come from one ``_nearest_rows`` search, given each query's
+    ``ends`` and every row's ``lists`` if there are any; they do not
+    change the result. Each block the search yields is reduced to its
+    kernel means, in place, before the search goes on, so no (queries x
+    supports) array outlives its block. A row's mean is summed along that
+    row alone, so the blocks do not change its bytes.
     """
     values = np.empty(queries.shape[0])
-    step = max(1, _CHUNK_ELEMENTS // (2 * n))
-    for start in range(0, queries.shape[0], step):
-        rows = slice(start, start + step)
-        d2 = _nearest_rows(
-            queries[rows], data, n, None, ends if ends is None else ends[rows], lists
-        )[1]
+    for rows, _, d2 in _nearest_rows(queries, data, n, ends, lists):
         # d2 / -h is -d2 / h bit for bit: division rounds symmetrically. A
         # quotient that overflows has a kernel value of 0 either way.
         with np.errstate(over="ignore"):
             np.divide(d2, -h, out=d2)
         values[rows] = np.mean(np.exp(d2, out=d2), axis=1)
-        del d2  # before the next block allocates its own
     return values
 
 

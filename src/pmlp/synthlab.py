@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import MODES, DataError, FeatureMatrix, LabelAssignment
+from .core import MODES, DataError, FeatureMatrix, LabelAssignment, _check_elements
 from .density import (
     _pair_point_densities,
     _row_lists,
@@ -84,6 +84,11 @@ def gen_gaussian_blobs(means, sigma, per_class, labeled_per_class, seed):
     labeled_per_class = int(labeled_per_class)
     if per_class < 1:
         raise DataError("per_class must be >= 1")
+    _check_elements(
+        "per_class",
+        per_class * means.size,
+        "%d rows in each of %d classes at d = %d" % (per_class, *means.shape),
+    )
     if not 0 <= labeled_per_class <= per_class:
         raise DataError("labeled_per_class must lie in [0, per_class]")
     rng = np.random.default_rng(seed)
@@ -120,6 +125,7 @@ def gen_two_moons(n, noise, labeled_per_class, seed):
     n = int(n)
     if n < 2:
         raise DataError("n must be >= 2")
+    _check_elements("n", 2 * n, "%d rows at d = 2" % n)
     if noise < 0:
         raise DataError("noise must be nonnegative")
     labeled_per_class = int(labeled_per_class)
@@ -180,6 +186,18 @@ def assignments_from_dataset(dataset):
     return out
 
 
+def _two_blobs(separation, sigma, samples_per_cluster, seed):
+    """The sweeps' features: two 2-d Gaussian clusters ``separation`` apart
+    along the first axis, ``samples_per_cluster`` rows each."""
+    _check_elements(
+        "samples_per_cluster",
+        int(samples_per_cluster) * 4,
+        "2 clusters of %d rows at d = 2" % samples_per_cluster,
+    )
+    means = [[0.0, 0.0], [separation, 0.0]]
+    return gen_gaussian_blobs(means, sigma, samples_per_cluster, 1, seed).features
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     """One row of the separation sweep.
@@ -227,17 +245,16 @@ def separation_sweep(
     line_points = int(line_points)
     if pairs < 1 or line_points < 1:
         raise DataError("pairs and line_points must be >= 1")
+    _check_elements("pairs", pairs * 2, "%d row pairs" % pairs)
+    _check_elements(
+        "line_points",
+        pairs * line_points * 3,
+        "%d points on each of %d pairs at d = 2" % (line_points, pairs),
+    )
 
     reports = []
     for index, delta in enumerate(separations):
-        dataset = gen_gaussian_blobs(
-            means=[[0.0, 0.0], [delta, 0.0]],
-            sigma=sigma,
-            per_class=samples_per_cluster,
-            labeled_per_class=1,
-            seed=cfg.seed + index,
-        )
-        features = dataset.features
+        features = _two_blobs(delta, sigma, samples_per_cluster, cfg.seed + index)
         point_density = batch_normalized_density(
             features.data, features, cfg.kde_support_n, cfg.bandwidth_h
         )
@@ -282,15 +299,12 @@ def density_ratio_sweep(bandwidths, pairs, separation, sigma, samples_per_cluste
     The rows' nearest-row lists do not depend on the bandwidth, so one
     pass serves every bandwidth.
     """
-    dataset = gen_gaussian_blobs(
-        means=[[0.0, 0.0], [separation, 0.0]],
-        sigma=sigma,
-        per_class=samples_per_cluster,
-        labeled_per_class=1,
-        seed=cfg.seed,
-    )
+    pairs = int(pairs)
+    if pairs < 1:
+        raise DataError("pairs must be >= 1")
+    _check_elements("pairs", pairs * 2, "%d row pairs" % pairs)
+    features = _two_blobs(separation, sigma, samples_per_cluster, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    features = dataset.features
     n = features.n_rows
     left = rng.integers(0, n, pairs)
     offset = 1 + rng.integers(0, n - 1, pairs)

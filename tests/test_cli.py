@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmlp
@@ -87,6 +87,13 @@ class TestIngestCsv:
 
     def test_row_ceiling_enforced(self, tmp_path):
         lines = ["0.0,0.0,-1"] * 20001
+        path = write(tmp_path / "big.csv", "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="caps at 20000"):
+            ingest_features(path)
+
+    def test_row_ceiling_stops_reading_at_the_first_row_past_it(self, tmp_path):
+        # The malformed line after row 20,001 is never parsed.
+        lines = ["0.0,0.0,-1"] * 20001 + ["x,0.0,-1"]
         path = write(tmp_path / "big.csv", "\n".join(lines) + "\n")
         with pytest.raises(DataError, match="caps at 20000"):
             ingest_features(path)
@@ -594,6 +601,45 @@ class TestExitCodes:
         assert "exceed %d elements" % MAX_ELEMENTS in error["message"]
 
     @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["generate", "--kind", "two-moons", "--n"], "n"),
+            (["generate", "--kind", "gaussian-blobs", "--per-class"], "per_class"),
+            (["harness", "compare", "--n"], "n"),
+            (["harness", "theorem1", "--pairs"], "pairs"),
+            (["harness", "theorem1", "--samples-per-cluster"], "samples_per_cluster"),
+            (["harness", "theorem1", "--line-points"], "line_points"),
+            (["harness", "density-ratio", "--pairs"], "pairs"),
+        ],
+    )
+    def test_a_size_flag_past_the_element_limit_is_a_data_error(
+        self, tmp_path, argv, field
+    ):
+        # 2^62 overflows a 64-bit byte count, so numpy would refuse the
+        # array by arithmetic too: nothing huge is allocated.
+        out = tmp_path / "out"
+        where = ["--out", str(tmp_path / "d.csv")] if argv[0] == "generate" else [
+            "--out-dir", str(out)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + [str(2**62)] + where) == 2
+        if argv[0] == "generate":
+            assert not (tmp_path / "d.csv").exists()
+            return
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["code"] == "data"
+        assert error["message"].startswith(field + ": ")
+        assert "exceed %d elements" % MAX_ELEMENTS in error["message"]
+
+    def test_a_negative_pair_count_is_a_data_error(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["harness", "density-ratio", "--pairs", "-1", "--out-dir", str(out)]
+        assert main(argv) == 2
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error == {"code": "data", "message": "pairs must be >= 1"}
+
+    @pytest.mark.parametrize(
         "case",
         ["csv_label_of_strings", "not_utf8", "directory", "missing_truth",
          "truth_negative_class", "truth_conflicting_repeat"],
@@ -794,6 +840,197 @@ class TestExitCodes:
         assert code == 3
         payload = json.loads((out / "report.json").read_text())
         assert payload["error"]["code"] == "numerical"
+
+
+# The exit-code contract as a property: small drawn files, config files
+# and flag values, each run by ``main`` in this process with RuntimeWarning
+# as an error. Every size drawn is bounded, so no example allocates much,
+# and ``harness compare`` runs at most one trial, so no example forks.
+FEATURE_CELLS = ["1e308", "-1e308", "nan", "inf", "-inf", "", "x", "5e-324"]
+LABEL_CELLS = [-1, 0, 1, 2, -4, 1.5, "zebra", True, None, [0.5, 0.5], [0.9, 0.3], [1]]
+CONFIG_VALUES = {
+    "alpha": [0.0, 0.5, 0.8, 1.0],
+    "eta": [0.0, 0.2, 1.0],
+    "tau": [0.0, 0.5, 0.95],
+    "bandwidth_h": [-1.0, 0.0, 1e-300, 0.05, 1.0, 1e300, math.nan, math.inf],
+    "path_points_k": [0, 1, 3],
+    "kde_support_n": [0, 1, 3, 100],
+    "neighbor_count": [-1, 0, 1, 2, 50],
+    "aggregator": ["min", "max", "avg", "quantile", "median"],
+    "quantile_t": [0.0, 0.25, 1.0],
+    "distance_mode": [
+        "euclidean_inverse", "cosine_similarity", "first_order_similarity", "l1"
+    ],
+    "mode": ["pmlp", "classical_lpa"],
+    "clamp_ground_truth": [True, False, 1],
+    "seed": [-1, 0, 7, 1.5],
+}
+# Flag values that argparse accepts, in range or not, for each job's flags.
+JOB_FLAGS = {
+    "label": {
+        "--neighbor-count": [-1, 0, 1, 2, 50],
+        "--kde-support-n": [0, 1, 3, 100],
+        "--path-points-k": [0, 1, 3],
+        "--bandwidth-h": [-1.0, 1e-300, 0.05, 1.0, 1e300, "nan", "inf"],
+        "--alpha": [0.0, 0.5, 0.999999999, 1.0],
+        "--aggregator": ["min", "quantile"],
+        "--distance-mode": ["cosine_similarity", "first_order_similarity"],
+        "--mode": ["classical_lpa"],
+        "--n-classes": [-1, 0, 1, 2, 3, 10],
+    },
+    "theorem1": {
+        "--separations": ["1", "2,4", "4,2", "0", "-1", "nan"],
+        "--sigma": [0.5, 0.0, -1.0, "nan"],
+        "--samples-per-cluster": [0, 1, 5, 20],
+        "--pairs": [-1, 0, 1, 3],
+        "--tau-quantile": [0.0, 0.1, 1.0, "nan"],
+        "--line-points": [0, 1, 3],
+        "--kde-support-n": [1, 5, 100],
+        "--bandwidth-h": [1e-300, 1.0, "inf"],
+    },
+    "compare": {
+        "--dataset": ["two-moons", "gaussian-blobs"],
+        "--n": [1, 2, 10, 30],
+        "--per-class": [0, 1, 5, 15],
+        "--labeled-per-class": [-1, 0, 1, 2, 20],
+        "--noise": [0.0, 0.1, -1.0, "nan"],
+        "--sigma": [0.5, 0.0, "nan"],
+        "--separation": [0.0, 6.0, "nan", 1e308],
+        "--trials": [-1, 0, 1],
+        "--kde-support-n": [1, 5, 100],
+        "--neighbor-count": [1, 3, 100],
+        "--bandwidth-h": [1e-300, 0.05, "inf"],
+    },
+    "density-ratio": {
+        "--bandwidths": ["1", "0.5,5", "0", "-1", "nan", "1e-300"],
+        "--pairs": [-1, 0, 1, 3],
+        "--separation": [0.0, 8.0, "nan", 1e308],
+        "--sigma": [1.0, 0.0, "inf"],
+        "--samples-per-cluster": [0, 1, 5, 20],
+        "--kde-support-n": [1, 5, 100],
+        "--path-points-k": [1, 3],
+    },
+    "generate": {
+        "--kind": ["two-moons", "gaussian-blobs"],
+        "--means": ["0,0;10,0", "0;1;2", "1e308,0;-1e308,0", "nan,0;1,1"],
+        "--sigma": [0.5, 0.0, "nan"],
+        "--per-class": [0, 1, 5],
+        "--n": [1, 2, 10],
+        "--noise": [0.1, -1.0, "inf"],
+        "--labeled-per-class": [-1, 0, 1, 20],
+        "--format": ["csv", "jsonl"],
+    },
+}
+
+
+@st.composite
+def data_files(draw):
+    """(name, text, rows) of a small CSV or JSONL data file: rows of a few
+    features and labels of every kind, a few cells spoiled, maybe a header
+    and blank lines."""
+    jsonl = draw(st.booleans())
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(
+        st.lists(st.floats(-3, 3), min_size=dim, max_size=dim), min_size=n, max_size=n
+    ))
+    cells = [[repr(x) for x in features] for features in rows]
+    labels = [draw(st.sampled_from([-1, -1, 0, 1])) for _ in rows]
+    if draw(st.booleans()):
+        labels[:2] = [0, 1][: len(rows)]  # two classes, most likely
+    # Mostly none, at most two: a feature cell or a label of another kind.
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, 40))
+        if rows and draw(st.booleans()):
+            cells[at % len(rows)][at % dim] = draw(st.sampled_from(FEATURE_CELLS))
+        elif rows:
+            labels[at % len(rows)] = draw(st.sampled_from(LABEL_CELLS))
+    lines = []
+    for features, label in zip(cells, labels):
+        if jsonl:
+            label = None if label == -1 else label  # JSONL's unlabelled is null
+            lines.append('{"features": [%s], "label": %s}' % (
+                ", ".join(features), json.dumps(label)
+            ))
+        else:
+            label = -1 if label is None else label
+            if isinstance(label, list):
+                label = '"%s"' % json.dumps(label)
+            lines.append(",".join(features + [str(label)]))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " "])))
+    if not jsonl and draw(st.booleans()):
+        lines.insert(0, ",".join(["f_%d" % i for i in range(dim)] + ["label"]))
+    return ("d.jsonl" if jsonl else "d.csv"), "\n".join(lines) + "\n", len(rows)
+
+
+@st.composite
+def cli_jobs(draw):
+    """(argv, files, record): a job's arguments, the files it reads as
+    {name: text}, and the file its error record goes to (None: generate,
+    which has no output directory). An argument "@name" is a path in a
+    fresh directory; "@out" is the job's output directory."""
+    job = draw(st.sampled_from(sorted(JOB_FLAGS)))
+    flags = JOB_FLAGS[job]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
+    argv = []
+    for flag in chosen:
+        argv += [flag, str(draw(st.sampled_from(flags[flag])))]
+    files = {}
+    if job == "generate":
+        kind = [] if "--kind" in chosen else ["--kind", "two-moons"]
+        return ["generate", *kind, *argv, "--out", "@d.out"], files, None
+    if job == "label":
+        name, text, rows = draw(data_files())
+        files[name] = text
+        argv = ["label", "--input", "@" + name] + argv
+        if draw(st.booleans()):
+            rows = draw(st.sampled_from([rows, rows, rows, rows + 1, 0]))
+            files["truth.csv"] = "".join(
+                "%d,%d\n" % (row, draw(st.sampled_from([0, 1, 1, 0, -1])))
+                for row in range(rows)
+            )
+            argv += ["--truth", "@truth.csv"]
+        if draw(st.booleans()):
+            argv.append("--renormalize")
+    else:
+        argv = ["harness", job] + argv
+    if draw(st.booleans()):
+        fields = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=3))
+        config = {f: draw(st.sampled_from(CONFIG_VALUES[f])) for f in fields}
+        files["config.json"] = draw(st.sampled_from([
+            json.dumps(config), json.dumps(config), json.dumps(config),
+            json.dumps(dict(config, unknown=1)), "[1]", "{",
+        ]))
+        argv += ["--config", "@config.json"]
+    record = "metrics.json" if job == "label" else "report.json"
+    return argv + ["--out-dir", "@out"], files, record
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(job=cli_jobs())
+    # A negative pair count reached numpy, whose ValueError escaped.
+    @example(job=(
+        ["harness", "density-ratio", "--pairs", "-1", "--out-dir", "@out"], {},
+        "report.json",
+    ))
+    def test_every_job_exits_0_to_3_with_an_error_record(self, job):
+        """No exception escapes ``main``, which returns 0, 1, 2 or 3, and a
+        job that fails leaves the error record of its exit code."""
+        argv, files, record = job
+        with tempfile.TemporaryDirectory() as work:
+            for name, text in files.items():
+                pathlib.Path(work, name).write_text(text, encoding="utf-8")
+            argv = [os.path.join(work, a[1:]) if a[0] == "@" else a for a in argv]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            if code and record is not None:
+                text = pathlib.Path(work, "out", record).read_text()
+                error = json.loads(text)["error"]
+                assert error["code"] == {1: "config", 2: "data", 3: "numerical"}[code]
 
 
 class TestHarnessJobs:

@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from pmlp import density as density_module
 from pmlp.core import DataError, FeatureMatrix, NumericalError, PmlpConfig
 from pmlp.density import (
-    _nearest_rows,
     batch_normalized_density,
     batch_path_density_info,
     density_ratio,
@@ -24,6 +23,7 @@ from pmlp.density import (
 from pmlp.synthlab import gen_gaussian_blobs
 
 from nearest_oracle import nearest_rows_oracle
+from test_nearest import collected
 
 
 def brute_force_kde(query, supports, h):
@@ -219,7 +219,7 @@ class TestSelectSupports:
         rows = np.full((8, 2), 50.0)
         rows[2] = (1.0, 0.0)
         rows[7] = (-1.0, 0.0)
-        supports, _ = _nearest_rows(np.zeros((1, 2)), rows, 1)
+        supports, _ = collected(np.zeros((1, 2)), rows, 1)
         assert supports.tolist() == [[2]]
 
     def test_too_many_supports_rejected(self):

@@ -20,13 +20,26 @@ from hypothesis import strategies as st
 
 from pmlp import density
 from pmlp.core import PmlpConfig
-from pmlp.density import _nearest_rows, batch_normalized_density
+from pmlp.density import batch_normalized_density
 from pmlp.graph import knn_edges, neighbor_lists
 from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
 
 from nearest_oracle import nearest_rows_oracle
 
 KINDS = ("normal", "integer_grid", "duplicated", "identical", "far")
+
+
+def collected(queries, pool, count, ends=None, lists=None):
+    """``density._nearest_rows`` gathered into (indices, squared distances),
+    each (queries, count), checking that it yields every query once."""
+    indices = np.empty((len(queries), count), dtype=np.intp)
+    dist2 = np.empty((len(queries), count))
+    seen = np.zeros(len(queries), dtype=int)
+    for rows, idx, d2 in density._nearest_rows(queries, pool, count, ends, lists):
+        indices[rows], dist2[rows] = idx, d2
+        np.add.at(seen, rows, 1)
+    assert np.all(seen == 1)
+    return indices, dist2
 
 
 def make_pool(kind, n, dim, offset, rng):
@@ -77,7 +90,10 @@ def test_kernel_matches_oracle(kind, dim, n, offset, self_excluded, count_fracti
         queries, exclude = pool[a] + 0.5 * (pool[b] - pool[a]), None
         count = 1 + int(count_fraction * (n - 1))  # 1 .. n
 
-    got_idx, got_d2 = _nearest_rows(queries, pool, count, exclude)
+    if self_excluded:
+        got_idx, got_d2 = density._row_lists(pool, count)
+    else:
+        got_idx, got_d2 = collected(queries, pool, count)
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
@@ -104,7 +120,7 @@ def test_unprovable_cuts_take_the_exact_fallback(kind, offset, scale, fallback):
     rng = np.random.default_rng(7)
     n = 400
     pool = make_pool(kind, n, 2, offset, rng) * scale
-    got, _, _, ranked = rankings_counted(_nearest_rows, pool, pool, 5, np.arange(n))
+    got, _, _, ranked = rankings_counted(density._row_lists, pool, 5)
     want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -141,15 +157,16 @@ def test_screens_take_float32_where_its_squares_are_normal(offset, scale, dtype)
         dtypes.append(lifted.dtype)
         return screen(q, pool, lifted, *rest)
 
-    for queries, count, exclude in [
-        (pool, 5, np.arange(n)),
-        (pool[a] + 0.5 * (pool[b] - pool[a]), 45, None),
+    midpoints = pool[a] + 0.5 * (pool[b] - pool[a])
+    for call, args, oracle_args in [
+        (density._row_lists, (pool, 5), (pool, pool, 5, np.arange(n))),
+        (collected, (midpoints, pool, 45), (midpoints, pool, 45)),
     ]:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(density, "_screen", spy)
-            got = screens_counted(_nearest_rows, queries, pool, count, exclude)[0]
+            got = screens_counted(call, *args)[0]
         with np.errstate(over="ignore"):
-            want = nearest_rows_oracle(queries, pool, count, exclude)
+            want = nearest_rows_oracle(*oracle_args)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
     assert dtypes and set(dtypes) == {np.dtype(dtype)}
@@ -164,7 +181,7 @@ def test_tied_cuts_are_proven_by_a_widened_keep():
     data = gen_gaussian_blobs(means, 1.0, 2000, 1, seed=1000).features.data
     pool = np.round(data / 0.5) * 0.5
     n = len(pool)
-    got, _, _, ranked = rankings_counted(_nearest_rows, pool, pool, 6, np.arange(n))
+    got, _, _, ranked = rankings_counted(density._row_lists, pool, 6)
     want = nearest_rows_oracle(pool, pool, 6, np.arange(n))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -185,7 +202,7 @@ def listed_rows_counted(queries, pool, count, ends, lists):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(density, "_listed_rows", spy)
-        got = density._nearest_rows(queries, pool, count, None, ends, lists)
+        got = collected(queries, pool, count, ends, lists)
     return got, len(queries) - sum(proven)
 
 
@@ -448,16 +465,19 @@ def kernel_budget(per_block, n, count, dim):
 def test_kernel_blocks_match_oracle(
     kind, dim, n, offset, self_excluded, count_fraction, per_block, seed
 ):
-    """Small blocks, a partial last one, and the KDE reduced block by block."""
+    """Small blocks, a partial last one, and the KDE reduced block by block.
+
+    Self-excluded queries are pool rows, so they are read from every row's
+    list at those rows; the KDE reduces the search's own blocks."""
     rng = np.random.default_rng(seed)
     pool = make_pool(kind, n, dim, offset, rng)
     if self_excluded:
-        exclude = rng.integers(0, n, QUERIES)
-        queries = pool[exclude]
+        rows = rng.integers(0, n, QUERIES)
+        queries = pool[rows]
         count = 1 + int(count_fraction * (n - 2))  # 1 .. n - 1
     else:
         a, b = rng.integers(0, n, QUERIES), rng.integers(0, n, QUERIES)
-        queries, exclude = pool[a] + 0.5 * (pool[b] - pool[a]), None
+        queries = pool[a] + 0.5 * (pool[b] - pool[a])
         count = 1 + int(count_fraction * (n - 1))  # 1 .. n
 
     with pytest.MonkeyPatch.context() as patch:
@@ -465,11 +485,17 @@ def test_kernel_blocks_match_oracle(
         patch.setattr(
             density, "_CHUNK_ELEMENTS", kernel_budget(per_block, n, count, dim)
         )
-        got_idx, got_d2 = _nearest_rows(queries, pool, count, exclude)
-        # KDE blocks of per_block queries: (rows, distances) fill the budget.
-        patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * count)
+        if self_excluded:
+            got_idx, got_d2 = (part[rows] for part in density._row_lists(pool, count))
+        else:
+            got_idx, got_d2 = collected(queries, pool, count)
         kde = batch_normalized_density(queries, pool, count, 0.5)
-    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
+    if self_excluded:
+        want_idx, want_d2 = (
+            part[rows] for part in nearest_rows_oracle(pool, pool, count, np.arange(n))
+        )
+    else:
+        want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
     _, support_d2 = nearest_rows_oracle(queries, pool, count)
@@ -509,8 +535,7 @@ def test_list_proof_blocks_match_oracle(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(density, "_MIN_SCREEN_BLOCK", 1)
         patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * width * (dim + 4))
-        got_idx, got_d2 = _nearest_rows(queries, pool, count, None, ends, lists)
-        patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * count)
+        got_idx, got_d2 = collected(queries, pool, count, ends, lists)
         kde = density._kernel_means(queries, pool, count, 0.5, ends, lists)
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got_idx, want_idx)
@@ -543,6 +568,39 @@ def test_path_kde_is_the_same_with_and_without_lists(kind, offset):
     listed = density._kernel_means(points, pool, count, 0.5, ends, lists)
     assert np.array_equal(plain, listed)
     assert 0 < fallen < len(points)
+
+
+def test_the_kde_runs_one_search_per_pool(monkeypatch):
+    """One ``_kernel_means`` call is one ``_nearest_rows`` search, however
+    many blocks the budget makes, so the pool is lifted once: every
+    whole-pool screen reads the same lifted array."""
+    rng = np.random.default_rng(3)
+    n, count = 200, 5  # few enough rows that the search skips the slabs
+    pool = make_pool("normal", n, 2, 0.0, rng)
+    a, b = rng.integers(0, n, 400), rng.integers(0, n, 400)
+    queries = pool[a] + 0.5 * (pool[b] - pool[a])
+    # The supports of 100 queries fill this budget: four KDE blocks, had
+    # the KDE cut its queries into blocks of its own.
+    monkeypatch.setattr(density, "_CHUNK_ELEMENTS", 100 * 2 * count)
+    searches, lifted = [], []
+    nearest_rows, screen = density._nearest_rows, density._screen
+
+    def search_spy(queries, *rest):
+        searches.append(len(queries))
+        return nearest_rows(queries, *rest)
+
+    def screen_spy(q, pool, columns, rows, *rest):
+        if rows is None:
+            lifted.append(columns)  # kept alive, so no id is reused
+        return screen(q, pool, columns, rows, *rest)
+
+    monkeypatch.setattr(density, "_nearest_rows", search_spy)
+    monkeypatch.setattr(density, "_screen", screen_spy)
+    got = density._kernel_means(queries, pool, count, 0.5)
+    _, want_d2 = nearest_rows_oracle(queries, pool, count)
+    assert np.max(np.abs(got - np.mean(np.exp(-want_d2 / 0.5), axis=1))) <= 1e-12
+    assert searches == [len(queries)]
+    assert len(lifted) > 1 and all(columns is lifted[0] for columns in lifted)
 
 
 def test_kde_memory_stays_within_the_block_budget(monkeypatch):
@@ -711,15 +769,15 @@ def test_slabs_match_oracle(
     pool = make_pool(kind, n, dim, offset, rng) * scale
     if self_excluded:
         queries, exclude = pool, np.arange(n)
+        call, args = density._row_lists, (pool, count)
     else:
         a, b = rng.integers(0, n, 100), rng.integers(0, n, 100)
         queries, exclude = pool[a] + 0.5 * (pool[b] - pool[a]), None
+        call, args = collected, (queries, pool, count)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(density, "_FIRST_SLAB", first_slab)
-        (got_idx, got_d2), slabs, _ = screens_counted(
-            _nearest_rows, queries, pool, count, exclude
-        )
+        (got_idx, got_d2), slabs, _ = screens_counted(call, *args)
         kde, _, _ = screens_counted(batch_normalized_density, queries, pool, count, 0.5)
     with np.errstate(over="ignore"):
         want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
@@ -727,43 +785,11 @@ def test_slabs_match_oracle(
         want_kde = np.mean(np.exp(-support_d2 / 0.5), axis=1)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
-    # An excluded row's search keeps one more row and drops it.
+    # A row's list is searched one row longer, and drops one.
     searched = count + 1 if self_excluded else count
     if 2 * first_slab * (searched + density._SCREEN_MARGIN) < n:
         assert slabs
     assert np.max(np.abs(kde - want_kde)) <= 1e-12
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    kind=st.sampled_from(KINDS),
-    dim=st.sampled_from([1, 2, 3, 32]),
-    n=st.integers(2, 400),
-    count_fraction=st.floats(0.0, 1.0),
-    first_slab=st.sampled_from([1, 8]),
-    seed=st.integers(0, 2**32 - 1),
-)
-# Tied distances at the cut, the excluded row among them or not.
-@example(kind="integer_grid", dim=2, n=400, count_fraction=0.01, first_slab=1, seed=0)
-@example(kind="duplicated", dim=1, n=300, count_fraction=0.02, first_slab=1, seed=1)
-@example(kind="duplicated", dim=3, n=60, count_fraction=0.5, first_slab=8, seed=2)
-def test_any_excluded_row_matches_oracle(kind, dim, n, count_fraction, first_slab, seed):
-    """The excluded row need not be the query's own: midpoint queries, each
-    excluding one of its two ends or a random row, against the oracle."""
-    rng = np.random.default_rng(seed)
-    pool = make_pool(kind, n, dim, 0.0, rng)
-    a, b = rng.integers(0, n, 100), rng.integers(0, n, 100)
-    queries = pool[a] + 0.5 * (pool[b] - pool[a])
-    exclude = np.where(rng.random(100) < 0.5, a, rng.integers(0, n, 100))
-    count = 1 + int(count_fraction * (n - 2))  # 1 .. n - 1
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(density, "_FIRST_SLAB", first_slab)
-        (got_idx, got_d2), _, _ = screens_counted(
-            _nearest_rows, queries, pool, count, exclude
-        )
-    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
-    assert np.array_equal(got_idx, want_idx)
-    assert np.array_equal(got_d2, want_d2)
 
 
 @pytest.mark.parametrize("dim, widened", [(2, True), (1, False)])
@@ -785,7 +811,7 @@ def test_large_pools_widen_the_first_slab_above_d1(monkeypatch, dim, widened):
         return screen(q, pool, lifted, rows, *rest)
 
     monkeypatch.setattr(density, "_screen", spy)
-    got_idx, got_d2 = _nearest_rows(pool, pool, count)
+    got_idx, got_d2 = collected(pool, pool, count)
     want_idx, want_d2 = nearest_rows_oracle(pool, pool, count)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
@@ -820,7 +846,7 @@ def test_unprovable_slab_cuts_take_the_exact_fallback_once(
     n = 1000
     pool = make_pool(kind, n, dim, offset, rng) * scale
     monkeypatch.setattr(density, "_FIRST_SLAB", first_slab)
-    got, slabs, _, ranked = rankings_counted(_nearest_rows, pool, pool, 5, np.arange(n))
+    got, slabs, _, ranked = rankings_counted(density._row_lists, pool, 5)
     with np.errstate(over="ignore"):
         want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
     assert np.array_equal(got[0], want[0])
@@ -869,7 +895,7 @@ def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
 
     monkeypatch.setattr(density, "_listed_rows", list_spy)
     got, slabs, whole, ranked = rankings_counted(
-        _nearest_rows, queries, pool, count, None, ends, lists
+        collected, queries, pool, count, ends, lists
     )
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got[0], want_idx)
@@ -898,9 +924,7 @@ def test_high_d_leaves_the_slabs_after_one_block():
     means = np.eye(32)[:4] * 3.0
     data = gen_gaussian_blobs(means, 1.0, 300, 1, seed=2).features.data
     queries = data[::2]
-    (got_idx, got_d2), slabs, whole = screens_counted(
-        _nearest_rows, queries, data, 6
-    )
+    (got_idx, got_d2), slabs, whole = screens_counted(collected, queries, data, 6)
     want_idx, want_d2 = nearest_rows_oracle(queries, data, 6)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
@@ -915,7 +939,7 @@ def test_high_d_leaves_the_slabs_after_one_block():
 def test_small_pools_skip_the_slabs():
     rng = np.random.default_rng(3)
     pool = rng.normal(size=(2 * density._FIRST_SLAB * (5 + density._SCREEN_MARGIN), 2))
-    got, slabs, whole = screens_counted(_nearest_rows, pool, pool, 5, np.arange(len(pool)))
+    got, slabs, whole = screens_counted(density._row_lists, pool, 5)
     want = nearest_rows_oracle(pool, pool, 5, np.arange(len(pool)))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -1016,10 +1040,12 @@ def test_grouped_screens_match_oracle(
     pool = make_pool(kind, n, dim, offset, rng)
     if self_excluded:
         queries, exclude = pool, np.arange(n)
+        call, args = density._row_lists, (pool, count)
     else:
         a, b = rng.integers(0, n, 100), rng.integers(0, n, 100)
         queries, exclude = pool[a] + 0.5 * (pool[b] - pool[a]), None
-    # An excluded row's search keeps one more row and drops it.
+        call, args = collected, (queries, pool, count)
+    # A row's list is searched one row longer, and drops one.
     k = count + int(self_excluded) + density._SCREEN_MARGIN + 1
     widths = []
     smallest = density._smallest
@@ -1032,9 +1058,7 @@ def test_grouped_screens_match_oracle(
         patch.setattr(density, "_MIN_GROUP", 1)
         patch.setattr(density, "_GROUP_SCALE", size * (1 + 1e-9) / np.sqrt(n / k))
         patch.setattr(density, "_smallest", spy)
-        (got_idx, got_d2), _, _ = screens_counted(
-            _nearest_rows, queries, pool, count, exclude
-        )
+        (got_idx, got_d2), _, _ = screens_counted(call, *args)
         if n in widths:
             assert grouped_screen(n, k) == (n // size >= k)
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
@@ -1062,7 +1086,7 @@ def test_grouped_cuts_take_the_exact_fallback(monkeypatch, kind, offset, scale, 
     pool = make_pool(kind, n, 32, offset, rng) * scale
     monkeypatch.setattr(density, "_MIN_GROUP", 1)
     assert grouped_screen(n, 5 + 1 + density._SCREEN_MARGIN + 1)
-    got, _, _, ranked = rankings_counted(_nearest_rows, pool, pool, 5, np.arange(n))
+    got, _, _, ranked = rankings_counted(density._row_lists, pool, 5)
     with np.errstate(over="ignore"):
         want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
     assert np.array_equal(got[0], want[0])
