@@ -538,8 +538,9 @@ def run_label_job(
     ``config_values`` (any subset of PmlpConfig fields) is layered over
     data-derived defaults: neighbor_count = ceil(1.5 * classes) capped at
     n_rows - 1, and kde_support_n = PmlpConfig's default (45) capped at
-    n_rows. The output directory is made first, and the truth file is read
-    and checked before propagation starts.
+    n_rows. An input of one row is a DataError, as it leaves no row a
+    neighbour. The output directory is made first, and the truth file is
+    read and checked before propagation starts.
 
     The pseudo-label CSV has one row per input row: the argmax class (-1
     where no label reached the row: all its scores are zero), the
@@ -549,6 +550,8 @@ def run_label_job(
     """
     os.makedirs(out_dir, exist_ok=True)
     features, assignments = ingest_features(input_path, fmt)
+    if features.n_rows < 2:
+        raise DataError("%d data row: labelling needs at least 2" % features.n_rows)
     truth = None if truth_path is None else _read_truth(truth_path, features.n_rows)
     classes = count_classes(assignments) if n_classes is None else n_classes
     if classes < 2:

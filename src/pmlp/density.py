@@ -11,9 +11,11 @@ Nearest rows, for KDE supports here and for kNN edges in ``graph``, come
 from one exact search, ``_nearest_rows``, in rounds over the queries still
 unproven: a path point's endpoint lists (below), then slabs of the pool
 sorted on its widest coordinate, four times wider each round, then the
-whole pool. A screen takes a block of queries through one GEMM against
-the pool centred on its mean and stored as [-2 x; ||x||^2], in float32
-unless the centred squares would leave its normal range, which ranks the
+whole pool, the last slab. The search sorts the pool once, centres it on
+its mean and stores it in that order as [-2 x; ||x||^2], in float32
+unless the centred squares would leave its normal range. Every screen, a
+slab or the whole pool, reads a run of those columns without a copy and
+takes a block of queries through one GEMM against it, which ranks the
 rows as their distances do up to a rounding the proof bounds. It keeps
 candidates, then ranks them on float64 direct-difference distances of
 the raw rows with ties toward the lower row index (``_rank``). The
@@ -145,13 +147,16 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
 
     The search runs in rounds over the queries still unproven: the
     endpoint lists (``_listed_rows``), then slabs of the pool, then the
-    whole pool, each screened by ``_screen``. For the slabs the pool is
-    sorted once along its widest coordinate a (largest max - min), by a
-    stable argsort, and the queries are taken in that key order. A block
-    of queries is screened against the pool rows within ``width`` sorted
-    positions of the block's key range, ``width`` starting at
-    ``_FIRST_SLAB`` times the screen's candidates, widened as sqrt(rows)
-    on large pools at d >= 2 (``_SLAB_ROWS``). A row x outside the slab
+    whole pool, each screened by ``_screen``. Before the first screen the
+    pool is sorted once along its widest coordinate a (largest max - min),
+    by a stable argsort, small pools included, and lifted in that order:
+    every screen reads the columns a:b of that one array, a view, with
+    rows ``order[a:b]``; the whole pool is the run 0:n. The slab rounds
+    take the queries in key order. A block of queries is screened against
+    the pool rows within ``width`` sorted positions of the block's key
+    range, ``width`` starting at ``_FIRST_SLAB`` times the screen's
+    candidates, widened as sqrt(rows) on large pools at d >= 2
+    (``_SLAB_ROWS``). A row x outside the slab
     has its key at or beyond g, the first key outside the slab on its
     side, so ||q - x|| >= |q_a - x_a| >= G = |q_a - g|, the query's key
     gap. A query is accepted when the screen proves its cut within the
@@ -167,16 +172,16 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
     accepted go round again with ``width`` four times larger, until
     2 ``width`` reaches the pool size. The whole pool is the last slab,
     where the gap is infinite and the screen proves every query it is
-    given (``_screen``). Pools of at most 2 ``width`` rows skip the slabs
-    before any sort.
+    given (``_screen``). Pools of at most 2 ``width`` rows skip the slabs,
+    not the sort.
 
     Where distances concentrate (high d) the lists and the key gaps prove
     little, so the list and slab rounds probe, by the stop rule of the
     block loop (``search``): a stopped round hands the queries it leaves to
     the next stage, the slabs or the whole pool. The rule decides once per
     search, over all of its queries. The whole pool takes its queries in
-    row order, a run of consecutive ones without a copy. The rounds change
-    the time, never the result.
+    blocks in ascending row order. The rounds change the time, never the
+    result.
     """
     n, dim = pool.shape
     keep = count + _SCREEN_MARGIN
@@ -184,12 +189,6 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
     # queries to a screen that keeps every column.
     with np.errstate(over="ignore", invalid="ignore"):
         radius = np.sqrt(np.einsum("ij,ij->i", pool, pool).max())
-
-    def take(rows):
-        """Queries ``rows``, ascending: a view when they are consecutive."""
-        if rows.size and rows[-1] - rows[0] == rows.size - 1:
-            return queries[rows[0] : rows[-1] + 1]
-        return queries[rows]
 
     def search(pending, fit, prove, least):
         """Prove ``pending`` in blocks, yielding each proven block; returns
@@ -221,17 +220,23 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         block = max(1, _CHUNK_ELEMENTS // (4 * (lists[0].shape[1] + 1) * (dim + 4)))
 
         def listed(rows):
-            return _listed_rows(take(rows), pool, count, ends[rows], lists, radius)
+            return _listed_rows(queries[rows], pool, count, ends[rows], lists, radius)
 
         pending = (yield from search(pending, lambda rest: block, listed, 1))[0]
     if pending.size:
-        # The screen's rows, centred on the pool mean (on zero where it
-        # overflows), in float32 unless their squares would leave its
-        # normal range (``_screen``).
+        # The pool sorted once on its widest coordinate a (largest max - min)
+        # and lifted in that order: every screen reads a run of it. Its rows
+        # are centred on the pool mean (on zero where it overflows), in
+        # float32 unless their squares would leave its normal range
+        # (``_screen``).
         with np.errstate(over="ignore", invalid="ignore"):
+            axis = np.argmax(np.ptp(pool, axis=0))
+            order = np.argsort(pool[:, axis], kind="stable")
+            keys = pool[order, axis]
             centre = pool.mean(axis=0)
             centre[~np.isfinite(centre)] = 0.0
-            centred = pool - centre
+            centred = pool[order]
+            centred -= centre
             norms = np.einsum("ij,ij->i", centred, centred)
         single, radius2 = np.finfo(np.float32), norms.max()
         normal = single.tiny / single.eps <= radius2 <= single.max / 16
@@ -246,13 +251,12 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + keep * dim))
         buffer = np.empty(min(block, pending.size) * n, kind)
 
-        def screen(q, a=None, b=None):
-            """``_screen`` of queries ``q`` against the sorted pool rows a:b,
-            or with no a against the whole pool in row order."""
-            slab = None if a is None else order[a:b]
-            columns = lifted if a is None else np.take(lifted, slab, axis=1)
-            out = buffer[: q.shape[0] * columns.shape[1]].reshape(q.shape[0], -1)
-            return _screen(q, pool, columns, slab, centre, np.sqrt(radius2), count, out)
+        def screen(q, a, b):
+            """``_screen`` of queries ``q`` against the sorted pool rows a:b."""
+            out = buffer[: q.shape[0] * (b - a)].reshape(q.shape[0], -1)
+            return _screen(
+                q, pool, lifted[:, a:b], order[a:b], centre, np.sqrt(radius2), count, out
+            )
 
         def slab_size(rest):
             """How many of ``rest`` fit the budget and the buffer with the
@@ -283,10 +287,6 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         if dim > 1 and n > _SLAB_ROWS * keep:
             width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
         if 2 * width < n:
-            with np.errstate(over="ignore", invalid="ignore"):
-                axis = np.argmax(np.ptp(pool, axis=0))
-            order = np.argsort(pool[:, axis], kind="stable")
-            keys = pool[order, axis]
             slack = 2 * (dim + 4) * np.finfo(float).eps
             tiny = np.finfo(float).tiny
             pending = pending[np.argsort(queries[pending, axis], kind="stable")]
@@ -298,13 +298,13 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
             pending = np.sort(pending)
         for start in range(0, pending.size, block):
             rows = pending[start : start + block]
-            yield (rows, *screen(take(rows)))
+            yield (rows, *screen(queries[rows], 0, n))
 
 
 def _screen(q, pool, lifted, rows, centre, radius, count, out):
     """Rank a block of queries among the pool rows ``rows`` behind ``lifted``.
 
-    ``lifted`` holds the pool rows ``rows`` (None: every row, in order),
+    ``lifted`` holds the pool rows ``rows``, a run of the key-sorted pool,
     less ``centre``, as A = [-2 x; ||x||^2], (dim + 1) x columns, in the
     screen's dtype, and ``out`` takes the screen; ``radius`` is R, the
     largest centred pool norm. One GEMM, [q, 1] A, with q centred too,
@@ -376,12 +376,11 @@ def _screen(q, pool, lifted, rows, centre, radius, count, out):
                 part, kept = _smallest(rest, keep + 1)
                 last = np.partition(kept[:, :keep], count - 1, axis=1)[:, count - 1]
                 ok = kept[:, keep] - last > bound[todo]
-            candidates = part[ok, :keep] if rows is None else rows[part[ok, :keep]]
+            candidates = rows[part[ok, :keep]]
             del rest, part, kept  # before _rank allocates
         else:  # every column
             ok = np.ones(todo.size, dtype=bool)
-            every = np.arange(width) if rows is None else rows
-            candidates = np.broadcast_to(every, (todo.size, width))
+            candidates = np.broadcast_to(rows, (todo.size, width))
         done, todo = todo[ok], todo[~ok]
         step = max(1, _CHUNK_ELEMENTS // (candidates.shape[1] * max(dim + 2, 8)))
         for start in range(0, done.size, step):
@@ -578,14 +577,20 @@ def _listed_rows(queries, pool, count, ends, lists, radius):
     epsilon (r_m(a) + r_m(b) + 2 L) + epsilon^2. Moving q* to q lowers
     ||q - x||^2 by at most 2 delta sqrt(S), with S <= max r_m(e)^2, and
     x's computed distance is at least (1 - (dim + 2) u) times the exact
-    one. Since 2 delta r <= 4 u ((||q|| + R)^2 + r^2), every error is a
-    few (dim + 4) eps times E = r_m(a)^2 + r_m(b)^2 + L^2 + (||q|| +
-    R)^2. Its absolute term, (||q|| + R)^2, is the point's own rounding,
-    which scales with the coordinates, not with the distances. Near
-    underflow a squared distance is off by up to the smallest normal
-    number, and its root by up to sqrt(tiny), which adds at most
-    eps E + tiny / eps. The test d_n + 64 (dim + 4) eps E + tiny / eps < S
-    leaves a wide margin for all of these and for its own roundings.
+    one. With P = ||q|| + R, the point's own rounding stays a product:
+    delta <= 4 u P and sqrt(S) <= r_m(a) + r_m(b), so 2 delta sqrt(S) <=
+    4 eps P (r_m(a) + r_m(b)); delta (r_m(a) + r_m(b) + 2 L) <= 4 eps P
+    (r_m(a) + r_m(b) + L); and epsilon^2 <= 2 delta^2 + 2 ((dim + 3) u
+    L)^2, whose first term is at most 8 eps^2 P^2. The rest, (dim + 3) u
+    L (r_m(a) + r_m(b) + 2 L), is at most (dim + 3) u (r_m(a)^2 + r_m(b)^2
+    + 3 L^2) by AM-GM. So every error is a few (dim + 4) eps times E =
+    r_m(a)^2 + r_m(b)^2 + L^2 + P (r_m(a) + r_m(b) + L + eps P): the
+    coordinates' scale P enters only times a distance, or times eps P, so
+    an offset of 1e6 adds about eps 1e6 r, not eps 1e12. Near underflow a
+    squared distance is off by up to the smallest normal number, and its
+    root by up to sqrt(tiny), which adds at most eps E + tiny / eps. The
+    test d_n + 64 (dim + 4) eps E + tiny / eps < S leaves a wide margin
+    for all of these and for its own roundings.
 
     ``radius`` is R. Returns the queries so proven and their (indices,
     squared distances), as ``_rank`` ranks them; ``_nearest_rows`` ranks
@@ -620,7 +625,8 @@ def _listed_rows(queries, pool, count, ends, lists, radius):
             r2a, r2b = reach2.T
             floor = (beta / total) * r2a + (alpha / total) * r2b - alpha * beta
             scale = np.sqrt(np.einsum("ij,ij->i", queries, queries)) + radius
-            error = r2a + r2b + total * total + scale * scale
+            spread = np.sqrt(r2a) + np.sqrt(r2b) + total + eps * scale
+            error = r2a + r2b + total * total + scale * spread
             error *= 64 * (dim + 4) * eps
             stewart = last + error + tiny / eps < floor
             proven &= triangle | stewart

@@ -566,6 +566,18 @@ class TestExitCodes:
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["error"]["code"] == "data"
 
+    def test_one_row_is_a_data_error(self, tmp_path):
+        # With one row the derived neighbor_count, min(ceil(1.5 classes),
+        # N - 1), is 0: the input is at fault, not a flag.
+        data = write(tmp_path / "d.csv", "f_0,f_1,label\n0.5,0.5,0\n")
+        out = tmp_path / "out"
+        code = main(["label", "--input", data, "--out-dir", str(out),
+                     "--n-classes", "2"])
+        assert code == 2
+        error = json.loads((out / "metrics.json").read_text())["error"]
+        assert error == {"code": "data",
+                         "message": "1 data row: labelling needs at least 2"}
+
     def test_overflowing_path_points_are_a_data_error_with_warnings_as_errors(
         self, tmp_path
     ):

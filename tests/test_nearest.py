@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmlp import density
-from pmlp.core import PmlpConfig
+from pmlp.core import FeatureMatrix, PmlpConfig
 from pmlp.density import batch_normalized_density
 from pmlp.graph import knn_edges, neighbor_lists
 from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
@@ -396,8 +396,12 @@ def kde_queries(features, count):
     return data[pairs[:, 0]] + 0.5 * (data[pairs[:, 1]] - data[pairs[:, 0]]), pairs
 
 
-def test_low_d_midpoints_are_proven_from_the_lists():
-    features = gen_two_moons(n=1000, noise=0.1, labeled_per_class=2, seed=1).features
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_low_d_midpoints_are_proven_from_the_lists(offset):
+    """At an offset of 1e6 the midpoints' rounding grows with the
+    coordinates, and Stewart's slack must still prove them."""
+    moons = gen_two_moons(n=1000, noise=0.1, labeled_per_class=2, seed=1).features
+    features = FeatureMatrix(moons.data + offset)
     queries, pairs = kde_queries(features, 5)
     lists = neighbor_lists(features, PmlpConfig(kde_support_n=15, neighbor_count=5))
     assert lists[0].shape == (1000, density._list_length(15, 1000))
@@ -573,7 +577,7 @@ def test_path_kde_is_the_same_with_and_without_lists(kind, offset):
 def test_the_kde_runs_one_search_per_pool(monkeypatch):
     """One ``_kernel_means`` call is one ``_nearest_rows`` search, however
     many blocks the budget makes, so the pool is lifted once: every
-    whole-pool screen reads the same lifted array."""
+    whole-pool screen reads a view of the same lifted array."""
     rng = np.random.default_rng(3)
     n, count = 200, 5  # few enough rows that the search skips the slabs
     pool = make_pool("normal", n, 2, 0.0, rng)
@@ -590,7 +594,7 @@ def test_the_kde_runs_one_search_per_pool(monkeypatch):
         return nearest_rows(queries, *rest)
 
     def screen_spy(q, pool, columns, rows, *rest):
-        if rows is None:
+        if columns.shape[1] == n:
             lifted.append(columns)  # kept alive, so no id is reused
         return screen(q, pool, columns, rows, *rest)
 
@@ -600,7 +604,8 @@ def test_the_kde_runs_one_search_per_pool(monkeypatch):
     _, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.max(np.abs(got - np.mean(np.exp(-want_d2 / 0.5), axis=1))) <= 1e-12
     assert searches == [len(queries)]
-    assert len(lifted) > 1 and all(columns is lifted[0] for columns in lifted)
+    assert len(lifted) > 1 and lifted[0].base is not None
+    assert all(columns.base is lifted[0].base for columns in lifted)
 
 
 def test_kde_memory_stays_within_the_block_budget(monkeypatch):
@@ -672,14 +677,15 @@ def test_widened_screens_stay_within_the_block_budget(monkeypatch):
 def screens_counted(call, *args):
     """``call(*args)``, and the queries ``_screen`` saw: (slab, whole pool).
 
-    Each entry is one block's queries; a slab block gets its pool rows.
-    Library RuntimeWarnings are errors here.
+    Each entry is one block's queries. A whole-pool screen reads a column
+    for every pool row; a slab screen, fewer. Library RuntimeWarnings are
+    errors here.
     """
     slabs, whole = [], []
     screen = density._screen
 
     def spy(q, pool, lifted, rows, *rest):
-        (whole if rows is None else slabs).append(q)
+        (whole if lifted.shape[1] == pool.shape[0] else slabs).append(q)
         return screen(q, pool, lifted, rows, *rest)
 
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
@@ -777,7 +783,7 @@ def test_slabs_match_oracle(
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(density, "_FIRST_SLAB", first_slab)
-        (got_idx, got_d2), slabs, _ = screens_counted(call, *args)
+        (got_idx, got_d2), slabs, whole = screens_counted(call, *args)
         kde, _, _ = screens_counted(batch_normalized_density, queries, pool, count, 0.5)
     with np.errstate(over="ignore"):
         want_idx, want_d2 = nearest_rows_oracle(queries, pool, count, exclude)
@@ -785,10 +791,14 @@ def test_slabs_match_oracle(
         want_kde = np.mean(np.exp(-support_d2 / 0.5), axis=1)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
-    # A row's list is searched one row longer, and drops one.
+    # A row's list is searched one row longer, and drops one. The slab
+    # round takes the queries in key order; a slab that spans the pool, as
+    # on tied keys or one block of all the queries, is a whole-pool screen.
     searched = count + 1 if self_excluded else count
     if 2 * first_slab * (searched + density._SCREEN_MARGIN) < n:
-        assert slabs
+        with np.errstate(over="ignore", invalid="ignore"):
+            axis = np.argmax(np.ptp(pool, axis=0))
+        assert slabs or np.all(np.diff(whole[0][:, axis]) >= 0)
     assert np.max(np.abs(kde - want_kde)) <= 1e-12
 
 
@@ -805,10 +815,9 @@ def test_large_pools_widen_the_first_slab_above_d1(monkeypatch, dim, widened):
     blocks = []
     screen = density._screen
 
-    def spy(q, pool, lifted, rows, *rest):
-        if rows is not None:
-            blocks.append((q.shape[0], lifted.shape[1]))
-        return screen(q, pool, lifted, rows, *rest)
+    def spy(q, pool, lifted, *rest):
+        blocks.append((q.shape[0], lifted.shape[1]))
+        return screen(q, pool, lifted, *rest)
 
     monkeypatch.setattr(density, "_screen", spy)
     got_idx, got_d2 = collected(pool, pool, count)
@@ -846,12 +855,15 @@ def test_unprovable_slab_cuts_take_the_exact_fallback_once(
     n = 1000
     pool = make_pool(kind, n, dim, offset, rng) * scale
     monkeypatch.setattr(density, "_FIRST_SLAB", first_slab)
-    got, slabs, _, ranked = rankings_counted(density._row_lists, pool, 5)
+    got, slabs, whole, ranked = rankings_counted(density._row_lists, pool, 5)
     with np.errstate(over="ignore"):
         want = nearest_rows_oracle(pool, pool, 5, np.arange(n))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    assert slabs
+    if kind == "identical":  # every key ties: each slab spans the pool
+        assert not slabs and sum(len(q) for q in whole) == n
+    else:
+        assert slabs
     assert widened(ranked, 5 + 1 + density._SCREEN_MARGIN) == fallback
     fallen = over_every_row(ranked, n)
     # Ranked over every row: all of an identical pool, whose slabs span it;
@@ -875,7 +887,7 @@ def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
     and no screen proves a cut before it keeps every column. Every key
     ties too, so each slab spans the pool: the slab round ranks each point
     over every row, once, its infinite key gap proves it, and the
-    whole-pool screen is left nothing.
+    whole-pool round is left nothing: each point is screened once.
     """
     rng = np.random.default_rng(7)
     n, count = 1000, 5
@@ -901,13 +913,21 @@ def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
     assert np.array_equal(got[0], want_idx)
     assert np.array_equal(got[1], want_d2)
     assert listed and not any(listed)
-    assert slabs and not whole
+    assert not slabs and sum(len(q) for q in whole) == len(queries)
     assert widened(ranked, count + density._SCREEN_MARGIN) == "all"
     assert len(over_every_row(ranked, n)) == len(queries)
 
 
-def test_low_d_lists_are_proven_in_slabs():
+def test_low_d_lists_are_proven_in_slabs(monkeypatch):
     data = gen_two_moons(n=2000, noise=0.1, labeled_per_class=2, seed=4).features.data
+    columns = []
+    screen = density._screen
+
+    def spy(q, pool, lifted, *rest):
+        columns.append(lifted)
+        return screen(q, pool, lifted, *rest)
+
+    monkeypatch.setattr(density, "_screen", spy)
     (got_idx, got_d2), slabs, whole = screens_counted(
         density._row_lists, data, 5, 15
     )
@@ -918,6 +938,11 @@ def test_low_d_lists_are_proven_in_slabs():
     # Every row is screened in slabs, and none needs the whole pool.
     assert sum(q.shape[0] for q in slabs) >= 2000
     assert not whole
+    # One search lifts the pool once: each slab is a view of that array,
+    # not a copy of its columns.
+    lifted = columns[0].base
+    assert lifted is not None and lifted.shape[1] == len(data)
+    assert all(slab.base is lifted for slab in columns)
 
 
 def test_high_d_leaves_the_slabs_after_one_block():
@@ -929,11 +954,10 @@ def test_high_d_leaves_the_slabs_after_one_block():
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
     # Distances concentrate at d=32: the first slab block proves under
-    # half of its queries, so every query, in order and uncopied, is
-    # screened against the whole pool.
+    # half of its queries, so every query, in row order, is screened
+    # against the whole pool.
     assert len(slabs) == 1
     assert np.array_equal(np.concatenate(whole), queries)
-    assert all(np.shares_memory(q, queries) for q in whole)
 
 
 def test_small_pools_skip_the_slabs():
