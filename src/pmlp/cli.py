@@ -539,8 +539,9 @@ def run_label_job(
     data-derived defaults: neighbor_count = ceil(1.5 * classes) capped at
     n_rows - 1, and kde_support_n = PmlpConfig's default (45) capped at
     n_rows. An input of one row is a DataError, as it leaves no row a
-    neighbour. The output directory is made first, and the truth file is
-    read and checked before propagation starts.
+    neighbour, and so is a class count under 2, given (the message names
+    ``n_classes``) or inferred. The output directory is made first, and
+    the truth file is read and checked before propagation starts.
 
     The pseudo-label CSV has one row per input row: the argmax class (-1
     where no label reached the row: all its scores are zero), the
@@ -553,6 +554,8 @@ def run_label_job(
     if features.n_rows < 2:
         raise DataError("%d data row: labelling needs at least 2" % features.n_rows)
     truth = None if truth_path is None else _read_truth(truth_path, features.n_rows)
+    if n_classes is not None and n_classes < 2:
+        raise DataError("n_classes = %d: labelling needs at least 2" % n_classes)
     classes = count_classes(assignments) if n_classes is None else n_classes
     if classes < 2:
         raise DataError("could not infer >= 2 classes; pass n_classes")

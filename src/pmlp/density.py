@@ -8,34 +8,36 @@ Pairs whose segment crosses a low-density region end up with a small
 factor, which is what lets the propagation graph respect cluster shape.
 
 Nearest rows, for KDE supports here and for kNN edges in ``graph``, come
-from one exact search, ``_nearest_rows``, in rounds over the queries still
-unproven: a path point's endpoint lists (below), then slabs of the pool
-sorted on its widest coordinate, four times wider each round, then the
-whole pool, the last slab. The search sorts the pool once, centres it on
-its mean and stores it in that order as [-2 x; ||x||^2], in float32
-unless the centred squares would leave its normal range. Every screen, a
-slab or the whole pool, reads a run of those columns without a copy and
-takes a block of queries through one GEMM against it, which ranks the
-rows as their distances do up to a rounding the proof bounds. It keeps
-candidates, then ranks them on float64 direct-difference distances of
-the raw rows with ties toward the lower row index (``_rank``). The
-candidates hold each query's smallest screened values, found exactly
-from group minima (``_smallest``): a row's columns fall into strided
-groups, one pass takes every group's minimum, and only the groups with
-the smallest minima are partitioned, not every screened value. In a
-slab the key gap to the first row outside it proves the result. At low
-d that holds for nearly every query, so the pass stops being quadratic.
-By one stop rule, a list or slab round that proves under half of what
-it tries hands the rest to the next stage, as at high d. A screen keeps
-four times more candidates until it proves a cut, at most every column,
-where nothing is screened out: so the whole pool's screen proves every
-query, and the result never depends on rounds, BLAS rounding or threads.
-Blocks are sized by one element budget, ``_CHUNK_ELEMENTS`` (about 4 MB of
-float64; a screen block keeps at least ``_MIN_SCREEN_BLOCK`` queries). One
-search runs per pool and yields each block as a round proves it, and the
-KDE reduces the search's own blocks to their kernel means as they come, so
-the working set stays near one cache-sized block whatever the number of
-queries.
+from one exact search, ``_nearest_rows``: one block loop over the
+queries still unproven, in rounds. The first takes a path point's
+endpoint lists (below); then come slabs of the pool sorted on its widest
+coordinate, four times wider each round, up to the slab of all N rows,
+the whole pool, which takes its queries in row order, in full blocks
+with no probe, and proves every query, as no row lies outside it. The
+search sorts the pool once, centres it on its mean and stores it in that
+order as [-2 x; ||x||^2], in float32 unless the centred squares would
+leave its normal range. Every screen reads a run of those columns
+without a copy and takes a block of queries through one GEMM against
+it, which ranks the rows as their distances do up to a rounding the
+proof bounds. It keeps candidates, then ranks them on float64
+direct-difference distances of the raw rows with ties toward the lower
+row index (``_rank``). The candidates hold each query's smallest
+screened values, found exactly from group minima (``_smallest``): a
+row's columns fall into strided groups, one pass takes every group's
+minimum, and only the groups with the smallest minima are partitioned,
+not every screened value. In a narrower slab the key gap to the first
+row outside it proves the result. At low d that holds for nearly every
+query, so the pass stops being quadratic. By one stop rule, a list or
+slab round that proves under half of what it tries hands the rest to
+the next, as at high d. A screen keeps four times more candidates until
+it proves a cut, at most every column, where nothing is screened out:
+so every screen proves its cuts, and the result never depends on
+rounds, BLAS rounding or threads. Blocks are sized by one element
+budget, ``_CHUNK_ELEMENTS`` (about 4 MB of float64; a screen block keeps
+at least ``_MIN_SCREEN_BLOCK`` queries). One search runs per pool and
+yields each block as a round proves it, and the KDE reduces the
+search's own blocks to their kernel means as they come, so the working
+set stays near one cache-sized block whatever the number of queries.
 
 Nearest-row lists have one shape, every row's list: (indices, squared
 distances), each (N, m), row i holding i's m nearest other rows (the
@@ -137,73 +139,71 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
     Every query is yielded once, in no fixed order, so a caller keeps
     what it needs of a block before the next: ``_row_lists`` collects
     them, ``_kernel_means`` reduces each to its kernel means. Each block's
-    indices and distances are new arrays (``_listed_rows``, the slab round
-    and ``_screen`` each make their own), and no yielded array shares
-    memory the search reads again, so the caller may write into it. The
+    indices and distances are new arrays (``_listed_rows`` and ``_screen``
+    make them, and the key-gap test takes copies), and no yielded array
+    shares memory the search reads again, so the caller may write into it. The
     distance is ``np.sum((q - x) ** 2)`` over the differences, and ties go
     to the lower row index: the result equals a stable argsort of every
     direct distance. ``ends`` and ``lists``, if given, are the path
     points' as ``_listed_rows`` takes them.
 
-    The search runs in rounds over the queries still unproven: the
-    endpoint lists (``_listed_rows``), then slabs of the pool, then the
-    whole pool, each screened by ``_screen``. Before the first screen the
-    pool is sorted once along its widest coordinate a (largest max - min),
-    by a stable argsort, small pools included, and lifted in that order:
-    every screen reads the columns a:b of that one array, a view, with
-    rows ``order[a:b]``; the whole pool is the run 0:n. The slab rounds
-    take the queries in key order. A block of queries is screened against
-    the pool rows within ``width`` sorted positions of the block's key
-    range, ``width`` starting at ``_FIRST_SLAB`` times the screen's
-    candidates, widened as sqrt(rows) on large pools at d >= 2
-    (``_SLAB_ROWS``). A row x outside the slab
-    has its key at or beyond g, the first key outside the slab on its
-    side, so ||q - x|| >= |q_a - x_a| >= G = |q_a - g|, the query's key
-    gap. A query is accepted when the screen proves its cut within the
-    slab and its ``count``-th direct distance d_n, rounded up, is below its
-    key gap, rounded down: then every row outside the slab ranks after the
-    count, whatever its index. The slack is derived as ``_listed_rows``
-    derives its triangle bound's. The computed gap is one rounded
-    subtraction, at most G (1 + eps / 2), and x's computed squared
+    The search is one block loop (``search``) run in rounds over the
+    queries still unproven: the endpoint lists (``_listed_rows``), then
+    slabs of the pool, each screened by ``_screen``. Before the first
+    screen the pool is sorted once along its widest coordinate a (largest
+    max - min), by a stable argsort, small pools included, and lifted in
+    that order: every screen reads the columns a:b of that one array, a
+    view, with rows ``order[a:b]``. The slab rounds take the queries in
+    key order. A block of queries is screened against the pool rows
+    within ``width`` sorted positions of the block's key range, ``width``
+    starting at ``_FIRST_SLAB`` times the screen's candidates, widened as
+    sqrt(rows) on large pools at d >= 2 (``_SLAB_ROWS``). A row x outside
+    the slab has its key at or beyond g, the first key outside the slab on
+    its side, so ||q - x|| >= |q_a - x_a| >= G = |q_a - g|, the query's
+    key gap. A query is accepted when the screen proves its cut within
+    the slab and its ``count``-th direct distance d_n, rounded up, is
+    below its key gap, rounded down: then every row outside the slab ranks
+    after the count, whatever its index. The slack is derived as
+    ``_listed_rows`` derives its triangle bound's. The computed gap is one
+    rounded subtraction, at most G (1 + eps / 2), and x's computed squared
     distance is at least (1 - (dim + 2) eps / 2) G^2 less the smallest
     normal number; the test sqrt(d_n + tiny) (1 + s) < gap (1 - s), with
     s = 2 (dim + 4) eps, leaves room for all of these and its own few
     roundings, so x's computed distance exceeds d_n. The queries not
-    accepted go round again with ``width`` four times larger, until
-    2 ``width`` reaches the pool size. The whole pool is the last slab,
-    where the gap is infinite and the screen proves every query it is
-    given (``_screen``). Pools of at most 2 ``width`` rows skip the slabs,
-    not the sort.
+    accepted go round again with ``width`` four times larger. Once 2
+    ``width`` reaches the pool size N, the round is the slab of all N
+    rows, the run 0:n, the whole pool: its queries go back to row order,
+    in full blocks of max(``_MIN_SCREEN_BLOCK``, ``_CHUNK_ELEMENTS`` // (2
+    N + candidates dim)) with no probe block, and as no row lies outside
+    it, it proves every query its screen is given (``_screen`` proves
+    every cut). Pools of at most 2 ``width`` rows have this round alone.
 
     Where distances concentrate (high d) the lists and the key gaps prove
-    little, so the list and slab rounds probe, by the stop rule of the
-    block loop (``search``): a stopped round hands the queries it leaves to
-    the next stage, the slabs or the whole pool. The rule decides once per
-    search, over all of its queries. The whole pool takes its queries in
-    blocks in ascending row order. The rounds change the time, never the
-    result.
+    little, so the list round and the narrower slabs probe, by the stop
+    rule of the block loop: a stopped round hands the queries it leaves to
+    the next, the slabs or the whole pool. The rule decides once per
+    search, over all of its queries. The rounds change the time, never
+    the result.
     """
     n, dim = pool.shape
     keep = count + _SCREEN_MARGIN
-    # Overflow is left to the finiteness tests, which leave the affected
-    # queries to a screen that keeps every column.
-    with np.errstate(over="ignore", invalid="ignore"):
-        radius = np.sqrt(np.einsum("ij,ij->i", pool, pool).max())
 
-    def search(pending, fit, prove, least):
+    def search(pending, prove):
         """Prove ``pending`` in blocks, yielding each proven block; returns
         the rows left, and whether it stopped.
 
-        ``fit(rest)`` is how many of the rows ``rest`` fit one block, which
-        takes at least ``least``. The stop rule: the first block is an eighth
-        of the others, as it may prove nothing, and the round ends once under
-        half of the queries it has tried are proven; the rest go on.
+        ``prove(rest, probe)``, ``listed`` or ``slab``, takes a block from
+        the front of the rows ``rest``, the round's first if ``probe``,
+        and returns it, the positions in it proven, and their indices and
+        distances. The stop rule: a round's first block, the probe, is an
+        eighth of the others, as it may prove nothing, and the round ends
+        once under half of the queries it has tried are proven; the rest
+        go on. The whole pool takes no probe and proves every query, so
+        its round never stops.
         """
         left, start, proven = [], 0, 0
         while start < pending.size:
-            size = fit(pending[start:]) // (1 if start else 8)
-            rows = pending[start : start + max(least, size)]
-            done, idx, d2 = prove(rows)
+            rows, done, idx, d2 = prove(pending[start:], not start)
             yield rows[done], idx, d2
             left.append(np.delete(rows, done))
             start += rows.size
@@ -218,11 +218,18 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         # A block's candidate arrays fill at most half of the budget: the
         # heap may keep their pages when a screen is allocated after them.
         block = max(1, _CHUNK_ELEMENTS // (4 * (lists[0].shape[1] + 1) * (dim + 4)))
+        # Overflow is left to the finiteness tests, which leave the affected
+        # queries to a screen that keeps every column.
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = np.sqrt(np.einsum("ij,ij->i", pool, pool).max())
 
-        def listed(rows):
-            return _listed_rows(queries[rows], pool, count, ends[rows], lists, radius)
+        def listed(rest, probe):
+            rows = rest[: max(1, block // (8 if probe else 1))]
+            return rows, *_listed_rows(
+                queries[rows], pool, count, ends[rows], lists, radius
+            )
 
-        pending = (yield from search(pending, lambda rest: block, listed, 1))[0]
+        pending = (yield from search(pending, listed))[0]
     if pending.size:
         # The pool sorted once on its widest coordinate a (largest max - min)
         # and lifted in that order: every screen reads a run of it. Its rows
@@ -250,55 +257,48 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         # every block: a new one per block would cost its page faults each time.
         block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + keep * dim))
         buffer = np.empty(min(block, pending.size) * n, kind)
+        slack = 2 * (dim + 4) * np.finfo(float).eps
+        reach, tiny = np.sqrt(radius2), np.finfo(float).tiny
 
-        def screen(q, a, b):
-            """``_screen`` of queries ``q`` against the sorted pool rows a:b."""
-            out = buffer[: q.shape[0] * (b - a)].reshape(q.shape[0], -1)
-            return _screen(
-                q, pool, lifted[:, a:b], order[a:b], centre, np.sqrt(radius2), count, out
-            )
-
-        def slab_size(rest):
-            """How many of ``rest`` fit the budget and the buffer with the
-            slab they span, which holds at least ``width`` rows."""
+        def slab(rest, probe):
+            """Screen as many of ``rest`` as fit the budget and the buffer
+            with the slab they span, ``width`` rows either side of their
+            keys, and prove them by the key gap, or all of them where the
+            slab holds every row."""
             most = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * width + keep * dim))
             key = queries[rest[:most], axis]
             a = max(np.searchsorted(keys, key[0], "left") - width, 0)
             b = np.minimum(np.searchsorted(keys, key, "right") + width, n)
             size = np.arange(1, b.size + 1)
-            return np.count_nonzero(
+            fit = np.count_nonzero(
                 (size * (2 * (b - a) + keep * dim) <= _CHUNK_ELEMENTS)
                 & (size * (b - a) <= buffer.size)
             )
-
-        def slab(rows):
-            q = queries[rows]
-            a = max(np.searchsorted(keys, q[0, axis], "left") - width, 0)
-            b = min(np.searchsorted(keys, q[-1, axis], "right") + width, n)
-            idx, d2 = screen(q, a, b)
+            fit //= 8 if probe and width < n else 1
+            rows = rest[: max(_MIN_SCREEN_BLOCK, fit)]
+            q, b = queries[rows], b[rows.size - 1]
+            out = buffer[: rows.size * (b - a)].reshape(rows.size, -1)
+            idx, d2 = _screen(
+                q, pool, lifted[:, a:b], order[a:b], centre, reach, count, out
+            )
+            if b - a == n:  # no row lies outside a slab of every row
+                return rows, np.arange(rows.size), idx, d2
             with np.errstate(over="ignore", invalid="ignore"):
                 # The key gap to the first row outside the slab either side.
                 below = q[:, axis] - keys[a - 1] if a else np.inf
                 gap = np.minimum(below, keys[b] - q[:, axis] if b < n else np.inf)
                 far = np.sqrt(d2[:, -1] + tiny) * (1 + slack) < gap * (1 - slack)
-            return np.flatnonzero(far), idx[far], d2[far]
+            return rows, np.flatnonzero(far), idx[far], d2[far]
 
         width = _FIRST_SLAB * keep
         if dim > 1 and n > _SLAB_ROWS * keep:
             width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
-        if 2 * width < n:
-            slack = 2 * (dim + 4) * np.finfo(float).eps
-            tiny = np.finfo(float).tiny
-            pending = pending[np.argsort(queries[pending, axis], kind="stable")]
-            while pending.size and 2 * width < n:
-                pending, stopped = yield from search(
-                    pending, slab_size, slab, _MIN_SCREEN_BLOCK
-                )
-                width = n if stopped else 4 * width  # a stop ends the slabs
-            pending = np.sort(pending)
-        for start in range(0, pending.size, block):
-            rows = pending[start : start + block]
-            yield (rows, *screen(queries[rows], 0, n))
+        pending = pending[np.argsort(queries[pending, axis], kind="stable")]
+        while pending.size:
+            if 2 * width >= n:  # the whole pool, the last slab, in row order
+                width, pending = n, np.sort(pending)
+            pending, stopped = yield from search(pending, slab)
+            width = n if stopped else 4 * width  # a stop ends the slabs
 
 
 def _screen(q, pool, lifted, rows, centre, radius, count, out):

@@ -578,6 +578,21 @@ class TestExitCodes:
         assert error == {"code": "data",
                          "message": "1 data row: labelling needs at least 2"}
 
+    @pytest.mark.parametrize("classes", [1, 0, -3])
+    def test_too_few_given_classes_name_the_flag(self, tmp_path, classes):
+        # The flag was passed, so the message names it and its value
+        # rather than asking for it.
+        data, _ = generate_blobs(tmp_path)
+        out = tmp_path / "out"
+        code = main(["label", "--input", str(data), "--out-dir", str(out),
+                     "--n-classes", str(classes)])
+        assert code == 2
+        error = json.loads((out / "metrics.json").read_text())["error"]
+        assert error == {
+            "code": "data",
+            "message": "n_classes = %d: labelling needs at least 2" % classes,
+        }
+
     def test_overflowing_path_points_are_a_data_error_with_warnings_as_errors(
         self, tmp_path
     ):
@@ -937,9 +952,9 @@ JOB_FLAGS = {
 
 @st.composite
 def data_files(draw):
-    """(name, text, rows) of a small CSV or JSONL data file: rows of a few
-    features and labels of every kind, a few cells spoiled, maybe a header
-    and blank lines."""
+    """(name, text, rows, spoiled) of a small CSV or JSONL data file: rows
+    of a few features and labels of every kind, a few cells spoiled (then
+    ``spoiled`` is True), maybe a header and blank lines."""
     jsonl = draw(st.booleans())
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(0, 12))
@@ -951,8 +966,10 @@ def data_files(draw):
     if draw(st.booleans()):
         labels[:2] = [0, 1][: len(rows)]  # two classes, most likely
     # Mostly none, at most two: a feature cell or a label of another kind.
+    spoiled = False
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         at = draw(st.integers(0, 40))
+        spoiled |= bool(rows)
         if rows and draw(st.booleans()):
             cells[at % len(rows)][at % dim] = draw(st.sampled_from(FEATURE_CELLS))
         elif rows:
@@ -973,28 +990,38 @@ def data_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " "])))
     if not jsonl and draw(st.booleans()):
         lines.insert(0, ",".join(["f_%d" % i for i in range(dim)] + ["label"]))
-    return ("d.jsonl" if jsonl else "d.csv"), "\n".join(lines) + "\n", len(rows)
+    name = "d.jsonl" if jsonl else "d.csv"
+    return name, "\n".join(lines) + "\n", len(rows), spoiled
 
 
 @st.composite
 def cli_jobs(draw):
-    """(argv, files, record): a job's arguments, the files it reads as
-    {name: text}, and the file its error record goes to (None: generate,
-    which has no output directory). An argument "@name" is a path in a
-    fresh directory; "@out" is the job's output directory."""
+    """(argv, files, record, expected): a job's arguments, the files it
+    reads as {name: text}, the file its error record goes to (None:
+    generate, which has no output directory), and, for a job whose failure
+    is known whatever its flags, (exit code, messages), one of which its
+    record must hold; else None. An argument "@name" is a path in a fresh
+    directory; "@out" is the job's output directory.
+
+    The known failure: ``label`` on an unspoiled data file of fewer than 2
+    rows, with no config file or one that is a JSON object of known
+    fields, is a data error, as the rows are counted before any flag,
+    config value or truth line is checked."""
     job = draw(st.sampled_from(sorted(JOB_FLAGS)))
     flags = JOB_FLAGS[job]
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
     argv = []
     for flag in chosen:
         argv += [flag, str(draw(st.sampled_from(flags[flag])))]
-    files = {}
+    files, expected = {}, None
     if job == "generate":
         kind = [] if "--kind" in chosen else ["--kind", "two-moons"]
-        return ["generate", *kind, *argv, "--out", "@d.out"], files, None
+        return ["generate", *kind, *argv, "--out", "@d.out"], files, None, None
     if job == "label":
-        name, text, rows = draw(data_files())
+        name, text, rows, spoiled = draw(data_files())
         files[name] = text
+        if rows < 2 and not spoiled:
+            expected = (2, ("no data rows", "1 data row"))
         argv = ["label", "--input", "@" + name] + argv
         if draw(st.booleans()):
             rows = draw(st.sampled_from([rows, rows, rows, rows + 1, 0]))
@@ -1015,8 +1042,10 @@ def cli_jobs(draw):
             json.dumps(dict(config, unknown=1)), "[1]", "{",
         ]))
         argv += ["--config", "@config.json"]
+        if files["config.json"] != json.dumps(config):
+            expected = None
     record = "metrics.json" if job == "label" else "report.json"
-    return argv + ["--out-dir", "@out"], files, record
+    return argv + ["--out-dir", "@out"], files, record, expected
 
 
 class TestExitCodeProperty:
@@ -1025,12 +1054,20 @@ class TestExitCodeProperty:
     # A negative pair count reached numpy, whose ValueError escaped.
     @example(job=(
         ["harness", "density-ratio", "--pairs", "-1", "--out-dir", "@out"], {},
-        "report.json",
+        "report.json", None,
+    ))
+    # One data row and a config value that is itself out of range.
+    @example(job=(
+        ["label", "--input", "@d.csv", "--neighbor-count", "-1", "--config",
+         "@config.json", "--out-dir", "@out"],
+        {"d.csv": "0.5,1\n", "config.json": '{"alpha": 1.0}'},
+        "metrics.json", (2, ("no data rows", "1 data row")),
     ))
     def test_every_job_exits_0_to_3_with_an_error_record(self, job):
         """No exception escapes ``main``, which returns 0, 1, 2 or 3, and a
-        job that fails leaves the error record of its exit code."""
-        argv, files, record = job
+        job that fails leaves the error record of its exit code; a job of
+        known failure exits with its code and one of its messages."""
+        argv, files, record, expected = job
         with tempfile.TemporaryDirectory() as work:
             for name, text in files.items():
                 pathlib.Path(work, name).write_text(text, encoding="utf-8")
@@ -1039,10 +1076,14 @@ class TestExitCodeProperty:
                 warnings.simplefilter("error", RuntimeWarning)
                 code = main(argv)
             assert code in (0, 1, 2, 3)
+            if expected is not None:
+                assert code == expected[0]
             if code and record is not None:
                 text = pathlib.Path(work, "out", record).read_text()
                 error = json.loads(text)["error"]
                 assert error["code"] == {1: "config", 2: "data", 3: "numerical"}[code]
+                if expected is not None:
+                    assert any(m in error["message"] for m in expected[1])
 
 
 class TestHarnessJobs:

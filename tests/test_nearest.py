@@ -886,7 +886,7 @@ def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
     Every distance ties in an identical pool, so the lists prove no point
     and no screen proves a cut before it keeps every column. Every key
     ties too, so each slab spans the pool: the slab round ranks each point
-    over every row, once, its infinite key gap proves it, and the
+    over every row, once, a slab of every row proves it, and the
     whole-pool round is left nothing: each point is screened once.
     """
     rng = np.random.default_rng(7)
@@ -945,6 +945,19 @@ def test_low_d_lists_are_proven_in_slabs(monkeypatch):
     assert all(slab.base is lifted for slab in columns)
 
 
+def assert_whole_pool_blocks(whole, queries, n, count):
+    """The whole-pool screens ``whole`` took ``queries`` in row order, in
+    full blocks of max(``_MIN_SCREEN_BLOCK``, ``_CHUNK_ELEMENTS`` // (2 n
+    + keep d)) queries but the last: no probe block, as the whole pool
+    proves every query. ``count`` is the count searched."""
+    keep, dim = count + density._SCREEN_MARGIN, queries.shape[1]
+    budget = density._CHUNK_ELEMENTS // (2 * n + keep * dim)
+    block = max(density._MIN_SCREEN_BLOCK, budget)
+    sizes = [len(q) for q in whole]
+    assert all(size == block for size in sizes[:-1]) and 0 < sizes[-1] <= block
+    assert np.array_equal(np.concatenate(whole), queries)
+
+
 def test_high_d_leaves_the_slabs_after_one_block():
     means = np.eye(32)[:4] * 3.0
     data = gen_gaussian_blobs(means, 1.0, 300, 1, seed=2).features.data
@@ -955,9 +968,9 @@ def test_high_d_leaves_the_slabs_after_one_block():
     assert np.array_equal(got_d2, want_d2)
     # Distances concentrate at d=32: the first slab block proves under
     # half of its queries, so every query, in row order, is screened
-    # against the whole pool.
-    assert len(slabs) == 1
-    assert np.array_equal(np.concatenate(whole), queries)
+    # against the whole pool, in several full blocks.
+    assert len(slabs) == 1 and len(whole) > 1
+    assert_whole_pool_blocks(whole, queries, len(data), 6)
 
 
 def test_small_pools_skip_the_slabs():
@@ -967,7 +980,9 @@ def test_small_pools_skip_the_slabs():
     want = nearest_rows_oracle(pool, pool, 5, np.arange(len(pool)))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    assert not slabs and whole
+    # One block of every row, where a probe would have split it in two.
+    assert not slabs
+    assert_whole_pool_blocks(whole, pool, len(pool), 5 + 1)
 
 
 # Selection. ``_smallest`` finds each screen row's k smallest values from
