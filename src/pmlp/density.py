@@ -45,18 +45,18 @@ search finds m + 1 and drops i, or its last row where i is not listed).
 One function, ``_row_lists``, builds them, alone leaves a row out of a
 search, and alone knows how long they must be to prove a number of KDE
 supports (``_list_length``); ``graph`` takes the kNN edges from the first
-columns of the same lists. A path
-point lies between its two endpoint rows, so its supports are usually
-among the endpoints' own nearest rows. ``_listed_rows`` ranks each
-point's supports among its endpoints and their lists. A row outside an
-endpoint e's list lies at least r_m(e), the distance to e's m-th row,
-from e; two bounds turn that into a distance from the point q, and
-either proves the result: the triangle inequality, r_m(e) - ||q - e||,
-and Stewart's theorem on the segment from a to b, whose squared bound
-mixes r_m(a)^2 and r_m(b)^2. Stewart's bound proves nearly every
-kNN-edge point with lists of m = ceil(4 n / 3) + 2 rows for n supports,
-where the triangle bound needed 2 n + 2. Points neither bound proves go
-on to the screens, so the output is the same either way.
+columns of the same lists. A path point lies between its two endpoint
+rows, so its supports are usually among the endpoints' own nearest rows.
+``_listed_rows`` ranks each point's supports among its endpoints and
+their lists. A row outside an endpoint e's list lies at least r_m(e),
+the distance to e's m-th row, from e; one bound, Stewart's theorem on
+the segment from a to b, turns that into a distance from the point q,
+mixing r_m(a)^2 and r_m(b)^2, and is exact where a and b are equal
+(L = 0), as q is then a itself. It proves nearly every kNN-edge point
+with lists of m = ceil(4 n / 3) + 2 rows for n supports. The list round
+runs only where a point's 2 (m + 1) candidates are fewer than the pool
+rows; points it leaves go on to the screens, so the output is the same
+either way.
 
 All operations are pure; per-pair computations are independent and may run
 in any order without changing the result.
@@ -65,6 +65,7 @@ in any order without changing the result.
 import numpy as np
 
 from .core import MAX_ELEMENTS, ConfigError, DataError, FeatureMatrix, NumericalError
+from .core import _check_elements
 
 __all__ = [
     "batch_normalized_density",
@@ -148,28 +149,31 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
     points' as ``_listed_rows`` takes them.
 
     The search is one block loop (``search``) run in rounds over the
-    queries still unproven: the endpoint lists (``_listed_rows``), then
-    slabs of the pool, each screened by ``_screen``. Before the first
-    screen the pool is sorted once along its widest coordinate a (largest
-    max - min), by a stable argsort, small pools included, and lifted in
-    that order: every screen reads the columns a:b of that one array, a
-    view, with rows ``order[a:b]``. The slab rounds take the queries in
-    key order. A block of queries is screened against the pool rows
-    within ``width`` sorted positions of the block's key range, ``width``
-    starting at ``_FIRST_SLAB`` times the screen's candidates, widened as
-    sqrt(rows) on large pools at d >= 2 (``_SLAB_ROWS``). A row x outside
-    the slab has its key at or beyond g, the first key outside the slab on
-    its side, so ||q - x|| >= |q_a - x_a| >= G = |q_a - g|, the query's
-    key gap. A query is accepted when the screen proves its cut within
-    the slab and its ``count``-th direct distance d_n, rounded up, is
-    below its key gap, rounded down: then every row outside the slab ranks
-    after the count, whatever its index. The slack is derived as
-    ``_listed_rows`` derives its triangle bound's. The computed gap is one
-    rounded subtraction, at most G (1 + eps / 2), and x's computed squared
-    distance is at least (1 - (dim + 2) eps / 2) G^2 less the smallest
-    normal number; the test sqrt(d_n + tiny) (1 + s) < gap (1 - s), with
-    s = 2 (dim + 4) eps, leaves room for all of these and its own few
-    roundings, so x's computed distance exceeds d_n. The queries not
+    queries still unproven: the endpoint lists (``_listed_rows``), where a
+    point's 2 (m + 1) candidates, its ends and their lists of m, are at
+    least ``count`` and fewer than the N pool rows, then slabs of the
+    pool, each screened by ``_screen``. Before the first screen the pool
+    is sorted once along its widest coordinate a (largest max - min), by a
+    stable argsort, small pools included, and lifted in that order: every
+    screen reads the columns a:b of that one array, a view, with rows
+    ``order[a:b]``. The slab rounds take the queries in key order. A block
+    of queries is screened against the pool rows within ``width`` sorted
+    positions of the block's key range, ``width`` starting at
+    ``_FIRST_SLAB`` times the screen's candidates, widened as sqrt(rows)
+    on large pools at d >= 2 (``_SLAB_ROWS``). A row x outside the slab
+    has its key at or beyond g, the first key outside the slab on its
+    side, so ||q - x|| >= |q_a - x_a| >= G = |q_a - g|, the query's key
+    gap. A query is accepted when the screen proves its cut within the
+    slab and its ``count``-th direct distance d_n, rounded up, is below
+    its key gap, rounded down: then every row outside the slab ranks after
+    the count, whatever its index. On floats, a direct squared distance is
+    within (dim + 2) eps / 2 of the exact one relative, plus the smallest
+    normal number absolute, so x's computed squared distance is at least
+    (1 - (dim + 2) eps / 2) G^2 less that number, and the computed gap is
+    one rounded subtraction, at most G (1 + eps / 2). The test sqrt(d_n +
+    tiny) (1 + s) < gap (1 - s) widens each root toward the failing side
+    by s = 2 (dim + 4) eps, which leaves room for all of these and its own
+    few roundings, so x's computed distance exceeds d_n. The queries not
     accepted go round again with ``width`` four times larger. Once 2
     ``width`` reaches the pool size N, the round is the slab of all N
     rows, the run 0:n, the whole pool: its queries go back to row order,
@@ -213,8 +217,9 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         return np.concatenate(left + [pending[start:]]), start < pending.size
 
     pending = np.arange(queries.shape[0])
-    # Fewer candidates than supports (short lists) prove nothing.
-    if lists is not None and 2 * (lists[0].shape[1] + 1) >= count:
+    # Fewer candidates than supports (short lists) prove nothing, and as
+    # many as the pool rows cost more than a screen of the whole pool.
+    if lists is not None and count <= 2 * (lists[0].shape[1] + 1) < n:
         # A block's candidate arrays fill at most half of the budget: the
         # heap may keep their pages when a screen is allocated after them.
         block = max(1, _CHUNK_ELEMENTS // (4 * (lists[0].shape[1] + 1) * (dim + 4)))
@@ -491,8 +496,7 @@ def _list_length(support_n, n_rows):
     bound (``_listed_rows``) proves almost every kNN-edge point; shorter
     lists leave many to the screens, and longer ones only cost.
     kNN-edge midpoints left unproven, and lists plus affinity, for m =
-    n + 2 / ceil(4 n / 3) + 2 / ceil(3 n / 2) + 2 / 2 n + 2 (the length
-    the triangle bound alone needed):
+    n + 2 / ceil(4 n / 3) + 2 / ceil(3 n / 2) + 2 / 2 n + 2:
 
     - 4,000-row two moons (seed 1000), n = 15, k = 5 (12,202 pairs):
       1,127 / 11 / 2 / 0, in 0.064 / 0.065 / 0.066 / 0.079 s;
@@ -509,7 +513,9 @@ def _row_lists(data, count=0, support_n=None):
     Returns (indices, squared distances), each (N, m): row i holds i's m
     nearest rows other than i, as ``_nearest_rows`` ranks them. m is
     ``count``, raised with ``support_n`` to ``_list_length``, enough for
-    ``_listed_rows`` to prove that many KDE supports.
+    ``_listed_rows`` to prove that many KDE supports. The search's N x (m
+    + 1) arrays must fit ``core.MAX_ELEMENTS``; the error names the flag
+    that sized m, ``neighbor_count`` or ``kde_support_n``.
 
     This is the one place that leaves a row out of a search. The search
     finds each row's m + 1 nearest rows; row i's own index, or its last
@@ -519,8 +525,12 @@ def _row_lists(data, count=0, support_n=None):
     is listed or not, tied or not.
     """
     n = data.shape[0]
-    if support_n is not None:
-        count = max(count, _list_length(support_n, n))
+    name = "neighbor_count"
+    if support_n is not None and _list_length(support_n, n) > count:
+        name, count = "kde_support_n", _list_length(support_n, n)
+    _check_elements(
+        name, n * (count + 1), "%d rows x %d nearest rows" % (n, count + 1)
+    )
     indices = np.empty((n, count + 1), dtype=np.intp)
     dist2 = np.empty((n, count + 1))
     for rows, idx, d2 in _nearest_rows(data, data, count + 1):
@@ -549,87 +559,77 @@ def _listed_rows(queries, pool, count, ends, lists, radius):
     squared distance of the ``count``-th candidate and r_m(e) end e's
     distance to its m-th listed row. Every other row x lies outside both
     lists, so ||x - e|| >= r_m(e) for each end; the query is proven when
-    either bound below puts every such x past d_n, so that no x can rank
-    inside the count. A non-finite distance proves nothing; lists that
-    cover every row (m >= pool rows - 1) need no bound.
-
-    Triangle: ||x - q|| >= r_m(e) - ||q - e|| for each end e, and any q.
-    On floats, a direct squared distance is within (dim + 2) eps / 2 of
-    the exact one relative, plus the smallest normal number absolute, so
-    the test widens each root toward the failing side by
-    ``2 (dim + 4) eps``, which also covers its own few roundings.
+    the bound S below puts every such x past d_n, so that no x can rank
+    inside the count. An infinite d_n proves nothing, nor at L > 0 does
+    an infinite r_m(e)^2, which makes the rounding bound infinite.
 
     Stewart: with alpha = ||q - a||, beta = ||q - b|| and L = alpha + beta
     = ||a - b|| for q on the segment, Stewart's theorem gives ||x - q||^2
     = (beta ||x - a||^2 + alpha ||x - b||^2) / L - alpha beta, so ||x -
-    q||^2 >= S = (beta r_m(a)^2 + alpha r_m(b)^2) / L - alpha beta. On a
-    kNN pair this is never weaker than the triangle bound; on a long pair
-    the triangle bound can win near an end, so both are tried. On floats,
-    with u = eps / 2 and R the largest pool norm: the computed q lies
-    within delta <= 2 u (||a|| + ||b||) + u ||q|| <= 4 u (||q|| + R) of a
-    point q* of the segment, so the computed alpha and beta are within
-    epsilon = delta + (dim + 3) u L of q*'s, and the computed r_m(e)^2
-    within (dim + 2) u relative of exact bounds on the rows outside e's
-    list. S = r_m(a)^2 + t (r_m(b)^2 - r_m(a)^2) - alpha beta with t =
-    alpha / L in [0, 1], and r_m(e), the (m + 1)-th distance from e to the
-    pool counting e itself, is 1-Lipschitz, so |r_m(b)^2 - r_m(a)^2| <= L
-    (r_m(a) + r_m(b)): moving alpha and beta by epsilon moves S by at most
-    epsilon (r_m(a) + r_m(b) + 2 L) + epsilon^2. Moving q* to q lowers
-    ||q - x||^2 by at most 2 delta sqrt(S), with S <= max r_m(e)^2, and
-    x's computed distance is at least (1 - (dim + 2) u) times the exact
-    one. With P = ||q|| + R, the point's own rounding stays a product:
-    delta <= 4 u P and sqrt(S) <= r_m(a) + r_m(b), so 2 delta sqrt(S) <=
-    4 eps P (r_m(a) + r_m(b)); delta (r_m(a) + r_m(b) + 2 L) <= 4 eps P
-    (r_m(a) + r_m(b) + L); and epsilon^2 <= 2 delta^2 + 2 ((dim + 3) u
-    L)^2, whose first term is at most 8 eps^2 P^2. The rest, (dim + 3) u
-    L (r_m(a) + r_m(b) + 2 L), is at most (dim + 3) u (r_m(a)^2 + r_m(b)^2
-    + 3 L^2) by AM-GM. So every error is a few (dim + 4) eps times E =
-    r_m(a)^2 + r_m(b)^2 + L^2 + P (r_m(a) + r_m(b) + L + eps P): the
+    q||^2 >= S = (beta r_m(a)^2 + alpha r_m(b)^2) / L - alpha beta. With
+    alpha = t L, S - (r_m(a) - alpha)^2 = t (r_m(b)^2 - (r_m(a) - L)^2),
+    and likewise from b: both are >= 0 where L <= r_m(a), as on a kNN
+    pair, so there S is never weaker than the triangle inequality's
+    (r_m(e) - ||q - e||)^2.
+
+    At L = 0, where a and b are equal value for value (tested on the
+    rows: a subnormal difference can make alpha + beta 0 where they
+    differ), S is max(r_m(a)^2, r_m(b)^2), and it is exact. The point is
+    computed as a + f 0, which is a value for value, so every computed
+    distance from it is the computed distance from a, and from b, as the
+    lists rank their rows: a row outside both lists lies at least each
+    computed r_m(e)^2 away, and d_n < S proves the query with no slack.
+
+    On floats, at L > 0, with u = eps / 2 and R the largest pool norm: the
+    computed q lies within delta <= 2 u (||a|| + ||b||) + u ||q|| <= 4 u
+    (||q|| + R) of a point q* of the segment, so the computed alpha and
+    beta are within epsilon = delta + (dim + 3) u L of q*'s, and the
+    computed r_m(e)^2 within (dim + 2) u relative of exact bounds on the
+    rows outside e's list. S = r_m(a)^2 + t (r_m(b)^2 - r_m(a)^2) - alpha
+    beta with t = alpha / L in [0, 1], and r_m(e), the (m + 1)-th distance
+    from e to the pool counting e itself, is 1-Lipschitz, so |r_m(b)^2 -
+    r_m(a)^2| <= L (r_m(a) + r_m(b)): moving alpha and beta by epsilon
+    moves S by at most epsilon (r_m(a) + r_m(b) + 2 L) + epsilon^2. Moving
+    q* to q lowers ||q - x||^2 by at most 2 delta sqrt(S), with S <= max
+    r_m(e)^2, and x's computed distance is at least (1 - (dim + 2) u) times
+    the exact one. With P = ||q|| + R, the point's own rounding stays a
+    product: delta <= 4 u P and sqrt(S) <= r_m(a) + r_m(b), so 2 delta
+    sqrt(S) <= 4 eps P (r_m(a) + r_m(b)); delta (r_m(a) + r_m(b) + 2 L) <=
+    4 eps P (r_m(a) + r_m(b) + L); and epsilon^2 <= 2 delta^2 + 2 ((dim +
+    3) u L)^2, whose first term is at most 8 eps^2 P^2. The rest, (dim + 3)
+    u L (r_m(a) + r_m(b) + 2 L), is at most (dim + 3) u (r_m(a)^2 +
+    r_m(b)^2 + 3 L^2) by AM-GM. So every error is a few (dim + 4) eps times
+    E = r_m(a)^2 + r_m(b)^2 + L^2 + P (r_m(a) + r_m(b) + L + eps P): the
     coordinates' scale P enters only times a distance, or times eps P, so
     an offset of 1e6 adds about eps 1e6 r, not eps 1e12. Near underflow a
     squared distance is off by up to the smallest normal number, and its
     root by up to sqrt(tiny), which adds at most eps E + tiny / eps. The
-    test d_n + 64 (dim + 4) eps E + tiny / eps < S leaves a wide margin
-    for all of these and for its own roundings.
+    test d_n + 64 (dim + 4) eps E + tiny / eps < S leaves a wide margin for
+    all of these and for its own roundings.
 
     ``radius`` is R. Returns the queries so proven and their (indices,
     squared distances), as ``_rank`` ranks them; ``_nearest_rows`` ranks
-    the rest, so the bounds change the time, never the result.
+    the rest, so the bound changes the time, never the result.
     """
-    n, dim = pool.shape
-    list_rows, list_d2 = lists
-    eps = np.finfo(float).eps
-    slack = 2 * (dim + 4) * eps
-    tiny = np.finfo(float).tiny
+    dim = pool.shape[1]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     candidates = np.concatenate(
-        [ends, list_rows[ends].reshape(queries.shape[0], -1)], axis=1
+        [ends, lists[0][ends].reshape(queries.shape[0], -1)], axis=1
     )
     found, best = _rank(queries, pool, candidates, count)
-    proven = np.isfinite(best[:, -1])
-    if list_rows.shape[1] < n - 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            last = best[:, -1]
-            near2 = _distances(queries, pool, ends)
-            reach2 = list_d2[ends, -1]
-            # r_m(e), rounded down; 0, which proves nothing, where it is not finite.
-            reach = np.sqrt(reach2 - tiny) * (1 - slack)
-            reach[~np.isfinite(reach)] = 0.0
-            # Triangle: ||q - e|| and d_n, rounded up, within r_m(e).
-            near = np.sqrt(near2 + tiny)
-            near += np.sqrt(last + tiny)[:, None]
-            near *= 1 + slack
-            triangle = np.any(near < reach, axis=1)
-            # Stewart: d_n, plus the rounding bound, below S.
-            alpha, beta = np.sqrt(near2).T
-            total = alpha + beta
-            r2a, r2b = reach2.T
-            floor = (beta / total) * r2a + (alpha / total) * r2b - alpha * beta
-            scale = np.sqrt(np.einsum("ij,ij->i", queries, queries)) + radius
-            spread = np.sqrt(r2a) + np.sqrt(r2b) + total + eps * scale
-            error = r2a + r2b + total * total + scale * spread
-            error *= 64 * (dim + 4) * eps
-            stewart = last + error + tiny / eps < floor
-            proven &= triangle | stewart
+    last = best[:, -1]
+    r2a, r2b = lists[1][ends, -1].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, beta = np.sqrt(_distances(queries, pool, ends)).T
+        total = alpha + beta
+        floor = (beta / total) * r2a + (alpha / total) * r2b - alpha * beta
+        scale = np.sqrt(np.einsum("ij,ij->i", queries, queries)) + radius
+        spread = np.sqrt(r2a) + np.sqrt(r2b) + total + eps * scale
+        error = r2a + r2b + total * total + scale * spread
+        error *= 64 * (dim + 4) * eps
+        proven = last + error + tiny / eps < floor
+    same = np.all(pool[ends[:, 0]] == pool[ends[:, 1]], axis=1)
+    proven[same] = last[same] < np.maximum(r2a, r2b)[same]  # L = 0: exact
     rows = np.flatnonzero(proven)
     return rows, found[rows], best[rows]
 
@@ -714,14 +714,16 @@ def _pair_point_densities(features, pairs, cfg, lists=None):
     Each point's supports are proven from its pair's lists (``_listed_rows``).
     ``lists``, every row's list, is built here when not given. The points
     and their densities, pairs x k x (dim + 1) elements, must fit
-    ``core.MAX_ELEMENTS``.
+    ``core.MAX_ELEMENTS``; the error names ``path_points_k`` and
+    ``neighbor_count``, which sizes a kNN graph's pairs.
     """
     n = _check_kernel(features, cfg.kde_support_n, cfg.bandwidth_h)
     k = int(cfg.path_points_k)
     if pairs.shape[0] * k * (features.dim + 1) > MAX_ELEMENTS:
         raise ConfigError(
             "path_points_k",
-            "%d points on each of %d pairs at d = %d exceed %d elements"
+            "%d points on each of %d pairs at d = %d exceed %d elements; "
+            "neighbor_count sizes the pairs of a kNN graph"
             % (k, pairs.shape[0], features.dim, MAX_ELEMENTS),
         )
     if lists is None:

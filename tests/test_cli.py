@@ -625,7 +625,33 @@ class TestExitCodes:
                      flag, str(2**62)]) == code
         error = json.loads((out / "metrics.json").read_text())["error"]
         assert error["message"].startswith(field + ": ")
+        if field == "path_points_k":  # the pairs are the kNN edges
+            assert "neighbor_count" in error["message"]
         assert "exceed %d elements" % MAX_ELEMENTS in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            # m = 40 rows per list, set by the kNN count
+            (["--neighbor-count", "40", "--kde-support-n", "1"], "neighbor_count"),
+            # m = min(ceil(4 * 45 / 3) + 2, 59) = 59, set by the supports
+            (["--neighbor-count", "3", "--kde-support-n", "45"], "kde_support_n"),
+        ],
+    )
+    def test_lists_past_the_element_limit_name_the_flag_that_sized_them(
+        self, tmp_path, argv, field
+    ):
+        # 60 rows' lists of m + 1 = 41 or 60 entries pass a limit of 2,000
+        # elements, which the rest of the job fits.
+        data, _ = generate_blobs(tmp_path)
+        out = tmp_path / "out"
+        with mock.patch("pmlp.core.MAX_ELEMENTS", 2000):
+            code = main(["label", "--input", str(data), "--out-dir", str(out)] + argv)
+        assert code == 2
+        error = json.loads((out / "metrics.json").read_text())["error"]
+        assert error["code"] == "data"
+        assert error["message"].startswith(field + ": 60 rows x ")
+        assert "exceed 2000 elements" in error["message"]
 
     @pytest.mark.parametrize(
         "argv, field",

@@ -2,7 +2,8 @@
 
 The search runs in rounds over the queries still unproven. Path points
 are first ranked among their endpoints' nearest-row lists and proven by
-the triangle inequality or Stewart's bound; then blocks are screened
+Stewart's bound, exact where the two endpoints are equal, where those
+candidates are fewer than the pool rows; then blocks are screened
 with GEMM distances against slabs of the pool sorted on one coordinate,
 proven by the key gap, then against the whole pool. A screen whose cut
 is tied keeps four times more candidates, up to every column it screens,
@@ -191,7 +192,8 @@ def test_tied_cuts_are_proven_by_a_widened_keep():
 
 
 def listed_rows_counted(queries, pool, count, ends, lists):
-    """The search with endpoint lists, and how many queries the lists left."""
+    """The search with endpoint lists, and how many queries the lists left:
+    None where the search ran no list round."""
     proven = []
     listed = density._listed_rows
 
@@ -203,7 +205,7 @@ def listed_rows_counted(queries, pool, count, ends, lists):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(density, "_listed_rows", spy)
         got = collected(queries, pool, count, ends, lists)
-    return got, len(queries) - sum(proven)
+    return got, (len(queries) - sum(proven)) if proven else None
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,14 +219,14 @@ def listed_rows_counted(queries, pool, count, ends, lists):
     seed=st.integers(0, 2**32 - 1),
     path=st.none(),
 )
-# Lists that cover every row need no bound.
+# Points at d = 32, far from the origin: the lists prove every one.
 @example(
-    kind="normal", dim=32, n=30, offset=1e6, length_fraction=1.0,
-    count_fraction=0.5, seed=3, path="proven",
+    kind="normal", dim=32, n=60, offset=1e6, length_fraction=None,
+    count_fraction=0.05, seed=17, path="proven",
 )
-# Every distance ties, so no bound can separate the n-th support.
+# Every distance ties, so the bound cannot separate the n-th support.
 @example(
-    kind="identical", dim=2, n=40, offset=0.0, length_fraction=0.5,
+    kind="identical", dim=2, n=40, offset=0.0, length_fraction=0.4,
     count_fraction=0.2, seed=0, path="fallback",
 )
 # Lists as long as the supports need: some points are proven, some not.
@@ -250,15 +252,17 @@ def test_list_proof_matches_oracle(
     else:
         length = 1 + int(length_fraction * (n - 2))  # 1 .. n - 1
     lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
-    covers = length >= n - 1
 
     (got_idx, got_d2), fallen = listed_rows_counted(queries, pool, count, ends, lists)
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
 
-    if covers:
-        assert fallen == 0
+    # The list round runs only where a point's candidates, its ends and
+    # their lists, are at least the count and fewer than the pool rows.
+    assert (fallen is None) == (not count <= 2 * (length + 1) < n)
+    if fallen is None:
+        assert path is None
     elif kind == "identical":
         assert fallen == len(queries)
     expected = {
@@ -270,26 +274,48 @@ def test_list_proof_matches_oracle(
     assert expected[path](fallen)
 
 
+@pytest.mark.parametrize("length", [29, 59])  # 2 (m + 1) = n, and every row
+def test_lists_as_long_as_the_pool_skip_the_list_round(length):
+    """A point's ends and their lists would be 2 (m + 1) >= n candidates,
+    as many as a whole-pool screen ranks, so the search screens it at once,
+    with the same result."""
+    rng = np.random.default_rng(4)
+    n, count = 60, 15
+    pool = make_pool("normal", n, 2, 0.0, rng)
+    lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
+    a = rng.integers(0, n, 100)
+    b = lists[0][a, rng.integers(0, 5, 100)]
+    queries = pool[a] + 0.5 * (pool[b] - pool[a])
+    ends = np.column_stack([a, b])
+    (got_idx, got_d2), fallen = listed_rows_counted(queries, pool, count, ends, lists)
+    want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_d2, want_d2)
+    assert fallen is None
+
+
 def path_point_bounds(queries, pool, count, ends, lists):
-    """Per query: d_n, both bounds and the nearest row outside both lists.
+    """Per query: d_n, Stewart's bound, whether its pair has zero length,
+    and the nearest row outside both lists.
 
     All squared and without rounding slack, from the oracle's distances:
-    a point one bound leaves open here is open for ``_listed_rows`` too.
+    a point the bound leaves open here is open for ``_listed_rows`` too.
+    At zero length the bound is max(r_m(a)^2, r_m(b)^2).
     """
     list_rows, list_d2 = lists
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.array([np.sum((pool - q) ** 2, axis=1) for q in queries])
         d_n = np.sort(d2, axis=1)[:, count - 1]
-        r = np.sqrt(list_d2[ends, -1])
+        r2 = list_d2[ends, -1]
         alpha, beta = np.sqrt(d2[np.arange(len(queries))[:, None], ends]).T
-        gap = np.maximum(r - np.column_stack([alpha, beta]), 0.0)
-        triangle = np.max(gap, axis=1) ** 2
-        stewart = (beta * r[:, 0] ** 2 + alpha * r[:, 1] ** 2) / (alpha + beta)
+        stewart = (beta * r2[:, 0] + alpha * r2[:, 1]) / (alpha + beta)
         stewart -= alpha * beta
+    zero = np.all(pool[ends[:, 0]] == pool[ends[:, 1]], axis=1)
+    stewart[zero] = r2[zero].max(axis=1)
     outside = d2.copy()
     for row, (a, b) in enumerate(ends):
         outside[row, [a, b, *list_rows[a], *list_rows[b]]] = np.inf
-    return d_n, triangle, stewart, outside.min(axis=1)
+    return d_n, stewart, zero, outside.min(axis=1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,15 +330,16 @@ def path_point_bounds(queries, pool, count, ends, lists):
     seed=st.integers(0, 2**32 - 1),
     path=st.none(),
 )
-# A kNN-edge point that only Stewart's bound proves.
+# kNN-edge points that Stewart's bound proves at L > 0.
 @example(
-    kind="normal", dim=2, n=30, offset=0.0, scale=1.0, knn=True,
-    count_fraction=0.5, seed=212, path="stewart",
+    kind="normal", dim=2, n=60, offset=0.0, scale=1.0, knn=True,
+    count_fraction=0.2, seed=0, path="stewart",
 )
-# Long pairs: points that only the triangle bound proves.
+# kNN pairs between copies of a row: points at L = 0, which only the exact
+# bound there, max(r_m(a)^2, r_m(b)^2), proves.
 @example(
-    kind="normal", dim=2, n=41, offset=0.0, scale=1.0, knn=False,
-    count_fraction=0.1, seed=837, path="triangle",
+    kind="duplicated", dim=2, n=60, offset=0.0, scale=1.0, knn=True,
+    count_fraction=0.1, seed=0, path="zero",
 )
 # Ties at d_n, and points at 1/3 off by a rounding: without its slack,
 # Stewart's bound proves a point that a lower-index row outside both lists
@@ -325,23 +352,23 @@ def path_point_bounds(queries, pool, count, ends, lists):
 # coordinates, which only the slack's absolute term covers.
 @example(
     kind="integer_grid", dim=2, n=47, offset=1e6, scale=1.0, knn=False,
-    count_fraction=0.2, seed=170, path=None,
+    count_fraction=0.2, seed=170, path="offset",
 )
 # Squares overflow: an infinite r_m(e) proves nothing, even with d_n finite.
 @example(
-    kind="normal", dim=2, n=24, offset=1e6, scale=1e154, knn=False,
-    count_fraction=0.3, seed=942, path=None,
+    kind="normal", dim=2, n=40, offset=1e6, scale=1e154, knn=False,
+    count_fraction=0.3, seed=0, path="overflow",
 )
 def test_path_point_bounds_match_oracle(
     kind, dim, n, offset, scale, knn, count_fraction, seed, path
 ):
-    """Both bounds, with lists as long as ``_list_length`` makes them.
+    """Stewart's bound, with lists as long as ``_list_length`` makes them.
 
-    Pairs are kNN edges (an end and one of its 5 nearest rows), where
-    Stewart's bound is never the weaker, or any two rows, where the
-    triangle bound can win near an end. Each ``@example`` needs one part
-    of the proof: Stewart's bound, the triangle bound, or the rounding
-    slack that a tie or a point off its segment by rounding would break.
+    Pairs are kNN edges (an end and one of its 5 nearest rows) or any two
+    rows. Each ``@example`` reaches the list round, 2 (m + 1) < n, and
+    needs one part of the proof: Stewart's bound at L > 0, its exact form
+    at L = 0, or the rounding slack that a tie, a point off its segment
+    by rounding or an overflow would break.
     """
     rng = np.random.default_rng(seed)
     pool = make_pool(kind, n, dim, offset, rng) * scale
@@ -367,22 +394,22 @@ def test_path_point_bounds_match_oracle(
         want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
+    assert (fallen is None) == (2 * (length + 1) >= n)
+    assert path is None or fallen is not None
 
-    d_n, triangle, stewart, outside = path_point_bounds(
-        queries, pool, count, ends, lists
-    )
-
-    def open_under(bound):
-        """How many points ``bound`` alone leaves open."""
-        return np.count_nonzero(bound < d_n * (1 - 1e-9))
-
+    d_n, stewart, zero, outside = path_point_bounds(queries, pool, count, ends, lists)
+    open_under = stewart < d_n * (1 - 1e-9)
     expected = {
-        # points the triangle bound leaves open, proven by Stewart's
-        "stewart": lambda: fallen < open_under(triangle),
-        # points Stewart's bound leaves open, proven by the triangle bound
-        "triangle": lambda: fallen < open_under(stewart),
+        # a point at L > 0 is proven
+        "stewart": lambda: fallen < np.count_nonzero(~zero),
+        # a point at L = 0 is proven: without the rule, every one falls
+        "zero": lambda: fallen < np.count_nonzero(zero | open_under),
         # a row outside both lists lies exactly at a point's d_n
         "tie": lambda: np.any(outside == d_n),
+        # the output is exact, as asserted above
+        "offset": lambda: True,
+        # a bound is not finite where d_n is
+        "overflow": lambda: np.any(~np.isfinite(stewart) & np.isfinite(d_n)),
         None: lambda: True,
     }
     assert expected[path]()
@@ -436,9 +463,9 @@ def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
     want_idx, want_d2 = nearest_rows_oracle(queries, features.data, 15)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
-    # Distances concentrate at d=32: Stewart's bound proves a few points
-    # (the triangle bound none), and once a block proves fewer than half of
-    # its points, the rest go straight to the kernel.
+    # Distances concentrate at d=32: Stewart's bound proves a few points,
+    # and once a block proves fewer than half of its points, the rest go
+    # straight to the screens.
     assert 0 < len(queries) - fallen < sum(ranked) / 2
     assert sum(ranked) < len(queries) / 8
 
