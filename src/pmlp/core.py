@@ -367,8 +367,9 @@ class PmlpConfig:
         ``pmlp.propagate.propagate_closed_form``. The solve's step count
         grows as 1 / sqrt(1 - alpha), about 45 steps at alpha = 0.8 and 800
         at 0.999 beyond the hops from the labels to the farthest row, and a
-        solve whose step cap passes 100,000 (alpha within a few 1e-7 of 1)
-        raises NumericalError before it starts.
+        solve whose thirty tenfold falls pass 100,000 steps (alpha within
+        about 2.4e-7 of 1, whatever the row count) raises NumericalError
+        before it starts.
     eta
         Mixing weight, in (0, 1], of the propagated labels against the
         retained low-confidence predictions. Only low-confidence rows carry

@@ -12,8 +12,8 @@ from one exact search, ``_nearest_rows``: one block loop over the
 queries still unproven, in rounds. The first takes a path point's
 endpoint lists (below); then come slabs of the pool sorted on its widest
 coordinate, four times wider each round, up to the slab of all N rows,
-the whole pool, which takes its queries in row order, in full blocks
-with no probe, and proves every query, as no row lies outside it. The
+the whole pool, which takes its queries back in row order, and proves
+every query its screens are given, as no row lies outside it. The
 search sorts the pool once, centres it on its mean and stores it in that
 order as [-2 x; ||x||^2], in float32 unless the centred squares would
 leave its normal range. Every screen reads a run of those columns
@@ -34,7 +34,8 @@ it proves a cut, at most every column, where nothing is screened out:
 so every screen proves its cuts, and the result never depends on
 rounds, BLAS rounding or threads. Blocks are sized by one element
 budget, ``_CHUNK_ELEMENTS`` (about 4 MB of float64; a screen block keeps
-at least ``_MIN_SCREEN_BLOCK`` queries). One search runs per pool and
+at least ``_MIN_SCREEN_BLOCK`` queries): every round takes full blocks,
+and each block's screen is a new array. One search runs per pool and
 yields each block as a round proves it, and the KDE reduces the
 search's own blocks to their kernel means as they come, so the working
 set stays near one cache-sized block whatever the number of queries.
@@ -93,8 +94,8 @@ _CHUNK_ELEMENTS = 500_000
 # blocks of 64 took 0.78x (kNN lists, m = 62) and 0.76x (path KDE) the time
 # of blocks of 16, and 128 gained under 5% more; at 50,000 rows, m = 6
 # lists took 5.5 s against 6.7 s and 20 MB more peak RSS; at 4,000-5,000
-# rows the time was within 5%. The screen buffer holds 64 N values, 5 MB
-# of float32 at 20,000 rows.
+# rows the time was within 5%. A whole-pool screen of 64 queries holds 64 N
+# values, 5 MB of float32 at 20,000 rows, made anew for each block.
 _MIN_SCREEN_BLOCK = 64
 
 # Candidates the screen keeps beyond the requested count. Any margin >= 1
@@ -177,17 +178,18 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
     accepted go round again with ``width`` four times larger. Once 2
     ``width`` reaches the pool size N, the round is the slab of all N
     rows, the run 0:n, the whole pool: its queries go back to row order,
-    in full blocks of max(``_MIN_SCREEN_BLOCK``, ``_CHUNK_ELEMENTS`` // (2
-    N + candidates dim)) with no probe block, and as no row lies outside
-    it, it proves every query its screen is given (``_screen`` proves
-    every cut). Pools of at most 2 ``width`` rows have this round alone.
+    in blocks of max(``_MIN_SCREEN_BLOCK``, ``_CHUNK_ELEMENTS`` // (2 N +
+    candidates dim)), and as no row lies outside it, it proves every query
+    its screen is given (``_screen`` proves every cut). Pools of at most 2
+    ``width`` rows have this round alone.
 
+    Every round takes full blocks, as many queries as the budget allows.
     Where distances concentrate (high d) the lists and the key gaps prove
-    little, so the list round and the narrower slabs probe, by the stop
-    rule of the block loop: a stopped round hands the queries it leaves to
-    the next, the slabs or the whole pool. The rule decides once per
-    search, over all of its queries. The rounds change the time, never
-    the result.
+    little, so the list round and the narrower slabs stop after a block,
+    by the stop rule of the block loop: a stopped round hands the queries
+    it leaves to the next, the slabs or the whole pool. The rule decides
+    once per search, over all of its queries. The rounds change the time,
+    never the result.
     """
     n, dim = pool.shape
     keep = count + _SCREEN_MARGIN
@@ -196,18 +198,17 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         """Prove ``pending`` in blocks, yielding each proven block; returns
         the rows left, and whether it stopped.
 
-        ``prove(rest, probe)``, ``listed`` or ``slab``, takes a block from
-        the front of the rows ``rest``, the round's first if ``probe``,
-        and returns it, the positions in it proven, and their indices and
-        distances. The stop rule: a round's first block, the probe, is an
-        eighth of the others, as it may prove nothing, and the round ends
-        once under half of the queries it has tried are proven; the rest
-        go on. The whole pool takes no probe and proves every query, so
-        its round never stops.
+        ``prove(rest)``, ``listed`` or ``slab``, takes a full block from
+        the front of the rows ``rest`` and returns it, the positions in it
+        proven, and their indices and distances. The stop rule: the round
+        ends once under half of the queries it has tried are proven, so a
+        first block that proves under half of its own ends it; the rest
+        go on. The whole pool proves every query, so its round never
+        stops.
         """
         left, start, proven = [], 0, 0
         while start < pending.size:
-            rows, done, idx, d2 = prove(pending[start:], not start)
+            rows, done, idx, d2 = prove(pending[start:])
             yield rows[done], idx, d2
             left.append(np.delete(rows, done))
             start += rows.size
@@ -228,8 +229,8 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         with np.errstate(over="ignore", invalid="ignore"):
             radius = np.sqrt(np.einsum("ij,ij->i", pool, pool).max())
 
-        def listed(rest, probe):
-            rows = rest[: max(1, block // (8 if probe else 1))]
+        def listed(rest):
+            rows = rest[:block]
             return rows, *_listed_rows(
                 queries[rows], pool, count, ends[rows], lists, radius
             )
@@ -258,34 +259,23 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
             np.multiply(centred.T, -2.0, out=lifted[:dim])
         lifted[dim] = norms
         del centred, norms
-        # One screen buffer, the size of a whole-pool block's screen, serves
-        # every block: a new one per block would cost its page faults each time.
-        block = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * n + keep * dim))
-        buffer = np.empty(min(block, pending.size) * n, kind)
         slack = 2 * (dim + 4) * np.finfo(float).eps
         reach, tiny = np.sqrt(radius2), np.finfo(float).tiny
 
-        def slab(rest, probe):
-            """Screen as many of ``rest`` as fit the budget and the buffer
-            with the slab they span, ``width`` rows either side of their
-            keys, and prove them by the key gap, or all of them where the
-            slab holds every row."""
+        def slab(rest):
+            """Screen as many of ``rest`` as fit the budget with the slab
+            they span, ``width`` rows either side of their keys, and prove
+            them by the key gap, or all of them where the slab holds every
+            row."""
             most = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * width + keep * dim))
             key = queries[rest[:most], axis]
             a = max(np.searchsorted(keys, key[0], "left") - width, 0)
             b = np.minimum(np.searchsorted(keys, key, "right") + width, n)
             size = np.arange(1, b.size + 1)
-            fit = np.count_nonzero(
-                (size * (2 * (b - a) + keep * dim) <= _CHUNK_ELEMENTS)
-                & (size * (b - a) <= buffer.size)
-            )
-            fit //= 8 if probe and width < n else 1
+            fit = np.count_nonzero(size * (2 * (b - a) + keep * dim) <= _CHUNK_ELEMENTS)
             rows = rest[: max(_MIN_SCREEN_BLOCK, fit)]
             q, b = queries[rows], b[rows.size - 1]
-            out = buffer[: rows.size * (b - a)].reshape(rows.size, -1)
-            idx, d2 = _screen(
-                q, pool, lifted[:, a:b], order[a:b], centre, reach, count, out
-            )
+            idx, d2 = _screen(q, pool, lifted[:, a:b], order[a:b], centre, reach, count)
             if b - a == n:  # no row lies outside a slab of every row
                 return rows, np.arange(rows.size), idx, d2
             with np.errstate(over="ignore", invalid="ignore"):
@@ -306,14 +296,15 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
             width = n if stopped else 4 * width  # a stop ends the slabs
 
 
-def _screen(q, pool, lifted, rows, centre, radius, count, out):
+def _screen(q, pool, lifted, rows, centre, radius, count):
     """Rank a block of queries among the pool rows ``rows`` behind ``lifted``.
 
     ``lifted`` holds the pool rows ``rows``, a run of the key-sorted pool,
     less ``centre``, as A = [-2 x; ||x||^2], (dim + 1) x columns, in the
-    screen's dtype, and ``out`` takes the screen; ``radius`` is R, the
-    largest centred pool norm. One GEMM, [q, 1] A, with q centred too,
-    gives s(x) = ||x||^2 - 2 q.x = ||q - x||^2 - ||q||^2 for every column.
+    screen's dtype; ``radius`` is R, the largest centred pool norm. One
+    GEMM, [q, 1] A, with q centred too, gives the screen, a new queries x
+    columns array: s(x) = ||x||^2 - 2 q.x = ||q - x||^2 - ||q||^2 for
+    every column.
     Leaving out ||q||^2 shifts a query's whole row by one constant, so it
     ranks the rows as their distances do; ``_smallest`` keeps ``count``
     plus ``_SCREEN_MARGIN`` candidates and the next smallest value.
@@ -366,7 +357,7 @@ def _screen(q, pool, lifted, rows, centre, radius, count, out):
         with np.errstate(over="ignore", invalid="ignore"):
             shifted = q - centre
             lifted_q[:, :dim] = shifted
-            screen = np.matmul(lifted_q, lifted, out=out)
+            screen = np.matmul(lifted_q, lifted)
             scale = (np.sqrt(np.einsum("ij,ij->i", shifted, shifted)) + radius) ** 2
             # The tiny term covers rounding among subnormal products. A
             # 2 * scale below the dtype's largest value rules out overflow;

@@ -48,9 +48,10 @@ __all__ = [
 SOLVE_TOL = 1e-12
 ROW_TOL = 1e-6
 # The solve needs about ln(1 / SOLVE_TOL) / sqrt(2 (1 - alpha)) steps once
-# the labels have reached every row, and its step cap grows the same way;
-# a solve whose cap passes this budget (alpha within a few 1e-7 of 1) is
-# refused before it starts.
+# the labels have reached every row, and the alpha term of its step cap,
+# thirty tenfold falls, grows the same way; a solve whose thirty tenfold
+# falls pass this budget (alpha within about 2.4e-7 of 1) is refused before
+# it starts, whatever the row count.
 MAX_SOLVE_STEPS = 100_000
 
 
@@ -113,9 +114,10 @@ def propagate_closed_form(S, y_high, alpha):
     many steps as a tenfold fall should take.
 
     The step count grows as 1 / sqrt(1 - alpha): about 45 steps past the
-    farthest row's hop distance at alpha = 0.8, about 800 at 0.999. A
-    solve whose step cap, twice the rows plus thirty tenfold falls,
-    passes MAX_SOLVE_STEPS raises NumericalError before the first step.
+    farthest row's hop distance at alpha = 0.8, about 800 at 0.999. The
+    step cap is twice the rows plus thirty tenfold falls; a solve whose
+    thirty tenfold falls alone pass MAX_SOLVE_STEPS (alpha within about
+    2.4e-7 of 1) raises NumericalError before the first step.
 
     Returns ``(result, steps, residual)``: the products with S taken and
     the max-abs change one more plain fixed-point step would make to
@@ -137,12 +139,12 @@ def propagate_closed_form(S, y_high, alpha):
     # a row k hops from the nearest label first moves at step k + 1.
     rate = alpha / (1.0 + math.sqrt(1.0 - alpha * alpha))
     patience = math.ceil(math.log(10.0) / -math.log(rate))
-    limit = 2 * S.size + 30 * patience
-    if limit > MAX_SOLVE_STEPS:
+    if 30 * patience > MAX_SOLVE_STEPS:
         raise NumericalError(
-            "alpha = %r would allow %d closed-form steps on %d rows, past the "
-            "budget of %d; use a smaller alpha" % (alpha, limit, S.size, MAX_SOLVE_STEPS)
+            "alpha = %r needs %d closed-form steps for thirty tenfold falls, past the "
+            "budget of %d; use a smaller alpha" % (alpha, 30 * patience, MAX_SOLVE_STEPS)
         )
+    limit = 2 * S.size + 30 * patience
     # Rounding level of the residual: each entry sums at most (row length
     # + 3) terms of size up to |b| + alpha S|x| + |x|, and the recurrence
     # carries each step's rounding on for about 1 / (1 - rate) steps.

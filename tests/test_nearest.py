@@ -127,10 +127,11 @@ def test_unprovable_cuts_take_the_exact_fallback(kind, offset, scale, fallback):
     assert np.array_equal(got[1], want[1])
     assert widened(ranked, 5 + 1 + density._SCREEN_MARGIN) == fallback
     # Ranked over every row: all of an identical pool, whose slabs span it;
-    # at 1e154, those whose slab's key gap an overflowing distance leaves
-    # open (ranking every slab column lets the gap prove the rest); none
-    # elsewhere, as a widened keep proves the cut first.
-    everywhere = {"identical": n, "normal": 337 if scale > 1 else 0, "far": 0}[kind]
+    # all at 1e154 too, where an overflowing screen proves no cut short of
+    # every column: the first slab block is a full one, all 400 queries,
+    # so its slab spans the whole pool; none elsewhere, as a widened keep
+    # proves the cut first.
+    everywhere = {"identical": n, "normal": 400 if scale > 1 else 0, "far": 0}[kind]
     assert len(over_every_row(ranked, n)) == everywhere
 
 
@@ -465,7 +466,11 @@ def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
     assert np.array_equal(got_d2, want_d2)
     # Distances concentrate at d=32: Stewart's bound proves a few points,
     # and once a block proves fewer than half of its points, the rest go
-    # straight to the screens.
+    # straight to the screens. That block is the round's first, and a full
+    # one: its candidate arrays fill half of the element budget.
+    m = lists[0].shape[1]
+    block = density._CHUNK_ELEMENTS // (4 * (m + 1) * (features.dim + 4))
+    assert ranked == [block]
     assert 0 < len(queries) - fallen < sum(ranked) / 2
     assert sum(ranked) < len(queries) / 8
 
@@ -975,14 +980,30 @@ def test_low_d_lists_are_proven_in_slabs(monkeypatch):
 def assert_whole_pool_blocks(whole, queries, n, count):
     """The whole-pool screens ``whole`` took ``queries`` in row order, in
     full blocks of max(``_MIN_SCREEN_BLOCK``, ``_CHUNK_ELEMENTS`` // (2 n
-    + keep d)) queries but the last: no probe block, as the whole pool
-    proves every query. ``count`` is the count searched."""
+    + keep d)) queries but the last, as every round's blocks are.
+    ``count`` is the count searched."""
     keep, dim = count + density._SCREEN_MARGIN, queries.shape[1]
     budget = density._CHUNK_ELEMENTS // (2 * n + keep * dim)
     block = max(density._MIN_SCREEN_BLOCK, budget)
     sizes = [len(q) for q in whole]
     assert all(size == block for size in sizes[:-1]) and 0 < sizes[-1] <= block
     assert np.array_equal(np.concatenate(whole), queries)
+
+
+def first_slab_block(queries, pool, count):
+    """How many queries, in key order, fill the element budget with the
+    first slab round's span, at the first slab's width (a pool too small
+    for it to widen as sqrt(rows)), as ``_nearest_rows`` sizes a block."""
+    keep, (n, dim) = count + density._SCREEN_MARGIN, pool.shape
+    assert n <= density._SLAB_ROWS * keep
+    width = density._FIRST_SLAB * keep
+    axis = np.argmax(np.ptp(pool, axis=0))
+    keys, key = np.sort(pool[:, axis]), np.sort(queries[:, axis])
+    a = max(np.searchsorted(keys, key[0], "left") - width, 0)
+    b = np.minimum(np.searchsorted(keys, key, "right") + width, n)
+    size = np.arange(1, key.size + 1)
+    fit = np.count_nonzero(size * (2 * (b - a) + keep * dim) <= density._CHUNK_ELEMENTS)
+    return max(density._MIN_SCREEN_BLOCK, fit)
 
 
 def test_high_d_leaves_the_slabs_after_one_block():
@@ -993,10 +1014,13 @@ def test_high_d_leaves_the_slabs_after_one_block():
     want_idx, want_d2 = nearest_rows_oracle(queries, data, 6)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
-    # Distances concentrate at d=32: the first slab block proves under
-    # half of its queries, so every query, in row order, is screened
-    # against the whole pool, in several full blocks.
+    # Distances concentrate at d=32: the first slab block, a full one that
+    # fills the element budget, proves under half of its queries, so every
+    # query, in row order, is screened against the whole pool, in several
+    # full blocks.
     assert len(slabs) == 1 and len(whole) > 1
+    assert len(slabs[0]) == first_slab_block(queries, data, 6)
+    assert len(slabs[0]) > density._MIN_SCREEN_BLOCK
     assert_whole_pool_blocks(whole, queries, len(data), 6)
 
 
@@ -1007,7 +1031,7 @@ def test_small_pools_skip_the_slabs():
     want = nearest_rows_oracle(pool, pool, 5, np.arange(len(pool)))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    # One block of every row, where a probe would have split it in two.
+    # One full block of every row: the whole pool is the first round.
     assert not slabs
     assert_whole_pool_blocks(whole, pool, len(pool), 5 + 1)
 

@@ -22,6 +22,7 @@ from pmlp.core import (
 )
 from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
 from pmlp.propagate import (
+    MAX_SOLVE_STEPS,
     ThresholdSchedulerState,
     mix_final,
     propagate_closed_form,
@@ -285,6 +286,34 @@ class TestSparseSolve:
         assert np.all(got[-1] > 0.0)
         assert got[-1].argmax() == want[-1].argmax() == 0
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_fifty_thousand_rows_run_to_the_stop_rule(self):
+        # 10,000 disjoint 5-row cliques, one labelled row each: 50,000 rows
+        # whose step cap, 2N + 120 at alpha = 0.8, passes MAX_SOLVE_STEPS,
+        # but whose labels are one hop from every row.
+        cliques, size = 10_000, 5
+        first, second = np.triu_indices(size, 1)
+        starts = size * np.arange(cliques)[:, None]
+        W = AffinityMatrix(
+            cliques * size,
+            (starts + first).ravel(),
+            (starts + second).ravel(),
+            np.ones(cliques * first.size),
+        )
+        S = normalize_symmetric(W)
+        assert 2 * S.size + 120 > MAX_SOLVE_STEPS
+        # Clique c labels its row c % 5 with class c % 2: ten kinds of clique.
+        Y = np.zeros((cliques, size, 2))
+        c = np.arange(cliques)
+        Y[c, c % size, c % 2] = 1.0
+        labels = SoftLabelMatrix(Y.reshape(-1, 2))
+        result, steps, _ = propagate_closed_form(S, labels, 0.8)
+        assert steps < 100  # the stop rule, far below the cap
+        got = result.data.reshape(cliques, size, 2)
+        one = normalize_symmetric(AffinityMatrix(size, first, second, np.ones(first.size)))
+        for kind in range(10):
+            want = solve_dense(one, Y[kind], 0.8)
+            assert np.max(np.abs(got[kind::10] - want)) <= 1e-12
 
     def test_stops_at_the_rounding_level_when_the_tolerance_is_out_of_reach(self):
         # Every row labelled and alpha = 0.999: the raw solve's solution is
