@@ -16,10 +16,11 @@ the whole pool, which takes its queries back in row order, and proves
 every query its screens are given, as no row lies outside it. The
 search sorts the pool once, centres it on its mean and stores it in that
 order as [-2 x; ||x||^2], in float32 unless the centred squares would
-leave its normal range. Every screen reads a run of those columns
-without a copy and takes a block of queries through one GEMM against
-it, which ranks the rows as their distances do up to a rounding the
-proof bounds. It keeps candidates, then ranks them on float64
+leave its normal range; a pool whose first round is the whole pool is
+stored in row order, with no key. Every screen reads a run of those
+columns without a copy and takes a block of queries through one GEMM
+against it, which ranks the rows as their distances do up to a
+rounding the proof bounds. It keeps candidates, then ranks them on float64
 direct-difference distances of the raw rows with ties toward the lower
 row index (``_rank``). The candidates hold each query's smallest
 screened values, found exactly from group minima (``_smallest``): a
@@ -155,9 +156,9 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
     least ``count`` and fewer than the N pool rows, then slabs of the
     pool, each screened by ``_screen``. Before the first screen the pool
     is sorted once along its widest coordinate a (largest max - min), by a
-    stable argsort, small pools included, and lifted in that order: every
-    screen reads the columns a:b of that one array, a view, with rows
-    ``order[a:b]``. The slab rounds take the queries in key order. A block
+    stable argsort, and lifted in that order: every screen reads the
+    columns a:b of that one array, a view, with rows ``order[a:b]``. The
+    slab rounds take the queries in key order. A block
     of queries is screened against the pool rows within ``width`` sorted
     positions of the block's key range, ``width`` starting at
     ``_FIRST_SLAB`` times the screen's candidates, widened as sqrt(rows)
@@ -181,7 +182,9 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
     in blocks of max(``_MIN_SCREEN_BLOCK``, ``_CHUNK_ELEMENTS`` // (2 N +
     candidates dim)), and as no row lies outside it, it proves every query
     its screen is given (``_screen`` proves every cut). Pools of at most 2
-    ``width`` rows have this round alone.
+    ``width`` rows have this round alone: they are lifted in row order,
+    with no axis, key sort or slab ends, as every ``harness compare`` pool
+    of 200 rows is.
 
     Every round takes full blocks, as many queries as the budget allows.
     Where distances concentrate (high d) the lists and the key gaps prove
@@ -237,15 +240,23 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
 
         pending = (yield from search(pending, listed))[0]
     if pending.size:
-        # The pool sorted once on its widest coordinate a (largest max - min)
-        # and lifted in that order: every screen reads a run of it. Its rows
-        # are centred on the pool mean (on zero where it overflows), in
-        # float32 unless their squares would leave its normal range
-        # (``_screen``).
+        width = _FIRST_SLAB * keep
+        if dim > 1 and n > _SLAB_ROWS * keep:
+            width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
+        # The pool lifted once, in the order every screen reads a run of:
+        # sorted on its widest coordinate a (largest max - min), with the
+        # queries in key order, where slabs come first, and in row order
+        # where the whole pool is the first round. Its rows are centred on
+        # the pool mean (on zero where it overflows), in float32 unless
+        # their squares would leave its normal range (``_screen``).
         with np.errstate(over="ignore", invalid="ignore"):
-            axis = np.argmax(np.ptp(pool, axis=0))
-            order = np.argsort(pool[:, axis], kind="stable")
-            keys = pool[order, axis]
+            if 2 * width < n:
+                axis = np.argmax(np.ptp(pool, axis=0))
+                order = np.argsort(pool[:, axis], kind="stable")
+                keys = pool[order, axis]
+                pending = pending[np.argsort(queries[pending, axis], kind="stable")]
+            else:
+                order = np.arange(n)
             centre = pool.mean(axis=0)
             centre[~np.isfinite(centre)] = 0.0
             centred = pool[order]
@@ -268,13 +279,19 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
             them by the key gap, or all of them where the slab holds every
             row."""
             most = max(_MIN_SCREEN_BLOCK, _CHUNK_ELEMENTS // (2 * width + keep * dim))
-            key = queries[rest[:most], axis]
-            a = max(np.searchsorted(keys, key[0], "left") - width, 0)
-            b = np.minimum(np.searchsorted(keys, key, "right") + width, n)
-            size = np.arange(1, b.size + 1)
-            fit = np.count_nonzero(size * (2 * (b - a) + keep * dim) <= _CHUNK_ELEMENTS)
-            rows = rest[: max(_MIN_SCREEN_BLOCK, fit)]
-            q, b = queries[rows], b[rows.size - 1]
+            if width == n:  # the whole pool: no slab ends to find
+                rows, a, b = rest[:most], 0, n
+            else:
+                key = queries[rest[:most], axis]
+                a = max(np.searchsorted(keys, key[0], "left") - width, 0)
+                b = np.minimum(np.searchsorted(keys, key, "right") + width, n)
+                size = np.arange(1, b.size + 1)
+                fit = np.count_nonzero(
+                    size * (2 * (b - a) + keep * dim) <= _CHUNK_ELEMENTS
+                )
+                rows = rest[: max(_MIN_SCREEN_BLOCK, fit)]
+                b = b[rows.size - 1]
+            q = queries[rows]
             idx, d2 = _screen(q, pool, lifted[:, a:b], order[a:b], centre, reach, count)
             if b - a == n:  # no row lies outside a slab of every row
                 return rows, np.arange(rows.size), idx, d2
@@ -285,10 +302,6 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
                 far = np.sqrt(d2[:, -1] + tiny) * (1 + slack) < gap * (1 - slack)
             return rows, np.flatnonzero(far), idx[far], d2[far]
 
-        width = _FIRST_SLAB * keep
-        if dim > 1 and n > _SLAB_ROWS * keep:
-            width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
-        pending = pending[np.argsort(queries[pending, axis], kind="stable")]
         while pending.size:
             if 2 * width >= n:  # the whole pool, the last slab, in row order
                 width, pending = n, np.sort(pending)
@@ -505,8 +518,10 @@ def _row_lists(data, count=0, support_n=None):
     nearest rows other than i, as ``_nearest_rows`` ranks them. m is
     ``count``, raised with ``support_n`` to ``_list_length``, enough for
     ``_listed_rows`` to prove that many KDE supports. The search's N x (m
-    + 1) arrays must fit ``core.MAX_ELEMENTS``; the error names the flag
-    that sized m, ``neighbor_count`` or ``kde_support_n``.
+    + 1) arrays must fit ``core.MAX_ELEMENTS``: ``graph`` checks the kNN
+    graph, 7 N ``count`` elements, before it asks for lists, so only a
+    length that ``support_n`` set can be refused here, by an error that
+    names ``kde_support_n``.
 
     This is the one place that leaves a row out of a search. The search
     finds each row's m + 1 nearest rows; row i's own index, or its last
@@ -516,12 +531,10 @@ def _row_lists(data, count=0, support_n=None):
     is listed or not, tied or not.
     """
     n = data.shape[0]
-    name = "neighbor_count"
     if support_n is not None and _list_length(support_n, n) > count:
-        name, count = "kde_support_n", _list_length(support_n, n)
-    _check_elements(
-        name, n * (count + 1), "%d rows x %d nearest rows" % (n, count + 1)
-    )
+        count = _list_length(support_n, n)
+        what = "%d rows x %d nearest rows" % (n, count + 1)
+        _check_elements("kde_support_n", n * (count + 1), what)
     indices = np.empty((n, count + 1), dtype=np.intp)
     dist2 = np.empty((n, count + 1))
     for rows, idx, d2 in _nearest_rows(data, data, count + 1):
@@ -699,24 +712,32 @@ def _canonical_pairs(features, pairs):
     return features, np.column_stack([low, high])
 
 
+def _path_points(cfg, pairs, dim, least=""):
+    """``cfg.path_points_k`` as an int, once the points on ``pairs`` pairs
+    and their densities, pairs x k x (dim + 1) elements, fit
+    ``core.MAX_ELEMENTS``. The ConfigError names ``path_points_k`` and
+    ``neighbor_count``, which sizes a kNN graph's pairs; ``least`` words a
+    pair count that is a lower bound."""
+    k = int(cfg.path_points_k)
+    if pairs * k * (dim + 1) > MAX_ELEMENTS:
+        raise ConfigError(
+            "path_points_k",
+            "%d points on each of %s%d pairs at d = %d exceed %d elements; "
+            "neighbor_count sizes the pairs of a kNN graph"
+            % (k, least, pairs, dim, MAX_ELEMENTS),
+        )
+    return k
+
+
 def _pair_point_densities(features, pairs, cfg, lists=None):
     """Normalized densities at the path points of canonical pairs: (n_pairs, k).
 
     Each point's supports are proven from its pair's lists (``_listed_rows``).
     ``lists``, every row's list, is built here when not given. The points
-    and their densities, pairs x k x (dim + 1) elements, must fit
-    ``core.MAX_ELEMENTS``; the error names ``path_points_k`` and
-    ``neighbor_count``, which sizes a kNN graph's pairs.
+    must fit ``core.MAX_ELEMENTS`` (``_path_points``).
     """
     n = _check_kernel(features, cfg.kde_support_n, cfg.bandwidth_h)
-    k = int(cfg.path_points_k)
-    if pairs.shape[0] * k * (features.dim + 1) > MAX_ELEMENTS:
-        raise ConfigError(
-            "path_points_k",
-            "%d points on each of %d pairs at d = %d exceed %d elements; "
-            "neighbor_count sizes the pairs of a kNN graph"
-            % (k, pairs.shape[0], features.dim, MAX_ELEMENTS),
-        )
+    k = _path_points(cfg, pairs.shape[0], features.dim)
     if lists is None:
         lists = _row_lists(features.data, support_n=n)
     elif lists[0].shape[0] != features.n_rows or lists[0].shape[1] < 1:

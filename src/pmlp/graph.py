@@ -12,7 +12,9 @@ constant leaves the normalized matrix unchanged.
 import numpy as np
 
 from .core import AffinityMatrix, DataError, FeatureMatrix, NumericalError
-from .density import _canonical_pairs, _distances, _row_lists, batch_path_density_info
+from .core import _check_elements
+from .density import _canonical_pairs, _distances, _path_points, _row_lists
+from .density import batch_path_density_info
 
 __all__ = [
     "EPS_DISTANCE",
@@ -28,11 +30,20 @@ EPS_DISTANCE = 1e-12
 
 
 def _check_count(features, count):
+    """The neighbor count as an int, once it lies in [1, N) and the graph
+    of its N x count directed edges fits ``core.MAX_ELEMENTS`` seven times
+    over: the edges and their canonical pairs, two columns each, the pair
+    keys, and the CSR's rows, which hold each pair both ways
+    (``build_affinity``). Checked before any list is built."""
     count = int(count)
-    if count < 1 or count >= features.n_rows:
-        raise DataError(
-            "neighbor count %d must lie in [1, %d)" % (count, features.n_rows)
-        )
+    n = features.n_rows
+    if count < 1 or count >= n:
+        raise DataError("neighbor count %d must lie in [1, %d)" % (count, n))
+    _check_elements(
+        "neighbor_count",
+        n * count * (2 + 2 + 1 + 2),
+        "%d rows x %d neighbors, held 7 times by the graph," % (n, count),
+    )
     return count
 
 
@@ -46,10 +57,20 @@ def neighbor_lists(features, cfg):
     lists. So m is cfg.neighbor_count in "classical_lpa" mode, and in
     "pmlp" mode at least ceil(4 * cfg.kde_support_n / 3) + 2
     (``density._list_length``), capped at N - 1.
+
+    A run that could not hold its graph or its path points is refused
+    before the pass. A kNN graph has at least ceil(N k / 2) distinct pairs
+    for k = cfg.neighbor_count, as each pair carries at most two of the N k
+    directed edges, so in "pmlp" mode that many pairs' path points must fit
+    (``density._path_points``): this refuses no run that the exact count
+    of pairs would accept.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
     count = _check_count(features, cfg.neighbor_count)
+    if cfg.mode == "pmlp":
+        least = -(-features.n_rows * count // 2)
+        _path_points(cfg, least, features.dim, "at least ")
     support_n = cfg.kde_support_n if cfg.mode == "pmlp" else None
     return _row_lists(features.data, count, support_n)
 

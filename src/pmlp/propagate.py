@@ -223,12 +223,22 @@ def run_pmlp(
     cfg,
     n_classes=None,
     renormalize=False,
+    lists=None,
 ):
     """Run the whole pipeline over a feature matrix and its assignments.
 
     Requires at least one ground-truth row and at least two classes. The
     propagation graph connects every row to its ``cfg.neighbor_count``
     nearest neighbors.
+
+    ``lists``, every row's nearest-row lists over these features as
+    ``graph.neighbor_lists`` returns them, are built here with ``cfg`` when
+    not given. The kNN edges take their first ``cfg.neighbor_count``
+    columns, and in "pmlp" mode the path points' supports are proven from
+    them, so the "pmlp"-mode lists of a config, m = max(k, ceil(4 n / 3) +
+    2) long for k neighbors and n supports, serve its "classical_lpa" run
+    too, whose own lists are their first k columns. Lists change the time,
+    never the result.
 
     Deterministic: equal inputs and configuration give equal outputs.
     """
@@ -248,7 +258,8 @@ def run_pmlp(
     high, low, _ = split_by_confidence(labels, gt_mask, cfg.tau)
 
     # One nearest-row pass gives the kNN edges and the KDE supports' lists.
-    lists = neighbor_lists(features, cfg)
+    if lists is None:
+        lists = neighbor_lists(features, cfg)
     edges = knn_edges(features, cfg.neighbor_count, lists)
     # edges by keyword: perfbench/spans.py counts the graph's pairs from it.
     S = normalize_symmetric(build_affinity(features, edges=edges, cfg=cfg, lists=lists))

@@ -23,13 +23,15 @@ from functools import partial
 
 import numpy as np
 
-from .core import MODES, DataError, FeatureMatrix, LabelAssignment, _check_elements
+from .core import MODES, DataError, FeatureMatrix, LabelAssignment, PmlpError
+from .core import _check_elements
 from .density import (
     _pair_point_densities,
     _row_lists,
     batch_normalized_density,
     density_ratio,
 )
+from .graph import neighbor_lists
 from .propagate import run_pmlp
 
 __all__ = [
@@ -377,10 +379,20 @@ def _worker_count(trials):
 
 
 def _compare_trial(spec, cfg, t):
-    """The two ComparisonTrial records of trial t, one per mode in MODES order."""
+    """The two ComparisonTrial records of trial t, one per mode in MODES order.
+
+    One nearest-row pass, with the "pmlp"-mode config, whose lists are the
+    longer ones, serves both modes (``run_pmlp``'s ``lists``). Where that
+    pass fails, both runs build their own lists, so a failing trial raises
+    ``run_pmlp``'s first error, its label checks' before the lists'.
+    """
     seed = spec["seed"] + t
     sample = regenerate(spec, seed=seed)
     assignments = assignments_from_dataset(sample)
+    try:
+        lists = neighbor_lists(sample.features, replace(cfg, mode="pmlp"))
+    except PmlpError:
+        lists = None
     records = []
     for mode in MODES:
         result = run_pmlp(
@@ -388,6 +400,7 @@ def _compare_trial(spec, cfg, t):
             assignments,
             replace(cfg, mode=mode),
             n_classes=sample.n_classes,
+            lists=lists,
         )
         accuracy, high_ratio, correct_high = _trial_metrics(result, sample, cfg.tau)
         records.append(
@@ -463,8 +476,9 @@ def compare_pmlp_vs_lpa(dataset, cfg, trials):
     """Density-aware vs classical propagation over freshly seeded trials.
 
     Trial t regenerates the dataset from its ``generator_spec`` with seed
-    ``seed + t`` and runs both modes on identical inputs; the returned
-    list holds two ComparisonTrial records per trial, in trial order.
+    ``seed + t`` and runs both modes on identical inputs, from one
+    nearest-row pass (``_compare_trial``); the returned list holds two
+    ComparisonTrial records per trial, in trial order.
 
     With W = ``_worker_count`` above 1, a pool of W processes forked for
     this call runs the trials (``_pooled``) while the caller waits; with

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmlp
-from pmlp import cli
+from pmlp import cli, density
 from pmlp.cli import (
     COMPARE_DEFAULTS,
     DENSITY_RATIO_DEFAULTS,
@@ -629,10 +629,54 @@ class TestExitCodes:
             assert "neighbor_count" in error["message"]
         assert "exceed %d elements" % MAX_ELEMENTS in error["message"]
 
+    def test_path_points_past_the_element_limit_are_refused_before_the_lists(
+        self, tmp_path, monkeypatch
+    ):
+        # A kNN graph of 60 rows and 2 neighbors has at least 60 pairs, so
+        # 2^62 points on each are refused before the nearest-row pass.
+        data, _ = generate_blobs(tmp_path)
+        out = tmp_path / "out"
+        searches = []
+        nearest_rows = density._nearest_rows
+
+        def spy(*args):
+            searches.append(args[0].shape)
+            return nearest_rows(*args)
+
+        monkeypatch.setattr(density, "_nearest_rows", spy)
+        assert main(["label", "--input", str(data), "--out-dir", str(out),
+                     "--neighbor-count", "2", "--path-points-k", str(2**62)]) == 1
+        error = json.loads((out / "metrics.json").read_text())["error"]
+        assert error["message"].startswith("path_points_k: %d points on each of at least "
+                                           "60 pairs at d = 2 exceed " % 2**62)
+        assert "neighbor_count" in error["message"]
+        assert searches == []
+
+    def test_a_graph_past_the_element_limit_names_neighbor_count(
+        self, tmp_path, monkeypatch
+    ):
+        # 60 rows' lists of 6 entries fit a limit of 1,000 elements, but
+        # not the graph's 7 copies of their 300 edges, which the element
+        # check refuses before any list is built.
+        data, _ = generate_blobs(tmp_path)
+        out = tmp_path / "out"
+        searches = []
+        monkeypatch.setattr(density, "_nearest_rows", lambda *args: searches.append(1))
+        with mock.patch("pmlp.core.MAX_ELEMENTS", 1000):
+            code = main(["label", "--input", str(data), "--out-dir", str(out),
+                         "--mode", "classical_lpa", "--neighbor-count", "5"])
+        assert code == 2
+        error = json.loads((out / "metrics.json").read_text())["error"]
+        assert error["code"] == "data"
+        assert error["message"].startswith("neighbor_count: 60 rows x 5 neighbors")
+        assert "exceed 1000 elements" in error["message"]
+        assert searches == []
+
     @pytest.mark.parametrize(
         "argv, field",
         [
-            # m = 40 rows per list, set by the kNN count
+            # m = 40 rows per list, set by the kNN count: the graph's edge
+            # check, before the lists, refuses it first
             (["--neighbor-count", "40", "--kde-support-n", "1"], "neighbor_count"),
             # m = min(ceil(4 * 45 / 3) + 2, 59) = 59, set by the supports
             (["--neighbor-count", "3", "--kde-support-n", "45"], "kde_support_n"),

@@ -1036,6 +1036,29 @@ def test_small_pools_skip_the_slabs():
     assert_whole_pool_blocks(whole, pool, len(pool), 5 + 1)
 
 
+@pytest.mark.parametrize("support_n", [None, 15])
+def test_small_pools_are_screened_in_row_order(monkeypatch, support_n):
+    # harness compare's pools: 200 two-moons rows, 5 neighbors, and in
+    # pmlp mode lists for 15 supports. The whole pool is the first round,
+    # so it is not sorted on a key: every screen reads it in row order.
+    pool = gen_two_moons(200, 0.1, 2, seed=4).features.data
+    orders = []
+    screen = density._screen
+
+    def spy(q, pool, lifted, rows, *rest):
+        orders.append(rows)
+        return screen(q, pool, lifted, rows, *rest)
+
+    monkeypatch.setattr(density, "_screen", spy)
+    got = density._row_lists(pool, 5, support_n)
+    count = got[0].shape[1]
+    want = nearest_rows_oracle(pool, pool, count, np.arange(len(pool)))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert 2 * density._FIRST_SLAB * (count + 1 + density._SCREEN_MARGIN) >= len(pool)
+    assert orders and all(np.array_equal(rows, np.arange(len(pool))) for rows in orders)
+
+
 # Selection. ``_smallest`` finds each screen row's k smallest values from
 # group minima; these patch ``_MIN_GROUP`` to 1 so that small screens are
 # grouped too, with ``_GROUP_SCALE`` setting how wide the groups are.

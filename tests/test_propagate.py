@@ -17,10 +17,11 @@ from pmlp.core import (
     LabelAssignment,
     NumericalError,
     PmlpConfig,
+    PmlpError,
     SoftLabelMatrix,
     soft_labels_from_assignments,
 )
-from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
+from pmlp.graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
 from pmlp.propagate import (
     MAX_SOLVE_STEPS,
     ThresholdSchedulerState,
@@ -387,6 +388,50 @@ def blob_fixture(seed=21, per_class=30):
 
 
 PIPE_CFG = PmlpConfig(bandwidth_h=2.0, kde_support_n=15, neighbor_count=8, seed=0)
+
+
+def pipeline_outcome(*args, **kwargs):
+    """``run_pmlp(*args, **kwargs)`` as bytes: its final labels, steps and
+    residual, or the error it raised."""
+    try:
+        result = run_pmlp(*args, **kwargs)
+    except PmlpError as error:
+        return repr(error)
+    return result.final_labels.data.tobytes(), result.iterations_used, result.residual
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    distinct=st.integers(1, 30),
+    n=st.integers(3, 40),
+    dim=st.sampled_from([1, 2, 3]),
+    mode=st.sampled_from(MODES),
+    k_fraction=st.floats(0.0, 1.0),
+    support_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(distinct=1, n=12, dim=2, mode="classical_lpa", k_fraction=0.5,
+         support_fraction=1.0, seed=0)
+def test_shared_lists_change_no_byte(
+    distinct, n, dim, mode, k_fraction, support_fraction, seed
+):
+    # Rows on a grid of 0.5, drawn from ``distinct`` rows with repeats, so
+    # distances tie and rows coincide; the first two rows are labelled.
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-2, 3, size=(distinct, dim)) * 0.5
+    features = FeatureMatrix(grid[rng.integers(0, distinct, n)])
+    assignments = [LabelAssignment.ground_truth(0), LabelAssignment.ground_truth(1)]
+    assignments += [LabelAssignment.unlabeled()] * (n - 2)
+    cfg = PmlpConfig(
+        mode=mode,
+        bandwidth_h=1.0,
+        neighbor_count=1 + int(k_fraction * (n - 2)),
+        kde_support_n=1 + int(support_fraction * (n - 1)),
+    )
+    lists = neighbor_lists(features, replace(cfg, mode="pmlp"))
+    assert pipeline_outcome(features, assignments, cfg, lists=lists) == pipeline_outcome(
+        features, assignments, cfg
+    )
 
 
 class TestRunPmlp:

@@ -1,16 +1,19 @@
 """Synthetic generators and the statistical harnesses."""
 
 import errno
+import json
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pmlp import cli, synthlab
-from pmlp.core import ConfigError, DataError, NumericalError, PmlpConfig
+from pmlp import cli, density, graph, synthlab
+from pmlp.core import MODES, ConfigError, DataError, NumericalError, PmlpConfig
 from pmlp.density import density_ratio
+from pmlp.propagate import run_pmlp
 from pmlp.synthlab import (
     assignments_from_dataset,
     compare_pmlp_vs_lpa,
@@ -229,6 +232,46 @@ class TestCompare:
         dataset = gen_gaussian_blobs([[0.0], [9.0]], 1.0, 5, 1, seed=0)
         with pytest.raises(DataError):
             compare_pmlp_vs_lpa(dataset, PmlpConfig(), trials=0)
+
+    def test_one_list_pass_serves_both_modes(self, monkeypatch):
+        dataset = gen_two_moons(n=60, noise=0.1, labeled_per_class=2, seed=9)
+        cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, seed=9)
+        passes = []
+        row_lists = density._row_lists
+
+        def spy(*args, **kwargs):
+            passes.append(args[0].shape[0])
+            return row_lists(*args, **kwargs)
+
+        monkeypatch.setattr(density, "_row_lists", spy)
+        monkeypatch.setattr(graph, "_row_lists", spy)
+        _workers(monkeypatch, 1)
+        records = [repr(r) for r in compare_pmlp_vs_lpa(dataset, cfg, trials=3)]
+        assert passes == [60] * 3
+        plain = []
+        for t in range(3):
+            sample = regenerate(dataset.generator_spec, seed=9 + t)
+            for mode in MODES:
+                result = run_pmlp(
+                    sample.features,
+                    assignments_from_dataset(sample),
+                    replace(cfg, mode=mode),
+                    n_classes=sample.n_classes,
+                )
+                metrics = synthlab._trial_metrics(result, sample, cfg.tau)
+                plain.append(repr(synthlab.ComparisonTrial(t, 9 + t, mode, *metrics)))
+        assert passes == [60] * 9  # each plain run makes its own pass
+        assert records == plain
+
+    def test_a_label_error_comes_before_a_neighbor_count_error(self, tmp_path):
+        # No labelled row and more neighbors than rows: run_pmlp checks the
+        # labels first, and the shared list pass keeps that order.
+        out = tmp_path / "out"
+        argv = ["harness", "compare", "--out-dir", str(out), "--n", "20",
+                "--labeled-per-class", "0", "--neighbor-count", "50", "--trials", "2"]
+        assert cli.main(argv) == 2
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error == {"code": "data", "message": "at least one ground-truth row is required"}
 
 
 def _workers(monkeypatch, count):
