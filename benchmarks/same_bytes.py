@@ -13,6 +13,9 @@ is a CLI call (``python -m pmlp.cli``):
   JSONL file, and a 20,000-row two-moons file;
 - ``label`` on both fixtures, with the benchmark's flags and with the
   defaults, and on the 20,000-row file with the defaults;
+- ``label`` on a fixed JSONL file of ground-truth, unlabeled and
+  prediction rows, with its truth file, both written by this script
+  (``PREDICTIONS_JSONL``), as no generated file holds a prediction;
 - the default ``harness theorem1``, ``compare`` and ``density-ratio`` jobs,
   ``harness compare`` with the flags of perfbench's compare_n200
   workload (100 trials at n = 200, config seed 1000), whose trials run
@@ -103,6 +106,31 @@ for dim, kind in ((2, "grid"), (32, "shift")):
 """
 
 
+# 15 rows in three classes: ground-truth, unlabeled and prediction rows,
+# confident ones and not. [0.7000004, 0.2, 0.1] sums to 1 within 1e-6 but
+# not within 1e-9, so it is rescaled to 1 on reading.
+PREDICTIONS_JSONL = """\
+{"features": [0.0, 0.0], "label": 0}
+{"features": [0.5, 0.25], "label": [0.96, 0.02, 0.02]}
+{"features": [-0.25, 0.5], "label": [0.7000004, 0.2, 0.1]}
+{"features": [0.25, -0.5], "label": null}
+{"features": [-0.5, -0.25], "label": null}
+{"features": [4.0, 0.0], "label": 1}
+{"features": [4.5, 0.25], "label": [0.1, 0.6, 0.3]}
+{"features": [3.75, 0.5], "label": null}
+{"features": [4.25, -0.5], "label": [0.02, 0.97, 0.01]}
+{"features": [3.5, -0.25], "label": null}
+{"features": [0.0, 4.0], "label": 2}
+{"features": [0.5, 4.25], "label": null}
+{"features": [-0.25, 4.5], "label": [0.25, 0.25, 0.5]}
+{"features": [0.25, 3.5], "label": null}
+{"features": [-0.5, 3.75], "label": 2}
+"""
+PREDICTIONS_TRUTH = "row_index,true_class\n" + "".join(
+    "%d,%d\n" % (row, row // 5) for row in range(15)
+)
+
+
 def _generate(args):
     return CLI + ["generate"] + args + [
         "--out", "{out}/data.csv", "--truth-out", "{out}/truth.csv"]
@@ -114,8 +142,8 @@ def _label(fixture, flags):
 
 
 # Job name -> the interpreter's arguments; {out} is the job's own output
-# directory and {ref} the directory that holds REF's jobs. Generate jobs
-# come first.
+# directory, {ref} the directory that holds REF's jobs and {fixed} the one
+# that holds PREDICTIONS_JSONL and its truth file. Generate jobs come first.
 JOBS = {
     "generate_moons_4k": _generate(MOONS_4K),
     "generate_blobs_5k_d32": _generate(BLOBS_5K_D32),
@@ -127,6 +155,8 @@ JOBS = {
     "label_blobs_5k_d32_bench": _label("generate_blobs_5k_d32", BLOBS_FLAGS),
     "label_blobs_5k_d32_defaults": _label("generate_blobs_5k_d32", []),
     "label_moons_20k_defaults": _label("generate_moons_20k", []),
+    "label_predictions": CLI + ["label", "--input", "{fixed}/predictions.jsonl",
+                                "--truth", "{fixed}/truth.csv", "--out-dir", "{out}"],
     "harness_theorem1": CLI + ["harness", "theorem1", "--out-dir", "{out}"],
     "harness_compare": CLI + ["harness", "compare", "--out-dir", "{out}"],
     "harness_compare_n200": CLI + ["harness", "compare", "--out-dir", "{out}"] + COMPARE_N200,
@@ -148,7 +178,7 @@ def export(ref, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
-def run_jobs(src, work, ref_work, threads):
+def run_jobs(src, work, ref_work, fixed, threads):
     """Run every job with the package under ``src``; returns failures."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PMLP_SEED", None)  # it would override the jobs' seeds
@@ -164,7 +194,7 @@ def run_jobs(src, work, ref_work, threads):
     for job, argv in JOBS.items():
         out = os.path.join(work, job)
         os.makedirs(out)
-        argv = [arg.format(out=out, ref=ref_work) for arg in argv]
+        argv = [arg.format(out=out, ref=ref_work, fixed=fixed) for arg in argv]
         done = subprocess.run(
             [sys.executable] + argv,
             env=env, cwd=work, capture_output=True, text=True,
@@ -223,12 +253,19 @@ def main(argv=None):
     unexpected = 0
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as root:
         export(args.ref, root)
+        fixed = os.path.join(root, "fixed")
+        os.makedirs(fixed)
+        for name, text in (("predictions.jsonl", PREDICTIONS_JSONL),
+                           ("truth.csv", PREDICTIONS_TRUTH)):
+            with open(os.path.join(fixed, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
         sources = {"ref": os.path.join(root, "src"), "tree": os.path.join(ROOT, "src")}
         for threads in THREADS:
             works = {side: os.path.join(root, "threads" + threads, side) for side in sources}
             failed = {}
             for side, src in sources.items():
-                for job, note in run_jobs(src, works[side], works["ref"], threads).items():
+                failures = run_jobs(src, works[side], works["ref"], fixed, threads)
+                for job, note in failures.items():
                     failed[job] = "%s %s" % (side, note)
             for job in JOBS:
                 if job in failed:

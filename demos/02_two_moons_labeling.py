@@ -13,20 +13,15 @@ Writes demo output CSV (point, true class, both predictions) next to it.
 import csv
 import os
 
-from pmlp import (
-    PmlpConfig,
-    assignments_from_dataset,
-    gen_two_moons,
-    run_classical_lpa,
-    run_pmlp,
-)
+from pmlp import PmlpConfig, gen_two_moons, run_classical_lpa, run_pmlp
 
 dataset = gen_two_moons(n=300, noise=0.1, labeled_per_class=2, seed=1)
-assignments = assignments_from_dataset(dataset)
+# Each labelled row's class, and -1 on every other row.
+ground_truth = dataset.ground_truth
 cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, seed=1)
 
-density_aware = run_pmlp(dataset.features, assignments, cfg)
-classical = run_classical_lpa(dataset.features, assignments, cfg)
+density_aware = run_pmlp(dataset.features, ground_truth, cfg)
+classical = run_classical_lpa(dataset.features, ground_truth, cfg)
 
 unlabeled = ~dataset.labeled_mask
 truth = dataset.true_class

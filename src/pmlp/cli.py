@@ -13,7 +13,12 @@ File formats
     probabilities. JSONL: one object ``{"features": [...], "label": c |
     null | [...]}`` per line. All files are UTF-8; CSV follows RFC 4180.
     Both formats hold a label as the same JSON value (null, a class index
-    or a probability list) and share one decoder and one encoder for it.
+    or a probability list), read by one decoder into the arrays that
+    ``run_pmlp`` takes: a ground-truth vector of each row's class, -1 on an
+    unlabeled or predicted row, and a matrix of prediction rows, zero on
+    the other rows. Only the CSV cell ``-1`` means unlabeled; a JSON -1 is
+    an error. A probability list must sum to 1 within 1e-6, and is
+    rescaled to 1; every list of a file must have one length.
     Every reader, the truth file's too, skips an empty line and a line
     that holds only whitespace. A CSV line of a space, a comma and a space
     holds two cells, so it is read as a record, and fails as one.
@@ -66,16 +71,14 @@ from .core import (
     ConfigError,
     DataError,
     FeatureMatrix,
-    LabelAssignment,
     NumericalError,
     PmlpConfig,
-    count_classes,
     default_neighbor_count,
 )
+from .core import _check_elements
 from .propagate import run_pmlp
 from .synthlab import (
     _GENERATORS,
-    assignments_from_dataset,
     compare_pmlp_vs_lpa,
     density_ratio_sweep,
     separation_sweep,
@@ -232,33 +235,31 @@ def _is_number(value):
 
 
 def _decode_label(value):
-    """The LabelAssignment a label's JSON value stands for: null is
-    unlabeled, an integer a ground-truth class, and a list of numbers a
-    prediction that must sum to 1 within 1e-6 (and is rescaled to 1)."""
+    """The label a JSON value stands for: null is -1 (unlabelled), an
+    integer a ground-truth class, which must be nonnegative, and a list of
+    finite numbers a probability vector, which must sum to 1 within 1e-6
+    and is rescaled to 1."""
     if value is None:
-        return LabelAssignment.unlabeled()
+        return -1
     if isinstance(value, int) and not isinstance(value, bool):
-        return LabelAssignment.ground_truth(value)
+        if value < 0:
+            raise DataError("ground-truth class index must be nonnegative")
+        # Refused here, as past 2^63 a class does not fit the int64 vector.
+        _check_elements("n_classes", value + 1, "%d classes" % (value + 1))
+        return value
     if not isinstance(value, list) or not all(map(_is_number, value)):
         raise DataError(
             "label %r is not a class index, unlabeled or a probability list" % (value,)
         )
     probabilities = np.array(value, dtype=float)
+    if not np.all(np.isfinite(probabilities)):
+        raise DataError("prediction contains non-finite entries")
     total = float(probabilities.sum())
     if abs(total - 1.0) > 1e-6:
         raise DataError("probabilities sum to %r, not 1 within 1e-6" % total)
     if abs(total - 1.0) > 1e-9:
         probabilities = probabilities / total
-    return LabelAssignment.prediction(probabilities)
-
-
-def _encode_label(assignment):
-    """The JSON value ``_decode_label`` reads back as ``assignment``."""
-    if assignment.kind == LabelAssignment.GROUND_TRUTH:
-        return assignment.class_index
-    if assignment.kind == LabelAssignment.PREDICTION:
-        return assignment.probabilities.tolist()
-    return None
+    return probabilities
 
 
 def _looks_like_header(record):
@@ -337,12 +338,17 @@ def _infer_format(path, fmt):
 
 
 def ingest_features(path, fmt=None):
-    """Load a dataset file into a FeatureMatrix and per-row assignments.
+    """Load a dataset file: ``(features, ground_truth, predictions)``.
 
-    Reading stops at the first data row past ``MAX_INGEST_ROWS``, which is
-    an error, so a larger file is never parsed whole."""
+    ``features`` is a FeatureMatrix, ``ground_truth`` an (N,) integer
+    vector of each labelled row's class and -1 on every other row, and
+    ``predictions`` the (N, C) probability rows, all zero on a row without
+    one, or None if no row has one; prediction rows of different lengths
+    are an error that names the line. Reading stops at the first data row
+    past ``MAX_INGEST_ROWS``, which is an error, so a larger file is never
+    parsed whole."""
     records = _READERS[_infer_format(path, fmt)]
-    features, assignments, width = [], [], None
+    features, classes, predicted, width = [], [], [], None
     with _reading(path) as handle:
         for line_no, cells, label in records(handle):
             try:
@@ -353,8 +359,18 @@ def ingest_features(path, fmt=None):
                     raise DataError("%d features, expected %d" % (len(cells), width))
                 if label is not _HEADER:
                     features.append([float(cell) for cell in cells])
-                    assignments.append(_decode_label(label))
-            except ValueError as exc:  # a DataError, or a cell float() refuses
+                    label = _decode_label(label)
+                    if isinstance(label, np.ndarray):
+                        predicted.append((len(classes), label))
+                        expected = predicted[0][1].size
+                        if label.size != expected:
+                            raise DataError(
+                                "%d probabilities, expected %d" % (label.size, expected)
+                            )
+                        label = -1
+                    classes.append(label)
+            # A DataError, or a number float() refuses or cannot hold.
+            except (ValueError, OverflowError) as exc:
                 raise DataError("line %d: %s" % (line_no, exc)) from exc
             if len(features) > MAX_INGEST_ROWS:
                 raise DataError(
@@ -363,15 +379,31 @@ def ingest_features(path, fmt=None):
                 )
     if not features:
         raise DataError("input file holds no data rows: %s" % (path,))
-    return FeatureMatrix(features), assignments
+    predictions = None
+    if predicted:
+        rows, vectors = zip(*predicted)
+        shape = (len(features), vectors[0].size)
+        _check_elements("n_classes", shape[0] * shape[1], "%d rows x %d classes" % shape)
+        predictions = np.zeros(shape)
+        predictions[list(rows)] = vectors
+    return FeatureMatrix(features), np.array(classes), predictions
 
 
-def emit_features(path, features, assignments, fmt=None):
-    """Write a dataset file that ``ingest_features`` reads back exactly."""
+def emit_features(path, features, ground_truth, predictions=None, fmt=None):
+    """Write a dataset file that ``ingest_features`` reads back exactly.
+
+    A row's label is its class where ``ground_truth`` holds one, else its
+    row of ``predictions`` where that is not all zero, else unlabelled; a
+    row with both is a DataError, as a label holds one of them."""
     fmt = _infer_format(path, fmt)
-    labels = [_encode_label(a) for a in assignments]
+    labels = [None if c < 0 else c for c in np.asarray(ground_truth).tolist()]
     if len(labels) != features.n_rows:
-        raise DataError("assignment count does not match the feature rows")
+        raise DataError("ground_truth length does not match the feature rows")
+    if predictions is not None:
+        for row in np.flatnonzero(np.any(predictions, axis=1)):
+            if labels[row] is not None:
+                raise DataError("row %d: a ground-truth row has a prediction" % row)
+            labels[row] = predictions[row].tolist()
     if fmt == "csv":
         _write_csv(
             path,
@@ -550,13 +582,16 @@ def run_label_job(
     as wrong, appears when a truth file supplies the other rows' classes.
     """
     os.makedirs(out_dir, exist_ok=True)
-    features, assignments = ingest_features(input_path, fmt)
+    features, ground_truth, predictions = ingest_features(input_path, fmt)
     if features.n_rows < 2:
         raise DataError("%d data row: labelling needs at least 2" % features.n_rows)
     truth = None if truth_path is None else _read_truth(truth_path, features.n_rows)
     if n_classes is not None and n_classes < 2:
         raise DataError("n_classes = %d: labelling needs at least 2" % n_classes)
-    classes = count_classes(assignments) if n_classes is None else n_classes
+    classes = n_classes
+    if classes is None:  # as run_pmlp infers it
+        width = 0 if predictions is None else predictions.shape[1]
+        classes = max(int(ground_truth.max()) + 1, width)
     if classes < 2:
         raise DataError("could not infer >= 2 classes; pass n_classes")
     values = {
@@ -567,15 +602,18 @@ def run_label_job(
     cfg = PmlpConfig(**values)
 
     result = run_pmlp(
-        features, assignments, cfg, n_classes=classes, renormalize=renormalize
+        features,
+        ground_truth,
+        cfg,
+        predictions,
+        n_classes=classes,
+        renormalize=renormalize,
     )
     final = result.final_labels
     predicted = final.data.argmax(axis=1)
     predicted[~final.data.any(axis=1)] = -1
     confident = final.confidences() >= cfg.tau
-    evaluate = np.array(
-        [a.kind != LabelAssignment.GROUND_TRUTH for a in assignments], dtype=bool
-    )
+    evaluate = ground_truth < 0
     metrics = {
         "n_rows": int(final.rows),
         "n_labeled": int((~evaluate).sum()),
@@ -757,7 +795,7 @@ def _cmd_generate(args):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     written = {
         "data": emit_features(
-            args.out, dataset.features, assignments_from_dataset(dataset), args.format
+            args.out, dataset.features, dataset.ground_truth, fmt=args.format
         )
     }
     if args.truth_out:

@@ -23,16 +23,13 @@ __all__ = [
     "DISTANCE_MODES",
     "DataError",
     "FeatureMatrix",
-    "LabelAssignment",
     "MAX_ELEMENTS",
     "MODES",
     "NumericalError",
     "PmlpConfig",
     "PmlpError",
     "SoftLabelMatrix",
-    "count_classes",
     "default_neighbor_count",
-    "soft_labels_from_assignments",
     "validate_config",
 ]
 
@@ -46,7 +43,8 @@ CONFIG_CHOICES = {
     "mode": MODES,
 }
 
-# Soft predictions must sum to one within this tolerance.
+# A row of soft predictions (``propagate.run_pmlp``'s ``predictions``) is all
+# zero or sums to one within this tolerance.
 PREDICTION_SUM_TOL = 1e-9
 
 # Most elements of an array that a caller's count sizes (path points,
@@ -134,59 +132,6 @@ class FeatureMatrix:
 
     def __repr__(self):
         return "FeatureMatrix(n_rows=%d, dim=%d)" % (self.n_rows, self.dim)
-
-
-class LabelAssignment:
-    """Per-row label state: a known class, a soft prediction, or nothing.
-
-    Use the ``ground_truth``, ``prediction`` and ``unlabeled`` constructors;
-    prediction vectors must be nonnegative, finite, and sum to one within
-    ``PREDICTION_SUM_TOL``.
-    """
-
-    GROUND_TRUTH = "ground_truth"
-    PREDICTION = "prediction"
-    UNLABELED = "unlabeled"
-
-    __slots__ = ("kind", "class_index", "probabilities")
-
-    def __init__(self, kind, class_index=None, probabilities=None):
-        if kind not in (self.GROUND_TRUTH, self.PREDICTION, self.UNLABELED):
-            raise DataError("unknown label assignment kind: %r" % (kind,))
-        self.kind = kind
-        self.class_index = class_index
-        self.probabilities = probabilities
-
-    @classmethod
-    def ground_truth(cls, class_index):
-        class_index = int(class_index)
-        if class_index < 0:
-            raise DataError("ground-truth class index must be nonnegative")
-        return cls(cls.GROUND_TRUTH, class_index=class_index)
-
-    @classmethod
-    def prediction(cls, probabilities):
-        vec = _float_array(probabilities, "prediction")
-        if vec.ndim != 1 or vec.size < 1:
-            raise DataError("prediction must be a nonempty vector")
-        if not np.all(np.isfinite(vec)):
-            raise DataError("prediction contains non-finite entries")
-        if np.any(vec < 0):
-            raise DataError("prediction contains negative entries")
-        if abs(float(vec.sum()) - 1.0) > PREDICTION_SUM_TOL:
-            raise DataError("prediction does not sum to 1 (got %r)" % float(vec.sum()))
-        return cls(cls.PREDICTION, probabilities=_frozen(vec))
-
-    @classmethod
-    def unlabeled(cls):
-        return cls(cls.UNLABELED)
-
-    def __repr__(self):
-        if self.kind == self.GROUND_TRUTH:
-            return "LabelAssignment.ground_truth(%d)" % self.class_index
-        if self.kind == self.PREDICTION:
-            return "LabelAssignment.prediction(%s)" % (list(self.probabilities),)
-        return "LabelAssignment.unlabeled()"
 
 
 class SoftLabelMatrix:
@@ -464,63 +409,3 @@ def default_neighbor_count(n_classes):
     if n_classes < 1:
         raise DataError("n_classes must be >= 1")
     return math.ceil(1.5 * n_classes)
-
-
-def count_classes(assignments):
-    """The class count per-row assignments imply: the longest prediction or
-    one past the largest ground-truth class, whichever is more (0 if none)."""
-    classes = 0
-    for a in assignments:
-        if a.kind == LabelAssignment.PREDICTION:
-            classes = max(classes, int(a.probabilities.size))
-        elif a.kind == LabelAssignment.GROUND_TRUTH:
-            classes = max(classes, a.class_index + 1)
-    return classes
-
-
-def soft_labels_from_assignments(assignments, n_classes=None):
-    """Assemble the initial soft-label matrix from per-row assignments.
-
-    Returns ``(labels, ground_truth_mask, ground_truth_classes)`` where
-    ground-truth rows are one-hot, prediction rows carry their vectors,
-    unlabeled rows are zero, and ``ground_truth_classes`` holds the class
-    index for ground-truth rows and -1 elsewhere. The class count is
-    ``count_classes(assignments)`` unless given; every prediction must
-    have exactly that many entries.
-    """
-    assignments = list(assignments)
-    if not assignments:
-        raise DataError("no label assignments given")
-    for row, a in enumerate(assignments):
-        if not isinstance(a, LabelAssignment):
-            raise DataError("row %d: not a LabelAssignment" % row)
-    classes = int(n_classes) if n_classes is not None else count_classes(assignments)
-    if classes < 1:
-        raise DataError("could not infer a class count; pass n_classes")
-    _check_elements(
-        "n_classes",
-        len(assignments) * classes,
-        "%d rows x %d classes" % (len(assignments), classes),
-    )
-
-    labels = np.zeros((len(assignments), classes))
-    gt_mask = np.zeros(len(assignments), dtype=bool)
-    gt_classes = np.full(len(assignments), -1, dtype=int)
-    for row, a in enumerate(assignments):
-        if a.kind == LabelAssignment.GROUND_TRUTH:
-            if a.class_index >= classes:
-                raise DataError(
-                    "row %d: class index %d outside [0, %d)"
-                    % (row, a.class_index, classes)
-                )
-            labels[row, a.class_index] = 1.0
-            gt_mask[row] = True
-            gt_classes[row] = a.class_index
-        elif a.kind == LabelAssignment.PREDICTION:
-            if a.probabilities.size != classes:
-                raise DataError(
-                    "row %d: prediction length %d, expected %d"
-                    % (row, a.probabilities.size, classes)
-                )
-            labels[row] = a.probabilities
-    return SoftLabelMatrix(labels), gt_mask, gt_classes

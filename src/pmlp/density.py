@@ -66,7 +66,8 @@ in any order without changing the result.
 
 import numpy as np
 
-from .core import MAX_ELEMENTS, ConfigError, DataError, FeatureMatrix, NumericalError
+from . import core
+from .core import ConfigError, DataError, FeatureMatrix, NumericalError
 from .core import _check_elements
 
 __all__ = [
@@ -719,12 +720,12 @@ def _path_points(cfg, pairs, dim, least=""):
     ``neighbor_count``, which sizes a kNN graph's pairs; ``least`` words a
     pair count that is a lower bound."""
     k = int(cfg.path_points_k)
-    if pairs * k * (dim + 1) > MAX_ELEMENTS:
+    if pairs * k * (dim + 1) > core.MAX_ELEMENTS:
         raise ConfigError(
             "path_points_k",
             "%d points on each of %s%d pairs at d = %d exceed %d elements; "
             "neighbor_count sizes the pairs of a kNN graph"
-            % (k, least, pairs, dim, MAX_ELEMENTS),
+            % (k, least, pairs, dim, core.MAX_ELEMENTS),
         )
     return k
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    PREDICTION_SUM_TOL,
     AffinityMatrix,
     DataError,
     NumericalError,
     PmlpConfig,
     SoftLabelMatrix,
-    soft_labels_from_assignments,
 )
+from .core import _check_elements, _float_array
 from .graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
 
 __all__ = [
@@ -94,7 +95,7 @@ def split_by_confidence(labels, ground_truth_mask, tau):
     high_mask = (labels.data.max(axis=1) >= tau) | mask
     high = np.where(high_mask[:, None], labels.data, 0.0)
     low = np.where(high_mask[:, None], 0.0, labels.data)
-    return SoftLabelMatrix(high), SoftLabelMatrix(low), high_mask
+    return SoftLabelMatrix(high), SoftLabelMatrix(low)
 
 
 def propagate_closed_form(S, y_high, alpha):
@@ -217,19 +218,77 @@ def mix_final(propagated, low, eta):
     return SoftLabelMatrix(eta * propagated.data + (1.0 - eta) * low.data)
 
 
+def _refuse(rows, message):
+    """A DataError of ``message`` % the first row set in the mask ``rows``,
+    if one is set."""
+    if rows.any():
+        raise DataError(message % np.argmax(rows))
+
+
+def _initial_labels(n_rows, ground_truth, predictions, n_classes):
+    """``run_pmlp``'s checked label inputs: the label matrix Y, as a
+    SoftLabelMatrix, and the ground-truth vector as an integer array."""
+    ground_truth = np.asarray(ground_truth)
+    integers = np.issubdtype(ground_truth.dtype, np.integer)
+    if ground_truth.shape != (n_rows,) or not integers:
+        raise DataError("ground_truth must hold one integer class per feature row")
+    _refuse(ground_truth < -1, "row %d: class below -1")
+    labelled = ground_truth >= 0
+    width = 0
+    if predictions is not None:
+        predictions = _float_array(predictions, "predictions")
+        if predictions.ndim != 2 or predictions.shape[0] != n_rows:
+            raise DataError("predictions must hold one row per feature row")
+        width = predictions.shape[1]
+        _refuse(~np.isfinite(predictions).all(1), "row %d: prediction is not finite")
+        _refuse((predictions < 0).any(1), "row %d: prediction has a negative entry")
+        sums = predictions.sum(axis=1)
+        _refuse(
+            (sums > 0) & (np.abs(sums - 1.0) > PREDICTION_SUM_TOL),
+            "row %d: prediction neither is all zero nor sums to 1",
+        )
+        _refuse((sums > 0) & labelled, "row %d: a ground-truth row has a prediction")
+    if n_classes is None:
+        classes = max(int(ground_truth.max()) + 1, width)
+    else:
+        classes = int(n_classes)
+    if classes < 1:
+        raise DataError("could not infer a class count; pass n_classes")
+    what = "%d rows x %d classes" % (n_rows, classes)
+    _check_elements("n_classes", n_rows * classes, what)
+    _refuse(ground_truth >= classes, "row %%d: class index outside [0, %d)" % classes)
+    if predictions is None:
+        predictions = np.zeros((n_rows, classes))
+    elif width != classes:
+        raise DataError("predictions are %d wide, expected %d classes" % (width, classes))
+    rows = np.flatnonzero(labelled)
+    predictions[rows, ground_truth[rows]] = 1.0
+    return SoftLabelMatrix(predictions), ground_truth
+
+
 def run_pmlp(
     features,
-    assignments,
+    ground_truth,
     cfg,
+    predictions=None,
     n_classes=None,
     renormalize=False,
     lists=None,
 ):
-    """Run the whole pipeline over a feature matrix and its assignments.
+    """Run the whole pipeline over a feature matrix and its labels.
 
-    Requires at least one ground-truth row and at least two classes. The
-    propagation graph connects every row to its ``cfg.neighbor_count``
-    nearest neighbors.
+    ``ground_truth`` is an (N,) integer vector: each labelled row's class,
+    and -1 on every other row. ``predictions``, if given, is an (N, C)
+    array of soft predictions: a row is all zero (no prediction), or
+    finite, nonnegative and summing to 1 within ``PREDICTION_SUM_TOL``, and
+    a labelled row has none. The class count C is ``n_classes`` when given,
+    else the larger of ``ground_truth.max() + 1`` and the prediction width;
+    every class must lie below it, the prediction width must equal it, and
+    N x C must fit ``core.MAX_ELEMENTS``. The initial label matrix Y holds
+    a one-hot row per labelled row and the predictions elsewhere. Requires
+    at least one ground-truth row and at least two classes; every broken
+    rule is a DataError. The propagation graph connects every row to its
+    ``cfg.neighbor_count`` nearest neighbors.
 
     ``lists``, every row's nearest-row lists over these features as
     ``graph.neighbor_lists`` returns them, are built here with ``cfg`` when
@@ -244,18 +303,17 @@ def run_pmlp(
     """
     if not isinstance(cfg, PmlpConfig):
         raise DataError("cfg must be a PmlpConfig")
-    labels, gt_mask, gt_classes = soft_labels_from_assignments(
-        assignments, n_classes=n_classes
+    labels, ground_truth = _initial_labels(
+        features.n_rows, ground_truth, predictions, n_classes
     )
-    if labels.rows != features.n_rows:
-        raise DataError("assignment count does not match the feature rows")
+    gt_mask = ground_truth >= 0
     if not gt_mask.any():
         raise DataError("at least one ground-truth row is required")
     if labels.classes < 2:
         raise DataError("at least two classes are required")
 
     # Every ground-truth row is high-confidence, so high is never empty.
-    high, low, _ = split_by_confidence(labels, gt_mask, cfg.tau)
+    high, low = split_by_confidence(labels, gt_mask, cfg.tau)
 
     # One nearest-row pass gives the kNN edges and the KDE supports' lists.
     if lists is None:
@@ -269,7 +327,7 @@ def run_pmlp(
         clamped = propagated.data.copy()
         rows = np.flatnonzero(gt_mask)
         clamped[rows] = 0.0
-        clamped[rows, gt_classes[rows]] = 1.0
+        clamped[rows, ground_truth[rows]] = 1.0
         propagated = SoftLabelMatrix(clamped)
 
     final = mix_final(propagated, low, cfg.eta)
@@ -282,9 +340,9 @@ def run_pmlp(
     )
 
 
-def run_classical_lpa(features, assignments, cfg, **kwargs):
+def run_classical_lpa(features, ground_truth, cfg, **kwargs):
     """``run_pmlp`` with the density reweighting switched off."""
-    return run_pmlp(features, assignments, replace(cfg, mode="classical_lpa"), **kwargs)
+    return run_pmlp(features, ground_truth, replace(cfg, mode="classical_lpa"), **kwargs)
 
 
 @dataclass(frozen=True)

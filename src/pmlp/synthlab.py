@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import MODES, DataError, FeatureMatrix, LabelAssignment, PmlpError
+from .core import MODES, DataError, FeatureMatrix, PmlpError
 from .core import _check_elements
 from .density import (
     _pair_point_densities,
@@ -39,7 +39,6 @@ __all__ = [
     "DensityRatioReport",
     "SeparationReport",
     "SyntheticDataset",
-    "assignments_from_dataset",
     "compare_pmlp_vs_lpa",
     "density_ratio_sweep",
     "gen_gaussian_blobs",
@@ -69,6 +68,12 @@ class SyntheticDataset:
     @property
     def n_classes(self):
         return int(self.true_class.max()) + 1
+
+    @property
+    def ground_truth(self):
+        """``run_pmlp``'s ground-truth vector: each labeled row's class, -1
+        on every other row."""
+        return np.where(self.labeled_mask, self.true_class, -1)
 
 
 def gen_gaussian_blobs(means, sigma, per_class, labeled_per_class, seed):
@@ -175,17 +180,6 @@ def regenerate(spec, seed=None):
         raise DataError("unknown generator kind: %r" % (kind,))
     use_seed = spec["seed"] if seed is None else seed
     return _GENERATORS[kind](seed=use_seed, **spec["params"])
-
-
-def assignments_from_dataset(dataset):
-    """Ground-truth assignments on labeled rows, unlabeled everywhere else."""
-    out = []
-    for labeled, cls in zip(dataset.labeled_mask, dataset.true_class):
-        if labeled:
-            out.append(LabelAssignment.ground_truth(int(cls)))
-        else:
-            out.append(LabelAssignment.unlabeled())
-    return out
 
 
 def _two_blobs(separation, sigma, samples_per_cluster, seed):
@@ -381,14 +375,15 @@ def _worker_count(trials):
 def _compare_trial(spec, cfg, t):
     """The two ComparisonTrial records of trial t, one per mode in MODES order.
 
-    One nearest-row pass, with the "pmlp"-mode config, whose lists are the
-    longer ones, serves both modes (``run_pmlp``'s ``lists``). Where that
-    pass fails, both runs build their own lists, so a failing trial raises
-    ``run_pmlp``'s first error, its label checks' before the lists'.
+    One ground-truth vector and one nearest-row pass, with the "pmlp"-mode
+    config, whose lists are the longer ones, serve both modes (``run_pmlp``'s
+    ``lists``). Where that pass fails, both runs build their own lists, so
+    a failing trial raises ``run_pmlp``'s first error, its label checks'
+    before the lists'.
     """
     seed = spec["seed"] + t
     sample = regenerate(spec, seed=seed)
-    assignments = assignments_from_dataset(sample)
+    ground_truth = sample.ground_truth
     try:
         lists = neighbor_lists(sample.features, replace(cfg, mode="pmlp"))
     except PmlpError:
@@ -397,7 +392,7 @@ def _compare_trial(spec, cfg, t):
     for mode in MODES:
         result = run_pmlp(
             sample.features,
-            assignments,
+            ground_truth,
             replace(cfg, mode=mode),
             n_classes=sample.n_classes,
             lists=lists,

@@ -23,7 +23,6 @@ from pmlp.core import (
     PmlpConfig,
     SoftLabelMatrix,
     default_neighbor_count,
-    soft_labels_from_assignments,
 )
 from pmlp.density import batch_normalized_density
 from pmlp.graph import build_affinity, knn_edges, normalize_symmetric
@@ -36,7 +35,7 @@ from pmlp.propagate import (
     threshold_increment,
     update_threshold,
 )
-from pmlp.synthlab import assignments_from_dataset, gen_gaussian_blobs
+from pmlp.synthlab import gen_gaussian_blobs
 
 from dense_oracle import affinity_from_dense, upper_pairs
 from iterative_oracle import propagate_iterative
@@ -75,9 +74,8 @@ def test_criterion_1_infinite_bandwidth_degeneration():
                 neighbor_count=default_neighbor_count(dataset.n_classes),
                 seed=7,
             )
-            assignments = assignments_from_dataset(dataset)
-            pm = run_pmlp(dataset.features, assignments, cfg)
-            classical = run_classical_lpa(dataset.features, assignments, cfg)
+            pm = run_pmlp(dataset.features, dataset.ground_truth, cfg)
+            classical = run_classical_lpa(dataset.features, dataset.ground_truth, cfg)
             diff = np.max(
                 np.abs(pm.final_labels.data - classical.final_labels.data)
             )
@@ -98,10 +96,8 @@ def test_criterion_2_affinity_scale_invariance():
         edges = knn_edges(dataset.features, cfg.neighbor_count)
         W = build_affinity(dataset.features, edges, cfg)
         S = normalize_symmetric(W)
-        labels, gt_mask, _ = soft_labels_from_assignments(
-            assignments_from_dataset(dataset)
-        )
-        high, _, _ = split_by_confidence(labels, gt_mask, cfg.tau)
+        labels = np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None]
+        high, _ = split_by_confidence(labels, dataset.labeled_mask, cfg.tau)
         base, _, _ = propagate_closed_form(S, high, cfg.alpha)
         first, second, values = upper_pairs(W)
         for c in (1e-3, 1.0, 1e3):

@@ -31,10 +31,9 @@ from pmlp.core import (
     MAX_ELEMENTS,
     DataError,
     FeatureMatrix,
-    LabelAssignment,
     PmlpConfig,
 )
-from pmlp.synthlab import assignments_from_dataset, gen_gaussian_blobs
+from pmlp.synthlab import gen_gaussian_blobs
 
 
 def write(path, text):
@@ -45,25 +44,26 @@ def write(path, text):
 class TestIngestCsv:
     def test_ground_truth_row(self, tmp_path):
         path = write(tmp_path / "d.csv", "0.1,0.2,3\n")
-        features, assignments = ingest_features(path)
+        features, ground_truth, predictions = ingest_features(path)
         np.testing.assert_allclose(features.data, [[0.1, 0.2]])
-        assert assignments[0].kind == LabelAssignment.GROUND_TRUTH
-        assert assignments[0].class_index == 3
+        assert ground_truth.tolist() == [3]
+        assert predictions is None
 
     def test_unlabeled_sentinel(self, tmp_path):
         path = write(tmp_path / "d.csv", "0.1,0.2,-1\n")
-        _, assignments = ingest_features(path)
-        assert assignments[0].kind == LabelAssignment.UNLABELED
+        _, ground_truth, predictions = ingest_features(path)
+        assert ground_truth.tolist() == [-1]
+        assert predictions is None
 
     def test_quoted_probability_list(self, tmp_path):
-        path = write(tmp_path / "d.csv", '1.0,2.0,"[0.7, 0.3]"\n')
-        _, assignments = ingest_features(path)
-        assert assignments[0].kind == LabelAssignment.PREDICTION
-        np.testing.assert_allclose(assignments[0].probabilities, [0.7, 0.3])
+        path = write(tmp_path / "d.csv", '1.0,2.0,"[0.7, 0.3]"\n1.0,2.5,0\n')
+        _, ground_truth, predictions = ingest_features(path)
+        assert ground_truth.tolist() == [-1, 0]
+        assert predictions.tolist() == [[0.7, 0.3], [0.0, 0.0]]
 
     def test_header_row_is_skipped(self, tmp_path):
         path = write(tmp_path / "d.csv", "f_0,f_1,label\n1.0,2.0,0\n")
-        features, _ = ingest_features(path)
+        features, _, _ = ingest_features(path)
         assert features.n_rows == 1
 
     def test_ragged_row_reports_line(self, tmp_path):
@@ -79,11 +79,11 @@ class TestIngestCsv:
     def test_slightly_off_probabilities_are_renormalized(self, tmp_path):
         # sum error inside (1e-9, 1e-6] is tolerated and normalized away
         path = write(tmp_path / "d.csv", '1.0,2.0,"[0.7000001, 0.3]"\n')
-        _, assignments = ingest_features(path)
-        assert assignments[0].kind == LabelAssignment.PREDICTION
-        assert float(np.sum(assignments[0].probabilities)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        _, ground_truth, predictions = ingest_features(path)
+        assert ground_truth.tolist() == [-1]
+        assert float(np.sum(predictions[0])) == pytest.approx(1.0, abs=1e-12)
+        listed = np.array([0.7000001, 0.3])
+        assert predictions[0].tolist() == (listed / listed.sum()).tolist()
 
     def test_row_ceiling_enforced(self, tmp_path):
         lines = ["0.0,0.0,-1"] * 20001
@@ -108,11 +108,31 @@ class TestIngestCsv:
         with pytest.raises(DataError, match="line 1"):
             ingest_features(path)
 
+    def test_prediction_rows_of_different_lengths_report_line(self, tmp_path):
+        path = write(
+            tmp_path / "d.csv", '1.0,2.0,"[0.5, 0.5]"\n1.0,3.0,1\n1.0,4.0,"[1.0]"\n'
+        )
+        with pytest.raises(DataError, match="line 3: 1 probabilities, expected 2"):
+            ingest_features(path)
+
+    def test_non_finite_probabilities_report_line(self, tmp_path):
+        # JSON's NaN and Infinity parse; the list is refused before it is summed.
+        for cell in ("[NaN, 1]", "[Infinity, -Infinity]"):
+            path = write(tmp_path / "d.csv", '1.0,2.0,0\n1.0,3.0,"%s"\n' % cell)
+            with pytest.raises(DataError, match="line 2: prediction contains non-fin"):
+                ingest_features(path)
+
+    def test_a_class_past_the_element_limit_reports_line(self, tmp_path):
+        # Such a class could not be held in an integer vector.
+        path = write(tmp_path / "d.csv", "1.0,2.0,0\n1.0,3.0,%d\n" % 2**70)
+        with pytest.raises(DataError, match="line 2: n_classes: %d classes" % (2**70 + 1)):
+            ingest_features(path)
+
     def test_unknown_suffix_needs_format(self, tmp_path):
         path = write(tmp_path / "d.data", "1.0,2.0,0\n")
         with pytest.raises(DataError):
             ingest_features(path)
-        features, _ = ingest_features(path, fmt="csv")
+        features, _, _ = ingest_features(path, fmt="csv")
         assert features.n_rows == 1
 
 
@@ -121,15 +141,34 @@ class TestIngestJsonl:
         path = write(
             tmp_path / "d.jsonl", '{"features": [1, 2], "label": [0.7, 0.3]}\n'
         )
-        features, assignments = ingest_features(path)
+        features, ground_truth, predictions = ingest_features(path)
         np.testing.assert_allclose(features.data, [[1.0, 2.0]])
-        assert assignments[0].kind == LabelAssignment.PREDICTION
-        np.testing.assert_allclose(assignments[0].probabilities, [0.7, 0.3])
+        assert ground_truth.tolist() == [-1]
+        assert predictions.tolist() == [[0.7, 0.3]]
 
     def test_null_label_is_unlabeled(self, tmp_path):
         path = write(tmp_path / "d.jsonl", '{"features": [1, 2], "label": null}\n')
-        _, assignments = ingest_features(path)
-        assert assignments[0].kind == LabelAssignment.UNLABELED
+        _, ground_truth, predictions = ingest_features(path)
+        assert ground_truth.tolist() == [-1]
+        assert predictions is None
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"features": [1, 1%s], "label": 0}', '{"features": [1, 2], "label": [1%s, 0]}'],
+        ids=["feature", "probability"],
+    )
+    def test_an_integer_past_the_float_range_reports_line(self, tmp_path, line):
+        # JSON integers have no bound; 1e400 is no float.
+        text = '{"features": [1, 2], "label": 0}\n' + line % ("0" * 400)
+        path = write(tmp_path / "d.jsonl", text + "\n")
+        with pytest.raises(DataError, match="line 2: int too large to convert to float"):
+            ingest_features(path)
+
+    def test_minus_one_is_no_jsonl_label(self, tmp_path):
+        # Only the CSV cell -1 means unlabeled; JSONL says null.
+        path = write(tmp_path / "d.jsonl", '{"features": [1, 2], "label": -1}\n')
+        with pytest.raises(DataError, match="line 1: ground-truth class index must be"):
+            ingest_features(path)
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = write(
@@ -164,34 +203,28 @@ class TestRoundTrip:
     def test_ingest_emit_round_trip_is_exact(self, tmp_path, fmt):
         rng = np.random.default_rng(12)
         features = FeatureMatrix(rng.normal(size=(7, 3)) * 10)
-        assignments = [
-            LabelAssignment.ground_truth(2),
-            LabelAssignment.unlabeled(),
-            LabelAssignment.prediction([0.25, 0.5, 0.25]),
-            LabelAssignment.ground_truth(0),
-            LabelAssignment.prediction([1.0, 0.0, 0.0]),
-            LabelAssignment.unlabeled(),
-            LabelAssignment.prediction([0.125, 0.375, 0.5]),
-        ]
+        ground_truth = np.array([2, -1, -1, 0, -1, -1, -1])
+        predictions = np.zeros((7, 3))
+        predictions[[2, 4, 6]] = [[0.25, 0.5, 0.25], [1.0, 0.0, 0.0], [0.125, 0.375, 0.5]]
         path = tmp_path / ("d." + fmt)
-        emit_features(path, features, assignments, fmt)
-        back_features, back_assignments = ingest_features(path, fmt)
+        emit_features(path, features, ground_truth, predictions, fmt)
+        back_features, back_ground_truth, back_predictions = ingest_features(path, fmt)
         assert np.array_equal(back_features.data, features.data)
-        for before, after in zip(assignments, back_assignments):
-            assert before.kind == after.kind
-            if before.kind == LabelAssignment.GROUND_TRUTH:
-                assert before.class_index == after.class_index
-            if before.kind == LabelAssignment.PREDICTION:
-                assert np.array_equal(before.probabilities, after.probabilities)
+        assert np.array_equal(back_ground_truth, ground_truth)
+        assert np.array_equal(back_predictions, predictions)
+        emit_features(path, features, ground_truth, fmt=fmt)
+        assert ingest_features(path, fmt)[2] is None
+        predictions[0] = [0.0, 0.0, 1.0]  # on a ground-truth row
+        with pytest.raises(DataError, match="row 0: a ground-truth row has a predic"):
+            emit_features(path, features, ground_truth, predictions, fmt)
 
     def test_reemission_is_byte_identical(self, tmp_path):
         dataset = gen_gaussian_blobs([[0.0, 0.0], [8.0, 0.0]], 1.0, 10, 2, seed=4)
-        assignments = assignments_from_dataset(dataset)
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        emit_features(first, dataset.features, assignments)
+        emit_features(first, dataset.features, dataset.ground_truth)
         loaded = ingest_features(first)
-        emit_features(second, loaded[0], loaded[1])
+        emit_features(second, *loaded)
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -633,9 +666,10 @@ class TestExitCodes:
         self, tmp_path, monkeypatch
     ):
         # A kNN graph of 60 rows and 2 neighbors has at least 60 pairs, so
-        # 2^62 points on each are refused before the nearest-row pass.
+        # 2^62 points on each are refused before the nearest-row pass. So
+        # are 6 points on each, 1,080 values at d = 2, under a patched limit
+        # of 1,000 elements, which the graph's 840 fit.
         data, _ = generate_blobs(tmp_path)
-        out = tmp_path / "out"
         searches = []
         nearest_rows = density._nearest_rows
 
@@ -644,12 +678,17 @@ class TestExitCodes:
             return nearest_rows(*args)
 
         monkeypatch.setattr(density, "_nearest_rows", spy)
-        assert main(["label", "--input", str(data), "--out-dir", str(out),
-                     "--neighbor-count", "2", "--path-points-k", str(2**62)]) == 1
-        error = json.loads((out / "metrics.json").read_text())["error"]
-        assert error["message"].startswith("path_points_k: %d points on each of at least "
-                                           "60 pairs at d = 2 exceed " % 2**62)
-        assert "neighbor_count" in error["message"]
+        for points, limit in ((2**62, MAX_ELEMENTS), (6, 1000)):
+            out = tmp_path / ("out_%d" % points)
+            with mock.patch("pmlp.core.MAX_ELEMENTS", limit):
+                assert main(["label", "--input", str(data), "--out-dir", str(out),
+                             "--neighbor-count", "2", "--path-points-k", str(points)]) == 1
+            error = json.loads((out / "metrics.json").read_text())["error"]
+            assert error["message"].startswith(
+                "path_points_k: %d points on each of at least 60 pairs at d = 2 "
+                "exceed %d elements" % (points, limit)
+            )
+            assert "neighbor_count" in error["message"]
         assert searches == []
 
     def test_a_graph_past_the_element_limit_names_neighbor_count(
@@ -1389,7 +1428,7 @@ class TestGenerate:
             ["generate", "--kind", "two-moons", "--n", "10", "--noise", "0",
              "--labeled-per-class", "1", "--seed", "2", "--out", str(path)]
         ) == 0
-        features, assignments = ingest_features(path)
+        features, ground_truth, predictions = ingest_features(path)
         assert features.n_rows == 10
-        kinds = {a.kind for a in assignments}
-        assert kinds == {LabelAssignment.GROUND_TRUTH, LabelAssignment.UNLABELED}
+        assert ground_truth.tolist() == [0] + [-1] * 4 + [1] + [-1] * 4
+        assert predictions is None

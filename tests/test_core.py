@@ -3,28 +3,29 @@
 import dataclasses
 import pickle
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmlp import propagate
 from pmlp.core import (
     ConfigError,
     DataError,
     NumericalError,
     PmlpError,
     FeatureMatrix,
-    LabelAssignment,
     AffinityMatrix,
     PmlpConfig,
     SoftLabelMatrix,
     default_neighbor_count,
-    soft_labels_from_assignments,
     validate_config,
 )
 from pmlp.density import batch_normalized_density
 from pmlp.graph import EPS_DISTANCE, _base_affinity, normalize_symmetric
+from pmlp.propagate import run_pmlp
 
 from dense_oracle import affinity_from_dense, to_dense
 
@@ -196,19 +197,64 @@ class TestFeatureMatrix:
         assert fm.data[0, 0] == 1.0
 
 
+# Four rows in two pairs; row 0 is class 0, row 2 class 1, and row 1 may
+# carry a prediction.
+FOUR_ROWS = FeatureMatrix([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]])
+FOUR_ROWS_CFG = PmlpConfig(neighbor_count=2, kde_support_n=4)
+
+
+def label_four_rows(ground_truth=(0, -1, 1, -1), prediction=None, row=1, **kwargs):
+    """``run_pmlp`` on FOUR_ROWS, with ``prediction`` on ``row`` and all-zero
+    prediction rows elsewhere, if given."""
+    predictions = None
+    if prediction is not None:
+        predictions = [[0.0] * len(prediction) for _ in range(4)]
+        predictions[row] = list(prediction)
+    return run_pmlp(FOUR_ROWS, list(ground_truth), FOUR_ROWS_CFG, predictions, **kwargs)
+
+
 class TestLabelAssignment:
+    """The rules of ``run_pmlp``'s label inputs: a class per row, -1 on an
+    unlabeled row, and optional rows of soft predictions."""
+
     def test_prediction_must_sum_to_one(self):
-        LabelAssignment.prediction([0.7, 0.3])
-        with pytest.raises(DataError):
-            LabelAssignment.prediction([0.7, 0.2])
+        label_four_rows(prediction=[0.7, 0.3])
+        label_four_rows(prediction=[0.0, 0.0])  # an all-zero row holds none
+        label_four_rows(prediction=[0.7, 0.3 + 1e-10])
+        for prediction in ([0.7, 0.2], [0.7, 0.3 + 1e-8]):
+            with pytest.raises(DataError, match="row 1: prediction neither"):
+                label_four_rows(prediction=prediction)
 
     def test_prediction_rejects_negative(self):
-        with pytest.raises(DataError):
-            LabelAssignment.prediction([1.2, -0.2])
+        with pytest.raises(DataError, match="row 1: prediction has a negative entry"):
+            label_four_rows(prediction=[1.2, -0.2])
+
+    def test_prediction_rejects_non_finite_entries(self):
+        for prediction in ([np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf]):
+            with pytest.raises(DataError, match="row 1: prediction is not finite"):
+                label_four_rows(prediction=prediction)
 
     def test_ground_truth_rejects_negative_index(self):
-        with pytest.raises(DataError):
-            LabelAssignment.ground_truth(-2)
+        with pytest.raises(DataError, match="row 1: class below -1"):
+            label_four_rows(ground_truth=(0, -2, 1, -1))
+
+    def test_a_labeled_row_carries_no_prediction(self):
+        with pytest.raises(DataError, match="row 2: a ground-truth row has a predic"):
+            label_four_rows(prediction=[0.5, 0.5], row=2)
+
+    @pytest.mark.parametrize(
+        "ground_truth",
+        [
+            (0, -1, 1),
+            (0, -1, 1, -1, 0),
+            (0.0, -1.0, 1.0, -1.0),
+            (True, False, True, False),
+        ],
+        ids=["short", "long", "floats", "bools"],
+    )
+    def test_ground_truth_is_one_integer_class_per_row(self, ground_truth):
+        with pytest.raises(DataError, match="one integer class per feature row"):
+            label_four_rows(ground_truth=ground_truth)
 
 
 class TestSoftLabelMatrix:
@@ -284,7 +330,7 @@ class TestAffinityMatrix:
         lambda: FeatureMatrix([[1.0, 2.0], [1.0, 2.0, 3.0]]),
         lambda: FeatureMatrix([["a", 1.0]]),
         lambda: SoftLabelMatrix([[1.0], [1.0, 2.0]]),
-        lambda: LabelAssignment.prediction(["a", 1.0]),
+        lambda: label_four_rows(prediction=["a", 1.0]),
     ],
     ids=["ragged_features", "text_feature", "ragged_scores", "text_probability"],
 )
@@ -294,29 +340,52 @@ def test_constructor_rejects_non_numeric_or_ragged_input_with_data_error(build):
 
 
 class TestSoftLabelsFromAssignments:
-    def test_ground_truth_rows_are_one_hot(self):
-        labels, gt_mask, gt_classes = soft_labels_from_assignments(
-            [
-                LabelAssignment.ground_truth(2),
-                LabelAssignment.prediction([0.25, 0.5, 0.25]),
-                LabelAssignment.unlabeled(),
-            ]
-        )
-        assert labels.data[0].tolist() == [0.0, 0.0, 1.0]
-        assert labels.data[1].tolist() == [0.25, 0.5, 0.25]
-        assert labels.data[2].tolist() == [0.0, 0.0, 0.0]
-        assert gt_mask.tolist() == [True, False, False]
-        assert gt_classes.tolist() == [2, -1, -1]
+    """The label matrix Y that ``run_pmlp`` builds from its label inputs,
+    and the class count it infers."""
+
+    def test_ground_truth_rows_are_one_hot(self, monkeypatch):
+        seen = []
+        split = propagate.split_by_confidence
+
+        def spy(labels, *args):
+            seen.append(labels.data.copy())
+            return split(labels, *args)
+
+        monkeypatch.setattr(propagate, "split_by_confidence", spy)
+        label_four_rows(ground_truth=(2, -1, 1, -1), prediction=[0.25, 0.5, 0.25])
+        assert seen[0].tolist() == [
+            [0.0, 0.0, 1.0], [0.25, 0.5, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]
+        ]
 
     def test_explicit_class_count_must_cover(self):
-        with pytest.raises(DataError):
-            soft_labels_from_assignments(
-                [LabelAssignment.ground_truth(3)], n_classes=2
-            )
+        with pytest.raises(DataError, match=r"row 2: class index outside \[0, 2\)"):
+            label_four_rows(ground_truth=(0, -1, 2, -1), n_classes=2)
+        with pytest.raises(DataError, match="predictions are 3 wide, expected 2 classes"):
+            label_four_rows(prediction=[0.2, 0.3, 0.5], n_classes=2)
+
+    def test_the_class_count_is_the_wider_of_classes_and_predictions(self):
+        # Three prediction classes, two ground-truth classes: C = 3.
+        result = label_four_rows(prediction=[0.2, 0.3, 0.5])
+        assert result.final_labels.classes == 3
+        # Class 3 needs four classes, which a prediction of two cannot have.
+        with pytest.raises(DataError, match="predictions are 2 wide, expected 4 classes"):
+            label_four_rows(ground_truth=(0, -1, 3, -1), prediction=[0.5, 0.5])
 
     def test_needs_inferable_classes(self):
-        with pytest.raises(DataError):
-            soft_labels_from_assignments([LabelAssignment.unlabeled()])
+        with pytest.raises(DataError, match="could not infer a class count"):
+            label_four_rows(ground_truth=(-1, -1, -1, -1))
+
+    def test_classes_past_the_element_limit_are_refused(self):
+        message = "n_classes: 4 rows x %d classes exceed" % 2**62
+        with pytest.raises(DataError, match=message):
+            label_four_rows(n_classes=2**62)
+        # 4 x 2 labels fit a limit of 11 elements, and only the graph's
+        # later check, of 56, refuses the run; 4 x 3 do not fit.
+        with mock.patch("pmlp.core.MAX_ELEMENTS", 11):
+            with pytest.raises(DataError, match="n_classes: 4 rows x 3 classes exc"):
+                label_four_rows(prediction=[0.2, 0.3, 0.5])
+            with pytest.raises(DataError, match="neighbor_count: 4 rows"):
+                label_four_rows()
 
     def test_config_is_frozen(self):
         cfg = PmlpConfig()

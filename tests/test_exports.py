@@ -22,11 +22,13 @@ MODULES = (
 )
 
 # Single-query copies of pipeline stages, a test-only solver knob, the
-# iterative solver and the endpoint-only nearest-row lists; the batched
-# kernel, knn_edges, the graph's base affinity, the fixed-point closed form
-# and every row's list are the one implementation of each.
+# iterative solver, the endpoint-only nearest-row lists, and the per-row
+# label objects with their conversions; the batched kernel, knn_edges, the
+# graph's base affinity, the fixed-point closed form, every row's list and
+# the ground-truth vector are the one implementation of each.
 REMOVED = (
     "CLOSED_FORM_SCALINGS",
+    "LabelAssignment",
     "NeighborSet",
     "PathDensities",
     "PathSample",
@@ -34,6 +36,8 @@ REMOVED = (
     "_check_kde_inputs",
     "_end_lists",
     "aggregate_density",
+    "assignments_from_dataset",
+    "count_classes",
     "distance",
     "kde_density",
     "kde_density_normalized",
@@ -42,6 +46,7 @@ REMOVED = (
     "propagate_iterative",
     "sample_path",
     "select_kde_supports",
+    "soft_labels_from_assignments",
 )
 
 
@@ -93,8 +98,7 @@ def test_removed_solver_knob_stays_gone():
 
 
 def test_propagation_result_has_no_unread_fields():
-    # No high_mask: nothing read it, and run_pmlp splits the rows with the
-    # mask split_by_confidence returns. No propagated: nothing read it, and
+    # No high_mask: nothing read it. No propagated: nothing read it, and
     # the final labels of an eta = 1 run are the diffusion output.
     assert [f.name for f in dataclasses.fields(PropagationResult)] == [
         "final_labels",

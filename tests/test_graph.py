@@ -11,7 +11,6 @@ from pmlp.core import (
     AffinityMatrix,
     DataError,
     FeatureMatrix,
-    LabelAssignment,
     NumericalError,
     PmlpConfig,
 )
@@ -301,7 +300,7 @@ class TestNormalizeSymmetric:
         # Whether RuntimeWarning is an error or not, the run ends in the
         # library's own error: no edge weight (or a NaN cosine) for row 0.
         features = FeatureMatrix([[1e200, 0.0], [-1e200, 0.0]])
-        labels = [LabelAssignment.ground_truth(0), LabelAssignment.ground_truth(1)]
+        labels = [0, 1]
         cfg = PmlpConfig(
             mode=mode, distance_mode=distance_mode, neighbor_count=1, kde_support_n=2
         )

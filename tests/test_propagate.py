@@ -14,12 +14,10 @@ from pmlp.core import (
     AffinityMatrix,
     DataError,
     FeatureMatrix,
-    LabelAssignment,
     NumericalError,
     PmlpConfig,
     PmlpError,
     SoftLabelMatrix,
-    soft_labels_from_assignments,
 )
 from pmlp.graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
 from pmlp.propagate import (
@@ -33,7 +31,7 @@ from pmlp.propagate import (
     threshold_increment,
     update_threshold,
 )
-from pmlp.synthlab import assignments_from_dataset, gen_gaussian_blobs, gen_two_moons
+from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
 
 from dense_oracle import affinity_from_dense, solve_dense, to_dense, upper_pairs
 from iterative_oracle import propagate_iterative
@@ -54,30 +52,28 @@ def random_normalized_instance(rng, n, classes):
 class TestSplitByConfidence:
     def test_confident_row_goes_high(self):
         labels = SoftLabelMatrix([[0.97, 0.03]])
-        high, low, mask = split_by_confidence(labels, [False], 0.95)
-        assert mask.tolist() == [True]
+        high, low = split_by_confidence(labels, [False], 0.95)
         assert high.data[0].tolist() == [0.97, 0.03]
         assert low.data[0].tolist() == [0.0, 0.0]
 
     def test_uncertain_row_goes_low(self):
         labels = SoftLabelMatrix([[0.6, 0.4]])
-        high, low, mask = split_by_confidence(labels, [False], 0.95)
-        assert mask.tolist() == [False]
+        high, low = split_by_confidence(labels, [False], 0.95)
         assert high.data[0].tolist() == [0.0, 0.0]
         assert low.data[0].tolist() == [0.6, 0.4]
 
     def test_ground_truth_row_always_high(self):
         labels = SoftLabelMatrix([[0.0, 0.0, 1.0]])  # one-hot class 2 of 3
-        high, low, mask = split_by_confidence(labels, [True], 0.95)
-        assert mask.tolist() == [True]
+        high, low = split_by_confidence(labels, [True], 0.95)
         assert high.data[0].tolist() == [0.0, 0.0, 1.0]
+        assert low.data[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_split_partitions_exactly(self):
         rng = np.random.default_rng(2)
         raw = rng.random((20, 4))
         labels = SoftLabelMatrix(raw / raw.sum(axis=1, keepdims=True))
         gt = rng.random(20) < 0.2
-        high, low, _ = split_by_confidence(labels, gt, 0.5)
+        high, low = split_by_confidence(labels, gt, 0.5)
         np.testing.assert_array_equal(high.data + low.data, labels.data)
 
     def test_tau_range_enforced(self):
@@ -420,8 +416,7 @@ def test_shared_lists_change_no_byte(
     rng = np.random.default_rng(seed)
     grid = rng.integers(-2, 3, size=(distinct, dim)) * 0.5
     features = FeatureMatrix(grid[rng.integers(0, distinct, n)])
-    assignments = [LabelAssignment.ground_truth(0), LabelAssignment.ground_truth(1)]
-    assignments += [LabelAssignment.unlabeled()] * (n - 2)
+    ground_truth = np.array([0, 1] + [-1] * (n - 2))
     cfg = PmlpConfig(
         mode=mode,
         bandwidth_h=1.0,
@@ -429,19 +424,19 @@ def test_shared_lists_change_no_byte(
         kde_support_n=1 + int(support_fraction * (n - 1)),
     )
     lists = neighbor_lists(features, replace(cfg, mode="pmlp"))
-    assert pipeline_outcome(features, assignments, cfg, lists=lists) == pipeline_outcome(
-        features, assignments, cfg
+    assert pipeline_outcome(features, ground_truth, cfg, lists=lists) == pipeline_outcome(
+        features, ground_truth, cfg
     )
 
 
 class TestRunPmlp:
     def test_degenerates_to_classical_at_huge_bandwidth(self):
         dataset = blob_fixture()
-        assignments = assignments_from_dataset(dataset)
+        ground_truth = dataset.ground_truth
         pm = run_pmlp(
-            dataset.features, assignments, replace(PIPE_CFG, bandwidth_h=1e12)
+            dataset.features, ground_truth, replace(PIPE_CFG, bandwidth_h=1e12)
         )
-        classical = run_classical_lpa(dataset.features, assignments, PIPE_CFG)
+        classical = run_classical_lpa(dataset.features, ground_truth, PIPE_CFG)
         diff = np.max(np.abs(pm.final_labels.data - classical.final_labels.data))
         assert diff < 1e-6
         assert np.array_equal(
@@ -451,9 +446,9 @@ class TestRunPmlp:
 
     def test_separated_blobs_recover_generating_class(self):
         dataset = blob_fixture(seed=5)
-        assignments = assignments_from_dataset(dataset)
+        ground_truth = dataset.ground_truth
         for mode in ("pmlp", "classical_lpa"):
-            result = run_pmlp(dataset.features, assignments, replace(PIPE_CFG, mode=mode))
+            result = run_pmlp(dataset.features, ground_truth, replace(PIPE_CFG, mode=mode))
             predicted = result.final_labels.data.argmax(axis=1)
             unlabeled = ~dataset.labeled_mask
             assert np.all(predicted[unlabeled] == dataset.true_class[unlabeled])
@@ -472,16 +467,16 @@ class TestRunPmlp:
 
     def test_deterministic_rerun(self):
         dataset = blob_fixture(seed=10)
-        assignments = assignments_from_dataset(dataset)
-        first = run_pmlp(dataset.features, assignments, PIPE_CFG)
-        second = run_pmlp(dataset.features, assignments, PIPE_CFG)
+        ground_truth = dataset.ground_truth
+        first = run_pmlp(dataset.features, ground_truth, PIPE_CFG)
+        second = run_pmlp(dataset.features, ground_truth, PIPE_CFG)
         assert np.array_equal(first.final_labels.data, second.final_labels.data)
 
     def test_ground_truth_rows_clamped_by_default(self):
         dataset = blob_fixture(seed=11)
-        assignments = assignments_from_dataset(dataset)
+        ground_truth = dataset.ground_truth
         # At eta = 1 the final labels are the clamped diffusion output.
-        result = run_pmlp(dataset.features, assignments, replace(PIPE_CFG, eta=1.0))
+        result = run_pmlp(dataset.features, ground_truth, replace(PIPE_CFG, eta=1.0))
         rows = np.flatnonzero(dataset.labeled_mask)
         for row in rows:
             one_hot = np.zeros(2)
@@ -490,28 +485,27 @@ class TestRunPmlp:
 
     def test_requires_ground_truth_row(self):
         dataset = blob_fixture(seed=12)
-        assignments = [LabelAssignment.unlabeled()] * dataset.features.n_rows
-        with pytest.raises(DataError):
-            run_pmlp(dataset.features, assignments, PIPE_CFG, n_classes=2)
+        ground_truth = np.full(dataset.features.n_rows, -1)
+        with pytest.raises(DataError, match="at least one ground-truth row"):
+            run_pmlp(dataset.features, ground_truth, PIPE_CFG, n_classes=2)
 
     def test_requires_two_classes(self):
         dataset = blob_fixture(seed=13)
-        assignments = [LabelAssignment.ground_truth(0)] + [
-            LabelAssignment.unlabeled()
-        ] * (dataset.features.n_rows - 1)
-        with pytest.raises(DataError):
-            run_pmlp(dataset.features, assignments, PIPE_CFG, n_classes=1)
+        ground_truth = np.full(dataset.features.n_rows, -1)
+        ground_truth[0] = 0
+        with pytest.raises(DataError, match="at least two classes"):
+            run_pmlp(dataset.features, ground_truth, PIPE_CFG, n_classes=1)
 
     def test_iterative_solver_agrees_with_closed_form(self):
         # The pipeline's solve against the plain iteration on its own graph.
         dataset = blob_fixture(seed=14)
-        assignments = assignments_from_dataset(dataset)
+        ground_truth = dataset.ground_truth
         cfg = replace(PIPE_CFG, clamp_ground_truth=False, eta=1.0)
-        direct = run_pmlp(dataset.features, assignments, cfg)
+        direct = run_pmlp(dataset.features, ground_truth, cfg)
         edges = knn_edges(dataset.features, cfg.neighbor_count)
         S = normalize_symmetric(build_affinity(dataset.features, edges, cfg))
-        labels, gt_mask, _ = soft_labels_from_assignments(assignments)
-        high, _, _ = split_by_confidence(labels, gt_mask, cfg.tau)
+        labels = np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None]
+        high, _ = split_by_confidence(labels, dataset.labeled_mask, cfg.tau)
         iterated, iterations, residual = propagate_iterative(
             S, high, cfg.alpha, tol=1e-13
         )
@@ -523,14 +517,14 @@ class TestRunPmlp:
 
     def test_final_labels_nonnegative(self):
         dataset = blob_fixture(seed=15)
-        assignments = assignments_from_dataset(dataset)
-        result = run_pmlp(dataset.features, assignments, PIPE_CFG)
+        ground_truth = dataset.ground_truth
+        result = run_pmlp(dataset.features, ground_truth, PIPE_CFG)
         assert result.final_labels.data.min() >= 0.0
 
     def test_renormalized_rows_sum_to_one(self):
         dataset = blob_fixture(seed=16)
-        assignments = assignments_from_dataset(dataset)
-        result = run_pmlp(dataset.features, assignments, PIPE_CFG, renormalize=True)
+        ground_truth = dataset.ground_truth
+        result = run_pmlp(dataset.features, ground_truth, PIPE_CFG, renormalize=True)
         sums = result.final_labels.data.sum(axis=1)
         positive = sums > 0
         np.testing.assert_allclose(sums[positive], 1.0, atol=1e-12)
@@ -556,27 +550,26 @@ class TestRunPmlp:
         assume(eta * alpha * (1 + math.sqrt(n)) < (1.0 - eta) * gap)
         dataset = gen_two_moons(n=n, noise=0.1, labeled_per_class=2, seed=seed)
         rng = np.random.default_rng(seed)
-        assignments = assignments_from_dataset(dataset)
-        predictions = {}
+        predictions = np.zeros((n, 2))
         for row in np.flatnonzero(~dataset.labeled_mask):
             if rng.random() < 0.7:
                 predictions[row] = rng.dirichlet([0.3, 0.3])
-                assignments[row] = LabelAssignment.prediction(predictions[row])
         cfg = PmlpConfig(
             alpha=alpha, eta=eta, bandwidth_h=0.05, kde_support_n=15,
             neighbor_count=5, mode=mode, clamp_ground_truth=clamp,
         )
-        final = run_pmlp(dataset.features, assignments, cfg).final_labels.data
-        labels = soft_labels_from_assignments(assignments)[0].data
+        final = run_pmlp(dataset.features, dataset.ground_truth, cfg, predictions)
+        final = final.final_labels.data
+        labels = predictions + np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None]
         high = (labels.max(axis=1) >= cfg.tau)[:, None]
         expected = np.where(high, eta * labels, (1.0 - eta) * labels)
         assert np.max(np.abs(final - expected)) <= eta * alpha * (1 + math.sqrt(n))
         labelled = dataset.labeled_mask
         assert np.array_equal(final[labelled].argmax(axis=1), dataset.true_class[labelled])
-        for row, probabilities in predictions.items():
-            top2 = np.sort(probabilities)[-2:]
+        for row in np.flatnonzero(predictions.any(axis=1)):
+            top2 = np.sort(predictions[row])[-2:]
             if top2[1] - top2[0] > gap:
-                assert final[row].argmax() == probabilities.argmax()
+                assert final[row].argmax() == predictions[row].argmax()
 
 
     @settings(max_examples=20, deadline=None)
@@ -586,13 +579,13 @@ class TestRunPmlp:
         # neighbors, supports and candidate union under any row order; only
         # the order of the sums changes.
         dataset = gen_two_moons(n=n, noise=0.1, labeled_per_class=2, seed=seed)
-        assignments = assignments_from_dataset(dataset)
+        ground_truth = dataset.ground_truth
         order = np.random.default_rng(seed).permutation(n)
         cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, mode=mode)
-        base = run_pmlp(dataset.features, assignments, cfg).final_labels.data
+        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels.data
         moved = run_pmlp(
             FeatureMatrix(dataset.features.data[order]),
-            [assignments[row] for row in order],
+            ground_truth[order],
             cfg,
         ).final_labels.data
         assert np.max(np.abs(moved - base[order])) <= 1e-12
@@ -611,12 +604,12 @@ class TestRunPmlp:
         dataset = gen_two_moons(n=1000, noise=0.1, labeled_per_class=3, seed=seed)
         data = dataset.features.data
         assume(np.unique(data, axis=0).shape[0] == data.shape[0])
-        assignments = assignments_from_dataset(dataset)
+        ground_truth = dataset.ground_truth
         cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, mode=mode)
-        base = run_pmlp(dataset.features, assignments, cfg).final_labels.data
+        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels.data
         scaled = run_pmlp(
             FeatureMatrix(data * 4.0**power),
-            assignments,
+            ground_truth,
             replace(cfg, bandwidth_h=cfg.bandwidth_h * 16.0**power),
         ).final_labels.data
         assert scaled.tobytes() == base.tobytes()
@@ -646,13 +639,13 @@ class TestRunPmlp:
             dataset = gen_gaussian_blobs(means, 1.0, 100, 3, seed)
             bandwidth = 2.0
         data = dataset.features.data
-        assignments = assignments_from_dataset(dataset)
+        ground_truth = dataset.ground_truth
         cfg = PmlpConfig(
             bandwidth_h=bandwidth, kde_support_n=15, neighbor_count=5, mode=mode
         )
-        base = run_pmlp(dataset.features, assignments, cfg).final_labels.data
+        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels.data
         widened = FeatureMatrix(np.insert(data, min(position, dim), value, axis=1))
-        moved = run_pmlp(widened, assignments, cfg).final_labels.data
+        moved = run_pmlp(widened, ground_truth, cfg).final_labels.data
         assert np.max(np.abs(moved - base)) <= 1e-12
         if dim == 2:
             assert moved.tobytes() == base.tobytes()

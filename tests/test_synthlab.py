@@ -15,7 +15,6 @@ from pmlp.core import MODES, ConfigError, DataError, NumericalError, PmlpConfig
 from pmlp.density import density_ratio
 from pmlp.propagate import run_pmlp
 from pmlp.synthlab import (
-    assignments_from_dataset,
     compare_pmlp_vs_lpa,
     density_ratio_sweep,
     gen_gaussian_blobs,
@@ -107,11 +106,7 @@ class TestTwoMoons:
 class TestAssignments:
     def test_labeled_rows_become_ground_truth(self):
         dataset = gen_gaussian_blobs([[0.0], [5.0]], 1.0, 3, 1, seed=2)
-        assignments = assignments_from_dataset(dataset)
-        kinds = [a.kind for a in assignments]
-        assert kinds[0] == "ground_truth"
-        assert kinds[1] == "unlabeled"
-        assert assignments[3].class_index == 1
+        assert dataset.ground_truth.tolist() == [0, -1, -1, 1, -1, -1]
 
 
 SWEEP_CFG = PmlpConfig(bandwidth_h=2.0, kde_support_n=45, seed=7)
@@ -254,7 +249,7 @@ class TestCompare:
             for mode in MODES:
                 result = run_pmlp(
                     sample.features,
-                    assignments_from_dataset(sample),
+                    sample.ground_truth,
                     replace(cfg, mode=mode),
                     n_classes=sample.n_classes,
                 )
