@@ -87,18 +87,20 @@ for dim in (2, 32):
 """
 
 # 4,000 of those rows, tied: on a grid of 0.5 at d = 2, shifted by 1e6 at
-# d = 32.
+# d = 32. The generated features are an array, or in older trees a wrapper
+# that holds it as ``data``; every tree's neighbor_lists takes an array.
 LISTS_TIED = """\
 import sys
 import numpy as np
-from pmlp.core import FeatureMatrix, PmlpConfig
+from pmlp.core import PmlpConfig
 from pmlp.graph import neighbor_lists
 from pmlp.synthlab import gen_gaussian_blobs
 for dim, kind in ((2, "grid"), (32, "shift")):
     means = np.zeros((2, dim))
     means[1, 0] = 3.0
-    data = gen_gaussian_blobs(means, 1.0, 2000, 1, seed=1000).features.data
-    features = FeatureMatrix(np.round(data / 0.5) * 0.5 if dim == 2 else data + 1e6)
+    data = gen_gaussian_blobs(means, 1.0, 2000, 1, seed=1000).features
+    data = data if isinstance(data, np.ndarray) else data.data
+    features = np.round(data / 0.5) * 0.5 if dim == 2 else data + 1e6
     for mode in ("classical_lpa", "pmlp"):
         cfg = PmlpConfig(mode=mode, neighbor_count=6, kde_support_n=45)
         for name, array in zip(("indices", "dist2"), neighbor_lists(features, cfg)):

@@ -80,7 +80,7 @@ def run_cell(n, dim, mode, grid=None, shift=None):
     import numpy as np
 
     from pmlp import density
-    from pmlp.core import FeatureMatrix, PmlpConfig
+    from pmlp.core import PmlpConfig
     from pmlp.graph import build_affinity, knn_edges, neighbor_lists
     from pmlp.synthlab import gen_gaussian_blobs
 
@@ -88,10 +88,15 @@ def run_cell(n, dim, mode, grid=None, shift=None):
     means = np.zeros((2, dim))
     means[1, 0] = 3.0
     features = gen_gaussian_blobs(means, 1.0, n // 2, 1, seed=1000).features
+    # An array, or in older checkouts a wrapper that holds it as ``data``;
+    # every checkout's stages take an array, and a read-only one uncopied.
+    data = features if isinstance(features, np.ndarray) else features.data
     if grid is not None:
-        features = FeatureMatrix(np.round(features.data / grid) * grid)
+        features = np.round(data / grid) * grid
     if shift is not None:
-        features = FeatureMatrix(features.data + shift)
+        features = data + shift
+    if isinstance(features, np.ndarray):
+        features.setflags(write=False)
     cfg = PmlpConfig(mode=mode, neighbor_count=NEIGHBOR_COUNT, kde_support_n=SUPPORT_N)
     knn, affinity = [], []
     points, proven, everywhere = [], [], []

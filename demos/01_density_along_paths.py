@@ -33,7 +33,7 @@ print("pair densities at bandwidth h=2 (five points per segment)")
 fracs = np.arange(1, cfg.path_points_k + 1) / (cfg.path_points_k + 1)
 for (name, (i, j)), factor in zip(pairs.items(), factors):
     # the equal-division points the factor samples between rows i and j
-    x_i, x_j = features.data[i], features.data[j]
+    x_i, x_j = features[i], features[j]
     points = x_i + fracs[:, None] * (x_j - x_i)
     densities = batch_normalized_density(
         points, features, cfg.kde_support_n, cfg.bandwidth_h

@@ -13,7 +13,7 @@ Writes demo output CSV (point, true class, both predictions) next to it.
 import csv
 import os
 
-from pmlp import PmlpConfig, gen_two_moons, run_classical_lpa, run_pmlp
+from pmlp import PmlpConfig, confidences, gen_two_moons, run_classical_lpa, run_pmlp
 
 dataset = gen_two_moons(n=300, noise=0.1, labeled_per_class=2, seed=1)
 # Each labelled row's class, and -1 on every other row.
@@ -28,7 +28,7 @@ truth = dataset.true_class
 
 
 def accuracy(result):
-    predicted = result.final_labels.data.argmax(axis=1)
+    predicted = result.final_labels.argmax(axis=1)
     return (predicted[unlabeled] == truth[unlabeled]).mean()
 
 
@@ -36,17 +36,16 @@ print("two moons, n=300, noise=0.1, 2 labels per class")
 print(f"  density-aware accuracy : {accuracy(density_aware):.4f}")
 print(f"  classical accuracy     : {accuracy(classical):.4f}")
 
-conf = density_aware.final_labels.confidences()
+conf = confidences(density_aware.final_labels)
 print(f"  confident rows (>= tau): {(conf >= cfg.tau).mean():.3f}")
 
 out_path = os.path.join(os.path.dirname(__file__), "two_moons_predictions.csv")
 with open(out_path, "w", newline="") as handle:
     writer = csv.writer(handle)
     writer.writerow(["x", "y", "true_class", "density_aware", "classical", "labeled"])
-    pm_pred = density_aware.final_labels.data.argmax(axis=1)
-    cl_pred = classical.final_labels.data.argmax(axis=1)
-    for row in range(dataset.features.n_rows):
-        x, y = dataset.features.data[row]
+    pm_pred = density_aware.final_labels.argmax(axis=1)
+    cl_pred = classical.final_labels.argmax(axis=1)
+    for row, (x, y) in enumerate(dataset.features):
         writer.writerow(
             [repr(x), repr(y), int(truth[row]), int(pm_pred[row]),
              int(cl_pred[row]), int(dataset.labeled_mask[row])]

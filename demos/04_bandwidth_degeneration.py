@@ -42,6 +42,6 @@ print()
 print("max |density-aware - classical| over the final label matrix:")
 for h in (5.0, 100.0, 1e12):
     result = run_pmlp(dataset.features, dataset.ground_truth, replace(cfg, bandwidth_h=h))
-    gap = np.max(np.abs(result.final_labels.data - classical.final_labels.data))
+    gap = np.max(np.abs(result.final_labels - classical.final_labels))
     print(f"  h = {h:>8g}   gap = {gap:.3e}")
 print("the gap collapses with the ratio: infinite bandwidth is classical LPA.")

@@ -10,7 +10,7 @@ Run:  python3 demos/05_threshold_schedule.py
 
 import numpy as np
 
-from pmlp import SoftLabelMatrix, ThresholdSchedulerState, update_threshold
+from pmlp import ThresholdSchedulerState, update_threshold
 
 rng = np.random.default_rng(0)
 state = ThresholdSchedulerState(tau=0.90, tau_max=0.99)
@@ -20,7 +20,7 @@ for epoch in range(1, 481, 20):
     # a model that sharpens over time: confidence drifts up with the epoch
     sharpness = 1.0 + epoch / 60.0
     raw = rng.random((40, 3)) ** sharpness
-    predictions = SoftLabelMatrix(raw / raw.sum(axis=1, keepdims=True))
+    predictions = raw / raw.sum(axis=1, keepdims=True)
     state = update_threshold(state, predictions, epoch)
     print(f"{state.epoch:5d}  {state.high_count:16d}  {state.tau:.3f}")
 

@@ -70,13 +70,12 @@ from .core import (
     CONFIG_CHOICES,
     ConfigError,
     DataError,
-    FeatureMatrix,
     NumericalError,
     PmlpConfig,
     default_neighbor_count,
 )
-from .core import _check_elements
-from .propagate import run_pmlp
+from .core import _check_elements, _features
+from .propagate import confidences, renormalized, run_pmlp
 from .synthlab import (
     _GENERATORS,
     compare_pmlp_vs_lpa,
@@ -340,13 +339,14 @@ def _infer_format(path, fmt):
 def ingest_features(path, fmt=None):
     """Load a dataset file: ``(features, ground_truth, predictions)``.
 
-    ``features`` is a FeatureMatrix, ``ground_truth`` an (N,) integer
-    vector of each labelled row's class and -1 on every other row, and
-    ``predictions`` the (N, C) probability rows, all zero on a row without
-    one, or None if no row has one; prediction rows of different lengths
-    are an error that names the line. Reading stops at the first data row
-    past ``MAX_INGEST_ROWS``, which is an error, so a larger file is never
-    parsed whole."""
+    ``features`` is a read-only (N, d) float64 array, checked as every
+    public entry checks features (``core._features``), ``ground_truth`` an
+    (N,) integer vector of each labelled row's class and -1 on every other
+    row, and ``predictions`` the (N, C) probability rows, all zero on a row
+    without one, or None if no row has one; prediction rows of different
+    lengths are an error that names the line. Reading stops at the first
+    data row past ``MAX_INGEST_ROWS``, which is an error, so a larger file
+    is never parsed whole."""
     records = _READERS[_infer_format(path, fmt)]
     features, classes, predicted, width = [], [], [], None
     with _reading(path) as handle:
@@ -386,7 +386,7 @@ def ingest_features(path, fmt=None):
         _check_elements("n_classes", shape[0] * shape[1], "%d rows x %d classes" % shape)
         predictions = np.zeros(shape)
         predictions[list(rows)] = vectors
-    return FeatureMatrix(features), np.array(classes), predictions
+    return _features(features), np.array(classes), predictions
 
 
 def emit_features(path, features, ground_truth, predictions=None, fmt=None):
@@ -394,10 +394,12 @@ def emit_features(path, features, ground_truth, predictions=None, fmt=None):
 
     A row's label is its class where ``ground_truth`` holds one, else its
     row of ``predictions`` where that is not all zero, else unlabelled; a
-    row with both is a DataError, as a label holds one of them."""
+    row with both is a DataError, as a label holds one of them. ``features``
+    is any 2-d array of finite numbers (``core._features``)."""
     fmt = _infer_format(path, fmt)
+    features = _features(features)
     labels = [None if c < 0 else c for c in np.asarray(ground_truth).tolist()]
-    if len(labels) != features.n_rows:
+    if len(labels) != features.shape[0]:
         raise DataError("ground_truth length does not match the feature rows")
     if predictions is not None:
         for row in np.flatnonzero(np.any(predictions, axis=1)):
@@ -407,15 +409,15 @@ def emit_features(path, features, ground_truth, predictions=None, fmt=None):
     if fmt == "csv":
         _write_csv(
             path,
-            ["f_%d" % i for i in range(features.dim)] + ["label"],
+            ["f_%d" % i for i in range(features.shape[1])] + ["label"],
             [
-                features.data,
+                features,
                 ["-1" if label is None else json.dumps(label) for label in labels],
             ],
         )
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            for row, label in zip(features.data.tolist(), labels):
+            for row, label in zip(features.tolist(), labels):
                 handle.write(json.dumps({"features": row, "label": label}) + "\n")
     return path
 
@@ -583,9 +585,10 @@ def run_label_job(
     """
     os.makedirs(out_dir, exist_ok=True)
     features, ground_truth, predictions = ingest_features(input_path, fmt)
-    if features.n_rows < 2:
-        raise DataError("%d data row: labelling needs at least 2" % features.n_rows)
-    truth = None if truth_path is None else _read_truth(truth_path, features.n_rows)
+    n_rows = features.shape[0]
+    if n_rows < 2:
+        raise DataError("%d data row: labelling needs at least 2" % n_rows)
+    truth = None if truth_path is None else _read_truth(truth_path, n_rows)
     if n_classes is not None and n_classes < 2:
         raise DataError("n_classes = %d: labelling needs at least 2" % n_classes)
     classes = n_classes
@@ -595,27 +598,22 @@ def run_label_job(
     if classes < 2:
         raise DataError("could not infer >= 2 classes; pass n_classes")
     values = {
-        "neighbor_count": min(default_neighbor_count(classes), features.n_rows - 1),
-        "kde_support_n": min(_CONFIG_FIELDS["kde_support_n"].default, features.n_rows),
+        "neighbor_count": min(default_neighbor_count(classes), n_rows - 1),
+        "kde_support_n": min(_CONFIG_FIELDS["kde_support_n"].default, n_rows),
     }
     values.update(config_values or {})
     cfg = PmlpConfig(**values)
 
-    result = run_pmlp(
-        features,
-        ground_truth,
-        cfg,
-        predictions,
-        n_classes=classes,
-        renormalize=renormalize,
-    )
+    result = run_pmlp(features, ground_truth, cfg, predictions, n_classes=classes)
     final = result.final_labels
-    predicted = final.data.argmax(axis=1)
-    predicted[~final.data.any(axis=1)] = -1
-    confident = final.confidences() >= cfg.tau
+    if renormalize:
+        final = renormalized(final)
+    predicted = final.argmax(axis=1)
+    predicted[~final.any(axis=1)] = -1
+    confident = confidences(final) >= cfg.tau
     evaluate = ground_truth < 0
     metrics = {
-        "n_rows": int(final.rows),
+        "n_rows": n_rows,
         "n_labeled": int((~evaluate).sum()),
         "high_conf_ratio": float(confident.mean()),
         "solver_iterations": int(result.iterations_used),
@@ -629,9 +627,9 @@ def run_label_job(
         "labels": _write_csv(
             os.path.join(out_dir, "pseudo_labels.csv"),
             ["row_index", "argmax_class"]
-            + ["score_%d" % c for c in range(final.classes)]
+            + ["score_%d" % c for c in range(final.shape[1])]
             + ["high_confidence"],
-            [range(final.rows), predicted, final.data, confident.astype(int)],
+            [range(n_rows), predicted, final, confident.astype(int)],
         ),
         "metrics": _write_json(os.path.join(out_dir, "metrics.json"), metrics),
         "manifest": _write_manifest(

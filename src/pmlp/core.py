@@ -1,11 +1,15 @@
 """Shared domain types and configuration.
 
-Every type here is immutable after construction and safe to share across
-concurrent workers; all operations in this package are pure functions of
-their inputs. Features and label scores are dense arrays; the propagation
-graph is a sparse symmetric CSR matrix with about N * neighbor_count
-entries, so no stage holds an N x N array. The file loaders enforce a
-ceiling of 20,000 rows.
+Features and label scores are plain read-only float64 arrays: an (N, d)
+feature matrix and (N, C) matrices of class scores. Each public function
+that takes one checks it on entry, with ``_features`` or ``_scores``, which
+copy it unless it already is such an array; the private stages behind them
+take the checked array as it is. The propagation graph is a sparse
+symmetric CSR matrix with about N * neighbor_count entries, so no stage
+holds an N x N array. Every type here is immutable after construction and
+every array read-only, so all are safe to share across concurrent workers;
+all operations in this package are pure functions of their inputs. The file
+loaders enforce a ceiling of 20,000 rows.
 """
 
 import copy
@@ -22,13 +26,11 @@ __all__ = [
     "ConfigError",
     "DISTANCE_MODES",
     "DataError",
-    "FeatureMatrix",
     "MAX_ELEMENTS",
     "MODES",
     "NumericalError",
     "PmlpConfig",
     "PmlpError",
-    "SoftLabelMatrix",
     "default_neighbor_count",
     "validate_config",
 ]
@@ -98,85 +100,51 @@ def _float_array(values, what):
         raise DataError("%s must be a rectangular array of numbers" % what) from exc
 
 
-class FeatureMatrix:
-    """An N x d matrix of feature vectors, one sample per row.
+def _read_only(values, what):
+    """``values`` as a read-only float64 array: itself if it is one, else a
+    copy, so a caller's later writes to its own array change nothing."""
+    if not (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and not values.flags.writeable
+    ):
+        values = _frozen(_float_array(values, what))
+    return values
 
-    Entries must be finite. The wrapped array is marked read-only, so a
-    single instance may back any number of concurrent computations.
+
+def _features(values):
+    """A feature matrix, one sample per row, as a read-only float64 array.
+
+    The one check of features, run once at each public entry: 2-d, at
+    least one row and one column, and every entry finite. A read-only
+    float64 array passes through after the finite check; any other input
+    is copied (``_read_only``).
     """
-
-    def __init__(self, data):
-        data = _float_array(data, "feature matrix")
-        if data.ndim != 2:
-            raise DataError("feature matrix must be 2-dimensional")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise DataError("feature matrix needs at least one row and one column")
-        if not np.all(np.isfinite(data)):
-            raise DataError("feature matrix contains non-finite entries")
-        self._data = _frozen(data)
-
-    @property
-    def data(self):
-        return self._data
-
-    @property
-    def n_rows(self):
-        return self._data.shape[0]
-
-    @property
-    def dim(self):
-        return self._data.shape[1]
-
-    def __len__(self):
-        return self.n_rows
-
-    def __repr__(self):
-        return "FeatureMatrix(n_rows=%d, dim=%d)" % (self.n_rows, self.dim)
+    data = _read_only(values, "feature matrix")
+    if data.ndim != 2:
+        raise DataError("feature matrix must be 2-dimensional")
+    if data.shape[0] < 1 or data.shape[1] < 1:
+        raise DataError("feature matrix needs at least one row and one column")
+    if not np.all(np.isfinite(data)):
+        raise DataError("feature matrix contains non-finite entries")
+    return data
 
 
-class SoftLabelMatrix:
-    """An N x C matrix of nonnegative class scores.
+def _scores(values):
+    """A soft label matrix, N rows of C nonnegative class scores, as a
+    read-only float64 array (``_read_only``).
 
-    A row is either all zero (masked out) or carries positive mass; rows are
-    not required to sum to one mid-pipeline. ``renormalized`` divides each
-    positive row by its sum and leaves zero rows untouched.
+    A row is either all zero (masked out) or carries positive mass; rows
+    need not sum to one mid-pipeline (``propagate.renormalized``).
     """
-
-    def __init__(self, data):
-        data = _float_array(data, "soft label matrix")
-        if data.ndim != 2:
-            raise DataError("soft label matrix must be 2-dimensional")
-        if not np.all(np.isfinite(data)):
-            raise DataError("soft label matrix contains non-finite entries")
-        if np.any(data < 0):
-            raise DataError("soft label matrix contains negative entries")
-        self._data = _frozen(data)
-
-    @property
-    def data(self):
-        return self._data
-
-    @property
-    def rows(self):
-        return self._data.shape[0]
-
-    @property
-    def classes(self):
-        return self._data.shape[1]
-
-    def renormalized(self):
-        sums = self._data.sum(axis=1, keepdims=True)
-        out = np.divide(
-            self._data, sums, out=np.zeros_like(self._data), where=sums > 0
-        )
-        return SoftLabelMatrix(out)
-
-    def confidences(self):
-        """Per-row maximum of the renormalized scores (0 for zero rows)."""
-        return self.renormalized().data.max(axis=1)
-
-    def __repr__(self):
-        return "SoftLabelMatrix(rows=%d, classes=%d)" % (self.rows, self.classes)
+    data = _read_only(values, "soft label matrix")
+    if data.ndim != 2:
+        raise DataError("soft label matrix must be 2-dimensional")
+    if not np.all(np.isfinite(data)):
+        raise DataError("soft label matrix contains non-finite entries")
+    if np.any(data < 0):
+        raise DataError("soft label matrix contains negative entries")
+    return data
 
 
 class AffinityMatrix:

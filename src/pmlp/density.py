@@ -67,8 +67,8 @@ in any order without changing the result.
 import numpy as np
 
 from . import core
-from .core import ConfigError, DataError, FeatureMatrix, NumericalError
-from .core import _check_elements
+from .core import ConfigError, DataError, NumericalError
+from .core import _check_elements, _features
 
 __all__ = [
     "batch_normalized_density",
@@ -642,8 +642,8 @@ def _listed_rows(queries, pool, count, ends, lists, radius):
 def _check_kernel(features, n, h):
     """The support count ``n`` as an int, once it and ``h`` are valid."""
     n = int(n)
-    if n < 1 or n > features.n_rows:
-        raise DataError("support count %d outside [1, %d]" % (n, features.n_rows))
+    if n < 1 or n > features.shape[0]:
+        raise DataError("support count %d outside [1, %d]" % (n, features.shape[0]))
     if not h > 0:
         raise DataError("bandwidth h must be positive")
     return n
@@ -681,36 +681,33 @@ def batch_normalized_density(queries, features, n, h):
     which is why huge bandwidths erase all density information. Queries
     are reduced block by block (``_kernel_means``).
     """
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(features)
+    features = _features(features)
     queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != features.dim:
+    if queries.ndim != 2 or queries.shape[1] != features.shape[1]:
         raise DataError("queries must be 2-dimensional with the feature dim")
     if not np.all(np.isfinite(queries)):
         raise DataError("queries must be finite")
     n = _check_kernel(features, n, h)
-    return _kernel_means(queries, features.data, n, h)
+    return _kernel_means(queries, features, n, h)
 
 
 def _canonical_pairs(features, pairs):
-    """Validated features and pairs, each pair ordered (low, high).
+    """The pairs of rows of ``features``, each ordered (low, high).
 
     The one check of row pairs, for path densities and for the graph's
     edges (``graph.build_affinity``): a nonempty (n, 2) array of row
     indices in range, no pair joining a row to itself. The canonical
     ordering makes every density exactly symmetric in the pair orientation.
     """
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(features)
     pairs = np.asarray(pairs, dtype=int)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
         raise DataError("pairs must be a nonempty (n, 2) index array")
-    if np.any(pairs < 0) or np.any(pairs >= features.n_rows):
+    if np.any(pairs < 0) or np.any(pairs >= features.shape[0]):
         raise DataError("pair index out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise DataError("a pair joins a row to itself (self loop, zero-length path)")
     low, high = np.minimum(*pairs.T), np.maximum(*pairs.T)
-    return features, np.column_stack([low, high])
+    return np.column_stack([low, high])
 
 
 def _path_points(cfg, pairs, dim, least=""):
@@ -738,15 +735,16 @@ def _pair_point_densities(features, pairs, cfg, lists=None):
     must fit ``core.MAX_ELEMENTS`` (``_path_points``).
     """
     n = _check_kernel(features, cfg.kde_support_n, cfg.bandwidth_h)
-    k = _path_points(cfg, pairs.shape[0], features.dim)
+    rows, dim = features.shape
+    k = _path_points(cfg, pairs.shape[0], dim)
     if lists is None:
-        lists = _row_lists(features.data, support_n=n)
-    elif lists[0].shape[0] != features.n_rows or lists[0].shape[1] < 1:
+        lists = _row_lists(features, support_n=n)
+    elif lists[0].shape[0] != rows or lists[0].shape[1] < 1:
         raise DataError("lists must hold a nonempty list per feature row")
     lo, hi = pairs[:, 0], pairs[:, 1]
     fracs = np.arange(1, k + 1) / (k + 1)
-    a = features.data[lo][:, None, :]
-    b = features.data[hi][:, None, :]
+    a = features[lo][:, None, :]
+    b = features[hi][:, None, :]
     # An overflow is left to the finiteness test, the same with warnings
     # as errors.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -754,8 +752,8 @@ def _pair_point_densities(features, pairs, cfg, lists=None):
     if not np.all(np.isfinite(points)):
         raise DataError("path points must be finite")
     dens = _kernel_means(
-        points.reshape(-1, features.dim),
-        features.data,
+        points.reshape(-1, dim),
+        features,
         n,
         cfg.bandwidth_h,
         np.repeat(pairs, k, axis=0),
@@ -778,7 +776,9 @@ def batch_path_density_info(features, pairs, cfg, lists=None):
     nearest-row list from ``graph.neighbor_lists``, saves computing the
     lists again; it does not change the result.
     """
-    values = _pair_point_densities(*_canonical_pairs(features, pairs), cfg, lists)
+    features = _features(features)
+    pairs = _canonical_pairs(features, pairs)
+    values = _pair_point_densities(features, pairs, cfg, lists)
     if cfg.aggregator == "min":
         return values.min(axis=1)
     if cfg.aggregator == "max":
@@ -797,8 +797,9 @@ def density_ratio(features, pairs, cfg, lists=None):
     ``lists``, every row's nearest-row list, lets calls that differ only
     in the bandwidth share one list pass; it does not change the result.
     """
-    features, pairs = _canonical_pairs(features, pairs)
-    values = _pair_point_densities(features, np.unique(pairs, axis=0), cfg, lists)
+    features = _features(features)
+    pairs = np.unique(_canonical_pairs(features, pairs), axis=0)
+    values = _pair_point_densities(features, pairs, cfg, lists)
     lowest = float(values.min())
     if lowest <= 0.0:
         raise NumericalError(

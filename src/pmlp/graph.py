@@ -11,8 +11,8 @@ constant leaves the normalized matrix unchanged.
 
 import numpy as np
 
-from .core import AffinityMatrix, DataError, FeatureMatrix, NumericalError
-from .core import _check_elements
+from .core import AffinityMatrix, DataError, NumericalError
+from .core import _check_elements, _features
 from .density import _canonical_pairs, _distances, _path_points, _row_lists
 from .density import batch_path_density_info
 
@@ -36,7 +36,7 @@ def _check_count(features, count):
     keys, and the CSR's rows, which hold each pair both ways
     (``build_affinity``). Checked before any list is built."""
     count = int(count)
-    n = features.n_rows
+    n = features.shape[0]
     if count < 1 or count >= n:
         raise DataError("neighbor count %d must lie in [1, %d)" % (count, n))
     _check_elements(
@@ -65,14 +65,13 @@ def neighbor_lists(features, cfg):
     (``density._path_points``): this refuses no run that the exact count
     of pairs would accept.
     """
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(features)
+    features = _features(features)
     count = _check_count(features, cfg.neighbor_count)
     if cfg.mode == "pmlp":
-        least = -(-features.n_rows * count // 2)
-        _path_points(cfg, least, features.dim, "at least ")
+        n, dim = features.shape
+        _path_points(cfg, -(-n * count // 2), dim, "at least ")
     support_n = cfg.kde_support_n if cfg.mode == "pmlp" else None
-    return _row_lists(features.data, count, support_n)
+    return _row_lists(features, count, support_n)
 
 
 def knn_edges(features, count, lists=None):
@@ -85,12 +84,11 @@ def knn_edges(features, count, lists=None):
     it may be. ``lists`` from ``neighbor_lists``, if at least ``count``
     long, saves building the rows' lists here.
     """
-    if not isinstance(features, FeatureMatrix):
-        features = FeatureMatrix(features)
+    features = _features(features)
     count = _check_count(features, count)
-    n = features.n_rows
+    n = features.shape[0]
     if lists is None:
-        lists = _row_lists(features.data, count)
+        lists = _row_lists(features, count)
     elif lists[0].shape[0] != n or lists[0].shape[1] < count:
         raise DataError("lists must hold at least %d neighbors per row" % count)
     sources = np.repeat(np.arange(n), count)
@@ -154,9 +152,10 @@ def build_affinity(features, edges, cfg, lists=None):
     identically one. ``lists`` from ``neighbor_lists`` is handed to
     ``batch_path_density_info``; it saves time and changes no value.
     """
+    features = _features(features)
     edges = np.asarray(edges, dtype=int)
-    features, pairs = _canonical_pairs(features, edges)
-    n = features.n_rows
+    pairs = _canonical_pairs(features, edges)
+    n = features.shape[0]
     keys, inverse = np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
     ahead = edges[:, 0] == pairs[:, 0]  # the edge runs from low to high
     forward = np.zeros(keys.size, dtype=bool)
@@ -166,7 +165,7 @@ def build_affinity(features, edges, cfg, lists=None):
     weight = np.where(forward & backward, 1.0, 0.5)
     iu, ju = np.divmod(keys, n)
 
-    values = _base_affinity(features.data, iu, ju, cfg.distance_mode)
+    values = _base_affinity(features, iu, ju, cfg.distance_mode)
     if cfg.mode == "pmlp":
         values = values * batch_path_density_info(
             features, np.column_stack([iu, ju]), cfg, lists

@@ -22,16 +22,17 @@ from .core import (
     DataError,
     NumericalError,
     PmlpConfig,
-    SoftLabelMatrix,
 )
-from .core import _check_elements, _float_array
+from .core import _check_elements, _features, _float_array, _frozen, _scores
 from .graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
 
 __all__ = [
     "PropagationResult",
     "ThresholdSchedulerState",
+    "confidences",
     "mix_final",
     "propagate_closed_form",
+    "renormalized",
     "run_classical_lpa",
     "run_pmlp",
     "split_by_confidence",
@@ -63,16 +64,16 @@ class PropagationResult:
     final_labels
         The mixed output eta * propagated + (1 - eta) * low, where
         propagated is the diffusion output (ground-truth rows clamped back
-        to one-hot when configured); rows are not renormalized unless
-        requested, so downstream consumers should take a row argmax or call
-        ``final_labels.renormalized()``. At eta = 1 it is the diffusion
-        output itself.
+        to one-hot when configured), as a read-only (N, C) array. Rows are
+        not renormalized, so downstream consumers should take a row argmax
+        or call ``renormalized(final_labels)``. At eta = 1 it is the
+        diffusion output itself.
     iterations_used, residual
         Solver diagnostics: the number of products with S, and the largest
         change one more fixed-point step would make to the labels.
     """
 
-    final_labels: SoftLabelMatrix
+    final_labels: np.ndarray
     iterations_used: int
     residual: float
 
@@ -85,17 +86,16 @@ def split_by_confidence(labels, ground_truth_mask, tau):
     otherwise it lands in ``low``. The two outputs add back to ``labels``
     entry for entry.
     """
-    if not isinstance(labels, SoftLabelMatrix):
-        labels = SoftLabelMatrix(labels)
+    labels = _scores(labels)
     if not (0.0 < tau <= 1.0):
         raise DataError("tau must lie in (0, 1]")
     mask = np.asarray(ground_truth_mask, dtype=bool)
-    if mask.shape != (labels.rows,):
+    if mask.shape != (labels.shape[0],):
         raise DataError("ground_truth_mask length does not match labels")
-    high_mask = (labels.data.max(axis=1) >= tau) | mask
-    high = np.where(high_mask[:, None], labels.data, 0.0)
-    low = np.where(high_mask[:, None], 0.0, labels.data)
-    return SoftLabelMatrix(high), SoftLabelMatrix(low)
+    high_mask = (labels.max(axis=1) >= tau) | mask
+    high = np.where(high_mask[:, None], labels, 0.0)
+    low = np.where(high_mask[:, None], 0.0, labels)
+    return _frozen(high), _frozen(low)
 
 
 def propagate_closed_form(S, y_high, alpha):
@@ -103,7 +103,7 @@ def propagate_closed_form(S, y_high, alpha):
 
     Solves (I - alpha * S) X = Y_high to the stop rule of SOLVE_TOL/ROW_TOL
     and returns (1 - alpha) X, the limit the iteration approaches from any
-    start. Labels are held class-major: the flat ``y_high.data.T.ravel()``.
+    start. Labels are held class-major: the flat ``y_high.T.ravel()``.
 
     The spectrum of alpha * S lies in [-alpha, alpha], so the Chebyshev
     semi-iteration needs no inner products: x_1 = b and
@@ -126,15 +126,14 @@ def propagate_closed_form(S, y_high, alpha):
     """
     if not (0.0 < alpha < 1.0):
         raise DataError("alpha must lie strictly inside (0, 1)")
-    if not isinstance(y_high, SoftLabelMatrix):
-        y_high = SoftLabelMatrix(y_high)
+    y_high = _scores(y_high)
     if not isinstance(S, AffinityMatrix):
         raise DataError("S must be an AffinityMatrix")
-    if S.size != y_high.rows:
+    if S.size != y_high.shape[0]:
         raise DataError("S shape does not match the label matrix")
-    classes = y_high.classes
+    classes = y_high.shape[1]
     apply = S.operator(classes)
-    b = y_high.data.T.ravel()
+    b = y_high.T.ravel()
     target = SOLVE_TOL * (1.0 - alpha)
     # The error falls by about ``rate`` per step once every row has moved;
     # a row k hops from the nearest label first moves at step k + 1.
@@ -190,7 +189,7 @@ def propagate_closed_form(S, y_high, alpha):
     change = float(np.max(np.abs(residual), initial=0.0)) * (1.0 - alpha)
     current *= 1.0 - alpha
     # The exact solution is entrywise nonnegative; clip the rounding dust.
-    result = SoftLabelMatrix(np.maximum(current.reshape(classes, -1).T, 0.0))
+    result = _frozen(np.maximum(current.reshape(classes, -1).T, 0.0))
     return result, steps, change
 
 
@@ -207,15 +206,22 @@ def mix_final(propagated, low, eta):
     """
     if not (0.0 <= eta <= 1.0):
         raise DataError("eta must lie in [0, 1]")
-    if not isinstance(propagated, SoftLabelMatrix):
-        propagated = SoftLabelMatrix(propagated)
-    if not isinstance(low, SoftLabelMatrix):
-        low = SoftLabelMatrix(low)
-    if propagated.data.shape != low.data.shape:
-        raise DataError(
-            "shape mismatch: %s vs %s" % (propagated.data.shape, low.data.shape)
-        )
-    return SoftLabelMatrix(eta * propagated.data + (1.0 - eta) * low.data)
+    propagated, low = _scores(propagated), _scores(low)
+    if propagated.shape != low.shape:
+        raise DataError("shape mismatch: %s vs %s" % (propagated.shape, low.shape))
+    return _frozen(eta * propagated + (1.0 - eta) * low)
+
+
+def renormalized(scores):
+    """Each row of ``scores`` divided by its sum; an all-zero row stays zero."""
+    scores = _scores(scores)
+    sums = scores.sum(axis=1, keepdims=True)
+    return _frozen(np.divide(scores, sums, out=np.zeros_like(scores), where=sums > 0))
+
+
+def confidences(scores):
+    """Per-row maximum of the renormalized scores (0 for zero rows)."""
+    return renormalized(scores).max(axis=1)
 
 
 def _refuse(rows, message):
@@ -227,7 +233,7 @@ def _refuse(rows, message):
 
 def _initial_labels(n_rows, ground_truth, predictions, n_classes):
     """``run_pmlp``'s checked label inputs: the label matrix Y, as a
-    SoftLabelMatrix, and the ground-truth vector as an integer array."""
+    read-only array, and the ground-truth vector as an integer array."""
     ground_truth = np.asarray(ground_truth)
     integers = np.issubdtype(ground_truth.dtype, np.integer)
     if ground_truth.shape != (n_rows,) or not integers:
@@ -263,7 +269,7 @@ def _initial_labels(n_rows, ground_truth, predictions, n_classes):
         raise DataError("predictions are %d wide, expected %d classes" % (width, classes))
     rows = np.flatnonzero(labelled)
     predictions[rows, ground_truth[rows]] = 1.0
-    return SoftLabelMatrix(predictions), ground_truth
+    return _frozen(predictions), ground_truth
 
 
 def run_pmlp(
@@ -272,22 +278,23 @@ def run_pmlp(
     cfg,
     predictions=None,
     n_classes=None,
-    renormalize=False,
     lists=None,
 ):
     """Run the whole pipeline over a feature matrix and its labels.
 
-    ``ground_truth`` is an (N,) integer vector: each labelled row's class,
-    and -1 on every other row. ``predictions``, if given, is an (N, C)
-    array of soft predictions: a row is all zero (no prediction), or
-    finite, nonnegative and summing to 1 within ``PREDICTION_SUM_TOL``, and
-    a labelled row has none. The class count C is ``n_classes`` when given,
-    else the larger of ``ground_truth.max() + 1`` and the prediction width;
-    every class must lie below it, the prediction width must equal it, and
-    N x C must fit ``core.MAX_ELEMENTS``. The initial label matrix Y holds
-    a one-hot row per labelled row and the predictions elsewhere. Requires
-    at least one ground-truth row and at least two classes; every broken
-    rule is a DataError. The propagation graph connects every row to its
+    ``features`` is any 2-d array of finite numbers, one row per sample
+    (``core._features``). ``ground_truth`` is an (N,) integer vector: each
+    labelled row's class, and -1 on every other row. ``predictions``, if
+    given, is an (N, C) array of soft predictions: a row is all zero (no
+    prediction), or finite, nonnegative and summing to 1 within
+    ``PREDICTION_SUM_TOL``, and a labelled row has none. The class count C
+    is ``n_classes`` when given, else the larger of
+    ``ground_truth.max() + 1`` and the prediction width; every class must
+    lie below it, the prediction width must equal it, and N x C must fit
+    ``core.MAX_ELEMENTS``. The initial label matrix Y holds a one-hot row
+    per labelled row and the predictions elsewhere. Requires at least one
+    ground-truth row and at least two classes; every broken rule is a
+    DataError. The propagation graph connects every row to its
     ``cfg.neighbor_count`` nearest neighbors.
 
     ``lists``, every row's nearest-row lists over these features as
@@ -303,13 +310,14 @@ def run_pmlp(
     """
     if not isinstance(cfg, PmlpConfig):
         raise DataError("cfg must be a PmlpConfig")
+    features = _features(features)
     labels, ground_truth = _initial_labels(
-        features.n_rows, ground_truth, predictions, n_classes
+        features.shape[0], ground_truth, predictions, n_classes
     )
     gt_mask = ground_truth >= 0
     if not gt_mask.any():
         raise DataError("at least one ground-truth row is required")
-    if labels.classes < 2:
+    if labels.shape[1] < 2:
         raise DataError("at least two classes are required")
 
     # Every ground-truth row is high-confidence, so high is never empty.
@@ -324,17 +332,14 @@ def run_pmlp(
     propagated, iterations, residual = propagate_closed_form(S, high, cfg.alpha)
 
     if cfg.clamp_ground_truth:
-        clamped = propagated.data.copy()
+        clamped = propagated.copy()
         rows = np.flatnonzero(gt_mask)
         clamped[rows] = 0.0
         clamped[rows, ground_truth[rows]] = 1.0
-        propagated = SoftLabelMatrix(clamped)
+        propagated = _frozen(clamped)
 
-    final = mix_final(propagated, low, cfg.eta)
-    if renormalize:
-        final = final.renormalized()
     return PropagationResult(
-        final_labels=final,
+        final_labels=mix_final(propagated, low, cfg.eta),
         iterations_used=iterations,
         residual=residual,
     )
@@ -389,10 +394,9 @@ def update_threshold(state, predictions, epoch):
     ``min(tau + crossings * increment, tau_max)``. The threshold never
     decreases and saturates at ``tau_max`` instead of erroring.
     """
-    if not isinstance(predictions, SoftLabelMatrix):
-        predictions = SoftLabelMatrix(predictions)
+    predictions = _scores(predictions)
     epoch = int(epoch)
-    confident = int(np.sum(predictions.data.max(axis=1) >= state.tau))
+    confident = int(np.sum(predictions.max(axis=1) >= state.tau))
     new_count = state.high_count + confident
     crossings = new_count // 50 - state.high_count // 50
     tau = state.tau

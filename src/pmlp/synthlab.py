@@ -23,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import MODES, DataError, FeatureMatrix, PmlpError
-from .core import _check_elements
+from .core import MODES, DataError, PmlpError
+from .core import _check_elements, _features
 from .density import (
     _pair_point_densities,
     _row_lists,
@@ -32,7 +32,7 @@ from .density import (
     density_ratio,
 )
 from .graph import neighbor_lists
-from .propagate import run_pmlp
+from .propagate import confidences, run_pmlp
 
 __all__ = [
     "ComparisonTrial",
@@ -52,11 +52,12 @@ __all__ = [
 class SyntheticDataset:
     """Features plus the generating truth.
 
-    ``generator_spec`` is a plain dict of (kind, params, seed) from which
+    ``features`` is the read-only (N, d) float64 array of the rows, and
+    ``generator_spec`` a plain dict of (kind, params, seed) from which
     ``regenerate`` rebuilds the dataset bit-identically.
     """
 
-    features: FeatureMatrix
+    features: np.ndarray
     true_class: np.ndarray
     labeled_mask: np.ndarray
     generator_spec: dict
@@ -102,9 +103,9 @@ def gen_gaussian_blobs(means, sigma, per_class, labeled_per_class, seed):
     blocks = []
     for mean in means:
         blocks.append(mean + sigma * rng.standard_normal((per_class, means.shape[1])))
-    features = FeatureMatrix(np.vstack(blocks))
+    features = _features(np.vstack(blocks))
     true_class = np.repeat(np.arange(means.shape[0]), per_class)
-    labeled_mask = np.zeros(features.n_rows, dtype=bool)
+    labeled_mask = np.zeros(features.shape[0], dtype=bool)
     for c in range(means.shape[0]):
         labeled_mask[c * per_class : c * per_class + labeled_per_class] = True
     spec = {
@@ -148,7 +149,7 @@ def gen_two_moons(n, noise, labeled_per_class, seed):
     points = np.vstack([upper, lower])
     if noise > 0:
         points = points + noise * rng.standard_normal(points.shape)
-    features = FeatureMatrix(points)
+    features = _features(points)
     true_class = np.repeat([0, 1], [n_upper, n_lower])
     labeled_mask = np.zeros(n, dtype=bool)
     labeled_mask[:labeled_per_class] = True
@@ -252,7 +253,7 @@ def separation_sweep(
     for index, delta in enumerate(separations):
         features = _two_blobs(delta, sigma, samples_per_cluster, cfg.seed + index)
         point_density = batch_normalized_density(
-            features.data, features, cfg.kde_support_n, cfg.bandwidth_h
+            features, features, cfg.kde_support_n, cfg.bandwidth_h
         )
         tau_density = float(np.quantile(point_density, tau_quantile))
 
@@ -301,11 +302,11 @@ def density_ratio_sweep(bandwidths, pairs, separation, sigma, samples_per_cluste
     _check_elements("pairs", pairs * 2, "%d row pairs" % pairs)
     features = _two_blobs(separation, sigma, samples_per_cluster, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    n = features.n_rows
+    n = features.shape[0]
     left = rng.integers(0, n, pairs)
     offset = 1 + rng.integers(0, n - 1, pairs)
     row_pairs = np.column_stack([left, (left + offset) % n])
-    lists = _row_lists(features.data, support_n=cfg.kde_support_n)
+    lists = _row_lists(features, support_n=cfg.kde_support_n)
     return [
         DensityRatioReport(
             bandwidth_h=float(h),
@@ -336,9 +337,9 @@ class ComparisonTrial:
 
 def _trial_metrics(result, dataset, tau):
     unlabeled = ~dataset.labeled_mask
-    predicted = result.final_labels.data.argmax(axis=1)
+    predicted = result.final_labels.argmax(axis=1)
     accuracy = float(np.mean(predicted[unlabeled] == dataset.true_class[unlabeled]))
-    confident = result.final_labels.confidences() >= tau
+    confident = confidences(result.final_labels) >= tau
     high_ratio = float(confident.mean())
     picked = confident & unlabeled
     if picked.any():

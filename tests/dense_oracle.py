@@ -49,7 +49,7 @@ def to_dense(affinity):
 def solve_dense(S, y_high, alpha, scaling="fixed_point"):
     """np.linalg.solve of (I - alpha * S) Y = Y_high, clipped at zero."""
     S = to_dense(S) if isinstance(S, AffinityMatrix) else np.asarray(S, dtype=float)
-    y = np.asarray(getattr(y_high, "data", y_high), dtype=float)
+    y = np.asarray(y_high, dtype=float)
     solution = np.linalg.solve(np.eye(len(S)) - alpha * S, y)
     if scaling == "fixed_point":
         solution = (1.0 - alpha) * solution

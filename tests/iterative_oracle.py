@@ -10,14 +10,13 @@ it is a reference only on small, well-connected graphs.
 
 import numpy as np
 
-from pmlp.core import SoftLabelMatrix
-
 
 def propagate_iterative(S, y_high, alpha, max_iters=10000, tol=1e-10):
     """Iterate to ``tol`` or ``max_iters``; returns ``(result, iterations,
     residual)``, the residual being the last update's max-abs change."""
-    base = y_high.data.T.ravel()  # class-major, as S.operator takes it
-    apply = S.operator(y_high.classes)
+    y_high = np.asarray(y_high, dtype=float)
+    base = y_high.T.ravel()  # class-major, as S.operator takes it
+    apply = S.operator(y_high.shape[1])
     current = base
     iterations, residual = 0, float("inf")
     for iterations in range(1, max_iters + 1):
@@ -26,5 +25,5 @@ def propagate_iterative(S, y_high, alpha, max_iters=10000, tol=1e-10):
         current = nxt
         if residual < tol:
             break
-    result = SoftLabelMatrix(current.reshape(y_high.classes, -1).T)
+    result = current.reshape(y_high.shape[1], -1).T
     return result, iterations, residual

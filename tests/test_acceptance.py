@@ -19,9 +19,7 @@ import numpy as np
 from pmlp.cli import main
 from pmlp.core import (
     AffinityMatrix,
-    FeatureMatrix,
     PmlpConfig,
-    SoftLabelMatrix,
     default_neighbor_count,
 )
 from pmlp.density import batch_normalized_density
@@ -67,22 +65,22 @@ def test_criterion_1_infinite_bandwidth_degeneration():
         rng = np.random.default_rng(20240)
         for i in range(20):
             dataset = random_blob_instance(i, rng)
-            assert dataset.features.n_rows <= 200
+            assert dataset.features.shape[0] <= 200
             cfg = PmlpConfig(
                 bandwidth_h=1e12,
-                kde_support_n=min(20, dataset.features.n_rows),
+                kde_support_n=min(20, dataset.features.shape[0]),
                 neighbor_count=default_neighbor_count(dataset.n_classes),
                 seed=7,
             )
             pm = run_pmlp(dataset.features, dataset.ground_truth, cfg)
             classical = run_classical_lpa(dataset.features, dataset.ground_truth, cfg)
             diff = np.max(
-                np.abs(pm.final_labels.data - classical.final_labels.data)
+                np.abs(pm.final_labels - classical.final_labels)
             )
             assert diff < 1e-6
             assert np.array_equal(
-                pm.final_labels.data.argmax(axis=1),
-                classical.final_labels.data.argmax(axis=1),
+                pm.final_labels.argmax(axis=1),
+                classical.final_labels.argmax(axis=1),
             )
         assert time.monotonic() - started < 10.0
 
@@ -107,7 +105,7 @@ def test_criterion_2_affinity_scale_invariance():
             assert np.array_equal(scaled_S.indices, S.indices)
             assert np.max(np.abs(scaled_S.data - S.data)) < 1e-12
             scaled, _, _ = propagate_closed_form(scaled_S, high, cfg.alpha)
-            assert np.max(np.abs(scaled.data - base.data)) < 1e-9
+            assert np.max(np.abs(scaled - base)) < 1e-9
 
 
 def test_criterion_3_solver_cross_check():
@@ -122,13 +120,13 @@ def test_criterion_3_solver_cross_check():
             S = normalize_symmetric(affinity_from_dense(W))
             mask = rng.random(n) < 0.4
             mask[0] = True
-            Y = SoftLabelMatrix(rng.random((n, 3)) * mask[:, None])
+            Y = rng.random((n, 3)) * mask[:, None]
             iterated, _, residual = propagate_iterative(
                 S, Y, alpha, max_iters=200000, tol=1e-12
             )
             assert residual < 1e-12
             fixed, _, _ = propagate_closed_form(S, Y, alpha)
-            diff = np.max(np.abs(iterated.data - fixed.data))
+            diff = np.max(np.abs(iterated - fixed))
             assert diff < 1e-8
 
 
@@ -149,9 +147,7 @@ def test_criterion_4_kde_oracle_equivalence():
                     squared += (s - q) ** 2
                 total += math.exp(-squared / h)
             expected = total / (count * h)
-            got = batch_normalized_density(
-                query[None], FeatureMatrix(supports), count, h
-            )[0] / h
+            got = batch_normalized_density(query[None], supports, count, h)[0] / h
             assert abs(got - expected) <= 1e-12
 
 
@@ -225,11 +221,11 @@ def test_criterion_8_adaptive_threshold_contract():
                 epoch = 1 + step * int(rng.integers(1, 10))
                 rows = int(rng.integers(1, 60))
                 raw = rng.random((rows, 4))
-                predictions = SoftLabelMatrix(raw / raw.sum(axis=1, keepdims=True))
+                predictions = raw / raw.sum(axis=1, keepdims=True)
                 before = state
                 state = update_threshold(state, predictions, epoch)
                 confident = int(
-                    np.sum(predictions.data.max(axis=1) >= before.tau)
+                    np.sum(predictions.max(axis=1) >= before.tau)
                 )
                 crossings = (
                     (before.high_count + confident) // 50 - before.high_count // 50

@@ -27,12 +27,7 @@ from pmlp.cli import (
     ingest_features,
     main,
 )
-from pmlp.core import (
-    MAX_ELEMENTS,
-    DataError,
-    FeatureMatrix,
-    PmlpConfig,
-)
+from pmlp.core import MAX_ELEMENTS, DataError, PmlpConfig
 from pmlp.synthlab import gen_gaussian_blobs
 
 
@@ -45,7 +40,7 @@ class TestIngestCsv:
     def test_ground_truth_row(self, tmp_path):
         path = write(tmp_path / "d.csv", "0.1,0.2,3\n")
         features, ground_truth, predictions = ingest_features(path)
-        np.testing.assert_allclose(features.data, [[0.1, 0.2]])
+        np.testing.assert_allclose(features, [[0.1, 0.2]])
         assert ground_truth.tolist() == [3]
         assert predictions is None
 
@@ -64,7 +59,7 @@ class TestIngestCsv:
     def test_header_row_is_skipped(self, tmp_path):
         path = write(tmp_path / "d.csv", "f_0,f_1,label\n1.0,2.0,0\n")
         features, _, _ = ingest_features(path)
-        assert features.n_rows == 1
+        assert features.shape[0] == 1
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = write(tmp_path / "d.csv", "1.0,2.0,0\n1.0,0\n")
@@ -133,7 +128,7 @@ class TestIngestCsv:
         with pytest.raises(DataError):
             ingest_features(path)
         features, _, _ = ingest_features(path, fmt="csv")
-        assert features.n_rows == 1
+        assert features.shape[0] == 1
 
 
 class TestIngestJsonl:
@@ -142,7 +137,7 @@ class TestIngestJsonl:
             tmp_path / "d.jsonl", '{"features": [1, 2], "label": [0.7, 0.3]}\n'
         )
         features, ground_truth, predictions = ingest_features(path)
-        np.testing.assert_allclose(features.data, [[1.0, 2.0]])
+        np.testing.assert_allclose(features, [[1.0, 2.0]])
         assert ground_truth.tolist() == [-1]
         assert predictions.tolist() == [[0.7, 0.3]]
 
@@ -202,14 +197,14 @@ class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_ingest_emit_round_trip_is_exact(self, tmp_path, fmt):
         rng = np.random.default_rng(12)
-        features = FeatureMatrix(rng.normal(size=(7, 3)) * 10)
+        features = rng.normal(size=(7, 3)) * 10
         ground_truth = np.array([2, -1, -1, 0, -1, -1, -1])
         predictions = np.zeros((7, 3))
         predictions[[2, 4, 6]] = [[0.25, 0.5, 0.25], [1.0, 0.0, 0.0], [0.125, 0.375, 0.5]]
         path = tmp_path / ("d." + fmt)
         emit_features(path, features, ground_truth, predictions, fmt)
         back_features, back_ground_truth, back_predictions = ingest_features(path, fmt)
-        assert np.array_equal(back_features.data, features.data)
+        assert np.array_equal(back_features, features)
         assert np.array_equal(back_ground_truth, ground_truth)
         assert np.array_equal(back_predictions, predictions)
         emit_features(path, features, ground_truth, fmt=fmt)
@@ -1429,6 +1424,6 @@ class TestGenerate:
              "--labeled-per-class", "1", "--seed", "2", "--out", str(path)]
         ) == 0
         features, ground_truth, predictions = ingest_features(path)
-        assert features.n_rows == 10
+        assert features.shape[0] == 10
         assert ground_truth.tolist() == [0] + [-1] * 4 + [1] + [-1] * 4
         assert predictions is None

@@ -10,22 +10,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmlp import propagate
+from pmlp import graph, propagate
+from pmlp.cli import emit_features
 from pmlp.core import (
     ConfigError,
     DataError,
     NumericalError,
     PmlpError,
-    FeatureMatrix,
     AffinityMatrix,
     PmlpConfig,
-    SoftLabelMatrix,
     default_neighbor_count,
     validate_config,
 )
-from pmlp.density import batch_normalized_density
-from pmlp.graph import EPS_DISTANCE, _base_affinity, normalize_symmetric
-from pmlp.propagate import run_pmlp
+from pmlp.density import batch_normalized_density, batch_path_density_info, density_ratio
+from pmlp.graph import (
+    EPS_DISTANCE,
+    _base_affinity,
+    build_affinity,
+    knn_edges,
+    neighbor_lists,
+    normalize_symmetric,
+)
+from pmlp.propagate import (
+    ThresholdSchedulerState,
+    confidences,
+    mix_final,
+    propagate_closed_form,
+    renormalized,
+    run_pmlp,
+    split_by_confidence,
+    update_threshold,
+)
+from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
 
 from dense_oracle import affinity_from_dense, to_dense
 
@@ -62,7 +78,7 @@ class TestDistance:
         assert value == 11.0
 
     def test_dimension_mismatch(self):
-        # Base affinities pair rows of one FeatureMatrix; the one place two
+        # Base affinities pair rows of one feature matrix; the one place two
         # vectors of separate origin meet is a KDE query and its supports.
         with pytest.raises(DataError):
             batch_normalized_density([(1.0, 2.0)], [(1.0, 2.0, 3.0)], 1, 1.0)
@@ -175,32 +191,60 @@ class TestConfig:
         assert default_neighbor_count(2) == 3
 
 
-class TestFeatureMatrix:
-    def test_rejects_nan(self):
-        with pytest.raises(DataError):
-            FeatureMatrix([[0.0, np.nan]])
-
-    def test_rejects_empty(self):
-        with pytest.raises(DataError):
-            FeatureMatrix(np.zeros((0, 3)))
-
-    def test_shape_and_immutability(self):
-        fm = FeatureMatrix([[1.0, 2.0], [3.0, 4.0]])
-        assert (fm.n_rows, fm.dim) == (2, 2)
-        with pytest.raises(ValueError):
-            fm.data[0, 0] = 9.0
-
-    def test_copy_on_construction(self):
-        raw = np.ones((2, 2))
-        fm = FeatureMatrix(raw)
-        raw[0, 0] = 5.0
-        assert fm.data[0, 0] == 1.0
-
-
 # Four rows in two pairs; row 0 is class 0, row 2 class 1, and row 1 may
 # carry a prediction.
-FOUR_ROWS = FeatureMatrix([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]])
+FOUR_ROWS = [[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]]
 FOUR_ROWS_CFG = PmlpConfig(neighbor_count=2, kde_support_n=4)
+
+
+class TestFeatureMatrix:
+    """The one check of features at every public entry (``core._features``):
+    any 2-d array of finite numbers, held as a read-only float64 array."""
+
+    def test_rejects_nan(self):
+        for bad in ([[0.0, np.nan], [1.0, 0.0]], [[0.0, 0.0], [np.inf, 0.0]]):
+            with pytest.raises(DataError, match="feature matrix contains non-finite"):
+                knn_edges(bad, 1)
+
+    def test_rejects_empty(self):
+        for empty in (np.zeros((0, 3)), np.zeros((3, 0))):
+            with pytest.raises(DataError, match="needs at least one row and one col"):
+                knn_edges(empty, 1)
+        with pytest.raises(DataError, match="feature matrix must be 2-dimensional"):
+            knn_edges([0.0, 1.0, 2.0], 1)
+
+    def test_shape_and_immutability(self):
+        features = gen_gaussian_blobs([[0.0, 0.0]], 1.0, 3, 1, seed=0).features
+        final = label_four_rows().final_labels
+        assert features.shape == (3, 2) and final.shape == (4, 2)
+        for array in (features, final):
+            assert array.dtype == np.float64
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 9.0
+
+    def test_copy_on_construction(self, monkeypatch):
+        # A writable input is checked into a read-only copy, so the caller's
+        # later writes reach no stage; a read-only float64 array is used
+        # as it is.
+        seen = []
+        row_lists = graph._row_lists
+
+        def spy(data, *args):
+            seen.append(data)
+            return row_lists(data, *args)
+
+        monkeypatch.setattr(graph, "_row_lists", spy)
+        raw = np.array(FOUR_ROWS)
+        first = run_pmlp(raw, [0, -1, 1, -1], FOUR_ROWS_CFG).final_labels
+        raw[0, 0] = 5.0
+        assert seen[0][0, 0] == 0.0 and not seen[0].flags.writeable
+        frozen = np.array(FOUR_ROWS)
+        frozen.setflags(write=False)
+        second = run_pmlp(frozen, [0, -1, 1, -1], FOUR_ROWS_CFG).final_labels
+        assert seen[1] is frozen
+        assert first.tobytes() == second.tobytes()
+
 
 
 def label_four_rows(ground_truth=(0, -1, 1, -1), prediction=None, row=1, **kwargs):
@@ -258,19 +302,25 @@ class TestLabelAssignment:
 
 
 class TestSoftLabelMatrix:
+    """The one check of class scores at every public entry
+    (``core._scores``), and the row renormalization."""
+
     def test_rejects_negative(self):
-        with pytest.raises(DataError):
-            SoftLabelMatrix([[0.5, -0.1]])
+        with pytest.raises(DataError, match="soft label matrix contains negative"):
+            split_by_confidence([[0.5, -0.1]], [False], 0.9)
+        with pytest.raises(DataError, match="soft label matrix contains non-finite"):
+            mix_final([[0.5, np.nan]], [[0.5, 0.0]], 0.5)
+        with pytest.raises(DataError, match="soft label matrix must be 2-dimensional"):
+            mix_final([0.5, 0.5], [0.5, 0.0], 0.5)
 
     def test_renormalized_keeps_zero_rows(self):
-        m = SoftLabelMatrix([[2.0, 2.0], [0.0, 0.0]])
-        out = m.renormalized().data
+        out = renormalized([[2.0, 2.0], [0.0, 0.0]])
         assert out[0].tolist() == [0.5, 0.5]
         assert out[1].tolist() == [0.0, 0.0]
+        assert not out.flags.writeable
 
     def test_confidences(self):
-        m = SoftLabelMatrix([[3.0, 1.0], [0.0, 0.0]])
-        assert m.confidences().tolist() == [0.75, 0.0]
+        assert confidences([[3.0, 1.0], [0.0, 0.0]]).tolist() == [0.75, 0.0]
 
 
 class TestAffinityMatrix:
@@ -325,18 +375,72 @@ class TestAffinityMatrix:
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: FeatureMatrix([[1.0, 2.0], [1.0, 2.0, 3.0]]),
-        lambda: FeatureMatrix([["a", 1.0]]),
-        lambda: SoftLabelMatrix([[1.0], [1.0, 2.0]]),
-        lambda: label_four_rows(prediction=["a", 1.0]),
+        (lambda: knn_edges([[1.0, 2.0], [1.0, 2.0, 3.0]], 1), "feature matrix"),
+        (lambda: run_pmlp([["a", 1.0]], [0], FOUR_ROWS_CFG), "feature matrix"),
+        (lambda: mix_final([[1.0], [1.0, 2.0]], [[1.0]], 0.5), "soft label matrix"),
+        (lambda: label_four_rows(prediction=["a", 1.0]), "predictions"),
     ],
     ids=["ragged_features", "text_feature", "ragged_scores", "text_probability"],
 )
-def test_constructor_rejects_non_numeric_or_ragged_input_with_data_error(build):
-    with pytest.raises(DataError):
+def test_constructor_rejects_non_numeric_or_ragged_input_with_data_error(build, message):
+    with pytest.raises(DataError, match=message + " must be a rectangular array of"):
         build()
+
+
+# Every public entry that takes features, called on FOUR_ROWS with a NaN in
+# row 1 (``rows``), or, for a generator, with parameters that make one.
+FEATURE_ENTRIES = {
+    "run_pmlp_list": lambda rows, path: run_pmlp(rows, [0, -1, 1, -1], FOUR_ROWS_CFG),
+    "run_pmlp_array": lambda rows, path: run_pmlp(
+        np.array(rows), np.array([0, -1, 1, -1]), FOUR_ROWS_CFG
+    ),
+    "neighbor_lists": lambda rows, path: neighbor_lists(rows, FOUR_ROWS_CFG),
+    "knn_edges": lambda rows, path: knn_edges(rows, 2),
+    "build_affinity": lambda rows, path: build_affinity(rows, [(0, 1)], FOUR_ROWS_CFG),
+    "batch_path_density_info": lambda rows, path: batch_path_density_info(
+        rows, [(0, 2)], FOUR_ROWS_CFG
+    ),
+    "batch_normalized_density": lambda rows, path: batch_normalized_density(
+        [[0.0, 0.0]], rows, 2, 1.0
+    ),
+    "density_ratio": lambda rows, path: density_ratio(rows, [(0, 2)], FOUR_ROWS_CFG),
+    "emit_features": lambda rows, path: emit_features(path, rows, [0, -1, 1, -1]),
+    "gen_gaussian_blobs": lambda rows, path: gen_gaussian_blobs(
+        [[0.0, np.nan], [5.0, 0.0]], 1.0, 2, 1, seed=0
+    ),
+    "gen_two_moons": lambda rows, path: gen_two_moons(4, np.inf, 1, seed=0),
+}
+# Every public entry that takes class scores, called on a negative score.
+SCORE_ENTRIES = {
+    "split_by_confidence": lambda scores: split_by_confidence(scores, [1, 0], 0.9),
+    "propagate_closed_form": lambda scores: propagate_closed_form(
+        affinity_from_dense([[0.0, 1.0], [1.0, 0.0]]), scores, 0.5
+    ),
+    "mix_final": lambda scores: mix_final(np.zeros((2, 2)), scores, 0.5),
+    "update_threshold": lambda scores: update_threshold(
+        ThresholdSchedulerState(tau=0.9), scores, 1
+    ),
+    "renormalized": renormalized,
+    "confidences": confidences,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FEATURE_ENTRIES) + sorted(SCORE_ENTRIES))
+def test_every_public_entry_checks_its_arrays(entry, tmp_path):
+    # A NaN feature and a negative score are refused with the check's own
+    # message, before anything is written.
+    path = tmp_path / "rows.csv"
+    if entry in FEATURE_ENTRIES:
+        rows = [list(row) for row in FOUR_ROWS]
+        rows[1][0] = np.nan
+        with pytest.raises(DataError, match="feature matrix contains non-finite"):
+            FEATURE_ENTRIES[entry](rows, path)
+    else:
+        with pytest.raises(DataError, match="soft label matrix contains negative"):
+            SCORE_ENTRIES[entry]([[1.0, 0.0], [0.5, -0.5]])
+    assert not path.exists()
 
 
 class TestSoftLabelsFromAssignments:
@@ -348,7 +452,7 @@ class TestSoftLabelsFromAssignments:
         split = propagate.split_by_confidence
 
         def spy(labels, *args):
-            seen.append(labels.data.copy())
+            seen.append(labels.copy())
             return split(labels, *args)
 
         monkeypatch.setattr(propagate, "split_by_confidence", spy)
@@ -366,7 +470,7 @@ class TestSoftLabelsFromAssignments:
     def test_the_class_count_is_the_wider_of_classes_and_predictions(self):
         # Three prediction classes, two ground-truth classes: C = 3.
         result = label_four_rows(prediction=[0.2, 0.3, 0.5])
-        assert result.final_labels.classes == 3
+        assert result.final_labels.shape[1] == 3
         # Class 3 needs four classes, which a prediction of two cannot have.
         with pytest.raises(DataError, match="predictions are 2 wide, expected 4 classes"):
             label_four_rows(ground_truth=(0, -1, 3, -1), prediction=[0.5, 0.5])

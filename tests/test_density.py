@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pmlp import density as density_module
-from pmlp.core import DataError, FeatureMatrix, NumericalError, PmlpConfig
+from pmlp.core import DataError, NumericalError, PmlpConfig
 from pmlp.density import (
     batch_normalized_density,
     batch_path_density_info,
@@ -81,7 +81,7 @@ def path_points(features, pair, cfg):
     return seen[0]
 
 
-PAIR_ROWS = FeatureMatrix([[0.0], [1.0]])
+PAIR_ROWS = np.array([[0.0], [1.0]])
 
 
 def aggregated(values, aggregator, quantile_t=0.5):
@@ -100,35 +100,35 @@ def aggregated(values, aggregator, quantile_t=0.5):
 
 class TestSamplePath:
     def test_three_interior_points(self):
-        fm = FeatureMatrix([[0.0, 0.0], [4.0, 0.0]])
+        fm = np.array([[0.0, 0.0], [4.0, 0.0]])
         points = path_points(fm, (0, 1), PmlpConfig(path_points_k=3, kde_support_n=1))
         np.testing.assert_array_equal(points, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
 
     def test_single_point_is_midpoint(self):
-        fm = FeatureMatrix([[0.0, 0.0], [2.0, 2.0]])
+        fm = np.array([[0.0, 0.0], [2.0, 2.0]])
         points = path_points(fm, (0, 1), PmlpConfig(path_points_k=1, kde_support_n=1))
         np.testing.assert_array_equal(points, [[1.0, 1.0]])
 
     def test_two_point_fractions(self):
-        fm = FeatureMatrix([[1.0, 1.0], [1.0, 5.0]])
+        fm = np.array([[1.0, 1.0], [1.0, 5.0]])
         points = path_points(fm, (0, 1), PmlpConfig(path_points_k=2, kde_support_n=1))
         np.testing.assert_allclose(
             points, [[1.0, 7.0 / 3.0], [1.0, 11.0 / 3.0]], atol=1e-12
         )
 
     def test_zero_length_path_rejected(self):
-        fm = FeatureMatrix([[0.0, 0.0], [1.0, 1.0]])
+        fm = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DataError):
             batch_path_density_info(fm, [(1, 1)], PmlpConfig(kde_support_n=1))
 
     def test_points_lie_on_segment(self):
         rng = np.random.default_rng(11)
-        fm = FeatureMatrix(rng.normal(size=(6, 4)))
+        fm = rng.normal(size=(6, 4))
         for k in (1, 2, 5):
             # a reversed pair is sampled from its lower row
             cfg = PmlpConfig(path_points_k=k, kde_support_n=1)
             points = path_points(fm, (3, 0), cfg)
-            x_i, x_j = fm.data[0], fm.data[3]
+            x_i, x_j = fm[0], fm[3]
             assert len(points) == k
             for l, point in enumerate(points, start=1):
                 expected = x_i + (l / (k + 1)) * (x_j - x_i)
@@ -204,15 +204,15 @@ class TestKdeDensity:
 
 class TestSelectSupports:
     def test_nearest_two(self):
-        fm = FeatureMatrix([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
+        fm = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
         got = batch_normalized_density([(0.4, 0.0)], fm, 2, 1.0)[0]
         want = brute_force_kde((0.4, 0.0), [[0.0, 0.0], [1.0, 0.0]], 1.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_n_equal_rows_returns_everything(self):
-        fm = FeatureMatrix([[0.0], [1.0], [2.0]])
+        fm = np.array([[0.0], [1.0], [2.0]])
         got = batch_normalized_density([(1.6,)], fm, 3, 1.0)[0]
-        assert got == pytest.approx(brute_force_kde((1.6,), fm.data, 1.0), abs=1e-12)
+        assert got == pytest.approx(brute_force_kde((1.6,), fm, 1.0), abs=1e-12)
 
     def test_tie_broken_by_row_index(self):
         # rows 2 and 7 are equidistant from the query; row 2 wins the last slot
@@ -223,7 +223,7 @@ class TestSelectSupports:
         assert supports.tolist() == [[2]]
 
     def test_too_many_supports_rejected(self):
-        fm = FeatureMatrix([[0.0], [1.0]])
+        fm = np.array([[0.0], [1.0]])
         with pytest.raises(DataError):
             batch_normalized_density([(0.0,)], fm, 3, 1.0)
 
@@ -241,7 +241,7 @@ class TestSelectSupports:
     def test_malformed_ends_or_lists_rejected(self, ends, lists):
         # A path point's ends are its pair's rows, which prove its supports
         # from their lists: both are checked where they enter the density.
-        fm = FeatureMatrix([[0.0], [1.0], [2.0]])
+        fm = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(DataError):
             batch_path_density_info(fm, ends, PmlpConfig(kde_support_n=2), lists)
 
@@ -296,7 +296,7 @@ class TestPathDensityInfo:
         within, cross = batch_path_density_info(dataset.features, pairs, cfg)
         assert within > cross
         # agree with the independent composition
-        raw = dataset.features.data.tolist()
+        raw = dataset.features.tolist()
         assert within == pytest.approx(
             brute_force_path_info(raw, 0, 1, 1, 15, 2.0), abs=1e-12
         )
@@ -353,8 +353,8 @@ class TestPathDensityInfo:
 
     def test_batch_matches_scalar_composition(self):
         rng = np.random.default_rng(17)
-        fm = FeatureMatrix(rng.normal(size=(30, 3)))
-        raw = fm.data.tolist()
+        fm = rng.normal(size=(30, 3))
+        raw = fm.tolist()
         for aggregator in ("min", "max", "avg", "quantile"):
             cfg = PmlpConfig(
                 bandwidth_h=0.8,
@@ -373,18 +373,18 @@ class TestPathDensityInfo:
 
     def test_batch_normalized_density_matches_scalar(self):
         rng = np.random.default_rng(23)
-        fm = FeatureMatrix(rng.normal(size=(25, 2)))
+        fm = rng.normal(size=(25, 2))
         queries = rng.normal(size=(40, 2))
         batch = batch_normalized_density(queries, fm, 7, 1.3)
-        supports, _ = nearest_rows_oracle(queries, fm.data, 7)
+        supports, _ = nearest_rows_oracle(queries, fm, 7)
         for q, rows, got in zip(queries, supports, batch):
-            want = 1.3 * brute_force_kde(q, fm.data[rows], 1.3)
+            want = 1.3 * brute_force_kde(q, fm[rows], 1.3)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestDensityRatio:
     def test_coincident_supports_give_unit_ratio(self):
-        fm = FeatureMatrix(np.zeros((6, 2)))
+        fm = np.zeros((6, 2))
         cfg = PmlpConfig(bandwidth_h=1.0, kde_support_n=6, path_points_k=2)
         assert density_ratio(fm, [(0, 1), (2, 5)], cfg) == 1.0
 
@@ -411,7 +411,7 @@ class TestDensityRatio:
         assert small > large
 
         # cross-check the small-bandwidth ratio against the naive composition
-        raw = dataset.features.data.tolist()
+        raw = dataset.features.tolist()
         values = []
         for i, j in pairs:
             lo, hi = min(i, j), max(i, j)
@@ -439,12 +439,12 @@ class TestDensityRatio:
         assert queried == [len(pairs) * cfg.path_points_k]
 
     def test_underflowed_density_rejected(self):
-        fm = FeatureMatrix([[0.0, 0.0], [1e4, 0.0]])
+        fm = np.array([[0.0, 0.0], [1e4, 0.0]])
         cfg = PmlpConfig(bandwidth_h=0.001, kde_support_n=1, path_points_k=1)
         with pytest.raises(NumericalError):
             density_ratio(fm, [(0, 1)], cfg)
 
     def test_empty_pairs_rejected(self):
-        fm = FeatureMatrix([[0.0], [1.0]])
+        fm = np.array([[0.0], [1.0]])
         with pytest.raises(DataError):
             density_ratio(fm, np.zeros((0, 2), dtype=int), PmlpConfig())

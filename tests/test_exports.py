@@ -9,7 +9,7 @@ import pytest
 from pmlp.core import AffinityMatrix, PmlpConfig
 from pmlp.density import batch_normalized_density
 from pmlp.graph import build_affinity
-from pmlp.propagate import PropagationResult, propagate_closed_form
+from pmlp.propagate import PropagationResult, propagate_closed_form, run_pmlp
 
 MODULES = (
     "pmlp",
@@ -22,17 +22,20 @@ MODULES = (
 )
 
 # Single-query copies of pipeline stages, a test-only solver knob, the
-# iterative solver, the endpoint-only nearest-row lists, and the per-row
-# label objects with their conversions; the batched kernel, knn_edges, the
-# graph's base affinity, the fixed-point closed form, every row's list and
-# the ground-truth vector are the one implementation of each.
+# iterative solver, the endpoint-only nearest-row lists, the per-row label
+# objects with their conversions, and the feature and score wrappers; the
+# batched kernel, knn_edges, the graph's base affinity, the fixed-point
+# closed form, every row's list, the ground-truth vector and plain arrays
+# are the one implementation of each.
 REMOVED = (
     "CLOSED_FORM_SCALINGS",
+    "FeatureMatrix",
     "LabelAssignment",
     "NeighborSet",
     "PathDensities",
     "PathSample",
     "SOLVERS",
+    "SoftLabelMatrix",
     "_check_kde_inputs",
     "_end_lists",
     "aggregate_density",
@@ -93,6 +96,15 @@ def test_removed_solver_knob_stays_gone():
         "features",
         "edges",
         "cfg",
+        "lists",
+    ]
+    # No renormalize: callers renormalize the final labels themselves.
+    assert list(inspect.signature(run_pmlp).parameters) == [
+        "features",
+        "ground_truth",
+        "cfg",
+        "predictions",
+        "n_classes",
         "lists",
     ]
 

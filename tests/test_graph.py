@@ -10,7 +10,6 @@ from pmlp.core import (
     DISTANCE_MODES,
     AffinityMatrix,
     DataError,
-    FeatureMatrix,
     NumericalError,
     PmlpConfig,
 )
@@ -28,36 +27,36 @@ class TestKnnSelect:
     """Row i's neighbors are the rows of ``knn_edges`` whose source is i."""
 
     def test_nearest_two_on_a_line(self):
-        fm = FeatureMatrix([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
+        fm = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
         edges = knn_edges(fm, 2)
         assert edges[edges[:, 0] == 0, 1].tolist() == [1, 2]
         assert edges[edges[:, 0] == 3, 1].tolist() == [2, 1]
 
     def test_all_other_rows(self):
-        fm = FeatureMatrix([[0.0], [3.0], [1.0], [7.0]])
+        fm = np.array([[0.0], [3.0], [1.0], [7.0]])
         edges = knn_edges(fm, 3)
         assert edges[edges[:, 0] == 0, 1].tolist() == [2, 1, 3]  # ascending distance
 
     def test_center_never_included(self):
-        fm = FeatureMatrix([[0.0], [0.0], [1.0]])  # rows 0 and 1 coincide
+        fm = np.array([[0.0], [0.0], [1.0]])  # rows 0 and 1 coincide
         edges = knn_edges(fm, 2)
         assert edges.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
 
     def test_tie_breaks_toward_lower_index(self):
-        fm = FeatureMatrix([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [-2.0, 0.0]])
+        fm = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [-2.0, 0.0]])
         edges = knn_edges(fm, 3)
         assert edges[edges[:, 0] == 0, 1].tolist() == [1, 2, 3]
 
     def test_count_must_leave_room(self):
-        fm = FeatureMatrix([[0.0], [1.0]])
+        fm = np.array([[0.0], [1.0]])
         with pytest.raises(DataError):
             knn_edges(fm, 2)
 
     def test_edges_match_per_center_selection(self):
         rng = np.random.default_rng(3)
-        fm = FeatureMatrix(rng.normal(size=(12, 3)))
+        fm = rng.normal(size=(12, 3))
         edges = knn_edges(fm, 4)
-        expected, _ = nearest_rows_oracle(fm.data, fm.data, 4, np.arange(12))
+        expected, _ = nearest_rows_oracle(fm, fm, 4, np.arange(12))
         for center in range(12):
             got = edges[edges[:, 0] == center][:, 1].tolist()
             assert got == expected[center].tolist()
@@ -80,9 +79,9 @@ class TestNeighborLists:
         ],
     )
     def test_length_and_order(self, cfg, length):
-        fm = FeatureMatrix(np.random.default_rng(4).normal(size=(60, 2)))
+        fm = np.random.default_rng(4).normal(size=(60, 2))
         indices, dist2 = neighbor_lists(fm, cfg)
-        want = nearest_rows_oracle(fm.data, fm.data, length, np.arange(60))
+        want = nearest_rows_oracle(fm, fm, length, np.arange(60))
         assert np.array_equal(indices, want[0])
         assert np.array_equal(dist2, want[1])
         assert np.array_equal(
@@ -91,7 +90,7 @@ class TestNeighborLists:
         )
 
     def test_short_lists_rejected(self):
-        fm = FeatureMatrix(np.random.default_rng(5).normal(size=(10, 2)))
+        fm = np.random.default_rng(5).normal(size=(10, 2))
         lists = neighbor_lists(fm, PmlpConfig(mode="classical_lpa", neighbor_count=3))
         with pytest.raises(DataError):
             knn_edges(fm, 4, lists)
@@ -114,7 +113,7 @@ class TestNeighborLists:
 class TestBuildAffinity:
     def test_three_collinear_points(self):
         spacing = 2.0
-        fm = FeatureMatrix([[0.0], [spacing], [2 * spacing]])
+        fm = np.array([[0.0], [spacing], [2 * spacing]])
         W = to_dense(build_affinity(fm, complete_edges(3), CLASSICAL))
         np.testing.assert_allclose(W[0, 1], 1.0 / spacing)
         np.testing.assert_allclose(W[1, 2], 1.0 / spacing)
@@ -122,7 +121,7 @@ class TestBuildAffinity:
 
     def test_diagonal_zero_entries_nonnegative(self):
         rng = np.random.default_rng(0)
-        fm = FeatureMatrix(rng.normal(size=(10, 2)))
+        fm = rng.normal(size=(10, 2))
         cfg = PmlpConfig(kde_support_n=5, bandwidth_h=1.0)
         W = to_dense(build_affinity(fm, complete_edges(10), cfg))
         assert np.all(np.diagonal(W) == 0.0)
@@ -144,7 +143,7 @@ class TestBuildAffinity:
         assert np.max(np.abs(pm - classical)) / scale < 1e-6
 
     def test_single_direction_edge_gets_half_weight(self):
-        fm = FeatureMatrix([[0.0], [1.0], [3.0]])
+        fm = np.array([[0.0], [1.0], [3.0]])
         both = to_dense(build_affinity(fm, [(0, 1), (1, 0)], CLASSICAL))
         single = to_dense(build_affinity(fm, [(0, 1)], CLASSICAL))
         assert single[0, 1] == both[0, 1] / 2
@@ -153,13 +152,13 @@ class TestBuildAffinity:
 
     def test_output_is_exactly_symmetric(self):
         rng = np.random.default_rng(4)
-        fm = FeatureMatrix(rng.normal(size=(15, 2)))
+        fm = rng.normal(size=(15, 2))
         edges = knn_edges(fm, 3)
         W = to_dense(build_affinity(fm, edges, PmlpConfig(kde_support_n=5)))
         assert np.array_equal(W, W.T)
 
     def test_cosine_mode_clamps_negative_similarity(self):
-        fm = FeatureMatrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        fm = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         W = to_dense(build_affinity(
             fm, complete_edges(3),
             PmlpConfig(mode="classical_lpa", distance_mode="cosine_similarity"),
@@ -168,7 +167,7 @@ class TestBuildAffinity:
         assert W[0, 2] == 0.0  # orthogonal
 
     def test_coincident_points_hit_distance_floor(self):
-        fm = FeatureMatrix([[1.0, 1.0], [1.0, 1.0]])
+        fm = np.array([[1.0, 1.0], [1.0, 1.0]])
         W = to_dense(build_affinity(fm, complete_edges(2), CLASSICAL))
         assert W[0, 1] == 1e12  # 1 / EPS_DISTANCE
 
@@ -188,7 +187,7 @@ class TestBuildAffinity:
         pairs = np.unique(np.sort(edges, axis=1), axis=0).shape[0]
         # Two pair arrays, plus 16 float64 per pair for the pair keys,
         # weights, values and the sparse matrix.
-        bound = 8 * pairs * (2 * features.dim + 16)
+        bound = 8 * pairs * (2 * features.shape[1] + 16)
         cfg = PmlpConfig(mode="classical_lpa", distance_mode=distance_mode)
         tracemalloc.start()
         try:
@@ -287,7 +286,7 @@ class TestNormalizeSymmetric:
     @pytest.mark.parametrize("mode", ["cosine_similarity", "first_order_similarity"])
     def test_similarities_clamped_at_zero_are_named(self, mode):
         # Each row's two nearest rows lie at right angles to it.
-        fm = FeatureMatrix([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        fm = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         cfg = PmlpConfig(mode="classical_lpa", distance_mode=mode)
         W = build_affinity(fm, knn_edges(fm, 2), cfg)
         with pytest.raises(NumericalError, match="row 0 .* its 2 stored edges all weigh 0"):
@@ -299,7 +298,7 @@ class TestNormalizeSymmetric:
         # The squared difference and the inner product of these rows overflow.
         # Whether RuntimeWarning is an error or not, the run ends in the
         # library's own error: no edge weight (or a NaN cosine) for row 0.
-        features = FeatureMatrix([[1e200, 0.0], [-1e200, 0.0]])
+        features = np.array([[1e200, 0.0], [-1e200, 0.0]])
         labels = [0, 1]
         cfg = PmlpConfig(
             mode=mode, distance_mode=distance_mode, neighbor_count=1, kde_support_n=2
@@ -320,14 +319,14 @@ class TestNormalizeSymmetric:
     def test_an_overflowed_similarity_names_its_pair(self, distance_mode):
         # Rows 1 and 3 are the first pair whose inner product overflows to
         # +inf: 1e200 * 1e200. Rows 0 and 2 are small.
-        features = FeatureMatrix([[1.0, 0.0], [1e200, 0.0], [1.0, 1.0], [1e200, 1.0]])
+        features = np.array([[1.0, 0.0], [1e200, 0.0], [1.0, 1.0], [1e200, 1.0]])
         cfg = PmlpConfig(mode="classical_lpa", distance_mode=distance_mode)
         with pytest.raises(DataError, match=r"the first is pair \(1, 3\), where an inner"):
             build_affinity(features, [(0, 2), (1, 3), (0, 1), (2, 3)], cfg)
 
     def test_keeps_the_sparsity_pattern(self):
         W = build_affinity(
-            FeatureMatrix(np.arange(12.0).reshape(6, 2)),
+            np.arange(12.0).reshape(6, 2),
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
             CLASSICAL,
         )

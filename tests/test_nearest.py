@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmlp import density
-from pmlp.core import FeatureMatrix, PmlpConfig
+from pmlp.core import PmlpConfig
 from pmlp.density import batch_normalized_density
 from pmlp.graph import knn_edges, neighbor_lists
 from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
@@ -180,7 +180,7 @@ def test_tied_cuts_are_proven_by_a_widened_keep():
     them, and no query is ranked over every row."""
     means = np.zeros((2, 2))
     means[1, 0] = 3.0
-    data = gen_gaussian_blobs(means, 1.0, 2000, 1, seed=1000).features.data
+    data = gen_gaussian_blobs(means, 1.0, 2000, 1, seed=1000).features
     pool = np.round(data / 0.5) * 0.5
     n = len(pool)
     got, _, _, ranked = rankings_counted(density._row_lists, pool, 6)
@@ -420,8 +420,8 @@ def kde_queries(features, count):
     """Midpoints of the kNN edges and their endpoints, as ``run_pmlp`` asks."""
     edges = knn_edges(features, count)
     pairs = np.unique(np.sort(edges, axis=1), axis=0)
-    data = features.data
-    return data[pairs[:, 0]] + 0.5 * (data[pairs[:, 1]] - data[pairs[:, 0]]), pairs
+    low, high = features[pairs[:, 0]], features[pairs[:, 1]]
+    return low + 0.5 * (high - low), pairs
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -429,14 +429,14 @@ def test_low_d_midpoints_are_proven_from_the_lists(offset):
     """At an offset of 1e6 the midpoints' rounding grows with the
     coordinates, and Stewart's slack must still prove them."""
     moons = gen_two_moons(n=1000, noise=0.1, labeled_per_class=2, seed=1).features
-    features = FeatureMatrix(moons.data + offset)
+    features = moons + offset
     queries, pairs = kde_queries(features, 5)
     lists = neighbor_lists(features, PmlpConfig(kde_support_n=15, neighbor_count=5))
     assert lists[0].shape == (1000, density._list_length(15, 1000))
     (got_idx, got_d2), fallen = listed_rows_counted(
-        queries, features.data, 15, pairs, lists
+        queries, features, 15, pairs, lists
     )
-    want_idx, want_d2 = nearest_rows_oracle(queries, features.data, 15)
+    want_idx, want_d2 = nearest_rows_oracle(queries, features, 15)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
     # The list pass proves 99% of these midpoints on two moons.
@@ -459,9 +459,9 @@ def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
 
     monkeypatch.setattr(density, "_distances", spy)
     (got_idx, got_d2), fallen = listed_rows_counted(
-        queries, features.data, 15, pairs, lists
+        queries, features, 15, pairs, lists
     )
-    want_idx, want_d2 = nearest_rows_oracle(queries, features.data, 15)
+    want_idx, want_d2 = nearest_rows_oracle(queries, features, 15)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
     # Distances concentrate at d=32: Stewart's bound proves a few points,
@@ -469,7 +469,7 @@ def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
     # straight to the screens. That block is the round's first, and a full
     # one: its candidate arrays fill half of the element budget.
     m = lists[0].shape[1]
-    block = density._CHUNK_ELEMENTS // (4 * (m + 1) * (features.dim + 4))
+    block = density._CHUNK_ELEMENTS // (4 * (m + 1) * (features.shape[1] + 4))
     assert ranked == [block]
     assert 0 < len(queries) - fallen < sum(ranked) / 2
     assert sum(ranked) < len(queries) / 8
@@ -657,11 +657,11 @@ def test_kde_memory_stays_within_the_block_budget(monkeypatch):
     monkeypatch.setattr(density, "_CHUNK_ELEMENTS", budget)
     # Two budgets of block arrays, plus O(Q * d) for the result and the
     # query copies the fallback takes.
-    bound = 2 * 8 * budget + 8 * queries.shape[0] * (features.dim + 1)
+    bound = 2 * 8 * budget + 8 * queries.shape[0] * (features.shape[1] + 1)
     assert 4 * 8 * queries.shape[0] * 45 > 5 * bound
     tracemalloc.start()
     try:
-        density._kernel_means(queries, features.data, 45, 0.05, pairs, lists)
+        density._kernel_means(queries, features, 45, 0.05, pairs, lists)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -951,7 +951,7 @@ def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
 
 
 def test_low_d_lists_are_proven_in_slabs(monkeypatch):
-    data = gen_two_moons(n=2000, noise=0.1, labeled_per_class=2, seed=4).features.data
+    data = gen_two_moons(n=2000, noise=0.1, labeled_per_class=2, seed=4).features
     columns = []
     screen = density._screen
 
@@ -1008,7 +1008,7 @@ def first_slab_block(queries, pool, count):
 
 def test_high_d_leaves_the_slabs_after_one_block():
     means = np.eye(32)[:4] * 3.0
-    data = gen_gaussian_blobs(means, 1.0, 300, 1, seed=2).features.data
+    data = gen_gaussian_blobs(means, 1.0, 300, 1, seed=2).features
     queries = data[::2]
     (got_idx, got_d2), slabs, whole = screens_counted(collected, queries, data, 6)
     want_idx, want_d2 = nearest_rows_oracle(queries, data, 6)
@@ -1041,7 +1041,7 @@ def test_small_pools_are_screened_in_row_order(monkeypatch, support_n):
     # harness compare's pools: 200 two-moons rows, 5 neighbors, and in
     # pmlp mode lists for 15 supports. The whole pool is the first round,
     # so it is not sorted on a key: every screen reads it in row order.
-    pool = gen_two_moons(200, 0.1, 2, seed=4).features.data
+    pool = gen_two_moons(200, 0.1, 2, seed=4).features
     orders = []
     screen = density._screen
 

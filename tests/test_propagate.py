@@ -13,11 +13,9 @@ from pmlp.core import (
     MODES,
     AffinityMatrix,
     DataError,
-    FeatureMatrix,
     NumericalError,
     PmlpConfig,
     PmlpError,
-    SoftLabelMatrix,
 )
 from pmlp.graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
 from pmlp.propagate import (
@@ -25,6 +23,7 @@ from pmlp.propagate import (
     ThresholdSchedulerState,
     mix_final,
     propagate_closed_form,
+    renormalized,
     run_classical_lpa,
     run_pmlp,
     split_by_confidence,
@@ -46,38 +45,38 @@ def random_normalized_instance(rng, n, classes):
     mask = rng.random(n) < 0.3
     mask[0] = True
     Y = rng.random((n, classes)) * mask[:, None]
-    return S, SoftLabelMatrix(Y)
+    return S, Y
 
 
 class TestSplitByConfidence:
     def test_confident_row_goes_high(self):
-        labels = SoftLabelMatrix([[0.97, 0.03]])
+        labels = np.array([[0.97, 0.03]])
         high, low = split_by_confidence(labels, [False], 0.95)
-        assert high.data[0].tolist() == [0.97, 0.03]
-        assert low.data[0].tolist() == [0.0, 0.0]
+        assert high[0].tolist() == [0.97, 0.03]
+        assert low[0].tolist() == [0.0, 0.0]
 
     def test_uncertain_row_goes_low(self):
-        labels = SoftLabelMatrix([[0.6, 0.4]])
+        labels = np.array([[0.6, 0.4]])
         high, low = split_by_confidence(labels, [False], 0.95)
-        assert high.data[0].tolist() == [0.0, 0.0]
-        assert low.data[0].tolist() == [0.6, 0.4]
+        assert high[0].tolist() == [0.0, 0.0]
+        assert low[0].tolist() == [0.6, 0.4]
 
     def test_ground_truth_row_always_high(self):
-        labels = SoftLabelMatrix([[0.0, 0.0, 1.0]])  # one-hot class 2 of 3
+        labels = np.array([[0.0, 0.0, 1.0]])  # one-hot class 2 of 3
         high, low = split_by_confidence(labels, [True], 0.95)
-        assert high.data[0].tolist() == [0.0, 0.0, 1.0]
-        assert low.data[0].tolist() == [0.0, 0.0, 0.0]
+        assert high[0].tolist() == [0.0, 0.0, 1.0]
+        assert low[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_split_partitions_exactly(self):
         rng = np.random.default_rng(2)
         raw = rng.random((20, 4))
-        labels = SoftLabelMatrix(raw / raw.sum(axis=1, keepdims=True))
+        labels = raw / raw.sum(axis=1, keepdims=True)
         gt = rng.random(20) < 0.2
         high, low = split_by_confidence(labels, gt, 0.5)
-        np.testing.assert_array_equal(high.data + low.data, labels.data)
+        np.testing.assert_array_equal(high + low, labels)
 
     def test_tau_range_enforced(self):
-        labels = SoftLabelMatrix([[1.0, 0.0]])
+        labels = np.array([[1.0, 0.0]])
         with pytest.raises(DataError):
             split_by_confidence(labels, [False], 0.0)
         with pytest.raises(DataError):
@@ -90,28 +89,28 @@ class TestIterative:
     contraction."""
 
     def test_no_edges_fixed_point(self):
-        Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.5]])
+        Y = np.array([[1.0, 0.0], [0.0, 0.5]])
         S = affinity_from_dense(np.zeros((2, 2)))
         alpha = 0.8
         result, iterations, residual = propagate_closed_form(S, Y, alpha)
-        np.testing.assert_array_equal(result.data, (1 - alpha) * Y.data)
+        np.testing.assert_array_equal(result, (1 - alpha) * Y)
         assert residual < 1e-10
 
     def test_two_node_hand_solution(self):
         # S = [[0,1],[1,0]], alpha = 0.5:
         # (I - 0.5 S)^-1 = (4/3) [[1, 0.5], [0.5, 1]]; fixed point scales by 0.5
         S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
-        Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.0]])
+        Y = np.array([[1.0, 0.0], [0.0, 0.0]])
         result, _, _ = propagate_closed_form(S, Y, 0.5)
         np.testing.assert_allclose(
-            result.data, [[2.0 / 3.0, 0.0], [1.0 / 3.0, 0.0]], atol=1e-12
+            result, [[2.0 / 3.0, 0.0], [1.0 / 3.0, 0.0]], atol=1e-12
         )
 
     def test_zero_labels_stay_zero(self):
         S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
-        Y = SoftLabelMatrix(np.zeros((2, 2)))
+        Y = np.zeros((2, 2))
         result, _, _ = propagate_closed_form(S, Y, 0.5)
-        np.testing.assert_array_equal(result.data, np.zeros((2, 2)))
+        np.testing.assert_array_equal(result, np.zeros((2, 2)))
 
     def test_residual_nonincreasing_above_noise_floor(self):
         rng = np.random.default_rng(31)
@@ -119,10 +118,10 @@ class TestIterative:
             S, Y = random_normalized_instance(rng, int(rng.integers(5, 30)), 3)
             S = to_dense(S)
             alpha = float(rng.choice([0.1, 0.5, 0.8]))
-            current = Y.data.copy()
+            current = Y.copy()
             residuals = []
             for _ in range(50):
-                nxt = alpha * (S @ current) + (1 - alpha) * Y.data
+                nxt = alpha * (S @ current) + (1 - alpha) * Y
                 residuals.append(float(np.max(np.abs(nxt - current))))
                 current = nxt
             arr = np.array(residuals)
@@ -130,14 +129,14 @@ class TestIterative:
             assert np.all(arr[2:] <= arr[1:-1] * (1 + 1e-12))
 
     def test_alpha_range_enforced(self):
-        Y = SoftLabelMatrix([[1.0]])
+        Y = np.array([[1.0]])
         for alpha in (0.0, 1.0):
             with pytest.raises(DataError):
                 propagate_closed_form(affinity_from_dense(np.zeros((1, 1))), Y, alpha)
 
     def test_overflowing_affinity_reported(self):
         S = affinity_from_dense([[0.0, 1e308], [1e308, 0.0]])
-        Y = SoftLabelMatrix([[1.0, 0.0], [1.0, 0.0]])
+        Y = np.array([[1.0, 0.0], [1.0, 0.0]])
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             propagate_closed_form(S, Y, 0.5)
 
@@ -146,33 +145,33 @@ class TestClosedForm:
     def test_identity_system_unscaled(self):
         # With no edges the raw solve of (I - alpha S) X = Y is Y itself,
         # and the solver returns it times (1 - alpha).
-        Y = SoftLabelMatrix([[0.3, 0.7], [1.0, 0.0]])
+        Y = np.array([[0.3, 0.7], [1.0, 0.0]])
         S = affinity_from_dense(np.zeros((2, 2)))
         result, _, _ = propagate_closed_form(S, Y, 0.8)
         raw = solve_dense(S, Y, 0.8, scaling="unscaled")
-        np.testing.assert_array_equal(raw, Y.data)
-        np.testing.assert_array_equal(result.data, (1 - 0.8) * raw)
+        np.testing.assert_array_equal(raw, Y)
+        np.testing.assert_array_equal(result, (1 - 0.8) * raw)
 
     def test_identity_system_fixed_point(self):
-        Y = SoftLabelMatrix([[0.3, 0.7]])
+        Y = np.array([[0.3, 0.7]])
         result, _, _ = propagate_closed_form(affinity_from_dense(np.zeros((1, 1))), Y, 0.8)
-        np.testing.assert_allclose(result.data, 0.2 * Y.data, atol=1e-15)
+        np.testing.assert_allclose(result, 0.2 * Y, atol=1e-15)
 
     def test_two_node_first_row(self):
         S = affinity_from_dense([[0.0, 1.0], [1.0, 0.0]])
-        Y = SoftLabelMatrix([[1.0, 0.0], [0.0, 0.0]])
+        Y = np.array([[1.0, 0.0], [0.0, 0.0]])
         fixed, _, _ = propagate_closed_form(S, Y, 0.5)
         # (1 - alpha) times the raw solve's 4/3
-        np.testing.assert_allclose(fixed.data[0], [2.0 / 3.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(fixed[0], [2.0 / 3.0, 0.0], atol=1e-12)
 
     def test_matches_direct_inverse_oracle(self):
         rng = np.random.default_rng(13)
         S, Y = random_normalized_instance(rng, 12, 4)
         got, _, _ = propagate_closed_form(S, Y, 0.8)
-        want = np.linalg.inv(np.eye(12) - 0.8 * to_dense(S)) @ Y.data
+        want = np.linalg.inv(np.eye(12) - 0.8 * to_dense(S)) @ Y
         # 1e-10 on the raw solve, which the solver scales by 1 - alpha
         np.testing.assert_allclose(
-            got.data, (1 - 0.8) * want, atol=(1 - 0.8) * 1e-10
+            got, (1 - 0.8) * want, atol=(1 - 0.8) * 1e-10
         )
 
     def test_solver_cross_check_on_random_instances(self):
@@ -184,7 +183,7 @@ class TestClosedForm:
                 S, Y, alpha, max_iters=100000, tol=1e-12
             )
             fixed, _, _ = propagate_closed_form(S, Y, alpha)
-            np.testing.assert_allclose(iterated.data, fixed.data, atol=1e-8)
+            np.testing.assert_allclose(iterated, fixed, atol=1e-8)
 
 
 @st.composite
@@ -219,7 +218,7 @@ def sparse_graphs(draw):
         start += size
     first, second = np.array(pairs).T
     W = AffinityMatrix(start, first, second, np.array(weights))
-    return W, SoftLabelMatrix(np.vstack(labels)), np.array(unlabelled)
+    return W, np.vstack(labels), np.array(unlabelled)
 
 
 class TestSparseSolve:
@@ -229,8 +228,8 @@ class TestSparseSolve:
         result, steps, change = propagate_closed_form(S, Y, 0.8)
         assert steps > 1
         # The reported change is that of one more plain fixed-point step.
-        step = 0.8 * to_dense(S) @ result.data + (1.0 - 0.8) * Y.data
-        assert abs(change - np.max(np.abs(step - result.data))) <= 1e-15
+        step = 0.8 * to_dense(S) @ result + (1.0 - 0.8) * Y
+        assert abs(change - np.max(np.abs(step - result))) <= 1e-15
         assert change <= 1e-12
 
     def test_alpha_next_to_one_is_refused_before_any_step(self, monkeypatch):
@@ -256,7 +255,7 @@ class TestSparseSolve:
     def test_matches_dense_oracle(self, graph, alpha):
         W, Y, unlabelled = graph
         S = normalize_symmetric(W)
-        got = propagate_closed_form(S, Y, alpha)[0].data
+        got = propagate_closed_form(S, Y, alpha)[0]
         want = solve_dense(S, Y, alpha)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert not got[unlabelled].any()
@@ -276,8 +275,7 @@ class TestSparseSolve:
         S = normalize_symmetric(AffinityMatrix(n, rows, rows + 1, np.ones(n - 1)))
         Y = np.zeros((n, 2))
         Y[0, 0], Y[1, 1] = 1.0, 0.5
-        result, steps, _ = propagate_closed_form(S, SoftLabelMatrix(Y), 0.8)
-        got = result.data
+        got, steps, _ = propagate_closed_form(S, Y, 0.8)
         want = solve_dense(S, Y, 0.8)
         assert steps >= n - 1  # each step moves mass one hop
         assert np.all(got[-1] > 0.0)
@@ -303,10 +301,10 @@ class TestSparseSolve:
         Y = np.zeros((cliques, size, 2))
         c = np.arange(cliques)
         Y[c, c % size, c % 2] = 1.0
-        labels = SoftLabelMatrix(Y.reshape(-1, 2))
+        labels = Y.reshape(-1, 2)
         result, steps, _ = propagate_closed_form(S, labels, 0.8)
         assert steps < 100  # the stop rule, far below the cap
-        got = result.data.reshape(cliques, size, 2)
+        got = result.reshape(cliques, size, 2)
         one = normalize_symmetric(AffinityMatrix(size, first, second, np.ones(first.size)))
         for kind in range(10):
             want = solve_dense(one, Y[kind], 0.8)
@@ -326,8 +324,8 @@ class TestSparseSolve:
         weights = rng.random(len(pairs)) + 0.1
         W = AffinityMatrix(n, pairs[:, 0], pairs[:, 1], weights)
         S = normalize_symmetric(W)
-        Y = SoftLabelMatrix(np.eye(3)[rng.integers(0, 3, n)])
-        got = propagate_closed_form(S, Y, 0.999)[0].data
+        Y = np.eye(3)[rng.integers(0, 3, n)]
+        got = propagate_closed_form(S, Y, 0.999)[0]
         want = solve_dense(S, Y, 0.999)
         assert np.max(np.abs(got - want)) <= 1e-9
         assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
@@ -335,42 +333,42 @@ class TestSparseSolve:
 
 class TestMixFinal:
     def test_eta_one_keeps_propagated(self):
-        propagated = SoftLabelMatrix([[1.0, 0.0]])
-        low = SoftLabelMatrix([[0.6, 0.4]])
+        propagated = np.array([[1.0, 0.0]])
+        low = np.array([[0.6, 0.4]])
         np.testing.assert_array_equal(
-            mix_final(propagated, low, 1.0).data, propagated.data
+            mix_final(propagated, low, 1.0), propagated
         )
 
     def test_eta_zero_keeps_low(self):
-        propagated = SoftLabelMatrix([[1.0, 0.0]])
-        low = SoftLabelMatrix([[0.6, 0.4]])
-        np.testing.assert_array_equal(mix_final(propagated, low, 0.0).data, low.data)
+        propagated = np.array([[1.0, 0.0]])
+        low = np.array([[0.6, 0.4]])
+        np.testing.assert_array_equal(mix_final(propagated, low, 0.0), low)
 
     def test_reference_blend(self):
-        propagated = SoftLabelMatrix([[1.0, 0.0]])
-        low = SoftLabelMatrix([[0.6, 0.4]])
+        propagated = np.array([[1.0, 0.0]])
+        low = np.array([[0.6, 0.4]])
         mixed = mix_final(propagated, low, 0.2)
-        np.testing.assert_allclose(mixed.data, [[0.68, 0.32]], atol=1e-15)
+        np.testing.assert_allclose(mixed, [[0.68, 0.32]], atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
             mix_final(
-                SoftLabelMatrix([[1.0, 0.0]]), SoftLabelMatrix([[1.0, 0.0, 0.0]]), 0.5
+                np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]), 0.5
             )
 
     def test_mass_conservation_without_edges(self):
         # With S = 0 the whole pipeline reduces to
         # eta * (1 - alpha) * Y_high + (1 - eta) * Y_low, exactly.
         rng = np.random.default_rng(3)
-        high = SoftLabelMatrix(rng.random((6, 3)) * (rng.random((6, 1)) < 0.5))
-        low = SoftLabelMatrix(rng.random((6, 3)) * (rng.random((6, 1)) < 0.5))
+        high = rng.random((6, 3)) * (rng.random((6, 1)) < 0.5)
+        low = rng.random((6, 3)) * (rng.random((6, 1)) < 0.5)
         alpha, eta = 0.8, 0.2
         propagated, _, _ = propagate_closed_form(
             affinity_from_dense(np.zeros((6, 6))), high, alpha
         )
         mixed = mix_final(propagated, low, eta)
-        expected = eta * ((1 - alpha) * high.data) + (1 - eta) * low.data
-        np.testing.assert_array_equal(mixed.data, expected)
+        expected = eta * ((1 - alpha) * high) + (1 - eta) * low
+        np.testing.assert_array_equal(mixed, expected)
 
 
 def blob_fixture(seed=21, per_class=30):
@@ -393,7 +391,7 @@ def pipeline_outcome(*args, **kwargs):
         result = run_pmlp(*args, **kwargs)
     except PmlpError as error:
         return repr(error)
-    return result.final_labels.data.tobytes(), result.iterations_used, result.residual
+    return result.final_labels.tobytes(), result.iterations_used, result.residual
 
 
 @settings(max_examples=150, deadline=None)
@@ -415,7 +413,7 @@ def test_shared_lists_change_no_byte(
     # distances tie and rows coincide; the first two rows are labelled.
     rng = np.random.default_rng(seed)
     grid = rng.integers(-2, 3, size=(distinct, dim)) * 0.5
-    features = FeatureMatrix(grid[rng.integers(0, distinct, n)])
+    features = grid[rng.integers(0, distinct, n)]
     ground_truth = np.array([0, 1] + [-1] * (n - 2))
     cfg = PmlpConfig(
         mode=mode,
@@ -437,11 +435,11 @@ class TestRunPmlp:
             dataset.features, ground_truth, replace(PIPE_CFG, bandwidth_h=1e12)
         )
         classical = run_classical_lpa(dataset.features, ground_truth, PIPE_CFG)
-        diff = np.max(np.abs(pm.final_labels.data - classical.final_labels.data))
+        diff = np.max(np.abs(pm.final_labels - classical.final_labels))
         assert diff < 1e-6
         assert np.array_equal(
-            pm.final_labels.data.argmax(axis=1),
-            classical.final_labels.data.argmax(axis=1),
+            pm.final_labels.argmax(axis=1),
+            classical.final_labels.argmax(axis=1),
         )
 
     def test_separated_blobs_recover_generating_class(self):
@@ -449,7 +447,7 @@ class TestRunPmlp:
         ground_truth = dataset.ground_truth
         for mode in ("pmlp", "classical_lpa"):
             result = run_pmlp(dataset.features, ground_truth, replace(PIPE_CFG, mode=mode))
-            predicted = result.final_labels.data.argmax(axis=1)
+            predicted = result.final_labels.argmax(axis=1)
             unlabeled = ~dataset.labeled_mask
             assert np.all(predicted[unlabeled] == dataset.true_class[unlabeled])
 
@@ -457,20 +455,20 @@ class TestRunPmlp:
         dataset = blob_fixture(seed=6)
         edges = knn_edges(dataset.features, PIPE_CFG.neighbor_count)
         W = build_affinity(dataset.features, edges, PIPE_CFG)
-        high = SoftLabelMatrix(np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None])
+        high = np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None]
         base, _, _ = propagate_closed_form(normalize_symmetric(W), high, PIPE_CFG.alpha)
         first, second, values = upper_pairs(W)
         scaled_W = AffinityMatrix(W.size, first, second, 10.0 * values)
         scaled, _, _ = propagate_closed_form(normalize_symmetric(scaled_W), high, PIPE_CFG.alpha)
-        assert np.array_equal(base.data.argmax(axis=1), scaled.data.argmax(axis=1))
-        assert np.max(np.abs(base.data - scaled.data)) < 1e-9
+        assert np.array_equal(base.argmax(axis=1), scaled.argmax(axis=1))
+        assert np.max(np.abs(base - scaled)) < 1e-9
 
     def test_deterministic_rerun(self):
         dataset = blob_fixture(seed=10)
         ground_truth = dataset.ground_truth
         first = run_pmlp(dataset.features, ground_truth, PIPE_CFG)
         second = run_pmlp(dataset.features, ground_truth, PIPE_CFG)
-        assert np.array_equal(first.final_labels.data, second.final_labels.data)
+        assert np.array_equal(first.final_labels, second.final_labels)
 
     def test_ground_truth_rows_clamped_by_default(self):
         dataset = blob_fixture(seed=11)
@@ -481,17 +479,17 @@ class TestRunPmlp:
         for row in rows:
             one_hot = np.zeros(2)
             one_hot[dataset.true_class[row]] = 1.0
-            np.testing.assert_array_equal(result.final_labels.data[row], one_hot)
+            np.testing.assert_array_equal(result.final_labels[row], one_hot)
 
     def test_requires_ground_truth_row(self):
         dataset = blob_fixture(seed=12)
-        ground_truth = np.full(dataset.features.n_rows, -1)
+        ground_truth = np.full(dataset.features.shape[0], -1)
         with pytest.raises(DataError, match="at least one ground-truth row"):
             run_pmlp(dataset.features, ground_truth, PIPE_CFG, n_classes=2)
 
     def test_requires_two_classes(self):
         dataset = blob_fixture(seed=13)
-        ground_truth = np.full(dataset.features.n_rows, -1)
+        ground_truth = np.full(dataset.features.shape[0], -1)
         ground_truth[0] = 0
         with pytest.raises(DataError, match="at least two classes"):
             run_pmlp(dataset.features, ground_truth, PIPE_CFG, n_classes=1)
@@ -509,7 +507,7 @@ class TestRunPmlp:
         iterated, iterations, residual = propagate_iterative(
             S, high, cfg.alpha, tol=1e-13
         )
-        np.testing.assert_allclose(direct.final_labels.data, iterated.data, atol=1e-9)
+        np.testing.assert_allclose(direct.final_labels, iterated, atol=1e-9)
         assert iterations > 0
         assert residual < 1e-13
         assert direct.iterations_used > 0
@@ -519,13 +517,13 @@ class TestRunPmlp:
         dataset = blob_fixture(seed=15)
         ground_truth = dataset.ground_truth
         result = run_pmlp(dataset.features, ground_truth, PIPE_CFG)
-        assert result.final_labels.data.min() >= 0.0
+        assert result.final_labels.min() >= 0.0
 
     def test_renormalized_rows_sum_to_one(self):
         dataset = blob_fixture(seed=16)
         ground_truth = dataset.ground_truth
-        result = run_pmlp(dataset.features, ground_truth, PIPE_CFG, renormalize=True)
-        sums = result.final_labels.data.sum(axis=1)
+        result = run_pmlp(dataset.features, ground_truth, PIPE_CFG)
+        sums = renormalized(result.final_labels).sum(axis=1)
         positive = sums > 0
         np.testing.assert_allclose(sums[positive], 1.0, atol=1e-12)
 
@@ -559,7 +557,7 @@ class TestRunPmlp:
             neighbor_count=5, mode=mode, clamp_ground_truth=clamp,
         )
         final = run_pmlp(dataset.features, dataset.ground_truth, cfg, predictions)
-        final = final.final_labels.data
+        final = final.final_labels
         labels = predictions + np.eye(2)[dataset.true_class] * dataset.labeled_mask[:, None]
         high = (labels.max(axis=1) >= cfg.tau)[:, None]
         expected = np.where(high, eta * labels, (1.0 - eta) * labels)
@@ -582,12 +580,8 @@ class TestRunPmlp:
         ground_truth = dataset.ground_truth
         order = np.random.default_rng(seed).permutation(n)
         cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, mode=mode)
-        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels.data
-        moved = run_pmlp(
-            FeatureMatrix(dataset.features.data[order]),
-            ground_truth[order],
-            cfg,
-        ).final_labels.data
+        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels
+        moved = run_pmlp(dataset.features[order], ground_truth[order], cfg).final_labels
         assert np.max(np.abs(moved - base[order])) <= 1e-12
 
     @pytest.mark.parametrize("mode", MODES)
@@ -602,16 +596,16 @@ class TestRunPmlp:
         # D^(-1/2) W D^(-1/2). 1,000 rows take the nearest-row slabs. The
         # EPS_DISTANCE floor does not scale, so coincident rows are left out.
         dataset = gen_two_moons(n=1000, noise=0.1, labeled_per_class=3, seed=seed)
-        data = dataset.features.data
+        data = dataset.features
         assume(np.unique(data, axis=0).shape[0] == data.shape[0])
         ground_truth = dataset.ground_truth
         cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, mode=mode)
-        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels.data
+        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels
         scaled = run_pmlp(
-            FeatureMatrix(data * 4.0**power),
+            data * 4.0**power,
             ground_truth,
             replace(cfg, bandwidth_h=cfg.bandwidth_h * 16.0**power),
-        ).final_labels.data
+        ).final_labels
         assert scaled.tobytes() == base.tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
@@ -638,14 +632,14 @@ class TestRunPmlp:
             means = np.random.default_rng(seed).normal(0.0, 3.0, (3, dim))
             dataset = gen_gaussian_blobs(means, 1.0, 100, 3, seed)
             bandwidth = 2.0
-        data = dataset.features.data
+        data = dataset.features
         ground_truth = dataset.ground_truth
         cfg = PmlpConfig(
             bandwidth_h=bandwidth, kde_support_n=15, neighbor_count=5, mode=mode
         )
-        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels.data
-        widened = FeatureMatrix(np.insert(data, min(position, dim), value, axis=1))
-        moved = run_pmlp(widened, ground_truth, cfg).final_labels.data
+        base = run_pmlp(dataset.features, ground_truth, cfg).final_labels
+        widened = np.insert(data, min(position, dim), value, axis=1)
+        moved = run_pmlp(widened, ground_truth, cfg).final_labels
         assert np.max(np.abs(moved - base)) <= 1e-12
         if dim == 2:
             assert moved.tobytes() == base.tobytes()
@@ -654,21 +648,21 @@ class TestRunPmlp:
 class TestThresholdScheduler:
     def test_below_trigger_count_leaves_tau(self):
         state = ThresholdSchedulerState(tau=0.95)
-        predictions = SoftLabelMatrix(np.tile([0.99, 0.01], (49, 1)))
+        predictions = np.tile([0.99, 0.01], (49, 1))
         after = update_threshold(state, predictions, epoch=1)
         assert after.tau == 0.95
         assert after.high_count == 49
 
     def test_trigger_applies_epoch_increment(self):
         state = ThresholdSchedulerState(tau=0.9)
-        predictions = SoftLabelMatrix(np.tile([0.99, 0.01], (50, 1)))
+        predictions = np.tile([0.99, 0.01], (50, 1))
         after = update_threshold(state, predictions, epoch=100)
         assert after.tau == min(0.9 + 1 * 0.01, 0.99)
         assert after.high_count == 50
 
     def test_saturates_at_tau_max(self):
         state = ThresholdSchedulerState(tau=0.99, tau_max=0.99, high_count=49)
-        predictions = SoftLabelMatrix([[1.0, 0.0]])
+        predictions = np.array([[1.0, 0.0]])
         after = update_threshold(state, predictions, epoch=5)
         assert after.tau == 0.99
 
@@ -682,7 +676,7 @@ class TestThresholdScheduler:
 
     def test_unconfident_predictions_do_not_count(self):
         state = ThresholdSchedulerState(tau=0.95)
-        predictions = SoftLabelMatrix(np.tile([0.5, 0.5], (200, 1)))
+        predictions = np.tile([0.5, 0.5], (200, 1))
         after = update_threshold(state, predictions, epoch=1)
         assert after.high_count == 0
         assert after.tau == 0.95
@@ -693,11 +687,11 @@ class TestThresholdScheduler:
         for step in range(120):
             epoch = 1 + step * 5
             raw = rng.random((int(rng.integers(1, 40)), 3))
-            predictions = SoftLabelMatrix(raw / raw.sum(axis=1, keepdims=True))
+            predictions = raw / raw.sum(axis=1, keepdims=True)
             before = state
             state = update_threshold(state, predictions, epoch)
             confident = int(
-                np.sum(predictions.data.max(axis=1) >= before.tau)
+                np.sum(predictions.max(axis=1) >= before.tau)
             )
             crossings = (before.high_count + confident) // 50 - before.high_count // 50
             if crossings:

@@ -36,7 +36,7 @@ class TestGaussianBlobs:
     def test_seeded_determinism(self):
         a = gen_gaussian_blobs([[0.0, 0.0], [5.0, 0.0]], 0.7, 20, 2, seed=123)
         b = gen_gaussian_blobs([[0.0, 0.0], [5.0, 0.0]], 0.7, 20, 2, seed=123)
-        assert np.array_equal(a.features.data, b.features.data)
+        assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labeled_mask, b.labeled_mask)
 
     def test_sample_means_near_true_means(self):
@@ -46,8 +46,8 @@ class TestGaussianBlobs:
             [[0.0, 0.0], [10.0, 0.0]], sigma, per_class, 1, seed=99
         )
         bound = 3 * sigma / np.sqrt(per_class)
-        first = dataset.features.data[:per_class].mean(axis=0)
-        second = dataset.features.data[per_class:].mean(axis=0)
+        first = dataset.features[:per_class].mean(axis=0)
+        second = dataset.features[per_class:].mean(axis=0)
         assert np.all(np.abs(first - [0.0, 0.0]) < bound)
         assert np.all(np.abs(second - [10.0, 0.0]) < bound)
 
@@ -59,7 +59,7 @@ class TestGaussianBlobs:
     def test_regeneration_is_bit_identical(self):
         dataset = gen_gaussian_blobs([[0.0, 1.0], [4.0, 4.0]], 1.2, 15, 3, seed=42)
         clone = regenerate(dataset.generator_spec)
-        assert np.array_equal(dataset.features.data, clone.features.data)
+        assert np.array_equal(dataset.features, clone.features)
         assert np.array_equal(dataset.true_class, clone.true_class)
         assert np.array_equal(dataset.labeled_mask, clone.labeled_mask)
 
@@ -67,7 +67,7 @@ class TestGaussianBlobs:
 class TestTwoMoons:
     def test_noiseless_points_on_unit_arcs(self):
         dataset = gen_two_moons(n=60, noise=0.0, labeled_per_class=1, seed=5)
-        points = dataset.features.data
+        points = dataset.features
         upper = points[dataset.true_class == 0]
         lower = points[dataset.true_class == 1]
         np.testing.assert_allclose(np.linalg.norm(upper, axis=1), 1.0, atol=1e-12)
@@ -80,19 +80,19 @@ class TestTwoMoons:
     def test_seeded_determinism(self):
         a = gen_two_moons(n=40, noise=0.1, labeled_per_class=2, seed=11)
         b = gen_two_moons(n=40, noise=0.1, labeled_per_class=2, seed=11)
-        assert np.array_equal(a.features.data, b.features.data)
+        assert np.array_equal(a.features, b.features)
 
     def test_centroids_well_separated(self):
         dataset = gen_two_moons(n=1000, noise=0.1, labeled_per_class=2, seed=31)
-        upper = dataset.features.data[dataset.true_class == 0].mean(axis=0)
-        lower = dataset.features.data[dataset.true_class == 1].mean(axis=0)
+        upper = dataset.features[dataset.true_class == 0].mean(axis=0)
+        lower = dataset.features[dataset.true_class == 1].mean(axis=0)
         assert abs(upper[0] - lower[0]) > 0.4
         assert abs(upper[1] - lower[1]) > 0.4
 
     def test_regeneration_is_bit_identical(self):
         dataset = gen_two_moons(n=30, noise=0.05, labeled_per_class=3, seed=8)
         clone = regenerate(dataset.generator_spec)
-        assert np.array_equal(dataset.features.data, clone.features.data)
+        assert np.array_equal(dataset.features, clone.features)
 
     def test_tiny_n_rejected(self):
         with pytest.raises(DataError):
@@ -162,7 +162,7 @@ class TestDensityRatioSweep:
         features, pairs, _, lists = calls[0]
         # 200 pairs over 40 rows: two independent draws per pair would join
         # some row to itself with probability above 0.99.
-        assert features.n_rows == 40 and pairs.shape == (200, 2)
+        assert features.shape[0] == 40 and pairs.shape == (200, 2)
         assert np.all(pairs[:, 0] != pairs[:, 1])
         assert pairs.min() >= 0 and pairs.max() < 40
         # The first rows come from the documented seed, cfg.seed + 1.
