@@ -10,9 +10,12 @@ is a CLI call (``python -m pmlp.cli``):
 
 - ``generate``: the moons-4k and blobs-5k-d32 fixtures of
   ``perfbench/run.py`` (generator seed 1000) with their truth files, a
-  JSONL file, and a 20,000-row two-moons file;
+  JSONL file, a 20,000-row two-moons file and a 1,000-row one;
 - ``label`` on both fixtures, with the benchmark's flags and with the
   defaults, and on the 20,000-row file with the defaults;
+- ``label`` on the 1,000-row file with ``--neighbor-count 200`` and with
+  ``--kde-support-n 300``: two jobs whose lists the cost rule leaves to
+  the screens, where older trees ran the list round;
 - ``label`` on a fixed JSONL file of ground-truth, unlabeled and
   prediction rows, with its truth file, both written by this script
   (``PREDICTIONS_JSONL``), as no generated file holds a prediction;
@@ -23,9 +26,11 @@ is a CLI call (``python -m pmlp.cli``):
   ``harness compare`` of 4 gaussian-blobs trials, so both dataset kinds
   are covered;
 - ``lists_20k``: ``graph.neighbor_lists`` of ``benchmarks/stage_grid.py``'s
-  20,000-row cells at d = 2 and 32, in both modes (m = 6, and pmlp's
-  length for 45 KDE supports), saved as ``.npy`` files: the exact
-  nearest-row search at a size the oracle tests do not reach;
+  20,000-row cells at d = 2 and 32, m = 6 and 62 rows long (62 is pmlp's
+  length for 45 KDE supports where the list round runs), saved as
+  ``.npy`` files: the exact nearest-row search at a size the oracle tests
+  do not reach. Each length is asked for as a neighbour count, so the
+  files do not depend on which lengths a tree's cost rule picks;
 - ``lists_tied``: the same lists of 4,000 such rows made tied, on a grid
   of 0.5 at d = 2 and shifted by 1e6 at d = 32, whose cuts only widened
   screens prove.
@@ -62,14 +67,17 @@ BLOBS_5K_D32 = ["--kind", "gaussian-blobs", "--means", BLOB_MEANS, "--sigma", "1
 MOONS_FLAGS = ["--bandwidth-h", "0.05", "--kde-support-n", "15", "--neighbor-count", "5"]
 BLOBS_FLAGS = ["--mode", "classical_lpa", "--neighbor-count", "6"]
 MOONS_20K = ["--kind", "two-moons", "--n", "20000", "--seed", "3"]
+MOONS_1K = ["--kind", "two-moons", "--n", "1000", "--noise", "0.1",
+            "--labeled-per-class", "5", "--seed", "1000"]
 # perfbench/run.py's compare_n200 job, its config file given as flags.
 COMPARE_N200 = ["--dataset", "two-moons", "--n", "200", "--noise", "0.1",
                 "--labeled-per-class", "2", "--trials", "100", "--seed", "1000",
                 "--bandwidth-h", "0.05", "--kde-support-n", "15", "--neighbor-count", "5"]
 
-# stage_grid.py's 20,000-row cells: two blobs 3 apart, 6 neighbours, 45
-# KDE supports in pmlp mode; argv[1] is the output directory. Like every
-# job argument it is str.format-ed, so it holds no braces.
+# stage_grid.py's 20,000-row cells: two blobs 3 apart, lists of 6 rows and
+# of 62, the pmlp length for 45 KDE supports; argv[1] is the output
+# directory. Like every job argument it is str.format-ed, so it holds no
+# braces.
 LISTS_20K = """\
 import sys
 import numpy as np
@@ -80,10 +88,10 @@ for dim in (2, 32):
     means = np.zeros((2, dim))
     means[1, 0] = 3.0
     features = gen_gaussian_blobs(means, 1.0, 10000, 1, seed=1000).features
-    for mode in ("classical_lpa", "pmlp"):
-        cfg = PmlpConfig(mode=mode, neighbor_count=6, kde_support_n=45)
+    for m in (6, 62):
+        cfg = PmlpConfig(mode="classical_lpa", neighbor_count=m)
         for name, array in zip(("indices", "dist2"), neighbor_lists(features, cfg)):
-            np.save("%s/d%d_%s_%s.npy" % (sys.argv[1], dim, mode, name), array)
+            np.save("%s/d%d_m%d_%s.npy" % (sys.argv[1], dim, m, name), array)
 """
 
 # 4,000 of those rows, tied: on a grid of 0.5 at d = 2, shifted by 1e6 at
@@ -101,10 +109,10 @@ for dim, kind in ((2, "grid"), (32, "shift")):
     data = gen_gaussian_blobs(means, 1.0, 2000, 1, seed=1000).features
     data = data if isinstance(data, np.ndarray) else data.data
     features = np.round(data / 0.5) * 0.5 if dim == 2 else data + 1e6
-    for mode in ("classical_lpa", "pmlp"):
-        cfg = PmlpConfig(mode=mode, neighbor_count=6, kde_support_n=45)
+    for m in (6, 62):
+        cfg = PmlpConfig(mode="classical_lpa", neighbor_count=m)
         for name, array in zip(("indices", "dist2"), neighbor_lists(features, cfg)):
-            np.save("%s/%s_%s_%s.npy" % (sys.argv[1], kind, mode, name), array)
+            np.save("%s/%s_m%d_%s.npy" % (sys.argv[1], kind, m, name), array)
 """
 
 
@@ -152,11 +160,16 @@ JOBS = {
     "generate_jsonl": CLI + ["generate", "--kind", "gaussian-blobs", "--seed", "1000",
                              "--out", "{out}/data.jsonl"],
     "generate_moons_20k": _generate(MOONS_20K),
+    "generate_moons_1k": _generate(MOONS_1K),
     "label_moons_4k_bench": _label("generate_moons_4k", MOONS_FLAGS),
     "label_moons_4k_defaults": _label("generate_moons_4k", []),
     "label_blobs_5k_d32_bench": _label("generate_blobs_5k_d32", BLOBS_FLAGS),
     "label_blobs_5k_d32_defaults": _label("generate_blobs_5k_d32", []),
     "label_moons_20k_defaults": _label("generate_moons_20k", []),
+    "label_moons_1k_neighbors_200": _label(
+        "generate_moons_1k", ["--bandwidth-h", "0.05", "--neighbor-count", "200"]),
+    "label_moons_1k_supports_300": _label(
+        "generate_moons_1k", ["--bandwidth-h", "0.05", "--kde-support-n", "300"]),
     "label_predictions": CLI + ["label", "--input", "{fixed}/predictions.jsonl",
                                 "--truth", "{fixed}/truth.csv", "--out-dir", "{out}"],
     "harness_theorem1": CLI + ["harness", "theorem1", "--out-dir", "{out}"],

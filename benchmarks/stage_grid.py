@@ -8,8 +8,10 @@ script) and writes ``BENCH_<sha>.json`` to ``--out-dir`` (default:
 ``benchmarks/``). ``--cell`` runs one cell instead, in this process on
 ``--repo``'s ``src``, and prints its record; SPEC is a JSON object of
 ``run_cell``'s arguments, such as ``'{"n": 20000, "dim": 32, "mode":
-"pmlp"}'`` (``grid`` or ``shift`` make it a tied cell). Alternating
-``--cell`` runs of two checkouts compare one cell between them.
+"pmlp"}'`` (``grid`` or ``shift`` make it a tied cell, and
+``neighbor_count`` or ``support_n`` change the grid's 6 neighbours or 45
+KDE supports). Alternating ``--cell`` runs of two checkouts compare one
+cell between them.
 
 The sha is the git tree hash of ``src/pmlp`` as it is on disk, so it
 names the measured code whether or not it is committed: ``git rev-parse
@@ -32,10 +34,12 @@ timed with ``time.perf_counter``:
 
 A pmlp cell also records its list length ``list_length`` (m), its
 ``path_points``, the queries of its one ``density._nearest_rows`` search
-with endpoint lists, and ``proven_share``, the share of them whose KDE
-supports ``density._listed_rows`` proved from those lists; the search
-ranks the rest against the pool. Both are counted by wrapping the two
-functions, as the tests' ``listed_rows_counted`` does. Every cell records
+with endpoint lists, ``list_tried``, how many of them the list round
+tried (none where the cost rule skips it), and ``proven_share``, the
+share of them whose KDE supports ``density._listed_rows`` proved from
+those lists; the search ranks the rest against the pool. They are
+counted by wrapping the two functions, as the tests'
+``listed_rows_counted`` does. Every cell records
 ``ranked_over_every_row``, the queries ``density._rank`` ranked with every
 pool row a candidate, counted by wrapping it as the tests'
 ``rankings_counted`` does.
@@ -75,7 +79,10 @@ RSS_BUDGET_MB = 2048.0
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_cell(n, dim, mode, grid=None, shift=None):
+def run_cell(
+    n, dim, mode, grid=None, shift=None, neighbor_count=NEIGHBOR_COUNT,
+    support_n=SUPPORT_N,
+):
     """Time one cell in this process; returns its record."""
     import numpy as np
 
@@ -97,9 +104,9 @@ def run_cell(n, dim, mode, grid=None, shift=None):
         features = data + shift
     if isinstance(features, np.ndarray):
         features.setflags(write=False)
-    cfg = PmlpConfig(mode=mode, neighbor_count=NEIGHBOR_COUNT, kde_support_n=SUPPORT_N)
+    cfg = PmlpConfig(mode=mode, neighbor_count=neighbor_count, kde_support_n=support_n)
     knn, affinity = [], []
-    points, proven, everywhere = [], [], []
+    points, tried, proven, everywhere = [], [], [], []
     nearest_rows, listed_rows, rank = (
         density._nearest_rows, density._listed_rows, density._rank
     )
@@ -109,8 +116,9 @@ def run_cell(n, dim, mode, grid=None, shift=None):
             points.append(queries.shape[0])
         return nearest_rows(queries, pool, count, ends, lists)
 
-    def listed(*args):
-        got = listed_rows(*args)
+    def listed(queries, *rest):
+        got = listed_rows(queries, *rest)
+        tried.append(queries.shape[0])
         proven.append(got[0].size)
         return got
 
@@ -122,7 +130,7 @@ def run_cell(n, dim, mode, grid=None, shift=None):
     density._nearest_rows, density._listed_rows = searched, listed
     density._rank = ranked
     for _ in range(REPEATS):
-        del points[:], proven[:], everywhere[:]
+        del points[:], tried[:], proven[:], everywhere[:]
         begin = time.perf_counter()
         lists = neighbor_lists(features, cfg)
         edges = knn_edges(features, cfg.neighbor_count, lists)
@@ -138,6 +146,7 @@ def run_cell(n, dim, mode, grid=None, shift=None):
         proof = {
             "list_length": length,
             "path_points": sum(points),
+            "list_tried": sum(tried),
             "proven_share": sum(proven) / sum(points),
         }
     return {

@@ -45,8 +45,8 @@ Nearest-row lists have one shape, every row's list: (indices, squared
 distances), each (N, m), row i holding i's m nearest other rows (the
 search finds m + 1 and drops i, or its last row where i is not listed).
 One function, ``_row_lists``, builds them, alone leaves a row out of a
-search, and alone knows how long they must be to prove a number of KDE
-supports (``_list_length``); ``graph`` takes the kNN edges from the first
+search, and alone asks how long they must be to prove a number of KDE
+supports (``_rounds``); ``graph`` takes the kNN edges from the first
 columns of the same lists. A path point lies between its two endpoint
 rows, so its supports are usually among the endpoints' own nearest rows.
 ``_listed_rows`` ranks each point's supports among its endpoints and
@@ -55,10 +55,16 @@ the distance to e's m-th row, from e; one bound, Stewart's theorem on
 the segment from a to b, turns that into a distance from the point q,
 mixing r_m(a)^2 and r_m(b)^2, and is exact where a and b are equal
 (L = 0), as q is then a itself. It proves nearly every kNN-edge point
-with lists of m = ceil(4 n / 3) + 2 rows for n supports. The list round
-runs only where a point's 2 (m + 1) candidates are fewer than the pool
-rows; points it leaves go on to the screens, so the output is the same
-either way.
+with lists of m = ceil(4 n / 3) + 2 rows for n supports.
+
+One cost rule, ``_rounds``, decides whether the list round runs: per
+query, a round costs the columns it screens plus the candidates it ranks
+times (d + c), c = ``_RANK_COST``, so 2 (m + 1)(d + c) for the list
+round, 2 width + keep (d + c) for a slab and N + keep (d + c) for the
+whole pool, and the list round runs only where it costs less than the
+round after it. Lists are made longer than the kNN graph needs only
+where it will run. Points the list round leaves go on to the screens,
+so the output is the same either way.
 
 All operations are pure; per-pair computations are independent and may run
 in any order without changing the result.
@@ -116,11 +122,11 @@ _SCREEN_MARGIN = 8
 _GROUP_SCALE = 0.6
 _MIN_GROUP = 4
 
-# First slab half-width, in sorted pool rows per candidate the screen keeps
-# (count + ``_SCREEN_MARGIN``); each later round is four times wider. On
-# the 4,000-row two-moons list pass (32 rows per list, d = 2) 8 was the
-# fastest of 6 to 24: 0.04-0.05 s of CPU, where the whole-pool screen took
-# 0.09-0.13 s.
+# First slab half-width (``_rounds``), in sorted pool rows per candidate the
+# screen keeps (count + ``_SCREEN_MARGIN``); each later round is four times
+# wider. On the 4,000-row two-moons list pass (32 rows per list, d = 2) 8
+# was the fastest of 6 to 24: 0.04-0.05 s of CPU, where the whole-pool
+# screen took 0.09-0.13 s.
 _FIRST_SLAB = 8
 
 # Rows per candidate beyond which, at d >= 2, the first slab widens as
@@ -132,6 +138,15 @@ _FIRST_SLAB = 8
 # rows, within 7%. At d = 1 the key gap is the distance and 8 stays the
 # fastest (0.51 s at 50,000 rows, m = 62, against 0.76 s at 16).
 _SLAB_ROWS = 180
+
+# c of the cost rule (``_rounds``): ranking one candidate costs as much as
+# screening d + c columns. Timed as the list length m at which the list
+# round and the rounds after it take the same time, on kNN-edge midpoints
+# at d = 2 (2-vCPU host, 1 BLAS thread): 4,000 two-moons rows, 15
+# supports, before a slab, m = 41, so c = 4.0; 200 such rows, before the
+# whole pool, m = 33, c = 2.5; 1,000 two-blob rows, 45 supports, before a
+# slab, m = 62-70, c = 5-9.
+_RANK_COST = 4
 
 
 def _nearest_rows(queries, pool, count, ends=None, lists=None):
@@ -152,22 +167,21 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
     points' as ``_listed_rows`` takes them.
 
     The search is one block loop (``search``) run in rounds over the
-    queries still unproven: the endpoint lists (``_listed_rows``), where a
-    point's 2 (m + 1) candidates, its ends and their lists of m, are at
-    least ``count`` and fewer than the N pool rows, then slabs of the
-    pool, each screened by ``_screen``. Before the first screen the pool
-    is sorted once along its widest coordinate a (largest max - min), by a
-    stable argsort, and lifted in that order: every screen reads the
-    columns a:b of that one array, a view, with rows ``order[a:b]``. The
-    slab rounds take the queries in key order. A block
+    queries still unproven: the endpoint lists (``_listed_rows``), where
+    the cost rule (``_rounds``) finds a point's 2 (m + 1) candidates, its
+    ends and their lists of m, cheaper than the round after them, then
+    slabs of the pool, each screened by ``_screen``. Before the first
+    screen the pool is sorted once along its widest coordinate a (largest
+    max - min), by a stable argsort, and lifted in that order: every
+    screen reads the columns a:b of that one array, a view, with rows
+    ``order[a:b]``. The slab rounds take the queries in key order. A block
     of queries is screened against the pool rows within ``width`` sorted
-    positions of the block's key range, ``width`` starting at
-    ``_FIRST_SLAB`` times the screen's candidates, widened as sqrt(rows)
-    on large pools at d >= 2 (``_SLAB_ROWS``). A row x outside the slab
-    has its key at or beyond g, the first key outside the slab on its
-    side, so ||q - x|| >= |q_a - x_a| >= G = |q_a - g|, the query's key
-    gap. A query is accepted when the screen proves its cut within the
-    slab and its ``count``-th direct distance d_n, rounded up, is below
+    positions of the block's key range, ``width`` starting at the first
+    width of ``_rounds``. A row x outside the slab has its key at or
+    beyond g, the first key outside the slab on its side, so ||q - x|| >=
+    |q_a - x_a| >= G = |q_a - g|, the query's key gap. A query is accepted
+    when the screen proves its cut within the slab and its ``count``-th
+    direct distance d_n, rounded up, is below
     its key gap, rounded down: then every row outside the slab ranks after
     the count, whatever its index. On floats, a direct squared distance is
     within (dim + 2) eps / 2 of the exact one relative, plus the smallest
@@ -222,12 +236,11 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
         return np.concatenate(left + [pending[start:]]), start < pending.size
 
     pending = np.arange(queries.shape[0])
-    # Fewer candidates than supports (short lists) prove nothing, and as
-    # many as the pool rows cost more than a screen of the whole pool.
-    if lists is not None and count <= 2 * (lists[0].shape[1] + 1) < n:
+    length, width = _rounds(count, n, dim, 0 if lists is None else lists[0].shape[1])
+    if length:
         # A block's candidate arrays fill at most half of the budget: the
         # heap may keep their pages when a screen is allocated after them.
-        block = max(1, _CHUNK_ELEMENTS // (4 * (lists[0].shape[1] + 1) * (dim + 4)))
+        block = max(1, _CHUNK_ELEMENTS // (4 * (length + 1) * (dim + 4)))
         # Overflow is left to the finiteness tests, which leave the affected
         # queries to a screen that keeps every column.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -241,9 +254,6 @@ def _nearest_rows(queries, pool, count, ends=None, lists=None):
 
         pending = (yield from search(pending, listed))[0]
     if pending.size:
-        width = _FIRST_SLAB * keep
-        if dim > 1 and n > _SLAB_ROWS * keep:
-            width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
         # The pool lifted once, in the order every screen reads a run of:
         # sorted on its widest coordinate a (largest max - min), with the
         # queries in key order, where slabs come first, and in row order
@@ -494,14 +504,31 @@ def _rank(queries, pool, candidates, count):
     return _along(candidates, order[:, :count]), ranked[:, :count]
 
 
-def _list_length(support_n, n_rows):
-    """Length m of the lists that prove ``support_n`` supports.
+def _rounds(count, n, dim, length=None):
+    """The search's rounds for ``count`` supports among ``n`` rows at
+    ``dim``: (m, width), m the length of the lists the list round takes,
+    0 where it does not run, and width the first slab's half-width.
 
-    m = ceil(4 n / 3) + 2, at most every other row. With it Stewart's
-    bound (``_listed_rows``) proves almost every kNN-edge point; shorter
-    lists leave many to the screens, and longer ones only cost.
-    kNN-edge midpoints left unproven, and lists plus affinity, for m =
-    n + 2 / ceil(4 n / 3) + 2 / ceil(3 n / 2) + 2 / 2 n + 2:
+    The cost rule, the search's one choice of rounds. Per query, a round
+    costs the columns it screens plus the candidates it ranks times (d +
+    c), c = ``_RANK_COST``: 2 (m + 1)(d + c) for the list round, 2 width +
+    keep (d + c) for a slab and N + keep (d + c) for the whole pool, keep
+    = ``count`` + ``_SCREEN_MARGIN``. The list round runs only where it
+    costs less than the round after it, the first slab where 2 width < N
+    and else the whole pool, and where its 2 (m + 1) candidates are at
+    least ``count``, as fewer prove nothing. ``width`` is ``_FIRST_SLAB``
+    keep, widened as sqrt(N) on large pools at d >= 2 (``_SLAB_ROWS``).
+    With lists of the default m, the list round runs at d = 2 for up to N
+    / 10 supports on pools of up to 4,000 rows, and for more on larger
+    ones, whose first slab is wider; at d = 32, for at most 3, 5, 13 and
+    27 supports on 1,000, 4,000, 20,000 and 50,000 rows.
+
+    m is ``length``, the lists' own, or by default the length that proves
+    ``count`` supports: ceil(4 n / 3) + 2, at most every other row. With
+    it Stewart's bound (``_listed_rows``) proves almost every kNN-edge
+    point; shorter lists leave many to the screens, and longer ones only
+    cost. kNN-edge midpoints left unproven, and lists plus affinity, for
+    m = n + 2 / ceil(4 n / 3) + 2 / ceil(3 n / 2) + 2 / 2 n + 2:
 
     - 4,000-row two moons (seed 1000), n = 15, k = 5 (12,202 pairs):
       1,127 / 11 / 2 / 0, in 0.064 / 0.065 / 0.066 / 0.079 s;
@@ -509,18 +536,26 @@ def _list_length(support_n, n_rows):
       in 0.136 / 0.129 / 0.156 / 0.175 s; at 20,000 rows 11,143 / 0 / 0 /
       0, in 0.91 / 0.74 / 0.89 / 1.04 s.
     """
-    return min((4 * support_n + 2) // 3 + 2, n_rows - 1)
+    keep = count + _SCREEN_MARGIN
+    width = _FIRST_SLAB * keep
+    if dim > 1 and n > _SLAB_ROWS * keep:
+        width = int(np.ceil(width * np.sqrt(n / (_SLAB_ROWS * keep))))
+    length = min((4 * count + 2) // 3 + 2, n - 1) if length is None else length
+    listed = 2 * (length + 1)
+    cheaper = (listed - keep) * (dim + _RANK_COST) < min(2 * width, n)
+    return (length if count <= listed and cheaper else 0), width
 
 
 def _row_lists(data, count=0, support_n=None):
     """Every row's nearest other rows, closest first: the one list shape.
 
     Returns (indices, squared distances), each (N, m): row i holds i's m
-    nearest rows other than i, as ``_nearest_rows`` ranks them. m is
-    ``count``, raised with ``support_n`` to ``_list_length``, enough for
-    ``_listed_rows`` to prove that many KDE supports. The search's N x (m
-    + 1) arrays must fit ``core.MAX_ELEMENTS``: ``graph`` checks the kNN
-    graph, 7 N ``count`` elements, before it asks for lists, so only a
+    nearest rows other than i, as ``_nearest_rows`` ranks them, or None
+    where m is 0. m is ``count``, raised with ``support_n`` to the length
+    that proves that many KDE supports where the cost rule runs the list
+    round (``_rounds``), and left as it is where it does not. The search's
+    N x (m + 1) arrays must fit ``core.MAX_ELEMENTS``: ``graph`` checks the
+    kNN graph, 7 N ``count`` elements, before it asks for lists, so only a
     length that ``support_n`` set can be refused here, by an error that
     names ``kde_support_n``.
 
@@ -531,11 +566,14 @@ def _row_lists(data, count=0, support_n=None):
     hold the first m other than any one row, so this is exact whether i
     is listed or not, tied or not.
     """
-    n = data.shape[0]
-    if support_n is not None and _list_length(support_n, n) > count:
-        count = _list_length(support_n, n)
+    n, dim = data.shape
+    length = 0 if support_n is None else _rounds(support_n, n, dim)[0]
+    if length > count:
+        count = length
         what = "%d rows x %d nearest rows" % (n, count + 1)
         _check_elements("kde_support_n", n * (count + 1), what)
+    if not count:
+        return None
     indices = np.empty((n, count + 1), dtype=np.intp)
     dist2 = np.empty((n, count + 1))
     for rows, idx, d2 in _nearest_rows(data, data, count + 1):
@@ -730,9 +768,10 @@ def _path_points(cfg, pairs, dim, least=""):
 def _pair_point_densities(features, pairs, cfg, lists=None):
     """Normalized densities at the path points of canonical pairs: (n_pairs, k).
 
-    Each point's supports are proven from its pair's lists (``_listed_rows``).
-    ``lists``, every row's list, is built here when not given. The points
-    must fit ``core.MAX_ELEMENTS`` (``_path_points``).
+    Each point's supports are proven from its pair's lists (``_listed_rows``)
+    where the cost rule runs that round (``_rounds``). ``lists``, every
+    row's list, is built here when not given, only where it would run. The
+    points must fit ``core.MAX_ELEMENTS`` (``_path_points``).
     """
     n = _check_kernel(features, cfg.kde_support_n, cfg.bandwidth_h)
     rows, dim = features.shape
@@ -741,24 +780,16 @@ def _pair_point_densities(features, pairs, cfg, lists=None):
         lists = _row_lists(features, support_n=n)
     elif lists[0].shape[0] != rows or lists[0].shape[1] < 1:
         raise DataError("lists must hold a nonempty list per feature row")
-    lo, hi = pairs[:, 0], pairs[:, 1]
     fracs = np.arange(1, k + 1) / (k + 1)
-    a = features[lo][:, None, :]
-    b = features[hi][:, None, :]
+    a, b = features[pairs[:, 0], None], features[pairs[:, 1], None]
     # An overflow is left to the finiteness test, the same with warnings
     # as errors.
     with np.errstate(over="ignore", invalid="ignore"):
         points = a + fracs[None, :, None] * (b - a)
     if not np.all(np.isfinite(points)):
         raise DataError("path points must be finite")
-    dens = _kernel_means(
-        points.reshape(-1, dim),
-        features,
-        n,
-        cfg.bandwidth_h,
-        np.repeat(pairs, k, axis=0),
-        lists,
-    )
+    points, ends = points.reshape(-1, dim), np.repeat(pairs, k, axis=0)
+    dens = _kernel_means(points, features, n, cfg.bandwidth_h, ends, lists)
     return dens.reshape(pairs.shape[0], k)
 
 
@@ -779,13 +810,9 @@ def batch_path_density_info(features, pairs, cfg, lists=None):
     features = _features(features)
     pairs = _canonical_pairs(features, pairs)
     values = _pair_point_densities(features, pairs, cfg, lists)
-    if cfg.aggregator == "min":
-        return values.min(axis=1)
-    if cfg.aggregator == "max":
-        return values.max(axis=1)
-    if cfg.aggregator == "avg":
-        return values.mean(axis=1)
-    return np.quantile(values, cfg.quantile_t, axis=1)
+    if cfg.aggregator == "quantile":
+        return np.quantile(values, cfg.quantile_t, axis=1)
+    return {"min": np.min, "max": np.max, "avg": np.mean}[cfg.aggregator](values, axis=1)
 
 
 def density_ratio(features, pairs, cfg, lists=None):

@@ -54,9 +54,10 @@ def neighbor_lists(features, cfg):
     ``knn_edges`` ranks neighbors. The one pass serves a run's kNN edges,
     its first cfg.neighbor_count columns, and in "pmlp" mode the path
     points' KDE supports, which ``density`` proves from their endpoints'
-    lists. So m is cfg.neighbor_count in "classical_lpa" mode, and in
-    "pmlp" mode at least ceil(4 * cfg.kde_support_n / 3) + 2
-    (``density._list_length``), capped at N - 1.
+    lists where its cost rule runs that list round (``density._rounds``).
+    So m is cfg.neighbor_count, raised in "pmlp" mode to ceil(4 *
+    cfg.kde_support_n / 3) + 2, capped at N - 1, only where the list round
+    will run: at d = 32 the lists of the default 45 supports stay k long.
 
     A run that could not hold its graph or its path points is refused
     before the pass. A kNN graph has at least ceil(N k / 2) distinct pairs

@@ -301,9 +301,13 @@ def run_pmlp(
     ``graph.neighbor_lists`` returns them, are built here with ``cfg`` when
     not given. The kNN edges take their first ``cfg.neighbor_count``
     columns, and in "pmlp" mode the path points' supports are proven from
-    them, so the "pmlp"-mode lists of a config, m = max(k, ceil(4 n / 3) +
-    2) long for k neighbors and n supports, serve its "classical_lpa" run
-    too, whose own lists are their first k columns. Lists change the time,
+    them where ``density``'s cost rule runs the list round
+    (``density._rounds``): a round costs the columns it screens plus the
+    candidates it ranks times (d + 4), and the list round runs where it
+    costs less than the round after it. So the "pmlp"-mode lists of a
+    config, k long for k neighbors, or max(k, ceil(4 n / 3) + 2) for n
+    supports where that round runs, serve its "classical_lpa" run too,
+    whose own lists are their first k columns. Lists change the time,
     never the result.
 
     Deterministic: equal inputs and configuration give equal outputs.

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from pmlp import density
 from pmlp.core import (
     DISTANCE_MODES,
     AffinityMatrix,
@@ -65,29 +64,51 @@ class TestKnnSelect:
 class TestNeighborLists:
     """One nearest-row pass serves the kNN edges and the path supports."""
 
+    # The ids name the lengths these cases had before the cost rule.
     @pytest.mark.parametrize(
-        "cfg, length",
+        "rows, cfg, length",
         [
-            (PmlpConfig(mode="classical_lpa", neighbor_count=5, kde_support_n=15), 5),
             pytest.param(
-                PmlpConfig(neighbor_count=5, kde_support_n=15),
-                density._list_length(15, 60),
-                id="cfg1-32",  # the id of m = 2n + 2, kept
+                60,
+                PmlpConfig(mode="classical_lpa", neighbor_count=5, kde_support_n=15),
+                5,
+                id="cfg0-5",
             ),
-            (PmlpConfig(neighbor_count=40, kde_support_n=15), 40),
-            (PmlpConfig(neighbor_count=5, kde_support_n=45), 59),  # N - 1
+            # 15 supports among 300 rows: the list round runs, so the lists
+            # grow to the length that proves them, ceil(4 n / 3) + 2.
+            pytest.param(300, PmlpConfig(neighbor_count=5, kde_support_n=15), 22, id="cfg1-32"),
+            pytest.param(60, PmlpConfig(neighbor_count=40, kde_support_n=15), 40, id="cfg2-40"),
+            # 45 supports among 60 rows: the whole pool costs less than the
+            # list round, so the lists stay k long.
+            pytest.param(60, PmlpConfig(neighbor_count=5, kde_support_n=45), 5, id="cfg3-59"),
+            # Every row a support of 8: the lists hold every other row.
+            pytest.param(8, PmlpConfig(neighbor_count=3, kde_support_n=8), 7, id="cfg4-7"),
         ],
     )
-    def test_length_and_order(self, cfg, length):
-        fm = np.random.default_rng(4).normal(size=(60, 2))
+    def test_length_and_order(self, rows, cfg, length):
+        fm = np.random.default_rng(4).normal(size=(rows, 2))
         indices, dist2 = neighbor_lists(fm, cfg)
-        want = nearest_rows_oracle(fm, fm, length, np.arange(60))
+        want = nearest_rows_oracle(fm, fm, length, np.arange(rows))
         assert np.array_equal(indices, want[0])
         assert np.array_equal(dist2, want[1])
         assert np.array_equal(
             knn_edges(fm, cfg.neighbor_count, (indices, dist2)),
             knn_edges(fm, cfg.neighbor_count),
         )
+
+    @pytest.mark.parametrize("support_n", [15, 45])
+    def test_lists_stay_k_long_at_d32(self, support_n):
+        """At d = 32 the cost rule takes no list round for these supports,
+        so "pmlp"-mode lists are the kNN graph's k columns."""
+        means = np.zeros((2, 32))
+        means[1, 0] = 3.0
+        fm = gen_gaussian_blobs(means, 1.0, 500, 1, seed=1000).features
+        cfg = PmlpConfig(neighbor_count=6, kde_support_n=support_n)
+        indices, dist2 = neighbor_lists(fm, cfg)
+        assert indices.shape == dist2.shape == (1000, 6)
+        want = nearest_rows_oracle(fm, fm, 6, np.arange(1000))
+        assert np.array_equal(indices, want[0])
+        assert np.array_equal(dist2, want[1])
 
     def test_short_lists_rejected(self):
         fm = np.random.default_rng(5).normal(size=(10, 2))

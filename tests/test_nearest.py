@@ -2,14 +2,14 @@
 
 The search runs in rounds over the queries still unproven. Path points
 are first ranked among their endpoints' nearest-row lists and proven by
-Stewart's bound, exact where the two endpoints are equal, where those
-candidates are fewer than the pool rows; then blocks are screened
-with GEMM distances against slabs of the pool sorted on one coordinate,
-proven by the key gap, then against the whole pool. A screen whose cut
-is tied keeps four times more candidates, up to every column it screens,
-so the whole pool's screen proves every query. Whichever round proves a
-query, the output must be exactly the oracle's: same rows, same order,
-ties toward the lower index.
+Stewart's bound, exact where the two endpoints are equal, where one cost
+rule finds those candidates cheaper than the round after them; then
+blocks are screened with GEMM distances against slabs of the pool sorted
+on one coordinate, proven by the key gap, then against the whole pool. A
+screen whose cut is tied keeps four times more candidates, up to every
+column it screens, so the whole pool's screen proves every query.
+Whichever round proves a query, the output must be exactly the oracle's:
+same rows, same order, ties toward the lower index.
 """
 
 import warnings
@@ -192,6 +192,24 @@ def test_tied_cuts_are_proven_by_a_widened_keep():
     assert len(over_every_row(ranked, n)) == 0
 
 
+def proving_length(count, n):
+    """Lists that prove ``count`` supports: ceil(4 n / 3) + 2 rows, at
+    most every other row."""
+    return min((4 * count + 2) // 3 + 2, n - 1)
+
+
+def list_round_runs(count, n, dim, length):
+    """The cost rule where the round after the lists is the whole pool,
+    n <= 2 ``_FIRST_SLAB`` keep: per query, the lists' 2 (m + 1)
+    candidates cost d + c each and the whole pool n columns plus keep
+    candidates, and the list round runs where it costs less and holds at
+    least ``count`` candidates."""
+    keep = count + density._SCREEN_MARGIN
+    assert n <= 2 * density._FIRST_SLAB * keep
+    listed, per = 2 * (length + 1), dim + density._RANK_COST
+    return count <= listed and listed * per < n + keep * per
+
+
 def listed_rows_counted(queries, pool, count, ends, lists):
     """The search with endpoint lists, and how many queries the lists left:
     None where the search ran no list round."""
@@ -223,12 +241,12 @@ def listed_rows_counted(queries, pool, count, ends, lists):
 # Points at d = 32, far from the origin: the lists prove every one.
 @example(
     kind="normal", dim=32, n=60, offset=1e6, length_fraction=None,
-    count_fraction=0.05, seed=17, path="proven",
+    count_fraction=0.0, seed=17, path="proven",
 )
 # Every distance ties, so the bound cannot separate the n-th support.
 @example(
     kind="identical", dim=2, n=40, offset=0.0, length_fraction=0.4,
-    count_fraction=0.2, seed=0, path="fallback",
+    count_fraction=0.62, seed=0, path="fallback",
 )
 # Lists as long as the supports need: some points are proven, some not.
 @example(
@@ -238,7 +256,12 @@ def listed_rows_counted(queries, pool, count, ends, lists):
 def test_list_proof_matches_oracle(
     kind, dim, n, offset, length_fraction, count_fraction, seed, path
 ):
-    """Supports proven from endpoint lists are exactly the oracle's."""
+    """Supports proven from endpoint lists are exactly the oracle's.
+
+    The rule runs at c = 0 here, where it takes the list round more often
+    than at ``_RANK_COST``, so that more draws reach it; each ``@example``
+    reaches it at c = 0 and at ``_RANK_COST``.
+    """
     rng = np.random.default_rng(seed)
     pool = make_pool(kind, n, dim, offset, rng)
     # path points between distinct rows, as the path KDE queries them
@@ -249,19 +272,27 @@ def test_list_proof_matches_oracle(
     ends = np.column_stack([a, b])
     count = 1 + int(count_fraction * (n - 1))  # 1 .. n
     if length_fraction is None:
-        length = density._list_length(count, n)
+        length = proving_length(count, n)
     else:
         length = 1 + int(length_fraction * (n - 2))  # 1 .. n - 1
     lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
 
-    (got_idx, got_d2), fallen = listed_rows_counted(queries, pool, count, ends, lists)
+    if path is not None:
+        assert list_round_runs(count, n, dim, length)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_RANK_COST", 0)
+        (got_idx, got_d2), fallen = listed_rows_counted(
+            queries, pool, count, ends, lists
+        )
+        runs = list_round_runs(count, n, dim, length)
     want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
 
-    # The list round runs only where a point's candidates, its ends and
-    # their lists, are at least the count and fewer than the pool rows.
-    assert (fallen is None) == (not count <= 2 * (length + 1) < n)
+    # The list round runs only where the cost rule takes it: a point's
+    # candidates, its ends and their lists, are at least the count and
+    # cost less than the whole pool's screen.
+    assert (fallen is None) == (not runs)
     if fallen is None:
         assert path is None
     elif kind == "identical":
@@ -278,8 +309,8 @@ def test_list_proof_matches_oracle(
 @pytest.mark.parametrize("length", [29, 59])  # 2 (m + 1) = n, and every row
 def test_lists_as_long_as_the_pool_skip_the_list_round(length):
     """A point's ends and their lists would be 2 (m + 1) >= n candidates,
-    as many as a whole-pool screen ranks, so the search screens it at once,
-    with the same result."""
+    which cost more than a whole-pool screen by the cost rule, so the
+    search screens it at once, with the same result."""
     rng = np.random.default_rng(4)
     n, count = 60, 15
     pool = make_pool("normal", n, 2, 0.0, rng)
@@ -363,18 +394,18 @@ def path_point_bounds(queries, pool, count, ends, lists):
 def test_path_point_bounds_match_oracle(
     kind, dim, n, offset, scale, knn, count_fraction, seed, path
 ):
-    """Stewart's bound, with lists as long as ``_list_length`` makes them.
+    """Stewart's bound, with lists as long as proving the count takes.
 
     Pairs are kNN edges (an end and one of its 5 nearest rows) or any two
-    rows. Each ``@example`` reaches the list round, 2 (m + 1) < n, and
-    needs one part of the proof: Stewart's bound at L > 0, its exact form
-    at L = 0, or the rounding slack that a tie, a point off its segment
-    by rounding or an overflow would break.
+    rows. The cost rule runs at c = 0 here, where each ``@example``
+    reaches the list round, and needs one part of the proof: Stewart's
+    bound at L > 0, its exact form at L = 0, or the rounding slack that a
+    tie, a point off its segment by rounding or an overflow would break.
     """
     rng = np.random.default_rng(seed)
     pool = make_pool(kind, n, dim, offset, rng) * scale
     count = 1 + int(count_fraction * (n - 1))  # 1 .. n
-    length = density._list_length(count, n)
+    length = proving_length(count, n)
     with np.errstate(over="ignore"):
         lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
     a = rng.integers(0, n, 40)
@@ -386,16 +417,18 @@ def test_path_point_bounds_match_oracle(
     queries = pool[a] + fracs[:, None] * (pool[b] - pool[a])
     ends = np.column_stack([a, b])
 
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(density, "_RANK_COST", 0)
         (got_idx, got_d2), fallen = listed_rows_counted(
             queries, pool, count, ends, lists
         )
+        runs = list_round_runs(count, n, dim, length)
     with np.errstate(over="ignore"):
         want_idx, want_d2 = nearest_rows_oracle(queries, pool, count)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
-    assert (fallen is None) == (2 * (length + 1) >= n)
+    assert (fallen is None) == (not runs)
     assert path is None or fallen is not None
 
     d_n, stewart, zero, outside = path_point_bounds(queries, pool, count, ends, lists)
@@ -432,7 +465,7 @@ def test_low_d_midpoints_are_proven_from_the_lists(offset):
     features = moons + offset
     queries, pairs = kde_queries(features, 5)
     lists = neighbor_lists(features, PmlpConfig(kde_support_n=15, neighbor_count=5))
-    assert lists[0].shape == (1000, density._list_length(15, 1000))
+    assert lists[0].shape == (1000, proving_length(15, 1000))
     (got_idx, got_d2), fallen = listed_rows_counted(
         queries, features, 15, pairs, lists
     )
@@ -447,7 +480,11 @@ def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
     means = np.eye(32)[:4] * 3.0
     features = gen_gaussian_blobs(means, 1.0, 250, 1, seed=2).features
     queries, pairs = kde_queries(features, 6)
-    lists = neighbor_lists(features, PmlpConfig(kde_support_n=15, neighbor_count=6))
+    # Lists of 8 for 5 supports, a list round the cost rule takes at d=32:
+    # it leaves longer lists, as for more supports, to the screens.
+    lists = density._row_lists(features, 8)
+    assert density._rounds(5, len(features), 32, 8)[0] == 8
+    assert density._rounds(5, len(features), 32, 9)[0] == 0
     width = 2 * (lists[0].shape[1] + 1)  # both ends and their lists
     ranked = []
     distances = density._distances
@@ -459,12 +496,12 @@ def test_high_d_ranks_candidates_for_the_first_block_only(monkeypatch):
 
     monkeypatch.setattr(density, "_distances", spy)
     (got_idx, got_d2), fallen = listed_rows_counted(
-        queries, features, 15, pairs, lists
+        queries, features, 5, pairs, lists
     )
-    want_idx, want_d2 = nearest_rows_oracle(queries, features, 15)
+    want_idx, want_d2 = nearest_rows_oracle(queries, features, 5)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)
-    # Distances concentrate at d=32: Stewart's bound proves a few points,
+    # Distances concentrate at d=32: Stewart's bound proves some points,
     # and once a block proves fewer than half of its points, the rest go
     # straight to the screens. That block is the round's first, and a full
     # one: its candidate arrays fill half of the element budget.
@@ -562,13 +599,14 @@ def test_list_proof_blocks_match_oracle(
     ends = np.column_stack([a, b])
     count = 1 + int(count_fraction * (n - 1))  # 1 .. n
     if length_fraction is None:
-        length = density._list_length(count, n)
+        length = proving_length(count, n)
     else:
         length = 1 + int(length_fraction * (n - 2))  # 1 .. n - 1
     lists = nearest_rows_oracle(pool, pool, length, np.arange(n))
     width = 2 * (length + 1)  # both ends and their lists
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_RANK_COST", 0)  # the list round more often
         patch.setattr(density, "_MIN_SCREEN_BLOCK", 1)
         patch.setattr(density, "_CHUNK_ELEMENTS", per_block * 2 * width * (dim + 4))
         got_idx, got_d2 = collected(queries, pool, count, ends, lists)
@@ -928,7 +966,7 @@ def test_unprovable_list_points_take_the_exact_fallback_once(monkeypatch):
     b = (a + rng.integers(1, n, 400)) % n
     queries = pool[a] + 0.5 * (pool[b] - pool[a])
     ends = np.column_stack([a, b])
-    lists = nearest_rows_oracle(pool, pool, density._list_length(count, n), np.arange(n))
+    lists = nearest_rows_oracle(pool, pool, proving_length(count, n), np.arange(n))
     listed = []
     listed_rows = density._listed_rows
 
@@ -963,7 +1001,7 @@ def test_low_d_lists_are_proven_in_slabs(monkeypatch):
     (got_idx, got_d2), slabs, whole = screens_counted(
         density._row_lists, data, 5, 15
     )
-    length = density._list_length(15, 2000)
+    length = proving_length(15, 2000)
     want_idx, want_d2 = nearest_rows_oracle(data, data, length, np.arange(2000))
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_d2, want_d2)

@@ -9,6 +9,7 @@ from dataclasses import replace
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pmlp import density
 from pmlp.core import (
     MODES,
     AffinityMatrix,
@@ -17,7 +18,13 @@ from pmlp.core import (
     PmlpConfig,
     PmlpError,
 )
-from pmlp.graph import build_affinity, knn_edges, neighbor_lists, normalize_symmetric
+from pmlp.graph import (
+    EPS_DISTANCE,
+    build_affinity,
+    knn_edges,
+    neighbor_lists,
+    normalize_symmetric,
+)
 from pmlp.propagate import (
     MAX_SOLVE_STEPS,
     ThresholdSchedulerState,
@@ -34,6 +41,7 @@ from pmlp.synthlab import gen_gaussian_blobs, gen_two_moons
 
 from dense_oracle import affinity_from_dense, solve_dense, to_dense, upper_pairs
 from iterative_oracle import propagate_iterative
+from nearest_oracle import nearest_rows_oracle
 
 
 def random_normalized_instance(rng, n, classes):
@@ -425,6 +433,58 @@ def test_shared_lists_change_no_byte(
     assert pipeline_outcome(features, ground_truth, cfg, lists=lists) == pipeline_outcome(
         features, ground_truth, cfg
     )
+
+
+def dense_pipeline(features, ground_truth, cfg):
+    """``run_pmlp``'s final labels from dense arrays and brute-force
+    distances: kNN edges and each path midpoint's supports ranked by every
+    direct distance, for ``cfg``'s defaults of one path point, the "avg"
+    aggregator, Euclidean-inverse base affinity and no predictions."""
+    n, k = len(features), cfg.neighbor_count
+    neighbors = nearest_rows_oracle(features, features, k, np.arange(n))[0]
+    edge = np.zeros((n, n))
+    edge[np.repeat(np.arange(n), k), neighbors.ravel()] = 1.0
+    weight = np.triu((edge + edge.T) / 2, 1)  # 1 both ways, 1/2 one way
+    low, high = np.nonzero(weight)
+    points = features[low] + 0.5 * (features[high] - features[low])
+    factor = np.empty(len(low))
+    for start in range(0, len(low), 2000):
+        block = points[start : start + 2000]
+        d2 = sum((block[:, [c]] - features[:, c]) ** 2 for c in range(features.shape[1]))
+        nearest = np.partition(d2, cfg.kde_support_n - 1, axis=1)[:, : cfg.kde_support_n]
+        factor[start : start + 2000] = np.exp(-nearest / cfg.bandwidth_h).mean(axis=1)
+    distance = np.sqrt(np.sum((features[low] - features[high]) ** 2, axis=1))
+    W = np.zeros((n, n))
+    W[low, high] = weight[low, high] * factor / np.maximum(distance, EPS_DISTANCE)
+    W += W.T
+    scale = 1.0 / np.sqrt(W.sum(axis=1))
+    labelled = np.flatnonzero(ground_truth >= 0)
+    Y = np.zeros((n, ground_truth.max() + 1))
+    Y[labelled, ground_truth[labelled]] = 1.0
+    propagated = solve_dense(scale[:, None] * W * scale[None], Y, cfg.alpha)
+    propagated[labelled] = Y[labelled]
+    return cfg.eta * propagated
+
+
+def test_long_lists_skip_the_list_round(monkeypatch):
+    """1,000 two-moons rows with 200 neighbours: lists of 200 give each
+    path point 402 candidates, which cost more than a slab by the cost
+    rule, so no point is ranked among them, and the labels are the dense
+    pipeline's."""
+    sample = gen_two_moons(n=1000, noise=0.1, labeled_per_class=5, seed=1000)
+    cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=200)
+    calls = []
+    listed_rows = density._listed_rows
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return listed_rows(*args)
+
+    monkeypatch.setattr(density, "_listed_rows", spy)
+    got = run_pmlp(sample.features, sample.ground_truth, cfg).final_labels
+    assert calls == []
+    want = dense_pipeline(sample.features, sample.ground_truth, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-9
 
 
 class TestRunPmlp:

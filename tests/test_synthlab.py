@@ -228,6 +228,26 @@ class TestCompare:
         with pytest.raises(DataError):
             compare_pmlp_vs_lpa(dataset, PmlpConfig(), trials=0)
 
+    def test_a_200_row_trial_takes_the_list_round(self, monkeypatch):
+        """compare_n200's trials: 200 two-moons rows, 15 supports and k =
+        5. The cost rule runs the list round, which proves the path
+        points' supports."""
+        dataset = gen_two_moons(n=200, noise=0.1, labeled_per_class=2, seed=1000)
+        cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, seed=1000)
+        tried, proven = [], []
+        listed_rows = density._listed_rows
+
+        def spy(*args):
+            got = listed_rows(*args)
+            tried.append(len(args[0]))
+            proven.append(got[0].size)
+            return got
+
+        monkeypatch.setattr(density, "_listed_rows", spy)
+        _workers(monkeypatch, 1)
+        compare_pmlp_vs_lpa(dataset, cfg, trials=1)
+        assert tried and sum(proven) >= 0.9 * sum(tried)
+
     def test_one_list_pass_serves_both_modes(self, monkeypatch):
         dataset = gen_two_moons(n=60, noise=0.1, labeled_per_class=2, seed=9)
         cfg = PmlpConfig(bandwidth_h=0.05, kde_support_n=15, neighbor_count=5, seed=9)
